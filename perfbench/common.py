@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import resource
@@ -19,7 +20,16 @@ SRC = os.path.join(ROOT, "src")
 # Relative to ROOT (every process runs there), which keeps socket paths short.
 TMP_BASE = ".perfbench_tmp"
 SETUP_REPEATS = 3
+SETUP_MIN_S = 2.0
+SETUP_MAX_REPEATS = 15
 FSYNC = "always"
+# The host's speed is sampled by timing a job that runs none of the program's
+# code (a Python start plus the imports the program also makes), every
+# REFERENCE_EVERY_S between operations; times are then given for a host on
+# which that job takes REFERENCE_S (see README, "Host speed").
+REFERENCE_PROGRAM = "import numpy, scipy.optimize, networkx"
+REFERENCE_EVERY_S = 4.0
+REFERENCE_S = 1.0
 SCHEMA_NAME = "bench"
 
 
@@ -35,12 +45,16 @@ class Run:
         self.seed = seed
         self.seconds = seconds
         self.attempted = 0
-        self.failed = 0
+        self.failed_ops = 0
+        self.setup_failed = False
         self.errors: List[str] = []
         self.tmp = os.path.join(TMP_BASE, f"{os.getpid()}-{seed}")
         self.env = dict(os.environ, PYTHONPATH=SRC)
         self.procs: List[subprocess.Popen] = []
         self._dirs = 0
+        self._op_ok: Optional[bool] = None  # None outside an operation
+        self.host_samples: List[float] = []
+        self._host_at: Optional[float] = None
 
     def tmpdir(self, tag: str) -> str:
         self._dirs += 1
@@ -48,8 +62,27 @@ class Run:
         os.makedirs(path)
         return path
 
+    @contextlib.contextmanager
+    def op(self):
+        """One attempted operation: however many of its checks fail, it fails once."""
+        self.attempted += 1
+        self._op_ok = True
+        try:
+            yield
+        finally:
+            self._op_ok = None
+
+    @property
+    def failed(self) -> int:
+        """Failed operations, plus one if a set-up check failed; at most ``attempted``."""
+        return min(self.failed_ops + self.setup_failed, max(self.attempted, 1))
+
     def fail(self, message: str) -> None:
-        self.failed += 1
+        if self._op_ok is None:
+            self.setup_failed = True
+        elif self._op_ok:
+            self._op_ok = False
+            self.failed_ops += 1
         if len(self.errors) < 10:
             self.errors.append(message)
 
@@ -73,6 +106,25 @@ class Run:
         except OSError:
             pass
 
+    def sample_host(self, force: bool = False) -> None:
+        """Time the reference job, unless it ran less than REFERENCE_EVERY_S ago."""
+        if (not force and self._host_at is not None
+                and time.perf_counter() - self._host_at < REFERENCE_EVERY_S):
+            return
+        began = time.perf_counter()
+        proc = self.spawn([sys.executable, "-c", REFERENCE_PROGRAM],
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        # wait() without a timeout blocks in waitpid; with one it polls in
+        # steps of up to 50 ms, which would show in a 1 s sample.
+        if proc.wait() != 0:
+            raise BenchError(f"reference job exited with {proc.returncode}")
+        self.host_samples.append(time.perf_counter() - began)
+        self._host_at = time.perf_counter()
+
+    def host_scale(self) -> float:
+        """Seconds measured here × this = seconds on the reference host."""
+        return REFERENCE_S / statistics.median(self.host_samples)
+
     def spawn(self, argv: List[str], **kwargs) -> subprocess.Popen:
         proc = subprocess.Popen(argv, env=self.env, cwd=ROOT, **kwargs)
         self.procs.append(proc)
@@ -81,17 +133,20 @@ class Run:
 
 def timed_setup(run: Run, build: Callable[[int], Any],
                 teardown: Callable[[Any], None]) -> Tuple[float, Any]:
-    """Build ``SETUP_REPEATS`` times; the median time and the last state.
-
-    Every state but the last is torn down outside the timed region.
+    """Build ``SETUP_REPEATS`` times, and more while they add up to less than
+    ``SETUP_MIN_S`` (a cheap set-up is noisy); the median time and the last
+    state.  Every state but the last is torn down outside the timed region.
     """
-    times = []
+    times: List[float] = []
     state = None
-    for attempt in range(SETUP_REPEATS):
+    run.sample_host(force=True)
+    while len(times) < SETUP_REPEATS or (
+            sum(times) < SETUP_MIN_S and len(times) < SETUP_MAX_REPEATS):
         if state is not None:
             teardown(state)
+        run.sample_host()
         start = time.perf_counter()
-        state = build(attempt)
+        state = build(len(times))
         times.append(time.perf_counter() - start)
     return statistics.median(times), state
 
@@ -100,15 +155,20 @@ def p50(values: List[float]) -> float:
     return statistics.median(values) if values else float("nan")
 
 
+def round_time(by_class: Dict[str, List[float]]) -> float:
+    """One typical round: the sum over input classes of each class's median.
+
+    Every class adds its own median, so a regression in any shape, store or
+    pair kind moves the figure by that class's share of a round.
+    """
+    return sum(statistics.median(values) for values in by_class.values())
+
+
 def p90(values: List[float]) -> Optional[float]:
     """The 90th percentile, only when at least 10 samples lie above it."""
     if len(values) < 100:
         return None
     return statistics.quantiles(values, n=10)[8]
-
-
-def children_peak_rss_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
 
 
 def self_peak_rss_mb() -> float:

@@ -25,9 +25,10 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
 
-from common import FSYNC, ROOT, SRC, Run, p50  # noqa: E402
+from common import FSYNC, ROOT, SRC, Run, p50, round_time  # noqa: E402
 
-END_TO_END = {"op_p50_s": "s", "setup_s": "s", "peak_rss_mb": "MB"}
+END_TO_END = {"round_s": "s", "setup_s": "s", "peak_rss_mb": "MB"}
+HASH_SEED = "0"
 
 
 def _version(module: str):
@@ -77,6 +78,7 @@ def environment(seed: int) -> dict:
         "scipy": _version("scipy"),
         "networkx": _version("networkx"),
         "REPRO_VECTORIZE": os.environ.get("REPRO_VECTORIZE"),
+        "PYTHONHASHSEED": os.environ.get("PYTHONHASHSEED"),
         "fsync": FSYNC,
         "nproc": os.cpu_count(),
     }
@@ -91,6 +93,13 @@ def main() -> int:
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
+    if os.environ.get("PYTHONHASHSEED") != HASH_SEED:
+        # Set and dict iteration orders follow the hash seed, and with them
+        # the work a search or a fixpoint does: with a random seed per
+        # process, one contains() loop took from 1.2 to 2.2 s.  Every
+        # process of a run (this one, CLI children, daemons) uses one seed.
+        os.environ["PYTHONHASHSEED"] = HASH_SEED
+        os.execv(sys.executable, [sys.executable, *sys.argv])
     if os.environ.get("REPRO_FAULTS"):
         print("perfbench: REPRO_FAULTS is set; fault injection would make "
               "timings and verdicts meaningless", file=sys.stderr)
@@ -115,19 +124,28 @@ def main() -> int:
             report = {"per_layer": metrics}
         else:
             figures = WORKLOADS[args.workload](run)
-            if not figures["op"]:
+            if not figures["by_class"]:
                 run.fail("no operation completed")
-            values = {"op_p50_s": p50(figures["op"]), "setup_s": figures["setup_s"],
+            run.sample_host(force=True)
+            scale = run.host_scale()
+            values = {"round_s": round_time(figures["by_class"]) * scale,
+                      "setup_s": figures["setup_s"] * scale,
                       "peak_rss_mb": figures["peak_rss_mb"]}
             metrics = {name: {"value": values[name], "unit": unit}
                        for name, unit in END_TO_END.items()}
             named = {name: {"value": value, "unit": unit}
                      for name, (value, unit) in figures["named"].items()
                      if value is not None}
-            named["setup_s"] = {"value": figures["setup_s"], "unit": "s"}
+            named["setup_s"] = {"value": values["setup_s"], "unit": "s"}
             named["peak_rss_mb"] = {"value": figures["peak_rss_mb"], "unit": "MB"}
             named["error_rate"] = {
                 "value": run.failed / max(run.attempted, 1), "unit": "ratio"}
+            figures["detail"].update(
+                per_class_p50_s={name: p50(samples)
+                                 for name, samples in sorted(figures["by_class"].items())},
+                measured_round_s=round_time(figures["by_class"]),
+                measured_setup_s=figures["setup_s"],
+                host_reference_s=run.host_samples)
             report = {"metrics": named, "detail": figures["detail"]}
     finally:
         run.close()

@@ -3,13 +3,15 @@
 Each call into a layer's public function is wrapped in a span recording its
 name, start, end, parent span and the id of the operation it belongs to.
 Spans stay in memory and are written to ``.perfbench_out/`` when the run
-ends.  A layer's self time is its span minus the time its child spans cover;
-an operation's unattributed remainder is the self time of its ``op`` span.
+ends.  A layer's self time is its span minus the time its child spans cover,
+summed within each operation; an operation's unattributed remainder is the
+self time of its ``op`` span.
 
 A traced run covers all four workloads (each gets a quarter of ``--seconds``),
 so every run prints every per-layer metric.  The untraced wall time of the
 same operations — CLI child processes, daemon round trips, daemon restarts,
-``contains`` calls — is measured alongside, for ``trace.overhead_ratio``.
+and an untraced contains-evolution run in a child process — is measured
+alongside, for ``trace.overhead_ratio``.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 import gen
-from common import ROOT, SCHEMA_NAME, Daemon, Run, p50
+from common import ROOT, SCHEMA_NAME, BenchError, Daemon, Run, p50
 from workloads import (
-    COMPRESSED, PAIRS, check_cli, churn_order, check_containment, check_entry, crashed_data_dir,
-    oneshot_docs, run_cli, start_stores,
+    COMPRESSED, check_cli, churn_order, check_containment, check_entry, crashed_data_dir,
+    oneshot_docs, revalidate_stores, run_cli, start_stores,
 )
 
 OUT_DIR = ".perfbench_out"
@@ -45,9 +47,10 @@ class Tracer:
         self._op: Optional[str] = None
 
     @contextlib.contextmanager
-    def span(self, name: str):
+    def span(self, name: str, op: Optional[str] = None):
+        """A span of the current operation, or of ``op`` when one is given."""
         parent = self._stack[-1] if self._stack else None
-        record = [name, time.perf_counter(), None, parent, self._op]
+        record = [name, time.perf_counter(), None, parent, op or self._op]
         self.spans.append(record)
         self._stack.append(len(self.spans) - 1)
         try:
@@ -65,21 +68,38 @@ class Tracer:
         finally:
             self._op = None
 
-    def self_times(self, prefix: str = "") -> Dict[str, List[float]]:
-        """Per span name, each span's duration minus its children's."""
+    def wrap(self, name: str, function, results: Optional[list] = None):
+        """``function`` inside a span; its return values go to ``results``."""
+        def traced(*args, **kwargs):
+            with self.span(name):
+                value = function(*args, **kwargs)
+            if results is not None:
+                results.append(value)
+            return value
+        return traced
+
+    def layer_times(self, prefix: str) -> Dict[str, List[float]]:
+        """Per span name, its self time summed within each ``prefix`` operation.
+
+        A span's self time is its duration minus its children's; the list
+        holds one sum per operation in which the name occurs.
+        """
         covered = [0.0] * len(self.spans)
-        for name, start, end, parent, _op in self.spans:
+        for _name, start, end, parent, _op in self.spans:
             if parent is not None:
                 covered[parent] += end - start
-        times: Dict[str, List[float]] = {}
+        sums: Dict[Tuple[str, str], float] = {}
         for index, (name, start, end, _parent, op) in enumerate(self.spans):
-            if op is None or op.startswith(prefix):
-                times.setdefault(name, []).append(end - start - covered[index])
+            if op is not None and op.startswith(prefix):
+                sums[name, op] = sums.get((name, op), 0.0) + end - start - covered[index]
+        times: Dict[str, List[float]] = {}
+        for (name, _op), value in sums.items():
+            times.setdefault(name, []).append(value)
         return times
 
     def op_wall(self, prefix: str) -> Tuple[float, float]:
         """Total wall time of ``prefix`` operations, and their unattributed part."""
-        ops = self.self_times(prefix).get("op", [])
+        ops = self.layer_times(prefix).get("op", [])
         walls = [end - start for name, start, end, _p, op in self.spans
                  if name == "op" and op.startswith(prefix)]
         return sum(walls), sum(ops)
@@ -88,6 +108,41 @@ class Tracer:
         names = ("name", "start", "end", "parent", "op")
         with open(path, "w", encoding="utf-8") as handle:
             json.dump([dict(zip(names, span)) for span in self.spans], handle)
+
+
+@contextlib.contextmanager
+def spans_around(tracer: Tracer, targets):
+    """Route calls through spans: ``targets`` holds ``(module, attribute, span,
+    results)``; each module function is replaced by a traced wrapper and put
+    back on exit, so the program's own code runs and its calls are timed."""
+    saved = [(module, attribute, getattr(module, attribute))
+             for module, attribute, _span, _results in targets]
+    for (module, attribute, name, results), (_m, _a, function) in zip(targets, saved):
+        setattr(module, attribute, tracer.wrap(name, function, results))
+    try:
+        yield
+    finally:
+        for module, attribute, function in saved:
+            setattr(module, attribute, function)
+
+
+def workload_report(run: Run, workload: str, seconds: float) -> Dict[str, Any]:
+    """The ``report`` line of an untraced run of ``workload`` in a child process."""
+    proc = run.spawn(
+        [sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--workload", workload,
+         "--seed", str(run.seed), "--seconds", str(seconds), "--trace", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+    )
+    try:
+        out, _ = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        raise BenchError(f"untraced {workload}: timed out")
+    for line in out.decode("utf-8", "replace").splitlines():
+        if line.startswith("report "):
+            return json.loads(line[len("report "):])
+    raise BenchError(f"untraced {workload}: exit {proc.returncode}, no report")
 
 
 def _median(values: List[float], default: float = 0.0) -> float:
@@ -110,7 +165,7 @@ def import_costs(run: Run, repeats: int = 3) -> Dict[str, Tuple[float, str]]:
             began = time.perf_counter()
             proc = run.spawn([sys.executable, "-c", program],
                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-            proc.wait(timeout=120)
+            proc.wait()  # a blocking waitpid: a timeout would poll in 50 ms steps
             times[key].append(time.perf_counter() - began)
     base = p50(times["pass"])
     return {
@@ -139,39 +194,39 @@ def trace_oneshot(run: Run, tracer: Tracer, budget: float) -> Dict[str, Tuple[fl
     count = 0
     while time.perf_counter() - start < budget:
         for shape, path, expected in rng.sample(docs, len(docs)):
-            run.attempted += 1
-            began = time.perf_counter()
-            returncode, out = run_cli(run, schema_path, path)
-            untraced += time.perf_counter() - began
-            check_cli(run, returncode, out, expected, f"{shape} document")
             count += 1
-            with tracer.op(f"validate-oneshot/{count}"):
-                with tracer.span("io.read"):
-                    with open(schema_path, encoding="utf-8") as handle:
-                        schema_text = handle.read()
-                    with open(path, encoding="utf-8") as handle:
-                        text = handle.read()
-                with tracer.span("schema.parse"):
-                    schema = parse_schema(schema_text, name=schema_path)
-                with tracer.span("rdf.parse"):
-                    began = time.perf_counter()
-                    rdf = parse_turtle_lite(text, name=path)
-                    parse_time += time.perf_counter() - began
-                with tracer.span("rdf.convert"):
-                    graph = rdf_to_simple_graph(rdf, name=path)
-                with tracer.span("engine.compile"):
-                    compiled = CompiledSchema(schema)
-                stats = FixpointStats()
-                with tracer.span("engine.typing"):
-                    typing = maximal_typing_fixpoint(graph, compiled=compiled, stats=stats)
-                    untyped = sum(1 for node in graph.nodes if not typing.types_of(node))
-            triples += len(rdf)
-            checks += stats.checks
-            hits += stats.signature_hits
-            run.check(untyped == expected,
-                      f"traced {shape}: {untyped} untyped, expected {expected}")
+            with run.op():
+                began = time.perf_counter()
+                returncode, out, _rss = run_cli(run, schema_path, path)
+                untraced += time.perf_counter() - began
+                check_cli(run, returncode, out, expected, f"{shape} document")
+                with tracer.op(f"validate-oneshot/{count}"):
+                    with tracer.span("io.read"):
+                        with open(schema_path, encoding="utf-8") as handle:
+                            schema_text = handle.read()
+                        with open(path, encoding="utf-8") as handle:
+                            text = handle.read()
+                    with tracer.span("schema.parse"):
+                        schema = parse_schema(schema_text, name=schema_path)
+                    with tracer.span("rdf.parse"):
+                        began = time.perf_counter()
+                        rdf = parse_turtle_lite(text, name=path)
+                        parse_time += time.perf_counter() - began
+                    with tracer.span("rdf.convert"):
+                        graph = rdf_to_simple_graph(rdf, name=path)
+                    with tracer.span("engine.compile"):
+                        compiled = CompiledSchema(schema)
+                    stats = FixpointStats()
+                    with tracer.span("engine.typing"):
+                        typing = maximal_typing_fixpoint(graph, compiled=compiled, stats=stats)
+                        untyped = sum(1 for node in graph.nodes if not typing.types_of(node))
+                triples += len(rdf)
+                checks += stats.checks
+                hits += stats.signature_hits
+                run.check(untyped == expected,
+                          f"traced {shape}: {untyped} untyped, expected {expected}")
     wall, unattributed = tracer.op_wall("validate-oneshot/")
-    times = tracer.self_times("validate-oneshot/")
+    times = tracer.layer_times("validate-oneshot/")
     return {
         "rdf.parse_s": (_median(times["rdf.parse"]), "s"),
         "rdf.parse_triples_per_s": (triples / parse_time, "1/s"),
@@ -238,17 +293,17 @@ def trace_churn(run: Run, tracer: Tracer, budget: float) -> Dict[str, Tuple[floa
             if time.perf_counter() - start >= budget:
                 break
             ops.append((name, version, kind, delta, expected))
-            run.attempted += 1
-            began = time.perf_counter()
-            conn.call("update_graph", name=name, delta=delta, expect_version=version)
-            sent = time.perf_counter()
-            entry = conn.call("revalidate", name=name, schema=SCHEMA_NAME,
-                              compressed=COMPRESSED.get(name, False))
-            done = time.perf_counter()
-            untraced += done - began
-            overheads.append(done - sent - entry["seconds"])
-            response_bytes.append(conn.last_bytes)
-            _entry_ok(run, entry, expected, f"daemon {kind} on {name}")
+            with run.op():
+                began = time.perf_counter()
+                conn.call("update_graph", name=name, delta=delta, expect_version=version)
+                sent = time.perf_counter()
+                entry = conn.call("revalidate", name=name, schema=SCHEMA_NAME,
+                                  compressed=COMPRESSED.get(name, False))
+                done = time.perf_counter()
+                untraced += done - began
+                overheads.append(done - sent - entry["seconds"])
+                response_bytes.append(conn.last_bytes)
+                _entry_ok(run, entry, expected, f"daemon {kind} on {name}")
     finally:
         daemon.stop()
 
@@ -297,15 +352,16 @@ def trace_churn(run: Run, tracer: Tracer, budget: float) -> Dict[str, Tuple[floa
             solver["warm_misses"] += stats.warm_misses
             incremental += outcome.mode not in ("full", "kinds")
             affected += outcome.affected
-            _entry_ok(run, {"verdict": outcome.result.verdict,
-                            "untyped_nodes": outcome.result.payload["untyped_nodes"]},
-                      expected, f"traced {kind} on {name}")
+            with run.op():
+                _entry_ok(run, {"verdict": outcome.result.verdict,
+                                "untyped_nodes": outcome.result.payload["untyped_nodes"]},
+                          expected, f"traced {kind} on {name}")
     finally:
         for store in durable.values():
             store.close()
     count = max(len(ops), 1)
     wall, unattributed = tracer.op_wall("daemon-churn/")
-    times = tracer.self_times("daemon-churn/")
+    times = tracer.layer_times("daemon-churn/")
     return {
         "graphs.apply_s": (_median(times.get("graphs.apply", [])), "s"),
         "graphs.view_sync_s": (_median(times.get("graphs.view_sync", [])), "s"),
@@ -344,74 +400,75 @@ def trace_restart(run: Run, tracer: Tracer, budget: float) -> Dict[str, Tuple[fl
     start = time.perf_counter()
     while count == 0 or time.perf_counter() - start < budget:
         count += 1
-        run.attempted += 1
-        # Untraced: a daemon restart on a private copy.
-        copy = os.path.join(run.tmpdir("restart"), "data")
-        shutil.copytree(data_dir, copy)
-        began = time.perf_counter()
-        daemon = Daemon(run, copy)
-        try:
-            conn = daemon.wait_ready()
-            ready.append(time.perf_counter() - began)
-            answer = conn.call("revalidate", all=True, schema=SCHEMA_NAME)
-            untraced += time.perf_counter() - began
-        finally:
-            daemon.stop()
-        entries = {entry.get("graph"): entry for entry in answer["results"]}
-        for name, mirror in mirrors.items():
-            check_entry(run, entries.get(name, {}), mirror, "daemon restart")
-        shutil.rmtree(copy)
+        with run.op():
+            # Untraced: a daemon restart on a private copy.
+            copy = os.path.join(run.tmpdir("restart"), "data")
+            shutil.copytree(data_dir, copy)
+            began = time.perf_counter()
+            daemon = Daemon(run, copy)
+            try:
+                conn = daemon.wait_ready()
+                ready.append(time.perf_counter() - began)
+                entries = revalidate_stores(conn, sorted(mirrors))
+                untraced += time.perf_counter() - began
+            finally:
+                daemon.stop()
+            for name, mirror in mirrors.items():
+                check_entry(run, entries.get(name, {}), mirror, "daemon restart")
+            shutil.rmtree(copy)
 
-        # Traced: the same recovery in-process.
-        copy = os.path.join(run.tmpdir("restart"), "data")
-        shutil.copytree(data_dir, copy)
-        stores: Dict[str, Any] = {}
-        with tracer.op(f"crash-restart/{count}"):
-            engine = ValidationEngine()
-            with tracer.span("io.read"):
-                with open(os.path.join(copy, "schemas", f"{SCHEMA_NAME}.shex"),
-                          encoding="utf-8") as handle:
-                    text = handle.read()
-            with tracer.span("schema.parse"):
-                schema = parse_schema(text, name=SCHEMA_NAME)
-            with tracer.span("engine.compile"):
-                compiled = engine.compile(schema)
-            for directory in sorted(glob.glob(os.path.join(copy, "graphs", "*"))):
-                with tracer.span("persist.open"):
-                    store = DurableStore.open(directory, fsync="always")
-                with tracer.span("engine.seed"):
-                    for snap in store.restored_typings:
-                        if snap["schema"] == compiled.fingerprint:
-                            engine.seed_typing(
-                                store, compiled, snap["typing"], snap["version"],
-                                compressed=snap["compressed"],
-                                kind_typing=snap["kind_typing"], epoch=snap["epoch"],
-                            )
-                stores[store.name] = store
-                replayed += store.recovery.get("replayed", 0)
-                snapshot_bytes.append(sum(
-                    os.path.getsize(path)
-                    for path in glob.glob(os.path.join(directory, "snapshot-*.json"))))
-            outcomes = {}
-            for name, store in stores.items():
-                with tracer.span("engine.revalidate"):
-                    outcomes[name] = engine.revalidate(store, compiled)
-        for name, mirror in mirrors.items():
-            outcome = outcomes.get(name)
-            check_entry(run, {} if outcome is None else {
-                "verdict": outcome.result.verdict, "version": outcome.version,
-                "untyped_nodes": outcome.result.payload["untyped_nodes"],
-            }, mirror, "traced restart")
-        with tracer.span("persist.checkpoint"):
+        with run.op():
+            # Traced: the same recovery in-process.
+            copy = os.path.join(run.tmpdir("restart"), "data")
+            shutil.copytree(data_dir, copy)
+            stores: Dict[str, Any] = {}
+            with tracer.op(f"crash-restart/{count}"):
+                engine = ValidationEngine()
+                with tracer.span("io.read"):
+                    with open(os.path.join(copy, "schemas", f"{SCHEMA_NAME}.shex"),
+                              encoding="utf-8") as handle:
+                        text = handle.read()
+                with tracer.span("schema.parse"):
+                    schema = parse_schema(text, name=SCHEMA_NAME)
+                with tracer.span("engine.compile"):
+                    compiled = engine.compile(schema)
+                for directory in sorted(glob.glob(os.path.join(copy, "graphs", "*"))):
+                    with tracer.span("persist.open"):
+                        store = DurableStore.open(directory, fsync="always")
+                    with tracer.span("engine.seed"):
+                        for snap in store.restored_typings:
+                            if snap["schema"] == compiled.fingerprint:
+                                engine.seed_typing(
+                                    store, compiled, snap["typing"], snap["version"],
+                                    compressed=snap["compressed"],
+                                    kind_typing=snap["kind_typing"], epoch=snap["epoch"],
+                                )
+                    stores[store.name] = store
+                    replayed += store.recovery.get("replayed", 0)
+                    snapshot_bytes.append(sum(
+                        os.path.getsize(path)
+                        for path in glob.glob(os.path.join(directory, "snapshot-*.json"))))
+                outcomes = {}
+                for name, store in stores.items():
+                    with tracer.span("engine.revalidate"):
+                        outcomes[name] = engine.revalidate(
+                            store, compiled, compressed=COMPRESSED.get(name, False))
+            for name, mirror in mirrors.items():
+                outcome = outcomes.get(name)
+                check_entry(run, {} if outcome is None else {
+                    "verdict": outcome.result.verdict, "version": outcome.version,
+                    "untyped_nodes": outcome.result.payload["untyped_nodes"],
+                }, mirror, "traced restart")
+            with tracer.span("persist.checkpoint", op=f"crash-restart/{count}/checkpoint"):
+                for store in stores.values():
+                    store.checkpoint(engine.export_typings(store))
             for store in stores.values():
-                store.checkpoint(engine.export_typings(store))
-        for store in stores.values():
-            store.close()
-        shutil.rmtree(copy)
+                store.close()
+            shutil.rmtree(copy)
     wall, unattributed = tracer.op_wall("crash-restart/")
-    times = tracer.self_times("crash-restart/")
+    times = tracer.layer_times("crash-restart/")
     return {
-        "persist.open_s": (sum(times["persist.open"]) / count, "s"),
+        "persist.open_s": (_median(times["persist.open"]), "s"),
         "persist.replayed_records": (replayed / count, "count"),
         "persist.snapshot_bytes": (_median(snapshot_bytes), "B"),
         "persist.checkpoint_s": (_median(times["persist.checkpoint"]), "s"),
@@ -424,80 +481,36 @@ def trace_restart(run: Run, tracer: Tracer, budget: float) -> Dict[str, Tuple[fl
 # --------------------------------------------------------------------------- #
 # contains-evolution
 # --------------------------------------------------------------------------- #
-class _Result:
-    def __init__(self, verdict, counterexample=None):
-        self.verdict = verdict
-        self.counterexample = counterexample
-
-
-def traced_contains(tracer: Tracer, left, right) -> Tuple[_Result, int]:
-    """``contains(left, right)`` with default budgets, one span per layer.
-
-    Follows :func:`repro.containment.api.contains_compiled` step by step.
-    """
-    from repro.containment.api import Verdict
-    from repro.containment.counterexample import find_counterexample
-    from repro.containment.detshex import contains_detshex0_minus
-    from repro.engine.compiled import compile_schema
-    from repro.embedding.simulation import maximal_simulation
-    from repro.schema.classes import SchemaClass
-
-    with tracer.span("schema.classify"):
-        sub, sup = compile_schema(left), compile_schema(right)
-        detshex = (sub.schema_class is SchemaClass.DETSHEX0_MINUS
-                   and sup.schema_class is SchemaClass.DETSHEX0_MINUS)
-        shex0 = sub.is_shex0 and sup.is_shex0
-    if detshex:
-        with tracer.span("containment.detshex"):
-            decided = contains_detshex0_minus(left, right)
-        if decided:
-            return _Result(Verdict.CONTAINED), 0
-        with tracer.span("containment.search"):
-            search = find_counterexample(left, right, strategies=("characterizing",),
-                                         max_nodes=40)
-        return _Result(Verdict.NOT_CONTAINED, search.counterexample), search.candidates_checked
-    if shex0:
-        with tracer.span("embedding.simulation"):
-            embeds = maximal_simulation(sub.shape_graph, sup.shape_graph).embeds
-        if embeds:
-            return _Result(Verdict.CONTAINED), 0
-    strategies = ("characterizing", "enumerate", "sample") if shex0 else ("sample",)
-    with tracer.span("containment.search"):
-        search = find_counterexample(left, right, strategies=strategies, max_nodes=40,
-                                     width=1, max_candidates=500, samples=30, seed=0)
-    verdict = Verdict.NOT_CONTAINED if search.counterexample is not None else Verdict.UNKNOWN
-    return _Result(verdict, search.counterexample), search.candidates_checked
-
-
 def trace_contains(run: Run, tracer: Tracer, budget: float) -> Dict[str, Tuple[float, str]]:
-    from repro.containment.api import contains
-    from repro.containment.characterizing import characterizing_graph_for_schema
+    from repro.containment import api, characterizing
+    from repro.engine.compiled import compile_schema
 
-    pairs = gen.schema_pairs(random.Random(run.seed), PAIRS)
-    untraced = 0.0
-    done = []
-    start = time.perf_counter()
-    for kind, left, right in pairs:
-        if time.perf_counter() - start >= budget:
-            break
-        began = time.perf_counter()
-        expected = contains(left, right).verdict
-        untraced += time.perf_counter() - began
-        done.append((kind, left, right, expected))
-    candidates = 0
-    for index, (kind, left, right, expected) in enumerate(done):
-        run.attempted += 1
-        with tracer.op(f"contains-evolution/{index}"):
-            result, checked = traced_contains(tracer, left, right)
-        candidates += checked
-        run.check(result.verdict is expected,
-                  f"traced {kind}: {result.verdict.value}, untraced {expected.value}")
-        check_containment(run, kind, left, right, result)
-        if kind.startswith("detshex"):
-            with tracer.span("containment.characterizing"):
-                characterizing_graph_for_schema(left)
+    # Untraced: the workload itself in a fresh process, whose caches (the
+    # compile intern table, the solver memo) are as cold as this process's
+    # are for these pairs; the traced replay then repeats its operations.
+    report = workload_report(run, "contains-evolution", budget)
+    run.check(report["failed"] == 0, f"untraced contains-evolution: {report['errors']}")
+    untraced = report["detail"]["contains_total_s"]
+    pairs = gen.schema_pairs(random.Random(run.seed), report["attempted"])
+    searches: List[Any] = []
+    layers = [
+        (api, "contains_detshex0_minus", "containment.detshex", None),
+        (api, "maximal_simulation", "embedding.simulation", None),
+        (api, "find_counterexample", "containment.search", searches),
+        (characterizing, "characterizing_graph_for_schema", "containment.characterizing", None),
+    ]
+    for index, (kind, left, right) in enumerate(pairs):
+        with run.op():
+            with spans_around(tracer, layers), tracer.op(f"contains-evolution/{index}"):
+                # contains() is compile_schema on both sides, then
+                # contains_compiled; classification is read here first.
+                with tracer.span("schema.classify"):
+                    sub, sup = compile_schema(left), compile_schema(right)
+                    sub.schema_class, sup.schema_class, sub.is_shex0 and sup.is_shex0
+                result = api.contains_compiled(sub, sup)
+            check_containment(run, kind, left, right, result)
     wall, unattributed = tracer.op_wall("contains-evolution/")
-    times = tracer.self_times("contains-evolution/")
+    times = tracer.layer_times("contains-evolution/")
     return {
         "schema.classify_s": (_median(times.get("schema.classify", [])), "s"),
         "containment.detshex_s": (_median(times.get("containment.detshex", [])), "s"),
@@ -505,7 +518,9 @@ def trace_contains(run: Run, tracer: Tracer, budget: float) -> Dict[str, Tuple[f
         "containment.characterizing_s": (
             _median(times.get("containment.characterizing", [])), "s"),
         "containment.search_s": (_median(times.get("containment.search", [])), "s"),
-        "containment.candidates": (candidates / max(len(done), 1), "count"),
+        "containment.candidates": (
+            sum(search.candidates_checked for search in searches) / max(len(pairs), 1),
+            "count"),
         "trace.unattributed_share.contains-evolution": (_ratio(unattributed, wall), "ratio"),
         "trace.overhead_ratio.contains-evolution": (_ratio(wall, untraced), "ratio"),
     }

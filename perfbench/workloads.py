@@ -6,17 +6,20 @@ when the previous answer is in and checked.
 
 from __future__ import annotations
 
+import gc
 import os
 import random
 import shutil
+import signal
 import subprocess
 import sys
+import threading
 import time
 from typing import Any, Dict, List, Tuple
 
 import gen
 from common import (
-    SCHEMA_NAME, BenchError, Daemon, Run, children_peak_rss_mb, p50, p90,
+    SCHEMA_NAME, BenchError, Daemon, Run, p50, p90,
     self_peak_rss_mb, timed_setup,
 )
 
@@ -25,6 +28,8 @@ from common import (
 COMPRESSED = {"hub": True}
 CRASH_TAIL = 30
 PAIRS = 2500
+# daemon-churn reads the daemon's peak RSS after this many operations.
+RSS_OPS = 20
 
 
 def _write(path: str, text: str) -> str:
@@ -57,18 +62,28 @@ def check_cli(run: Run, returncode: int, out: str, expected: int, what: str) -> 
                   f"{what}: expected {expected} untyped, got exit {returncode}: {out[:120]!r}")
 
 
-def run_cli(run: Run, schema: str, path: str) -> Tuple[int, str]:
+def run_cli(run: Run, schema: str, path: str) -> Tuple[int, str, float]:
+    """One CLI child: its exit code, its output and its own peak RSS in MB.
+
+    The peak RSS comes from the child's own rusage, not from RUSAGE_CHILDREN,
+    which would also count the host-speed reference jobs.
+    """
     proc = run.spawn(
         [sys.executable, "-m", "repro.cli", "validate", "--schema", schema, "--data", path],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
     )
+    timer = threading.Timer(120, proc.kill)
+    timer.start()
     try:
-        out, _ = proc.communicate(timeout=120)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        proc.communicate()
+        out = proc.stdout.read()
+        _pid, status, usage = os.wait4(proc.pid, 0)
+    finally:
+        timer.cancel()
+        proc.stdout.close()
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode == -signal.SIGKILL:
         raise BenchError(f"validate {path}: timed out")
-    return proc.returncode, out.decode("utf-8", "replace")
+    return proc.returncode, out.decode("utf-8", "replace"), usage.ru_maxrss / 1024.0
 
 
 def validate_oneshot(run: Run) -> Dict[str, Any]:
@@ -80,33 +95,35 @@ def validate_oneshot(run: Run) -> Dict[str, Any]:
     rng = random.Random(run.seed + 1)
     latencies: List[float] = []
     by_shape: Dict[str, List[float]] = {}
+    peak_rss = 0.0
     start = time.perf_counter()
     # Whole rounds, one document of each shape per round, so every run
     # weighs the shapes alike.
     while time.perf_counter() - start < run.seconds:
         for shape, path, expected in rng.sample(docs, len(docs)):
-            run.attempted += 1
-            began = time.perf_counter()
-            try:
-                returncode, out = run_cli(run, schema, path)
-            except BenchError as exc:
-                run.fail(str(exc))
-                continue
-            elapsed = time.perf_counter() - began
-            latencies.append(elapsed)
-            by_shape.setdefault(shape, []).append(elapsed)
-            check_cli(run, returncode, out, expected, f"{shape} document")
+            run.sample_host()
+            with run.op():
+                began = time.perf_counter()
+                try:
+                    returncode, out, rss = run_cli(run, schema, path)
+                except BenchError as exc:
+                    run.fail(str(exc))
+                    continue
+                elapsed = time.perf_counter() - began
+                peak_rss = max(peak_rss, rss)
+                latencies.append(elapsed)
+                by_shape.setdefault(shape, []).append(elapsed)
+                check_cli(run, returncode, out, expected, f"{shape} document")
     return {
-        "op": latencies,
+        "by_class": by_shape,
         "setup_s": setup_s,
-        "peak_rss_mb": children_peak_rss_mb(),
+        "peak_rss_mb": peak_rss,
         "named": {
             "validate_p50_s": (p50(latencies), "s"),
             "validate_p90_s": (p90(latencies), "s"),
         },
         "detail": {
             "samples": len(latencies),
-            "per_shape_p50_s": {k: round(p50(v), 4) for k, v in sorted(by_shape.items())},
             "expected_untyped": {shape: n for shape, _, n in docs},
         },
     }
@@ -157,6 +174,20 @@ def churn_order(rng: random.Random, mirrors: Dict[str, gen.Mirror]):
         yield from rng.sample(names, len(names))
 
 
+def revalidate_stores(conn, names) -> Dict[str, Dict[str, Any]]:
+    """Revalidate ``names``, each under the semantics its typing was built with.
+
+    The compressed stores go one by one, the plain ones in one ``graphs``
+    request; the answer maps each graph name to its entry.
+    """
+    entries = [conn.call("revalidate", name=name, schema=SCHEMA_NAME, compressed=True)
+               for name in names if COMPRESSED.get(name)]
+    plain = [name for name in names if not COMPRESSED.get(name)]
+    if plain:
+        entries += conn.call("revalidate", graphs=plain, schema=SCHEMA_NAME)["results"]
+    return {entry.get("graph"): entry for entry in entries}
+
+
 def daemon_churn(run: Run) -> Dict[str, Any]:
     setup_s, (daemon, mirrors) = timed_setup(
         run,
@@ -169,45 +200,50 @@ def daemon_churn(run: Run) -> Dict[str, Any]:
     pairs: List[float] = []
     by_store: Dict[str, List[float]] = {}
     modes: Dict[str, int] = {}
+    rss = None
     try:
-        # Measured once the stores are registered and typed, so that it does
-        # not grow with the number of operations a run gets through.
-        rss = daemon.vmhwm_mb()
         conn = daemon.conn
         start = time.perf_counter()
         for name in churn_order(rng, mirrors):
             if time.perf_counter() - start >= run.seconds:
                 break
+            if len(pairs) == RSS_OPS:
+                # After a fixed number of operations, so that the figure
+                # includes what churn adds but not how far a host gets.
+                rss = daemon.vmhwm_mb()
             mirror = mirrors[name]
             version = mirror.version
             kind, delta = mirror.next_delta(rng)
-            run.attempted += 1
-            try:
-                began = time.perf_counter()
-                summary = conn.call("update_graph", name=name, delta=delta,
-                                    expect_version=version)
-                applied = time.perf_counter()
-                entry = conn.call("revalidate", name=name, schema=SCHEMA_NAME,
-                                  compressed=COMPRESSED.get(name, False))
-                done = time.perf_counter()
-            except (OSError, BenchError) as exc:
-                run.fail(f"{kind} on {name}: {exc}")
-                break  # the connection or the daemon is gone
-            updates.append(applied - began)
-            revalidates.append(done - applied)
-            pairs.append(done - began)
-            by_store.setdefault(name, []).append(pairs[-1])
-            modes[entry.get("mode")] = modes.get(entry.get("mode"), 0) + 1
-            run.check(summary.get("version") == mirror.version,
-                      f"{kind} on {name}: store at v{summary.get('version')}")
-            check_entry(run, entry, mirror, f"{kind} revalidate")
+            run.sample_host()
+            with run.op():
+                try:
+                    began = time.perf_counter()
+                    summary = conn.call("update_graph", name=name, delta=delta,
+                                        expect_version=version)
+                    applied = time.perf_counter()
+                    entry = conn.call("revalidate", name=name, schema=SCHEMA_NAME,
+                                      compressed=COMPRESSED.get(name, False))
+                    done = time.perf_counter()
+                except (OSError, BenchError) as exc:
+                    run.fail(f"{kind} on {name}: {exc}")
+                    break  # the connection or the daemon is gone
+                updates.append(applied - began)
+                revalidates.append(done - applied)
+                pairs.append(done - began)
+                by_store.setdefault(name, []).append(pairs[-1])
+                modes[entry.get("mode")] = modes.get(entry.get("mode"), 0) + 1
+                run.check(summary.get("version") == mirror.version,
+                          f"{kind} on {name}: store at v{summary.get('version')}")
+                check_entry(run, entry, mirror, f"{kind} revalidate")
         wall = time.perf_counter() - start
+        if rss is None and daemon.proc.poll() is None:
+            rss = daemon.vmhwm_mb()
     finally:
         daemon.stop()
     return {
-        "op": pairs,
+        "by_class": by_store,
         "setup_s": setup_s,
-        "peak_rss_mb": rss,
+        "peak_rss_mb": rss or 0.0,
         "named": {
             "update_p50_s": (p50(updates), "s"),
             "update_p90_s": (p90(updates), "s"),
@@ -219,7 +255,6 @@ def daemon_churn(run: Run) -> Dict[str, Any]:
             "samples": len(pairs),
             "modes": modes,
             "fsync": "always",
-            "per_store_p50_s": {k: round(p50(v), 4) for k, v in sorted(by_store.items())},
         },
     }
 
@@ -259,26 +294,25 @@ def crash_restart(run: Run) -> Dict[str, Any]:
         copy = run.tmpdir("restart")
         shutil.rmtree(copy)
         shutil.copytree(data_dir, copy)
-        run.attempted += 1
-        began = time.perf_counter()
-        daemon = Daemon(run, copy)
-        try:
-            conn = daemon.wait_ready()
-            answer = conn.call("revalidate", all=True, schema=SCHEMA_NAME)
-            restarts.append(time.perf_counter() - began)
-            rss = max(rss, daemon.vmhwm_mb())
-            entries = {entry.get("graph"): entry for entry in answer["results"]}
-            if run.check(sorted(entries) == sorted(mirrors),
-                         f"restart recovered graphs {sorted(entries)}"):
+        run.sample_host()
+        with run.op():
+            began = time.perf_counter()
+            daemon = Daemon(run, copy)
+            try:
+                conn = daemon.wait_ready()
+                entries = revalidate_stores(conn, sorted(mirrors))
+                restarts.append(time.perf_counter() - began)
+                rss = max(rss, daemon.vmhwm_mb())
                 for name, mirror in mirrors.items():
-                    check_entry(run, entries[name], mirror, "restart")
-        except (OSError, BenchError) as exc:
-            run.fail(f"restart: {exc}")
-        finally:
-            daemon.stop()
-            shutil.rmtree(copy, ignore_errors=True)
+                    check_entry(run, entries.get(name, {}), mirror, "restart")
+            except (OSError, BenchError) as exc:
+                run.fail(f"restart: {exc}")
+            finally:
+                # The copy is thrown away: no need to wait for a shutdown checkpoint.
+                daemon.kill()
+                shutil.rmtree(copy, ignore_errors=True)
     return {
-        "op": restarts,
+        "by_class": {"restart": restarts},
         "setup_s": setup_s,
         "peak_rss_mb": rss,
         "named": {"restart_p50_s": (p50(restarts), "s")},
@@ -326,6 +360,9 @@ def contains_evolution(run: Run) -> Dict[str, Any]:
         lambda attempt: gen.schema_pairs(random.Random(run.seed), PAIRS),
         lambda state: None,
     )
+    # The corpus is the benchmark's, not the program's: keep the collector
+    # from walking it on every full collection the program triggers.
+    gc.freeze()
     latencies: List[float] = []
     by_kind: Dict[str, List[float]] = {}
     verdicts: Dict[str, Dict[str, int]] = {}
@@ -334,17 +371,18 @@ def contains_evolution(run: Run) -> Dict[str, Any]:
     for kind, left, right in pairs:
         if time.perf_counter() - start >= run.seconds:
             break
-        run.attempted += 1
-        began = time.perf_counter()
-        result = contains(left, right)
-        latencies.append(time.perf_counter() - began)
-        by_kind.setdefault(kind, []).append(latencies[-1])
-        decided += result.verdict is not Verdict.UNKNOWN
-        tally = verdicts.setdefault(kind, {})
-        tally[result.verdict.value] = tally.get(result.verdict.value, 0) + 1
-        check_containment(run, kind, left, right, result)
+        run.sample_host()
+        with run.op():
+            began = time.perf_counter()
+            result = contains(left, right)
+            latencies.append(time.perf_counter() - began)
+            by_kind.setdefault(kind, []).append(latencies[-1])
+            decided += result.verdict is not Verdict.UNKNOWN
+            tally = verdicts.setdefault(kind, {})
+            tally[result.verdict.value] = tally.get(result.verdict.value, 0) + 1
+            check_containment(run, kind, left, right, result)
     return {
-        "op": latencies,
+        "by_class": by_kind,
         "setup_s": setup_s,
         "peak_rss_mb": self_peak_rss_mb(),
         "named": {
@@ -354,8 +392,8 @@ def contains_evolution(run: Run) -> Dict[str, Any]:
         },
         "detail": {
             "samples": len(latencies),
+            "contains_total_s": sum(latencies),
             "verdicts": verdicts,
-            "per_kind_p50_s": {k: round(p50(v), 6) for k, v in sorted(by_kind.items())},
         },
     }
 
