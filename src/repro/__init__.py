@@ -24,111 +24,51 @@ The most common entry points are re-exported here::
     print(result.verdict)            # Verdict.CONTAINED
 """
 
-from repro.core.bags import Bag
-from repro.core.intervals import Interval, ONE, OPT, PLUS, STAR, ZERO
-from repro.rbe.ast import RBE, atom, concat, disj
-from repro.rbe.parser import parse_rbe
-from repro.rbe.membership import rbe_matches
-from repro.graphs.graph import Edge, Graph
-from repro.graphs.compressed import CompressedGraph, pack_simple_graph
-from repro.graphs.store import Delta, GraphStore, kind_compress
-from repro.rdf.model import IRI, Literal, BlankNode, Triple, RDFGraph
-from repro.rdf.parser import parse_ntriples, parse_turtle_lite
-from repro.rdf.convert import rdf_to_simple_graph
-from repro.schema.shex import ShExSchema
-from repro.schema.parser import parse_schema
-from repro.schema.classes import SchemaClass, schema_class
-from repro.schema.convert import schema_to_shape_graph, shape_graph_to_schema
-from repro.schema.typing import Typing, maximal_typing
-from repro.schema.validation import satisfies, satisfies_compressed, validate
-from repro.embedding.simulation import embeds, find_embedding, maximal_simulation
-from repro.containment.api import Verdict, ContainmentResult, contains, equivalent
-from repro.containment.characterizing import characterizing_graph, characterizing_graph_for_schema
-from repro.containment.counterexample import find_counterexample
-from repro.containment.detshex import contains_detshex0_minus
-from repro.engine import (
-    CompiledSchema,
-    ContainmentEngine,
-    DiskResultCache,
-    EngineReport,
-    FixpointStats,
-    JobResult,
-    RevalidationOutcome,
-    ValidationEngine,
-    compile_schema,
-    maximal_typing_fixpoint,
-    maximal_typing_store,
-    retype_incremental,
-)
-from repro.serve import AsyncContainmentEngine, AsyncValidationEngine, DaemonClient
+from repro._lazy import lazy_exports
+
+# Each name's defining module is imported on first access, so importing one
+# submodule (``repro.cli`` for a one-shot ``validate``) does not load them all.
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.core.bags": ("Bag",),
+    "repro.core.intervals": ("Interval", "ONE", "OPT", "PLUS", "STAR", "ZERO"),
+    "repro.rbe.ast": ("RBE", "atom", "concat", "disj"),
+    "repro.rbe.parser": ("parse_rbe",),
+    "repro.rbe.membership": ("rbe_matches",),
+    "repro.graphs.graph": ("Edge", "Graph"),
+    "repro.graphs.compressed": ("CompressedGraph", "pack_simple_graph"),
+    "repro.graphs.store": ("Delta", "GraphStore", "kind_compress"),
+    "repro.rdf.model": ("IRI", "Literal", "BlankNode", "Triple", "RDFGraph"),
+    "repro.rdf.parser": ("parse_ntriples", "parse_turtle_lite"),
+    "repro.rdf.convert": ("rdf_to_simple_graph",),
+    "repro.schema.shex": ("ShExSchema",),
+    "repro.schema.parser": ("parse_schema",),
+    "repro.schema.classes": ("SchemaClass", "schema_class"),
+    "repro.schema.convert": ("schema_to_shape_graph", "shape_graph_to_schema"),
+    "repro.schema.typing": ("Typing", "maximal_typing"),
+    "repro.schema.validation": ("satisfies", "satisfies_compressed", "validate"),
+    "repro.embedding.simulation": ("embeds", "find_embedding", "maximal_simulation"),
+    "repro.containment.api": ("Verdict", "ContainmentResult", "contains", "equivalent"),
+    "repro.containment.characterizing": (
+        "characterizing_graph",
+        "characterizing_graph_for_schema",
+    ),
+    "repro.containment.counterexample": ("find_counterexample",),
+    "repro.containment.detshex": ("contains_detshex0_minus",),
+    "repro.engine.compiled": ("CompiledSchema", "compile_schema"),
+    "repro.engine.cache": ("DiskResultCache",),
+    "repro.engine.containment": ("ContainmentEngine",),
+    "repro.engine.jobs": ("EngineReport", "JobResult"),
+    "repro.engine.fixpoint": (
+        "FixpointStats",
+        "maximal_typing_fixpoint",
+        "maximal_typing_store",
+        "retype_incremental",
+    ),
+    "repro.engine.validation": ("RevalidationOutcome", "ValidationEngine"),
+    "repro.serve.async_engine": ("AsyncContainmentEngine", "AsyncValidationEngine"),
+    "repro.serve.client": ("DaemonClient",),
+})
 
 __version__ = "1.9.0"
 
-__all__ = [
-    "Bag",
-    "Interval",
-    "ZERO",
-    "ONE",
-    "OPT",
-    "PLUS",
-    "STAR",
-    "RBE",
-    "atom",
-    "concat",
-    "disj",
-    "parse_rbe",
-    "rbe_matches",
-    "Edge",
-    "Graph",
-    "GraphStore",
-    "Delta",
-    "kind_compress",
-    "CompressedGraph",
-    "pack_simple_graph",
-    "IRI",
-    "Literal",
-    "BlankNode",
-    "Triple",
-    "RDFGraph",
-    "parse_ntriples",
-    "parse_turtle_lite",
-    "rdf_to_simple_graph",
-    "ShExSchema",
-    "parse_schema",
-    "SchemaClass",
-    "schema_class",
-    "schema_to_shape_graph",
-    "shape_graph_to_schema",
-    "Typing",
-    "maximal_typing",
-    "satisfies",
-    "satisfies_compressed",
-    "validate",
-    "embeds",
-    "find_embedding",
-    "maximal_simulation",
-    "Verdict",
-    "ContainmentResult",
-    "contains",
-    "equivalent",
-    "characterizing_graph",
-    "characterizing_graph_for_schema",
-    "find_counterexample",
-    "contains_detshex0_minus",
-    "CompiledSchema",
-    "ContainmentEngine",
-    "DiskResultCache",
-    "EngineReport",
-    "FixpointStats",
-    "JobResult",
-    "RevalidationOutcome",
-    "ValidationEngine",
-    "compile_schema",
-    "maximal_typing_fixpoint",
-    "maximal_typing_store",
-    "retype_incremental",
-    "AsyncContainmentEngine",
-    "AsyncValidationEngine",
-    "DaemonClient",
-    "__version__",
-]
+__all__ += ["__version__"]

@@ -40,16 +40,15 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from repro.containment.api import Verdict, contains, equivalent
 from repro.engine.executors import BACKENDS
-from repro.engine.manifest import load_jobs, load_manifest
-from repro.engine.validation import ValidationEngine
 from repro.errors import ReproError
 from repro.rdf.convert import rdf_to_simple_graph
 from repro.rdf.parser import parse_ntriples, parse_turtle_lite
-from repro.schema.classes import classification_report
 from repro.schema.parser import parse_schema
 from repro.schema.validation import validate
+
+# Subcommands other than ``validate`` import their modules in their handlers,
+# so a one-shot ``validate`` never loads containment, manifests or serving.
 
 
 def _read(path: str) -> str:
@@ -205,6 +204,8 @@ def _cmd_validate_delta_connected(args, client, data_format: str) -> int:
 
 
 def _cmd_contains(args: argparse.Namespace) -> int:
+    from repro.containment.api import Verdict, contains, equivalent
+
     left = _load_schema(args.left)
     right = _load_schema(args.right)
     checker = equivalent if args.equivalence else contains
@@ -225,6 +226,8 @@ def _cmd_contains(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    from repro.schema.classes import classification_report
+
     schema = _load_schema(args.schema)
     report = classification_report(schema)
     print(f"classification of {args.schema}:")
@@ -234,6 +237,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
+    from repro import obs
+    from repro.engine.manifest import load_jobs, load_manifest
+    from repro.engine.validation import ValidationEngine
+
     entries = load_manifest(args.manifest)
     if not entries:
         print(f"manifest {args.manifest} declares no jobs", file=sys.stderr)
@@ -247,8 +254,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             )
         return _cmd_batch_connected(args, entries)
     jobs = load_jobs(entries)
-    from repro import obs
-
     with obs.start_trace("cli.batch", manifest=args.manifest, jobs=len(jobs)) as root:
         with ValidationEngine(
             backend=args.backend,

@@ -25,66 +25,37 @@ service layer:
   timings and cache statistics, byte-identical across backends.
 """
 
-from repro.engine.cache import CacheStats, DiskResultCache, LRUCache
-from repro.engine.compiled import (
-    CompiledSchema,
-    CompiledType,
-    compile_schema,
-    graph_fingerprint,
-    schema_fingerprint,
-)
-from repro.engine.containment import ContainmentEngine
-from repro.engine.executors import (
-    BACKENDS,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    get_executor,
-)
-from repro.engine.fixpoint import (
-    FixpointStats,
-    affected_region,
-    maximal_typing_fixpoint,
-    maximal_typing_store,
-    retype_incremental,
-)
-from repro.engine.jobs import ContainmentJob, EngineReport, JobResult, ValidationJob
-from repro.engine.manifest import ManifestEntry, load_jobs, load_manifest, parse_manifest
-from repro.engine.validation import (
-    RevalidationOutcome,
-    ValidationEngine,
-    maximal_typing_chunked,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BACKENDS",
-    "CacheStats",
-    "CompiledSchema",
-    "CompiledType",
-    "ContainmentEngine",
-    "ContainmentJob",
-    "DiskResultCache",
-    "EngineReport",
-    "FixpointStats",
-    "JobResult",
-    "LRUCache",
-    "ManifestEntry",
-    "ProcessExecutor",
-    "RevalidationOutcome",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "ValidationEngine",
-    "ValidationJob",
-    "affected_region",
-    "compile_schema",
-    "get_executor",
-    "graph_fingerprint",
-    "load_jobs",
-    "load_manifest",
-    "maximal_typing_chunked",
-    "maximal_typing_fixpoint",
-    "maximal_typing_store",
-    "parse_manifest",
-    "retype_incremental",
-    "schema_fingerprint",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.engine.cache": ("CacheStats", "DiskResultCache", "LRUCache"),
+    "repro.engine.compiled": (
+        "CompiledSchema",
+        "CompiledType",
+        "compile_schema",
+        "graph_fingerprint",
+        "schema_fingerprint",
+    ),
+    "repro.engine.containment": ("ContainmentEngine",),
+    "repro.engine.executors": (
+        "BACKENDS",
+        "ProcessExecutor",
+        "SerialExecutor",
+        "ThreadExecutor",
+        "get_executor",
+    ),
+    "repro.engine.fixpoint": (
+        "FixpointStats",
+        "affected_region",
+        "maximal_typing_fixpoint",
+        "maximal_typing_store",
+        "retype_incremental",
+    ),
+    "repro.engine.jobs": ("ContainmentJob", "EngineReport", "JobResult", "ValidationJob"),
+    "repro.engine.manifest": ("ManifestEntry", "load_jobs", "load_manifest", "parse_manifest"),
+    "repro.engine.validation": (
+        "RevalidationOutcome",
+        "ValidationEngine",
+        "maximal_typing_chunked",
+    ),
+})

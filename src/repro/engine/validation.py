@@ -260,6 +260,10 @@ class ValidationEngine(BatchEngine):
                 # Locks are tiny; prune strays for abandoned stores.
                 self._token_locks = {token: token_lock}
         with token_lock:
+            # Every stamp below uses the version read here, before typing: a
+            # store mutated while the typing runs then leaves a snapshot that
+            # is older than the store, so the next call retypes the change.
+            version = store.version
             key = ("validation", compiled.fingerprint, store.fingerprint(), compressed)
             found, value = self.cache.get(key)
             if found:
@@ -270,7 +274,7 @@ class ValidationEngine(BatchEngine):
                         index=0, kind=self.kind, label=label, key=key,
                         verdict=verdict, payload=payload, seconds=0.0, cached=True,
                     ),
-                    version=store.version,
+                    version=version,
                     mode="cached",
                 )
             with self._revalidate_lock:
@@ -280,14 +284,14 @@ class ValidationEngine(BatchEngine):
                     memo.clear()
             stats = FixpointStats()
             with Stopwatch() as clock, _obs_tracing.span(
-                "engine.revalidate", compressed=compressed, version=store.version
+                "engine.revalidate", compressed=compressed, version=version
             ) as trace_span:
                 # Syncing the view also maintains the kind partition under
                 # the delta (the store's cost, paid once per version); the
                 # view serves the plain semantics only.
                 view = store.typing_view() if not compressed else None
                 kind_typing: Optional[Typing] = None
-                if snapshot is not None and snapshot[0] == store.version:
+                if snapshot is not None and snapshot[0] == version:
                     typing = snapshot[1]
                     kind_typing = snapshot[2]
                     stats.mode = "unchanged"
@@ -295,11 +299,11 @@ class ValidationEngine(BatchEngine):
                     view_delta = None
                     if (
                         snapshot is not None
-                        and snapshot[0] <= store.version
+                        and snapshot[0] <= version
                         and snapshot[2] is not None
                         and snapshot[3] == store.view_epoch
                     ):
-                        view_delta = store.view_delta(snapshot[0], store.version)
+                        view_delta = store.view_delta(snapshot[0], version)
                     if view_delta is not None:
                         # The compressed path, end-to-end incremental: only
                         # kinds reaching a changed quotient row are retyped.
@@ -312,9 +316,9 @@ class ValidationEngine(BatchEngine):
                             view, compiled, stats=stats, signature_memo=memo
                         )
                     typing = expand_kind_typing(view, kind_typing)
-                elif snapshot is not None and snapshot[0] <= store.version:
+                elif snapshot is not None and snapshot[0] <= version:
                     typing = retype_incremental(
-                        store, snapshot[1], store.diff(snapshot[0], store.version),
+                        store, snapshot[1], store.diff(snapshot[0], version),
                         compiled=compiled, compressed=compressed, stats=stats,
                         signature_memo=memo,
                     )
@@ -329,7 +333,7 @@ class ValidationEngine(BatchEngine):
             _M_REVALIDATE_SECONDS.observe(clock.seconds)
             with self._revalidate_lock:
                 self._typings[token] = (
-                    store.version, typing, kind_typing, store.view_epoch
+                    version, typing, kind_typing, store.view_epoch
                 )
                 self._typings.move_to_end(token)
                 while len(self._typings) > self.TYPING_SNAPSHOTS:
@@ -341,7 +345,7 @@ class ValidationEngine(BatchEngine):
                     verdict=verdict, payload=payload, seconds=clock.seconds,
                     cached=False,
                 ),
-                version=store.version,
+                version=version,
                 mode=stats.mode,
                 frontier=stats.frontier,
                 affected=stats.affected,

@@ -1,51 +1,23 @@
 """Graph models: general graphs, simple graphs (RDF abstraction), shape graphs, compressed graphs."""
 
-from repro.graphs.graph import Edge, Graph
-from repro.graphs.simple import simple_graph_from_triples, assert_simple, is_simple
-from repro.graphs.shape import (
-    is_shape_graph,
-    assert_shape_graph,
-    is_deterministic_shape_graph,
-    star_closed_references,
-    is_detshex0_minus_graph,
-)
-from repro.graphs.compressed import CompressedGraph, pack_simple_graph
-from repro.graphs.partition import PartitionMaintainer, PartitionStats, ViewDelta
-from repro.graphs.scc import (
-    backward_closure,
-    condensation_order,
-    strongly_connected_components,
-)
-from repro.graphs.store import (
-    Delta,
-    GraphStore,
-    KindView,
-    kind_compress,
-    kind_partition,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Delta",
-    "Edge",
-    "Graph",
-    "GraphStore",
-    "KindView",
-    "PartitionMaintainer",
-    "PartitionStats",
-    "ViewDelta",
-    "kind_compress",
-    "kind_partition",
-    "backward_closure",
-    "condensation_order",
-    "strongly_connected_components",
-    "simple_graph_from_triples",
-    "assert_simple",
-    "is_simple",
-    "is_shape_graph",
-    "assert_shape_graph",
-    "is_deterministic_shape_graph",
-    "star_closed_references",
-    "is_detshex0_minus_graph",
-    "CompressedGraph",
-    "pack_simple_graph",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.graphs.graph": ("Edge", "Graph"),
+    "repro.graphs.simple": ("simple_graph_from_triples", "assert_simple", "is_simple"),
+    "repro.graphs.shape": (
+        "is_shape_graph",
+        "assert_shape_graph",
+        "is_deterministic_shape_graph",
+        "star_closed_references",
+        "is_detshex0_minus_graph",
+    ),
+    "repro.graphs.compressed": ("CompressedGraph", "pack_simple_graph"),
+    "repro.graphs.partition": ("PartitionMaintainer", "PartitionStats", "ViewDelta"),
+    "repro.graphs.scc": (
+        "backward_closure",
+        "condensation_order",
+        "strongly_connected_components",
+    ),
+    "repro.graphs.store": ("Delta", "GraphStore", "KindView", "kind_compress", "kind_partition"),
+})

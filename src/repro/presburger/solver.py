@@ -8,7 +8,7 @@ graphs).  The solver here:
 2. rewrites the formula into disjunctive normal form over comparison atoms,
 3. normalises every conjunct into an integer-linear system over non-negative
    integers and solves it (via ``scipy.optimize.milp`` when available, falling
-   back to a small branch-and-bound enumeration otherwise).
+   back to enumerating every variable over ``0..16`` otherwise).
 
 Three mechanisms make the repeated, structurally similar queries of the
 maximal-typing fixpoint cheap:
@@ -41,6 +41,7 @@ counter-examples.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import threading
 import time
@@ -64,16 +65,26 @@ from repro.presburger.formula import (
     fresh_variable,
 )
 
-try:  # pragma: no cover - exercised implicitly on import
-    import numpy as _np
-    from scipy.optimize import LinearConstraint as _LinearConstraint
-    from scipy.optimize import milp as _milp
-    from scipy.optimize import Bounds as _Bounds
-    from scipy.sparse import csr_matrix as _csr_matrix
+# SciPy costs ~0.6 s to import and most runs never reach a MILP, so only its
+# presence is checked here; ``_bind_scipy`` imports it on the first solve.
+_HAVE_SCIPY = importlib.util.find_spec("scipy") is not None
+_np = _milp = _LinearConstraint = _Bounds = _csr_matrix = None
 
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover
-    _HAVE_SCIPY = False
+
+def _bind_scipy() -> bool:
+    """Import numpy and the SciPy MILP pieces once; False if the import fails."""
+    global _HAVE_SCIPY, _np, _milp, _LinearConstraint, _Bounds, _csr_matrix
+    if _milp is None and _HAVE_SCIPY:
+        try:
+            import numpy
+            from scipy.optimize import Bounds, LinearConstraint, milp
+            from scipy.sparse import csr_matrix
+        except ImportError:  # pragma: no cover - a broken SciPy install
+            _HAVE_SCIPY = False
+            return False
+        _np, _LinearConstraint, _Bounds, _csr_matrix = numpy, LinearConstraint, Bounds, csr_matrix
+        _milp = milp  # bound last: a non-None ``_milp`` means all are bound
+    return _milp is not None
 
 #: A normalised row ``Σ coeff·x (== | <=) bound``: sorted coefficient items.
 Row = Tuple[Tuple[Tuple[str, int], ...], int]
@@ -539,6 +550,8 @@ def _solve_conjunct(atoms: Sequence[Comparison]) -> Optional[Dict[str, int]]:
 
 
 def _solve_with_milp(variables, equalities, inequalities) -> Optional[Dict[str, int]]:
+    if not _bind_scipy():  # pragma: no cover - a broken SciPy install
+        return _solve_by_enumeration(variables, equalities, inequalities)
     _MILP_CALLS.inc()
     index = {name: i for i, name in enumerate(variables)}
     n = len(variables)
@@ -613,6 +626,8 @@ def _solve_blocks_elastic(
     for infeasible blocks), or ``None`` when the solver fails, letting the
     caller fall back to per-block solving.
     """
+    if not _bind_scipy():  # pragma: no cover - a broken SciPy install
+        return None
     rows_i: List[int] = []  # COO triplets of the combined constraint matrix
     cols_j: List[int] = []
     data: List[float] = []

@@ -12,18 +12,86 @@ every group receives a number of items within a prescribed interval
   to prove Theorem 3.4.
 
 The problem is solved exactly by a reduction to a feasible-circulation problem
-with lower bounds, itself reduced to plain max-flow (networkx).  The running
-time is polynomial in the number of items and groups.
+with lower bounds, itself reduced to plain max-flow (Dinic's algorithm, in this
+module).  The running time is polynomial in the number of items and groups.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
-
-import networkx as nx
 
 Item = Hashable
 Group = Hashable
+
+
+def _max_flow(
+    node_count: int, arcs: Sequence[Tuple[int, int, int]], source: int, sink: int
+) -> Tuple[int, Dict[int, Dict[int, int]]]:
+    """Dinic's maximum flow over nodes ``0..node_count-1``.
+
+    ``arcs`` lists ``(u, v, capacity)``.  Arc ``i`` of the residual graph is
+    paired with its reverse at ``i ^ 1``, whose residual capacity is the flow
+    sent along arc ``i``.  Returns the flow value and the positive flows as
+    ``{u: {v: units}}``, parallel arcs summed.
+    """
+    heads: List[int] = []
+    caps: List[int] = []
+    out: List[List[int]] = [[] for _ in range(node_count)]
+    for u, v, capacity in arcs:
+        out[u].append(len(heads))
+        heads.append(v)
+        caps.append(capacity)
+        out[v].append(len(heads))
+        heads.append(u)
+        caps.append(0)
+    value = 0
+    while True:
+        level = [-1] * node_count  # BFS layers of the residual graph
+        level[source] = 0
+        queue = [source]
+        for u in queue:
+            for arc in out[u]:
+                if caps[arc] and level[heads[arc]] < 0:
+                    level[heads[arc]] = level[u] + 1
+                    queue.append(heads[arc])
+        if level[sink] < 0:
+            break
+        # Blocking flow: depth-first along layer-increasing arcs; ``cursor``
+        # skips arcs already found saturated or leading to dead ends.
+        cursor = [0] * node_count
+        path: List[int] = []
+        u = source
+        while True:
+            if u == sink:
+                pushed = min(caps[arc] for arc in path)
+                for arc in path:
+                    caps[arc] -= pushed
+                    caps[arc ^ 1] += pushed
+                value += pushed
+                path.clear()
+                u = source
+                continue
+            arcs_u = out[u]
+            while cursor[u] < len(arcs_u):
+                arc = arcs_u[cursor[u]]
+                if caps[arc] and level[heads[arc]] == level[u] + 1:
+                    path.append(arc)
+                    u = heads[arc]
+                    break
+                cursor[u] += 1
+            else:
+                if u == source:
+                    break
+                level[u] = -1  # dead end: never enter it again this phase
+                u = heads[path.pop() ^ 1]
+                cursor[u] += 1
+    flow: Dict[int, Dict[int, int]] = {}
+    for arc in range(0, len(heads), 2):
+        if caps[arc + 1]:
+            row = flow.setdefault(heads[arc + 1], {})
+            row[heads[arc]] = row.get(heads[arc], 0) + caps[arc + 1]
+    return value, flow
 
 
 def feasible_assignment(
@@ -44,132 +112,65 @@ def feasible_assignment(
     groups = list(group_bounds)
     if not items and all(lo == 0 for lo, _ in group_bounds.values()):
         return {}
-    for item, options in allowed.items():
-        if not options:
-            return None
+    if not all(allowed.values()):
+        return None
 
     upper_cap = len(items)  # no group can receive more items than exist
-    graph = nx.DiGraph()
-    source, sink = "__source__", "__sink__"
-    super_source, super_sink = "__super_source__", "__super_sink__"
-    graph.add_node(source)
-    graph.add_node(sink)
+    # Node ids: source, sink, super-source, super-sink, then items, then groups.
+    source, sink, super_source, super_sink = 0, 1, 2, 3
+    item_nodes = {item: 4 + index for index, item in enumerate(items)}
+    group_nodes = {group: 4 + len(items) + index for index, group in enumerate(groups)}
+    arcs: List[Tuple[int, int, int]] = []
+    # Lower-bound excesses for the standard circulation transformation.
+    excess = [0] * (4 + len(items) + len(groups))
 
-    # Track lower-bound excesses for the standard circulation transformation.
-    excess: Dict[Hashable, int] = {}
-
-    def add_edge(u, v, lower: int, upper: int) -> None:
-        if upper < lower:
-            raise ValueError("edge upper bound below lower bound")
-        graph.add_edge(u, v, capacity=upper - lower)
-        if lower:
-            excess[v] = excess.get(v, 0) + lower
-            excess[u] = excess.get(u, 0) - lower
-
-    item_nodes = {item: ("item", index) for index, item in enumerate(items)}
-    group_nodes = {group: ("group", index) for index, group in enumerate(groups)}
+    def add_arc(u: int, v: int, lower: int, upper: int) -> None:
+        if upper > lower:
+            arcs.append((u, v, upper - lower))
+        excess[v] += lower
+        excess[u] -= lower
 
     for item in items:
-        add_edge(source, item_nodes[item], 1, 1)
+        add_arc(source, item_nodes[item], 1, 1)
         for group in allowed[item]:
             if group not in group_nodes:
                 raise KeyError(f"item {item!r} allows unknown group {group!r}")
-            add_edge(item_nodes[item], group_nodes[group], 0, 1)
+            add_arc(item_nodes[item], group_nodes[group], 0, 1)
     for group in groups:
         lo, hi = group_bounds[group]
         hi_eff = upper_cap if hi is None else min(hi, upper_cap)
         if lo > hi_eff:
             # The group demands more items than could possibly arrive.
             return None
-        add_edge(group_nodes[group], sink, lo, hi_eff)
+        add_arc(group_nodes[group], sink, lo, hi_eff)
     # Close the circulation.
-    add_edge(sink, source, 0, upper_cap)
+    add_arc(sink, source, 0, upper_cap)
 
-    graph.add_node(super_source)
-    graph.add_node(super_sink)
     required = 0
-    for node, value in excess.items():
+    for node, value in enumerate(excess):
         if value > 0:
-            graph.add_edge(super_source, node, capacity=value)
+            arcs.append((super_source, node, value))
             required += value
         elif value < 0:
-            graph.add_edge(node, super_sink, capacity=-value)
-    if required == 0:
-        # No lower bounds anywhere; the trivial assignment question reduces to
-        # whether every item has an allowed group, which we already checked.
-        flow_value, flow = 0, {}
-    else:
-        flow_value, flow = nx.maximum_flow(graph, super_source, super_sink)
-        if flow_value != required:
-            return None
+            arcs.append((node, super_sink, -value))
+    flow_value, flow = _max_flow(len(excess), arcs, super_source, super_sink)
+    if flow_value != required:
+        return None
 
-    # Recover the assignment: for item -> group edges, actual flow = lower (=0)
-    # + transformed flow; saturated source->item edges force exactly one unit
-    # through each item.  Items whose unit travelled through the lower-bound
-    # bookkeeping (capacity-0 edges) need a second pass, so we recompute a
-    # concrete routing greedily constrained by the per-group totals.
-    group_load = {group: 0 for group in groups}
+    # Each item's one unit enters from the super-source and can only leave
+    # through an item -> group arc, so the flow names a group for every item.
     assignment: Dict[Item, Group] = {}
     for item in items:
-        node = item_nodes[item]
-        chosen = None
+        routed = flow.get(item_nodes[item], {})
         for group in allowed[item]:
-            if flow.get(node, {}).get(group_nodes[group], 0) > 0:
-                chosen = group
+            if routed.get(group_nodes[group]):
+                assignment[item] = group
                 break
-        if chosen is not None:
-            assignment[item] = chosen
-            group_load[chosen] += 1
-
-    unassigned = [item for item in items if item not in assignment]
-    if unassigned:
-        completed = _complete_assignment(unassigned, allowed, group_bounds, group_load, upper_cap)
-        if completed is None:
-            return None
-        assignment.update(completed)
-    # Final verification (defensive): every group within bounds.
-    for group, (lo, hi) in group_bounds.items():
-        load = sum(1 for g in assignment.values() if g == group)
-        if load < lo or (hi is not None and load > hi):
-            return None
-    if len(assignment) != len(items):
+    # Final verification (defensive): every item placed, every group in bounds.
+    load = Counter(assignment.values())
+    if len(assignment) != len(items) or any(
+        load[group] < lo or (hi is not None and load[group] > hi)
+        for group, (lo, hi) in group_bounds.items()
+    ):
         return None
     return assignment
-
-
-def _complete_assignment(
-    unassigned: List[Item],
-    allowed: Mapping[Item, Sequence[Group]],
-    group_bounds: Mapping[Group, Tuple[int, Optional[int]]],
-    group_load: Dict[Group, int],
-    upper_cap: int,
-) -> Optional[Dict[Item, Group]]:
-    """Place the remaining items with a dedicated flow over residual capacities."""
-    graph = nx.DiGraph()
-    source, sink = "__source__", "__sink__"
-    for index, item in enumerate(unassigned):
-        item_node = ("item", index)
-        graph.add_edge(source, item_node, capacity=1)
-        for group in allowed[item]:
-            graph.add_edge(item_node, ("group", group), capacity=1)
-    for group, (lo, hi) in group_bounds.items():
-        hi_eff = upper_cap if hi is None else hi
-        residual = max(hi_eff - group_load.get(group, 0), 0)
-        # Items already assigned satisfy lower bounds; remaining capacity only.
-        if graph.has_node(("group", group)) or residual:
-            graph.add_edge(("group", group), sink, capacity=residual)
-    if not unassigned:
-        return {}
-    flow_value, flow = nx.maximum_flow(graph, source, sink)
-    if flow_value != len(unassigned):
-        return None
-    placement: Dict[Item, Group] = {}
-    for index, item in enumerate(unassigned):
-        item_node = ("item", index)
-        for group in allowed[item]:
-            if flow.get(item_node, {}).get(("group", group), 0) > 0:
-                placement[item] = group
-                break
-        if item not in placement:
-            return None
-    return placement

@@ -14,8 +14,10 @@ from repro.engine.jobs import ValidationJob
 from repro.engine.validation import ValidationEngine, maximal_typing_chunked
 from repro.graphs.compressed import CompressedGraph
 from repro.graphs.graph import Graph
+from repro.graphs.store import Delta, GraphStore
 from repro.schema.classes import SchemaClass
 from repro.schema.parser import parse_schema
+from repro.schema.reference import maximal_typing_reference
 from repro.schema.typing import maximal_typing
 from repro.schema.validation import satisfies_compressed, validate
 from repro.workloads.bugtracker import (
@@ -211,6 +213,36 @@ class TestValidationEngine:
             engine.submit(good_graph, compiled)
             report = engine.run_batch()
         assert report.verdicts() == ("valid",)
+
+
+class TestRevalidateVersionStamp:
+    def test_delta_applied_during_typing_is_retyped_next_call(self, monkeypatch):
+        """The snapshot carries the version typed, not the version seen after."""
+        import repro.engine.validation as validation_module
+
+        schema = parse_schema("T -> next :: T")
+        cycle = Graph.from_triples([(f"n{i}", "next", f"n{(i + 1) % 4}") for i in range(4)])
+        store = GraphStore(cycle)
+        typing_store = validation_module.maximal_typing_store
+
+        def typing_then_delta(store_arg, **options):
+            typing = typing_store(store_arg, **options)
+            monkeypatch.setattr(validation_module, "maximal_typing_store", typing_store)
+            store_arg.apply(Delta.of(remove=[("n3", "next", "n0")]))
+            return typing
+
+        monkeypatch.setattr(validation_module, "maximal_typing_store", typing_then_delta)
+        with ValidationEngine() as engine:
+            first = engine.revalidate(store, schema)
+            second = engine.revalidate(store, schema)
+        oracle = maximal_typing_reference(store.graph, schema)
+        untyped = sorted(repr(node) for node in store.graph.nodes if not oracle.types_of(node))
+        assert untyped
+        assert second.version == store.version == 1
+        assert second.mode != "unchanged"
+        assert second.result.verdict == "invalid"
+        assert list(second.result.payload["untyped_nodes"]) == untyped
+        assert (first.version, first.result.verdict) == (0, "valid")
 
 
 class TestCompressedEdgeCases:

@@ -1,9 +1,34 @@
 """The public API surface: everything advertised in ``repro.__all__`` exists and works."""
 
 import importlib
-
+import json
+import os
+import subprocess
+import sys
 
 import repro
+
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+#: Modules a one-shot ``shex-containment validate`` must never import.
+VALIDATE_NEVER_LOADS = (
+    "scipy",
+    "networkx",
+    "asyncio",
+    "repro.serve",
+    "repro.persist",
+    "repro.containment",
+    "repro.workloads",
+)
+
+_FOOTPRINT_PROGRAM = """
+import contextlib, io, json, sys
+import repro.cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = repro.cli.main(["validate", "--schema", sys.argv[1], "--data", sys.argv[2]])
+print(json.dumps({"code": code, "out": out.getvalue(), "modules": sorted(sys.modules)}))
+"""
 
 
 class TestPublicSurface:
@@ -79,3 +104,31 @@ class TestPublicSurface:
         ):
             exception_class = getattr(errors, name)
             assert issubclass(exception_class, errors.ReproError)
+
+
+class TestImportFootprint:
+    def test_one_shot_validate_loads_only_what_it_runs(self, tmp_path):
+        schema = tmp_path / "schema.shex"
+        schema.write_text("Bug -> descr :: Lit, related :: Bug*\nLit -> eps\n")
+        data = tmp_path / "bugs.ttl"
+        data.write_text(
+            "@prefix ex: <http://example.org/> .\n"
+            "ex:b1 ex:descr ex:l1 ; ex:related ex:b2, ex:b3 .\n"
+            "ex:b2 ex:descr ex:l2 .\n"
+            "ex:b3 ex:related ex:b1 .\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        completed = subprocess.run(
+            [sys.executable, "-c", _FOOTPRINT_PROGRAM, str(schema), str(data)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        report = json.loads(completed.stdout)
+        assert report["code"] == 1
+        assert report["out"].startswith("INVALID: 2 node(s)")
+        loaded = [
+            module for module in report["modules"]
+            if any(module == banned or module.startswith(banned + ".")
+                   for banned in VALIDATE_NEVER_LOADS)
+        ]
+        assert loaded == []
