@@ -2,7 +2,7 @@
 
 Every entry point of the library (validation, compressed validation,
 containment) repeatedly needs the same derived data about a schema: the sorted
-alphabet of each rule, its RBE0 profile and per-symbol occurrence bounds, the
+alphabet of each rule, its per-symbol occurrence bounds, the
 Presburger template ``ψ_{δ(t)}(z̄, 1)`` of Section 6.1, the schema's position in
 the class hierarchy, and its shape graph.  The one-shot APIs recompute all of
 this on every call; :class:`CompiledSchema` computes each piece once and interns
@@ -22,7 +22,7 @@ from repro.graphs.graph import Graph
 from repro.presburger.build import rbe_to_formula
 from repro.presburger.formula import Formula, const, fresh_variable
 from repro.rbe.ast import RBE
-from repro.rbe.rbe0 import RBE0Profile, as_rbe0
+from repro.rbe.rbe0 import as_rbe0
 from repro.schema.shex import ShExSchema, TypeName
 
 
@@ -59,9 +59,16 @@ def graph_fingerprint(graph: Graph) -> str:
 class CompiledType:
     """Precomputed data for one type of a schema.
 
-    The eager part (sorted alphabet, symbol set, RBE0 profile, per-symbol
-    bounds) is what every plain-graph check needs; the Presburger template is
-    built lazily, the first time a compressed-graph check asks for it.
+    The eager part (sorted alphabet, symbol set, per-symbol bounds) is what
+    every check needs; the Presburger template is built lazily, the first
+    time a compressed-graph check of a rule without bounds asks for it.
+
+    ``group_bounds`` maps each symbol to its ``(lo, hi)`` occurrence bounds
+    when the rule is an unordered concatenation of symbols with arbitrary
+    intervals (``hi`` is ``None`` for unbounded), and is ``None`` otherwise.
+    A symbol's bounds are the sum of its atoms' intervals, which is again an
+    interval, so deciding such a rule by these bounds is exact under both
+    semantics (:func:`repro.schema.typing.satisfies_type_groups`).
     """
 
     __slots__ = (
@@ -69,7 +76,6 @@ class CompiledType:
         "expr",
         "sorted_alphabet",
         "symbol_set",
-        "profile",
         "group_bounds",
         "_template",
         "_normalised",
@@ -80,12 +86,12 @@ class CompiledType:
         self.expr = expr
         self.sorted_alphabet: Tuple[object, ...] = tuple(sorted(expr.alphabet(), key=repr))
         self.symbol_set = frozenset(self.sorted_alphabet)
-        self.profile: Optional[RBE0Profile] = as_rbe0(expr)
+        profile = as_rbe0(expr, require_basic=False)
         self.group_bounds: Optional[Dict[object, Tuple[int, Optional[int]]]] = None
-        if self.profile is not None:
+        if profile is not None:
             self.group_bounds = {
                 symbol: (interval.lower, interval.upper)
-                for symbol, interval in self.profile.per_symbol_interval().items()
+                for symbol, interval in profile.per_symbol_interval().items()
             }
         self._template: Optional[Tuple[Dict[object, str], Formula]] = None
         self._normalised = None

@@ -29,7 +29,9 @@ the inner loop performs no per-iteration ``sorted()`` calls.
 only on the type and the node's *neighbourhood signature* — the multiset of
 ``(label[, multiplicity], candidate types)`` over its out-edges — so
 isomorphic nodes (clones, unrolled copies, kind-mates) are checked once per
-signature.  Under the compressed semantics, each refinement round collects
+signature.  Under the compressed semantics, a rule with per-symbol bounds is
+decided by the same flow as a plain check, each group's count being its
+summed edge multiplicity.  For any other rule each refinement round collects
 every non-memoised check, assembles its linear system from the type's cached
 normalised Presburger template
 (:meth:`repro.engine.compiled.CompiledType.normalised_template`), and answers
@@ -807,7 +809,11 @@ def _check_compressed_batch(
     signature_memo: Dict[Tuple, bool],
     stats: FixpointStats,
 ) -> List[bool]:
-    """Decide one round of compressed checks; one solver batch for the misses."""
+    """Decide one round of compressed checks.
+
+    Rules with per-symbol bounds are decided by the flow as they come; the
+    other rules' memo misses go to the solver in one batch.
+    """
     verdicts: List[Optional[bool]] = [None] * len(pairs)
     pending_positions: Dict[Tuple, List[int]] = {}
     pending_order: List[Tuple] = []
@@ -825,6 +831,11 @@ def _check_compressed_batch(
         if known is not None:
             stats.signature_hits += 1
             verdicts[position] = known
+            continue
+        if artifact.group_bounds is not None:
+            verdict = satisfies_type_groups(artifact, _counted_groups(edge_descriptions))
+            signature_memo[signature] = verdict
+            verdicts[position] = verdict
             continue
         positions = pending_positions.get(signature)
         if positions is not None:
@@ -876,6 +887,14 @@ def _compressed_signature(
         descriptions.append((edge.label, multiplicity, options))
     signature = (artifact.type_name, tuple(sorted(descriptions)))
     return signature, descriptions
+
+
+def _counted_groups(edge_descriptions) -> Dict[Tuple[str, Tuple[TypeName, ...]], int]:
+    """Summed multiplicity per ``(label, options)``: the flow's counted items."""
+    groups: Dict[Tuple[str, Tuple[TypeName, ...]], int] = {}
+    for label, multiplicity, options in edge_descriptions:
+        groups[(label, options)] = groups.get((label, options), 0) + multiplicity
+    return groups
 
 
 def _assemble_problem(artifact, edge_descriptions) -> Tuple:

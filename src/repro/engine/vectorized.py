@@ -22,8 +22,10 @@ refinement round executes as numpy ops:
   structural keys in one shared ``signature_memo`` (int tuples cannot collide
   with its string tuples).  Only the unique keys of a round reach Python:
   memo lookups, plus one representative evaluation per genuinely new
-  signature (``satisfies_type_groups`` for plain semantics, one batched
-  :func:`repro.presburger.solver.solve_problems` call for compressed).
+  signature (``satisfies_type_groups`` for plain semantics and for
+  compressed rules with per-symbol bounds, one batched
+  :func:`repro.presburger.solver.solve_problems` call for the other
+  compressed rules).
 
 The schedule is synchronous Jacobi over the whole active set rather than the
 object kernel's SCC-ordered Gauss-Seidel: chaotic iteration of the monotone
@@ -367,41 +369,39 @@ def stabilise(
             stats.signature_hits += ok.size - len(misses)
             if misses:
                 problems = []
-                for miss_pos, u in enumerate(misses):
+                problem_misses: List[Tuple[int, Tuple[int, int, int]]] = []
+                for u, key in zip(misses, miss_keys):
                     representative = int(ok[int(first[u])])
                     type_name = type_order[int(pair_type[representative])]
                     artifact = compiled.type_artifact(type_name)
                     lo = int(pair_offsets[representative])
                     hi = int(pair_offsets[representative + 1])
-                    if compressed:
-                        descriptions = []
-                        for j in range(lo, hi):
-                            multiplicity = int(mults[j])
-                            if multiplicity <= 0:
-                                continue
-                            descriptions.append(
-                                (
-                                    label_names[labels[j]],
-                                    multiplicity,
-                                    _options_of(options[j]),
-                                )
-                            )
+                    if compressed and artifact.group_bounds is None:
+                        descriptions = [
+                            (label_names[labels[j]], int(mults[j]), _options_of(options[j]))
+                            for j in range(lo, hi)
+                            if mults[j] > 0
+                        ]
                         problems.append(_assemble_problem(artifact, descriptions))
-                    else:
-                        groups: Dict[Tuple, int] = {}
-                        for j in range(lo, hi):
+                        problem_misses.append((u, key))
+                        continue
+                    # Plain edges count once each; compressed edges by their
+                    # multiplicity (zero-multiplicity edges contribute nothing).
+                    groups: Dict[Tuple, int] = {}
+                    for j in range(lo, hi):
+                        count = int(mults[j]) if compressed else 1
+                        if count > 0:
                             group = (label_names[labels[j]], _options_of(options[j]))
-                            groups[group] = groups.get(group, 0) + 1
-                        verdict = bool(satisfies_type_groups(artifact, groups))
-                        signature_memo[miss_keys[miss_pos]] = verdict
-                        unique_verdicts[u] = verdict
-                        problems.append(None)  # keep positions aligned
-                if compressed:
+                            groups[group] = groups.get(group, 0) + count
+                    verdict = bool(satisfies_type_groups(artifact, groups))
+                    signature_memo[key] = verdict
+                    unique_verdicts[u] = verdict
+                if problems:
                     from repro.presburger.solver import solve_problems
 
                     stats.solver_problems += len(problems)
                     solved = solve_problems(problems)
-                    for u, key, verdict in zip(misses, miss_keys, solved):
+                    for (u, key), verdict in zip(problem_misses, solved):
                         signature_memo[key] = bool(verdict)
                         unique_verdicts[u] = bool(verdict)
             verdicts[ok] = unique_verdicts[inverse]

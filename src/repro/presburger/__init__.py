@@ -22,14 +22,12 @@ from repro.presburger.solver import (
     SolverStats,
     formula_to_problem,
     is_satisfiable,
-    is_satisfiable_uncached,
     normalise_conjunct,
     problem_fingerprint,
     reset_solver_state,
     small_model_bound,
     solve_existential,
     solve_problems,
-    solver_stats,
 )
 
 __all__ = [
@@ -49,7 +47,6 @@ __all__ = [
     "rbe_membership_formula",
     "solve_existential",
     "is_satisfiable",
-    "is_satisfiable_uncached",
     "small_model_bound",
     "SolverStats",
     "formula_to_problem",
@@ -57,5 +54,4 @@ __all__ = [
     "problem_fingerprint",
     "reset_solver_state",
     "solve_problems",
-    "solver_stats",
 ]

@@ -7,8 +7,11 @@ graphs).  The solver here:
 1. renames bound variables apart,
 2. rewrites the formula into disjunctive normal form over comparison atoms,
 3. normalises every conjunct into an integer-linear system over non-negative
-   integers and solves it (via ``scipy.optimize.milp`` when available, falling
-   back to enumerating every variable over ``0..16`` otherwise).
+   integers and solves it with ``scipy.optimize.milp``.  SciPy is optional for
+   the package: without it, a query that reaches the MILP raises
+   :class:`repro.errors.PresburgerError` naming the ``solver`` extra.  Rules
+   that flatten to per-symbol intervals never get here — they are decided by
+   the flow of :mod:`repro.util.assignment` under both semantics.
 
 Three mechanisms make the repeated, structurally similar queries of the
 maximal-typing fixpoint cheap:
@@ -45,7 +48,6 @@ import importlib.util
 import itertools
 import threading
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -71,20 +73,26 @@ _HAVE_SCIPY = importlib.util.find_spec("scipy") is not None
 _np = _milp = _LinearConstraint = _Bounds = _csr_matrix = None
 
 
-def _bind_scipy() -> bool:
-    """Import numpy and the SciPy MILP pieces once; False if the import fails."""
-    global _HAVE_SCIPY, _np, _milp, _LinearConstraint, _Bounds, _csr_matrix
-    if _milp is None and _HAVE_SCIPY:
+_NO_SCIPY = (
+    "this Presburger query needs SciPy's MILP solver; install the `solver` "
+    "extra (pip install 'shex-containment[solver]')"
+)
+
+
+def _bind_scipy() -> None:
+    """Import numpy and the SciPy MILP pieces once; raise without SciPy."""
+    global _np, _milp, _LinearConstraint, _Bounds, _csr_matrix
+    if not _HAVE_SCIPY:
+        raise PresburgerError(_NO_SCIPY)
+    if _milp is None:
         try:
             import numpy
             from scipy.optimize import Bounds, LinearConstraint, milp
             from scipy.sparse import csr_matrix
-        except ImportError:  # pragma: no cover - a broken SciPy install
-            _HAVE_SCIPY = False
-            return False
+        except ImportError as exc:  # pragma: no cover - a broken SciPy install
+            raise PresburgerError(_NO_SCIPY) from exc
         _np, _LinearConstraint, _Bounds, _csr_matrix = numpy, LinearConstraint, Bounds, csr_matrix
         _milp = milp  # bound last: a non-None ``_milp`` means all are bound
-    return _milp is not None
 
 #: A normalised row ``Σ coeff·x (== | <=) bound``: sorted coefficient items.
 Row = Tuple[Tuple[Tuple[str, int], ...], int]
@@ -102,7 +110,7 @@ Problem = Tuple[Conjunct, ...]
 class SolverStats:
     """Counters describing how much actual solving the process has done.
 
-    ``solver_calls`` (milp + enumeration + batch invocations) is the number
+    ``solver_calls`` (milp + batch invocations) is the number
     the fixpoint benchmarks track: every entry is one real optimisation run,
     whereas ``sat_checks`` counts logical queries, however they were answered.
     """
@@ -110,7 +118,6 @@ class SolverStats:
     sat_checks: int = 0
     memo_hits: int = 0
     milp_calls: int = 0
-    enumeration_calls: int = 0
     batch_calls: int = 0
     batch_blocks: int = 0
     warm_hits: int = 0
@@ -119,7 +126,7 @@ class SolverStats:
     @property
     def solver_calls(self) -> int:
         """Actual optimisation runs (one batched call counts once)."""
-        return self.milp_calls + self.enumeration_calls + self.batch_calls
+        return self.milp_calls + self.batch_calls
 
 
 _SAT_MEMO: Dict[Tuple, bool] = {}
@@ -147,10 +154,6 @@ _MEMO_HITS = _REGISTRY.counter(
 )
 _MILP_CALLS = _REGISTRY.counter(
     "repro_solver_milp_calls_total", "Single-system scipy milp invocations."
-)
-_ENUM_CALLS = _REGISTRY.counter(
-    "repro_solver_enumeration_calls_total",
-    "Fallback enumeration invocations (scipy unavailable).",
 )
 _BATCH_CALLS = _REGISTRY.counter(
     "repro_solver_batch_calls_total", "Elastic block-diagonal MILP invocations."
@@ -180,7 +183,6 @@ _COUNTER_NAMES = (
     ("sat_checks", "repro_solver_sat_checks_total"),
     ("memo_hits", "repro_solver_memo_hits_total"),
     ("milp_calls", "repro_solver_milp_calls_total"),
-    ("enumeration_calls", "repro_solver_enumeration_calls_total"),
     ("batch_calls", "repro_solver_batch_calls_total"),
     ("batch_blocks", "repro_solver_batch_blocks_total"),
     ("warm_hits", "repro_solver_warm_hits_total"),
@@ -215,48 +217,23 @@ class SolverWindow:
         )
 
 
-# The default window backs the legacy module-level API below.
-_PROCESS_WINDOW = SolverWindow()
-
-
-def solver_stats() -> SolverStats:
-    """Deprecated stub: solver counters since the last :func:`reset_solver_state`.
-
-    .. deprecated:: 1.6
-       This reads one shared process-wide window, so independent consumers
-       reset each other.  All in-repo callers have migrated; the stub stays
-       for one release and then disappears.  New code should hold its own
-       :class:`SolverWindow` (or read the ``repro_solver_*`` metrics off the
-       registry directly).
-    """
-    warnings.warn(
-        "solver_stats() is deprecated and will be removed in the next release; "
-        "hold a repro.presburger.solver.SolverWindow instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _PROCESS_WINDOW.snapshot()
-
-
 def reset_solver_state() -> None:
-    """Clear the solver caches and rebase the default stats window.
+    """Clear the satisfiability memo and the warm-start witness cache.
 
-    Drops the satisfiability memo and the warm-start witness cache; the
-    underlying registry counters stay monotone (Prometheus semantics), only
-    the window the deprecated :func:`solver_stats` reads through is rebased.
+    The registry counters stay monotone (Prometheus semantics); readers take
+    their own :class:`SolverWindow`.
     """
     with _MEMO_LOCK:
         _SAT_MEMO.clear()
         _WARM_CACHE.clear()
-    _PROCESS_WINDOW.reset()
 
 
 def solver_metrics_summary() -> Dict[str, int]:
     """Process-lifetime totals of the solver counters, keyed by stats field.
 
-    Unlike :func:`solver_stats` this reads the monotone registry values
-    directly (no window), so it is unaffected by anyone's resets — the view
-    the daemon's ``metrics`` op exposes.
+    Unlike a :class:`SolverWindow` this reads the monotone registry values
+    directly, so it is unaffected by anyone's resets — the view the daemon's
+    ``metrics`` op exposes.
     """
     return {field: int(_REGISTRY.value(metric)) for field, metric in _COUNTER_NAMES}
 
@@ -532,11 +509,7 @@ def _solve_rows(
                 variables.append(name)
     if not variables:
         return {}
-    if _HAVE_SCIPY:
-        return _solve_with_milp(
-            variables, _rows_to_dicts(equalities), _rows_to_dicts(inequalities)
-        )
-    return _solve_by_enumeration(
+    return _solve_with_milp(
         variables, _rows_to_dicts(equalities), _rows_to_dicts(inequalities)
     )
 
@@ -550,8 +523,7 @@ def _solve_conjunct(atoms: Sequence[Comparison]) -> Optional[Dict[str, int]]:
 
 
 def _solve_with_milp(variables, equalities, inequalities) -> Optional[Dict[str, int]]:
-    if not _bind_scipy():  # pragma: no cover - a broken SciPy install
-        return _solve_by_enumeration(variables, equalities, inequalities)
+    _bind_scipy()
     _MILP_CALLS.inc()
     index = {name: i for i, name in enumerate(variables)}
     n = len(variables)
@@ -585,26 +557,6 @@ def _solve_with_milp(variables, equalities, inequalities) -> Optional[Dict[str, 
     return {name: int(round(result.x[index[name]])) for name in variables}
 
 
-def _solve_by_enumeration(variables, equalities, inequalities, limit: int = 16):
-    """Tiny fallback enumeration over {0..limit}^n (only used without scipy)."""
-    _ENUM_CALLS.inc()
-    for values in itertools.product(range(limit + 1), repeat=len(variables)):
-        assignment = dict(zip(variables, values))
-        ok = True
-        for coeffs, bound in equalities:
-            if sum(coeff * assignment[name] for name, coeff in coeffs.items()) != bound:
-                ok = False
-                break
-        if ok:
-            for coeffs, bound in inequalities:
-                if sum(coeff * assignment[name] for name, coeff in coeffs.items()) > bound:
-                    ok = False
-                    break
-        if ok:
-            return assignment
-    return None
-
-
 # --------------------------------------------------------------------------- #
 # Batched feasibility: one elastic MILP for many independent systems
 # --------------------------------------------------------------------------- #
@@ -626,8 +578,7 @@ def _solve_blocks_elastic(
     for infeasible blocks), or ``None`` when the solver fails, letting the
     caller fall back to per-block solving.
     """
-    if not _bind_scipy():  # pragma: no cover - a broken SciPy install
-        return None
+    _bind_scipy()
     rows_i: List[int] = []  # COO triplets of the combined constraint matrix
     cols_j: List[int] = []
     data: List[float] = []
@@ -739,6 +690,8 @@ def solve_problems(problems: Sequence[Problem]) -> List[bool]:
     remaining conjuncts are packed into as few elastic MILP invocations as
     possible (see :func:`_solve_blocks_elastic`).  Intended for the
     per-refinement-round check batches of :mod:`repro.engine.fixpoint`.
+    Raises :class:`repro.errors.PresburgerError` without SciPy when some
+    problem needs the MILP.
     """
     _faults.maybe_fail("solver")
     _SAT_CHECKS.inc(len(problems))
@@ -768,14 +721,7 @@ def solve_problems(problems: Sequence[Problem]) -> List[bool]:
         pending.append((position, fingerprint))
 
     if pending:
-        if _HAVE_SCIPY:
-            _solve_pending_batched(problems, pending, pending_keys, verdicts)
-        else:
-            for position, fingerprint in pending:
-                verdict = solve_problem(problems[position])
-                _memo_put(fingerprint, verdict)
-                for shared in pending_keys[fingerprint]:
-                    verdicts[shared] = verdict
+        _solve_pending_batched(problems, pending, pending_keys, verdicts)
     return [bool(verdict) for verdict in verdicts]
 
 
@@ -831,7 +777,9 @@ def solve_existential(
     All variables — free and existentially bound — range over non-negative
     integers.  When ``wanted`` is given, only those variables are reported
     (missing ones default to 0 in the result).  Unlike :func:`is_satisfiable`
-    this path is not memoised: it must produce a concrete witness.
+    this path is not memoised: it must produce a concrete witness.  Raises
+    :class:`repro.errors.PresburgerError` without SciPy when a conjunct needs
+    the MILP.
     """
     renamed = _rename(formula, {})
     # Free variables keep their names because _rename only renames bound ones.
@@ -868,21 +816,6 @@ def is_satisfiable(formula: Formula) -> bool:
     verdict = solve_problem(problem)
     _memo_put(fingerprint, verdict)
     return verdict
-
-
-def is_satisfiable_uncached(formula: Formula) -> bool:
-    """The pre-memoisation satisfiability path (reference implementations).
-
-    Solves every query from scratch — no fingerprint memo, no batching — so
-    parity suites and benchmarks can compare the optimised kernel against the
-    historical cost model.
-    """
-    _SAT_CHECKS.inc()
-    renamed = _rename(formula, {})
-    for conjunct in _to_dnf(renamed):
-        if _solve_conjunct(conjunct) is not None:
-            return True
-    return False
 
 
 def small_model_bound(formula_size: int, num_variables: int, alternations: int = 1) -> int:

@@ -10,77 +10,33 @@ that
 * ``benchmarks/bench_fixpoint.py`` can quantify the kernel's speedup and
   solver-call reduction against the exact pre-kernel cost model.
 
-Nothing here should be used on a hot path.  The compressed checks go through
-:func:`repro.presburger.solver.is_satisfiable_uncached` on purpose: the
-memoised/batched solver entry points would silently accelerate the baseline
-and invalidate the comparison.
+Nothing here should be used on a hot path.  The compressed checks decide
+every rule's Presburger formula with :func:`repro.presburger.solver.solve_existential`
+on purpose: it bypasses the memo, the batching and the flow the kernel uses
+for interval rules, so the oracle stays an independent decision procedure
+(it needs SciPy's MILP).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Hashable, List, Set, Tuple
+from typing import Dict, Hashable, Set
 
 from repro.graphs.graph import Graph
-from repro.presburger.formula import Exists, LinearTerm, conjunction, eq, fresh_variable, var
-from repro.presburger.solver import is_satisfiable_uncached
+from repro.presburger.solver import solve_existential
 from repro.schema.shex import ShExSchema, TypeName
 from repro.schema.typing import Typing, predecessor_map, satisfies_type
+from repro.schema.validation import compressed_formula
 
 NodeId = Hashable
 
 
-def _satisfies_compressed_uncached(
-    graph: Graph,
-    node: NodeId,
-    type_name: TypeName,
-    schema: ShExSchema,
-    typing: Dict[NodeId, Set[TypeName]],
-    artifact,
-) -> bool:
-    """The historical per-pair compressed check: formula tree + fresh solve.
-
-    Identical encoding to :func:`repro.schema.validation.satisfies_type_compressed`
-    but satisfiability is decided without the fingerprint memo, preserving the
-    pre-kernel one-solver-call-per-check cost model.
-    """
-    alphabet = artifact.sorted_alphabet
-    symbol_set = artifact.symbol_set
-    y_vars: Dict[Tuple[int, TypeName], str] = {}
-    constraints = []
-    contributions: Dict[Tuple[str, TypeName], List[str]] = {}
-    for edge in graph.out_edges(node):
-        multiplicity = edge.occur.lower
-        target_types = typing.get(edge.target, ())
-        options = [t for t in target_types if (edge.label, t) in symbol_set]
-        if not options:
-            if multiplicity > 0:
-                return False
-            continue
-        total = LinearTerm.of(0)
-        for option in options:
-            name = fresh_variable(f"y_{edge.edge_id}_{option}")
-            y_vars[(edge.edge_id, option)] = name
-            total = total + var(name)
-            contributions.setdefault((edge.label, option), []).append(name)
-        constraints.append(eq(total, multiplicity))
-    z_vars, psi = artifact.presburger_template()
-    for symbol in alphabet:
-        total = LinearTerm.of(0)
-        for contributor in contributions.get(symbol, ()):  # type: ignore[arg-type]
-            total = total + var(contributor)
-        constraints.append(eq(var(z_vars[symbol]), total))
-    constraints.append(psi)
-    bound = tuple(y_vars.values()) + tuple(z_vars.values())
-    formula = Exists(bound, conjunction(constraints)) if bound else conjunction(constraints)
-    return is_satisfiable_uncached(formula)
-
-
 def _check(graph, node, type_name, schema, current, artifacts, compressed: bool) -> bool:
     if compressed:
-        return _satisfies_compressed_uncached(
-            graph, node, type_name, schema, current, artifacts[type_name]
-        )
+        # The Presburger encoding decided from scratch: an oracle independent
+        # of the flow and of the solver's memo, batching and warm-starts.
+        formula = compressed_formula(graph, node, current, artifacts[type_name])
+        return solve_existential(formula) is not None
     return satisfies_type(
         graph, node, type_name, schema, current, artifact=artifacts.get(type_name)
     )

@@ -16,15 +16,14 @@ every node (see :mod:`repro.schema.validation`).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, Mapping, Set, Tuple
 
 from repro.core.bags import Bag
 from repro.graphs.graph import Graph
 from repro.rbe.ast import RBE
 from repro.rbe.membership import rbe_matches
-from repro.rbe.rbe0 import as_rbe0
 from repro.schema.shex import ShExSchema, TypeName
-from repro.util.assignment import feasible_assignment
+from repro.util.assignment import feasible_split
 
 NodeId = Hashable
 
@@ -101,64 +100,36 @@ def satisfies_type(
     ``typing`` maps nodes to the candidate types of their end points (anything
     iterable; typically the current refinement state of
     :func:`maximal_typing`).  The test asks for an assignment of every outgoing
-    edge to a type of its target such that the resulting bag matches the rule —
-    solved as a polynomial flow problem for RBE0 rules and by bounded
-    enumeration plus exact RBE membership otherwise.
+    edge to a type of its target such that the resulting bag matches the rule.
+    Edges are grouped by label and candidate types and the groups are decided
+    by :func:`satisfies_type_groups`.
 
     ``artifact`` optionally carries the precompiled per-type data of
-    :class:`repro.engine.compiled.CompiledType` (expression, symbol set, RBE0
-    bounds), skipping their recomputation on every check.
+    :class:`repro.engine.compiled.CompiledType`; without it the schema is
+    compiled (and interned) on the fly.
     """
-    if artifact is not None:
-        expr = artifact.expr
-        alphabet = artifact.symbol_set
-        group_bounds = artifact.group_bounds
-    else:
-        expr = schema.definition(type_name)
-        alphabet = expr.alphabet()
-        profile = as_rbe0(expr)
-        group_bounds = None
-        if profile is not None:
-            group_bounds = {
-                symbol: (interval.lower, interval.upper)
-                for symbol, interval in profile.per_symbol_interval().items()
-            }
-    candidates: List[Tuple[int, str, List[TypeName]]] = []
+    if artifact is None:
+        from repro.engine.compiled import compile_schema
+
+        artifact = compile_schema(schema).type_artifact(type_name)
+    alphabet = artifact.symbol_set
+    groups: Dict[Tuple[str, Tuple[TypeName, ...]], int] = {}
     for edge in graph.out_edges(node):
         target_types = typing.get(edge.target, ())
-        options = [t for t in target_types if (edge.label, t) in alphabet]
+        options = tuple(sorted({t for t in target_types if (edge.label, t) in alphabet}))
         if not options:
             return False
-        candidates.append((edge.edge_id, edge.label, options))
-
-    if group_bounds is not None:
-        allowed = {
-            edge_id: [(label, t) for t in options]
-            for edge_id, label, options in candidates
-        }
-        return feasible_assignment(allowed, group_bounds) is not None
-    return _satisfies_general(expr, candidates)
-
-
-def _satisfies_general(
-    expr: RBE,
-    candidates: List[Tuple[int, str, List[TypeName]]],
-) -> bool:
-    """Exhaustive (but symmetry-reduced) search for general shape expressions."""
-    # Group edges that have identical label and candidate sets: only the counts
-    # per chosen type matter, not which concrete edge picked which type.
-    groups: Dict[Tuple[str, Tuple[TypeName, ...]], int] = {}
-    for _, label, options in candidates:
-        key = (label, tuple(sorted(set(options))))
+        key = (edge.label, options)
         groups[key] = groups.get(key, 0) + 1
-    return _satisfies_groups(expr, groups)
+    return satisfies_type_groups(artifact, groups)
 
 
 def _satisfies_groups(
     expr: RBE,
     groups: Mapping[Tuple[str, Tuple[TypeName, ...]], int],
 ) -> bool:
-    """The grouped core of the general check: counts per (label, option set)."""
+    """Plain check of a rule without per-symbol bounds: enumerate every split
+    of each (label, option set) count and test the bag for RBE membership."""
     group_keys = list(groups)
 
     def compositions(total: int, parts: int):
@@ -194,24 +165,26 @@ def satisfies_type_groups(
 ) -> bool:
     """Type satisfaction from a grouped neighbourhood signature.
 
-    ``groups`` maps ``(label, sorted options tuple)`` to the number of
-    outgoing edges sharing that label and candidate-type set — the only data
-    :func:`satisfies_type` actually depends on.  The fixpoint kernel
-    (:mod:`repro.engine.fixpoint`) computes these signatures anyway to memoise
-    isomorphic checks, so this entry point lets it skip rebuilding per-edge
-    candidate lists.  ``artifact`` is a
+    ``groups`` maps ``(label, sorted options tuple)`` to a count: the number
+    of outgoing edges sharing that label and candidate-type set under the
+    plain semantics, or the sum of their multiplicities under the compressed
+    semantics of Section 6.1.  ``artifact`` is a
     :class:`repro.engine.compiled.CompiledType`.  Every option tuple must be
     non-empty (an edge without candidates fails before grouping).
+
+    A rule with per-symbol bounds is decided exactly, under either semantics,
+    by one flow that splits each group's count across its symbols
+    (:func:`repro.util.assignment.feasible_split`).  Any other rule is decided
+    by enumerating the splits under exact RBE membership, which is the plain
+    semantics only: compressed checks of such rules go through the Presburger
+    encoding instead.
     """
     if artifact.group_bounds is not None:
-        allowed = {}
-        item = 0
-        for (label, options), count in groups.items():
-            symbols = [(label, type_name) for type_name in options]
-            for _ in range(count):
-                allowed[item] = symbols
-                item += 1
-        return feasible_assignment(allowed, artifact.group_bounds) is not None
+        items = {
+            key: (count, [(key[0], type_name) for type_name in key[1]])
+            for key, count in groups.items()
+        }
+        return feasible_split(items, artifact.group_bounds) is not None
     return _satisfies_groups(artifact.expr, groups)
 
 

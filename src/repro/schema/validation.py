@@ -6,9 +6,11 @@ every node of ``G``.  Two flavours are provided:
 * :func:`satisfies` / :func:`validate` for plain (simple or multi-) graphs —
   the semantics of Section 2;
 * :func:`satisfies_compressed` for compressed graphs, where edge multiplicities
-  are exponents in the node signature and satisfaction is decided through the
-  existential Presburger encoding of Section 6.1 (Proposition 6.2: this
-  procedure is in NP).
+  are exponents in the node signature.  Rules that flatten to per-symbol
+  intervals are decided by the same flow as plain graphs, with capacities
+  equal to the multiplicities; every other rule goes through the existential
+  Presburger encoding of Section 6.1 (Proposition 6.2: this procedure is in
+  NP).
 
 All entry points accept an optional precompiled schema (see
 :mod:`repro.engine.compiled`); the single-call forms are thin wrappers that
@@ -23,16 +25,18 @@ from typing import Dict, Hashable, Iterable, List, Mapping, Tuple
 
 from repro.graphs.graph import Graph
 from repro.presburger.formula import (
+    FALSE,
     Exists,
+    Formula,
+    LinearTerm,
     conjunction,
     eq,
     fresh_variable,
     var,
-    LinearTerm,
 )
 from repro.presburger.solver import is_satisfiable
 from repro.schema.shex import ShExSchema, TypeName
-from repro.schema.typing import Typing, maximal_typing
+from repro.schema.typing import Typing, maximal_typing, satisfies_type_groups
 
 NodeId = Hashable
 
@@ -75,6 +79,58 @@ def satisfies(graph: Graph, schema: ShExSchema, compiled=None) -> bool:
 # --------------------------------------------------------------------------- #
 # Compressed graphs (Section 6.1)
 # --------------------------------------------------------------------------- #
+def compressed_formula(
+    graph: Graph,
+    node: NodeId,
+    typing: Mapping[NodeId, Iterable[TypeName]],
+    artifact,
+) -> Formula:
+    """The existential Presburger formula of one compressed-graph check.
+
+    Every compressed edge ``e`` of multiplicity ``k`` introduces variables
+    ``y_{e,τ}`` (how many of the ``k`` parallel edges take type ``τ``), subject
+    to ``Σ_τ y_{e,τ} = k``; the per-symbol totals ``z_{a::τ}`` must satisfy
+    ``ψ_{δ(t)}(z̄, 1)``.  This is exactly the encoding behind Proposition 6.2.
+    The formula is ``FALSE`` when an edge of positive multiplicity has no
+    candidate type.
+
+    ``artifact`` is the rule's :class:`repro.engine.compiled.CompiledType`,
+    whose ``ψ`` template is shared by every formula built here — its count
+    variables are rebound through fresh per-call sum constraints, so sharing
+    it is sound.  :func:`satisfies_type_compressed` and the memo-free oracle
+    of :mod:`repro.schema.reference` each decide the formula their own way.
+    """
+    symbol_set = artifact.symbol_set
+    bound: List[str] = []
+    constraints = []
+    contributions: Dict[Tuple[str, TypeName], List[str]] = {}
+    for edge in graph.out_edges(node):
+        multiplicity = edge.occur.lower
+        target_types = typing.get(edge.target, ())
+        options = [t for t in target_types if (edge.label, t) in symbol_set]
+        if not options:
+            if multiplicity > 0:
+                return FALSE
+            continue
+        total = LinearTerm.of(0)
+        for option in options:
+            name = fresh_variable(f"y_{edge.edge_id}_{option}")
+            bound.append(name)
+            total = total + var(name)
+            contributions.setdefault((edge.label, option), []).append(name)
+        constraints.append(eq(total, multiplicity))
+
+    z_vars, psi = artifact.presburger_template()
+    for symbol in artifact.sorted_alphabet:
+        total = LinearTerm.of(0)
+        for contributor in contributions.get(symbol, ()):  # type: ignore[arg-type]
+            total = total + var(contributor)
+        constraints.append(eq(var(z_vars[symbol]), total))
+    constraints.append(psi)
+    bound.extend(z_vars.values())
+    return Exists(tuple(bound), conjunction(constraints)) if bound else conjunction(constraints)
+
+
 def satisfies_type_compressed(
     graph: Graph,
     node: NodeId,
@@ -83,57 +139,38 @@ def satisfies_type_compressed(
     typing: Mapping[NodeId, Iterable[TypeName]],
     artifact=None,
 ) -> bool:
-    """Type satisfaction for compressed graphs via existential Presburger arithmetic.
+    """Type satisfaction for compressed graphs (Section 6.1).
 
-    Every compressed edge ``e`` of multiplicity ``k`` introduces variables
-    ``y_{e,τ}`` (how many of the ``k`` parallel edges take type ``τ``), subject
-    to ``Σ_τ y_{e,τ} = k``; the per-symbol totals ``z_{a::τ}`` must satisfy
-    ``ψ_{δ(t)}(z̄, 1)``.  This is exactly the encoding behind Proposition 6.2.
+    A rule with per-symbol bounds is decided by the flow of
+    :func:`repro.schema.typing.satisfies_type_groups`, with each group's count
+    the summed multiplicity of its edges.  Any other rule is decided through
+    its existential Presburger formula (:func:`compressed_formula`), which
+    needs SciPy's MILP and raises :class:`repro.errors.PresburgerError`
+    without it.
 
     ``artifact`` optionally carries the precompiled per-type data
-    (:class:`repro.engine.compiled.CompiledType`): the sorted alphabet and the
-    ``ψ`` template are then reused instead of being rebuilt per (node, type)
-    check — the template's count variables are rebound here through fresh
-    per-call sum constraints, so sharing it across calls is sound.
+    (:class:`repro.engine.compiled.CompiledType`); without it the schema is
+    compiled (and interned) on the fly.
     """
     if artifact is None:
         from repro.engine.compiled import compile_schema
 
         artifact = compile_schema(schema).type_artifact(type_name)
-    alphabet = artifact.sorted_alphabet
+    if artifact.group_bounds is None:
+        return is_satisfiable(compressed_formula(graph, node, typing, artifact))
     symbol_set = artifact.symbol_set
-    edges = graph.out_edges(node)
-
-    y_vars: Dict[Tuple[int, TypeName], str] = {}
-    constraints = []
-    contributions: Dict[Tuple[str, TypeName], List[str]] = {}
-    for edge in edges:
+    groups: Dict[Tuple[str, Tuple[TypeName, ...]], int] = {}
+    for edge in graph.out_edges(node):
         multiplicity = edge.occur.lower
         target_types = typing.get(edge.target, ())
-        options = [t for t in target_types if (edge.label, t) in symbol_set]
+        options = tuple(sorted({t for t in target_types if (edge.label, t) in symbol_set}))
         if not options:
             if multiplicity > 0:
                 return False
             continue
-        total = LinearTerm.of(0)
-        for type_name_option in options:
-            name = fresh_variable(f"y_{edge.edge_id}_{type_name_option}")
-            y_vars[(edge.edge_id, type_name_option)] = name
-            total = total + var(name)
-            contributions.setdefault((edge.label, type_name_option), []).append(name)
-        constraints.append(eq(total, multiplicity))
-
-    z_vars, psi = artifact.presburger_template()
-    for symbol in alphabet:
-        total = LinearTerm.of(0)
-        for contributor in contributions.get(symbol, ()):  # type: ignore[arg-type]
-            total = total + var(contributor)
-        constraints.append(eq(var(z_vars[symbol]), total))
-
-    constraints.append(psi)
-    bound = tuple(y_vars.values()) + tuple(z_vars.values())
-    formula = Exists(bound, conjunction(constraints)) if bound else conjunction(constraints)
-    return is_satisfiable(formula)
+        key = (edge.label, options)
+        groups[key] = groups.get(key, 0) + multiplicity
+    return satisfies_type_groups(artifact, groups)
 
 
 def maximal_typing_compressed(graph: Graph, schema: ShExSchema, compiled=None) -> Typing:
@@ -142,9 +179,10 @@ def maximal_typing_compressed(graph: Graph, schema: ShExSchema, compiled=None) -
     Delegates to the shared fixpoint kernel (:mod:`repro.engine.fixpoint`)
     with the compressed semantics enabled: components stabilise sinks-first,
     ``(node, type)`` pairs are only re-checked when a successor lost a type in
-    that type's alphabet, and each refinement round's Presburger feasibility
-    questions are deduplicated by neighbourhood signature and answered through
-    one batched MILP invocation (:func:`repro.presburger.solver.solve_problems`)
+    that type's alphabet, and checks are deduplicated by neighbourhood
+    signature.  Rules with per-symbol bounds are decided by the flow; each
+    round's Presburger questions for the other rules are answered through one
+    batched MILP invocation (:func:`repro.presburger.solver.solve_problems`)
     instead of one solver call per pair.
 
     The historical per-pair worklist is retained in

@@ -1,24 +1,27 @@
 """Bounded assignment feasibility via flows with lower bounds.
 
 Several algorithms of the paper boil down to the same combinatorial core:
-assign each of a set of *items* to exactly one of its *allowed groups* so that
-every group receives a number of items within a prescribed interval
-``[lo; hi]``:
+split the units of a set of *items* — each carrying a count — across their
+*allowed groups* so that every group receives a number of units within a
+prescribed interval ``[lo; hi]``:
 
-* type satisfaction for RBE0 definitions — every outgoing edge must be matched
-  to an atom of the definition while each atom group stays within its
-  occurrence interval (this is the tractable validation of ShEx0 from [15]);
+* type satisfaction for rules that flatten to per-symbol intervals (RBE0 and
+  its arbitrary-interval variant) — the edges sharing a label and a set of
+  candidate target types form one item whose count is their number (plain
+  graphs) or their summed multiplicity (compressed graphs, Section 6.1), and
+  each symbol stays within its occurrence interval (the tractable validation
+  of ShEx0 from [15]);
 * witnesses of simulation for shape graphs — the flow-routing formulation used
-  to prove Theorem 3.4.
+  to prove Theorem 3.4, where every item has count 1.
 
 The problem is solved exactly by a reduction to a feasible-circulation problem
 with lower bounds, itself reduced to plain max-flow (Dinic's algorithm, in this
-module).  The running time is polynomial in the number of items and groups.
+module).  The running time is polynomial in the number of items and groups and
+does not depend on the counts.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 Item = Hashable
@@ -94,35 +97,34 @@ def _max_flow(
     return value, flow
 
 
-def feasible_assignment(
-    allowed: Mapping[Item, Sequence[Group]],
+def feasible_split(
+    items: Mapping[Item, Tuple[int, Sequence[Group]]],
     group_bounds: Mapping[Group, Tuple[int, Optional[int]]],
-) -> Optional[Dict[Item, Group]]:
-    """Assign every item to one of its allowed groups, respecting group bounds.
+) -> Optional[Dict[Item, Dict[Group, int]]]:
+    """Split every item's count across its allowed groups, respecting group bounds.
 
-    ``allowed`` maps each item to the groups it may join; ``group_bounds`` maps
-    each group to ``(lo, hi)`` where ``hi`` may be ``None`` for "unbounded".
-    Groups with ``lo > 0`` must reach their lower bound even if no item lists
-    them — in that case the instance is infeasible.
+    ``items`` maps each item to ``(count, allowed groups)``: all ``count``
+    units of the item must be placed, each in one of its groups.
+    ``group_bounds`` maps each group to ``(lo, hi)`` where ``hi`` may be
+    ``None`` for "unbounded"; a group's load is the number of units it
+    receives.  Groups with ``lo > 0`` must reach their lower bound even if no
+    item lists them — in that case the instance is infeasible.
 
-    Returns a complete assignment ``item -> group`` or ``None`` when the
-    instance is infeasible.
+    Returns ``item -> {group: units}`` (groups receiving no unit omitted), or
+    ``None`` when the instance is infeasible.  The flow network has one node
+    per item and per group whatever the counts, so the cost does not grow
+    with them.
     """
-    items = list(allowed)
+    names = list(items)
     groups = list(group_bounds)
-    if not items and all(lo == 0 for lo, _ in group_bounds.values()):
-        return {}
-    if not all(allowed.values()):
-        return None
-
-    upper_cap = len(items)  # no group can receive more items than exist
+    total = sum(count for count, _ in items.values())
     # Node ids: source, sink, super-source, super-sink, then items, then groups.
     source, sink, super_source, super_sink = 0, 1, 2, 3
-    item_nodes = {item: 4 + index for index, item in enumerate(items)}
-    group_nodes = {group: 4 + len(items) + index for index, group in enumerate(groups)}
+    item_nodes = {item: 4 + index for index, item in enumerate(names)}
+    group_nodes = {group: 4 + len(names) + index for index, group in enumerate(groups)}
     arcs: List[Tuple[int, int, int]] = []
     # Lower-bound excesses for the standard circulation transformation.
-    excess = [0] * (4 + len(items) + len(groups))
+    excess = [0] * (4 + len(names) + len(groups))
 
     def add_arc(u: int, v: int, lower: int, upper: int) -> None:
         if upper > lower:
@@ -130,21 +132,22 @@ def feasible_assignment(
         excess[v] += lower
         excess[u] -= lower
 
-    for item in items:
-        add_arc(source, item_nodes[item], 1, 1)
-        for group in allowed[item]:
+    for item in names:
+        count, allowed = items[item]
+        add_arc(source, item_nodes[item], count, count)
+        for group in allowed:
             if group not in group_nodes:
                 raise KeyError(f"item {item!r} allows unknown group {group!r}")
-            add_arc(item_nodes[item], group_nodes[group], 0, 1)
+            add_arc(item_nodes[item], group_nodes[group], 0, count)
     for group in groups:
         lo, hi = group_bounds[group]
-        hi_eff = upper_cap if hi is None else min(hi, upper_cap)
+        hi_eff = total if hi is None else min(hi, total)
         if lo > hi_eff:
-            # The group demands more items than could possibly arrive.
+            # The group demands more units than could possibly arrive.
             return None
         add_arc(group_nodes[group], sink, lo, hi_eff)
     # Close the circulation.
-    add_arc(sink, source, 0, upper_cap)
+    add_arc(sink, source, 0, total)
 
     required = 0
     for node, value in enumerate(excess):
@@ -157,20 +160,35 @@ def feasible_assignment(
     if flow_value != required:
         return None
 
-    # Each item's one unit enters from the super-source and can only leave
-    # through an item -> group arc, so the flow names a group for every item.
-    assignment: Dict[Item, Group] = {}
-    for item in items:
+    # An item's units enter from the super-source and can only leave through
+    # its item -> group arcs, so those arcs carry its split.
+    split: Dict[Item, Dict[Group, int]] = {}
+    for item in names:
         routed = flow.get(item_nodes[item], {})
-        for group in allowed[item]:
-            if routed.get(group_nodes[group]):
-                assignment[item] = group
-                break
-    # Final verification (defensive): every item placed, every group in bounds.
-    load = Counter(assignment.values())
-    if len(assignment) != len(items) or any(
-        load[group] < lo or (hi is not None and load[group] > hi)
-        for group, (lo, hi) in group_bounds.items()
-    ):
+        split[item] = {
+            group: routed[group_nodes[group]]
+            for group in dict.fromkeys(items[item][1])
+            if routed.get(group_nodes[group])
+        }
+    return split
+
+
+def feasible_assignment(
+    allowed: Mapping[Item, Sequence[Group]],
+    group_bounds: Mapping[Group, Tuple[int, Optional[int]]],
+) -> Optional[Dict[Item, Group]]:
+    """Assign every item to one of its allowed groups, respecting group bounds.
+
+    ``allowed`` maps each item to the groups it may join; ``group_bounds`` maps
+    each group to ``(lo, hi)`` where ``hi`` may be ``None`` for "unbounded".
+    This is :func:`feasible_split` with every count equal to 1.
+
+    Returns a complete assignment ``item -> group`` or ``None`` when the
+    instance is infeasible.
+    """
+    split = feasible_split(
+        {item: (1, groups) for item, groups in allowed.items()}, group_bounds
+    )
+    if split is None:
         return None
-    return assignment
+    return {item: next(iter(units)) for item, units in split.items()}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
 
 import pytest
@@ -19,6 +20,24 @@ from repro.workloads.figures import (
     figure4_graph_g,
     figure4_graph_h,
 )
+
+HAVE_SCIPY = importlib.util.find_spec("scipy") is not None
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "requires_scipy: the test needs SciPy's MILP (the `solver` extra); "
+        "it is skipped without SciPy",
+    )
+
+
+def pytest_runtest_setup(item):
+    if not HAVE_SCIPY and item.get_closest_marker("requires_scipy"):
+        pytest.skip(
+            "needs SciPy's MILP, which decides the Presburger queries of rules "
+            "that are not interval-RBE0 (install the `solver` extra)"
+        )
 
 
 @pytest.fixture

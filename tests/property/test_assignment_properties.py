@@ -2,17 +2,25 @@
 
 :func:`repro.util.assignment.feasible_assignment` decides, through a max-flow
 with lower bounds, whether every item can join one of its allowed groups with
-every group's load inside ``[lo; hi]``.  The oracle here enumerates every
-assignment of small instances outright.
+every group's load inside ``[lo; hi]``; :func:`feasible_split` is the same
+flow with a count per item.  The oracles here enumerate every assignment or
+split of small instances outright, and decide compressed-graph checks of
+interval rules through their Presburger encoding.
 """
 
 import itertools
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.assignment import feasible_assignment
+from repro.engine.compiled import compile_schema
+from repro.graphs.graph import Graph
+from repro.presburger.solver import solve_existential
+from repro.schema.parser import parse_schema
+from repro.schema.validation import compressed_formula, satisfies_type_compressed
+from repro.util.assignment import feasible_assignment, feasible_split
 
 GROUPS = ("g0", "g1", "g2", "g3")
 
@@ -37,8 +45,7 @@ def instances(draw):
     return allowed, bounds
 
 
-def _within_bounds(assignment, bounds) -> bool:
-    load = Counter(assignment.values())
+def _within_loads(load, bounds) -> bool:
     return all(
         lo <= load[group] and (hi is None or load[group] <= hi)
         for group, (lo, hi) in bounds.items()
@@ -49,7 +56,7 @@ def _brute_force_feasible(allowed, bounds) -> bool:
     items = list(allowed)
     choices = [sorted(set(allowed[item])) for item in items]
     return any(
-        _within_bounds(dict(zip(items, picked)), bounds)
+        _within_loads(Counter(picked), bounds)
         for picked in itertools.product(*choices)
     )
 
@@ -70,4 +77,140 @@ class TestFeasibleAssignment:
         if found is not None:
             assert set(found) == set(allowed)
             assert all(found[item] in allowed[item] for item in allowed)
-            assert _within_bounds(found, bounds)
+            assert _within_loads(Counter(found.values()), bounds)
+
+
+@st.composite
+def counted_instances(draw):
+    """Up to 4 items with counts up to 25 over up to 3 groups.
+
+    Allowed lists may repeat a group or be empty; an upper bound may be
+    ``None`` or fall below the lower bound.
+    """
+    groups = GROUPS[: draw(st.integers(min_value=1, max_value=3))]
+    bounds = {}
+    for group in groups:
+        lo = draw(st.integers(min_value=0, max_value=25))
+        bounds[group] = (lo, draw(st.none() | st.integers(min_value=lo - 2, max_value=60)))
+    item = st.tuples(
+        st.integers(min_value=0, max_value=25),
+        st.lists(st.sampled_from(groups), min_size=0, max_size=4),
+    )
+    items = draw(st.dictionaries(st.integers(min_value=0, max_value=99), item, max_size=4))
+    return items, bounds
+
+
+def _compositions(total, parts):
+    """Every way to write ``total`` as an ordered sum of ``parts`` naturals."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for head in range(total + 1):
+        for tail in _compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def _brute_force_split_feasible(items, bounds) -> bool:
+    """Enumerate every split of every item, merging equal capped load vectors.
+
+    Loads are capped just past what decides a bound (``hi + 1``, or ``lo``
+    when unbounded), so the set of reachable vectors stays small.
+    """
+    groups = list(bounds)
+    caps = [lo if hi is None else hi + 1 for lo, hi in (bounds[g] for g in groups)]
+    states = {tuple(0 for _ in groups)}
+    for count, allowed in items.values():
+        targets = [groups.index(group) for group in sorted(set(allowed))]
+        grown = set()
+        for split in _compositions(count, len(targets)):
+            for state in states:
+                loads = list(state)
+                for index, units in zip(targets, split):
+                    loads[index] = min(loads[index] + units, caps[index])
+                grown.add(tuple(loads))
+        states = grown
+    return any(
+        all(
+            lo <= load and (hi is None or load <= hi)
+            for load, (lo, hi) in zip(state, (bounds[g] for g in groups))
+        )
+        for state in states
+    )
+
+
+class TestFeasibleSplit:
+    @given(counted_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_feasibility_matches_split_enumeration(self, instance):
+        items, bounds = instance
+        found = feasible_split(items, bounds)
+        assert (found is not None) == _brute_force_split_feasible(items, bounds)
+
+    @given(counted_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_returned_split_places_every_unit_within_bounds(self, instance):
+        items, bounds = instance
+        found = feasible_split(items, bounds)
+        if found is not None:
+            assert set(found) == set(items)
+            load = Counter()
+            for item, (count, allowed) in items.items():
+                assert set(found[item]) <= set(allowed)
+                assert sum(found[item].values()) == count
+                load.update(found[item])
+            assert _within_loads(load, bounds)
+
+
+TYPES = ("U", "V", "W")
+
+
+@st.composite
+def interval_checks(draw):
+    """A rule ``T -> a :: U^[lo;hi], ...`` and the out-edges of one compressed node.
+
+    The rule has 1-5 atoms whose symbols may repeat.  Each edge has a label,
+    a multiplicity up to 25 and the candidate types of its target, drawn
+    mostly among the types the rule pairs with that label so that many
+    checks are satisfiable.
+    """
+    atoms = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        lo = draw(st.integers(min_value=0, max_value=6))
+        hi = draw(st.none() | st.integers(min_value=lo, max_value=40))
+        atoms.append((draw(st.sampled_from(("a", "b"))), draw(st.sampled_from(TYPES)), lo, hi))
+    rule = "T -> " + ", ".join(
+        f"{label} :: {target}^[{lo};{'*' if hi is None else hi}]"
+        for label, target, lo, hi in atoms
+    )
+    edges = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        label = draw(st.sampled_from(("a", "a", "a", "b", "b", "b", "c")))
+        paired = sorted({target for atom_label, target, _, _ in atoms if atom_label == label})
+        types = draw(st.frozensets(st.sampled_from(paired or list(TYPES)), min_size=1))
+        if draw(st.booleans()):
+            types |= {draw(st.sampled_from(TYPES))}
+        edges.append((label, draw(st.integers(min_value=0, max_value=25)), types))
+    return rule, edges
+
+
+@pytest.mark.requires_scipy
+class TestCompressedFlowParity:
+    @given(interval_checks())
+    @settings(max_examples=200, deadline=None)
+    def test_flow_matches_presburger(self, check):
+        rule, edges = check
+        schema = parse_schema(
+            rule + "\n" + "\n".join(f"{name} -> eps" for name in TYPES), name="flow"
+        )
+        artifact = compile_schema(schema).type_artifact("T")
+        assert artifact.group_bounds is not None
+        graph = Graph("neighbourhood")
+        graph.add_node("n")
+        typing = {}
+        for index, (label, multiplicity, types) in enumerate(edges):
+            graph.add_edge("n", label, f"x{index}", (multiplicity, multiplicity))
+            typing[f"x{index}"] = set(types)
+        flow = satisfies_type_compressed(graph, "n", "T", schema, typing, artifact=artifact)
+        formula = compressed_formula(graph, "n", typing, artifact)
+        assert flow == (solve_existential(formula) is not None)

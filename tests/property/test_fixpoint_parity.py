@@ -96,6 +96,7 @@ class TestPlainSemantics:
         _assert_parity(graph, schema, compressed=False, seed=seed)
 
 
+@pytest.mark.requires_scipy
 class TestCompressedSemantics:
     @pytest.mark.parametrize("seed", COMPRESSED_SEEDS)
     def test_shape_schema_on_compressed_graphs(self, seed):
@@ -151,6 +152,7 @@ class TestVectorizedKernelParity:
         monkeypatch.setenv("REPRO_VECTORIZE", "0")
         assert maximal_typing_fixpoint(graph, schema) == oracle
 
+    @pytest.mark.requires_scipy
     @pytest.mark.parametrize("seed", VECTOR_SEEDS[:2])
     def test_bitset_rounds_match_oracle_on_compressed_graphs(self, seed, monkeypatch):
         pytest.importorskip("numpy")
@@ -165,6 +167,7 @@ class TestVectorizedKernelParity:
         monkeypatch.setenv("REPRO_VECTORIZE", "0")
         assert maximal_typing_fixpoint(graph, schema, compressed=True) == oracle
 
+    @pytest.mark.requires_scipy
     @pytest.mark.parametrize("rules", _ADVERSARIAL_RULES)
     @pytest.mark.parametrize("seed", VECTOR_SEEDS[:2])
     def test_adversarial_interval_bounds_stress_the_solver(

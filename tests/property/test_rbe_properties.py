@@ -8,6 +8,7 @@ The central invariants:
 * minimal witnesses are members, and emptiness agrees with witness existence.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -65,6 +66,7 @@ small_bags = st.dictionaries(
 
 
 class TestMembershipInvariants:
+    @pytest.mark.requires_scipy
     @given(rbe_expressions(), small_bags)
     @settings(max_examples=150, deadline=None)
     def test_presburger_encoding_agrees(self, expr, bag):

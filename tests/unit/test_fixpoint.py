@@ -18,7 +18,6 @@ from repro.presburger.solver import (
     problem_fingerprint,
     reset_solver_state,
     solve_problems,
-    solver_stats,
 )
 from repro.schema.parser import parse_schema
 from repro.schema.reference import maximal_typing_reference
@@ -108,18 +107,40 @@ class TestFixpointKernel:
         assert stats.signature_hits > base_stats.signature_hits
         assert stats.components == copies * len(strongly_connected_components(graph))
 
+    @pytest.mark.requires_scipy
     def test_compressed_batches_solver_calls(self):
-        graph, schema = bug_tracker_graph(), bug_tracker_schema()
+        # A repeated disjunction is not an interval rule, so its compressed
+        # checks reach the Presburger solver.
+        schema = parse_schema(
+            "T -> (a :: U | b :: U)^[3;3], c :: T*\nU -> a :: U?", name="batched"
+        )
+        graph = Graph("batched")
+        for i in range(8):
+            graph.add_edge(f"t{i}", "a", f"u{i}", (1 + i % 3, 1 + i % 3))
+            graph.add_edge(f"t{i}", "b", f"u{i}", (i % 3, i % 3))
+            graph.add_edge(f"t{i}", "c", f"t{(i + 1) % 8}", (1, 1))
         reset_solver_state()
         window = SolverWindow()
         stats = FixpointStats()
-        maximal_typing_fixpoint(graph, schema, compressed=True, stats=stats)
+        typing = maximal_typing_fixpoint(graph, schema, compressed=True, stats=stats)
         solver = window.snapshot()
+        assert typing == maximal_typing_reference(graph, schema, compressed=True)
         assert stats.rounds >= 1
         assert stats.solver_problems > 0
         # Batching: far fewer solver invocations than problems solved.
         assert solver.batch_calls < stats.solver_problems
         assert solver.milp_calls == 0  # everything went through the batch path
+
+    def test_compressed_interval_rules_never_reach_the_solver(self):
+        graph, schema = bug_tracker_graph(), bug_tracker_schema()
+        reset_solver_state()
+        window = SolverWindow()
+        stats = FixpointStats()
+        typing = maximal_typing_fixpoint(graph, schema, compressed=True, stats=stats)
+        assert typing == maximal_typing_fixpoint(graph, schema)
+        assert stats.rounds >= 1
+        assert stats.solver_problems == 0
+        assert window.snapshot().solver_calls == 0
 
     def test_empty_graph(self):
         typing = maximal_typing_fixpoint(Graph("empty"), bug_tracker_schema())
@@ -168,6 +189,7 @@ class TestSolverBatching:
         different = formula_to_problem(eq(var("p") + var("q"), 4) & le(var("p"), 1))
         assert problem_fingerprint(left) != problem_fingerprint(different)
 
+    @pytest.mark.requires_scipy
     def test_solve_problems_matches_individual_satisfiability(self):
         formulas = [
             eq(var("a") + var("b"), 2),                       # sat
@@ -186,6 +208,7 @@ class TestSolverBatching:
         for formula, expected in zip(formulas, batched):
             assert is_satisfiable(formula) is expected
 
+    @pytest.mark.requires_scipy
     def test_memo_answers_repeats(self):
         reset_solver_state()
         window = SolverWindow()
@@ -203,6 +226,7 @@ class TestSolverBatching:
         assert solve_problems([(), (((), ()),)]) == [False, True]
         assert window.snapshot().solver_calls == 0
 
+    @pytest.mark.requires_scipy
     def test_warm_start_reuses_witness_across_bound_drift(self):
         reset_solver_state()
         window = SolverWindow()
@@ -220,6 +244,7 @@ class TestSolverBatching:
         assert stats.warm_hits == 1
         assert stats.solver_calls == 1  # only the harvesting solve ran
 
+    @pytest.mark.requires_scipy
     def test_warm_start_never_answers_unsat_from_the_cache(self):
         reset_solver_state()
         # Harvest a witness, then tighten the bounds into infeasibility: the
@@ -228,10 +253,6 @@ class TestSolverBatching:
         assert not is_satisfiable(
             eq(var("c") + var("d"), 3) & le(var("c") + var("d"), 2)
         )
-
-    def test_solver_stats_stub_warns(self):
-        with pytest.deprecated_call():
-            solver_stats()
 
 
 class TestCompiledAdditions:

@@ -83,6 +83,7 @@ class TestFormulas:
 
 
 class TestSolver:
+    @pytest.mark.requires_scipy
     def test_simple_system(self):
         formula = conjunction([eq(var("x") + var("y"), 5), ge(var("x"), 3), le(var("y"), 1)])
         solution = solve_existential(formula, ["x", "y"])
@@ -90,19 +91,23 @@ class TestSolver:
         assert solution["x"] + solution["y"] == 5
         assert solution["x"] >= 3 and solution["y"] <= 1
 
+    @pytest.mark.requires_scipy
     def test_unsatisfiable_system(self):
         formula = conjunction([eq(var("x"), 1), eq(var("x"), 2)])
         assert not is_satisfiable(formula)
 
+    @pytest.mark.requires_scipy
     def test_naturals_only(self):
         # x + 1 <= 0 has no solution over the naturals
         assert not is_satisfiable(le(var("x") + 1, 0))
 
+    @pytest.mark.requires_scipy
     def test_strict_inequalities_tightened(self):
         formula = conjunction([lt(var("x"), 2), gt(var("x"), 0)])
         solution = solve_existential(formula, ["x"])
         assert solution == {"x": 1}
 
+    @pytest.mark.requires_scipy
     def test_disjunction_branches(self):
         formula = disjunction([eq(var("x"), 7), conjunction([eq(var("x"), 1), eq(var("x"), 2)])])
         assert solve_existential(formula, ["x"]) == {"x": 7}
@@ -111,6 +116,7 @@ class TestSolver:
         assert is_satisfiable(eq(const(3), const(3)))
         assert not is_satisfiable(eq(const(3), const(4)))
 
+    @pytest.mark.requires_scipy
     def test_nested_exists_renamed_apart(self):
         inner = Exists(("x",), eq(var("x"), 2))
         outer = Exists(("x",), conjunction([eq(var("x"), 1), inner]))
@@ -128,6 +134,7 @@ class TestRBEEncoding:
         "text",
         ["a || b?", "(a | b)+", "a[2;3] || c", "(a || b)[2;2]", "a* || a", "a & (a | b)"],
     )
+    @pytest.mark.requires_scipy
     def test_membership_formula_agrees_with_direct_membership(self, text):
         expr = parse_rbe(text)
         for counts in itertools.product(range(4), repeat=3):
@@ -136,6 +143,7 @@ class TestRBEEncoding:
             encoded = is_satisfiable(rbe_membership_formula(expr, bag))
             assert direct == encoded, f"{text} on {dict(bag)}"
 
+    @pytest.mark.requires_scipy
     def test_power_semantics(self):
         # ψ_E(x̄, n) describes L(E)^n: two repetitions of (a || b)
         expr = parse_rbe("a || b")
@@ -149,11 +157,13 @@ class TestRBEEncoding:
         )
         assert not is_satisfiable(formula_bad)
 
+    @pytest.mark.requires_scipy
     def test_language_nonempty(self):
         assert rbe_language_nonempty(parse_rbe("a & (a | b)"))
         assert not rbe_language_nonempty(parse_rbe("a & b"))
         assert not rbe_language_nonempty(parse_rbe("(a || b) & a"))
 
+    @pytest.mark.requires_scipy
     def test_language_witness(self):
         witness = rbe_language_witness(parse_rbe("(a || b) & (a || b)"))
         assert witness == Bag({"a": 1, "b": 1})

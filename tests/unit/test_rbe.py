@@ -166,6 +166,7 @@ class TestMembership:
         )
         assert not rbe_matches(expr, Bag([("descr", "Literal")]))
 
+    @pytest.mark.requires_scipy
     def test_nonempty(self):
         assert rbe_nonempty(parse_rbe("a || b"))
         assert rbe_nonempty(parse_rbe("a & a"))
@@ -173,6 +174,7 @@ class TestMembership:
         assert not rbe_nonempty(parse_rbe("a & eps"))
         assert rbe_nonempty(parse_rbe("a? & eps"))
 
+    @pytest.mark.requires_scipy
     def test_min_bag(self):
         assert rbe_min_bag(parse_rbe("a || b?")) == Bag({"a": 1})
         assert rbe_min_bag(parse_rbe("a[3;5]")) == Bag({"a": 3})

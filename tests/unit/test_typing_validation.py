@@ -172,6 +172,7 @@ class TestCompressedValidation:
         typing = maximal_typing_compressed(graph, schema)
         assert "t" in typing.types_of("n")
 
+    @pytest.mark.requires_scipy
     def test_general_shex_definition_on_compressed_graph(self):
         schema = ShExSchema({"t": "(a :: o | b :: o)[2;2]", "o": "eps"})
         good = CompressedGraph()
