@@ -60,9 +60,9 @@ from repro.obs import metrics as _obs_metrics
 from repro.obs import tracing as _obs_tracing
 from repro.graphs.graph import Graph
 from repro.graphs.scc import backward_closure, strongly_connected_components
-from repro.presburger.solver import solve_problems
+from repro.presburger.solver import milp_available, solve_problems
 from repro.schema.shex import ShExSchema, TypeName
-from repro.schema.typing import Typing, satisfies_type_groups
+from repro.schema.typing import Typing, edge_groups, satisfies_type_groups
 
 NodeId = Hashable
 
@@ -321,8 +321,8 @@ def maximal_typing_store(
 
     Like :func:`maximal_typing_fixpoint` on ``store.graph``, but consults the
     store's automatic kind-compression view first: when the size heuristic
-    selects a quotient (:meth:`repro.graphs.store.GraphStore.typing_view`),
-    the quotient is typed once per *kind* under the compressed semantics and
+    selects a quotient (:meth:`repro.graphs.store.GraphStore.typing_view`)
+    and :func:`kind_view` allows it for the schema, the quotient is typed once per *kind* under the compressed semantics and
     every node inherits its kind's types — identical to the per-node typing,
     at a fraction of the checks on clone-heavy graphs.  ``stats.mode`` reports
     ``"kinds"`` when the view was used.
@@ -335,7 +335,7 @@ def maximal_typing_store(
         stats = FixpointStats()
     with _KernelScope(stats):
         if not compressed:
-            view = store.typing_view()
+            view = kind_view(store, compiled)
             if view is not None:
                 kind_typing = kind_typing_for_view(
                     view, compiled, stats=stats, signature_memo=signature_memo
@@ -346,6 +346,19 @@ def maximal_typing_store(
             store.graph, compiled=compiled, compressed=compressed, stats=stats,
             signature_memo=signature_memo,
         )
+
+
+def kind_view(store, compiled: CompiledSchema):
+    """The store's kind-compression view, when plain typing may use it.
+
+    The view is typed under the compressed semantics, which decides a rule
+    without per-symbol bounds through SciPy's MILP.  Without SciPy such a
+    schema gets ``None`` and takes the per-node plain path, which decides
+    every rule exactly with no solver.
+    """
+    if compiled.flow_decided or milp_available():
+        return store.typing_view()
+    return None
 
 
 def kind_typing_for_view(
@@ -833,7 +846,7 @@ def _check_compressed_batch(
             verdicts[position] = known
             continue
         if artifact.group_bounds is not None:
-            verdict = satisfies_type_groups(artifact, _counted_groups(edge_descriptions))
+            verdict = satisfies_type_groups(artifact, edge_groups(edge_descriptions))
             signature_memo[signature] = verdict
             verdicts[position] = verdict
             continue
@@ -887,14 +900,6 @@ def _compressed_signature(
         descriptions.append((edge.label, multiplicity, options))
     signature = (artifact.type_name, tuple(sorted(descriptions)))
     return signature, descriptions
-
-
-def _counted_groups(edge_descriptions) -> Dict[Tuple[str, Tuple[TypeName, ...]], int]:
-    """Summed multiplicity per ``(label, options)``: the flow's counted items."""
-    groups: Dict[Tuple[str, Tuple[TypeName, ...]], int] = {}
-    for label, multiplicity, options in edge_descriptions:
-        groups[(label, options)] = groups.get((label, options), 0) + multiplicity
-    return groups
 
 
 def _assemble_problem(artifact, edge_descriptions) -> Tuple:

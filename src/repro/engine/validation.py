@@ -38,6 +38,7 @@ from repro.engine.fixpoint import (
     FixpointStats,
     expand_kind_typing,
     kind_typing_for_view,
+    kind_view,
     maximal_typing_store,
     retype_incremental,
     retype_kinds_incremental,
@@ -288,8 +289,9 @@ class ValidationEngine(BatchEngine):
             ) as trace_span:
                 # Syncing the view also maintains the kind partition under
                 # the delta (the store's cost, paid once per version); the
-                # view serves the plain semantics only.
-                view = store.typing_view() if not compressed else None
+                # view serves the plain semantics only, and only the schemas
+                # kind_view allows.
+                view = kind_view(store, compiled) if not compressed else None
                 kind_typing: Optional[Typing] = None
                 if snapshot is not None and snapshot[0] == version:
                     typing = snapshot[1]

@@ -51,7 +51,7 @@ except ImportError:  # pragma: no cover
     np = None
     _HAVE_NUMPY = False
 
-from repro.schema.typing import satisfies_type_groups
+from repro.schema.typing import edge_groups, satisfies_type_groups
 
 NodeId = Hashable
 
@@ -376,24 +376,19 @@ def stabilise(
                     artifact = compiled.type_artifact(type_name)
                     lo = int(pair_offsets[representative])
                     hi = int(pair_offsets[representative + 1])
+                    # Plain edges count once each; compressed edges by their
+                    # multiplicity (zero-multiplicity edges contribute nothing).
+                    counts = mults[lo:hi] if compressed else [1] * (hi - lo)
+                    descriptions = [
+                        (label_names[labels[j]], int(count), _options_of(options[j]))
+                        for j, count in zip(range(lo, hi), counts)
+                        if count > 0
+                    ]
                     if compressed and artifact.group_bounds is None:
-                        descriptions = [
-                            (label_names[labels[j]], int(mults[j]), _options_of(options[j]))
-                            for j in range(lo, hi)
-                            if mults[j] > 0
-                        ]
                         problems.append(_assemble_problem(artifact, descriptions))
                         problem_misses.append((u, key))
                         continue
-                    # Plain edges count once each; compressed edges by their
-                    # multiplicity (zero-multiplicity edges contribute nothing).
-                    groups: Dict[Tuple, int] = {}
-                    for j in range(lo, hi):
-                        count = int(mults[j]) if compressed else 1
-                        if count > 0:
-                            group = (label_names[labels[j]], _options_of(options[j]))
-                            groups[group] = groups.get(group, 0) + count
-                    verdict = bool(satisfies_type_groups(artifact, groups))
+                    verdict = bool(satisfies_type_groups(artifact, edge_groups(descriptions)))
                     signature_memo[key] = verdict
                     unique_verdicts[u] = verdict
                 if problems:

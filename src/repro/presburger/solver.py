@@ -79,6 +79,11 @@ _NO_SCIPY = (
 )
 
 
+def milp_available() -> bool:
+    """Whether SciPy's MILP can be reached (without importing SciPy)."""
+    return _HAVE_SCIPY
+
+
 def _bind_scipy() -> None:
     """Import numpy and the SciPy MILP pieces once; raise without SciPy."""
     global _np, _milp, _LinearConstraint, _Bounds, _csr_matrix

@@ -7,14 +7,16 @@ that
 * the property-style parity suite (``tests/property/test_fixpoint_parity.py``)
   can assert that the optimised kernel computes byte-identical maximal typings
   on randomized instances, and
-* ``benchmarks/bench_fixpoint.py`` can quantify the kernel's speedup and
-  solver-call reduction against the exact pre-kernel cost model.
+* ``benchmarks/bench_fixpoint.py`` can quantify the kernel's speedup
+  against the exact pre-kernel cost model.
 
-Nothing here should be used on a hot path.  The compressed checks decide
-every rule's Presburger formula with :func:`repro.presburger.solver.solve_existential`
-on purpose: it bypasses the memo, the batching and the flow the kernel uses
-for interval rules, so the oracle stays an independent decision procedure
-(it needs SciPy's MILP).
+Nothing here should be used on a hot path.  Neither semantics uses the flow
+the kernel decides interval rules with, so the oracle stays an independent
+decision procedure: plain checks enumerate splits under exact RBE membership
+(:func:`repro.schema.typing.satisfies_groups_by_membership`), and compressed
+checks decide every rule's Presburger formula with
+:func:`repro.presburger.solver.solve_existential`, bypassing the memo, the
+batching and the warm-starts (so they need SciPy's MILP).
 """
 
 from __future__ import annotations
@@ -25,21 +27,26 @@ from typing import Dict, Hashable, Set
 from repro.graphs.graph import Graph
 from repro.presburger.solver import solve_existential
 from repro.schema.shex import ShExSchema, TypeName
-from repro.schema.typing import Typing, predecessor_map, satisfies_type
+from repro.schema.typing import (
+    Typing,
+    neighbourhood_groups,
+    predecessor_map,
+    satisfies_groups_by_membership,
+)
 from repro.schema.validation import compressed_formula
 
 NodeId = Hashable
 
 
-def _check(graph, node, type_name, schema, current, artifacts, compressed: bool) -> bool:
+def _check(graph, node, type_name, current, artifacts, compressed: bool) -> bool:
     if compressed:
         # The Presburger encoding decided from scratch: an oracle independent
         # of the flow and of the solver's memo, batching and warm-starts.
         formula = compressed_formula(graph, node, current, artifacts[type_name])
         return solve_existential(formula) is not None
-    return satisfies_type(
-        graph, node, type_name, schema, current, artifact=artifacts.get(type_name)
-    )
+    artifact = artifacts[type_name]
+    groups = neighbourhood_groups(graph, node, current, artifact.symbol_set, False)
+    return groups is not None and satisfies_groups_by_membership(artifact.expr, groups)
 
 
 def _artifacts(schema: ShExSchema, compiled):
@@ -78,7 +85,7 @@ def maximal_typing_worklist(
         queued.discard(node)
         shrunk = False
         for type_name in sorted(current[node]):
-            if not _check(graph, node, type_name, schema, current, artifacts, compressed):
+            if not _check(graph, node, type_name, current, artifacts, compressed):
                 current[node].discard(type_name)
                 shrunk = True
         if shrunk:
@@ -111,7 +118,7 @@ def maximal_typing_reference(
         changed = False
         for node in sorted(graph.nodes, key=repr):
             for type_name in sorted(current[node]):
-                if not _check(graph, node, type_name, schema, current, artifacts, compressed):
+                if not _check(graph, node, type_name, current, artifacts, compressed):
                     current[node].discard(type_name)
                     changed = True
     return Typing(current)

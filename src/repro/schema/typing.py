@@ -16,7 +16,7 @@ every node (see :mod:`repro.schema.validation`).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Mapping, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, Mapping, Optional, Set, Tuple
 
 from repro.core.bags import Bag
 from repro.graphs.graph import Graph
@@ -112,24 +112,62 @@ def satisfies_type(
         from repro.engine.compiled import compile_schema
 
         artifact = compile_schema(schema).type_artifact(type_name)
-    alphabet = artifact.symbol_set
-    groups: Dict[Tuple[str, Tuple[TypeName, ...]], int] = {}
+    groups = neighbourhood_groups(graph, node, typing, artifact.symbol_set, False)
+    return groups is not None and satisfies_type_groups(artifact, groups)
+
+
+def neighbourhood_groups(
+    graph: Graph,
+    node: NodeId,
+    typing: Mapping[NodeId, Iterable[TypeName]],
+    symbol_set,
+    compressed: bool,
+) -> Optional[Dict[Tuple[str, Tuple[TypeName, ...]], int]]:
+    """The outgoing edges of ``node`` as counted ``(label, options)`` groups.
+
+    ``options`` is the sorted tuple of the edge target's candidate types whose
+    symbol ``(label, type)`` is in ``symbol_set``.  Each edge counts once
+    under the plain semantics and by its multiplicity under the compressed
+    one.  ``None`` means the check fails outright: an edge that counts has no
+    candidate type.
+    """
+    described = []
     for edge in graph.out_edges(node):
+        count = edge.occur.lower if compressed else 1
         target_types = typing.get(edge.target, ())
-        options = tuple(sorted({t for t in target_types if (edge.label, t) in alphabet}))
-        if not options:
-            return False
-        key = (edge.label, options)
-        groups[key] = groups.get(key, 0) + 1
-    return satisfies_type_groups(artifact, groups)
+        options = tuple(sorted({t for t in target_types if (edge.label, t) in symbol_set}))
+        if not options and count > 0:
+            return None
+        described.append((edge.label, count, options))
+    return edge_groups(described)
 
 
-def _satisfies_groups(
+def edge_groups(
+    described: Iterable[Tuple[str, int, Tuple[TypeName, ...]]],
+) -> Dict[Tuple[str, Tuple[TypeName, ...]], int]:
+    """Sum ``(label, count, options)`` edge descriptions per ``(label, options)``.
+
+    These sums are the counted items of the flow; edges of count 0 add
+    nothing and are dropped.
+    """
+    groups: Dict[Tuple[str, Tuple[TypeName, ...]], int] = {}
+    for label, count, options in described:
+        if count > 0:
+            key = (label, options)
+            groups[key] = groups.get(key, 0) + count
+    return groups
+
+
+def satisfies_groups_by_membership(
     expr: RBE,
     groups: Mapping[Tuple[str, Tuple[TypeName, ...]], int],
 ) -> bool:
-    """Plain check of a rule without per-symbol bounds: enumerate every split
-    of each (label, option set) count and test the bag for RBE membership."""
+    """Plain check by exact RBE membership: enumerate every split of each
+    (label, option set) count and test the bag against ``expr``.
+
+    It decides the plain rules without per-symbol bounds, and the reference
+    oracle of :mod:`repro.schema.reference` decides every plain rule with it,
+    independently of the flow."""
     group_keys = list(groups)
 
     def compositions(total: int, parts: int):
@@ -185,7 +223,7 @@ def satisfies_type_groups(
             for key, count in groups.items()
         }
         return feasible_split(items, artifact.group_bounds) is not None
-    return _satisfies_groups(artifact.expr, groups)
+    return satisfies_groups_by_membership(artifact.expr, groups)
 
 
 # --------------------------------------------------------------------------- #

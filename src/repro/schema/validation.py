@@ -36,7 +36,12 @@ from repro.presburger.formula import (
 )
 from repro.presburger.solver import is_satisfiable
 from repro.schema.shex import ShExSchema, TypeName
-from repro.schema.typing import Typing, maximal_typing, satisfies_type_groups
+from repro.schema.typing import (
+    Typing,
+    maximal_typing,
+    neighbourhood_groups,
+    satisfies_type_groups,
+)
 
 NodeId = Hashable
 
@@ -158,19 +163,8 @@ def satisfies_type_compressed(
         artifact = compile_schema(schema).type_artifact(type_name)
     if artifact.group_bounds is None:
         return is_satisfiable(compressed_formula(graph, node, typing, artifact))
-    symbol_set = artifact.symbol_set
-    groups: Dict[Tuple[str, Tuple[TypeName, ...]], int] = {}
-    for edge in graph.out_edges(node):
-        multiplicity = edge.occur.lower
-        target_types = typing.get(edge.target, ())
-        options = tuple(sorted({t for t in target_types if (edge.label, t) in symbol_set}))
-        if not options:
-            if multiplicity > 0:
-                return False
-            continue
-        key = (edge.label, options)
-        groups[key] = groups.get(key, 0) + multiplicity
-    return satisfies_type_groups(artifact, groups)
+    groups = neighbourhood_groups(graph, node, typing, artifact.symbol_set, True)
+    return groups is not None and satisfies_type_groups(artifact, groups)
 
 
 def maximal_typing_compressed(graph: Graph, schema: ShExSchema, compiled=None) -> Typing:

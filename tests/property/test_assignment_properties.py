@@ -4,8 +4,9 @@
 with lower bounds, whether every item can join one of its allowed groups with
 every group's load inside ``[lo; hi]``; :func:`feasible_split` is the same
 flow with a count per item.  The oracles here enumerate every assignment or
-split of small instances outright, and decide compressed-graph checks of
-interval rules through their Presburger encoding.
+split of small instances outright, decide plain checks of interval rules by
+exact RBE membership, and decide compressed-graph checks of interval rules
+through their Presburger encoding.
 """
 
 import itertools
@@ -15,10 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.bags import Bag
 from repro.engine.compiled import compile_schema
 from repro.graphs.graph import Graph
 from repro.presburger.solver import solve_existential
+from repro.rbe.membership import rbe_matches
 from repro.schema.parser import parse_schema
+from repro.schema.typing import satisfies_type
 from repro.schema.validation import compressed_formula, satisfies_type_compressed
 from repro.util.assignment import feasible_assignment, feasible_split
 
@@ -165,33 +169,84 @@ class TestFeasibleSplit:
 TYPES = ("U", "V", "W")
 
 
-@st.composite
-def interval_checks(draw):
-    """A rule ``T -> a :: U^[lo;hi], ...`` and the out-edges of one compressed node.
+def _interval_check(draw, max_edges, max_multiplicity, max_lo, max_hi):
+    """A rule ``T -> a :: U^[lo;hi], ...`` and the out-edges of one node.
 
     The rule has 1-5 atoms whose symbols may repeat.  Each edge has a label,
-    a multiplicity up to 25 and the candidate types of its target, drawn
-    mostly among the types the rule pairs with that label so that many
-    checks are satisfiable.
+    a multiplicity and the candidate types of its target, drawn mostly among
+    the types the rule pairs with that label so that many checks are
+    satisfiable.
     """
     atoms = []
     for _ in range(draw(st.integers(min_value=1, max_value=5))):
-        lo = draw(st.integers(min_value=0, max_value=6))
-        hi = draw(st.none() | st.integers(min_value=lo, max_value=40))
+        lo = draw(st.integers(min_value=0, max_value=max_lo))
+        hi = draw(st.none() | st.integers(min_value=lo, max_value=max_hi))
         atoms.append((draw(st.sampled_from(("a", "b"))), draw(st.sampled_from(TYPES)), lo, hi))
     rule = "T -> " + ", ".join(
         f"{label} :: {target}^[{lo};{'*' if hi is None else hi}]"
         for label, target, lo, hi in atoms
     )
     edges = []
-    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+    for _ in range(draw(st.integers(min_value=0, max_value=max_edges))):
         label = draw(st.sampled_from(("a", "a", "a", "b", "b", "b", "c")))
         paired = sorted({target for atom_label, target, _, _ in atoms if atom_label == label})
         types = draw(st.frozensets(st.sampled_from(paired or list(TYPES)), min_size=1))
         if draw(st.booleans()):
             types |= {draw(st.sampled_from(TYPES))}
-        edges.append((label, draw(st.integers(min_value=0, max_value=25)), types))
+        multiplicity = draw(st.integers(min_value=0, max_value=max_multiplicity))
+        edges.append((label, multiplicity, types))
     return rule, edges
+
+
+@st.composite
+def interval_checks(draw):
+    """A compressed neighbourhood: up to 5 edges of multiplicity up to 25."""
+    return _interval_check(draw, max_edges=5, max_multiplicity=25, max_lo=6, max_hi=40)
+
+
+@st.composite
+def plain_interval_checks(draw):
+    """A plain neighbourhood: up to 6 edges, each counted once, against
+    bounds small enough that the edges often reach them."""
+    rule, edges = _interval_check(draw, max_edges=6, max_multiplicity=1, max_lo=2, max_hi=3)
+    return rule, [(label, 1, types) for label, _, types in edges]
+
+
+def _neighbourhood(rule, edges):
+    """The schema of ``rule`` and one node ``n`` with ``edges``, typed."""
+    schema = parse_schema(
+        rule + "\n" + "\n".join(f"{name} -> eps" for name in TYPES), name="flow"
+    )
+    graph = Graph("neighbourhood")
+    graph.add_node("n")
+    typing = {}
+    for index, (label, multiplicity, types) in enumerate(edges):
+        graph.add_edge("n", label, f"x{index}", (multiplicity, multiplicity))
+        typing[f"x{index}"] = set(types)
+    return schema, graph, typing
+
+
+class TestPlainFlowParity:
+    @given(plain_interval_checks())
+    @settings(max_examples=200, deadline=None)
+    def test_flow_matches_rbe_membership(self, check):
+        rule, edges = check
+        schema, graph, typing = _neighbourhood(rule, edges)
+        artifact = compile_schema(schema).type_artifact("T")
+        assert artifact.group_bounds is not None
+        # Every way to give each edge one of its candidate types in the rule's
+        # alphabet, tested bag by bag for exact RBE membership.
+        choices = [
+            sorted(t for t in types if (label, t) in artifact.symbol_set)
+            for label, _, types in edges
+        ]
+        bags = {
+            frozenset(Counter(zip((label for label, _, _ in edges), picked)).items())
+            for picked in itertools.product(*choices)
+        }
+        expected = any(rbe_matches(artifact.expr, Bag(dict(bag))) for bag in bags)
+        flow = satisfies_type(graph, "n", "T", schema, typing, artifact=artifact)
+        assert flow == expected
 
 
 @pytest.mark.requires_scipy
@@ -200,17 +255,9 @@ class TestCompressedFlowParity:
     @settings(max_examples=200, deadline=None)
     def test_flow_matches_presburger(self, check):
         rule, edges = check
-        schema = parse_schema(
-            rule + "\n" + "\n".join(f"{name} -> eps" for name in TYPES), name="flow"
-        )
+        schema, graph, typing = _neighbourhood(rule, edges)
         artifact = compile_schema(schema).type_artifact("T")
         assert artifact.group_bounds is not None
-        graph = Graph("neighbourhood")
-        graph.add_node("n")
-        typing = {}
-        for index, (label, multiplicity, types) in enumerate(edges):
-            graph.add_edge("n", label, f"x{index}", (multiplicity, multiplicity))
-            typing[f"x{index}"] = set(types)
         flow = satisfies_type_compressed(graph, "n", "T", schema, typing, artifact=artifact)
         formula = compressed_formula(graph, "n", typing, artifact)
         assert flow == (solve_existential(formula) is not None)

@@ -21,7 +21,12 @@ from repro.presburger.solver import (
 )
 from repro.schema.parser import parse_schema
 from repro.schema.reference import maximal_typing_reference
-from repro.schema.typing import Typing, satisfies_type, satisfies_type_groups
+from repro.schema.typing import (
+    Typing,
+    satisfies_groups_by_membership,
+    satisfies_type,
+    satisfies_type_groups,
+)
 from repro.workloads.bugtracker import bug_tracker_graph, bug_tracker_schema
 
 
@@ -165,20 +170,33 @@ class TestTypingPairs:
 
 
 class TestSatisfiesTypeGroups:
-    def test_agrees_with_per_edge_check(self):
+    def test_flow_agrees_with_rbe_membership(self):
+        # An explicit-interval rule whose 'a' edges may take two types: the
+        # flow must agree with enumerating every split under RBE membership.
         schema = parse_schema(
-            "T -> a :: U, b :: U?\nU -> eps", name="groups"
+            "T -> a :: U^[2;3], a :: V?, b :: U?\nU -> eps\nV -> eps", name="groups"
         )
-        compiled = compile_schema(schema)
-        graph = Graph.from_triples([("x", "a", "y"), ("x", "b", "z")])
-        typing = {"x": {"T"}, "y": {"U"}, "z": {"U"}}
-        artifact = compiled.type_artifact("T")
-        groups = {("a", ("U",)): 1, ("b", ("U",)): 1}
-        assert satisfies_type_groups(artifact, groups) == satisfies_type(
-            graph, "x", "T", schema, typing, artifact=artifact
-        )
-        # Two mandatory 'a' edges overflow the ?-free bound on one atom.
-        assert not satisfies_type_groups(artifact, {("a", ("U",)): 2})
+        artifact = compile_schema(schema).type_artifact("T")
+        assert artifact.group_bounds is not None
+        cases = [
+            {("a", ("U",)): 1, ("b", ("U",)): 1},
+            {("a", ("U",)): 2, ("b", ("U",)): 1},
+            {("a", ("U", "V")): 4},
+            {("a", ("U", "V")): 5},
+            {("a", ("V",)): 2, ("a", ("U",)): 2},
+            {("a", ("U", "V")): 3, ("b", ("U",)): 2},
+        ]
+        verdicts = [satisfies_type_groups(artifact, groups) for groups in cases]
+        assert verdicts == [
+            satisfies_groups_by_membership(artifact.expr, groups) for groups in cases
+        ]
+        assert verdicts == [False, True, True, False, False, False]
+
+    def test_satisfies_type_fails_an_edge_without_candidates(self):
+        schema = parse_schema("T -> a :: U*\nU -> eps", name="groups")
+        graph = Graph.from_triples([("x", "a", "y"), ("x", "a", "z")])
+        assert satisfies_type(graph, "x", "T", schema, {"y": {"U"}, "z": {"U"}})
+        assert not satisfies_type(graph, "x", "T", schema, {"y": {"U"}, "z": set()})
 
 
 class TestSolverBatching:

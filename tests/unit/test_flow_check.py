@@ -13,13 +13,18 @@ import pytest
 
 import repro.presburger.solver as solver
 from repro.engine import vectorized
-from repro.engine.fixpoint import FixpointStats, maximal_typing_fixpoint
+from repro.engine.fixpoint import (
+    FixpointStats,
+    maximal_typing_fixpoint,
+    maximal_typing_store,
+)
 from repro.engine.validation import ValidationEngine
 from repro.errors import PresburgerError
 from repro.graphs.graph import Graph
 from repro.graphs.store import GraphStore
 from repro.presburger.solver import SolverWindow, reset_solver_state
 from repro.schema.parser import parse_schema
+from repro.schema.reference import maximal_typing_reference
 from repro.schema.validation import satisfies_type_compressed
 
 HUBS, LEAVES = 4, 20
@@ -64,6 +69,27 @@ def test_kind_view_revalidate_is_valid(no_scipy, kernel):
     assert outcome.result.verdict == "valid"
     stats = window.snapshot()
     assert (stats.batch_calls, stats.milp_calls) == (0, 0)
+
+
+def test_plain_store_typing_of_non_interval_rule_needs_no_solver(no_scipy, kernel):
+    # The kind view would type this rule under the compressed semantics,
+    # which needs the MILP; without SciPy plain typing keeps to the nodes.
+    schema = parse_schema(
+        f"Hub -> (item :: Leaf | tag :: Leaf)^[{LEAVES};{LEAVES}]\nLeaf -> eps", name="hub"
+    )
+    graph = _hubs()
+    graph.add_edge("hub0", "tag", "leaf0-0")
+    store = GraphStore(graph)
+    assert store.typing_view() is not None  # the graph qualifies for the view
+    expected = maximal_typing_reference(graph, schema)
+    stats = FixpointStats()
+    assert maximal_typing_store(store, schema=schema, stats=stats) == expected
+    assert stats.mode == "full"
+    with ValidationEngine() as engine:
+        outcome = engine.revalidate(store, schema)
+    assert outcome.mode == "full"
+    assert outcome.result.verdict == ("valid" if expected.is_total(graph) else "invalid")
+    assert not expected.is_total(graph)  # hub0 has one edge too many
 
 
 @pytest.mark.parametrize(
