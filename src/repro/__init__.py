@@ -39,7 +39,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.graphs.store": ("Delta", "GraphStore", "kind_compress"),
     "repro.rdf.model": ("IRI", "Literal", "BlankNode", "Triple", "RDFGraph"),
     "repro.rdf.parser": ("parse_ntriples", "parse_turtle_lite"),
-    "repro.rdf.convert": ("rdf_to_simple_graph",),
+    "repro.rdf.convert": ("load_graph", "rdf_to_simple_graph"),
     "repro.schema.shex": ("ShExSchema",),
     "repro.schema.parser": ("parse_schema",),
     "repro.schema.classes": ("SchemaClass", "schema_class"),

@@ -42,8 +42,7 @@ from typing import Optional, Sequence
 
 from repro.engine.executors import BACKENDS
 from repro.errors import ReproError
-from repro.rdf.convert import rdf_to_simple_graph
-from repro.rdf.parser import parse_ntriples, parse_turtle_lite
+from repro.rdf.convert import load_graph
 from repro.schema.parser import parse_schema
 from repro.schema.validation import validate
 
@@ -61,10 +60,7 @@ def _load_schema(path: str):
 
 
 def _load_graph(path: str, ntriples: bool):
-    text = _read(path)
-    as_ntriples = ntriples or path.endswith(".nt")
-    rdf = parse_ntriples(text, name=path) if as_ntriples else parse_turtle_lite(text, name=path)
-    return rdf_to_simple_graph(rdf, name=path)
+    return load_graph(_read(path), ntriples=ntriples or path.endswith(".nt"), name=path)
 
 
 def _load_delta(path: str):

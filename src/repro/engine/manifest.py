@@ -24,8 +24,7 @@ from typing import Dict, List, Optional
 from repro.engine.jobs import ValidationJob
 from repro.errors import ManifestError
 from repro.graphs.graph import Graph
-from repro.rdf.convert import rdf_to_simple_graph
-from repro.rdf.parser import parse_ntriples, parse_turtle_lite
+from repro.rdf.convert import load_graph
 from repro.schema.parser import parse_schema
 from repro.schema.shex import ShExSchema
 
@@ -133,12 +132,7 @@ def load_jobs(entries: List[ManifestEntry]) -> List[ValidationJob]:
         if graph is None:
             with open(entry.data, "r", encoding="utf-8") as handle:
                 text = handle.read()
-            rdf = (
-                parse_ntriples(text, name=entry.data)
-                if entry.data_is_ntriples
-                else parse_turtle_lite(text, name=entry.data)
-            )
-            graph = rdf_to_simple_graph(rdf, name=entry.data)
+            graph = load_graph(text, ntriples=entry.data_is_ntriples, name=entry.data)
             graphs[entry.data] = graph
         jobs.append(ValidationJob(graph=graph, schema=schema, label=entry.label))
     return jobs

@@ -317,10 +317,30 @@ class Graph:
         triples: Iterable[Tuple[NodeId, Label, NodeId]],
         name: str = "",
     ) -> "Graph":
-        """Build a graph from ``(source, label, target)`` triples with interval ``1``."""
+        """Build a graph from ``(source, label, target)`` triples with interval ``1``.
+
+        One pass fills the node set, the adjacency and the edge table; the
+        edge ids, the adjacency order and the final :attr:`revision` are those
+        of calling :meth:`add_edge` once per triple.
+        """
         graph = cls(name)
+        nodes, edges, out, into = graph._nodes, graph._edges, graph._out, graph._in
+        edge_id = 0
         for source, label, target in triples:
-            graph.add_edge(source, label, target)
+            if source not in nodes:
+                nodes.add(source)
+                out[source] = {}
+                into[source] = {}
+            if target not in nodes:
+                nodes.add(target)
+                out[target] = {}
+                into[target] = {}
+            edges[edge_id] = Edge(edge_id, source, target, label, ONE)
+            out[source][edge_id] = None
+            into[target][edge_id] = None
+            edge_id += 1
+        graph._next_edge_id = edge_id
+        graph._revision = len(nodes) + edge_id
         return graph
 
     def __contains__(self, node: NodeId) -> bool:

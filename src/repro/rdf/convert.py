@@ -11,10 +11,11 @@ each literal node receives an extra outgoing edge whose label names its kind
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Optional
+from typing import Callable, Hashable, Iterable, List, Optional, Tuple
 
 from repro.graphs.graph import Graph
 from repro.rdf.model import IRI, BlankNode, Literal, RDFGraph, Term
+from repro.rdf.parser import scan
 
 #: Label of the marker edge added below literal nodes.
 LITERAL_MARKER_LABEL = "isLiteral"
@@ -33,6 +34,46 @@ def default_predicate_name(predicate: IRI) -> str:
     return value
 
 
+def node_id(term: Term) -> Hashable:
+    """The simple-graph node of an RDF term: the IRI itself, ``_:label`` for a
+    blank node, ``literal:lexical|datatype|language`` for a literal."""
+    if isinstance(term, IRI):
+        return term.value
+    if isinstance(term, BlankNode):
+        return f"_:{term.label}"
+    return f"literal:{term.lexical}|{term.datatype or ''}|{term.language or ''}"
+
+
+def _build(
+    edges: List[Tuple[Hashable, str, Hashable]],
+    literal_nodes: Iterable[Hashable],
+    name: str,
+) -> Graph:
+    """The graph of ``edges`` plus one marker edge per literal node."""
+    edges.extend(
+        (literal, LITERAL_MARKER_LABEL, LITERAL_MARKER_NODE) for literal in sorted(literal_nodes)
+    )
+    return Graph.from_triples(edges, name=name)
+
+
+def load_graph(text: str, ntriples: bool = False, name: str = "") -> Graph:
+    """Read Turtle-lite (or, with ``ntriples=True``, N-Triples) text straight
+    into a simple graph.
+
+    The result equals ``rdf_to_simple_graph(parse_turtle_lite(text))`` (or
+    :func:`~repro.rdf.parser.parse_ntriples`): the same nodes, edges and
+    literal marker edges, without building the intermediate
+    :class:`~repro.rdf.model.RDFGraph`.  Triples are deduplicated on RDF
+    terms, so two predicate IRIs with one local name stay parallel edges.
+    """
+    terms, triples = scan(text, ntriples)
+    ids = [node_id(term) for term in terms]
+    labels = {p: default_predicate_name(terms[p]) for p in {p for _, p, _ in triples}}
+    edges = [(ids[s], labels[p], ids[o]) for s, p, o in triples]
+    literals = {ids[index] for index, term in enumerate(terms) if isinstance(term, Literal)}
+    return _build(edges, literals, name)
+
+
 def rdf_to_simple_graph(
     rdf: RDFGraph,
     predicate_name: Optional[Callable[[IRI], str]] = None,
@@ -41,8 +82,8 @@ def rdf_to_simple_graph(
 ) -> Graph:
     """Abstract an RDF graph into a simple graph.
 
-    * Subjects, IRI objects and blank nodes become graph nodes identified by a
-      readable string form.
+    * Subjects, IRI objects and blank nodes become graph nodes identified by
+      :func:`node_id`.
     * Each literal becomes its own node (one per occurrence position is not
       needed: literals with equal value/datatype/language collapse, which is the
       RDF semantics of literal terms).
@@ -51,32 +92,11 @@ def rdf_to_simple_graph(
       describes for node-kind constraints.
     """
     naming = predicate_name or default_predicate_name
-    graph = Graph(name or rdf.name)
-    node_ids: Dict[Term, Hashable] = {}
-
-    def node_id(term: Term) -> Hashable:
-        if term in node_ids:
-            return node_ids[term]
-        if isinstance(term, IRI):
-            identifier = term.value
-        elif isinstance(term, BlankNode):
-            identifier = f"_:{term.label}"
-        else:
-            identifier = f"literal:{term.lexical}|{term.datatype or ''}|{term.language or ''}"
-        node_ids[term] = identifier
-        graph.add_node(identifier)
-        return identifier
-
-    literal_nodes = set()
+    edges = []
+    literals = set()
     for triple in rdf:
-        subject_id = node_id(triple.subject)
         object_id = node_id(triple.object)
-        graph.add_edge(subject_id, naming(triple.predicate), object_id)
-        if isinstance(triple.object, Literal):
-            literal_nodes.add(object_id)
-
-    if literal_marker and literal_nodes:
-        graph.add_node(LITERAL_MARKER_NODE)
-        for literal_id in sorted(literal_nodes):
-            graph.add_edge(literal_id, LITERAL_MARKER_LABEL, LITERAL_MARKER_NODE)
-    return graph
+        edges.append((node_id(triple.subject), naming(triple.predicate), object_id))
+        if literal_marker and isinstance(triple.object, Literal):
+            literals.add(object_id)
+    return _build(edges, literals, name or rdf.name)

@@ -2,14 +2,20 @@
 
 Two entry points are provided:
 
-* :func:`parse_ntriples` — one triple per line, terms written as ``<iri>``,
-  ``_:blank``, or ``"literal"`` (optionally ``@lang`` / ``^^<datatype>``),
-  terminated by ``.``.  Comment lines start with ``#``.
+* :func:`parse_ntriples` — terms written as ``<iri>``, ``_:blank``, or
+  ``"literal"`` (optionally ``@lang`` / ``^^<datatype>``), each statement
+  ``subject predicate object`` terminated by ``.``; ``#`` starts a comment.
 * :func:`parse_turtle_lite` — the same term syntax plus ``@prefix`` declarations,
   prefixed names (``ex:bug1``), the ``a`` keyword for ``rdf:type``, and the
   ``;`` / ``,`` separators for repeated subjects and predicates.  This is not a
   full Turtle parser, but it covers the shapes of data the examples and tests
   use, keeping the library free of external dependencies.
+
+Both read the whole document in one :func:`scan`: a single compiled token
+pattern covers the text (whitespace and comments are tokens too), each
+distinct token text is decoded once, and one grammar loop serves both
+dialects.  A local name never ends in ``.`` (``ex:o.`` is ``ex:o`` then the
+terminator), and a literal or IRI may not contain a raw line break.
 """
 
 from __future__ import annotations
@@ -22,199 +28,221 @@ from repro.rdf.model import IRI, BlankNode, Literal, RDFGraph, Term, Triple
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
-_TERM_RE = re.compile(
+# No capturing groups, so ``findall`` returns the token texts.  Every
+# alternative consumes at least one character; a character no alternative
+# matches is skipped by ``findall``, which :func:`scan` detects by length.
+_TOKEN_RE = re.compile(
     r"""
-    (?P<WS>\s+)
-  | (?P<IRI><[^>]*>)
-  | (?P<BLANK>_:[A-Za-z0-9_\-]+)
-  | (?P<LITERAL>"(?:[^"\\]|\\.)*"(?:@[A-Za-z\-]+|\^\^<[^>]*>)?)
-  | (?P<PNAME>[A-Za-z_][A-Za-z0-9_\-]*:[A-Za-z0-9_\-.]*)
-  | (?P<KEYWORD>@prefix|a\b)
-  | (?P<PUNCT>[.;,])
+    \s+
+  | \#[^\n]*
+  | <[^>\n]*>
+  | _:[A-Za-z0-9_\-]+
+  | "(?:[^"\\\n\r]|\\.)*"(?:@[A-Za-z\-]+|\^\^<[^>\n]*>)?
+  | [A-Za-z_][A-Za-z0-9_\-]*:(?:[A-Za-z0-9_\-.]*[A-Za-z0-9_\-])?
+  | @prefix
+  | a\b
+  | [.;,]
     """,
     re.VERBOSE,
 )
+_LITERAL_RE = re.compile(r'"((?:[^"\\]|\\.)*)"(?:@([A-Za-z\-]+)|\^\^<([^>]*)>)?')
+_ESCAPE_RE = re.compile(r"\\(.)")
+_ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
+
+_PREFIX_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*:")
+_KEYWORDS = frozenset((".", ";", ",", "@prefix", "a"))
+
+#: Decoded form of whitespace and comment tokens.
+_SKIP = object()
+
+# Grammar states of :func:`scan`.
+_SUBJECT, _PREDICATE, _OBJECT, _AFTER_OBJECT, _AFTER_SEMICOLON = range(5)
+_PREFIX_NAME, _PREFIX_IRI, _PREFIX_END = range(5, 8)
+_EXPECTED = {
+    _SUBJECT: "a subject",
+    _PREDICATE: "a predicate",
+    _OBJECT: "an object",
+    _AFTER_OBJECT: "';', ',' or '.'",
+    _AFTER_SEMICOLON: "a predicate or '.'",
+    _PREFIX_NAME: "a prefix name such as 'ex:'",
+    _PREFIX_IRI: "an IRI",
+    _PREFIX_END: "'.'",
+}
 
 
 def _unescape(text: str) -> str:
-    return (
-        text.replace("\\\\", "\\")
-        .replace('\\"', '"')
-        .replace("\\n", "\n")
-        .replace("\\t", "\t")
+    if "\\" not in text:
+        return text
+    return _ESCAPE_RE.sub(lambda match: _ESCAPES.get(match.group(1), match.group(0)), text)
+
+
+def _is_blank(token: str) -> bool:
+    """Whitespace and comments."""
+    return token[0].isspace() or token[0] == "#"
+
+
+def _line_of(text: str, offset: int) -> Tuple[int, int]:
+    """The 1-based line and column of ``offset`` in ``text``."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, offset) + 1, offset - line_start + 1
+
+
+def _gap_error(text: str) -> RDFSyntaxError:
+    """Locate the first character no token pattern matches."""
+    position = 0
+    while True:
+        match = _TOKEN_RE.match(text, position)
+        if match is None:
+            break
+        position = match.end()
+    line, column = _line_of(text, position)
+    character = text[position]
+    hint = " (unterminated literal or IRI?)" if character in "\"<" else ""
+    return RDFSyntaxError(
+        f"line {line}: unexpected character {character!r} at column {column}{hint}"
     )
 
 
-def _parse_literal(token: str) -> Literal:
-    match = re.match(r'^"((?:[^"\\]|\\.)*)"(?:@([A-Za-z\-]+)|\^\^<([^>]*)>)?$', token)
-    if match is None:
-        raise RDFSyntaxError(f"malformed literal {token!r}")
-    lexical, language, datatype = match.groups()
-    return Literal(_unescape(lexical), datatype=datatype, language=language)
+def scan(text: str, ntriples: bool = False) -> Tuple[List[Term], List[Tuple[int, int, int]]]:
+    """Read a whole document into distinct terms and deduplicated triples.
+
+    Returns ``(terms, triples)``: every distinct RDF term once, and each
+    distinct triple once, in document order, as ``(subject, predicate,
+    object)`` indices into ``terms``.  With ``ntriples=True`` the Turtle-only
+    syntax — ``@prefix``, prefixed names, ``a``, ``;`` and ``,`` — is an error.
+    """
+    tokens = _TOKEN_RE.findall(text)
+    if sum(map(len, tokens)) != len(text):
+        raise _gap_error(text)
+
+    terms: List[Term] = []
+    term_index: Dict[Term, int] = {}
+    # token text -> _SKIP, a term index, or the token itself (punctuation and
+    # keywords); prefixed names depend on ``prefixes``, so a rebinding
+    # clears the memo.
+    memo: Dict[str, object] = {}
+    prefixes: Dict[str, str] = {}
+    triples: Dict[Tuple[int, int, int], None] = {}
+    iri_terms: set = set()
+    rdf_type = -1
+
+    def fail(position: int, message: str) -> RDFSyntaxError:
+        offset = sum(map(len, tokens[:position]))
+        return RDFSyntaxError(f"line {_line_of(text, offset)[0]}: {message}")
+
+    def intern(term: Term) -> int:
+        index = term_index.get(term)
+        if index is None:
+            index = term_index[term] = len(terms)
+            terms.append(term)
+            if isinstance(term, IRI):
+                iri_terms.add(index)
+        return index
+
+    def decode(token: str, position: int) -> object:
+        if _is_blank(token):
+            return _SKIP
+        if token[0] == "<":
+            return intern(IRI(token[1:-1]))
+        if token[0] == '"':
+            lexical, language, datatype = _LITERAL_RE.fullmatch(token).groups()
+            return intern(Literal(_unescape(lexical), datatype=datatype, language=language))
+        if token.startswith("_:"):
+            return intern(BlankNode(token[2:]))
+        if token in _KEYWORDS and (not ntriples or token == "."):
+            return token
+        if ntriples:
+            raise fail(position, f"{token!r} is not N-Triples syntax")
+        prefix, _, local = token.partition(":")
+        if prefix not in prefixes:
+            raise fail(position, f"unknown prefix {prefix!r}")
+        return intern(IRI(prefixes[prefix] + local))
+
+    state = _SUBJECT
+    subject = predicate = 0
+    prefix_name = ""
+    for position, token in enumerate(tokens):
+        if state >= _PREFIX_NAME:
+            # Declarations are rare: read their tokens raw, not through the memo.
+            if _is_blank(token):
+                continue
+            if state == _PREFIX_NAME and _PREFIX_NAME_RE.fullmatch(token):
+                prefix_name = token[:-1]
+                state = _PREFIX_IRI
+            elif state == _PREFIX_IRI and token[0] == "<":
+                iri = token[1:-1]
+                if prefixes.get(prefix_name, iri) != iri:
+                    memo.clear()
+                prefixes[prefix_name] = iri
+                state = _PREFIX_END
+            elif state == _PREFIX_END and token == ".":
+                state = _SUBJECT
+            else:
+                raise fail(position, f"malformed @prefix declaration at {token!r}")
+            continue
+        code = memo.get(token)
+        if code is None:
+            code = memo[token] = decode(token, position)
+        if code is _SKIP:
+            continue
+        if state == _OBJECT:
+            if code.__class__ is not int:
+                raise fail(position, f"expected an object, found {token!r}")
+            triples[subject, predicate, code] = None
+            state = _AFTER_OBJECT
+        elif state == _AFTER_OBJECT:
+            if code == ".":
+                state = _SUBJECT
+            elif code == ";":
+                state = _AFTER_SEMICOLON
+            elif code == ",":
+                state = _OBJECT
+            else:
+                raise fail(position, f"expected ';', ',' or '.', found {token!r}")
+        elif state == _SUBJECT:
+            if code == "@prefix":
+                state = _PREFIX_NAME
+            elif code.__class__ is not int:
+                raise fail(position, f"expected a subject, found {token!r}")
+            elif isinstance(terms[code], Literal):
+                raise fail(position, f"literal {token} not allowed as a subject")
+            else:
+                subject = code
+                state = _PREDICATE
+        else:  # _PREDICATE or _AFTER_SEMICOLON
+            if code == "a":
+                if rdf_type < 0:
+                    rdf_type = intern(IRI(RDF_TYPE))
+                code = rdf_type
+            if code in iri_terms:
+                predicate = code
+                state = _OBJECT
+            elif state == _AFTER_SEMICOLON and code == ".":
+                state = _SUBJECT
+            elif code.__class__ is int:
+                raise fail(position, f"predicate must be an IRI, found {token!r}")
+            else:
+                raise fail(position, f"expected a predicate, found {token!r}")
+    if state != _SUBJECT:
+        last = len(tokens) - 1
+        while _is_blank(tokens[last]):
+            last -= 1
+        raise fail(last, f"unexpected end of input: expected {_EXPECTED[state]}")
+    return terms, list(triples)
+
+
+def _rdf_graph(text: str, ntriples: bool, name: str) -> RDFGraph:
+    terms, triples = scan(text, ntriples)
+    return RDFGraph(
+        (Triple(terms[s], terms[p], terms[o]) for s, p, o in triples), name=name
+    )
 
 
 def parse_ntriples(text: str, name: str = "") -> RDFGraph:
-    """Parse N-Triples-style input (one ``subject predicate object .`` per line)."""
-    graph = RDFGraph(name=name)
-    for line_number, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = _tokenize(line, line_number)
-        terms = [token for token in tokens if token[0] in ("IRI", "BLANK", "LITERAL", "PNAME")]
-        puncts = [token for token in tokens if token[0] == "PUNCT"]
-        if len(terms) != 3 or not puncts or puncts[-1][1] != ".":
-            raise RDFSyntaxError(f"line {line_number}: expected 'subject predicate object .'")
-        subject = _term_from_token(terms[0], {}, line_number, allow_literal=False)
-        predicate = _term_from_token(terms[1], {}, line_number, allow_literal=False)
-        if not isinstance(predicate, IRI):
-            raise RDFSyntaxError(f"line {line_number}: predicate must be an IRI")
-        obj = _term_from_token(terms[2], {}, line_number, allow_literal=True)
-        graph.add(Triple(subject, predicate, obj))
-    return graph
-
-
-def _tokenize(line: str, line_number: int) -> List[Tuple[str, str]]:
-    tokens: List[Tuple[str, str]] = []
-    position = 0
-    while position < len(line):
-        match = _TERM_RE.match(line, position)
-        if match is None:
-            raise RDFSyntaxError(
-                f"line {line_number}: unexpected character {line[position]!r} at column {position}"
-            )
-        kind = match.lastgroup
-        if kind != "WS":
-            tokens.append((kind, match.group()))
-        position = match.end()
-    return tokens
-
-
-def _term_from_token(
-    token: Tuple[str, str],
-    prefixes: Dict[str, str],
-    line_number: int,
-    allow_literal: bool,
-) -> Term:
-    kind, text = token
-    if kind == "IRI":
-        return IRI(text[1:-1])
-    if kind == "BLANK":
-        return BlankNode(text[2:])
-    if kind == "LITERAL":
-        if not allow_literal:
-            raise RDFSyntaxError(f"line {line_number}: literal not allowed here")
-        return _parse_literal(text)
-    if kind == "PNAME":
-        prefix, _, local = text.partition(":")
-        if prefix not in prefixes:
-            raise RDFSyntaxError(f"line {line_number}: unknown prefix {prefix!r}")
-        return IRI(prefixes[prefix] + local)
-    raise RDFSyntaxError(f"line {line_number}: unexpected token {text!r}")
+    """Parse N-Triples-style input (``subject predicate object .`` statements)."""
+    return _rdf_graph(text, True, name)
 
 
 def parse_turtle_lite(text: str, name: str = "") -> RDFGraph:
     """Parse the light Turtle dialect described in the module docstring."""
-    graph = RDFGraph(name=name)
-    prefixes: Dict[str, str] = {}
-    # Strip comments, keep line structure for error messages.
-    statements = _split_statements(text)
-    for line_number, statement in statements:
-        tokens = _tokenize(statement, line_number)
-        if not tokens:
-            continue
-        if tokens[0] == ("KEYWORD", "@prefix"):
-            _handle_prefix(tokens, prefixes, line_number)
-            continue
-        _handle_statement(tokens, graph, prefixes, line_number)
-    return graph
-
-
-def _strip_comment(line: str) -> str:
-    """Remove a trailing ``#`` comment, ignoring ``#`` inside IRIs and literals."""
-    inside_iri = False
-    inside_string = False
-    for index, character in enumerate(line):
-        if character == "<" and not inside_string:
-            inside_iri = True
-        elif character == ">" and not inside_string:
-            inside_iri = False
-        elif character == '"' and not inside_iri and (index == 0 or line[index - 1] != "\\"):
-            inside_string = not inside_string
-        elif character == "#" and not inside_iri and not inside_string:
-            return line[:index]
-    return line
-
-
-def _split_statements(text: str) -> List[Tuple[int, str]]:
-    """Split input into '.'-terminated statements while tracking line numbers."""
-    statements: List[Tuple[int, str]] = []
-    current: List[str] = []
-    start_line = 1
-    for line_number, raw_line in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw_line).rstrip()
-        if not line.strip():
-            continue
-        if not current:
-            start_line = line_number
-        current.append(line)
-        if line.rstrip().endswith("."):
-            statements.append((start_line, " ".join(current)))
-            current = []
-    if current:
-        statements.append((start_line, " ".join(current)))
-    return statements
-
-
-def _handle_prefix(tokens, prefixes: Dict[str, str], line_number: int) -> None:
-    if len(tokens) < 3 or tokens[1][0] != "PNAME" and tokens[1][0] != "IRI":
-        raise RDFSyntaxError(f"line {line_number}: malformed @prefix declaration")
-    # tokens: @prefix ex: <http://...> .
-    pname = tokens[1]
-    iri = tokens[2]
-    if pname[0] != "PNAME" or iri[0] != "IRI":
-        raise RDFSyntaxError(f"line {line_number}: malformed @prefix declaration")
-    prefix = pname[1].rstrip(":").split(":")[0]
-    prefixes[prefix] = iri[1][1:-1]
-
-
-def _handle_statement(tokens, graph: RDFGraph, prefixes, line_number: int) -> None:
-    index = 0
-
-    def next_term(allow_literal: bool) -> Term:
-        nonlocal index
-        if index >= len(tokens):
-            raise RDFSyntaxError(f"line {line_number}: unexpected end of statement")
-        kind, text = tokens[index]
-        index += 1
-        if kind == "KEYWORD" and text == "a":
-            return IRI(RDF_TYPE)
-        return _term_from_token((kind, text), prefixes, line_number, allow_literal)
-
-    subject = next_term(allow_literal=False)
-    while True:
-        predicate = next_term(allow_literal=False)
-        if not isinstance(predicate, IRI):
-            raise RDFSyntaxError(f"line {line_number}: predicate must be an IRI")
-        while True:
-            obj = next_term(allow_literal=True)
-            graph.add(Triple(subject, predicate, obj))
-            if index < len(tokens) and tokens[index] == ("PUNCT", ","):
-                index += 1
-                continue
-            break
-        if index < len(tokens) and tokens[index] == ("PUNCT", ";"):
-            index += 1
-            # allow trailing ';' before '.'
-            if index < len(tokens) and tokens[index] == ("PUNCT", "."):
-                index += 1
-                return
-            continue
-        if index < len(tokens) and tokens[index] == ("PUNCT", "."):
-            index += 1
-            if index != len(tokens):
-                raise RDFSyntaxError(f"line {line_number}: trailing tokens after '.'")
-            return
-        if index >= len(tokens):
-            return
-        raise RDFSyntaxError(f"line {line_number}: expected ';', ',' or '.'")
+    return _rdf_graph(text, False, name)

@@ -49,8 +49,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
 from repro.persist import DurableStore, persist_metrics_summary
 from repro.presburger.solver import solver_metrics_summary
-from repro.rdf.convert import rdf_to_simple_graph
-from repro.rdf.parser import parse_ntriples, parse_turtle_lite
+from repro.rdf.convert import load_graph
 from repro.schema.parser import parse_schema
 from repro.serve import protocol
 from repro.serve.async_engine import AsyncContainmentEngine, AsyncValidationEngine
@@ -958,8 +957,7 @@ class ValidationDaemon:
         found, cached = self._parsed.get(("data", digest, data_format))
         if found:
             return cached
-        parser = parse_ntriples if data_format == "ntriples" else parse_turtle_lite
-        graph = rdf_to_simple_graph(parser(text, name=name), name=name)
+        graph = load_graph(text, ntriples=data_format == "ntriples", name=name)
         self._parsed.put(("data", digest, data_format), graph)
         return graph
 

@@ -91,6 +91,6 @@ def bug_tracker_rdf() -> RDFGraph:
 
 def bug_tracker_graph() -> Graph:
     """The Figure 1 instance as a simple graph ready for validation."""
-    from repro.rdf.convert import rdf_to_simple_graph
+    from repro.rdf.convert import load_graph
 
-    return rdf_to_simple_graph(bug_tracker_rdf(), name="bug-tracker-graph")
+    return load_graph(BUG_TRACKER_TURTLE, name="bug-tracker-graph")

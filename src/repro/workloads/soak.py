@@ -44,8 +44,7 @@ from repro.engine.validation import ValidationEngine
 from repro.errors import DaemonError, ReproError
 from repro.graphs.store import Delta, GraphStore
 from repro.obs import metrics as _obs_metrics
-from repro.rdf.convert import rdf_to_simple_graph
-from repro.rdf.parser import parse_turtle_lite
+from repro.rdf.convert import load_graph
 from repro.schema.reference import maximal_typing_reference
 from repro.workloads.bugtracker import (
     bug_tracker_refactored_schema,
@@ -225,7 +224,7 @@ class InProcessTarget:
         self.validation.compile(schema)
 
     def register_graph(self, text: str) -> None:
-        graph = rdf_to_simple_graph(parse_turtle_lite(text, name="soak"), name="soak")
+        graph = load_graph(text, name="soak")
         self._store = GraphStore(graph)
 
     def update(self, delta_json: Dict, expect_version: Optional[int]) -> Dict[str, Any]:
@@ -254,9 +253,7 @@ class InProcessTarget:
         schema = self._schemas[schema_key]
         jobs = [
             ValidationJob(
-                graph=rdf_to_simple_graph(
-                    parse_turtle_lite(text, name="doc"), name="doc"
-                ),
+                graph=load_graph(text, name="doc"),
                 schema=schema,
             )
             for text in docs
@@ -417,9 +414,7 @@ class SoakRunner:
     def _setup(self) -> None:
         spec = self.spec
         text = family_turtle(spec.size)
-        graph = rdf_to_simple_graph(
-            parse_turtle_lite(text, name="soak-mirror"), name="soak-mirror"
-        )
+        graph = load_graph(text, name="soak-mirror")
         self.mirror = GraphStore(graph)
         self.target.load_schema("soak-main", self._schema)
         self.target.load_schema("soak-refactored", self._refactored)
@@ -437,7 +432,7 @@ class SoakRunner:
         ]
 
     def _oracle_verdict(self, text: str) -> str:
-        graph = rdf_to_simple_graph(parse_turtle_lite(text, name="doc"), name="doc")
+        graph = load_graph(text, name="doc")
         typing = maximal_typing_reference(graph, self._schema)
         untyped = [node for node in graph.nodes if not typing.types_of(node)]
         return "valid" if not untyped else "invalid"
@@ -718,10 +713,7 @@ class SoakRunner:
             _M_SHRINKS.inc()
         engine = ValidationEngine(backend="serial", cache_size=64)
         try:
-            graph = rdf_to_simple_graph(
-                parse_turtle_lite(family_turtle(self.spec.size), name="replay"),
-                name="replay",
-            )
+            graph = load_graph(family_turtle(self.spec.size), name="replay")
             store = GraphStore(graph)
             for delta_json in deltas:
                 try:

@@ -126,6 +126,24 @@ class TestGraphBasics:
         graph = Graph.from_triples(triples)
         assert sorted(graph.triples()) == sorted(triples)
 
+    def test_from_triples_matches_sequential_add_edge(self):
+        # Parallel edges, a self-loop, a repeated triple and a node first seen
+        # as a target.
+        triples = [("x", "a", "y"), ("y", "b", "x"), ("x", "a", "y"), ("z", "c", "z"),
+                   ("y", "a", "w"), ("x", "b", "w"), ("w", "a", "x")]
+        bulk = Graph.from_triples(triples, name="bulk")
+        sequential = Graph("bulk")
+        for source, label, target in triples:
+            sequential.add_edge(source, label, target)
+        assert bulk.name == "bulk"
+        assert bulk.nodes == sequential.nodes
+        assert bulk.edges == sequential.edges
+        for node in sequential.nodes:
+            assert bulk.out_edges(node) == sequential.out_edges(node)
+            assert bulk.in_edges(node) == sequential.in_edges(node)
+        assert bulk.revision == sequential.revision
+        assert bulk.add_edge("w", "c", "v").edge_id == sequential.add_edge("w", "c", "v").edge_id
+
     def test_str_contains_edges(self):
         graph = Graph("demo")
         graph.add_edge("x", "a", "y", "*")
