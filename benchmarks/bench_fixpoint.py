@@ -34,12 +34,11 @@ from __future__ import annotations
 
 import contextlib
 import json
-import os
 import pathlib
 import time
 
 from repro import obs
-from repro.engine import vectorized
+from repro.engine import fixpoint, vectorized
 from repro.engine.compiled import compile_schema
 from repro.engine.fixpoint import FixpointStats, maximal_typing_fixpoint
 from repro.graphs.compressed import pack_simple_graph
@@ -127,17 +126,14 @@ def measure_plain_speedup() -> dict:
 
 
 @contextlib.contextmanager
-def _vectorize_flag(value: str):
-    """Temporarily pin ``REPRO_VECTORIZE`` (restoring the prior setting)."""
-    prior = os.environ.get(vectorized.ENV_FLAG)
-    os.environ[vectorized.ENV_FLAG] = value
+def _pinned_kernel(stabilise):
+    """Temporarily bind the fixpoint kernel (restoring the install's choice)."""
+    prior = fixpoint._stabilise
+    fixpoint._stabilise = stabilise
     try:
         yield
     finally:
-        if prior is None:
-            os.environ.pop(vectorized.ENV_FLAG, None)
-        else:
-            os.environ[vectorized.ENV_FLAG] = prior
+        fixpoint._stabilise = prior
 
 
 def measure_vector_speedup() -> dict:
@@ -153,23 +149,21 @@ def measure_vector_speedup() -> dict:
     compiled = compile_schema(schema)
     graph = _cloned_instance(PLAIN_COPIES)
 
-    with _vectorize_flag("0"):
+    with _pinned_kernel(fixpoint._stabilise_objects):
         object_memo: dict = {}
         maximal_typing_fixpoint(graph, compiled=compiled, signature_memo=object_memo)
         object_typing, object_seconds = _timed(
             maximal_typing_fixpoint, graph, compiled=compiled,
             signature_memo=object_memo, repeats=5,
         )
-    with _vectorize_flag("1"):
+    with _pinned_kernel(vectorized.stabilise):
         vector_memo: dict = {}
         maximal_typing_fixpoint(graph, compiled=compiled, signature_memo=vector_memo)
-        stats = FixpointStats()
         vector_typing, vector_seconds = _timed(
             maximal_typing_fixpoint, graph, compiled=compiled,
-            signature_memo=vector_memo, stats=stats, repeats=5,
+            signature_memo=vector_memo, repeats=5,
         )
     assert vector_typing == object_typing, "vectorised kernel diverged"
-    assert stats.components == 0, "vectorised schedule did not run"
     return {
         "copies": PLAIN_COPIES,
         "nodes": graph.node_count,

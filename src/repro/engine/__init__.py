@@ -13,12 +13,10 @@ service layer:
   (``serial``, ``thread``, ``process``) and serve repeated jobs from an LRU
   cache keyed by content hashes (optionally persisted on disk via
   :class:`DiskResultCache` / ``cache_dir``);
-* :func:`maximal_typing_fixpoint` — the shared SCC-scheduled fixpoint kernel
-  under both validation semantics (:mod:`repro.engine.fixpoint`): fine-grained
+* :func:`maximal_typing_fixpoint` — the shared fixpoint kernel under both
+  validation semantics (:mod:`repro.engine.fixpoint`): fine-grained
   ``(node, type)`` dirtiness, neighbourhood-signature memoisation, batched
   Presburger solving;
-* :func:`maximal_typing_chunked` — intra-job parallelism over the node
-  frontier of a single large graph;
 * :mod:`repro.engine.manifest` — declarative batch manifests for the
   ``shex-containment batch`` CLI subcommand;
 * :class:`JobResult` / :class:`EngineReport` — structured outcomes with
@@ -53,9 +51,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     "repro.engine.jobs": ("ContainmentJob", "EngineReport", "JobResult", "ValidationJob"),
     "repro.engine.manifest": ("ManifestEntry", "load_jobs", "load_manifest", "parse_manifest"),
-    "repro.engine.validation": (
-        "RevalidationOutcome",
-        "ValidationEngine",
-        "maximal_typing_chunked",
-    ),
+    "repro.engine.validation": ("RevalidationOutcome", "ValidationEngine"),
 })

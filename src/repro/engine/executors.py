@@ -14,7 +14,7 @@ apply a callable to every item, returning results in input order:
   recompile inside the workers (compilation is interned per process, so each
   distinct schema is compiled once per worker, not once per job).
 
-Backends are deliberately tiny: the engines own chunking, caching, and result
+Backends are deliberately tiny: the engines own caching and result
 assembly, so a backend only needs ordered map.
 """
 
@@ -112,9 +112,3 @@ def get_executor(backend: str, max_workers: Optional[int] = None):
         f"unknown executor backend {backend!r}; expected one of {', '.join(BACKENDS)}"
     )
 
-
-def chunked(items: Sequence[Item], chunk_size: int) -> List[List[Item]]:
-    """Split a sequence into consecutive chunks of at most ``chunk_size`` items."""
-    if chunk_size <= 0:
-        raise ValueError("chunk_size must be positive")
-    return [list(items[i : i + chunk_size]) for i in range(0, len(items), chunk_size)]

@@ -4,9 +4,13 @@ Both validation semantics — plain graphs (:func:`repro.schema.typing.maximal_t
 and compressed graphs (:func:`repro.schema.validation.maximal_typing_compressed`)
 — compute the same greatest fixpoint: start from the full relation ``N × Γ``
 and drop ``(node, type)`` pairs whose check fails under the current relation
-until nothing changes.  This module owns that loop once, with three
-scheduling/solving improvements over the per-semantics worklists it replaced
-(retained in :mod:`repro.schema.reference`):
+until nothing changes.  This module owns that loop once: three entry points
+(a full run, and delta-seeded retyping of a graph or of its kind quotient)
+each hand one active region to a single kernel binding, ``_stabilise``.  It
+is bound at import to the vectorised kernel (:mod:`repro.engine.vectorized`)
+when numpy imports, and otherwise to the object kernel below, which improves
+on the per-semantics worklists it replaced (retained in
+:mod:`repro.schema.reference`) in three ways:
 
 **SCC schedule.**  A node's types depend only on the types of its successors,
 so the graph is condensed into strongly connected components
@@ -48,6 +52,7 @@ randomized instances.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from collections import deque
@@ -241,6 +246,62 @@ def fixpoint_metrics_summary() -> Dict[str, object]:
     }
 
 
+# --------------------------------------------------------------------------- #
+# The kernel: one binding, chosen by the install
+# --------------------------------------------------------------------------- #
+def _stabilise_objects(
+    graph: Graph,
+    active,
+    current: Dict[NodeId, Set[TypeName]],
+    compiled: CompiledSchema,
+    compressed: bool,
+    signature_memo: Dict[Tuple, bool],
+    stats: FixpointStats,
+) -> None:
+    """The object kernel, with the contract of :func:`repro.engine.vectorized.stabilise`.
+
+    ``active`` nodes are reseeded with ``Γ``; out-edge targets outside it are
+    read frozen from ``current``.  The subgraph ``active`` induces is
+    condensed into strongly connected components, each driven to its local
+    fixpoint sinks first.
+    """
+    type_order = compiled.type_order
+    for node in active:
+        current[node] = set(type_order)
+    artifacts = {
+        type_name: compiled.type_artifact(type_name) for type_name in type_order
+    }
+    watchers = compiled.symbol_watchers()
+    components = strongly_connected_components(graph, active)
+    stats.components = len(components)
+    stabilise = _stabilise_compressed if compressed else _stabilise_plain
+    for component in components:
+        stabilise(
+            graph, component, set(component), current,
+            type_order, artifacts, watchers, signature_memo, stats,
+        )
+
+
+#: Drives an active region to its greatest fixpoint, in place in ``current``.
+#: The vectorised kernel whenever numpy imports (same typing, several times
+#: faster); the object kernel is what runs without it.  Tests pin a kernel by
+#: monkeypatching this binding.
+_stabilise = _vectorized.stabilise if _vectorized.available() else _stabilise_objects
+
+
+def _kernel_name() -> str:
+    """The bound kernel, as the fixpoint spans record it."""
+    return "vectorized" if _stabilise is _vectorized.stabilise else "object"
+
+
+def _compiled_schema(schema, compiled) -> CompiledSchema:
+    if compiled is None:
+        if schema is None:
+            raise ValueError("pass a schema or a compiled schema")
+        return compile_schema(schema)
+    return compile_schema(compiled)
+
+
 def maximal_typing_fixpoint(
     graph: Graph,
     schema: Optional[Union[ShExSchema, CompiledSchema]] = None,
@@ -249,7 +310,7 @@ def maximal_typing_fixpoint(
     stats: Optional[FixpointStats] = None,
     signature_memo: Optional[Dict[Tuple, bool]] = None,
 ) -> Typing:
-    """The maximal typing of ``graph``, by the SCC-scheduled fixpoint kernel.
+    """The maximal typing of ``graph``, by the fixpoint kernel.
 
     ``compressed`` selects the Section 6.1 semantics (edge multiplicities as
     exponents, satisfaction via batched Presburger solving).  Pass ``stats``
@@ -264,48 +325,21 @@ def maximal_typing_fixpoint(
     per schema fingerprint, which is what makes repeated revalidation of
     slightly-changed graphs nearly free.
     """
-    if compiled is None:
-        if schema is None:
-            raise ValueError("pass a schema or a compiled schema")
-        compiled = compile_schema(schema)
-    else:
-        compiled = compile_schema(compiled)
+    compiled = _compiled_schema(schema, compiled)
     if stats is None:
         stats = FixpointStats()
-
     with _KernelScope(stats), _obs_tracing.span(
-        "fixpoint.full", compressed=compressed, nodes=graph.node_count
+        "fixpoint.full", compressed=compressed, nodes=graph.node_count,
+        kernel=_kernel_name(),
     ):
-        type_order = compiled.type_order
-        # (type, neighbourhood signature) -> verdict; shared across components
+        # (type, neighbourhood signature) -> verdict; shared across the run
         # so isomorphic nodes anywhere in the graph are checked once.
         if signature_memo is None:
             signature_memo = {}
-
-        if _vectorized.enabled():
-            # Global synchronous rounds over bitset rows; no condensation is
-            # built, so stats.components stays 0 for vectorised runs.  The
-            # kernel reseeds every node with Γ itself, so current starts empty.
-            current: Dict[NodeId, Set[TypeName]] = {}
-            _vectorized.stabilise(
-                graph, graph.nodes, current, compiled, compressed,
-                signature_memo, stats,
-            )
-            return Typing(current)
-
-        current = {node: set(type_order) for node in graph.nodes}
-        artifacts = {
-            type_name: compiled.type_artifact(type_name) for type_name in type_order
-        }
-        watchers = compiled.symbol_watchers()
-        components = strongly_connected_components(graph)
-        stats.components = len(components)
-        stabilise = _stabilise_compressed if compressed else _stabilise_plain
-        for component in components:
-            stabilise(
-                graph, component, set(component), current,
-                type_order, artifacts, watchers, signature_memo, stats,
-            )
+        current: Dict[NodeId, Set[TypeName]] = {}
+        _stabilise(
+            graph, graph.nodes, current, compiled, compressed, signature_memo, stats
+        )
         return Typing(current)
 
 
@@ -319,22 +353,20 @@ def maximal_typing_store(
 ) -> Typing:
     """Full maximal typing of a :class:`repro.graphs.store.GraphStore`.
 
-    Like :func:`maximal_typing_fixpoint` on ``store.graph``, but consults the
-    store's automatic kind-compression view first: when the size heuristic
+    Like :func:`maximal_typing_fixpoint` on ``store.graph`` (a bare
+    :class:`Graph` is typed just so), but consults the store's automatic
+    kind-compression view first: when the size heuristic
     selects a quotient (:meth:`repro.graphs.store.GraphStore.typing_view`)
     and :func:`kind_view` allows it for the schema, the quotient is typed once per *kind* under the compressed semantics and
     every node inherits its kind's types — identical to the per-node typing,
     at a fraction of the checks on clone-heavy graphs.  ``stats.mode`` reports
     ``"kinds"`` when the view was used.
     """
-    if compiled is None:
-        if schema is None:
-            raise ValueError("pass a schema or a compiled schema")
-        compiled = compile_schema(schema)
+    compiled = _compiled_schema(schema, compiled)
     if stats is None:
         stats = FixpointStats()
     with _KernelScope(stats):
-        if not compressed:
+        if not compressed and hasattr(store, "typing_view"):
             view = kind_view(store, compiled)
             if view is not None:
                 kind_typing = kind_typing_for_view(
@@ -343,7 +375,7 @@ def maximal_typing_store(
                 return expand_kind_typing(view, kind_typing)
         stats.mode = "full"
         return maximal_typing_fixpoint(
-            store.graph, compiled=compiled, compressed=compressed, stats=stats,
+            getattr(store, "graph", store), compiled=compiled, compressed=compressed, stats=stats,
             signature_memo=signature_memo,
         )
 
@@ -421,20 +453,57 @@ def affected_region(graph: Graph, seeds, store=None) -> Set[NodeId]:
     )
 
 
-def _induced_subgraph(graph: Graph, nodes: Set[NodeId]) -> Graph:
-    """The induced subgraph on ``nodes``, built from their out-edges only.
+def _retype_region(
+    span_name: str,
+    mode: str,
+    graph: Graph,
+    prior: Typing,
+    seeds,
+    store,
+    fallback,
+    compiled: CompiledSchema,
+    compressed: bool,
+    stats: Optional[FixpointStats],
+    max_affected_fraction: float,
+    signature_memo: Optional[Dict[Tuple, bool]],
+) -> Typing:
+    """The retype body shared by both incremental entry points.
 
-    Equivalent to :meth:`Graph.subgraph` but O(edges incident to ``nodes``)
-    instead of a scan over every edge of the graph — the affected region of a
-    small delta is tiny, and the SCC schedule only needs its shape.
+    The seeds present in ``graph`` form the frontier; its backward closure
+    (over ``store``'s adjacency when given) is reseeded with ``Γ`` and
+    stabilised, every other node keeping its prior types.  An empty frontier
+    reports ``"unchanged"``; a closure past ``max_affected_fraction`` of the
+    graph calls ``fallback(stats=stats)`` instead.
     """
-    induced = Graph(graph.name)
-    induced.add_nodes(nodes)
-    for node in nodes:
-        for edge in graph.out_edges(node):
-            if edge.target in nodes:
-                induced.add_edge(node, edge.label, edge.target, edge.occur)
-    return induced
+    if stats is None:
+        stats = FixpointStats()
+    with _KernelScope(stats), _obs_tracing.span(
+        span_name, kernel=_kernel_name()
+    ) as trace_span:
+        frontier = [node for node in seeds if graph.has_node(node)]
+        stats.frontier = len(frontier)
+        if not frontier:
+            stats.mode = "unchanged"
+            trace_span.annotate(mode="unchanged")
+            return Typing({node: prior.types_of(node) for node in graph.nodes})
+
+        affected = affected_region(graph, frontier, store=store)
+        stats.affected = len(affected)
+        trace_span.annotate(frontier=stats.frontier, affected=stats.affected)
+        if len(affected) > max_affected_fraction * graph.node_count:
+            return fallback(stats=stats)
+
+        # Everything outside the region keeps its prior (frozen, never
+        # mutated) assignment and is read across the boundary exactly like an
+        # already-stabilised component.
+        current: Dict[NodeId, Set[TypeName]] = {
+            node: prior.types_of(node) for node in graph.nodes if node not in affected
+        }
+        if signature_memo is None:
+            signature_memo = {}
+        _stabilise(graph, affected, current, compiled, compressed, signature_memo, stats)
+        stats.mode = mode
+        return Typing(current)
 
 
 def retype_incremental(
@@ -462,9 +531,8 @@ def retype_incremental(
        the greatest fixpoint is unchanged);
     2. reseed the affected region with the full type set ``Γ`` — sound for
        additions and removals alike, since the region is recomputed from the
-       top — and drive it to its local fixpoint with the kernel's SCC
-       schedule and (node, type) dirtiness machinery, reading the frozen
-       types across the region boundary.
+       top — and drive it to its local fixpoint with the kernel, reading the
+       frozen types across the region boundary.
 
     When the affected region exceeds ``max_affected_fraction`` of the graph
     the incremental schedule would approach a full run anyway (and a large
@@ -478,76 +546,16 @@ def retype_incremental(
     after a small delta, most affected (node, type) checks re-pose questions
     the prior run already answered.
     """
-    graph: Graph = getattr(store, "graph", store)
-    if compiled is None:
-        if schema is None:
-            raise ValueError("pass a schema or a compiled schema")
-        compiled = compile_schema(schema)
-    else:
-        compiled = compile_schema(compiled)
-    if stats is None:
-        stats = FixpointStats()
-
-    with _KernelScope(stats), _obs_tracing.span("fixpoint.incremental") as trace_span:
-        touched = [node for node in delta.touched_nodes() if graph.has_node(node)]
-        stats.frontier = len(touched)
-        if not touched:
-            stats.mode = "unchanged"
-            trace_span.annotate(mode="unchanged")
-            return Typing(
-                {node: prior_typing.types_of(node) for node in graph.nodes}
-            )
-
-        affected = affected_region(graph, touched, store=store)
-        stats.affected = len(affected)
-        trace_span.annotate(frontier=stats.frontier, affected=stats.affected)
-        if len(affected) > max_affected_fraction * graph.node_count:
-            if hasattr(store, "typing_view"):
-                return maximal_typing_store(
-                    store, compiled=compiled, compressed=compressed, stats=stats,
-                    signature_memo=signature_memo,
-                )
-            stats.mode = "full"
-            return maximal_typing_fixpoint(
-                graph, compiled=compiled, compressed=compressed, stats=stats,
-                signature_memo=signature_memo,
-            )
-
-        type_order = compiled.type_order
-        # Affected nodes restart from the full type set; everything else keeps
-        # its prior (frozen, never-mutated) assignment and is read across the
-        # boundary exactly like an already-stabilised component.
-        current: Dict[NodeId, Set[TypeName]] = {}
-        for node in graph.nodes:
-            if node in affected:
-                current[node] = set(type_order)
-            else:
-                current[node] = prior_typing.types_of(node)
-        if signature_memo is None:
-            signature_memo = {}
-
-        if _vectorized.enabled():
-            _vectorized.stabilise(
-                graph, affected, current, compiled, compressed,
-                signature_memo, stats,
-            )
-            stats.mode = "incremental"
-            return Typing(current)
-
-        artifacts = {
-            type_name: compiled.type_artifact(type_name) for type_name in type_order
-        }
-        watchers = compiled.symbol_watchers()
-        components = strongly_connected_components(_induced_subgraph(graph, affected))
-        stats.components = len(components)
-        stabilise = _stabilise_compressed if compressed else _stabilise_plain
-        for component in components:
-            stabilise(
-                graph, component, set(component), current,
-                type_order, artifacts, watchers, signature_memo, stats,
-            )
-        stats.mode = "incremental"
-        return Typing(current)
+    compiled = _compiled_schema(schema, compiled)
+    fallback = functools.partial(
+        maximal_typing_store, store, compiled=compiled, compressed=compressed,
+        signature_memo=signature_memo,
+    )
+    return _retype_region(
+        "fixpoint.incremental", "incremental", getattr(store, "graph", store),
+        prior_typing, delta.touched_nodes(), store, fallback, compiled,
+        compressed, stats, max_affected_fraction, signature_memo,
+    )
 
 
 def retype_kinds_incremental(
@@ -580,67 +588,15 @@ def retype_kinds_incremental(
     (``stats.mode`` then reports ``"kinds"`` instead of
     ``"kinds-incremental"``).
     """
-    if compiled is None:
-        if schema is None:
-            raise ValueError("pass a schema or a compiled schema")
-        compiled = compile_schema(schema)
-    else:
-        compiled = compile_schema(compiled)
-    if stats is None:
-        stats = FixpointStats()
-
-    with _KernelScope(stats), _obs_tracing.span("fixpoint.kinds-incremental") as trace_span:
-        quotient = view.compressed
-        seeds = [kind for kind in view_delta.changed if quotient.has_node(kind)]
-        stats.frontier = len(seeds)
-        if not seeds:
-            stats.mode = "unchanged"
-            trace_span.annotate(mode="unchanged")
-            return Typing(
-                {kind: prior_kind_typing.types_of(kind) for kind in quotient.nodes}
-            )
-
-        affected = affected_region(quotient, seeds)
-        stats.affected = len(affected)
-        trace_span.annotate(frontier=stats.frontier, affected=stats.affected)
-        if len(affected) > max_affected_fraction * quotient.node_count:
-            return kind_typing_for_view(
-                view, compiled, stats=stats, signature_memo=signature_memo
-            )
-
-        type_order = compiled.type_order
-        current: Dict[NodeId, Set[TypeName]] = {}
-        for kind in quotient.nodes:
-            if kind in affected:
-                current[kind] = set(type_order)
-            else:
-                current[kind] = prior_kind_typing.types_of(kind)
-        if signature_memo is None:
-            signature_memo = {}
-
-        if _vectorized.enabled():
-            _vectorized.stabilise(
-                quotient, affected, current, compiled, True,
-                signature_memo, stats,
-            )
-            stats.mode = "kinds-incremental"
-            return Typing(current)
-
-        artifacts = {
-            type_name: compiled.type_artifact(type_name) for type_name in type_order
-        }
-        watchers = compiled.symbol_watchers()
-        components = strongly_connected_components(
-            _induced_subgraph(quotient, affected)
-        )
-        stats.components = len(components)
-        for component in components:
-            _stabilise_compressed(
-                quotient, component, set(component), current,
-                type_order, artifacts, watchers, signature_memo, stats,
-            )
-        stats.mode = "kinds-incremental"
-        return Typing(current)
+    compiled = _compiled_schema(schema, compiled)
+    fallback = functools.partial(
+        kind_typing_for_view, view, compiled, signature_memo=signature_memo
+    )
+    return _retype_region(
+        "fixpoint.kinds-incremental", "kinds-incremental", view.compressed,
+        prior_kind_typing, view_delta.changed, None, fallback, compiled, True,
+        stats, max_affected_fraction, signature_memo,
+    )
 
 
 # --------------------------------------------------------------------------- #

@@ -10,13 +10,6 @@ into a service-shaped API:
   once;
 * the result is an :class:`repro.engine.jobs.EngineReport` whose per-job
   payloads are byte-identical across backends.
-
-For single very large graphs, :func:`maximal_typing_chunked` additionally
-parallelises *inside* one job: each refinement round partitions the node
-frontier into chunks whose (node, type) checks are independent reads of the
-current relation, evaluates the chunks through the executor, then applies all
-removals at once (a Jacobi-style sweep — it reaches the same greatest fixpoint
-as the sequential worklist because removals are monotone).
 """
 
 from __future__ import annotations
@@ -33,7 +26,6 @@ from repro.engine.compiled import (
     graph_fingerprint,
     schema_fingerprint,
 )
-from repro.engine.executors import SerialExecutor, chunked
 from repro.engine.fixpoint import (
     FixpointStats,
     expand_kind_typing,
@@ -49,12 +41,8 @@ from repro.graphs.store import GraphStore
 from repro.obs import metrics as _obs_metrics
 from repro.obs import tracing as _obs_tracing
 from repro.schema.shex import ShExSchema
-from repro.schema.typing import Typing, predecessor_map, satisfies_type
-from repro.schema.validation import (
-    maximal_typing_compressed,
-    satisfies_type_compressed,
-    validate,
-)
+from repro.schema.typing import Typing
+from repro.schema.validation import maximal_typing_compressed, validate
 
 JobLike = Union[ValidationJob, Tuple[Graph, ShExSchema]]
 
@@ -448,71 +436,3 @@ class ValidationEngine(BatchEngine):
         return _validation_payload(job, self.compile(job.schema))
 
     _job_worker = staticmethod(_process_worker)
-
-
-# --------------------------------------------------------------------------- #
-# Intra-job parallelism: chunked frontier refinement
-# --------------------------------------------------------------------------- #
-def maximal_typing_chunked(
-    graph: Graph,
-    schema: ShExSchema,
-    compiled: Optional[CompiledSchema] = None,
-    executor=None,
-    chunk_size: int = 64,
-    compressed: bool = False,
-) -> Typing:
-    """Maximal typing by synchronous rounds over a chunked node frontier.
-
-    Each round checks every (node, type) pair of the current frontier against a
-    *frozen* snapshot of the relation — chunks only read shared state, so they
-    can run on the serial or thread executor — then applies all discovered
-    removals at once and builds the next frontier from the predecessors of the
-    shrunk nodes.  This Jacobi-style sweep removes (possibly) fewer pairs per
-    round than the sequential worklist but converges to the same greatest
-    fixpoint.
-
-    The process backend is rejected: chunk work closes over the shared typing
-    relation, which cannot cross a process boundary (use job-level parallelism
-    through :class:`ValidationEngine` instead).
-    """
-    if executor is not None and getattr(executor, "name", "") == "process":
-        raise ValueError(
-            "maximal_typing_chunked requires a shared-memory executor "
-            "(serial or thread); use ValidationEngine for process-level parallelism"
-        )
-    compiled = compile_schema(schema) if compiled is None else compiled
-    artifacts = {
-        type_name: compiled.type_artifact(type_name) for type_name in schema.types
-    }
-    if compressed:
-        def check(node, type_name, current) -> bool:
-            return satisfies_type_compressed(
-                graph, node, type_name, schema, current, artifact=artifacts[type_name]
-            )
-    else:
-        def check(node, type_name, current) -> bool:
-            return satisfies_type(
-                graph, node, type_name, schema, current, artifact=artifacts[type_name]
-            )
-
-    executor = executor or SerialExecutor()
-    current = {node: set(schema.types) for node in graph.nodes}
-    predecessors = predecessor_map(graph)
-    frontier = sorted(graph.nodes, key=repr)
-    while frontier:
-        def check_chunk(nodes) -> List[Tuple[object, str]]:
-            removals = []
-            for node in nodes:
-                for type_name in sorted(current[node]):
-                    if not check(node, type_name, current):
-                        removals.append((node, type_name))
-            return removals
-
-        chunk_results = executor.map_ordered(check_chunk, chunked(frontier, chunk_size))
-        next_frontier = set()
-        for node, type_name in (pair for chunk in chunk_results for pair in chunk):
-            if type_name in current[node]:
-                current[node].discard(type_name)
-                next_frontier |= predecessors[node]
-        frontier = sorted(next_frontier, key=repr)
-    return Typing(current)

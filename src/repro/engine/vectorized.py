@@ -34,13 +34,12 @@ which the parity suites assert against :mod:`repro.schema.reference`.  A
 vectorised run therefore reports ``FixpointStats.components == 0`` (no
 condensation is built).
 
-``REPRO_VECTORIZE=0`` (or a missing numpy) routes every entry point back to
-the object kernel — the pure-Python fallback stays the source of truth.
+:mod:`repro.engine.fixpoint` binds :func:`stabilise` as its kernel whenever
+numpy imports; without numpy every entry point runs the object kernel.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 try:  # pragma: no cover - exercised implicitly on import
@@ -54,10 +53,6 @@ except ImportError:  # pragma: no cover
 from repro.schema.typing import edge_groups, satisfies_type_groups
 
 NodeId = Hashable
-
-#: Environment flag gating the vectorised kernel (read per run).
-ENV_FLAG = "REPRO_VECTORIZE"
-_FALSEY = {"0", "false", "off", "no"}
 
 # splitmix64 constants; distinct stream seeds keep plain and compressed edge
 # hashes (and the two 64-bit halves of a key) statistically independent.
@@ -73,18 +68,6 @@ _HALF_2 = 0xC3C3C3C3C3C3C3C3
 def available() -> bool:
     """Whether numpy is importable in this process."""
     return _HAVE_NUMPY
-
-
-def enabled() -> bool:
-    """Whether kernel runs should use the vectorised schedule.
-
-    True when numpy is available and ``REPRO_VECTORIZE`` is unset or truthy;
-    consulted at every run so tests and the soak harness can toggle kernels
-    mid-process.
-    """
-    if not _HAVE_NUMPY:
-        return False
-    return os.environ.get(ENV_FLAG, "1").strip().lower() not in _FALSEY
 
 
 def _mix(values):

@@ -24,15 +24,17 @@ from repro.graphs.graph import Graph
 NodeId = Hashable
 
 
-def strongly_connected_components(graph: Graph) -> List[Tuple[NodeId, ...]]:
+def strongly_connected_components(graph: Graph, nodes=None) -> List[Tuple[NodeId, ...]]:
     """The SCCs of ``graph``, in reverse topological order of the condensation.
 
     Every edge of the graph goes from a component listed *later* to one listed
     earlier (or stays inside one component); equivalently, sink components come
     first.  Components are tuples of nodes sorted by ``repr`` and the overall
-    order is deterministic for a given graph.
+    order is deterministic for a given graph.  A ``nodes`` set restricts all
+    of this to the subgraph it induces, without building that subgraph.
     """
-    order = sorted(graph.nodes, key=repr)
+    region = graph.nodes if nodes is None else nodes
+    order = sorted(region, key=repr)
     index: Dict[NodeId, int] = {}
     lowlink: Dict[NodeId, int] = {}
     on_stack: Dict[NodeId, bool] = {}
@@ -59,7 +61,9 @@ def strongly_connected_components(graph: Graph) -> List[Tuple[NodeId, ...]]:
             advanced = False
             successors = successor_cache.get(node)
             if successors is None:
-                successors = [edge.target for edge in graph.out_edges(node)]
+                successors = [
+                    edge.target for edge in graph.out_edges(node) if edge.target in region
+                ]
                 successor_cache[node] = successors
             for position in range(edge_position, len(successors)):
                 target = successors[position]

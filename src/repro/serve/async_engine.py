@@ -62,6 +62,33 @@ _M_JOBS = _REGISTRY.counter(
 )
 
 
+async def run_in_worker(fn, *args):
+    """Run ``fn(*args)`` on the loop's default thread pool and await it.
+
+    The caller's :mod:`contextvars` context rides along (``run_in_executor``
+    does not propagate it), so spans opened inside ``fn`` attach to the
+    active trace.  A worker thread cannot be interrupted, so cancelling the
+    awaiting task — a request deadline — does not return until ``fn`` has:
+    locks the caller holds stay held while the worker still uses what they
+    guard.  The cancellation is re-raised afterwards.
+    """
+    context = contextvars.copy_context()
+    future = asyncio.get_running_loop().run_in_executor(
+        None, lambda: context.run(fn, *args)
+    )
+    try:
+        return await asyncio.shield(future)
+    except asyncio.CancelledError:
+        while not future.done():
+            try:
+                await asyncio.wait([future])
+            except asyncio.CancelledError:
+                continue
+        if not future.cancelled():
+            future.exception()  # retrieved: the request already failed
+        raise
+
+
 class AsyncBatchEngine:
     """Shared asyncio plumbing over a synchronous :class:`BatchEngine`.
 
@@ -296,12 +323,10 @@ class AsyncValidationEngine(AsyncBatchEngine):
         concurrent revalidations of the same store.  Returns a
         :class:`repro.engine.validation.RevalidationOutcome`.
         """
-        call = functools.partial(
-            self.engine.revalidate, store, schema, compressed=compressed, label=label
-        )
-        context = contextvars.copy_context()
-        return await asyncio.get_running_loop().run_in_executor(
-            None, lambda: context.run(call)
+        return await run_in_worker(
+            functools.partial(
+                self.engine.revalidate, store, schema, compressed=compressed, label=label
+            )
         )
 
     async def revalidate_many(
@@ -327,10 +352,7 @@ class AsyncValidationEngine(AsyncBatchEngine):
                 for store in batch
             ]
 
-        context = contextvars.copy_context()
-        return await asyncio.get_running_loop().run_in_executor(
-            None, lambda: context.run(call)
-        )
+        return await run_in_worker(call)
 
 
 class AsyncContainmentEngine(AsyncBatchEngine):

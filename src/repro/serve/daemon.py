@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import contextvars
 import hashlib
 import json
 import logging
@@ -52,7 +51,11 @@ from repro.presburger.solver import solver_metrics_summary
 from repro.rdf.convert import load_graph
 from repro.schema.parser import parse_schema
 from repro.serve import protocol
-from repro.serve.async_engine import AsyncContainmentEngine, AsyncValidationEngine
+from repro.serve.async_engine import (
+    AsyncContainmentEngine,
+    AsyncValidationEngine,
+    run_in_worker,
+)
 
 #: Generous per-line limit (64 KiB default would truncate large graphs).
 _LINE_LIMIT = 8 * 1024 * 1024
@@ -877,15 +880,12 @@ class ValidationDaemon:
         """Run blocking work (parsing, compilation, file reads) off the loop.
 
         Keeps ``ping``/``status`` responsive on other connections while one
-        request compiles a large schema or reads a big document.  The current
-        :mod:`contextvars` context rides along (``run_in_executor`` does not
-        propagate it), so spans opened inside ``fn`` attach to the request's
-        ``daemon.<op>`` trace instead of silently becoming no-ops.
+        request compiles a large schema or reads a big document.  Spans
+        opened inside ``fn`` attach to the request's ``daemon.<op>`` trace,
+        and a deadline does not release the caller's store lock before ``fn``
+        returns (:func:`repro.serve.async_engine.run_in_worker`).
         """
-        context = contextvars.copy_context()
-        return await asyncio.get_running_loop().run_in_executor(
-            None, lambda: context.run(fn, *args)
-        )
+        return await run_in_worker(fn, *args)
 
     def _read_path(self, path: str) -> str:
         try:

@@ -30,14 +30,12 @@ counts, ops/s, the invariant-check tally, and fault/recovery totals::
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import faults
-from repro.engine import vectorized as _vectorized
 from repro.engine.containment import ContainmentEngine
 from repro.engine.jobs import ValidationJob
 from repro.engine.validation import ValidationEngine
@@ -110,10 +108,7 @@ class SoakSpec:
     of the full oracle checks; ``compressed`` pins the revalidation semantics
     (``None`` = mixed); ``containment_chain`` the length of the
     grown-by-relaxation schema chain; ``fault`` names a
-    :data:`repro.faults.SCHEDULES` entry (``None`` = no injection);
-    ``toggle_vectorize`` re-rolls ``REPRO_VECTORIZE`` before every step so
-    one run drives both the vectorised fixpoint kernel and the object
-    fallback against the same oracles (a no-op when numpy is missing); and
+    :data:`repro.faults.SCHEDULES` entry (``None`` = no injection); and
     ``max_shrink_replays`` bounds the shrinking budget on failure.
     """
 
@@ -130,7 +125,6 @@ class SoakSpec:
     containment_chain: int = 3
     fault: Optional[str] = None
     max_shrink_replays: int = 160
-    toggle_vectorize: bool = False
     weights: Dict[str, float] = field(default_factory=_default_weights)
 
     def to_json(self) -> Dict[str, Any]:
@@ -149,7 +143,6 @@ class SoakSpec:
             "seed": self.seed,
             "size": self.size,
             "steps": self.steps,
-            "toggle_vectorize": self.toggle_vectorize,
             "weights": dict(sorted(self.weights.items())),
         }
 
@@ -399,7 +392,6 @@ class SoakRunner:
         self.op_retries = 0
         self.unrecovered = 0
         self.shrink_replays = 0
-        self.kernel_steps: Dict[str, int] = {"object": 0, "vectorized": 0}
         self._removed_pool: List[Tuple[str, str, str]] = []
         self._oplog: List[Dict] = []  # applied update deltas, in order
         self._schema = bug_tracker_schema()
@@ -799,38 +791,21 @@ class SoakRunner:
         }
         if "restart" in self.ops:
             handlers["restart"] = self._op_restart
-        toggling = spec.toggle_vectorize and _vectorized.available()
-        flag_before = os.environ.get(_vectorized.ENV_FLAG)
         step = 0
-        try:
-            while step < spec.steps:
-                if (
-                    spec.duration is not None
-                    and time.perf_counter() - self._t0 >= spec.duration
-                ):
-                    break
-                if toggling:
-                    # Re-roll the kernel per step: both implementations must
-                    # agree with the oracles *and* with each other's memo
-                    # entries, since the signature memo persists across flips.
-                    vectorize = self.rng.random() < 0.5
-                    os.environ[_vectorized.ENV_FLAG] = "1" if vectorize else "0"
-                    kernel = "vectorized" if vectorize else "object"
-                    self.kernel_steps[kernel] += 1
-                op = self._pick_op()
-                handlers[op]()
-                self.ops[op] += 1
-                if _obs_metrics.STATE.enabled:
-                    _M_STEPS.labels(op=op).inc()
-                step += 1
-                if spec.check_every and step % spec.check_every == 0:
-                    self._full_check()
-        finally:
-            if toggling:
-                if flag_before is None:
-                    os.environ.pop(_vectorized.ENV_FLAG, None)
-                else:
-                    os.environ[_vectorized.ENV_FLAG] = flag_before
+        while step < spec.steps:
+            if (
+                spec.duration is not None
+                and time.perf_counter() - self._t0 >= spec.duration
+            ):
+                break
+            op = self._pick_op()
+            handlers[op]()
+            self.ops[op] += 1
+            if _obs_metrics.STATE.enabled:
+                _M_STEPS.labels(op=op).inc()
+            step += 1
+            if spec.check_every and step % spec.check_every == 0:
+                self._full_check()
         seconds = time.perf_counter() - self._t0
         return self._report(seconds, injected_before=injector_before)
 
@@ -850,7 +825,6 @@ class SoakRunner:
         steps = sum(self.ops.values())
         report = {
             "invariant_checks_passed": self.checks_passed,
-            "kernel_steps": dict(sorted(self.kernel_steps.items())),
             "modes": dict(sorted(self.modes.items())),
             "ops": dict(sorted(self.ops.items())),
             "ops_per_second": round(steps / seconds, 2) if seconds else 0.0,

@@ -11,23 +11,23 @@ longest clean WAL prefix — never an error, never a partial record, never a
 state the store was not in at some point.
 
 A second suite checks that the recovered store revalidates identically under
-the vectorised and object fixpoint kernels (``REPRO_VECTORIZE=0`` parity).
+the vectorised and object fixpoint kernels.
 """
 
 from __future__ import annotations
 
 import os
 import random
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 import pytest
 
-from repro.engine import vectorized as _vectorized
-from repro.engine.validation import ValidationEngine
+from repro.engine.validation import ValidationEngine, _payload_from_typing
 from repro.graphs.graph import Graph
 from repro.graphs.store import Delta, GraphStore
 from repro.persist import DurableStore
 from repro.persist import wal as wal_mod
+from repro.schema.reference import maximal_typing_reference
 from repro.workloads.bugtracker import bug_tracker_schema
 
 SEEDS = [3, 11, 29, 47, 61]
@@ -159,27 +159,22 @@ class TestCrashRecovery:
 
 class TestKernelParityAfterRecovery:
     @pytest.mark.parametrize("seed", SEEDS[:3])
-    def test_vectorize_flag_parity(self, seed, tmp_path, monkeypatch):
-        """Both fixpoint kernels agree on the recovered store's typing."""
+    def test_kernel_parity(self, seed, tmp_path, kernel):
+        """Each fixpoint kernel revalidates the recovered store like the oracle."""
         directory = str(tmp_path / "store")
         store, _ = _drive(seed, directory)
         store.close()
         schema = bug_tracker_schema()
-        answers = {}
-        for flag in ("1", "0"):
-            monkeypatch.setenv(_vectorized.ENV_FLAG, flag)
-            recovered = DurableStore.open(directory)
-            engine = ValidationEngine(backend="serial", cache_size=64)
-            try:
-                outcome = engine.revalidate(recovered, schema)
-                answers[flag] = (
-                    outcome.result.verdict,
-                    tuple(outcome.result.payload["untyped_nodes"]),
-                )
-            finally:
-                engine.close()
-                recovered.close()
-        assert answers["1"] == answers["0"], (
-            f"seed {seed}: vectorised and object kernels diverged on the "
+        recovered = DurableStore.open(directory)
+        engine = ValidationEngine(backend="serial", cache_size=64)
+        try:
+            outcome = engine.revalidate(recovered, schema)
+            oracle = maximal_typing_reference(recovered.graph, schema)
+            expected = _payload_from_typing(recovered.graph, oracle, False)
+        finally:
+            engine.close()
+            recovered.close()
+        assert (outcome.result.verdict, outcome.result.payload) == expected, (
+            f"seed {seed}: the {kernel} kernel diverged from the oracle on the "
             f"recovered store"
         )

@@ -7,7 +7,9 @@ validation semantics.  This suite applies seeded random insert/remove
 sequences through a :class:`repro.graphs.store.GraphStore` and asserts exactly
 that, mirroring ``tests/property/test_fixpoint_parity.py``; it also covers
 multi-version diffs (retyping across several deltas at once), the automatic
-kind-compression view, and the engine-level revalidation wrapper.
+kind-compression view and its delta-seeded retyping
+(:func:`repro.engine.fixpoint.retype_kinds_incremental`), and the
+engine-level revalidation wrapper.  Every case runs once per fixpoint kernel.
 """
 
 from __future__ import annotations
@@ -16,11 +18,15 @@ import random
 
 import pytest
 
+from repro.engine.compiled import compile_schema
 from repro.engine.fixpoint import (
     FixpointStats,
+    expand_kind_typing,
+    kind_typing_for_view,
     maximal_typing_fixpoint,
     maximal_typing_store,
     retype_incremental,
+    retype_kinds_incremental,
 )
 from repro.engine.validation import ValidationEngine
 from repro.graphs.graph import Graph
@@ -28,6 +34,8 @@ from repro.graphs.store import Delta, GraphStore
 from repro.presburger.solver import reset_solver_state
 from repro.workloads.bugtracker import bug_tracker_graph, bug_tracker_schema
 from repro.workloads.generators import DEFAULT_LABELS, random_shape_schema, random_shex_schema
+
+pytestmark = pytest.mark.usefixtures("kernel")
 
 PLAIN_SEEDS = [2, 9, 17, 31, 53]
 COMPRESSED_SEEDS = [4, 21, 39]
@@ -179,6 +187,56 @@ class TestKindViewParity:
     def test_small_graphs_skip_the_view(self):
         store = GraphStore(bug_tracker_graph())
         assert store.typing_view() is None  # below the size floor
+
+
+class TestKindsDeltaParity:
+    @pytest.mark.parametrize("seed", PLAIN_SEEDS[:3])
+    def test_view_delta_retyping_matches_from_scratch(
+        self, seed, kernel, traced_kernels
+    ):
+        rng = random.Random(seed)
+        schema = random_shape_schema(4, rng=rng, name=f"delta-kinds-{seed}")
+        compiled = compile_schema(schema)
+        labels = sorted(schema.labels()) or list(DEFAULT_LABELS[:3])
+        base = _noise_graph(rng, 10, 16, labels)
+        names = sorted(base.nodes, key=repr)
+        graph = Graph("cloned-noise")
+        for copy_index in range(10):  # 100 nodes: above the view floor
+            for edge in base.edges:
+                graph.add_edge(
+                    (copy_index, edge.source), edge.label, (copy_index, edge.target)
+                )
+        store = GraphStore(graph)
+        view = store.typing_view()
+        kind_typing = kind_typing_for_view(view, compiled)
+        modes = set()
+        for step in range(STEPS // 2):
+            version = store.version
+            copy_index = rng.randrange(10)
+            edge = (
+                (copy_index, rng.choice(names)),
+                rng.choice(labels),
+                (copy_index, rng.choice(names)),
+            )
+            store.apply(Delta.of(add=[edge]))
+            view = store.typing_view()
+            view_delta = store.view_delta(version, store.version)
+            assert view is not None and view_delta is not None
+            stats = FixpointStats()
+            kind_typing, ran = traced_kernels(
+                lambda: retype_kinds_incremental(
+                    view, kind_typing, view_delta, compiled=compiled, stats=stats
+                )
+            )
+            modes.add(stats.mode)
+            assert ran == [kernel]
+            assert kind_typing == kind_typing_for_view(view, compiled), (
+                f"seed {seed} step {step}: kinds retyping diverged (mode {stats.mode})"
+            )
+            assert expand_kind_typing(view, kind_typing) == maximal_typing_fixpoint(
+                store.graph, compiled
+            )
+        assert "kinds-incremental" in modes
 
 
 class TestEngineRevalidationParity:

@@ -130,59 +130,45 @@ _ADVERSARIAL_RULES = [
 
 
 class TestVectorizedKernelParity:
-    """Bitset rounds vs the oracle, with each kernel pinned explicitly.
+    """Each fixpoint kernel vs the oracle, pinned through the ``kernel`` fixture.
 
-    The suites above run whichever kernel ``REPRO_VECTORIZE`` selects (the
-    vectorised one by default); these cases force *both* kernels on the same
-    seeded inputs so a parity break cannot hide behind the environment.
+    The suites above run whichever kernel the install binds (the vectorised
+    one when numpy imports); these cases run *both* kernels on the same
+    seeded inputs so a parity break cannot hide behind the install.
     """
 
     @pytest.mark.parametrize("seed", VECTOR_SEEDS)
-    def test_bitset_rounds_match_oracle_on_random_graphs(self, seed, monkeypatch):
-        pytest.importorskip("numpy")
+    def test_bitset_rounds_match_oracle_on_random_graphs(
+        self, seed, kernel, traced_kernels
+    ):
         rng = random.Random(seed)
         schema = random_shape_schema(4, rng=rng, name=f"vec-{seed}")
         labels = sorted(schema.labels()) or list(DEFAULT_LABELS[:3])
         graph = _noise_graph(rng, 12, 22, labels)
         oracle = maximal_typing_reference(graph, schema)
-        monkeypatch.setenv("REPRO_VECTORIZE", "1")
-        stats = FixpointStats()
-        assert maximal_typing_fixpoint(graph, schema, stats=stats) == oracle
-        assert stats.components == 0  # proves the vectorised schedule ran
-        monkeypatch.setenv("REPRO_VECTORIZE", "0")
-        assert maximal_typing_fixpoint(graph, schema) == oracle
+        typing, ran = traced_kernels(lambda: maximal_typing_fixpoint(graph, schema))
+        assert typing == oracle
+        assert ran == [kernel]  # proves the pinned kernel ran
 
     @pytest.mark.requires_scipy
     @pytest.mark.parametrize("seed", VECTOR_SEEDS[:2])
-    def test_bitset_rounds_match_oracle_on_compressed_graphs(self, seed, monkeypatch):
-        pytest.importorskip("numpy")
+    def test_bitset_rounds_match_oracle_on_compressed_graphs(self, seed, kernel):
         reset_solver_state()
         rng = random.Random(seed)
         schema = random_shape_schema(3, rng=rng, name=f"vec-z-{seed}")
         labels = sorted(schema.labels()) or list(DEFAULT_LABELS[:3])
         graph = _compressed_noise_graph(rng, 7, labels)
         oracle = maximal_typing_reference(graph, schema, compressed=True)
-        monkeypatch.setenv("REPRO_VECTORIZE", "1")
-        assert maximal_typing_fixpoint(graph, schema, compressed=True) == oracle
-        monkeypatch.setenv("REPRO_VECTORIZE", "0")
         assert maximal_typing_fixpoint(graph, schema, compressed=True) == oracle
 
     @pytest.mark.requires_scipy
     @pytest.mark.parametrize("rules", _ADVERSARIAL_RULES)
     @pytest.mark.parametrize("seed", VECTOR_SEEDS[:2])
-    def test_adversarial_interval_bounds_stress_the_solver(
-        self, rules, seed, monkeypatch
-    ):
-        pytest.importorskip("numpy")
+    def test_adversarial_interval_bounds_stress_the_solver(self, rules, seed, kernel):
         reset_solver_state()
         rng = random.Random(seed)
         schema = parse_schema(rules, name=f"adversarial-{seed}")
         labels = sorted(schema.labels())
         graph = _compressed_noise_graph(rng, 6, labels)
         oracle = maximal_typing_reference(graph, schema, compressed=True)
-        monkeypatch.setenv("REPRO_VECTORIZE", "1")
-        stats = FixpointStats()
-        vec = maximal_typing_fixpoint(graph, schema, compressed=True, stats=stats)
-        assert vec == oracle
-        monkeypatch.setenv("REPRO_VECTORIZE", "0")
         assert maximal_typing_fixpoint(graph, schema, compressed=True) == oracle

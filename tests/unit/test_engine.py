@@ -11,20 +11,14 @@ from repro.engine.compiled import (
 )
 from repro.engine.containment import ContainmentEngine
 from repro.engine.jobs import ValidationJob
-from repro.engine.validation import ValidationEngine, maximal_typing_chunked
+from repro.engine.validation import ValidationEngine
 from repro.graphs.compressed import CompressedGraph
 from repro.graphs.graph import Graph
 from repro.graphs.store import Delta, GraphStore
 from repro.schema.classes import SchemaClass
 from repro.schema.parser import parse_schema
 from repro.schema.reference import maximal_typing_reference
-from repro.schema.typing import maximal_typing
 from repro.schema.validation import satisfies_compressed, validate
-from repro.workloads.bugtracker import (
-    bug_tracker_graph,
-    bug_tracker_refactored_schema,
-    bug_tracker_schema,
-)
 
 
 @pytest.fixture
@@ -268,43 +262,6 @@ class TestCompressedEdgeCases:
         graph.add_edge("n1", "b", "n2", "[2;2]")
         graph.add_edge("n2", "junk", "n3", "[1;1]")
         assert not satisfies_compressed(graph, schema)
-
-
-class TestChunkedTyping:
-    def test_chunked_matches_worklist(self):
-        graph = bug_tracker_graph()
-        for schema in (bug_tracker_schema(), bug_tracker_refactored_schema()):
-            reference = maximal_typing(graph, schema)
-            for chunk_size in (1, 2, 64):
-                assert maximal_typing_chunked(graph, schema, chunk_size=chunk_size) == reference
-
-    def test_chunked_with_thread_executor(self):
-        from repro.engine.executors import ThreadExecutor
-
-        graph = bug_tracker_graph()
-        schema = bug_tracker_schema()
-        with ThreadExecutor(max_workers=3) as executor:
-            chunked = maximal_typing_chunked(
-                graph, schema, executor=executor, chunk_size=2
-            )
-        assert chunked == maximal_typing(graph, schema)
-
-    def test_chunked_rejects_process_executor(self):
-        from repro.engine.executors import ProcessExecutor
-
-        graph = bug_tracker_graph()
-        schema = bug_tracker_schema()
-        with pytest.raises(ValueError, match="shared-memory executor"):
-            maximal_typing_chunked(graph, schema, executor=ProcessExecutor(2))
-
-    def test_chunked_compressed(self):
-        schema = parse_schema("Bug -> descr :: Lit, related :: Bug*\nLit -> eps")
-        graph = CompressedGraph()
-        graph.add_edge("b1", "descr", "l1")
-        graph.add_edge("b1", "related", "b2", "[4;4]")
-        graph.add_edge("b2", "descr", "l2")
-        typing = maximal_typing_chunked(graph, schema, compressed=True, chunk_size=1)
-        assert typing.is_total(graph)
 
 
 class TestContainmentEngine:

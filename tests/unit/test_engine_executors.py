@@ -8,7 +8,6 @@ from repro.engine.executors import (
     ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
-    chunked,
     get_executor,
 )
 from repro.engine.validation import ValidationEngine
@@ -57,12 +56,6 @@ class TestExecutorPrimitives:
             executor = get_executor(backend, max_workers=4)
             assert executor.map_ordered(lambda x: x * x, items) == [x * x for x in items]
             executor.close()
-
-    def test_chunked_splits_evenly(self):
-        assert chunked([1, 2, 3, 4, 5], 2) == [[1, 2], [3, 4], [5]]
-        assert chunked([], 3) == []
-        with pytest.raises(ValueError):
-            chunked([1], 0)
 
 
 class TestBackendParity:

@@ -52,6 +52,9 @@ class TestStronglyConnectedComponents:
         )
         components = strongly_connected_components(graph)
         assert [set(c) for c in components] == [{"d"}, {"a", "b", "c"}]
+        # Restricted to a node set, edges leaving it are ignored: no cycle.
+        region = strongly_connected_components(graph, {"b", "c", "d"})
+        assert region == [("d",), ("c",), ("b",)]
 
     def test_edges_never_point_at_later_components(self):
         rng = random.Random(7)
@@ -92,11 +95,11 @@ class TestFixpointKernel:
             graph, schema
         )
 
-    def test_signature_memo_collapses_clones(self, monkeypatch):
+    @pytest.mark.parametrize("kernel", ["object"], indirect=True)
+    def test_signature_memo_collapses_clones(self, kernel):
         # The component count below encodes the SCC-driven schedule of the
         # object kernel; the vectorised kernel runs global Jacobi rounds and
-        # reports components == 0, so pin this test to the object path.
-        monkeypatch.setenv("REPRO_VECTORIZE", "0")
+        # reports components == 0, so pin this test to the object kernel.
         graph, schema = bug_tracker_graph(), bug_tracker_schema()
         copies = 8
         base_stats = FixpointStats()

@@ -12,7 +12,6 @@ from __future__ import annotations
 import pytest
 
 import repro.presburger.solver as solver
-from repro.engine import vectorized
 from repro.engine.fixpoint import (
     FixpointStats,
     maximal_typing_fixpoint,
@@ -34,13 +33,6 @@ HUBS, LEAVES = 4, 20
 def no_scipy(monkeypatch):
     monkeypatch.setattr(solver, "_HAVE_SCIPY", False)
     reset_solver_state()  # no verdict or witness cached by an earlier test
-
-
-@pytest.fixture(params=["0", "1"], ids=["object", "vectorized"])
-def kernel(request, monkeypatch):
-    if request.param == "1" and not vectorized.available():
-        pytest.skip("the vectorised kernel needs numpy")
-    monkeypatch.setenv(vectorized.ENV_FLAG, request.param)
 
 
 def _hubs() -> Graph:

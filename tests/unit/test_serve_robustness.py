@@ -83,6 +83,52 @@ class TestDeadlines:
         finally:
             handle.stop()
 
+    def test_deadline_keeps_the_store_lock_until_the_worker_returns(self, tmp_path):
+        handle = _start(tmp_path)
+        entered, release = threading.Event(), threading.Event()
+        try:
+            path = handle.daemon.socket_path
+            with DaemonClient.connect(path) as client:
+                client.update_graph("g", data_text=TURTLE)
+            engine = handle.daemon.validation.engine
+            original = engine.revalidate
+
+            def blocked_revalidate(*args, **kwargs):
+                entered.set()
+                assert release.wait(10.0)
+                return original(*args, **kwargs)
+
+            engine.revalidate = blocked_revalidate
+            answers = {}
+
+            def send(key, payload):
+                answers[key] = _raw_request(path, payload)
+
+            revalidate = threading.Thread(target=send, args=("revalidate", {
+                "op": "revalidate", "id": 1, "deadline_ms": 50, "name": "g",
+                "schema": {"text": SCHEMA_TEXT},
+            }))
+            revalidate.start()
+            assert entered.wait(10.0)
+            update = threading.Thread(target=send, args=("update", {
+                "op": "update_graph", "id": 2, "name": "g",
+                "delta": TestVersionGuard.DELTA,
+            }))
+            update.start()
+            time.sleep(0.3)  # well past the deadline; the worker still runs
+            store = handle.daemon._stores["g"]
+            assert store.version == 0
+            assert update.is_alive()
+            release.set()
+            revalidate.join(10.0)
+            update.join(10.0)
+            assert answers["revalidate"]["error"]["code"] == "deadline-exceeded"
+            assert answers["update"]["result"]["version"] == 1
+            assert store.version == 1
+        finally:
+            release.set()
+            handle.stop()
+
     def test_bad_deadline_rejected(self, tmp_path):
         handle = _start(tmp_path)
         try:

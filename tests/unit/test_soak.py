@@ -19,11 +19,11 @@ from repro.workloads.soak import (
 SPEC_KEYS = {
     "batch", "check_every", "churn", "compressed", "containment_chain",
     "duration", "family", "fault", "hotspot", "max_shrink_replays", "seed",
-    "size", "steps", "toggle_vectorize", "weights",
+    "size", "steps", "weights",
 }
 
 REPORT_KEYS = {
-    "invariant_checks_passed", "kernel_steps", "modes", "ops",
+    "invariant_checks_passed", "modes", "ops",
     "ops_per_second", "seconds", "spec", "steps", "faults",
 }
 
@@ -88,20 +88,6 @@ class TestRuns:
         report = run_soak(_short_spec(compressed=True), InProcessTarget())
         assert report["spec"]["compressed"] is True
         assert report["invariant_checks_passed"] > 0
-
-    def test_kernel_toggle_exercises_both_kernels(self):
-        vectorized = pytest.importorskip("repro.engine.vectorized")
-        if not vectorized.available():
-            pytest.skip("numpy unavailable")
-        report = run_soak(
-            _short_spec(steps=40, toggle_vectorize=True), InProcessTarget()
-        )
-        assert report["spec"]["toggle_vectorize"] is True
-        assert report["invariant_checks_passed"] > 0
-        # 40 coin flips: both kernels fire (each misses with p = 2^-40).
-        assert report["kernel_steps"]["vectorized"] > 0
-        assert report["kernel_steps"]["object"] > 0
-        assert sum(report["kernel_steps"].values()) == report["steps"]
 
     def test_faulted_in_process_run_recovers(self):
         faults.install("compute", seed=3)

@@ -6,7 +6,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.engine import vectorized
+from repro.engine import fixpoint, vectorized
 from repro.engine.compiled import compile_schema
 from repro.engine.fixpoint import (
     FixpointStats,
@@ -28,29 +28,15 @@ def _wide_schema(types: int = 70):
     return parse_schema("\n".join(lines), name=f"wide-{types}")
 
 
-class TestToggle:
+class TestBinding:
     def test_available_matches_numpy_import(self):
         assert vectorized.available() is True
 
-    def test_enabled_reads_env_per_call(self, monkeypatch):
-        monkeypatch.delenv(vectorized.ENV_FLAG, raising=False)
-        assert vectorized.enabled()
-        for falsey in ("0", "false", "OFF", " no "):
-            monkeypatch.setenv(vectorized.ENV_FLAG, falsey)
-            assert not vectorized.enabled()
-        monkeypatch.setenv(vectorized.ENV_FLAG, "1")
-        assert vectorized.enabled()
-
-    def test_kernel_routing_follows_the_flag(self, monkeypatch):
+    def test_numpy_install_binds_the_vectorised_kernel(self, traced_kernels):
+        assert fixpoint._stabilise is vectorized.stabilise
         graph, schema = bug_tracker_graph(), bug_tracker_schema()
-        monkeypatch.setenv(vectorized.ENV_FLAG, "1")
-        vec_stats = FixpointStats()
-        maximal_typing_fixpoint(graph, schema, stats=vec_stats)
-        assert vec_stats.components == 0  # Jacobi rounds: no condensation
-        monkeypatch.setenv(vectorized.ENV_FLAG, "0")
-        obj_stats = FixpointStats()
-        maximal_typing_fixpoint(graph, schema, stats=obj_stats)
-        assert obj_stats.components > 0  # SCC-scheduled object kernel
+        _typing, ran = traced_kernels(lambda: maximal_typing_fixpoint(graph, schema))
+        assert ran == ["vectorized"]
 
 
 class TestDenseTables:
@@ -100,72 +86,67 @@ class TestDenseTables:
 
 
 class TestParity:
-    def test_plain_matches_oracle_and_object_kernel(self, monkeypatch):
+    def test_plain_matches_oracle(self, kernel):
         graph, schema = bug_tracker_graph(), bug_tracker_schema()
-        monkeypatch.setenv(vectorized.ENV_FLAG, "1")
-        vec = maximal_typing_fixpoint(graph, schema)
-        assert vec == maximal_typing_reference(graph, schema)
-        monkeypatch.setenv(vectorized.ENV_FLAG, "0")
-        assert vec == maximal_typing_fixpoint(graph, schema)
+        assert maximal_typing_fixpoint(graph, schema) == maximal_typing_reference(
+            graph, schema
+        )
 
-    def test_compressed_matches_object_kernel(self, monkeypatch):
-        schema = bug_tracker_schema()
-        compressed = pack_simple_graph(bug_tracker_graph())
-        monkeypatch.setenv(vectorized.ENV_FLAG, "1")
-        vec = maximal_typing_fixpoint(compressed, schema, compressed=True)
-        monkeypatch.setenv(vectorized.ENV_FLAG, "0")
-        assert vec == maximal_typing_fixpoint(compressed, schema, compressed=True)
+    def test_compressed_matches_plain_oracle(self, kernel):
+        # Packing merges nothing here, so the compressed semantics of the
+        # packed graph is the plain semantics of the original.
+        graph, schema = bug_tracker_graph(), bug_tracker_schema()
+        typing = maximal_typing_fixpoint(pack_simple_graph(graph), schema, compressed=True)
+        assert typing == maximal_typing_reference(graph, schema)
 
-    def test_incremental_matches_from_scratch(self, monkeypatch):
-        monkeypatch.setenv(vectorized.ENV_FLAG, "1")
+    def test_incremental_matches_from_scratch(self, kernel, traced_kernels):
         schema = bug_tracker_schema()
         store = GraphStore(bug_tracker_graph())
         prior = maximal_typing_fixpoint(store.graph, schema)
         delta = Delta.of(add=[("bug2", "relatedTo", "bug1")])
         store.apply(delta)
         stats = FixpointStats()
-        typing = retype_incremental(store, prior, delta, schema=schema, stats=stats)
+        typing, ran = traced_kernels(
+            lambda: retype_incremental(store, prior, delta, schema=schema, stats=stats)
+        )
         assert stats.mode == "incremental"
-        assert stats.components == 0
-        assert typing == maximal_typing_fixpoint(store.graph, schema)
+        assert ran == [kernel]
+        assert typing == maximal_typing_reference(store.graph, schema)
 
-    def test_wide_schema_needs_two_words(self, monkeypatch):
+    def test_wide_schema_needs_two_words(self, kernel):
         schema = _wide_schema(70)
         compiled = compile_schema(schema)
         assert compiled.dense_tables().words == 2
         graph = Graph("chain")
         for i in range(75):
             graph.add_edge(f"n{i}", "a", f"n{i + 1}")
-        monkeypatch.setenv(vectorized.ENV_FLAG, "1")
-        vec = maximal_typing_fixpoint(graph, compiled)
-        monkeypatch.setenv(vectorized.ENV_FLAG, "0")
-        assert vec == maximal_typing_fixpoint(graph, compiled)
+        assert maximal_typing_fixpoint(graph, compiled) == maximal_typing_reference(
+            graph, schema
+        )
 
-    def test_empty_and_edgeless_graphs(self, monkeypatch):
-        monkeypatch.setenv(vectorized.ENV_FLAG, "1")
+    def test_empty_and_edgeless_graphs(self, kernel):
         schema = bug_tracker_schema()
         assert maximal_typing_fixpoint(Graph("empty"), schema).domain() == set()
         isolated = Graph("isolated")
         isolated.add_nodes(["a", "b"])
-        vec = maximal_typing_fixpoint(isolated, schema)
-        monkeypatch.setenv(vectorized.ENV_FLAG, "0")
-        assert vec == maximal_typing_fixpoint(isolated, schema)
+        assert maximal_typing_fixpoint(isolated, schema) == maximal_typing_reference(
+            isolated, schema
+        )
 
 
 class TestPlanCache:
-    def test_whole_graph_plan_reused_until_mutation(self, monkeypatch):
-        monkeypatch.setenv(vectorized.ENV_FLAG, "1")
+    def test_whole_graph_plan_reused_until_mutation(self):
+        # The module needs numpy, so the install binds the vectorised kernel.
         graph, schema = bug_tracker_graph(), bug_tracker_schema()
         maximal_typing_fixpoint(graph, schema)
         key, plan = graph._vectorized_plan
         maximal_typing_fixpoint(graph, schema)
         assert graph._vectorized_plan[1] is plan  # unchanged graph: plan reused
         graph.add_edge("bug2", "relatedTo", "bug1")
-        vec = maximal_typing_fixpoint(graph, schema)
+        typing = maximal_typing_fixpoint(graph, schema)
         new_key, new_plan = graph._vectorized_plan
         assert new_key != key and new_plan is not plan  # revision invalidates
-        monkeypatch.setenv(vectorized.ENV_FLAG, "0")
-        assert vec == maximal_typing_fixpoint(graph, schema)
+        assert typing == maximal_typing_reference(graph, schema)
 
     def test_revision_counts_structural_mutations(self):
         graph = Graph("rev")
