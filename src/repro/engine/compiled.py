@@ -113,25 +113,21 @@ class CompiledType:
     def normalised_template(self):
         """``(z_vars, conjuncts)``: the template's DNF as normalised rows.
 
-        Every conjunct of ``ψ_{δ(t)}(z̄, 1)`` is pre-normalised into the
-        hashable coefficient rows of :func:`repro.presburger.solver.normalise_conjunct`,
+        Every conjunct of ``ψ_{δ(t)}(z̄, 1)`` is pre-normalised into hashable
+        coefficient rows by :func:`repro.presburger.solver.formula_to_problem`,
         so per-(node, type) compressed checks assemble their linear systems by
         concatenating rows instead of rebuilding and re-normalising formula
-        trees.  The template's helper variables are bound and uniquely named,
-        hence safe to share across any number of per-node systems (the batch
-        solver keys variables per block).  Computed once per type.
+        trees.  The template's helper variables are bound, hence renamed apart
+        to unique names, and safe to share across any number of per-node
+        systems (the batch solver keys variables per block); the free ``z_vars``
+        keep their names.  Computed once per type.
         """
         normalised = self._normalised
         if normalised is None:
-            from repro.presburger.solver import _to_dnf, normalise_conjunct
+            from repro.presburger.solver import formula_to_problem
 
             z_vars, psi = self.presburger_template()
-            conjuncts = []
-            for atoms in _to_dnf(psi):
-                conjunct = normalise_conjunct(atoms)
-                if conjunct is not None:
-                    conjuncts.append(conjunct)
-            normalised = (z_vars, tuple(conjuncts))
+            normalised = (z_vars, formula_to_problem(psi))
             self._normalised = normalised
         return normalised
 

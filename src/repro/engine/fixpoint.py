@@ -86,8 +86,8 @@ class FixpointStats:
     how many Presburger systems reached the batch solver (compressed semantics
     only).  ``checks - signature_hits - shortcut_failures`` is therefore the
     number of checks actually *evaluated* — on a graph of isomorphic clones it
-    stays flat as copies are added.  Presburger-side counters (memo hits,
-    actual MILP invocations, warm-start hits) are read through a
+    stays flat as copies are added.  Presburger-side counters (satisfiability
+    queries, actual MILP invocations) are read through a
     :class:`repro.presburger.solver.SolverWindow`.
 
     ``mode`` records which schedule produced the typing: ``"full"`` (the plain

@@ -23,8 +23,6 @@ from repro.presburger.solver import (
     formula_to_problem,
     is_satisfiable,
     normalise_conjunct,
-    problem_fingerprint,
-    reset_solver_state,
     small_model_bound,
     solve_existential,
     solve_problems,
@@ -51,7 +49,5 @@ __all__ = [
     "SolverStats",
     "formula_to_problem",
     "normalise_conjunct",
-    "problem_fingerprint",
-    "reset_solver_state",
     "solve_problems",
 ]

@@ -13,29 +13,21 @@ graphs).  The solver here:
    that flatten to per-symbol intervals never get here — they are decided by
    the flow of :mod:`repro.util.assignment` under both semantics.
 
-Three mechanisms make the repeated, structurally similar queries of the
-maximal-typing fixpoint cheap:
+Every satisfiability verdict — :func:`is_satisfiable` and the batch entry
+point :func:`solve_problems` alike — comes from one place: an *elastic
+block-diagonal* MILP.  Each conjunct of each problem becomes one block whose
+rows carry slack variables, the total slack is minimised, and a block is
+feasible exactly when its optimal slack is 0, so a whole refinement round of
+the maximal-typing fixpoint costs a single ``milp`` invocation.  Conjuncts are
+exposed as hashable coefficient rows (:func:`normalise_conjunct`), so callers
+such as :meth:`repro.engine.compiled.CompiledType.normalised_template` cache
+the DNF/matrix form of a formula once and re-assemble per-node systems without
+rebuilding formula trees.  Repeated checks are absorbed upstream, by the
+engines' per-schema signature memo, not here.
 
-* **normalised systems** — conjuncts are exposed as hashable coefficient rows
-  (:func:`normalise_conjunct`), so callers such as
-  :meth:`repro.engine.compiled.CompiledType.normalised_template` can cache the
-  DNF/matrix form of a formula once and re-assemble per-node systems without
-  ever rebuilding formula trees;
-* **memoisation** — :func:`is_satisfiable` (and the batch entry point) key
-  results by a canonical fingerprint of the normalised system
-  (:func:`problem_fingerprint`, variable names canonically renamed), so the
-  thousands of isomorphic formulas a large graph produces are solved once;
-* **batching** — :func:`solve_problems` answers a whole round of independent
-  feasibility questions with a *single* ``milp`` invocation: every conjunct
-  becomes one block of an elastic block-diagonal program whose slack variables
-  are minimised, and a block is feasible exactly when its optimal slack is 0;
-* **warm-starts** — every feasible solve's witness is harvested into a cache
-  keyed by the conjunct's *bounds-free* structure (the constraint matrix
-  without its right-hand side).  A new query whose structure matches probes
-  the cached witness against its own bounds first; verification is exact, so
-  a positive probe short-circuits the MILP entirely.  This fires when only
-  bound constants drift between rounds — e.g. a schema widened from ``1`` to
-  ``?`` loosens an inequality bound and the old witness still satisfies it.
+:func:`solve_existential` is the one exception: the independent oracle of
+:mod:`repro.schema.reference` and :func:`repro.presburger.build.rbe_language_witness`
+need a concrete witness, which it finds with one dense MILP per conjunct.
 
 It also exposes :func:`small_model_bound`, the bound of Proposition 6.3
 (Weispfenning) that the paper uses to bound the size of compressed
@@ -46,7 +38,6 @@ from __future__ import annotations
 
 import importlib.util
 import itertools
-import threading
 import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -121,10 +112,10 @@ class SolverStats:
     """
 
     sat_checks: int = 0
-    memo_hits: int = 0
     milp_calls: int = 0
     batch_calls: int = 0
     batch_blocks: int = 0
+    # Always 0 (there is no warm-start cache); kept because perfbench reads them.
     warm_hits: int = 0
     warm_misses: int = 0
 
@@ -133,17 +124,6 @@ class SolverStats:
         """Actual optimisation runs (one batched call counts once)."""
         return self.milp_calls + self.batch_calls
 
-
-_SAT_MEMO: Dict[Tuple, bool] = {}
-_SAT_MEMO_LIMIT = 65536
-_MEMO_LOCK = threading.Lock()
-
-#: Warm-start witnesses: bounds-free conjunct structure -> canonical solution
-#: values.  Unlike ``_SAT_MEMO`` (exact fingerprint -> verdict) this survives
-#: bound drift: the key ignores right-hand sides, and a probe re-verifies the
-#: stored witness against the query's actual bounds before trusting it.
-_WARM_CACHE: Dict[Tuple, Tuple[int, ...]] = {}
-_WARM_LIMIT = 4096
 
 # Registry-backed counters (monotone, thread-safe, Prometheus-exposed).  The
 # old module-global ``SolverStats`` object was a footgun: process-wide,
@@ -154,11 +134,9 @@ _REGISTRY = _obs_metrics.get_registry()
 _SAT_CHECKS = _REGISTRY.counter(
     "repro_solver_sat_checks_total", "Satisfiability queries, however answered."
 )
-_MEMO_HITS = _REGISTRY.counter(
-    "repro_solver_memo_hits_total", "Queries answered from the fingerprint memo."
-)
 _MILP_CALLS = _REGISTRY.counter(
-    "repro_solver_milp_calls_total", "Single-system scipy milp invocations."
+    "repro_solver_milp_calls_total",
+    "Dense per-conjunct milp invocations of the witness finder.",
 )
 _BATCH_CALLS = _REGISTRY.counter(
     "repro_solver_batch_calls_total", "Elastic block-diagonal MILP invocations."
@@ -172,26 +150,15 @@ _BATCH_SIZE = _REGISTRY.histogram(
 )
 _MILP_SECONDS = _REGISTRY.histogram(
     "repro_solver_milp_seconds",
-    "Wall time of one MILP invocation (single-system or batched).",
-)
-_WARM_HITS = _REGISTRY.counter(
-    "repro_solver_warm_hits_total",
-    "Queries short-circuited by a verified warm-start witness.",
-)
-_WARM_MISSES = _REGISTRY.counter(
-    "repro_solver_warm_misses_total",
-    "Warm-start probes that found no reusable witness.",
+    "Wall time of one MILP invocation (dense or batched).",
 )
 
 #: Counter names backing :class:`SolverStats` fields, in field order.
 _COUNTER_NAMES = (
     ("sat_checks", "repro_solver_sat_checks_total"),
-    ("memo_hits", "repro_solver_memo_hits_total"),
     ("milp_calls", "repro_solver_milp_calls_total"),
     ("batch_calls", "repro_solver_batch_calls_total"),
     ("batch_blocks", "repro_solver_batch_blocks_total"),
-    ("warm_hits", "repro_solver_warm_hits_total"),
-    ("warm_misses", "repro_solver_warm_misses_total"),
 )
 
 
@@ -220,17 +187,6 @@ class SolverWindow:
         return SolverStats(
             **{field: int(values[metric]) for field, metric in _COUNTER_NAMES}
         )
-
-
-def reset_solver_state() -> None:
-    """Clear the satisfiability memo and the warm-start witness cache.
-
-    The registry counters stay monotone (Prometheus semantics); readers take
-    their own :class:`SolverWindow`.
-    """
-    with _MEMO_LOCK:
-        _SAT_MEMO.clear()
-        _WARM_CACHE.clear()
 
 
 def solver_metrics_summary() -> Dict[str, int]:
@@ -382,208 +338,28 @@ def formula_to_problem(formula: Formula) -> Problem:
     return tuple(conjuncts)
 
 
-def problem_fingerprint(problem: Problem) -> Tuple:
-    """A canonical, hashable fingerprint of a normalised problem.
-
-    Variables are renamed to their first-occurrence index and each row's items
-    re-sorted by that index, so two problems that differ only by a variable
-    bijection (e.g. the per-node formulas of isomorphic neighbourhoods) share
-    one fingerprint — the key of the satisfiability memo.
-    """
-    rename: Dict[str, int] = {}
-    canonical: List[Tuple] = []
-    for equalities, inequalities in problem:
-        rows: List[Tuple] = []
-        for group in (equalities, inequalities):
-            canon_group: List[Row] = []
-            for coeffs, bound in group:
-                items = []
-                for name, coeff in coeffs:
-                    index = rename.setdefault(name, len(rename))
-                    items.append((index, coeff))
-                items.sort()
-                canon_group.append((tuple(items), bound))
-            rows.append(tuple(canon_group))
-        canonical.append((rows[0], rows[1]))
-    return tuple(canonical)
-
-
 # --------------------------------------------------------------------------- #
-# Warm-start witnesses
-# --------------------------------------------------------------------------- #
-def _conjunct_structure(conjunct: Conjunct) -> Tuple:
-    """A canonical key for a conjunct's constraint matrix, bounds excluded.
-
-    Variables are renamed to first-occurrence indices exactly as in
-    :func:`problem_fingerprint`, but the right-hand-side constants are left
-    out: two conjuncts share a structure when they differ only in bounds —
-    the case a cached witness has a chance of surviving.
-    """
-    rename: Dict[str, int] = {}
-    groups: List[Tuple] = []
-    for group in conjunct:
-        canon_group: List[Tuple] = []
-        for coeffs, _bound in group:
-            items = []
-            for name, coeff in coeffs:
-                index = rename.setdefault(name, len(rename))
-                items.append((index, coeff))
-            items.sort()
-            canon_group.append(tuple(items))
-        groups.append(tuple(canon_group))
-    return (groups[0], groups[1])
-
-
-def _canonical_values(conjunct: Conjunct, solution: Dict[str, int]) -> Tuple[int, ...]:
-    """A solution as a tuple indexed by the structure's canonical variable order."""
-    rename: Dict[str, int] = {}
-    for group in conjunct:
-        for coeffs, _bound in group:
-            for name, _coeff in coeffs:
-                rename.setdefault(name, len(rename))
-    values = [0] * len(rename)
-    for name, index in rename.items():
-        values[index] = int(solution.get(name, 0))
-    return tuple(values)
-
-
-def _witness_satisfies(conjunct: Conjunct, values: Tuple[int, ...]) -> bool:
-    """Exactly verify a canonical witness against a conjunct's actual rows."""
-    rename: Dict[str, int] = {}
-    for is_equality, group in ((True, conjunct[0]), (False, conjunct[1])):
-        for coeffs, bound in group:
-            total = 0
-            for name, coeff in coeffs:
-                index = rename.setdefault(name, len(rename))
-                if index >= len(values):
-                    return False
-                total += coeff * values[index]
-            violated = (total != bound) if is_equality else (total > bound)
-            if violated:
-                return False
-    return True
-
-
-def _warm_store(conjunct: Conjunct, solution: Dict[str, int]) -> None:
-    """Harvest a feasible solve's witness for structure-keyed reuse."""
-    if not conjunct[0] and not conjunct[1]:
-        return
-    structure = _conjunct_structure(conjunct)
-    values = _canonical_values(conjunct, solution)
-    with _MEMO_LOCK:
-        if len(_WARM_CACHE) >= _WARM_LIMIT:
-            _WARM_CACHE.clear()
-        _WARM_CACHE[structure] = values
-
-
-def _warm_probe(problem: Problem) -> bool:
-    """True when a cached witness verifiably satisfies some conjunct.
-
-    Only the positive answer short-circuits: a witness failing under the new
-    bounds proves nothing about feasibility, so ``False`` means *no shortcut*,
-    never *unsatisfiable*.
-    """
-    if not _WARM_CACHE:
-        return False
-    for conjunct in problem:
-        witness = _WARM_CACHE.get(_conjunct_structure(conjunct))
-        if witness is not None and _witness_satisfies(conjunct, witness):
-            _WARM_HITS.inc()
-            return True
-    _WARM_MISSES.inc()
-    return False
-
-
-# --------------------------------------------------------------------------- #
-# Linear feasibility over the naturals
-# --------------------------------------------------------------------------- #
-def _rows_to_dicts(rows: Sequence[Row]) -> List[Tuple[Dict[str, int], int]]:
-    return [(dict(coeffs), bound) for coeffs, bound in rows]
-
-
-def _solve_rows(
-    equalities: Sequence[Row], inequalities: Sequence[Row]
-) -> Optional[Dict[str, int]]:
-    """Find a non-negative integer solution of one normalised conjunct."""
-    variables: List[str] = []
-    seen = set()
-    for coeffs, _bound in itertools.chain(equalities, inequalities):
-        for name, _coeff in coeffs:
-            if name not in seen:
-                seen.add(name)
-                variables.append(name)
-    if not variables:
-        return {}
-    return _solve_with_milp(
-        variables, _rows_to_dicts(equalities), _rows_to_dicts(inequalities)
-    )
-
-
-def _solve_conjunct(atoms: Sequence[Comparison]) -> Optional[Dict[str, int]]:
-    """Find a non-negative integer solution of a conjunction of atoms."""
-    normalised = normalise_conjunct(atoms)
-    if normalised is None:
-        return None
-    return _solve_rows(*normalised)
-
-
-def _solve_with_milp(variables, equalities, inequalities) -> Optional[Dict[str, int]]:
-    _bind_scipy()
-    _MILP_CALLS.inc()
-    index = {name: i for i, name in enumerate(variables)}
-    n = len(variables)
-    constraints = []
-    if equalities:
-        matrix = _np.zeros((len(equalities), n))
-        rhs = _np.zeros(len(equalities))
-        for row, (coeffs, bound) in enumerate(equalities):
-            for name, coeff in coeffs.items():
-                matrix[row, index[name]] = coeff
-            rhs[row] = bound
-        constraints.append(_LinearConstraint(matrix, rhs, rhs))
-    if inequalities:
-        matrix = _np.zeros((len(inequalities), n))
-        rhs = _np.zeros(len(inequalities))
-        for row, (coeffs, bound) in enumerate(inequalities):
-            for name, coeff in coeffs.items():
-                matrix[row, index[name]] = coeff
-            rhs[row] = bound
-        constraints.append(_LinearConstraint(matrix, -_np.inf, rhs))
-    started = time.perf_counter()
-    result = _milp(
-        c=_np.zeros(n),
-        constraints=constraints,
-        integrality=_np.ones(n),
-        bounds=_Bounds(0, _np.inf),
-    )
-    _MILP_SECONDS.observe(time.perf_counter() - started)
-    if not result.success or result.x is None:
-        return None
-    return {name: int(round(result.x[index[name]])) for name in variables}
-
-
-# --------------------------------------------------------------------------- #
-# Batched feasibility: one elastic MILP for many independent systems
+# Satisfiability: one elastic MILP for many independent systems
 # --------------------------------------------------------------------------- #
 #: Blocks per single batched ``milp`` call; rounds larger than this are split.
 _BATCH_BLOCK_LIMIT = 256
 
 
-def _solve_blocks_elastic(
-    blocks: Sequence[Conjunct],
-) -> Optional[Tuple[List[bool], List[Optional[Dict[str, int]]]]]:
+def _solve_blocks_elastic(blocks: Sequence[Conjunct]) -> List[bool]:
     """Feasibility of many variable-disjoint systems via one elastic MILP.
 
     Every block's rows are made elastic — equalities get a slack pair
     ``+s⁺ − s⁻``, inequalities a surplus ``−s`` — and the total slack is
     minimised.  Blocks are variable-disjoint, so the optimum decomposes: a
     block is feasible exactly when its own slack sum is zero (over integer
-    data an infeasible block contributes at least 1).  Returns the per-block
-    verdicts together with each feasible block's witness assignment (``None``
-    for infeasible blocks), or ``None`` when the solver fails, letting the
-    caller fall back to per-block solving.
+    data an infeasible block contributes at least 1).  The program is always
+    feasible (all slack) and bounded below by 0, so a failed solve is a solver
+    fault and raises :class:`repro.errors.PresburgerError`.
     """
     _bind_scipy()
+    _BATCH_CALLS.inc()
+    _BATCH_BLOCKS.inc(len(blocks))
+    _BATCH_SIZE.observe(len(blocks))
     rows_i: List[int] = []  # COO triplets of the combined constraint matrix
     cols_j: List[int] = []
     data: List[float] = []
@@ -591,7 +367,6 @@ def _solve_blocks_elastic(
     upper: List[float] = []
     objective: List[float] = []
     block_slack_columns: List[List[int]] = []
-    block_columns: List[Dict[str, int]] = []
     row_count = 0
     column_count = 0
 
@@ -603,7 +378,6 @@ def _solve_blocks_elastic(
 
     for equalities, inequalities in blocks:
         columns: Dict[str, int] = {}
-        block_columns.append(columns)
         slack_columns: List[int] = []
         for is_equality, rows in ((True, equalities), (False, inequalities)):
             for coeffs, bound in rows:
@@ -645,134 +419,96 @@ def _solve_blocks_elastic(
     )
     _MILP_SECONDS.observe(time.perf_counter() - started)
     if not result.success or result.x is None:
-        return None
-    verdicts: List[bool] = []
-    witnesses: List[Optional[Dict[str, int]]] = []
-    for slack_columns, columns in zip(block_slack_columns, block_columns):
-        slack_total = float(sum(result.x[column] for column in slack_columns))
-        feasible = slack_total < 0.5
-        verdicts.append(feasible)
-        if feasible:
-            witnesses.append(
-                {name: int(round(result.x[column])) for name, column in columns.items()}
-            )
-        else:
-            witnesses.append(None)
-    return verdicts, witnesses
-
-
-def solve_problem(problem: Problem) -> bool:
-    """Satisfiability of one normalised problem (any conjunct feasible)."""
-    for equalities, inequalities in problem:
-        if not equalities and not inequalities:
-            return True
-        solution = _solve_rows(equalities, inequalities)
-        if solution is not None:
-            _warm_store((equalities, inequalities), solution)
-            return True
-    return False
-
-
-def _memo_get(fingerprint: Tuple) -> Optional[bool]:
-    verdict = _SAT_MEMO.get(fingerprint)
-    if verdict is not None:
-        _MEMO_HITS.inc()
-    return verdict
-
-
-def _memo_put(fingerprint: Tuple, verdict: bool) -> None:
-    with _MEMO_LOCK:
-        if len(_SAT_MEMO) >= _SAT_MEMO_LIMIT:
-            _SAT_MEMO.clear()
-        _SAT_MEMO[fingerprint] = verdict
+        raise PresburgerError(f"the elastic MILP failed: {result.message}")
+    return [
+        float(sum(result.x[column] for column in slack_columns)) < 0.5
+        for slack_columns in block_slack_columns
+    ]
 
 
 def solve_problems(problems: Sequence[Problem]) -> List[bool]:
-    """Satisfiability of many independent problems, batched and memoised.
+    """Satisfiability of many independent problems, batched.
 
-    Trivial problems are decided structurally; repeated problems (within the
-    batch or across calls) are answered from the fingerprint memo; the
-    remaining conjuncts are packed into as few elastic MILP invocations as
-    possible (see :func:`_solve_blocks_elastic`).  Intended for the
-    per-refinement-round check batches of :mod:`repro.engine.fixpoint`.
-    Raises :class:`repro.errors.PresburgerError` without SciPy when some
-    problem needs the MILP.
+    Trivial problems are decided structurally: one without conjuncts is
+    unsatisfiable, one with a row-free conjunct satisfiable.  The conjuncts of
+    the rest are packed into as few elastic MILP invocations as possible (see
+    :func:`_solve_blocks_elastic`), and a problem is satisfiable when one of
+    its blocks is feasible.  Intended for the per-refinement-round check
+    batches of :mod:`repro.engine.fixpoint`.  Raises
+    :class:`repro.errors.PresburgerError` without SciPy when some problem
+    needs the MILP, and when the MILP fails.
     """
     _faults.maybe_fail("solver")
     _SAT_CHECKS.inc(len(problems))
-    verdicts: List[Optional[bool]] = [None] * len(problems)
-    pending: List[Tuple[int, Tuple]] = []  # (problem index, fingerprint)
-    pending_keys: Dict[Tuple, List[int]] = {}
+    verdicts: List[bool] = []
+    pending: List[int] = []
     for position, problem in enumerate(problems):
-        if not problem:
-            verdicts[position] = False
-            continue
-        if any(not eqs and not les for eqs, les in problem):
-            verdicts[position] = True
-            continue
-        fingerprint = problem_fingerprint(problem)
-        known = _memo_get(fingerprint)
-        if known is not None:
-            verdicts[position] = known
-            continue
-        if fingerprint in pending_keys:
-            pending_keys[fingerprint].append(position)
-            continue
-        if _warm_probe(problem):
-            verdicts[position] = True
-            _memo_put(fingerprint, True)
-            continue
-        pending_keys[fingerprint] = [position]
-        pending.append((position, fingerprint))
+        trivially_true = any(not eqs and not les for eqs, les in problem)
+        verdicts.append(trivially_true)
+        if problem and not trivially_true:
+            pending.append(position)
 
-    if pending:
-        _solve_pending_batched(problems, pending, pending_keys, verdicts)
-    return [bool(verdict) for verdict in verdicts]
-
-
-def _solve_pending_batched(problems, pending, pending_keys, verdicts) -> None:
-    """Solve the deduplicated cache misses of one batch, chunked by block count."""
     cursor = 0
     while cursor < len(pending):
-        chunk: List[Tuple[int, Tuple]] = []
         blocks: List[Conjunct] = []
-        block_owner: List[int] = []  # index into `chunk`
+        owners: List[int] = []  # the problem position of each block
         while cursor < len(pending) and len(blocks) < _BATCH_BLOCK_LIMIT:
-            position, fingerprint = pending[cursor]
-            owner = len(chunk)
-            chunk.append((position, fingerprint))
-            for conjunct in problems[position]:
-                blocks.append(conjunct)
-                block_owner.append(owner)
+            position = pending[cursor]
+            blocks.extend(problems[position])
+            owners.extend([position] * len(problems[position]))
             cursor += 1
-        _BATCH_CALLS.inc()
-        _BATCH_BLOCKS.inc(len(blocks))
-        _BATCH_SIZE.observe(len(blocks))
         with _obs_tracing.span("presburger.batch", blocks=len(blocks)):
-            solved = _solve_blocks_elastic(blocks)
-        if solved is not None:
-            block_verdicts, block_witnesses = solved
-            for block, feasible, witness in zip(blocks, block_verdicts, block_witnesses):
-                if feasible and witness is not None:
-                    _warm_store(block, witness)
-        for owner, (position, fingerprint) in enumerate(chunk):
-            if solved is None:
-                # Solver failure: fall back to the per-conjunct path.
-                verdict = solve_problem(problems[position])
-            else:
-                verdict = any(
-                    feasible
-                    for feasible, block_of in zip(block_verdicts, block_owner)
-                    if block_of == owner
-                )
-            _memo_put(fingerprint, verdict)
-            for shared in pending_keys[fingerprint]:
-                verdicts[shared] = verdict
+            feasible_blocks = _solve_blocks_elastic(blocks)
+        for position, feasible in zip(owners, feasible_blocks):
+            verdicts[position] = verdicts[position] or feasible
+    return verdicts
+
+
+def is_satisfiable(formula: Formula) -> bool:
+    """True when the formula has a model over the naturals.
+
+    A one-problem :func:`solve_problems`, so it shares the elastic MILP, the
+    fault hook and the trivial-problem checks.
+    """
+    return solve_problems([formula_to_problem(formula)])[0]
 
 
 # --------------------------------------------------------------------------- #
-# Public API
+# Witnesses for the oracle
 # --------------------------------------------------------------------------- #
+def _solve_dense(conjunct: Conjunct) -> Optional[Dict[str, int]]:
+    """A non-negative integer solution of one normalised conjunct, or ``None``."""
+    equalities, inequalities = conjunct
+    rows = list(itertools.chain(equalities, inequalities))
+    index: Dict[str, int] = {}
+    for coeffs, _bound in rows:
+        for name, _coeff in coeffs:
+            index.setdefault(name, len(index))
+    if not index:
+        return {}
+    _bind_scipy()
+    _MILP_CALLS.inc()
+    n = len(index)
+    matrix = _np.zeros((len(rows), n))
+    for row, (coeffs, _bound) in enumerate(rows):
+        for name, coeff in coeffs:
+            matrix[row, index[name]] = coeff
+    upper = _np.array([float(bound) for _coeffs, bound in rows])
+    lower = upper.copy()
+    lower[len(equalities):] = -_np.inf
+    started = time.perf_counter()
+    result = _milp(
+        c=_np.zeros(n),
+        constraints=_LinearConstraint(matrix, lower, upper),
+        integrality=_np.ones(n),
+        bounds=_Bounds(0, _np.inf),
+    )
+    _MILP_SECONDS.observe(time.perf_counter() - started)
+    if not result.success or result.x is None:
+        return None
+    return {name: int(round(result.x[column])) for name, column in index.items()}
+
+
 def solve_existential(
     formula: Formula,
     wanted: Optional[Iterable[str]] = None,
@@ -781,46 +517,19 @@ def solve_existential(
 
     All variables — free and existentially bound — range over non-negative
     integers.  When ``wanted`` is given, only those variables are reported
-    (missing ones default to 0 in the result).  Unlike :func:`is_satisfiable`
-    this path is not memoised: it must produce a concrete witness.  Raises
-    :class:`repro.errors.PresburgerError` without SciPy when a conjunct needs
-    the MILP.
+    (missing ones default to 0 in the result).  This is the oracle's witness
+    finder: one dense MILP per conjunct, independent of the elastic program
+    behind :func:`is_satisfiable`.  Raises :class:`repro.errors.PresburgerError`
+    without SciPy when a conjunct needs the MILP.
     """
-    renamed = _rename(formula, {})
-    # Free variables keep their names because _rename only renames bound ones.
-    for conjunct in _to_dnf(renamed):
-        solution = _solve_conjunct(conjunct)
+    # Free variables keep their names: only bound ones are renamed apart.
+    for conjunct in formula_to_problem(formula):
+        solution = _solve_dense(conjunct)
         if solution is not None:
             if wanted is None:
                 return solution
             return {name: solution.get(name, 0) for name in wanted}
     return None
-
-
-def is_satisfiable(formula: Formula) -> bool:
-    """True when the formula has a model over the naturals.
-
-    Results are memoised by the canonical fingerprint of the normalised
-    system, so isomorphic formulas (same structure, different variable names)
-    are solved once per process.
-    """
-    _faults.maybe_fail("solver")
-    _SAT_CHECKS.inc()
-    problem = formula_to_problem(formula)
-    if not problem:
-        return False
-    if any(not eqs and not les for eqs, les in problem):
-        return True
-    fingerprint = problem_fingerprint(problem)
-    known = _memo_get(fingerprint)
-    if known is not None:
-        return known
-    if _warm_probe(problem):
-        _memo_put(fingerprint, True)
-        return True
-    verdict = solve_problem(problem)
-    _memo_put(fingerprint, verdict)
-    return verdict
 
 
 def small_model_bound(formula_size: int, num_variables: int, alternations: int = 1) -> int:

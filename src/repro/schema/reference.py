@@ -15,8 +15,9 @@ the kernel decides interval rules with, so the oracle stays an independent
 decision procedure: plain checks enumerate splits under exact RBE membership
 (:func:`repro.schema.typing.satisfies_groups_by_membership`), and compressed
 checks decide every rule's Presburger formula with
-:func:`repro.presburger.solver.solve_existential`, bypassing the memo, the
-batching and the warm-starts (so they need SciPy's MILP).
+:func:`repro.presburger.solver.solve_existential`: one dense MILP per
+conjunct, not the elastic batch program the kernel decides them with (so they
+need SciPy's MILP).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ NodeId = Hashable
 def _check(graph, node, type_name, current, artifacts, compressed: bool) -> bool:
     if compressed:
         # The Presburger encoding decided from scratch: an oracle independent
-        # of the flow and of the solver's memo, batching and warm-starts.
+        # of the flow and of the kernel's elastic batch MILP.
         formula = compressed_formula(graph, node, current, artifacts[type_name])
         return solve_existential(formula) is not None
     artifact = artifacts[type_name]

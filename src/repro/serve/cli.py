@@ -243,7 +243,6 @@ def _render_metrics(snapshot: Dict[str, Any]) -> str:
     if solver:
         lines.append(
             f"  solver: {solver.get('sat_checks', 0)} sat checks, "
-            f"{solver.get('memo_hits', 0)} memo hits, "
             f"{solver.get('milp_calls', 0)} milp, "
             f"{solver.get('batch_calls', 0)} batched "
             f"({solver.get('batch_blocks', 0)} blocks)"

@@ -31,7 +31,6 @@ from repro.engine.fixpoint import (
 from repro.engine.validation import ValidationEngine
 from repro.graphs.graph import Graph
 from repro.graphs.store import Delta, GraphStore
-from repro.presburger.solver import reset_solver_state
 from repro.workloads.bugtracker import bug_tracker_graph, bug_tracker_schema
 from repro.workloads.generators import DEFAULT_LABELS, random_shape_schema, random_shex_schema
 
@@ -116,7 +115,6 @@ class TestPlainDeltaParity:
 class TestCompressedDeltaParity:
     @pytest.mark.parametrize("seed", COMPRESSED_SEEDS)
     def test_multiplicity_edits_match_from_scratch(self, seed):
-        reset_solver_state()
         rng = random.Random(seed)
         schema = random_shape_schema(3, rng=rng, name=f"delta-z-{seed}")
         labels = sorted(schema.labels()) or list(DEFAULT_LABELS[:3])

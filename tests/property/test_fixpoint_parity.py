@@ -18,7 +18,6 @@ import pytest
 
 from repro.engine.fixpoint import FixpointStats, maximal_typing_fixpoint
 from repro.graphs.graph import Graph
-from repro.presburger.solver import reset_solver_state
 from repro.schema.parser import parse_schema
 from repro.schema.reference import maximal_typing_reference, maximal_typing_worklist
 from repro.workloads.generators import (
@@ -100,7 +99,6 @@ class TestPlainSemantics:
 class TestCompressedSemantics:
     @pytest.mark.parametrize("seed", COMPRESSED_SEEDS)
     def test_shape_schema_on_compressed_graphs(self, seed):
-        reset_solver_state()  # independent runs: no cross-seed memo reuse
         rng = random.Random(seed)
         schema = random_shape_schema(3, rng=rng, name=f"shex0-z-{seed}")
         labels = sorted(schema.labels()) or list(DEFAULT_LABELS[:3])
@@ -109,7 +107,6 @@ class TestCompressedSemantics:
 
     @pytest.mark.parametrize("seed", COMPRESSED_SEEDS[:2])
     def test_general_shex_schema_on_compressed_graphs(self, seed):
-        reset_solver_state()
         rng = random.Random(seed)
         schema = random_shex_schema(3, rng=rng, name=f"shex-z-{seed}")
         labels = sorted(schema.labels()) or list(DEFAULT_LABELS[:3])
@@ -153,7 +150,6 @@ class TestVectorizedKernelParity:
     @pytest.mark.requires_scipy
     @pytest.mark.parametrize("seed", VECTOR_SEEDS[:2])
     def test_bitset_rounds_match_oracle_on_compressed_graphs(self, seed, kernel):
-        reset_solver_state()
         rng = random.Random(seed)
         schema = random_shape_schema(3, rng=rng, name=f"vec-z-{seed}")
         labels = sorted(schema.labels()) or list(DEFAULT_LABELS[:3])
@@ -165,7 +161,6 @@ class TestVectorizedKernelParity:
     @pytest.mark.parametrize("rules", _ADVERSARIAL_RULES)
     @pytest.mark.parametrize("seed", VECTOR_SEEDS[:2])
     def test_adversarial_interval_bounds_stress_the_solver(self, rules, seed, kernel):
-        reset_solver_state()
         rng = random.Random(seed)
         schema = parse_schema(rules, name=f"adversarial-{seed}")
         labels = sorted(schema.labels())

@@ -21,7 +21,7 @@ from repro.engine.validation import ValidationEngine
 from repro.errors import PresburgerError
 from repro.graphs.graph import Graph
 from repro.graphs.store import GraphStore
-from repro.presburger.solver import SolverWindow, reset_solver_state
+from repro.presburger.solver import SolverWindow
 from repro.schema.parser import parse_schema
 from repro.schema.reference import maximal_typing_reference
 from repro.schema.validation import satisfies_type_compressed
@@ -32,7 +32,6 @@ HUBS, LEAVES = 4, 20
 @pytest.fixture
 def no_scipy(monkeypatch):
     monkeypatch.setattr(solver, "_HAVE_SCIPY", False)
-    reset_solver_state()  # no verdict or witness cached by an earlier test
 
 
 def _hubs() -> Graph:
