@@ -18,6 +18,7 @@ from repro.presburger.solver import (
     SolverWindow,
     formula_to_problem,
     is_satisfiable,
+    solve_existential,
     solve_problems,
 )
 from repro.schema.parser import parse_schema
@@ -239,6 +240,63 @@ class TestSolverBatching:
         assert not is_satisfiable(
             eq(var("c") + var("d"), 3) & le(var("c") + var("d"), 2)
         )
+
+    @pytest.mark.requires_scipy
+    def test_repeats_and_renamings_are_solved_afresh(self):
+        # No verdict memo: a repeat and a variable renaming each run the
+        # elastic MILP again, and all three agree.
+        window = SolverWindow()
+        formula = eq(var("m") + var("n"), 5) & le(var("m"), 2)
+        renamed = eq(var("u") + var("w"), 5) & le(var("u"), 2)
+        assert is_satisfiable(formula)
+        assert is_satisfiable(formula)
+        assert is_satisfiable(renamed)
+        stats = window.snapshot()
+        assert stats.sat_checks == 3
+        assert stats.batch_calls == 3
+
+    @pytest.mark.requires_scipy
+    def test_bound_drift_solves_each_problem(self):
+        # Two problems sharing a structure with a loosened inequality bound:
+        # both are solved, and no warm start is ever counted.
+        window = SolverWindow()
+        assert solve_problems(
+            [formula_to_problem(eq(var("x") + var("y"), 3) & le(var("x"), 1))]
+        ) == [True]
+        assert solve_problems(
+            [formula_to_problem(eq(var("p") + var("q"), 3) & le(var("p"), 7))]
+        ) == [True]
+        stats = window.snapshot()
+        assert stats.solver_calls == 2
+        assert stats.warm_hits == 0 and stats.warm_misses == 0
+
+    @pytest.mark.requires_scipy
+    @pytest.mark.parametrize("seed", range(3))
+    def test_elastic_verdicts_agree_with_dense_witnesses(self, seed):
+        # The elastic batch and the oracle's dense witness finder are two
+        # independent MILPs; they must agree, and every witness must hold.
+        rng = random.Random(seed)
+        names = ["x", "y", "z"]
+        formulas = []
+        for _ in range(12):
+            atoms = []
+            for _ in range(rng.randint(1, 3)):
+                left = sum(
+                    (rng.randint(-2, 3) * var(name) for name in rng.sample(names, 2)),
+                    var(rng.choice(names)),
+                )
+                build = rng.choice((eq, le))
+                atoms.append(build(left, rng.randint(-2, 6)))
+            formula = atoms[0]
+            for atom in atoms[1:]:
+                formula = formula & atom
+            formulas.append((formula, atoms))
+        verdicts = solve_problems([formula_to_problem(f) for f, _ in formulas])
+        for (formula, atoms), verdict in zip(formulas, verdicts):
+            witness = solve_existential(formula, wanted=names)
+            assert (witness is not None) is verdict, str(formula)
+            if witness is not None:
+                assert all(atom.evaluate(witness) for atom in atoms), str(formula)
 
     @pytest.mark.requires_scipy
     def test_failed_solve_raises(self, monkeypatch):
