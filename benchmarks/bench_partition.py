@@ -13,6 +13,12 @@ must
 * beat re-running ``kind_compress`` by at least ``MIN_SPEEDUP``× wall clock
   in total over the sequence.
 
+A second scenario covers chains: head edits on a ``CHAIN_CELLS``-cell
+``rdf:first``/``rdf:rest`` list, whose quotient is as deep as the list.  Its
+regions are acyclic, so every update must take the sinks-first pass — the
+machine-independent gate is *0 refinement rounds* — and the report carries
+the absolute p50 of the maintained update next to ``kind_compress``'s.
+
 Results are written to ``BENCH_partition.json`` and compared against the
 committed ``benchmarks/baseline_partition.json``: the run fails when the
 speedup ratio falls more than 25% below its committed baseline, extending
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import statistics
 import time
 
 from repro import obs
@@ -46,6 +53,12 @@ BASELINE_PATH = HERE / "baseline_partition.json"
 REPORT_PATH = pathlib.Path("BENCH_partition.json")
 
 PREFIX = "http://example.org/bugs#"
+
+#: The chain scenario: list length and how many head edits are timed.
+CHAIN_CELLS = 2000
+CHAIN_EDITS = 21
+RDF = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
+LIST_PREFIX = "http://example.org/list#"
 
 
 def _cloned_store(copies: int) -> GraphStore:
@@ -161,6 +174,60 @@ def measure_partition_speedup() -> dict:
     }
 
 
+def _rdf_list_store(cells: int) -> GraphStore:
+    graph = Graph(f"list-{cells}")
+    for k in range(cells):
+        cell = f"{LIST_PREFIX}cell{k}"
+        rest = f"{LIST_PREFIX}cell{k + 1}" if k + 1 < cells else f"{RDF}nil"
+        graph.add_edge(cell, f"{RDF}first", f"literal:v{k}||")
+        graph.add_edge(cell, f"{RDF}rest", rest)
+    return GraphStore(graph)
+
+
+def measure_chain_head_edits() -> dict:
+    """Swap the head cell's element back and forth; time each sync against
+    a from-scratch ``kind_compress`` and count refinement rounds."""
+    store = _rdf_list_store(CHAIN_CELLS)
+    graph = store.graph
+    store.typing_view()  # builds the partition; a list never selects the view
+    maintainer = store._maintainer
+    rounds_before = maintainer.stats.rounds
+    head = f"{LIST_PREFIX}cell0"
+    elements = ("literal:v0||", "literal:head||")
+    maintained = []
+    fresh = []
+    max_affected = 0
+    for index in range(CHAIN_EDITS):
+        old, new = elements[index % 2], elements[(index + 1) % 2]
+        store.apply(
+            Delta.of(remove=[(head, f"{RDF}first", old)], add=[(head, f"{RDF}first", new)])
+        )
+        start = time.perf_counter()
+        store.typing_view()
+        maintained.append(time.perf_counter() - start)
+        assert maintainer.stats.mode == "incremental", maintainer.stats.mode
+        max_affected = max(max_affected, maintainer.stats.affected)
+
+        start = time.perf_counter()
+        view = kind_compress(graph)
+        fresh.append(time.perf_counter() - start)
+        if index in (0, CHAIN_EDITS - 1):
+            assert _blocks(maintainer.kind_of) == _blocks(view.kind_of), (
+                "maintained chain partition diverged from kind_compress"
+            )
+    return {
+        "cells": CHAIN_CELLS,
+        "nodes": graph.node_count,
+        "edits": CHAIN_EDITS,
+        "kinds": maintainer.kind_count,
+        "max_affected": max_affected,
+        "path": maintainer.stats.path,
+        "refinement_rounds": maintainer.stats.rounds - rounds_before,
+        "maintained_p50_s": round(statistics.median(maintained), 6),
+        "kind_compress_p50_s": round(statistics.median(fresh), 6),
+    }
+
+
 def _load_baseline() -> dict:
     with open(BASELINE_PATH, "r", encoding="utf-8") as handle:
         return json.load(handle)
@@ -178,6 +245,7 @@ def test_partition_maintenance_acceptance():
     # would distort the very numbers being gated).
     with obs.start_trace("bench.partition", copies=COPIES) as root:
         report = measure_partition_speedup()
+        report["chain"] = measure_chain_head_edits()
     report["spans"] = root.to_dict()
     _write_report(report)
 
@@ -193,6 +261,22 @@ def test_partition_maintenance_acceptance():
         f"nodes re-partitioned per version)"
     )
 
+    chain = report["chain"]
+    print(
+        f"  {chain['cells']}-cell list ({chain['nodes']} nodes, {chain['kinds']} "
+        f"kinds), {chain['edits']} head edits:"
+    )
+    print(f"    kind_compress p50:           {chain['kind_compress_p50_s'] * 1000:8.2f} ms")
+    print(
+        f"    maintained update p50:       {chain['maintained_p50_s'] * 1000:8.2f} ms  "
+        f"(path {chain['path']}, {chain['refinement_rounds']} refinement rounds, "
+        f"≤{chain['max_affected']} nodes re-kinded)"
+    )
+
+    assert chain["refinement_rounds"] == 0, (
+        f"head edits on an acyclic list ran {chain['refinement_rounds']} "
+        f"refinement rounds; the sinks-first pass should run none"
+    )
     assert report["speedup"] >= MIN_SPEEDUP, (
         f"partition maintenance speedup {report['speedup']}x below the "
         f"{MIN_SPEEDUP}x acceptance floor"

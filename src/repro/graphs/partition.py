@@ -1,33 +1,44 @@
-"""Incremental maintenance of the kind partition (Section 6.1 compression).
+"""The kind partition (Section 6.1 compression): full build and incremental upkeep.
 
-:func:`repro.graphs.store.kind_partition` computes the coarsest
-counting-bisimulation partition from scratch — ``O(rounds × edges)`` — which
-is exactly the cost :class:`repro.graphs.store.GraphStore` paid per version to
-keep its compression view fresh.  This module maintains the partition under an
-edge :class:`repro.graphs.store.Delta` instead, so the graphs where
-compression wins (clone-heavy, millions of structurally identical nodes) can
-absorb small writes at delta cost.
+:func:`kind_partition` computes the coarsest counting-bisimulation partition
+from scratch, and :class:`PartitionMaintainer` keeps it up to date under an
+edge :class:`repro.graphs.store.Delta`, so the graphs where compression wins
+(clone-heavy, millions of structurally identical nodes) absorb small writes
+at delta cost instead of the ``O(rounds × edges)`` of a rebuild per version.
 
-The update is a three-phase restriction of the global refinement:
+Both are built on one observation: a node's kind is determined by its *row*
+— the multiset of ``(label, kind of target)`` over its out-edges — and in a
+coarsest partition no two kinds share a row.  On an acyclic graph the kinds
+can therefore be computed by **hash-consing, sinks first**: visit the nodes
+in Kahn order, read each node's row over its targets' final kinds, and look
+the row up — a hit joins that kind, a miss mints a fresh one.  One pass, no
+refinement rounds.  Only a cycle forces the round-based refinement.
+
+An update has two phases:
 
 1. **Affected region.**  A node's kind depends only on its *out-reachable*
    subgraph, so after an edge delta the kinds can change exactly for the
    backward closure of the delta's touched nodes (the same region
    :func:`repro.engine.fixpoint.retype_incremental` retypes).  Nodes outside
    it provably keep their kinds.
-2. **Local split refinement.**  The affected nodes are re-partitioned from a
-   single block by signature refinement, where signatures reference frozen
-   kinds across the region boundary — splits propagate along reverse edges
-   inside the region only.  The result is a *stable* partition (a counting
-   bisimulation), possibly finer than the coarsest one: an affected node
-   whose subtree became isomorphic to an unaffected node's still sits in a
-   separate block.
-3. **Quotient-level merge.**  Every stable partition refines bisimilarity, so
-   the coarsest partition is recovered by one counting refinement over the
-   *quotient* (kinds as nodes, summed multiplicities as weights) — a graph
-   smaller by the compression ratio.  Classes holding several kinds are
-   merged (cascades included, since the quotient refinement runs to its own
-   fixed point).
+2. **Re-kinding: one pass, or two round-based steps on a cycle.**
+
+   * *Acyclic region* (path ``"dag"``): one sinks-first pass.  The
+     maintainer keeps a persistent *row index* (canonical row → kind) for
+     every live kind; boundary kinds are frozen and region targets were
+     re-kinded earlier in the pass, so every lookup reads final kinds.  Kind
+     rows never change under this pass (a kind only gains or loses members),
+     so the result is stable, and it is coarsest by induction on the
+     region's topological order.  A minted kind whose members are exactly a
+     fully-affected old kind's members takes back that old id.  The work is
+     proportional to the region's edges plus the minted kinds.
+   * *Region with a cycle* (path ``"rounds"``): a local split refinement
+     re-partitions the region from a single block by signature refinement
+     (frozen kinds across the boundary), giving a stable partition that may
+     be too fine; then one counting refinement over the whole *quotient*
+     (kinds as nodes, summed multiplicities as weights) merges kinds — exact
+     because every stable partition refines bisimilarity.  The row index is
+     rebuilt afterwards.
 
 The quotient :class:`repro.graphs.compressed.CompressedGraph` is then patched
 in place — retired kinds removed, new kinds added, only changed out-edge rows
@@ -38,8 +49,9 @@ the quotient) and the kinds that disappeared.  Deltas touching more than
 the maintainer's *epoch*, invalidating cross-version kind-id comparisons.
 
 ``tests/property/test_partition_parity.py`` asserts that after arbitrary
-delta sequences the maintained partition and patched quotient equal a fresh
-``kind_partition`` / ``kind_compress`` run (up to kind renaming).
+delta sequences — acyclic and cyclic regions alike — the maintained
+partition and patched quotient equal a fresh ``kind_partition`` /
+``kind_compress`` run (up to kind renaming).
 """
 
 from __future__ import annotations
@@ -76,13 +88,117 @@ _M_AFFECTED_FRACTION = _REGISTRY.histogram(
 
 NodeId = Hashable
 
-#: A quotient out-edge row: ``(label, target kind) -> per-member edge count``.
-Row = Dict[Tuple[Label, int], int]
+#: A quotient out-edge row in canonical form: the sorted
+#: ``((label, target kind), per-member edge count)`` pairs.
+Row = Tuple[Tuple[Tuple[Label, int], int], ...]
 
 #: Fraction of the graph the affected region may reach before the maintainer
 #: gives up on locality and rebuilds the partition from scratch (mirroring
 #: ``retype_incremental``'s fallback).
 MAX_AFFECTED_FRACTION = 0.5
+
+
+def row_of(graph: Graph, node: NodeId, kind_of: Dict[NodeId, int]) -> Row:
+    """``node``'s canonical row: its out-edges counted by ``(label, kind)``.
+
+    Intervals are ignored, as the view serves the plain semantics.
+    """
+    counts: Dict[Tuple[Label, int], int] = {}
+    for edge in graph.out_edges(node):
+        key = (edge.label, kind_of[edge.target])
+        counts[key] = counts.get(key, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+def sinks_first(graph: Graph, order: List[NodeId]) -> Optional[List[NodeId]]:
+    """The nodes of ``order`` sorted so every node follows its successors.
+
+    Kahn's algorithm on the subgraph that ``order`` (nodes of ``graph``)
+    induces, edges leaving it ignored; ``order`` fixes the tie-breaking, so the result is
+    deterministic.  Returns ``None`` when that subgraph has a cycle.
+    """
+    region = set(order)
+    whole = len(region) == graph.node_count  # then every edge stays inside
+    pending: Dict[NodeId, int] = {}
+    ready: List[NodeId] = []
+    for node in order:
+        if whole:
+            inside = graph.out_degree(node)
+        else:
+            inside = sum(1 for edge in graph.out_edges(node) if edge.target in region)
+        if inside:
+            pending[node] = inside
+        else:
+            ready.append(node)
+    ready.reverse()  # pop() then yields the sinks in ``order``
+    result: List[NodeId] = []
+    while ready:
+        node = ready.pop()
+        result.append(node)
+        for edge in graph.in_edges(node):
+            left = pending.get(edge.source)
+            if left is None:  # outside the region
+                continue
+            if left == 1:
+                del pending[edge.source]
+                ready.append(edge.source)
+            else:
+                pending[edge.source] = left - 1
+    return None if pending else result
+
+
+def kind_partition(graph: Graph) -> Dict[NodeId, int]:
+    """The coarsest counting-bisimulation partition of ``graph``'s nodes.
+
+    Two nodes share a kind iff they have identical *multisets* of
+    ``(label, kind of target)`` over their out-edges — the neighbourhood
+    signature the fixpoint kernel memoises, iterated to a fixed point.
+    Kinds are numbered by first appearance in ``repr`` order of the nodes.
+
+    An acyclic graph is kinded in one sinks-first hash-consing pass (each
+    node's row is final once its successors are kinded) and renumbered once
+    at the end.  A graph with a cycle is refined from one block, splitting by
+    signature until stable (at most ``|N|`` rounds, one pass over the edges
+    each).  Both give the same dict.
+    """
+    return _build_partition(graph)[0]
+
+
+def _build_partition(graph: Graph) -> Tuple[Dict[NodeId, int], str]:
+    """:func:`kind_partition` plus the path taken (``"dag"`` or ``"rounds"``)."""
+    order = sorted(graph.nodes, key=repr)
+    dag = sinks_first(graph, order)
+    if dag is not None:
+        provisional: Dict[NodeId, int] = {}
+        index: Dict[Row, int] = {}
+        for node in dag:
+            row = row_of(graph, node, provisional)
+            provisional[node] = index.setdefault(row, len(index))
+        numbering: Dict[int, int] = {}
+        return {
+            node: numbering.setdefault(provisional[node], len(numbering))
+            for node in order
+        }, "dag"
+    return _refine_rounds(graph, order), "rounds"
+
+
+def _refine_rounds(graph: Graph, order: List[NodeId]) -> Dict[NodeId, int]:
+    """Signature refinement from one block over all of ``order`` (any graph)."""
+    kind_of: Dict[NodeId, int] = {node: 0 for node in order}
+    while True:
+        fresh: Dict[Tuple, int] = {}
+        next_kind: Dict[NodeId, int] = {}
+        # Deterministic kind numbering: first appearance in repr order.
+        for node in order:
+            signature = (kind_of[node], row_of(graph, node, kind_of))
+            kind = fresh.get(signature)
+            if kind is None:
+                kind = len(fresh)
+                fresh[signature] = kind
+            next_kind[node] = kind
+        if next_kind == kind_of:
+            return kind_of
+        kind_of = next_kind
 
 
 @dataclass(frozen=True)
@@ -119,13 +235,18 @@ class PartitionStats:
 
     ``mode`` is the last update's schedule: ``"full"`` (initial build or
     fallback rebuild), ``"incremental"``, or ``"unchanged"``.  ``affected`` is
-    the last incremental update's region size; ``splits`` / ``merges`` count
-    kinds created by phase 2 and collapsed by phase 3 over the maintainer's
-    lifetime; ``full_builds`` / ``incremental_updates`` count schedules taken.
+    how many nodes the last update re-kinded (the region of an incremental
+    update, every node for a full one).  ``path`` is how the last build or
+    incremental update computed kinds: ``"dag"`` (one sinks-first pass) or
+    ``"rounds"`` (refinement rounds, forced by a cycle); ``rounds`` counts
+    the region refinement rounds run so far.  ``splits`` / ``merges`` count
+    kinds minted and kinds collapsed over the maintainer's lifetime;
+    ``full_builds`` / ``incremental_updates`` count schedules taken.
     """
 
     mode: str = "full"
     affected: int = 0
+    path: str = ""
     rounds: int = 0
     splits: int = 0
     merges: int = 0
@@ -137,22 +258,19 @@ class PartitionMaintainer:
     """The kind partition of one graph, maintained under edge deltas.
 
     The maintainer owns the partition bookkeeping — ``kind_of`` (node →
-    kind), ``members`` (kind → node set), per-kind quotient ``rows`` — and
-    the quotient :class:`CompressedGraph` itself, patched in place by
-    :meth:`update`.  Kind ids are stable across incremental updates: a kind
-    untouched by a delta keeps its id, so consumers may key per-kind state
-    (typings, caches) by ``(epoch, kind id)``.  A full rebuild bumps
-    :attr:`epoch` and invalidates all such keys.
+    kind), ``members`` (kind → node set), per-kind quotient ``rows`` and
+    their inverse ``index`` (row → kind) — and the quotient
+    :class:`CompressedGraph` itself, patched in place by :meth:`update`.
+    Kind ids are stable across incremental updates: a kind untouched by a
+    delta keeps its id, so consumers may key per-kind state (typings,
+    caches) by ``(epoch, kind id)``.  A full rebuild bumps :attr:`epoch` and
+    invalidates all such keys.
     """
 
     def __init__(self, graph: Graph, name: str = ""):
         self.epoch = 0
         self.stats = PartitionStats()
-        self.kind_of: Dict[NodeId, int] = {}
-        self.members: Dict[int, Set[NodeId]] = {}
-        self.rows: Dict[int, Row] = {}
         self.quotient = CompressedGraph(name or f"kinds({graph.name})")
-        self._next_kind = 0
         self._rebuild(graph)
         self.stats.full_builds = 1  # the initial build is not a fallback
 
@@ -170,30 +288,18 @@ class PartitionMaintainer:
     ) -> "PartitionMaintainer":
         """Rebuild a maintainer from a persisted ``kind_of`` map.
 
-        The persisted partition was stable when saved (it came out of
+        The persisted partition was coarsest when saved (it came out of
         :meth:`update` or the initial build), so no refinement is needed —
-        only the derived bookkeeping (members, rows, quotient) is recomputed
-        from the map, in one pass over the graph.  ``epoch`` is preserved so
-        per-kind state persisted alongside (e.g. kind typings keyed by
-        ``(epoch, kind)``) remains valid across the restart.
+        only the derived bookkeeping (members, rows, row index, quotient) is
+        recomputed from the map, in one pass over the graph.  ``epoch`` is
+        preserved so per-kind state persisted alongside (e.g. kind typings
+        keyed by ``(epoch, kind)``) remains valid across the restart.
         """
         maintainer = cls.__new__(cls)
         maintainer.epoch = epoch
         maintainer.stats = PartitionStats(mode="restored")
-        maintainer.kind_of = dict(kind_of)
-        maintainer.members = {}
-        for node, kind in maintainer.kind_of.items():
-            maintainer.members.setdefault(kind, set()).add(node)
-        maintainer.rows = {
-            kind: maintainer._row_of(graph, min(nodes, key=repr))
-            for kind, nodes in maintainer.members.items()
-        }
-        maintainer._next_kind = max(maintainer.members, default=-1) + 1
-        quotient = CompressedGraph(name or f"kinds({graph.name})")
-        quotient.add_nodes(maintainer.members)
-        for kind in sorted(maintainer.rows):
-            maintainer._write_row(quotient, kind, maintainer.rows[kind])
-        maintainer.quotient = quotient
+        maintainer.quotient = CompressedGraph(name or f"kinds({graph.name})")
+        maintainer._install(graph, dict(kind_of))
         return maintainer
 
     # ------------------------------------------------------------------ #
@@ -201,40 +307,34 @@ class PartitionMaintainer:
     # ------------------------------------------------------------------ #
     def _rebuild(self, graph: Graph) -> None:
         """Recompute everything from scratch (initial build and fallback)."""
-        from repro.graphs.store import kind_partition
+        kind_of, self.stats.path = _build_partition(graph)
+        self._install(graph, kind_of)
+        self.stats.mode = "full"
+        self.stats.affected = graph.node_count
+        self.stats.full_builds += 1
 
-        self.kind_of = kind_partition(graph)
-        self.members = {}
-        for node, kind in self.kind_of.items():
+    def _install(self, graph: Graph, kind_of: Dict[NodeId, int]) -> None:
+        """Derive members, rows, the row index and the quotient from ``kind_of``."""
+        self.kind_of = kind_of
+        self.members: Dict[int, Set[NodeId]] = {}
+        for node, kind in kind_of.items():
             self.members.setdefault(kind, set()).add(node)
-        self.rows = {
-            kind: self._row_of(graph, min(nodes, key=repr))
+        # Rows are member-independent in a stable partition: read one member.
+        self.rows: Dict[int, Row] = {
+            kind: row_of(graph, next(iter(nodes)), kind_of)
             for kind, nodes in self.members.items()
         }
+        self.index: Dict[Row, int] = {row: kind for kind, row in self.rows.items()}
         self._next_kind = max(self.members, default=-1) + 1
         quotient = CompressedGraph(self.quotient.name)
         quotient.add_nodes(self.members)
         for kind in sorted(self.rows):
             self._write_row(quotient, kind, self.rows[kind])
         self.quotient = quotient
-        self.stats.mode = "full"
-        self.stats.full_builds += 1
-
-    def _row_of(self, graph: Graph, representative: NodeId) -> Row:
-        """The quotient out-edge row of a kind, read off one member.
-
-        The partition guarantees the counts are member-independent; intervals
-        are ignored, as the view serves the plain semantics.
-        """
-        row: Row = {}
-        for edge in graph.out_edges(representative):
-            key = (edge.label, self.kind_of[edge.target])
-            row[key] = row.get(key, 0) + 1
-        return row
 
     @staticmethod
     def _write_row(quotient: CompressedGraph, kind: int, row: Row) -> None:
-        for (label, target), count in sorted(row.items(), key=repr):
+        for (label, target), count in sorted(row, key=repr):
             quotient.add_edge(kind, label, target, Interval.singleton(count))
 
     # ------------------------------------------------------------------ #
@@ -256,6 +356,7 @@ class PartitionMaintainer:
         touched = [node for node in delta.touched_nodes() if graph.has_node(node)]
         if not touched:
             self.stats.mode = "unchanged"
+            self.stats.affected = 0
             _M_UPDATES.labels(mode="unchanged").inc()
             return ViewDelta()
 
@@ -273,17 +374,105 @@ class PartitionMaintainer:
         if _obs_metrics.STATE.enabled:
             _M_AFFECTED.observe(len(affected))
             _M_AFFECTED_FRACTION.observe(len(affected) / max(graph.node_count, 1))
-        old_rows = {kind: dict(row) for kind, row in self.rows.items()}
 
+        dag = sinks_first(graph, sorted(affected, key=repr))
+        if dag is not None:
+            self.stats.path = "dag"
+            return self._rekind_sinks_first(graph, dag)
+        self.stats.path = "rounds"
+        old_rows = dict(self.rows)  # rows are immutable tuples: no deep copy
         blocks = self._refine_affected(graph, affected)
         self._assign_kinds(graph, affected, blocks)
         self._merge_equivalent_kinds()
-        return self._patch_quotient(old_rows)
+        self.index = {row: kind for kind, row in self.rows.items()}
+        retired = frozenset(old_rows) - frozenset(self.rows)
+        changed = frozenset(
+            kind for kind, row in self.rows.items() if old_rows.get(kind) != row
+        )
+        return self._patch_quotient(changed, retired)
+
+    def _rekind_sinks_first(self, graph: Graph, order: List[NodeId]) -> ViewDelta:
+        """Re-kind an acyclic region: one hash-consing pass in Kahn order.
+
+        Every live kind's row is in the index and no kind's row changes, so
+        a node whose row (over final target kinds) is indexed joins that
+        kind, and any other node mints a kind.  Old kinds left without
+        members retire — except that a minted kind re-collecting exactly an
+        old kind's members takes back its id (the delta left that kind's
+        membership alone), which needs the minted rows renamed to match.
+        """
+        kind_of, members, rows, index = self.kind_of, self.members, self.rows, self.index
+        previous = {node: kind_of[node] for node in order if node in kind_of}
+        old_sizes = {kind: len(members[kind]) for kind in set(previous.values())}
+        for node, kind in previous.items():
+            members[kind].discard(node)
+        minted: List[int] = []
+        for node in order:
+            row = row_of(graph, node, kind_of)
+            kind = index.get(row)
+            if kind is None:
+                kind = self._next_kind
+                self._next_kind += 1
+                index[row] = kind
+                rows[kind] = row
+                members[kind] = set()
+                minted.append(kind)
+            members[kind].add(node)
+            kind_of[node] = kind
+
+        emptied = [kind for kind in old_sizes if not members[kind]]
+        old_rows = {kind: rows.pop(kind) for kind in emptied}
+        for kind, row in old_rows.items():
+            del index[row]
+            del members[kind]
+        taken_back: Dict[int, int] = {}
+        for kind in minted:
+            nodes = members[kind]
+            old = previous.get(next(iter(nodes)))
+            if (
+                old in old_rows
+                and len(nodes) == old_sizes[old]
+                and all(previous.get(node) == old for node in nodes)
+            ):
+                taken_back[kind] = old
+        if taken_back:
+            for kind in minted:
+                row = rows.pop(kind)
+                del index[row]
+                if any(target in taken_back for (_label, target), _count in row):
+                    row = tuple(
+                        sorted(
+                            ((label, taken_back.get(target, target)), count)
+                            for (label, target), count in row
+                        )
+                    )
+                kind_id = taken_back.get(kind, kind)
+                rows[kind_id] = row
+                index[row] = kind_id
+            for kind, old in taken_back.items():
+                members[old] = members.pop(kind)
+                for node in members[old]:
+                    kind_of[node] = old
+
+        retired = frozenset(emptied) - frozenset(taken_back.values())
+        splits = len(minted) - len(taken_back)
+        self.stats.splits += splits
+        self.stats.merges += len(retired)
+        _M_SPLITS.inc(splits)
+        _M_MERGES.inc(len(retired))
+        # A taken-back id whose renamed row equals its old one is unchanged:
+        # on a path of single-member kinds only the edited end really moves.
+        changed = frozenset(
+            kind
+            for kind in (taken_back.get(kind, kind) for kind in minted)
+            if rows[kind] != old_rows.get(kind)
+        )
+        return self._patch_quotient(changed, retired)
 
     def _refine_affected(
         self, graph: Graph, affected: Set[NodeId]
     ) -> List[List[NodeId]]:
-        """Phase 2: re-partition the affected region from a single block.
+        """Cyclic region, step one: re-partition it from a single block.
 
         Signatures count ``(label, colour of target)`` where affected targets
         carry the refining colour and boundary targets their frozen kind —
@@ -365,10 +554,10 @@ class PartitionMaintainer:
         # exactly the rows of the affected nodes' predecessors — all inside
         # the affected region, hence all recomputed here too.
         for block in blocks:
-            self.rows[self.kind_of[block[0]]] = self._row_of(graph, block[0])
+            self.rows[self.kind_of[block[0]]] = row_of(graph, block[0], self.kind_of)
 
     def _merge_equivalent_kinds(self) -> None:
-        """Phase 3: collapse kinds the local refinement could not see as equal.
+        """Cyclic region, step two: merge kinds the local refinement kept apart.
 
         One counting refinement over the weighted quotient (kinds as nodes,
         row counts as weights) computes the coarsest stable coarsening of the
@@ -383,7 +572,7 @@ class PartitionMaintainer:
             next_classes: Dict[int, int] = {}
             for kind in sorted(self.rows):
                 counts: Dict[Tuple[Label, int], int] = {}
-                for (label, target), weight in self.rows[kind].items():
+                for (label, target), weight in self.rows[kind]:
                     key = (label, classes[target])
                     counts[key] = counts.get(key, 0) + weight
                 signature = (classes[kind], tuple(sorted(counts.items())))
@@ -416,29 +605,30 @@ class PartitionMaintainer:
             self.members[survivor] |= self.members.pop(retired)
             del self.rows[retired]
         for kind, row in self.rows.items():
-            if not any(target in substitution for _label, target in row):
+            if not any(target in substitution for (_label, target), _count in row):
                 continue
-            rewritten: Row = {}
-            for (label, target), count in row.items():
+            rewritten: Dict[Tuple[Label, int], int] = {}
+            for (label, target), count in row:
                 key = (label, substitution.get(target, target))
                 rewritten[key] = rewritten.get(key, 0) + count
-            self.rows[kind] = rewritten
+            self.rows[kind] = tuple(sorted(rewritten.items()))
 
-    def _patch_quotient(self, old_rows: Dict[int, Row]) -> ViewDelta:
-        """Phase 4: apply the row diff to the quotient graph in place."""
-        retired = frozenset(old_rows) - frozenset(self.rows)
-        changed = frozenset(
-            kind
-            for kind, row in self.rows.items()
-            if kind not in old_rows or old_rows[kind] != row
-        )
+    def _patch_quotient(
+        self, changed: FrozenSet[int], retired: FrozenSet[int]
+    ) -> ViewDelta:
+        """Apply the update to the quotient graph in place.
+
+        Retired kinds are removed; each changed kind is added, or has its
+        out-edges rewritten when its id already was a quotient node.
+        """
+        quotient = self.quotient
         for kind in sorted(retired):
-            self.quotient.remove_node(kind)
+            quotient.remove_node(kind)
         for kind in sorted(changed):
-            if kind in old_rows:
-                for edge in list(self.quotient.out_edges(kind)):
-                    self.quotient.remove_edge(edge)
+            if quotient.has_node(kind):
+                for edge in list(quotient.out_edges(kind)):
+                    quotient.remove_edge(edge)
             else:
-                self.quotient.add_node(kind)
-            self._write_row(self.quotient, kind, self.rows[kind])
+                quotient.add_node(kind)
+            self._write_row(quotient, kind, self.rows[kind])
         return ViewDelta(changed=changed, retired=retired)

@@ -48,8 +48,14 @@ from repro.core.intervals import Interval, ONE
 from repro.errors import GraphError
 from repro.graphs.compressed import CompressedGraph
 from repro.graphs.graph import Edge, Graph, Label
-from repro.graphs.partition import PartitionMaintainer, ViewDelta
+from repro.graphs.partition import (
+    PartitionMaintainer,
+    ViewDelta,
+    kind_partition,
+    row_of,
+)
 from repro.obs import metrics as _obs_metrics
+from repro.obs import tracing as _obs_tracing
 
 try:  # pragma: no cover - exercised implicitly on import
     import numpy as _np
@@ -282,37 +288,6 @@ class KindView:
         return len(self.members)
 
 
-def kind_partition(graph: Graph) -> Dict[NodeId, int]:
-    """The coarsest counting-bisimulation partition of ``graph``'s nodes.
-
-    Two nodes share a kind iff they have identical *multisets* of
-    ``(label, kind of target)`` over their out-edges — the neighbourhood
-    signature the fixpoint kernel memoises, iterated to a fixed point.  The
-    refinement starts from one block and splits by signature until stable
-    (at most ``|N|`` rounds; each round is one pass over the edges).
-    """
-    order = sorted(graph.nodes, key=repr)
-    kind_of: Dict[NodeId, int] = {node: 0 for node in order}
-    while True:
-        fresh: Dict[Tuple, int] = {}
-        next_kind: Dict[NodeId, int] = {}
-        # Deterministic kind numbering: first appearance in repr order.
-        for node in order:
-            counts: Dict[Tuple[Label, int], int] = {}
-            for edge in graph.out_edges(node):
-                key = (edge.label, kind_of[edge.target])
-                counts[key] = counts.get(key, 0) + 1
-            signature = (kind_of[node], tuple(sorted(counts.items())))
-            kind = fresh.get(signature)
-            if kind is None:
-                kind = len(fresh)
-                fresh[signature] = kind
-            next_kind[node] = kind
-        if next_kind == kind_of:
-            return kind_of
-        kind_of = next_kind
-
-
 def kind_compress(graph: Graph, name: str = "") -> KindView:
     """Quotient ``graph`` by :func:`kind_partition` into a compressed graph.
 
@@ -330,12 +305,8 @@ def kind_compress(graph: Graph, name: str = "") -> KindView:
     quotient = CompressedGraph(name or f"kinds({graph.name})")
     quotient.add_nodes(members)
     for kind, nodes in members.items():
-        representative = min(nodes, key=repr)
-        counts: Dict[Tuple[Label, int], int] = {}
-        for edge in graph.out_edges(representative):
-            key = (edge.label, kind_of[edge.target])
-            counts[key] = counts.get(key, 0) + 1
-        for (label, target_kind), count in sorted(counts.items(), key=repr):
+        row = row_of(graph, min(nodes, key=repr), kind_of)
+        for (label, target_kind), count in sorted(row, key=repr):
             quotient.add_edge(kind, label, target_kind, Interval.singleton(count))
     return KindView(
         compressed=quotient,
@@ -552,27 +523,38 @@ class GraphStore:
     VIEW_LOG_LIMIT = 256
 
     def _sync_partition(self) -> PartitionMaintainer:
-        """Bring the maintained kind partition up to the current version."""
-        if self._maintainer is None:
-            self._maintainer = PartitionMaintainer(
-                self._graph, name=f"kinds({self.name})"
-            )
-            self._maintainer_version = self._version
-            return self._maintainer
-        if self._maintainer_version != self._version:
-            delta = self.diff(self._maintainer_version, self._version)
-            update = self._maintainer.update(self._graph, delta)
-            if update is None:  # fallback rebuild; ids changed epoch
-                _M_VIEW_EPOCHS.inc()
-                self._view_log.clear()
-            else:
-                self._view_log.append(
-                    (self._maintainer_version, self._version, update)
+        """Bring the maintained kind partition up to the current version.
+
+        Runs under a ``partition.sync`` span tagged with the schedule
+        (``mode``: full / incremental / unchanged), the re-kinded node count
+        (``affected``) and how kinds were computed (``path``: ``dag`` or
+        ``rounds``).
+        """
+        with _obs_tracing.span("partition.sync") as span:
+            maintainer = self._maintainer
+            if maintainer is None:
+                maintainer = self._maintainer = PartitionMaintainer(
+                    self._graph, name=f"kinds({self.name})"
                 )
-                if len(self._view_log) > self.VIEW_LOG_LIMIT:
-                    del self._view_log[0]
+            elif self._maintainer_version != self._version:
+                delta = self.diff(self._maintainer_version, self._version)
+                update = maintainer.update(self._graph, delta)
+                if update is None:  # fallback rebuild; ids changed epoch
+                    _M_VIEW_EPOCHS.inc()
+                    self._view_log.clear()
+                else:
+                    self._view_log.append(
+                        (self._maintainer_version, self._version, update)
+                    )
+                    if len(self._view_log) > self.VIEW_LOG_LIMIT:
+                        del self._view_log[0]
+            else:
+                span.annotate(mode="unchanged", affected=0, path=maintainer.stats.path)
+                return maintainer
             self._maintainer_version = self._version
-        return self._maintainer
+            stats = maintainer.stats
+            span.annotate(mode=stats.mode, affected=stats.affected, path=stats.path)
+            return maintainer
 
     def restore_partition(self, kind_of: Dict[NodeId, int], epoch: int) -> None:
         """Install a previously persisted kind partition at the current version.
@@ -653,6 +635,7 @@ class GraphStore:
                 "epoch": maintainer.epoch,
                 "partition_version": self._maintainer_version,
                 "last_update": stats.mode,
+                "path": stats.path,
                 "full_builds": stats.full_builds,
                 "incremental_updates": stats.incremental_updates,
                 "splits": stats.splits,

@@ -13,6 +13,10 @@ the kind renaming (maintained ids are stable; fresh ids are repr-ordered):
 * consistent bookkeeping (members partition the node set, quotient nodes are
   exactly the kinds).
 
+Acyclic regions take the sinks-first hash-consing pass and cyclic ones the
+round-based refinement; the DAG-shaped sequences below cross between the two
+paths in both directions and check that each path costs what it should.
+
 On top of the structural parity, the store-path incremental typing — the
 ``kinds-incremental`` mode of :meth:`ValidationEngine.revalidate`, seeded by
 composed view deltas — must equal a full from-scratch typing at every
@@ -34,9 +38,11 @@ from repro.engine.fixpoint import (
 )
 from repro.engine.validation import ValidationEngine, _payload_from_typing
 from repro.errors import GraphError
+from repro.graphs import partition
 from repro.graphs.graph import Graph
-from repro.graphs.partition import ViewDelta
+from repro.graphs.partition import PartitionMaintainer, ViewDelta
 from repro.graphs.store import Delta, GraphStore, kind_compress, kind_partition
+from repro.schema.parser import parse_schema
 from repro.workloads.bugtracker import bug_tracker_graph, bug_tracker_schema
 from repro.workloads.generators import DEFAULT_LABELS, random_shape_schema
 
@@ -194,6 +200,245 @@ class TestMaintainedPartitionParity:
         assert maintainer.epoch == epoch + 1
         assert store.view_delta(0, store.version) is None  # chain broken
         _assert_maintained_parity(maintainer, store.graph, "after rebuild")
+
+
+#: Clone count of the DAG scenarios: edits stay inside copy 0, so every
+#: original kind keeps its members in three untouched copies.  That majority
+#: makes it the survivor whenever the cyclic path's merge (member-richest
+#: kind wins) meets it, so a reverted sequence restores every original id.
+DAG_COPIES = 4
+DAG_SHAPES = ("chain", "tree", "powerlaw")
+
+
+def _dag_base(shape: str, rng: random.Random, size: int):
+    """A ``shape`` DAG plus a rank per non-literal node (edges go down in rank)."""
+    graph = Graph(f"{shape}-{size}")
+    rank = {}
+
+    def literal() -> str:  # a few shared values, so kinds have several members
+        return f"literal:v{rng.randrange(3)}"
+
+    if shape == "chain":  # rdf:first/rest cells; the head is cell0
+        for k in range(size):
+            cell = f"cell{k}"
+            rank[cell] = size - k
+            graph.add_edge(cell, "first", literal())
+            graph.add_edge(cell, "rest", f"cell{k + 1}" if k + 1 < size else "nil")
+    elif shape == "tree":  # each node hangs below one of the 4 newest
+        for i in range(size):
+            node = f"t{i}"
+            rank[node] = size - i
+            graph.add_edge(node, "label", literal())
+            if i:
+                graph.add_edge(f"t{rng.randrange(max(0, i - 4), i)}", "kid", node)
+    else:  # preferential attachment: each pub cites up to two older ones
+        ends = [0]
+        for i in range(size):
+            node = f"p{i}"
+            rank[node] = i
+            graph.add_edge(node, "title", literal())
+            cited = {
+                rng.choice(ends) if rng.random() < 0.8 else rng.randrange(i)
+                for _ in range(min(2, i))
+            }
+            for j in sorted(cited):
+                graph.add_edge(node, "cites", f"p{j}")
+                ends.append(j)
+            ends.append(i)
+    return graph, rank
+
+
+def _cloned(base: Graph, copies: int) -> Graph:
+    graph = Graph(f"{base.name}-x{copies}")
+    for copy_index in range(copies):
+        for edge in base.edges:
+            graph.add_edge(
+                (copy_index, edge.source), edge.label, (copy_index, edge.target)
+            )
+    return graph
+
+
+def _dag_delta(rng: random.Random, graph: Graph, rank) -> Delta:
+    """An edit of copy 0 that keeps the graph acyclic."""
+    if rng.random() < 0.4:
+        edges = [e for e in sorted(graph.edges, key=lambda e: e.edge_id) if e.source[0] == 0]
+        edge = rng.choice(edges)
+        return Delta.of(remove=[(edge.source, edge.label, edge.target)])
+    upper, lower = sorted(rng.sample(sorted(rank), 2), key=rank.get, reverse=True)
+    return Delta.of(add=[((0, upper), rng.choice(("link", "rest", "kid")), (0, lower))])
+
+
+def _rdf_list(cells: int) -> Graph:
+    graph = Graph(f"list-{cells}")
+    for k in range(cells):
+        graph.add_edge(f"cell{k}", "rdf:first", f"literal:v{k}")
+        graph.add_edge(f"cell{k}", "rdf:rest", f"cell{k + 1}" if k + 1 < cells else "rdf:nil")
+    return graph
+
+
+class TestSinksFirstParity:
+    @pytest.mark.parametrize("shape", DAG_SHAPES)
+    @pytest.mark.parametrize("seed", SEEDS[:3])
+    def test_dag_sequences_cross_paths_and_round_trip(self, shape, seed):
+        rng = random.Random(seed)
+        base, rank = _dag_base(shape, rng, 20)
+        store = GraphStore(_cloned(base, DAG_COPIES))
+        maintainer = store._sync_partition()
+        assert maintainer.stats.path == "dag"
+        start = store.version
+        applied = []
+
+        def step(delta: Delta, path: str, context: str) -> None:
+            store.apply(delta)
+            store._sync_partition()
+            assert maintainer.stats.mode == "incremental", context
+            assert maintainer.stats.path == path, context
+            _assert_maintained_parity(maintainer, store.graph, f"{shape} seed {seed} {context}")
+
+        for index in range(3):
+            applied.append(_dag_delta(rng, store.graph, rank))
+            step(applied[-1], "dag", f"edit {index}")
+        # Close a two-cycle against an existing edge, then reopen it.
+        edge = rng.choice(
+            [e for e in sorted(store.graph.edges, key=lambda e: e.edge_id)
+             if e.source[0] == 0 and e.target[1] in rank]
+        )
+        closing = Delta.of(add=[(edge.target, "back", edge.source)])
+        for delta, path in ((closing, "rounds"), (closing.inverse(), "dag")):
+            applied.append(delta)
+            step(delta, path, f"cycle {path}")
+        for index in range(3, 6):
+            applied.append(_dag_delta(rng, store.graph, rank))
+            step(applied[-1], "dag", f"edit {index}")
+        for index, delta in enumerate(reversed(applied)):
+            undo = delta.inverse()
+            step(undo, "rounds" if undo == closing else "dag", f"undo {index}")
+
+        composed = store.view_delta(start, store.version)
+        assert composed is not None, "an incremental round trip broke the chain"
+        assert not composed.changed, (
+            f"{shape} seed {seed}: the reverted sequence left kinds changed"
+        )
+
+
+    @pytest.mark.parametrize("shape", DAG_SHAPES)
+    def test_kinds_incremental_typing_on_dag_stores(self, shape):
+        # View deltas of the sinks-first pass seed the quotient retyping; a
+        # taken-back id with an unchanged row is left out of ``changed``, so
+        # the backward closure on the quotient must still reach its kind.
+        schema = parse_schema(
+            "Node -> label :: Lit, kid :: Node*, link :: Node?\n"
+            "Pub -> title :: Lit, cites :: Pub*\n"
+            "Cell -> first :: Lit, rest :: Cell?\n"
+            "Lit -> eps\n",
+            name="dag-shapes",
+        )
+        modes = set()
+        for seed in SEEDS[:3]:
+            rng = random.Random(seed)
+            base, rank = _dag_base(shape, rng, 20)
+            store = GraphStore(_cloned(base, 8))  # enough clones for the view
+            engine = ValidationEngine(cache_size=0)
+            assert engine.revalidate(store, schema).mode == "kinds"
+            for step in range(5):
+                store.apply(_dag_delta(rng, store.graph, rank))
+                outcome = engine.revalidate(store, schema)
+                modes.add(outcome.mode)
+                oracle = maximal_typing_fixpoint(store.graph, schema)
+                _verdict, oracle_payload = _payload_from_typing(store.graph, oracle, False)
+                assert outcome.result.payload == oracle_payload, (
+                    f"{shape} seed {seed} step {step}: kinds-path typing diverged"
+                )
+        assert "kinds-incremental" in modes
+        assert modes <= {"kinds-incremental", "unchanged"}, modes
+
+
+class TestSinksFirstCost:
+    def test_head_edit_on_a_long_list_runs_no_rounds(self, monkeypatch):
+        store = GraphStore(_rdf_list(2000))
+        maintainer = store._sync_partition()
+        assert maintainer.stats.path == "dag"
+        rounds = maintainer.stats.rounds
+
+        def whole_quotient_merge(self):
+            raise AssertionError("an acyclic region ran the whole-quotient merge")
+
+        monkeypatch.setattr(
+            PartitionMaintainer, "_merge_equivalent_kinds", whole_quotient_merge
+        )
+        reads = []
+        real_row_of = partition.row_of
+        monkeypatch.setattr(
+            partition,
+            "row_of",
+            lambda graph, node, kind_of: reads.append(node) or real_row_of(graph, node, kind_of),
+        )
+        store.apply(
+            Delta.of(
+                remove=[("cell0", "rdf:first", "literal:v0")],
+                add=[("cell0", "rdf:first", "literal:head")],
+            )
+        )
+        store._sync_partition()
+        stats = maintainer.stats
+        assert (stats.mode, stats.path) == ("incremental", "dag")
+        assert stats.rounds == rounds
+        assert stats.affected == 3  # the head, its old and its new element
+        assert len(reads) == stats.affected  # one row read per re-kinded node
+        monkeypatch.undo()
+        _assert_maintained_parity(maintainer, store.graph, "list head edit")
+
+    def test_edit_inside_a_list_keeps_every_kind_id(self):
+        # cell10 gains a second element: its single-member kind changes row,
+        # and cell0..cell9 see it only through that kind.  Every minted kind
+        # takes back its old id, and only cell10's row really changed.
+        store = GraphStore(_rdf_list(50))
+        maintainer = store._sync_partition()
+        before = dict(maintainer.kind_of)
+        version = store.version
+        store.apply(Delta.of(add=[("cell10", "rdf:first", "literal:v0")]))
+        store._sync_partition()
+        assert (maintainer.stats.path, maintainer.stats.affected) == ("dag", 12)
+        assert maintainer.kind_of == before
+        assert store.view_delta(version, store.version) == ViewDelta(
+            changed=frozenset({before["cell10"]})
+        )
+        _assert_maintained_parity(maintainer, store.graph, "list inner edit")
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_kind_partition_dag_pass_equals_the_round_loop(self, seed):
+        rng = random.Random(seed)
+        for shape in DAG_SHAPES:
+            graph, _rank = _dag_base(shape, rng, 40)
+            graph = _cloned(graph, 2)
+            kinds, path = partition._build_partition(graph)
+            assert path == "dag"
+            order = sorted(graph.nodes, key=repr)
+            assert kinds == partition._refine_rounds(graph, order), (
+                f"{shape} seed {seed}: kind ids differ from the round loop"
+            )
+            assert list(kinds) == order
+
+    @pytest.mark.parametrize("shape", DAG_SHAPES)
+    def test_restored_maintainer_takes_a_dag_delta(self, shape):
+        rng = random.Random(19)
+        base, rank = _dag_base(shape, rng, 20)
+        built = GraphStore(_cloned(base, DAG_COPIES))
+        saved = built._sync_partition()
+        # A restart: a fresh store over the same graph, partition restored.
+        store = GraphStore(built.graph.copy())
+        store.restore_partition(dict(saved.kind_of), saved.epoch)
+        maintainer = store._maintainer
+        assert maintainer.stats.mode == "restored"
+        _assert_maintained_parity(maintainer, store.graph, f"{shape} restored")
+        for index in range(3):
+            store.apply(_dag_delta(rng, store.graph, rank))
+            store._sync_partition()
+            assert (maintainer.stats.mode, maintainer.stats.path) == ("incremental", "dag")
+            assert maintainer.epoch == saved.epoch
+            _assert_maintained_parity(
+                maintainer, store.graph, f"{shape} restored, delta {index}"
+            )
 
 
 class TestViewDeltaComposition:

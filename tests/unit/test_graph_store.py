@@ -6,11 +6,13 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.core.intervals import Interval
 from repro.engine.fixpoint import affected_region
 from repro.errors import GraphError
 from repro.graphs.graph import Graph
 from repro.graphs.store import Delta, GraphStore, kind_compress, kind_partition
+from repro.obs import metrics as obs_metrics
 from repro.workloads.bugtracker import bug_tracker_graph
 
 
@@ -274,11 +276,36 @@ class TestMaintainedView:
         assert stats["active"] is True
         assert stats["kinds"] * 4 <= graph.node_count
         assert stats["last_update"] == "full"
+        assert stats["path"] == "rounds"  # the clones' bugs cite each other
         assert stats["epoch"] == 0 and store.view_epoch == 0
         store.add_edge((0, "fresh"), "descr", (0, "literal"))
         assert store.typing_view() is not None
         assert store.view_stats()["last_update"] == "incremental"
         assert store.view_stats()["incremental_updates"] == 1
+
+    def test_partition_sync_span_carries_mode_affected_and_path(self):
+        before = obs_metrics.STATE.enabled
+        obs_metrics.STATE.enabled = True
+        try:
+            store = GraphStore(_chain(*["a"] * 80))
+            with obs.start_trace("test.sync") as root:
+                store._sync_partition()
+                store.add_edge("n0", "b", "n1")
+                store._sync_partition()
+                store._sync_partition()
+        finally:
+            obs_metrics.STATE.enabled = before
+        syncs = [
+            child["tags"]
+            for child in root.to_dict()["children"]
+            if child["name"] == "partition.sync"
+        ]
+        assert syncs == [
+            {"mode": "full", "affected": 81, "path": "dag"},
+            {"mode": "incremental", "affected": 2, "path": "dag"},
+            {"mode": "unchanged", "affected": 0, "path": "dag"},
+        ]
+        assert store.view_stats()["path"] == "dag"
 
     def test_custom_thresholds_bypass_the_maintainer(self):
         store = GraphStore(_chain("a", "b"))
