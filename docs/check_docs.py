@@ -1,13 +1,17 @@
-"""Documentation checks: run doctests in docs/*.md and verify relative links.
+"""Documentation checks: doctests, relative links and attribute references.
 
-Two checks, both cheap enough for tier-1:
+Three checks, all cheap enough for tier-1:
 
 * **doctests** — every ``>>>`` example in the documentation executes and
   produces exactly the output shown (``python -m doctest`` semantics, one
   shared namespace per file);
 * **links** — every relative markdown link ``[text](target)`` resolves to a
   file in the repository (anchors are stripped; external ``http(s)://`` and
-  ``mailto:`` links are skipped).
+  ``mailto:`` links are skipped);
+* **references** — every inline-code ``Class.attr`` reference whose ``Class``
+  is a class exported by a ``repro`` lazy-export table
+  (:func:`repro._lazy.lazy_exports`) names an attribute the class has
+  (``hasattr``), so docs cannot keep describing a deleted method.
 
 Run as a script (``PYTHONPATH=src python docs/check_docs.py``; exit status 1
 on any failure) — CI's docs job does — or through
@@ -18,15 +22,22 @@ test run.
 from __future__ import annotations
 
 import doctest
+import functools
+import importlib
+import inspect
 import pathlib
 import re
 import sys
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 DOCS_DIR = pathlib.Path(__file__).resolve().parent
 REPO_ROOT = DOCS_DIR.parent
 
 _LINK = re.compile(r"\[[^\]]+\]\(([^)\s]+)\)")
+_FENCE = re.compile(r"^```.*?^```", re.DOTALL | re.MULTILINE)
+_CODE_SPAN = re.compile(r"`([^`]+)`")
+# Lookahead so overlapping pairs match: `a.B.c` yields (a, B) and (B, c).
+_DOTTED = re.compile(r"(?=\b([A-Za-z_]\w*)\.([A-Za-z_]\w*))")
 
 
 def doc_files() -> List[pathlib.Path]:
@@ -59,6 +70,37 @@ def broken_links(path: pathlib.Path) -> List[str]:
     return missing
 
 
+@functools.lru_cache(maxsize=None)
+def exported_classes() -> Dict[str, type]:
+    """Every class named in a ``repro`` package's lazy-export table, by name."""
+    import repro
+
+    package_dir = pathlib.Path(repro.__file__).parent
+    classes: Dict[str, type] = {}
+    for init in sorted(package_dir.rglob("__init__.py")):
+        if "lazy_exports(" not in init.read_text(encoding="utf-8"):
+            continue
+        parts = init.parent.relative_to(package_dir.parent).parts
+        package = importlib.import_module(".".join(parts))
+        for name in package.__all__:
+            value = getattr(package, name)
+            if inspect.isclass(value):
+                classes[name] = value
+    return classes
+
+
+def stale_references(path: pathlib.Path) -> List[str]:
+    """Inline-code ``Class.attr`` references in ``path`` that do not resolve."""
+    classes = exported_classes()
+    text = _FENCE.sub("", path.read_text(encoding="utf-8"))
+    stale = []
+    for span in _CODE_SPAN.findall(text):
+        for owner, attr in _DOTTED.findall(span):
+            if owner in classes and not hasattr(classes[owner], attr):
+                stale.append(f"{owner}.{attr}")
+    return stale
+
+
 def main() -> int:
     status = 0
     for path in doc_files():
@@ -71,6 +113,9 @@ def main() -> int:
             print(f"ok   {label}: {attempted} doctest example(s)")
         for target in broken_links(path):
             print(f"FAIL {label}: broken relative link -> {target}")
+            status = 1
+        for reference in stale_references(path):
+            print(f"FAIL {label}: stale attribute reference -> {reference}")
             status = 1
     return status
 

@@ -427,27 +427,15 @@ def expand_kind_typing(view, kind_typing: Typing) -> Typing:
 # --------------------------------------------------------------------------- #
 # Incremental retyping from a delta frontier
 # --------------------------------------------------------------------------- #
-def affected_region(graph: Graph, seeds, store=None) -> Set[NodeId]:
+def affected_region(graph: Graph, seeds) -> Set[NodeId]:
     """The backward closure of ``seeds``: every node that can reach a seed.
 
     A node's types depend only on its out-reachable subgraph, so after an edge
     delta the typing can change exactly for the nodes from which some touched
     node is reachable — the region :func:`repro.graphs.scc.backward_closure`
-    collects (a BFS over ``in_edges``; the partition maintainer seeds the
+    collects with a BFS over ``in_edges`` (the partition maintainer walks the
     same closure).  Seeds absent from the graph are ignored.
-
-    When ``store`` is the :class:`repro.graphs.store.GraphStore` owning
-    ``graph``, the BFS runs over the store's incrementally maintained interned
-    node-id reverse adjacency (:meth:`~repro.graphs.store.GraphStore.region_closure`)
-    instead of walking :class:`Edge` objects — same set, much cheaper on the
-    hot incremental-retype path.
     """
-    if (
-        store is not None
-        and getattr(store, "graph", None) is graph
-        and hasattr(store, "region_closure")
-    ):
-        return store.region_closure(seeds)
     return backward_closure(
         graph, (node for node in seeds if graph.has_node(node))
     )
@@ -459,7 +447,6 @@ def _retype_region(
     graph: Graph,
     prior: Typing,
     seeds,
-    store,
     fallback,
     compiled: CompiledSchema,
     compressed: bool,
@@ -470,10 +457,10 @@ def _retype_region(
     """The retype body shared by both incremental entry points.
 
     The seeds present in ``graph`` form the frontier; its backward closure
-    (over ``store``'s adjacency when given) is reseeded with ``Γ`` and
-    stabilised, every other node keeping its prior types.  An empty frontier
-    reports ``"unchanged"``; a closure past ``max_affected_fraction`` of the
-    graph calls ``fallback(stats=stats)`` instead.
+    (:func:`affected_region`) is reseeded with ``Γ`` and stabilised, every
+    other node keeping its prior types.  An empty frontier reports
+    ``"unchanged"``; a closure past ``max_affected_fraction`` of the graph
+    calls ``fallback(stats=stats)`` instead.
     """
     if stats is None:
         stats = FixpointStats()
@@ -487,7 +474,7 @@ def _retype_region(
             trace_span.annotate(mode="unchanged")
             return Typing({node: prior.types_of(node) for node in graph.nodes})
 
-        affected = affected_region(graph, frontier, store=store)
+        affected = affected_region(graph, frontier)
         stats.affected = len(affected)
         trace_span.annotate(frontier=stats.frontier, affected=stats.affected)
         if len(affected) > max_affected_fraction * graph.node_count:
@@ -553,7 +540,7 @@ def retype_incremental(
     )
     return _retype_region(
         "fixpoint.incremental", "incremental", getattr(store, "graph", store),
-        prior_typing, delta.touched_nodes(), store, fallback, compiled,
+        prior_typing, delta.touched_nodes(), fallback, compiled,
         compressed, stats, max_affected_fraction, signature_memo,
     )
 
@@ -594,7 +581,7 @@ def retype_kinds_incremental(
     )
     return _retype_region(
         "fixpoint.kinds-incremental", "kinds-incremental", view.compressed,
-        prior_kind_typing, view_delta.changed, None, fallback, compiled, True,
+        prior_kind_typing, view_delta.changed, fallback, compiled, True,
         stats, max_affected_fraction, signature_memo,
     )
 

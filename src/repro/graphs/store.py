@@ -19,13 +19,15 @@ substrate: a graph that knows *what changed between which versions*.
 * content fingerprints (:func:`repro.engine.compiled.graph_fingerprint`) are
   memoised per version, so engines can key result caches by
   ``(schema fingerprint, graph version)`` without rehashing unchanged graphs;
-* node and label identifiers are interned into small integer ids
-  (:meth:`GraphStore.node_id` / :meth:`GraphStore.label_id`), the currency of
-  the kind-compression signatures below;
 * :meth:`GraphStore.typing_view` exposes an optional *kind-compression* view
-  (the Section 6.1 quotient by neighbourhood signature), chosen automatically
-  by a size heuristic: graphs with many structurally identical nodes are typed
-  once per kind on the compressed quotient instead of once per node.
+  (the Section 6.1 quotient by neighbourhood signature), maintained per delta
+  and chosen automatically by a size heuristic: graphs with many structurally
+  identical nodes are typed once per kind on the compressed quotient instead
+  of once per node.
+
+The store holds no second copy of the graph: the region a delta can change is
+the backward closure of its touched nodes, which every consumer computes with
+:func:`repro.graphs.scc.backward_closure` over :meth:`Graph.in_edges`.
 
 Kind compression here is the *counting* refinement of the neighbourhood
 signatures the fixpoint kernel already memoises: two nodes share a kind when
@@ -57,11 +59,6 @@ from repro.graphs.partition import (
 from repro.obs import metrics as _obs_metrics
 from repro.obs import tracing as _obs_tracing
 
-try:  # pragma: no cover - exercised implicitly on import
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 _REGISTRY = _obs_metrics.get_registry()
 _M_DELTAS = _REGISTRY.counter(
     "repro_store_deltas_total", "Deltas applied across every GraphStore."
@@ -79,10 +76,10 @@ NodeId = Hashable
 #: One delta edge: ``(source, label, target, occurrence interval)``.
 DeltaEdge = Tuple[NodeId, Label, NodeId, Interval]
 
-#: Size heuristic defaults for the automatic kind-compression view: graphs
-#: smaller than ``KIND_COMPRESS_MIN_NODES`` are never compressed, and the
-#: quotient must shrink the node count by at least ``KIND_COMPRESS_MIN_RATIO``
-#: for the view to be preferred over plain per-node typing.
+#: Size heuristic of the automatic kind-compression view: graphs smaller than
+#: ``KIND_COMPRESS_MIN_NODES`` are never compressed, and the quotient must
+#: shrink the node count by at least ``KIND_COMPRESS_MIN_RATIO`` for the view
+#: to be preferred over plain per-node typing.
 KIND_COMPRESS_MIN_NODES = 64
 KIND_COMPRESS_MIN_RATIO = 4.0
 
@@ -212,10 +209,6 @@ class Delta:
             nodes.add(source)
             nodes.add(target)
         return nodes
-
-    def touched_sources(self) -> Set[NodeId]:
-        """The sources of changed edges — the nodes whose neighbourhood changed."""
-        return {source for source, _l, _t, _o in self.added + self.removed}
 
     # ------------------------------------------------------------------ #
     # Wire format (docs/protocol.md, the CLI --delta files)
@@ -347,8 +340,6 @@ class GraphStore:
         self._base = base_version
         self._version = base_version
         self._log: List[Delta] = []  # _log[i] transforms base+i into base+i+1
-        self._checkpoints: Dict[Tuple[int, int], Delta] = {}
-        self._checkpoint_every: Optional[int] = None
         self._fingerprint: Optional[Tuple[int, str]] = None
         self._view: Optional[Tuple[int, Optional[KindView]]] = None
         self._maintainer: Optional[PartitionMaintainer] = None
@@ -361,20 +352,6 @@ class GraphStore:
         # syncs the partition through typing_view().  (Mutation vs. read
         # safety is still the caller's job, as for the graph itself.)
         self._view_lock = threading.Lock()
-        self._node_ids: Dict[NodeId, int] = {}
-        self._id_nodes: List[NodeId] = []  # inverse of _node_ids, by id
-        self._label_ids: Dict[Label, int] = {}
-        # Reverse adjacency over interned ids, maintained per delta:
-        # target id -> {source id: parallel-edge count}.  Backs
-        # :meth:`region_closure`, the incremental fixpoint's affected-region
-        # BFS, without touching Edge objects or rebuilding per version.
-        self._in_ids: Dict[int, Dict[int, int]] = {}
-        for node in sorted(self._graph.nodes, key=repr):
-            self.node_id(node)
-        for label in sorted(self._graph.labels()):
-            self.label_id(label)
-        for edge in self._graph.edges:
-            self._intern_edge(edge.source, edge.target, +1)
 
     # ------------------------------------------------------------------ #
     # Views
@@ -398,71 +375,6 @@ class GraphStore:
         """The oldest version this store's history reaches (0 unless restored)."""
         return self._base
 
-    def node_id(self, node: NodeId) -> int:
-        """The interned small-integer id of ``node`` (allocated on first use)."""
-        interned = self._node_ids.get(node)
-        if interned is None:
-            interned = len(self._node_ids)
-            self._node_ids[node] = interned
-            self._id_nodes.append(node)
-        return interned
-
-    def _intern_edge(self, source: NodeId, target: NodeId, delta: int) -> None:
-        """Adjust the interned reverse-adjacency count of one edge."""
-        source_id = self.node_id(source)
-        target_id = self.node_id(target)
-        sources = self._in_ids.setdefault(target_id, {})
-        count = sources.get(source_id, 0) + delta
-        if count > 0:
-            sources[source_id] = count
-        else:
-            sources.pop(source_id, None)
-
-    def region_closure(self, seeds: Iterable[NodeId]) -> Set[NodeId]:
-        """Every current node that can reach a seed, computed over interned ids.
-
-        Semantically identical to :func:`repro.graphs.scc.backward_closure` on
-        the current graph (seeds absent from the graph are ignored), but the
-        BFS walks the store's incrementally maintained integer reverse
-        adjacency — no :class:`Edge` objects, no per-version rebuild — with a
-        flat visited array when numpy is available.  This is the fast path of
-        :func:`repro.engine.fixpoint.affected_region`.
-        """
-        graph = self._graph
-        frontier = [
-            self._node_ids[node]
-            for node in seeds
-            if graph.has_node(node) and node in self._node_ids
-        ]
-        in_ids = self._in_ids
-        id_nodes = self._id_nodes
-        if _np is not None:
-            visited = _np.zeros(len(id_nodes), dtype=bool)
-            visited[frontier] = True
-            while frontier:
-                node_id = frontier.pop()
-                for source_id in in_ids.get(node_id, ()):
-                    if not visited[source_id]:
-                        visited[source_id] = True
-                        frontier.append(source_id)
-            return {id_nodes[i] for i in _np.nonzero(visited)[0]}
-        seen: Set[int] = set(frontier)
-        while frontier:
-            node_id = frontier.pop()
-            for source_id in in_ids.get(node_id, ()):
-                if source_id not in seen:
-                    seen.add(source_id)
-                    frontier.append(source_id)
-        return {id_nodes[i] for i in seen}
-
-    def label_id(self, label: Label) -> int:
-        """The interned small-integer id of ``label`` (allocated on first use)."""
-        interned = self._label_ids.get(label)
-        if interned is None:
-            interned = len(self._label_ids)
-            self._label_ids[label] = interned
-        return interned
-
     def fingerprint(self) -> str:
         """The content fingerprint of the current graph, memoised per version."""
         memo = self._fingerprint
@@ -474,41 +386,29 @@ class GraphStore:
         self._fingerprint = (self._version, digest)
         return digest
 
-    def typing_view(
-        self,
-        min_nodes: int = KIND_COMPRESS_MIN_NODES,
-        min_ratio: float = KIND_COMPRESS_MIN_RATIO,
-    ) -> Optional[KindView]:
+    def typing_view(self) -> Optional[KindView]:
         """The kind-compression view, or ``None`` when it would not pay.
 
-        The heuristic refuses graphs below ``min_nodes`` outright (the quotient
-        could not amortise its construction) and otherwise keeps the view only
-        when the partition shrinks the node count by at least ``min_ratio``.
+        The heuristic refuses graphs below ``KIND_COMPRESS_MIN_NODES`` outright
+        (the quotient could not amortise its construction) and otherwise keeps
+        the view only when the partition shrinks the node count by at least
+        ``KIND_COMPRESS_MIN_RATIO``.
 
-        With the default thresholds the partition is *maintained*: the first
-        call builds it in full, later calls bring it up to date under the
-        composed delta since the last call
+        The partition is *maintained*: the first call builds it in full, later
+        calls bring it up to date under the composed delta since the last call
         (:class:`repro.graphs.partition.PartitionMaintainer`), so on small
         writes the view costs the delta's affected region, not the graph.  The
         returned view is live (see :class:`KindView`) and the per-version
-        updates are queryable through :meth:`view_delta`.  Custom thresholds
-        bypass the maintainer and compress from scratch.
+        updates are queryable through :meth:`view_delta`.  For a from-scratch
+        snapshot of any graph, call :func:`kind_compress`.
         """
-        defaults = min_nodes == KIND_COMPRESS_MIN_NODES and min_ratio == KIND_COMPRESS_MIN_RATIO
-        if not defaults:
-            if self._graph.node_count < min_nodes:
-                return None
-            candidate = kind_compress(self._graph, name=f"kinds({self.name})@v{self._version}")
-            if candidate.kind_count * min_ratio <= self._graph.node_count:
-                return candidate
-            return None
         with self._view_lock:
             if self._view is not None and self._view[0] == self._version:
                 return self._view[1]
             view: Optional[KindView] = None
-            if self._graph.node_count >= min_nodes:
+            if self._graph.node_count >= KIND_COMPRESS_MIN_NODES:
                 maintainer = self._sync_partition()
-                if maintainer.kind_count * min_ratio <= self._graph.node_count:
+                if maintainer.kind_count * KIND_COMPRESS_MIN_RATIO <= self._graph.node_count:
                     view = KindView(
                         compressed=maintainer.quotient,
                         kind_of=maintainer.kind_of,
@@ -686,11 +586,8 @@ class GraphStore:
         self._wal_write(resolved)
         for edge in doomed:
             self._graph.remove_edge(edge)
-            self._intern_edge(edge.source, edge.target, -1)
         for source, label, target, occur in delta.added:
             self._graph.add_edge(source, label, target, occur)
-            self._intern_edge(source, target, +1)
-            self.label_id(label)
         self._log.append(resolved)
         self._version += 1
         if _obs_metrics.STATE.enabled:
@@ -742,13 +639,12 @@ class GraphStore:
     def diff(self, v1: int, v2: int) -> Delta:
         """The delta transforming version ``v1`` into version ``v2``.
 
-        Forward diffs concatenate the log; backward diffs are the inverse of
-        the forward direction.  Both versions must lie in
-        ``[base_version, version]`` — a restored store's history starts at
-        its snapshot.  After :meth:`compact_log`, spans crossing checkpoint
-        boundaries jump checkpoint-to-checkpoint instead of composing every
-        entry, so diffs across distant versions of a long-lived store stay
-        cheap.
+        Forward diffs compose the log entries of the span with
+        :meth:`Delta.then`; backward diffs are the inverse of the forward
+        direction.  Both versions must lie in ``[base_version, version]`` — a
+        restored store's history starts at its snapshot.  Applying
+        ``diff(v1, v2)`` to a graph with version ``v1``'s content reproduces
+        version ``v2``'s content.
         """
         for version in (v1, v2):
             if not self._base <= version <= self._version:
@@ -758,58 +654,14 @@ class GraphStore:
                 )
         if v1 == v2:
             return Delta()
-        if v1 < v2:
-            span = self._span_deltas(v1, v2)
-        else:
-            span = [delta.inverse() for delta in reversed(self._span_deltas(v2, v1))]
+        low, high = sorted((v1, v2))
+        span = self._log[low - self._base : high - self._base]
+        if v1 > v2:
+            span = [delta.inverse() for delta in reversed(span)]
         combined = span[0]
         for delta in span[1:]:
             combined = combined.then(delta)
         return combined
-
-    def _span_deltas(self, v1: int, v2: int) -> List[Delta]:
-        """The log entries covering ``v1 < v2``, taking checkpoint shortcuts."""
-        every = self._checkpoint_every
-        deltas: List[Delta] = []
-        cursor = v1
-        while cursor < v2:
-            if (
-                every
-                and (cursor - self._base) % every == 0
-                and cursor + every <= v2
-                and (cursor, cursor + every) in self._checkpoints
-            ):
-                deltas.append(self._checkpoints[(cursor, cursor + every)])
-                cursor += every
-            else:
-                deltas.append(self._log[cursor - self._base])
-                cursor += 1
-        return deltas
-
-    def compact_log(self, every: int = 64) -> int:
-        """Build composed, compacted checkpoints over the delta log.
-
-        Every completed window of ``every`` versions is composed into one
-        :meth:`Delta.compact`-ed checkpoint (add/remove churn inside the
-        window cancels), which :meth:`diff` then uses to jump the window in
-        one composition step.  Safe to call repeatedly — e.g. periodically on
-        a long-lived store — as only windows completed since the last call
-        are composed.  Returns the number of checkpoints now held.
-        """
-        if every < 2:
-            raise GraphError(f"checkpoint interval must be at least 2, got {every}")
-        if self._checkpoint_every not in (None, every):
-            self._checkpoints = {}  # interval changed; old grid is useless
-        self._checkpoint_every = every
-        for start in range(self._base, self._version - every + 1, every):
-            window = (start, start + every)
-            if window in self._checkpoints:
-                continue
-            combined = self._log[start - self._base]
-            for delta in self._log[start + 1 - self._base : start + every - self._base]:
-                combined = combined.then(delta)
-            self._checkpoints[window] = combined.compact()
-        return len(self._checkpoints)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -175,7 +175,7 @@ class TestKindViewParity:
                     (copy_index, edge.source), edge.label, (copy_index, edge.target)
                 )
         store = GraphStore(graph)
-        view = store.typing_view(min_nodes=8, min_ratio=2.0)
+        view = store.typing_view()
         assert view is not None and view.kind_count < graph.node_count
         stats = FixpointStats()
         via_kinds = maximal_typing_store(store, schema=schema, stats=stats)

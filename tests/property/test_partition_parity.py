@@ -454,7 +454,7 @@ class TestViewDeltaComposition:
         rng = random.Random(23)
         labels = list(DEFAULT_LABELS[:3])
         store = GraphStore(_noise_graph(rng, 80, 60, labels))
-        store.typing_view(min_nodes=1, min_ratio=1.0)  # custom: no maintenance
+        store.typing_view()
         store._sync_partition()
         versions = [store.version]
         for _ in range(3):

@@ -1,4 +1,4 @@
-"""The documentation suite stays executable: doctests run, links resolve."""
+"""The documentation suite stays executable: doctests run, links and references resolve."""
 
 import pathlib
 import sys
@@ -25,6 +25,22 @@ def test_doctests_pass(path):
 @pytest.mark.parametrize("path", check_docs.doc_files(), ids=lambda p: p.name)
 def test_relative_links_resolve(path):
     assert check_docs.broken_links(path) == []
+
+
+@pytest.mark.parametrize("path", check_docs.doc_files(), ids=lambda p: p.name)
+def test_attribute_references_resolve(path):
+    assert check_docs.stale_references(path) == []
+
+
+def test_stale_reference_is_reported(tmp_path):
+    doc = tmp_path / "stale.md"
+    doc.write_text(
+        "Call `GraphStore.diff(v1, v2)` or `repro.graphs.store.GraphStore.version`,\n"
+        "not `GraphStore.no_such_method()`; `Unexported.anything` is skipped.\n"
+        "```\n`GraphStore.inside_a_fence`\n```\n",
+        encoding="utf-8",
+    )
+    assert check_docs.stale_references(doc) == ["GraphStore.no_such_method"]
 
 
 def test_api_doc_actually_contains_examples():

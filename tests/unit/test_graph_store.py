@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import random
 
 import pytest
 
@@ -11,7 +13,14 @@ from repro.core.intervals import Interval
 from repro.engine.fixpoint import affected_region
 from repro.errors import GraphError
 from repro.graphs.graph import Graph
-from repro.graphs.store import Delta, GraphStore, kind_compress, kind_partition
+from repro.graphs.store import (
+    KIND_COMPRESS_MIN_NODES,
+    KIND_COMPRESS_MIN_RATIO,
+    Delta,
+    GraphStore,
+    kind_compress,
+    kind_partition,
+)
 from repro.obs import metrics as obs_metrics
 from repro.workloads.bugtracker import bug_tracker_graph
 
@@ -37,10 +46,9 @@ class TestDelta:
         assert both.added == first.added and both.removed == second.removed
         assert both.inverse().added == second.removed
 
-    def test_touched_nodes_and_sources(self):
+    def test_touched_nodes(self):
         delta = Delta.of(add=[("x", "a", "y")], remove=[("u", "b", "v")])
         assert delta.touched_nodes() == {"x", "y", "u", "v"}
-        assert delta.touched_sources() == {"x", "u"}
 
     def test_json_round_trip(self):
         delta = Delta.of(add=[("x", "a", "y", (3, 3))], remove=[("u", "b", "v")])
@@ -124,41 +132,31 @@ class TestGraphStore:
         store.remove_edge("n0", "z", "n1")
         assert store.fingerprint() == before  # content round-trips
 
-    def test_interned_ids_are_stable(self):
-        store = GraphStore(_chain("a"))
-        n0 = store.node_id("n0")
-        assert store.node_id("n0") == n0
-        assert store.node_id("n1") != n0
-        a = store.label_id("a")
-        store.add_edge("n1", "b", "brand-new")
-        assert store.label_id("a") == a
-        assert store.label_id("b") != a
-
     def test_store_ids_are_unique(self):
         assert GraphStore(Graph()).store_id != GraphStore(Graph()).store_id
 
-    def test_region_closure_matches_backward_closure(self):
-        from repro.graphs.scc import backward_closure
-
-        store = GraphStore(_chain("a"))
+    def test_affected_region_after_deltas(self):
+        store = GraphStore(_chain("a"))  # n0 -> n1
+        store.add_edge("n1", "b", "n2")
         store.add_edge("n2", "b", "n0")  # a cycle back into the chain
         store.add_edge("side", "c", "n1")
         store.remove_edge("side", "c", "n1")  # removed edges must not leak
-        for seeds in (["n0"], ["n1"], ["n2", "ghost"], []):
-            expected = backward_closure(
-                store.graph, (n for n in seeds if store.graph.has_node(n))
-            )
-            assert store.region_closure(seeds) == expected
+        everyone = {"n0", "n1", "n2"}
+        assert affected_region(store.graph, ["n0"]) == everyone
+        assert affected_region(store.graph, ["side"]) == {"side"}
+        assert affected_region(store.graph, ["n2", "ghost"]) == everyone
+        assert affected_region(store.graph, ["ghost"]) == set()
+        assert affected_region(store.graph, []) == set()
 
-    def test_region_closure_tracks_parallel_edge_counts(self):
+    def test_affected_region_tracks_parallel_edges(self):
         store = GraphStore(Graph())
         store.add_edge("x", "a", "y")
         store.add_edge("x", "a", "y")  # parallel edge with the same triple
         store.remove_edge("x", "a", "y")
         # One parallel edge remains: x still reaches y.
-        assert store.region_closure(["y"]) == {"x", "y"}
+        assert affected_region(store.graph, ["y"]) == {"x", "y"}
         store.remove_edge("x", "a", "y")
-        assert store.region_closure(["y"]) == {"y"}
+        assert affected_region(store.graph, ["y"]) == {"y"}
 
 
 class TestDeltaCompaction:
@@ -189,71 +187,51 @@ class TestDeltaCompaction:
         assert delta.compact() is delta
 
 
-class TestLogCompaction:
-    def _churny_store(self, steps: int) -> GraphStore:
-        # Pure add/remove churn over existing nodes (deltas describe edges,
-        # so targets must pre-exist for diffs to reproduce content exactly).
-        store = GraphStore(_chain("a", "b", "c"))
-        for index in range(steps):
-            store.add_edge("n0", "x", f"n{index % 3 + 1}")
-            store.remove_edge("n0", "x", f"n{index % 3 + 1}")
-        return store
+class TestDiffReplay:
+    NODES = [f"n{index}" for index in range(6)]
+    LABELS = ["a", "b"]
 
-    def test_checkpointed_diff_equals_plain_diff(self):
-        store = self._churny_store(20)  # 40 versions of add/remove churn
-        plain = {
-            (v1, v2): store.diff(v1, v2)
-            for v1, v2 in [(0, 40), (3, 37), (40, 0), (37, 3), (8, 8)]
-        }
-        assert store.compact_log(every=8) == 5
-        for (v1, v2), expected in plain.items():
-            replay = GraphStore(_chain("a", "b", "c"))
-            # Checkpointed diffs may order entries differently; they must
-            # still describe the same edit (here: churn cancels to nothing).
-            checkpointed = store.diff(v1, v2)
-            assert checkpointed.compact().is_empty == expected.compact().is_empty
-            if v1 == 0:
-                replay.apply(checkpointed)
-                assert replay.fingerprint() == store.fingerprint()
+    def _random_delta(self, rng: random.Random, graph: Graph) -> Delta:
+        removals = []
+        edges = list(graph.edges)
+        rng.shuffle(edges)
+        for edge in edges[: rng.randint(0, 2)]:
+            # Plain entries exercise wildcard resolution of stored intervals.
+            if rng.random() < 0.5:
+                removals.append((edge.source, edge.label, edge.target))
+            else:
+                removals.append((edge.source, edge.label, edge.target, edge.occur))
+        additions = []
+        for _ in range(rng.randint(0 if removals else 1, 3)):
+            entry = (rng.choice(self.NODES), rng.choice(self.LABELS), rng.choice(self.NODES))
+            if rng.random() < 0.3:
+                entry += ((rng.randint(1, 3),) * 2,)
+            additions.append(entry)
+        return Delta.of(add=additions, remove=removals)
 
-    def test_checkpoints_cancel_churn(self):
-        store = self._churny_store(16)
-        store.compact_log(every=8)
-        # Every full window is pure churn: its checkpoint must be empty.
-        assert all(delta.is_empty for delta in store._checkpoints.values())
-        assert store.diff(0, 32).is_empty
+    def _seed_graph(self) -> Graph:
+        # Every node pre-exists: deltas describe edges, so a diff reproduces
+        # content exactly only when both ends already exist at v1.
+        graph = Graph("replay")
+        graph.add_nodes(self.NODES)
+        graph.add_edge("n0", "a", "n1")
+        graph.add_edge("n1", "b", "n2", (2, 2))
+        return graph
 
-    def test_compact_log_is_idempotent_and_incremental(self):
-        store = self._churny_store(8)
-        assert store.compact_log(every=4) == 4
-        assert store.compact_log(every=4) == 4  # nothing new to compose
-        store.add_edge("n0", "y", "n1")
-        store.remove_edge("n0", "y", "n1")
-        store.add_edge("n0", "y", "n2")
-        store.remove_edge("n0", "y", "n2")
-        assert store.compact_log(every=4) == 5  # one more completed window
-        with pytest.raises(GraphError):
-            store.compact_log(every=1)
-
-    def test_changing_the_interval_rebuilds_the_grid(self):
-        store = self._churny_store(8)
-        store.compact_log(every=4)
-        assert store.compact_log(every=8) == 2
-        assert all(end - start == 8 for start, end in store._checkpoints)
-
-    def test_mixed_span_uses_checkpoints_and_log_tail(self):
-        store = GraphStore(Graph("grow"))
-        for index in range(19):
-            store.add_edge(f"s{index}", "a", f"t{index}")
-        store.compact_log(every=8)
-        forward = store.diff(2, 19)  # log prefix, one checkpoint, log tail
-        replay = GraphStore(Graph("grow"))
-        replay.apply(store.diff(0, 2))
-        replay.apply(forward)
-        assert replay.fingerprint() == store.fingerprint()
-        backward = store.diff(19, 2)
-        replay.apply(backward)
-        assert replay.graph.edge_count == 2
+    @pytest.mark.parametrize("seed", [3, 17, 41])
+    def test_diff_reproduces_every_version_pair(self, seed):
+        rng = random.Random(seed)
+        store = GraphStore(self._seed_graph())
+        contents = [self._seed_graph()]
+        fingerprints = [store.fingerprint()]
+        for _ in range(12):
+            store.apply(self._random_delta(rng, store.graph))
+            contents.append(store.graph.copy())
+            fingerprints.append(store.fingerprint())
+        for v1, v2 in itertools.product(range(store.version + 1), repeat=2):
+            replay = GraphStore(contents[v1].copy())
+            replay.apply(store.diff(v1, v2))
+            assert replay.fingerprint() == fingerprints[v2], (seed, v1, v2)
 
 
 class TestMaintainedView:
@@ -307,11 +285,6 @@ class TestMaintainedView:
         ]
         assert store.view_stats()["path"] == "dag"
 
-    def test_custom_thresholds_bypass_the_maintainer(self):
-        store = GraphStore(_chain("a", "b"))
-        assert store.typing_view(min_nodes=1, min_ratio=1.0) is not None
-        assert store.view_stats() == {"active": False}  # no maintainer built
-
 
 class TestKindCompression:
     def test_partition_separates_structurally_distinct_nodes(self):
@@ -349,7 +322,19 @@ class TestKindCompression:
     def test_typing_view_heuristic(self):
         store = GraphStore(_chain("a", "b"))
         assert store.typing_view() is None  # far below the node floor
-        assert store.typing_view(min_nodes=1, min_ratio=1.0) is not None
+        assert kind_compress(store.graph).kind_count == 3  # a snapshot still builds
+        # Past the floor, a chain has one kind per node: no shrink, no view.
+        long_chain = GraphStore(_chain(*["a"] * KIND_COMPRESS_MIN_NODES))
+        assert long_chain.typing_view() is None
+        # Sixteen clones of a 5-node chain shrink the node count 16-fold.
+        clones = Graph("clones")
+        for copy_index in range(16):
+            for index in range(4):
+                clones.add_edge((copy_index, index), "a", (copy_index, index + 1))
+        view = GraphStore(clones).typing_view()
+        assert view is not None
+        assert view.kind_count * KIND_COMPRESS_MIN_RATIO <= clones.node_count
+        assert view.kind_count == kind_compress(clones).kind_count
 
 
 class TestAffectedRegion:

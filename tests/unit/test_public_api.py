@@ -132,3 +132,18 @@ class TestImportFootprint:
                    for banned in VALIDATE_NEVER_LOADS)
         ]
         assert loaded == []
+
+    def test_store_layer_does_not_import_numpy(self):
+        # The versioned store and its partition maintainer are pure Python,
+        # so they behave the same whether or not numpy is installed.
+        program = (
+            "import sys, repro.graphs.store, repro.graphs.partition; "
+            "print('numpy' in sys.modules)"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", program],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC_DIR),
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "False"
