@@ -441,6 +441,25 @@ def affected_region(graph: Graph, seeds) -> Set[NodeId]:
     )
 
 
+def _carried_over(graph: Graph, prior: Typing, region) -> Dict:
+    """``prior``'s assignments of every node of ``graph`` outside ``region``.
+
+    A copy of the prior typing's dict minus the region: the prior typing lists
+    every node of the graph it typed, and every node a delta adds is touched,
+    hence in the region.  When the counts disagree — the prior graph had
+    nodes this one lacks, as when merged kinds leave a quotient — the
+    assignments are read node by node instead.
+    """
+    current = prior.as_dict()
+    for node in region:
+        current.pop(node, None)
+    if len(current) + len(region) != graph.node_count:
+        current = {
+            node: prior.types_of(node) for node in graph.nodes if node not in region
+        }
+    return current
+
+
 def _retype_region(
     span_name: str,
     mode: str,
@@ -472,7 +491,7 @@ def _retype_region(
         if not frontier:
             stats.mode = "unchanged"
             trace_span.annotate(mode="unchanged")
-            return Typing({node: prior.types_of(node) for node in graph.nodes})
+            return Typing(_carried_over(graph, prior, ()))
 
         affected = affected_region(graph, frontier)
         stats.affected = len(affected)
@@ -483,9 +502,7 @@ def _retype_region(
         # Everything outside the region keeps its prior (frozen, never
         # mutated) assignment and is read across the boundary exactly like an
         # already-stabilised component.
-        current: Dict[NodeId, Set[TypeName]] = {
-            node: prior.types_of(node) for node in graph.nodes if node not in affected
-        }
+        current: Dict[NodeId, Set[TypeName]] = _carried_over(graph, prior, affected)
         if signature_memo is None:
             signature_memo = {}
         _stabilise(graph, affected, current, compiled, compressed, signature_memo, stats)

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.engine.base import BatchEngine
@@ -58,6 +60,62 @@ _M_REVALIDATE_SECONDS = _REGISTRY.histogram(
 )
 
 
+class TypingRows(Sequence):
+    """A payload's ``typing`` rows, built from an immutable typing on first read.
+
+    The rows are ``(repr(node), sorted types)`` for every node, sorted by the
+    node's ``repr`` — untyped nodes included with ``()``.  The sequence
+    renders (``repr``), compares (``==``) and hashes like that tuple, and
+    pickles *as* the tuple, so cached and cross-process payloads are plain
+    tuples.  Revalidation creates one per version and rarely reads it; only
+    ``include_typing`` / ``--show-typing`` callers pay for the sort.
+    """
+
+    __slots__ = ("_typing", "_rows")
+
+    def __init__(self, typing: Typing):
+        self._typing = typing
+        self._rows: Optional[Tuple[Tuple[str, Tuple[str, ...]], ...]] = None
+
+    def rows(self) -> Tuple[Tuple[str, Tuple[str, ...]], ...]:
+        """The rows as a plain tuple (built once)."""
+        rows = self._rows
+        if rows is None:
+            keyed = sorted(
+                ((repr(node), types) for node, types in self._typing.items()),
+                key=itemgetter(0),
+            )
+            rows = self._rows = tuple(
+                (text, tuple(sorted(types))) for text, types in keyed
+            )
+        return rows
+
+    def __len__(self) -> int:
+        return len(self._typing.items())
+
+    def __getitem__(self, index):
+        return self.rows()[index]
+
+    def __iter__(self):
+        return iter(self.rows())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, TypingRows):
+            other = other.rows()
+        if isinstance(other, tuple):
+            return self.rows() == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.rows())
+
+    def __repr__(self) -> str:
+        return repr(self.rows())
+
+    def __reduce__(self):
+        return (tuple, (self.rows(),))
+
+
 def _payload_from_typing(
     graph: Graph, typing: Typing, compressed: bool
 ) -> Tuple[str, Dict]:
@@ -65,20 +123,22 @@ def _payload_from_typing(
 
     Shared by the batch path and the store-revalidation path, so both produce
     byte-identical cache entries for the same (graph, schema, semantics).
+
+    The kernels' typings list every node of ``graph`` (untyped ones with the
+    empty set), so the payload is read off the immutable typing alone — a
+    store may move on while the payload sits in a cache.  Only the untyped
+    nodes are collected here; the full ``typing`` rows are a
+    :class:`TypingRows`, sorted when first read, because a revalidation
+    that sorted a row per node paid for the whole graph on every version.
+    A typing that omits nodes is first widened to every node of ``graph``.
     """
-    untyped = tuple(
-        sorted(
-            (node for node in graph.nodes if not typing.types_of(node)),
-            key=repr,
-        )
-    )
+    if len(typing.items()) != graph.node_count:
+        typing = Typing({node: typing.types_of(node) for node in graph.nodes})
+    untyped = sorted((node for node, types in typing.items() if not types), key=repr)
     verdict = "valid" if not untyped else "invalid"
     payload = {
         "untyped_nodes": tuple(repr(node) for node in untyped),
-        "typing": tuple(
-            (repr(node), tuple(sorted(typing.types_of(node))))
-            for node in sorted(graph.nodes, key=repr)
-        ),
+        "typing": TypingRows(typing),
         "compressed": compressed,
     }
     return verdict, payload

@@ -16,9 +16,11 @@ substrate: a graph that knows *what changed between which versions*.
   removals — and bumps a monotonically increasing integer *version*;
 * the delta log makes ``diff(v1, v2)`` exact for any two recorded versions,
   in either direction (backward diffs are inverses);
-* content fingerprints (:func:`repro.engine.compiled.graph_fingerprint`) are
-  memoised per version, so engines can key result caches by
-  ``(schema fingerprint, graph version)`` without rehashing unchanged graphs;
+* the content fingerprint (:func:`repro.engine.compiled.graph_fingerprint`,
+  the key batch jobs use too) is *maintained*: the first
+  :meth:`GraphStore.fingerprint` hashes every fingerprint bucket, each delta
+  marks the buckets of its touched nodes dirty, and later calls rehash only
+  those — so keying result caches by content costs the delta, not the graph;
 * :meth:`GraphStore.typing_view` exposes an optional *kind-compression* view
   (the Section 6.1 quotient by neighbourhood signature), maintained per delta
   and chosen automatically by a size heuristic: graphs with many structurally
@@ -341,6 +343,13 @@ class GraphStore:
         self._version = base_version
         self._log: List[Delta] = []  # _log[i] transforms base+i into base+i+1
         self._fingerprint: Optional[Tuple[int, str]] = None
+        # The maintained fingerprint, built by the first fingerprint() call:
+        # each non-empty bucket's nodes, every bucket's digest, and the
+        # buckets deltas touched since the last call.
+        self._fp_members: Optional[Dict[int, Set[NodeId]]] = None
+        self._fp_digests: List[bytes] = []
+        self._fp_dirty: Set[int] = set()
+        self._fp_lock = threading.Lock()
         self._view: Optional[Tuple[int, Optional[KindView]]] = None
         self._maintainer: Optional[PartitionMaintainer] = None
         self._maintainer_version = base_version
@@ -376,15 +385,55 @@ class GraphStore:
         return self._base
 
     def fingerprint(self) -> str:
-        """The content fingerprint of the current graph, memoised per version."""
+        """The content fingerprint of the current graph, maintained per delta.
+
+        Equal to :func:`repro.engine.compiled.graph_fingerprint` of the graph,
+        so stores and batch jobs share cache keys.  The first call builds
+        every bucket digest in one pass; :meth:`apply` then marks the buckets
+        of the delta's touched nodes (sources and targets, new nodes
+        included) dirty, and later calls rehash only those buckets before
+        recombining the root.  Every bucket stays a SHA-256 digest of its
+        content: an O(1)-per-edge additive or XOR sum of edge hashes would be
+        cheaper to maintain but forgeable (see ``graph_fingerprint``).  Runs
+        under a ``graph.fingerprint`` span tagged with ``mode`` (``full`` /
+        ``incremental``) and the ``buckets`` rehashed; repeated calls at one
+        version answer from a memo.
+        """
         memo = self._fingerprint
         if memo is not None and memo[0] == self._version:
             return memo[1]
-        from repro.engine.compiled import graph_fingerprint
+        from repro.engine.compiled import graph_buckets, nodes_digest, root_digest
 
-        digest = graph_fingerprint(self._graph)
-        self._fingerprint = (self._version, digest)
-        return digest
+        with self._fp_lock, _obs_tracing.span("graph.fingerprint") as span:
+            version = self._version
+            if self._fp_members is None:
+                members, self._fp_digests = graph_buckets(self._graph)
+                self._fp_members = {
+                    bucket: set(nodes) for bucket, nodes in members.items()
+                }
+                span.annotate(mode="full", buckets=len(members))
+            else:
+                for bucket in self._fp_dirty:
+                    self._fp_digests[bucket] = nodes_digest(
+                        self._graph, self._fp_members[bucket]
+                    )
+                span.annotate(mode="incremental", buckets=len(self._fp_dirty))
+            self._fp_dirty.clear()
+            digest = root_digest(self._fp_digests)
+            self._fingerprint = (version, digest)
+            return digest
+
+    def _mark_fingerprint_dirty(self, nodes: Iterable[NodeId]) -> None:
+        """Record that the fingerprint buckets of ``nodes`` need rehashing."""
+        from repro.engine.compiled import fingerprint_bucket
+
+        with self._fp_lock:
+            if self._fp_members is None:
+                return  # never built: the first fingerprint() hashes it all
+            for node in nodes:
+                bucket = fingerprint_bucket(repr(node))
+                self._fp_members.setdefault(bucket, set()).add(node)
+                self._fp_dirty.add(bucket)
 
     def typing_view(self) -> Optional[KindView]:
         """The kind-compression view, or ``None`` when it would not pay.
@@ -588,6 +637,7 @@ class GraphStore:
             self._graph.remove_edge(edge)
         for source, label, target, occur in delta.added:
             self._graph.add_edge(source, label, target, occur)
+        self._mark_fingerprint_dirty(resolved.touched_nodes())
         self._log.append(resolved)
         self._version += 1
         if _obs_metrics.STATE.enabled:

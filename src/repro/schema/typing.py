@@ -16,7 +16,17 @@ every node (see :mod:`repro.schema.validation`).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Mapping, Optional, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    ItemsView,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.core.bags import Bag
 from repro.graphs.graph import Graph
@@ -29,21 +39,32 @@ NodeId = Hashable
 
 
 class Typing:
-    """An immutable typing relation, viewed as a map from nodes to sets of types."""
+    """An immutable typing relation, viewed as a map from nodes to sets of types.
+
+    Typings produced by the fixpoint kernels list *every* node of the typed
+    graph, untyped nodes mapped to the empty set.
+    """
 
     def __init__(self, assignments: Mapping[NodeId, Iterable[TypeName]]):
         self._assignments: Dict[NodeId, FrozenSet[TypeName]] = {
-            node: frozenset(types) for node, types in assignments.items()
+            node: types if type(types) is frozenset else frozenset(types)
+            for node, types in assignments.items()
         }
-        # The pair set is what equality, hashing, and pairs() are defined on;
-        # computing it once here keeps engine cache keys and set membership
-        # O(1) per use instead of O(nodes · types) per call.
-        self._pairs: FrozenSet[Tuple[NodeId, TypeName]] = frozenset(
-            (node, type_name)
-            for node, types in self._assignments.items()
-            for type_name in types
-        )
-        self._hash = hash(self._pairs)
+        # The pair set that equality, hashing and pairs() are defined on,
+        # built on first use: revalidation creates a typing per version and
+        # mostly never compares or hashes it.
+        self._pairs: Optional[FrozenSet[Tuple[NodeId, TypeName]]] = None
+        self._hash: Optional[int] = None
+
+    def __getstate__(self):
+        # The memo stays out of pickles: str hashes are per-process, so a
+        # pickled hash would be wrong in the process that loads it.
+        return {"_assignments": self._assignments}
+
+    def __setstate__(self, state) -> None:
+        self._assignments = state["_assignments"]
+        self._pairs = None
+        self._hash = None
 
     def types_of(self, node: NodeId) -> FrozenSet[TypeName]:
         """The set of types assigned to ``node`` (empty when unassigned)."""
@@ -59,10 +80,21 @@ class Typing:
 
     def pairs(self) -> FrozenSet[Tuple[NodeId, TypeName]]:
         """The typing as a (frozen) set of ``(node, type)`` pairs."""
-        return self._pairs
+        pairs = self._pairs
+        if pairs is None:
+            pairs = self._pairs = frozenset(
+                (node, type_name)
+                for node, types in self._assignments.items()
+                for type_name in types
+            )
+        return pairs
 
     def as_dict(self) -> Dict[NodeId, FrozenSet[TypeName]]:
         return dict(self._assignments)
+
+    def items(self) -> ItemsView[NodeId, FrozenSet[TypeName]]:
+        """``(node, types)`` for every node the typing lists (a read-only view)."""
+        return self._assignments.items()
 
     def __contains__(self, pair: Tuple[NodeId, TypeName]) -> bool:
         node, type_name = pair
@@ -70,11 +102,14 @@ class Typing:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Typing):
-            return self._pairs == other._pairs
+            return self.pairs() == other.pairs()
         return NotImplemented
 
     def __hash__(self) -> int:
-        return self._hash
+        memo = self._hash
+        if memo is None:
+            memo = self._hash = hash(self.pairs())
+        return memo
 
     def __str__(self) -> str:
         lines = []

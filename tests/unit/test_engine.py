@@ -304,3 +304,136 @@ class TestContainmentEngine:
             report = engine.run_batch()
         assert report.results[0].verdict == "contained"
         assert report.results[1].verdict in ("contained", "unknown")
+
+
+def _eager_rows(graph, typing):
+    """The payload's ``typing`` rows as the eager tuple always rendered them."""
+    return tuple(
+        (repr(node), tuple(sorted(typing.types_of(node))))
+        for node in sorted(graph.nodes, key=repr)
+    )
+
+
+def _clone_store_graph(copies=24):
+    """Bug-tracker clones, copy 0 missing its descr: large enough for the
+    kind view, with untyped nodes (the broken bug and whatever reaches it)."""
+    graph = Graph("clones")
+    for copy in range(copies):
+        if copy:
+            graph.add_edge(f"b{copy}", "descr", f"l{copy}")
+        graph.add_edge(f"b{copy}", "related", f"c{copy}")
+        graph.add_edge(f"c{copy}", "descr", f"m{copy}")
+        graph.add_edge(f"c{copy}", "related", f"b{copy}")
+    return graph
+
+
+class TestTypingCoverage:
+    """Every typing producer lists every graph node, untyped ones as ``{}``:
+    payload rows are read off the typing, not off the live graph."""
+
+    def _assert_covers(self, typing, graph):
+        assignments = dict(typing.items())
+        assert set(assignments) == set(graph.nodes)
+        assert frozenset() in assignments.values()
+
+    def test_kernels_and_references(self, schema, kernel):
+        from repro.engine.fixpoint import maximal_typing_fixpoint
+        from repro.schema.reference import maximal_typing_worklist
+        from repro.schema.validation import maximal_typing_compressed
+
+        graph = _clone_store_graph(2)
+        for typing in (
+            maximal_typing_fixpoint(graph, schema),
+            maximal_typing_compressed(graph, schema),
+            validate(graph, schema).typing,
+            maximal_typing_reference(graph, schema),
+            maximal_typing_worklist(graph, schema),
+        ):
+            self._assert_covers(typing, graph)
+
+    def test_store_revalidation_modes_and_persisted_typings(self, schema, kernel):
+        from repro.engine.fixpoint import maximal_typing_store, retype_incremental
+        from repro.persist import codec
+
+        store = GraphStore(_clone_store_graph())
+        modes = []
+        with ValidationEngine(cache_size=0) as engine:
+            for delta in (
+                None,
+                Delta.of(add=[("b5", "related", "b6")]),
+                Delta.of(remove=[("b5", "related", "b6")]),
+            ):
+                if delta is not None:
+                    store.apply(delta)
+                modes.append(engine.revalidate(store, schema).mode)
+                (entry,) = engine.export_typings(store)
+                self._assert_covers(entry["typing"], store.graph)
+                self._assert_covers(
+                    codec.decode_typing(codec.encode_typing(entry["typing"])),
+                    store.graph,
+                )
+        assert modes[0] == "kinds" and "kinds-incremental" in modes
+        plain = GraphStore(_clone_store_graph(2))
+        prior = maximal_typing_store(plain, schema=schema)
+        self._assert_covers(prior, plain.graph)
+        delta = Delta.of(add=[("b1", "related", "fresh")])
+        plain.apply(delta)
+        typing = retype_incremental(plain, prior, delta, schema=schema)
+        self._assert_covers(typing, plain.graph)
+        assert typing.types_of("fresh") == frozenset({"Lit"})
+
+
+class TestTypingRows:
+    def test_lazy_rows_render_compare_and_pickle_like_the_tuple(self, schema, bad_graph):
+        import pickle
+
+        with ValidationEngine() as engine:
+            report = engine.run_batch([(bad_graph, schema)])
+        rows = report.results[0].payload["typing"]
+        eager = _eager_rows(bad_graph, validate(bad_graph, schema).typing)
+        assert rows == eager and eager == rows
+        assert repr(rows) == repr(eager) and hash(rows) == hash(eager)
+        assert list(rows) == list(eager) and len(rows) == len(eager)
+        assert rows[0] == eager[0] and ("'b1'", ()) in rows
+        restored = pickle.loads(pickle.dumps(rows))
+        assert type(restored) is tuple and restored == eager
+
+    def test_typing_pickles_without_its_hash_memo(self):
+        import pickle
+
+        from repro.schema.typing import Typing
+
+        typing = Typing({"a": {"T"}, "b": ()})
+        hash(typing)
+        assert "_hash" not in typing.__getstate__()
+        restored = pickle.loads(pickle.dumps(typing))
+        assert restored == typing and hash(restored) == hash(typing)
+
+    def test_break_and_repair_revalidation_hits_the_batch_key(self, schema):
+        store = GraphStore(_clone_store_graph(2))
+        store.apply(Delta.of(add=[("b0", "descr", "l0")]))  # every bug typed
+        broken = Delta.of(remove=[("b1", "descr", "l1")])
+        with ValidationEngine() as engine:
+            first = engine.revalidate(store, schema)
+            store.apply(broken)
+            assert engine.revalidate(store, schema).result.verdict == "invalid"
+            store.apply(broken.inverse())
+            repaired = engine.revalidate(store, schema)
+            batch = engine.run_batch([(store.graph.copy(), schema)])
+        assert first.result.verdict == "valid"
+        assert repaired.mode == "cached" and repaired.result.cached
+        assert repaired.result.key == first.result.key == batch.results[0].key
+        assert batch.results[0].cached
+        oracle = maximal_typing_reference(store.graph, schema)
+        assert repaired.result.payload["typing"] == _eager_rows(store.graph, oracle)
+
+    def test_disk_cache_reread_yields_equal_rows(self, schema, bad_graph, tmp_path):
+        cache_dir = str(tmp_path / "results")
+        with ValidationEngine(cache_dir=cache_dir) as engine:
+            cold = engine.run_batch([(bad_graph, schema)]).results[0]
+        with ValidationEngine(cache_dir=cache_dir) as engine:
+            warm = engine.run_batch([(bad_graph, schema)]).results[0]
+        assert not cold.cached and warm.cached
+        eager = _eager_rows(bad_graph, maximal_typing_reference(bad_graph, schema))
+        assert type(warm.payload["typing"]) is tuple
+        assert warm.payload["typing"] == cold.payload["typing"] == eager

@@ -10,6 +10,7 @@ import pytest
 
 from repro import obs
 from repro.core.intervals import Interval
+from repro.engine.compiled import graph_fingerprint
 from repro.engine.fixpoint import affected_region
 from repro.errors import GraphError
 from repro.graphs.graph import Graph
@@ -157,6 +158,132 @@ class TestGraphStore:
         assert affected_region(store.graph, ["y"]) == {"x", "y"}
         store.remove_edge("x", "a", "y")
         assert affected_region(store.graph, ["y"]) == {"y"}
+
+
+class TestMaintainedFingerprint:
+    """``GraphStore.fingerprint`` rehashes only the buckets deltas touched and
+    always equals the from-scratch :func:`graph_fingerprint`."""
+
+    NODES = [f"n{index}" for index in range(8)]
+    LABELS = ["a", "b"]
+
+    def _seed_graph(self) -> Graph:
+        graph = Graph("maintained")
+        for index, node in enumerate(self.NODES[:-1]):
+            graph.add_edge(node, self.LABELS[index % 2], self.NODES[index + 1])
+        return graph
+
+    def _delta(self, rng: random.Random, graph: Graph, step: int) -> Delta:
+        """Cycle through new targets, parallel edges, wide intervals, cycles."""
+        edges = list(graph.edges)
+        removals = []
+        if edges and rng.random() < 0.5:
+            edge = rng.choice(edges)
+            removals.append((edge.source, edge.label, edge.target, edge.occur))
+        nodes = sorted(graph.nodes)
+        kind = step % 4
+        if kind == 0:  # a node the graph has never seen, as a target only
+            additions = [(rng.choice(nodes), rng.choice(self.LABELS), f"new{step}")]
+        elif kind == 1 and edges:  # a parallel copy of a stored edge
+            edge = rng.choice(edges)
+            additions = [(edge.source, edge.label, edge.target, edge.occur)]
+        elif kind == 2:  # intervals other than 1
+            occur = rng.choice([(2, 2), (0, 3), (1, None)])
+            additions = [(rng.choice(nodes), "a", rng.choice(nodes), occur)]
+        else:  # close a cycle over a stored edge
+            edge = rng.choice(edges) if edges else None
+            additions = (
+                [(edge.target, "b", edge.source)] if edge else [("n0", "b", "n0")]
+            )
+        return Delta.of(add=additions, remove=removals)
+
+    @pytest.mark.parametrize("seed", [3, 17, 41, 96])
+    def test_matches_from_scratch_after_every_apply(self, seed):
+        rng = random.Random(seed)
+        store = GraphStore(self._seed_graph())
+        assert store.fingerprint() == graph_fingerprint(store.graph.copy())
+        for step in range(24):
+            store.apply(self._delta(rng, store.graph, step))
+            assert store.fingerprint() == graph_fingerprint(store.graph.copy()), (
+                seed, step,
+            )
+
+    @pytest.mark.parametrize("seed", [3, 17, 41])
+    def test_break_then_repair_restores_the_fingerprint(self, seed):
+        rng = random.Random(seed)
+        store = GraphStore(self._seed_graph())
+        # No new nodes here: a node stays in the graph once its edges go.
+        for step in (1, 2, 3) * 4:
+            before = store.fingerprint()
+            store.apply(self._delta(rng, store.graph, step))
+            broken = store.fingerprint()
+            store.apply(store.diff(store.version, store.version - 1))
+            assert store.fingerprint() == before, (seed, step)
+            store.apply(store.diff(store.version, store.version - 1))  # redo
+            assert store.fingerprint() == broken, (seed, step)
+
+    @pytest.mark.parametrize("seed", [3, 17, 41])
+    def test_reopened_durable_store_matches_the_live_one(self, seed, tmp_path):
+        from repro.persist import DurableStore
+
+        rng = random.Random(seed)
+        directory = str(tmp_path / "store")
+        live = DurableStore.create(directory, self._seed_graph(), name="fp")
+        live.fingerprint()  # built before the WAL tail: maintained across it
+        for step in range(10):
+            live.apply(self._delta(rng, live.graph, step))
+        live.close()
+        reopened = DurableStore.open(directory)
+        try:
+            assert reopened.version == live.version
+            assert reopened.fingerprint() == live.fingerprint()
+            delta = self._delta(rng, reopened.graph, 0)
+            reopened.apply(delta)
+            assert reopened.fingerprint() == graph_fingerprint(reopened.graph.copy())
+        finally:
+            reopened.close()
+
+    @pytest.mark.parametrize("size", [50, 4000])
+    def test_apply_rehashes_at_most_the_touched_buckets(self, size, monkeypatch):
+        from repro.engine import compiled
+
+        store = GraphStore(_chain(*(["a", "b"] * (size // 2))))
+        store.fingerprint()
+        rehashed = []
+        real = compiled.nodes_digest
+        monkeypatch.setattr(
+            compiled, "nodes_digest",
+            lambda graph, nodes: rehashed.append(set(nodes)) or real(graph, nodes),
+        )
+        delta = Delta.of(add=[("n3", "a", "n9"), ("n9", "b", "fresh")])
+        touched = delta.touched_nodes()
+        store.apply(delta)
+        digest = store.fingerprint()
+        assert 0 < len(rehashed) <= len(touched)
+        assert all(bucket & touched for bucket in rehashed)
+        assert sum(len(bucket) for bucket in rehashed) < size
+        assert digest == graph_fingerprint(store.graph.copy())
+
+    def test_fingerprint_span_reports_mode_and_buckets(self):
+        before = obs_metrics.STATE.enabled
+        obs_metrics.STATE.enabled = True
+        try:
+            store = GraphStore(_chain("a", "b", "a"))
+            with obs.start_trace("test.fingerprint") as root:
+                store.fingerprint()
+                store.add_edge("n0", "b", "n1")
+                store.fingerprint()
+                store.fingerprint()  # memoised: no span
+        finally:
+            obs_metrics.STATE.enabled = before
+        tags = [
+            child["tags"]
+            for child in root.to_dict()["children"]
+            if child["name"] == "graph.fingerprint"
+        ]
+        assert [tag["mode"] for tag in tags] == ["full", "incremental"]
+        assert tags[0]["buckets"] >= 1
+        assert 1 <= tags[1]["buckets"] <= 2
 
 
 class TestDeltaCompaction:
@@ -378,6 +505,33 @@ class TestCliDelta:
         assert "base     v0: VALID" in out
         assert "delta    v1: INVALID [incremental" in out
         assert "untyped: 'http://example.org/b1'" in out
+
+    def test_validate_delta_show_typing_prints_every_node(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.rdf.convert import load_graph
+        from repro.schema.parser import parse_schema
+        from repro.schema.reference import maximal_typing_reference
+
+        removal = ["http://example.org/b2", "descr", "http://example.org/l2"]
+        schema, data, delta = self._files(tmp_path, {"remove": [removal]})
+        status = main([
+            "validate", "--schema", schema, "--data", data, "--delta", delta,
+            "--show-typing",
+        ])
+        out = capsys.readouterr().out
+        assert status == 1
+        graph = load_graph(self.TURTLE)
+        graph.remove_edge(next(
+            edge for edge in graph.out_edges(removal[0]) if edge.label == "descr"
+        ))
+        oracle = maximal_typing_reference(graph, parse_schema(self.SCHEMA))
+        expected = [
+            f"  {node!r}: {{{', '.join(sorted(oracle.types_of(node)))}}}"
+            for node in sorted(graph.nodes, key=repr)
+        ]
+        printed = [line for line in out.splitlines() if line.startswith("  '")]
+        assert printed == expected
+        assert "  'http://example.org/b1': {}" in printed
 
     def test_validate_delta_rejects_bad_json(self, tmp_path, capsys):
         from repro.cli import main

@@ -73,6 +73,24 @@ class TestRoundTrip:
         assert answer["verdict"] == "invalid"
         assert len(answer["untyped_nodes"]) == 1
 
+    def test_include_typing_lists_every_node_computed_and_cached(self, client):
+        from repro.rdf.convert import load_graph
+        from repro.schema.parser import parse_schema
+        from repro.schema.reference import maximal_typing_reference
+
+        graph = load_graph(BAD_TURTLE)
+        oracle = maximal_typing_reference(graph, parse_schema(SCHEMA_TEXT))
+        eager = [
+            [repr(node), sorted(oracle.types_of(node))]
+            for node in sorted(graph.nodes, key=repr)
+        ]
+        assert [] in [types for _node, types in eager]  # untyped rows stay
+        client.load_schema("bug", text=SCHEMA_TEXT)
+        first = client.validate("bug", data_text=BAD_TURTLE, include_typing=True)
+        second = client.validate("bug", data_text=BAD_TURTLE, include_typing=True)
+        assert not first["cached"] and second["cached"]
+        assert first["typing"] == second["typing"] == eager
+
     def test_inline_schema_without_registration(self, client):
         answer = client.validate({"text": SCHEMA_TEXT}, data_text=GOOD_TURTLE)
         assert answer["verdict"] == "valid"
