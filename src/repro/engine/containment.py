@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, Tuple, Union
 
-from repro.containment.api import ContainmentResult, contains_compiled
 from repro.engine.base import BatchEngine
 from repro.engine.compiled import CompiledSchema, compile_schema, schema_fingerprint
 from repro.engine.jobs import ContainmentJob
@@ -23,8 +22,12 @@ JobLike = Union[ContainmentJob, Tuple[ShExSchema, ShExSchema]]
 
 def _containment_payload(job: ContainmentJob) -> Tuple[str, Dict]:
     """Run one containment job to a deterministic (verdict, payload) pair."""
+    # Imported on first use: a daemon that never answers ``contains`` (a
+    # warm restart, a validation-only service) never loads the package.
+    from repro.containment.api import contains_compiled
+
     options = dict(job.options)
-    result: ContainmentResult = contains_compiled(
+    result = contains_compiled(
         compile_schema(job.left), compile_schema(job.right), **options
     )
     counterexample = None

@@ -39,6 +39,18 @@ class CompressedGraph(Graph):
                 )
         return super().add_edge(source, label, target, interval)
 
+    @classmethod
+    def from_edges(cls, edges, nodes=(), name: str = "") -> "CompressedGraph":
+        """:meth:`Graph.from_edges`, then one pass over the edge table checking
+        the invariants :meth:`add_edge` checks per edge."""
+        graph = super().from_edges(edges, nodes, name)
+        if not graph.is_compressed():
+            raise GraphError(
+                "compressed graphs need singleton intervals and unique "
+                "(source, label, target) edges"
+            )
+        return graph
+
     def multiplicity(self, source: NodeId, label: str, target: NodeId) -> int:
         """The multiplicity recorded for the given labelled edge (0 when absent)."""
         for edge in self.out_edges(source):

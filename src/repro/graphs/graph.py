@@ -21,7 +21,8 @@ of a node, grouped by label.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
+from itertools import chain
+from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.core.intervals import Interval, ONE
 from repro.errors import GraphError
@@ -246,13 +247,25 @@ class Graph:
     # ------------------------------------------------------------------ #
     # Transformation
     # ------------------------------------------------------------------ #
+    def _edge_tuples(self, rename=None) -> Iterator[Tuple[NodeId, Label, NodeId, Interval]]:
+        """The edges as :meth:`from_edges` input, endpoints through ``rename``."""
+        if rename is None:
+            return (
+                (edge.source, edge.label, edge.target, edge.occur)
+                for edge in self._edges.values()
+            )
+        return (
+            (rename[edge.source], edge.label, rename[edge.target], edge.occur)
+            for edge in self._edges.values()
+        )
+
     def copy(self, name: Optional[str] = None) -> "Graph":
         """A deep copy of the graph (edge ids are renumbered)."""
-        clone = Graph(name if name is not None else self.name)
-        clone.add_nodes(self._nodes)
-        for edge in self._edges.values():
-            clone.add_edge(edge.source, edge.label, edge.target, edge.occur)
-        return clone
+        return Graph.from_edges(
+            self._edge_tuples(),
+            nodes=self._nodes,
+            name=name if name is not None else self.name,
+        )
 
     def relabel_nodes(self, mapping: Mapping[NodeId, NodeId]) -> "Graph":
         """A copy of the graph with nodes renamed according to ``mapping``.
@@ -263,34 +276,32 @@ class Graph:
         renamed = {node: mapping.get(node, node) for node in self._nodes}
         if len(set(renamed.values())) != len(renamed):
             raise GraphError("node relabelling must be injective")
-        clone = Graph(self.name)
-        clone.add_nodes(renamed.values())
-        for edge in self._edges.values():
-            clone.add_edge(renamed[edge.source], edge.label, renamed[edge.target], edge.occur)
-        return clone
+        return Graph.from_edges(
+            self._edge_tuples(renamed), nodes=renamed.values(), name=self.name
+        )
 
     def subgraph(self, nodes: Iterable[NodeId]) -> "Graph":
         """The induced subgraph on the given nodes."""
         keep = set(nodes)
-        clone = Graph(self.name)
-        clone.add_nodes(keep)
-        for edge in self._edges.values():
-            if edge.source in keep and edge.target in keep:
-                clone.add_edge(edge.source, edge.label, edge.target, edge.occur)
-        return clone
+        return Graph.from_edges(
+            (
+                edge
+                for edge in self._edge_tuples()
+                if edge[0] in keep and edge[2] in keep
+            ),
+            nodes=keep,
+            name=self.name,
+        )
 
     def disjoint_union(self, other: "Graph") -> "Graph":
         """The disjoint union; nodes are tagged ``(0, n)`` / ``(1, m)`` to avoid clashes."""
-        union = Graph(f"{self.name}+{other.name}")
-        for node in self._nodes:
-            union.add_node((0, node))
-        for node in other._nodes:
-            union.add_node((1, node))
-        for edge in self._edges.values():
-            union.add_edge((0, edge.source), edge.label, (0, edge.target), edge.occur)
-        for edge in other._edges.values():
-            union.add_edge((1, edge.source), edge.label, (1, edge.target), edge.occur)
-        return union
+        left = {node: (0, node) for node in self._nodes}
+        right = {node: (1, node) for node in other._nodes}
+        return Graph.from_edges(
+            chain(self._edge_tuples(left), other._edge_tuples(right)),
+            nodes=chain(left.values(), right.values()),
+            name=f"{self.name}+{other.name}",
+        )
 
     def reachable_from(self, start: NodeId) -> Set[NodeId]:
         """Nodes reachable from ``start`` following edge direction."""
@@ -312,36 +323,55 @@ class Graph:
         return [(edge.source, edge.label, edge.target) for edge in self._edges.values()]
 
     @classmethod
+    def from_edges(
+        cls,
+        edges: Iterable[Tuple[NodeId, Label, NodeId, object]],
+        nodes: Iterable[NodeId] = (),
+        name: str = "",
+    ) -> "Graph":
+        """Build a graph from ``(source, label, target, occur)`` tuples.
+
+        ``nodes`` are added first (isolated nodes included), then the edges;
+        ``occur`` takes anything :meth:`add_edge` does.  One pass fills the
+        node set, the adjacency and the edge table; the node order, the edge
+        ids, the adjacency order and the final :attr:`revision` are those of
+        calling :meth:`add_node` per node and :meth:`add_edge` per edge.
+        """
+        graph = cls(name)
+        known, table, out, into = graph._nodes, graph._edges, graph._out, graph._in
+        for node in nodes:
+            if node not in known:
+                known.add(node)
+                out[node] = {}
+                into[node] = {}
+        edge_id = 0
+        for source, label, target, occur in edges:
+            if occur.__class__ is not Interval:
+                occur = ONE if occur is None else Interval.of(occur)
+            if source not in known:
+                known.add(source)
+                out[source] = {}
+                into[source] = {}
+            if target not in known:
+                known.add(target)
+                out[target] = {}
+                into[target] = {}
+            table[edge_id] = Edge(edge_id, source, target, label, occur)
+            out[source][edge_id] = None
+            into[target][edge_id] = None
+            edge_id += 1
+        graph._next_edge_id = edge_id
+        graph._revision = len(known) + edge_id
+        return graph
+
+    @classmethod
     def from_triples(
         cls,
         triples: Iterable[Tuple[NodeId, Label, NodeId]],
         name: str = "",
     ) -> "Graph":
-        """Build a graph from ``(source, label, target)`` triples with interval ``1``.
-
-        One pass fills the node set, the adjacency and the edge table; the
-        edge ids, the adjacency order and the final :attr:`revision` are those
-        of calling :meth:`add_edge` once per triple.
-        """
-        graph = cls(name)
-        nodes, edges, out, into = graph._nodes, graph._edges, graph._out, graph._in
-        edge_id = 0
-        for source, label, target in triples:
-            if source not in nodes:
-                nodes.add(source)
-                out[source] = {}
-                into[source] = {}
-            if target not in nodes:
-                nodes.add(target)
-                out[target] = {}
-                into[target] = {}
-            edges[edge_id] = Edge(edge_id, source, target, label, ONE)
-            out[source][edge_id] = None
-            into[target][edge_id] = None
-            edge_id += 1
-        graph._next_edge_id = edge_id
-        graph._revision = len(nodes) + edge_id
-        return graph
+        """Build a graph from ``(source, label, target)`` triples with interval ``1``."""
+        return cls.from_edges(((s, p, o, ONE) for s, p, o in triples), name=name)
 
     def __contains__(self, node: NodeId) -> bool:
         return node in self._nodes

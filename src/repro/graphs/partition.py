@@ -326,11 +326,16 @@ class PartitionMaintainer:
         }
         self.index: Dict[Row, int] = {row: kind for kind, row in self.rows.items()}
         self._next_kind = max(self.members, default=-1) + 1
-        quotient = CompressedGraph(self.quotient.name)
-        quotient.add_nodes(self.members)
-        for kind in sorted(self.rows):
-            self._write_row(quotient, kind, self.rows[kind])
-        self.quotient = quotient
+        # The edges _write_row would add kind by kind, in one bulk build.
+        self.quotient = CompressedGraph.from_edges(
+            (
+                (kind, label, target, Interval.singleton(count))
+                for kind in sorted(self.rows)
+                for (label, target), count in sorted(self.rows[kind], key=repr)
+            ),
+            nodes=self.members,
+            name=self.quotient.name,
+        )
 
     @staticmethod
     def _write_row(quotient: CompressedGraph, kind: int, row: Row) -> None:

@@ -14,10 +14,15 @@ the write-ahead log:
   so ``decode_node(encode_node(x)) == x`` and tuple node ids stay hashable.
 * **Intervals** — a ``[lower, upper]`` pair with ``null`` for ``∞`` (the
   in-memory convention of :class:`repro.core.intervals.Interval` itself).
+  Decoding shares one :class:`Interval` per distinct pair.
 * **Deltas** — ``{"add": [[s, label, t, occur], ...], "remove": [...]}``
   with encoded endpoints, mirroring :meth:`repro.graphs.store.Delta.to_json`
   but safe for non-string node ids.
 * **Typings** — sorted ``[[node, [type, ...]], ...]`` pair lists.
+
+Decoding checks each tag's payload type and each interval's bounds (ints,
+not bools, ``0 <= lower <= upper``): a malformed value raises
+:class:`repro.errors.PersistError` instead of decoding to something else.
 
 Encoding is deterministic (sorted pairs, sorted type lists), so identical
 states produce byte-identical snapshots — handy for parity tests and for
@@ -26,7 +31,8 @@ content-comparison of generations.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from functools import lru_cache
+from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from repro.core.intervals import Interval
 from repro.errors import PersistError
@@ -58,17 +64,21 @@ def encode_node(node: NodeId) -> Any:
     )
 
 
+#: The payload class of each scalar tag (exact: a bool is not an ``"i"``).
+_PAYLOAD_CLASS = {"i": int, "b": bool, "f": float}
+
+
 def decode_node(value: Any) -> NodeId:
-    """Inverse of :func:`encode_node`."""
+    """Inverse of :func:`encode_node`; a malformed value raises :class:`PersistError`."""
     if isinstance(value, str):
         return value
     if isinstance(value, dict) and len(value) == 1:
-        tag, payload = next(iter(value.items()))
-        if tag == "t":
+        ((tag, payload),) = value.items()
+        if tag == "t" and isinstance(payload, (list, tuple)):
             return tuple(decode_node(part) for part in payload)
-        if tag in ("i", "b", "f"):
+        if _PAYLOAD_CLASS.get(tag) is payload.__class__:
             return payload
-        if tag == "n":
+        if tag == "n" and payload is True:
             return None
     raise PersistError(f"cannot decode persisted node id: {value!r}")
 
@@ -81,13 +91,25 @@ def encode_occur(occur: Interval) -> List[Optional[int]]:
 
 
 def decode_occur(pair: Any) -> Interval:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise PersistError(f"cannot decode persisted interval: {pair!r}")
-    return Interval(pair[0], pair[1])
+    """Inverse of :func:`encode_occur`: bounds must be ints (not bools) with
+    ``0 <= lower <= upper``, ``upper`` ``None`` for ``∞``."""
+    if (pair.__class__ is list or pair.__class__ is tuple) and len(pair) == 2:
+        lower, upper = pair
+        if lower.__class__ is int and (upper is None or upper.__class__ is int):
+            return _interval(lower, upper)
+    raise PersistError(f"cannot decode persisted interval: {pair!r}")
+
+
+@lru_cache(maxsize=4096)
+def _interval(lower: int, upper: Optional[int]) -> Interval:
+    """One shared :class:`Interval` per distinct pair (intervals are immutable)."""
+    if 0 <= lower and (upper is None or lower <= upper):
+        return Interval(lower, upper)
+    raise PersistError(f"cannot decode persisted interval: {[lower, upper]!r}")
 
 
 # --------------------------------------------------------------------------- #
-# Deltas
+# Edges and deltas
 # --------------------------------------------------------------------------- #
 def _encode_entries(entries) -> List[list]:
     return [
@@ -96,11 +118,28 @@ def _encode_entries(entries) -> List[list]:
     ]
 
 
-def _decode_entries(entries) -> Tuple[tuple, ...]:
-    return tuple(
-        (decode_node(source), label, decode_node(target), decode_occur(occur))
-        for source, label, target, occur in entries
-    )
+def decode_edges(entries: Any) -> List[Tuple[NodeId, str, NodeId, Interval]]:
+    """Decode ``[[source, label, target, occur], ...]`` into edge 4-tuples,
+    the input :meth:`repro.graphs.graph.Graph.from_edges` takes."""
+    if not isinstance(entries, (list, tuple)):
+        raise PersistError(f"cannot decode persisted edges: {entries!r}")
+    decoded = []
+    append = decoded.append
+    for entry in entries:
+        if (entry.__class__ is list or entry.__class__ is tuple) and len(entry) == 4:
+            source, label, target, occur = entry
+            if label.__class__ is str:
+                append(
+                    (
+                        source if source.__class__ is str else decode_node(source),
+                        label,
+                        target if target.__class__ is str else decode_node(target),
+                        decode_occur(occur),
+                    )
+                )
+                continue
+        raise PersistError(f"cannot decode persisted edge: {entry!r}")
+    return decoded
 
 
 def encode_delta(delta: Delta) -> Dict[str, list]:
@@ -116,8 +155,8 @@ def decode_delta(payload: Any) -> Delta:
     if not isinstance(payload, dict):
         raise PersistError(f"cannot decode persisted delta: {payload!r}")
     return Delta(
-        added=_decode_entries(payload.get("add", ())),
-        removed=_decode_entries(payload.get("remove", ())),
+        added=tuple(decode_edges(payload.get("add", ()))),
+        removed=tuple(decode_edges(payload.get("remove", ()))),
     )
 
 
@@ -135,7 +174,26 @@ def encode_typing(typing: Typing) -> List[list]:
 
 
 def decode_typing(pairs: Any) -> Typing:
-    """Inverse of :func:`encode_typing`."""
+    """Inverse of :func:`encode_typing`; nodes with equal type lists share
+    one ``frozenset``."""
     if not isinstance(pairs, list):
         raise PersistError(f"cannot decode persisted typing: {pairs!r}")
-    return Typing({decode_node(node): tuple(types) for node, types in pairs})
+    shared: Dict[Tuple[str, ...], FrozenSet[str]] = {}
+    assignments: Dict[NodeId, FrozenSet[str]] = {}
+    for pair in pairs:
+        if (pair.__class__ is list or pair.__class__ is tuple) and len(pair) == 2:
+            node, types = pair
+            if types.__class__ is list or types.__class__ is tuple:
+                key = tuple(types)
+                try:
+                    type_set = shared.get(key)
+                except TypeError:  # an unhashable entry, rejected just below
+                    type_set = None
+                if type_set is None:
+                    if not all(name.__class__ is str for name in key):
+                        raise PersistError(f"cannot decode persisted typing entry: {pair!r}")
+                    type_set = shared[key] = frozenset(key)
+                assignments[node if node.__class__ is str else decode_node(node)] = type_set
+                continue
+        raise PersistError(f"cannot decode persisted typing entry: {pair!r}")
+    return Typing(assignments)

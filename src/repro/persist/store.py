@@ -26,7 +26,11 @@ acknowledged write by more than the fsync policy's window.
 (falling back one generation if the newest is corrupt), restores the kind
 partition and the delta-log tail, then replays the WAL — truncating a torn
 tail record instead of failing, and skipping duplicate records left by a
-crash-during-append (records carry their target version).  The snapshot's
+crash-during-append (records carry their target version).  The snapshot
+decodes in bulk: the graph is one :meth:`Graph.from_edges` call over edges
+whose intervals are interned per distinct pair, the partition's quotient
+another, and the cyclic collector is paused for the whole open (what it
+builds is acyclic) and left as it was found.  The snapshot's
 persisted typing snapshots come back as :attr:`restored_typings`, ready for
 :meth:`repro.engine.validation.ValidationEngine.seed_typing` — which is
 what makes the restart *warm*: the first revalidate runs incrementally from
@@ -35,6 +39,7 @@ the checkpoint instead of retyping the world.
 
 from __future__ import annotations
 
+import gc
 import glob
 import json
 import os
@@ -188,70 +193,39 @@ class DurableStore(GraphStore):
         cls, directory: str, fsync: "FsyncPolicy | str" = "always"
     ) -> "DurableStore":
         """Recover the store persisted in ``directory`` (see module docstring)."""
-        directory = os.path.abspath(directory)
+        # What an open builds is acyclic (graph, partition, typings), so the
+        # cyclic collector would only rescan the growing heap; it is paused
+        # for the open and left as it was found.  Not gc.freeze(): frozen
+        # objects would outlive a store that is later replaced.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return cls._open(os.path.abspath(directory), fsync)
+        finally:
+            if collecting:
+                gc.enable()
+
+    @classmethod
+    def _open(cls, directory: str, fsync: "FsyncPolicy | str") -> "DurableStore":
         with _obs_tracing.span("persist.open", directory=directory) as span:
             manifest = read_manifest(directory)
             manifest = _migrations.migrate(directory, manifest, write_manifest)
-            snapshot, generation = cls._load_snapshot(
-                directory, int(manifest.get("generation", 0))
-            )
+            with _obs_tracing.span("persist.snapshot") as snapshot_span:
+                snapshot, generation, size = cls._load_snapshot(
+                    directory, int(manifest.get("generation", 0))
+                )
+                snapshot_span.annotate(bytes=size)
             if generation != manifest.get("generation"):
                 manifest["generation"] = generation
                 write_manifest(directory, manifest)
 
-            graph = Graph(snapshot.get("name", ""))
-            for encoded in snapshot.get("nodes", ()):
-                graph.add_node(codec.decode_node(encoded))
-            for source, label, target, occur in snapshot.get("edges", ()):
-                graph.add_edge(
-                    codec.decode_node(source),
-                    label,
-                    codec.decode_node(target),
-                    codec.decode_occur(occur),
-                )
-            base = int(snapshot.get("base", snapshot["version"]))
-            store = cls(
-                graph,
-                snapshot.get("name", ""),
-                directory=directory,
-                fsync=fsync,
-                base_version=base,
-                generation=generation,
-            )
-            # The persisted log tail (history *behind* the snapshot): the
-            # graph is at snapshot["version"], the log spans [base, version].
-            tail = [codec.decode_delta(entry) for entry in snapshot.get("log", ())]
-            if len(tail) != snapshot["version"] - base:
-                raise PersistError(
-                    f"snapshot log tail has {len(tail)} entries for span "
-                    f"[{base}, {snapshot['version']}] in {directory!r}"
-                )
-            store._log.extend(tail)
-            store._version = int(snapshot["version"])
-            store._maintainer_version = store._version
-            store._last_checkpoint_at = snapshot.get("created_at")
-
-            partition = snapshot.get("partition")
-            if partition:
-                kind_of = {
-                    codec.decode_node(node): kind
-                    for node, kind in partition["kind_of"]
-                }
-                store.restore_partition(kind_of, int(partition["epoch"]))
-            for entry in snapshot.get("typings", ()):
-                store.restored_typings.append(
-                    {
-                        "schema": entry["schema"],
-                        "compressed": bool(entry["compressed"]),
-                        "version": int(entry["version"]),
-                        "typing": codec.decode_typing(entry["typing"]),
-                        "kind_typing": (
-                            codec.decode_typing(entry["kind_typing"])
-                            if entry.get("kind_typing") is not None
-                            else None
-                        ),
-                        "epoch": int(entry.get("epoch", -1)),
-                    }
+            with _obs_tracing.span("persist.decode") as decode_span:
+                store = cls._decode_snapshot(snapshot, directory, fsync, generation)
+                maintainer = store._maintainer
+                decode_span.annotate(
+                    nodes=store._graph.node_count,
+                    edges=store._graph.edge_count,
+                    kinds=maintainer.kind_count if maintainer is not None else 0,
                 )
 
             store._replay_wal(generation)
@@ -263,16 +237,84 @@ class DurableStore(GraphStore):
             )
             return store
 
+    @classmethod
+    def _decode_snapshot(
+        cls,
+        snapshot: Dict[str, Any],
+        directory: str,
+        fsync: "FsyncPolicy | str",
+        generation: int,
+    ) -> "DurableStore":
+        """The store a snapshot describes: graph, log tail, partition, typings."""
+        decode = codec.decode_node
+        graph = Graph.from_edges(
+            codec.decode_edges(snapshot.get("edges", ())),
+            nodes=[
+                node if node.__class__ is str else decode(node)
+                for node in snapshot.get("nodes", ())
+            ],
+            name=snapshot.get("name", ""),
+        )
+        base = int(snapshot.get("base", snapshot["version"]))
+        store = cls(
+            graph,
+            snapshot.get("name", ""),
+            directory=directory,
+            fsync=fsync,
+            base_version=base,
+            generation=generation,
+        )
+        # The persisted log tail (history *behind* the snapshot): the
+        # graph is at snapshot["version"], the log spans [base, version].
+        tail = [codec.decode_delta(entry) for entry in snapshot.get("log", ())]
+        if len(tail) != snapshot["version"] - base:
+            raise PersistError(
+                f"snapshot log tail has {len(tail)} entries for span "
+                f"[{base}, {snapshot['version']}] in {directory!r}"
+            )
+        store._log.extend(tail)
+        store._version = int(snapshot["version"])
+        store._maintainer_version = store._version
+        store._last_checkpoint_at = snapshot.get("created_at")
+
+        partition = snapshot.get("partition")
+        if partition:
+            kind_of = {
+                node if node.__class__ is str else decode(node): kind
+                for node, kind in partition["kind_of"]
+            }
+            store.restore_partition(kind_of, int(partition["epoch"]))
+        for entry in snapshot.get("typings", ()):
+            store.restored_typings.append(
+                {
+                    "schema": entry["schema"],
+                    "compressed": bool(entry["compressed"]),
+                    "version": int(entry["version"]),
+                    "typing": codec.decode_typing(entry["typing"]),
+                    "kind_typing": (
+                        codec.decode_typing(entry["kind_typing"])
+                        if entry.get("kind_typing") is not None
+                        else None
+                    ),
+                    "epoch": int(entry.get("epoch", -1)),
+                }
+            )
+        return store
+
     @staticmethod
-    def _load_snapshot(directory: str, generation: int) -> Tuple[Dict[str, Any], int]:
-        """The newest readable snapshot at or one below ``generation``."""
+    def _load_snapshot(
+        directory: str, generation: int
+    ) -> Tuple[Dict[str, Any], int, int]:
+        """The newest readable snapshot at or one below ``generation``, its
+        generation and its size in bytes."""
         for candidate in (generation, generation - 1):
             if candidate < 1:
                 continue
             path = os.path.join(directory, f"snapshot-{candidate}.json")
             try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    snapshot = json.load(handle)
+                with open(path, "rb") as handle:
+                    data = handle.read()
+                snapshot = json.loads(data)
             except (FileNotFoundError, ValueError):
                 continue
             if not isinstance(snapshot, dict) or "version" not in snapshot:
@@ -283,7 +325,7 @@ class DurableStore(GraphStore):
                     f"snapshot {path!r} uses on-disk format {fmt}, newer than "
                     f"this build's format {_migrations.CURRENT_FORMAT}"
                 )
-            return snapshot, candidate
+            return snapshot, candidate, len(data)
         raise PersistError(
             f"no usable snapshot in {directory!r} (manifest generation "
             f"{generation}) — cannot recover a store from a WAL alone"

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Iterable, List, Optional, Tuple
 
+from repro.core.intervals import ONE, Interval
 from repro.graphs.graph import Graph
 from repro.rdf.model import IRI, BlankNode, Literal, RDFGraph, Term
 from repro.rdf.parser import scan
@@ -45,15 +46,17 @@ def node_id(term: Term) -> Hashable:
 
 
 def _build(
-    edges: List[Tuple[Hashable, str, Hashable]],
+    edges: List[Tuple[Hashable, str, Hashable, Interval]],
     literal_nodes: Iterable[Hashable],
     name: str,
 ) -> Graph:
-    """The graph of ``edges`` plus one marker edge per literal node."""
+    """The graph of ``(source, label, target, ONE)`` ``edges`` plus one
+    marker edge per literal node."""
     edges.extend(
-        (literal, LITERAL_MARKER_LABEL, LITERAL_MARKER_NODE) for literal in sorted(literal_nodes)
+        (literal, LITERAL_MARKER_LABEL, LITERAL_MARKER_NODE, ONE)
+        for literal in sorted(literal_nodes)
     )
-    return Graph.from_triples(edges, name=name)
+    return Graph.from_edges(edges, name=name)
 
 
 def load_graph(text: str, ntriples: bool = False, name: str = "") -> Graph:
@@ -69,7 +72,7 @@ def load_graph(text: str, ntriples: bool = False, name: str = "") -> Graph:
     terms, triples = scan(text, ntriples)
     ids = [node_id(term) for term in terms]
     labels = {p: default_predicate_name(terms[p]) for p in {p for _, p, _ in triples}}
-    edges = [(ids[s], labels[p], ids[o]) for s, p, o in triples]
+    edges = [(ids[s], labels[p], ids[o], ONE) for s, p, o in triples]
     literals = {ids[index] for index, term in enumerate(terms) if isinstance(term, Literal)}
     return _build(edges, literals, name)
 
@@ -96,7 +99,7 @@ def rdf_to_simple_graph(
     literals = set()
     for triple in rdf:
         object_id = node_id(triple.object)
-        edges.append((node_id(triple.subject), naming(triple.predicate), object_id))
+        edges.append((node_id(triple.subject), naming(triple.predicate), object_id, ONE))
         if literal_marker and isinstance(triple.object, Literal):
             literals.add(object_id)
     return _build(edges, literals, name or rdf.name)

@@ -144,6 +144,78 @@ class TestGraphBasics:
         assert bulk.revision == sequential.revision
         assert bulk.add_edge("w", "c", "v").edge_id == sequential.add_edge("w", "c", "v").edge_id
 
+    @staticmethod
+    def _layout(graph):
+        """Everything the bulk builder must reproduce, in iteration order."""
+        return (
+            list(graph.nodes),
+            list(graph._edges.items()),
+            {node: list(ids) for node, ids in graph._out.items()},
+            {node: list(ids) for node, ids in graph._in.items()},
+            graph.revision,
+        )
+
+    def test_from_edges_matches_add_node_add_edge(self):
+        # Isolated nodes (one repeated, one also an endpoint), tuple and int
+        # ids, every occur form add_edge takes, parallel edges, a self-loop.
+        nodes = ["iso", ("t", 1), 7, "iso", "x"]
+        edges = [("x", "a", "y", None), ("y", "b", ("t", 1), "*"), ("x", "a", "y", 2),
+                 (7, "c", 7, (0, None)), (("t", 1), "a", "z", Interval(2, 2)),
+                 ("z", "b", "x", ONE)]
+        bulk = Graph.from_edges(edges, nodes=nodes, name="bulk")
+        sequential = Graph("bulk")
+        sequential.add_nodes(nodes)
+        for source, label, target, occur in edges:
+            sequential.add_edge(source, label, target, occur)
+        assert bulk.name == "bulk"
+        assert self._layout(bulk) == self._layout(sequential)
+        assert bulk.add_edge("w", "c", "v").edge_id == sequential.add_edge("w", "c", "v").edge_id
+
+    def test_transformations_match_the_add_edge_loop(self):
+        graph = Graph("g")
+        graph.add_node("iso")
+        for source, label, target, occur in [("x", "a", "y", None), ("y", "b", "z", "*"),
+                                              ("x", "a", "y", None), ("z", "a", "x", 3)]:
+            graph.add_edge(source, label, target, occur)
+        graph.remove_edge(graph.out_edges("x")[0])  # ids are renumbered below
+
+        def rebuilt(nodes, edges, name):
+            expected = Graph(name)
+            expected.add_nodes(nodes)
+            for source, label, target, occur in edges:
+                expected.add_edge(source, label, target, occur)
+            return expected
+
+        content = [(e.source, e.label, e.target, e.occur) for e in graph.edges]
+        assert self._layout(graph.copy()) == self._layout(rebuilt(graph.nodes, content, "g"))
+        mapping = {"x": ("n", 0), "iso": 5}
+        renamed = {node: mapping.get(node, node) for node in graph.nodes}
+        assert self._layout(graph.relabel_nodes(mapping)) == self._layout(rebuilt(
+            renamed.values(),
+            [(renamed[s], label, renamed[t], occur) for s, label, t, occur in content],
+            "g",
+        ))
+        keep = {"x", "y", "iso"}
+        assert self._layout(graph.subgraph(keep)) == self._layout(rebuilt(
+            keep, [edge for edge in content if edge[0] in keep and edge[2] in keep], "g"
+        ))
+        other = Graph("o")
+        other.add_edge("x", "c", "x")
+        assert self._layout(graph.disjoint_union(other)) == self._layout(rebuilt(
+            [(0, node) for node in graph.nodes] + [(1, "x")],
+            [((0, s), label, (0, t), occur) for s, label, t, occur in content]
+            + [((1, "x"), "c", (1, "x"), ONE)],
+            "g+o",
+        ))
+
+    def test_compressed_from_edges_keeps_the_invariants(self):
+        packed = CompressedGraph.from_edges([(0, "a", 1, 2), (1, "b", 0, 1)], nodes=[2])
+        assert packed.multiplicity(0, "a", 1) == 2 and packed.node_count == 3
+        with pytest.raises(GraphError):
+            CompressedGraph.from_edges([(0, "a", 1, 2), (0, "a", 1, 1)])
+        with pytest.raises(GraphError):
+            CompressedGraph.from_edges([(0, "a", 1, "*")])
+
     def test_str_contains_edges(self):
         graph = Graph("demo")
         graph.add_edge("x", "a", "y", "*")

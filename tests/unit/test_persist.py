@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
+import random
 
 import pytest
 
-from repro import faults
+from repro import faults, obs
 from repro.core.intervals import Interval
 from repro.errors import PersistError
+from repro.graphs.compressed import CompressedGraph
 from repro.graphs.graph import Graph
+from repro.graphs.partition import PartitionMaintainer, row_of
 from repro.graphs.store import Delta, GraphStore
+from repro.obs import metrics as obs_metrics
 from repro.persist import DurableStore, codec
 from repro.persist import migrations as migrations_mod
 from repro.persist import wal as wal_mod
@@ -46,6 +51,60 @@ class TestCodec:
     def test_occur_round_trip_unbounded(self):
         occur = Interval.of((2, None))
         assert codec.decode_occur(codec.encode_occur(occur)) == occur
+
+    def test_scalar_nodes_round_trip(self):
+        for node in (0, -3, True, False, 1.5, None, ("t", 1, (None, 2.0)), ()):
+            wire = json.loads(json.dumps(codec.encode_node(node)))
+            decoded = codec.decode_node(wire)
+            assert decoded == node and type(decoded) is type(node)
+
+    def test_one_interval_per_distinct_pair(self):
+        assert codec.decode_occur([2, None]) is codec.decode_occur([2, None])
+        typing = codec.decode_typing([["a", ["T", "U"]], ["b", ["T", "U"]], [{"i": 1}, []]])
+        assert typing.types_of("a") is typing.types_of("b")
+        assert typing.types_of(1) == frozenset()
+
+    @pytest.mark.parametrize(
+        "decode, value",
+        [
+            (codec.decode_node, {"i": "a"}),
+            (codec.decode_node, {"i": True}),
+            (codec.decode_node, {"i": 1.0}),
+            (codec.decode_node, {"b": 3}),
+            (codec.decode_node, {"f": 1}),
+            (codec.decode_node, {"n": False}),
+            (codec.decode_node, {"t": 5}),
+            (codec.decode_node, {"t": [{"i": "a"}]}),
+            (codec.decode_node, {"x": 1}),
+            (codec.decode_node, {"i": 1, "b": True}),
+            (codec.decode_node, 5),
+            (codec.decode_node, None),
+            (codec.decode_node, ["a"]),
+            (codec.decode_occur, [1.5, 2]),
+            (codec.decode_occur, [True, True]),
+            (codec.decode_occur, [1, False]),
+            (codec.decode_occur, ["a", 1]),
+            (codec.decode_occur, [None, 1]),
+            (codec.decode_occur, [2, 1]),
+            (codec.decode_occur, [-1, 3]),
+            (codec.decode_occur, [1]),
+            (codec.decode_occur, "ab"),
+            (codec.decode_occur, {"a": 1, "b": 2}),
+            (codec.decode_typing, [["n", "Bug"]]),
+            (codec.decode_typing, [["n", [1]]]),
+            (codec.decode_typing, [["n", [["T"]]]]),
+            (codec.decode_typing, [["n"]]),
+            (codec.decode_typing, [[{"i": "a"}, ["T"]]]),
+            (codec.decode_typing, {"n": ["T"]}),
+            (codec.decode_delta, {"add": [["a", 1, "b", [1, 1]]]}),
+            (codec.decode_delta, {"add": [["a", "x", "b"]]}),
+            (codec.decode_delta, {"remove": [["a", "x", {"t": 5}, [1, 1]]]}),
+            (codec.decode_delta, {"add": "abcd"}),
+        ],
+    )
+    def test_malformed_values_raise_persist_error(self, decode, value):
+        with pytest.raises(PersistError):
+            decode(value)
 
 
 class TestWal:
@@ -226,6 +285,55 @@ class TestDurableStore:
         with pytest.raises(PersistError, match="refusing to load"):
             DurableStore.open(directory)
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_open_leaves_the_collector_as_it_found_it(self, tmp_path, enabled):
+        good = str(tmp_path / "good")
+        DurableStore.create(good, _base_graph()).close()
+        future = str(tmp_path / "future")
+        store = DurableStore.create(future, _base_graph())
+        store.close()
+        path = os.path.join(future, f"snapshot-{store.generation}.json")
+        with open(path) as handle:
+            snapshot = json.load(handle)
+        snapshot["format"] = migrations_mod.CURRENT_FORMAT + 1
+        with open(path, "w") as handle:
+            json.dump(snapshot, handle)
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            DurableStore.open(good).close()
+            assert gc.isenabled() is enabled
+            with pytest.raises(PersistError, match="newer than"):
+                DurableStore.open(future)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_open_spans_split_read_decode_and_replay(self, tmp_path):
+        directory = str(tmp_path / "store")
+        store = DurableStore.create(directory, _base_graph())
+        store._sync_partition()
+        store.checkpoint()
+        store.apply(Delta.of(add=[("a", "x", "c")]))
+        store.close()
+        before = obs_metrics.STATE.enabled
+        obs_metrics.enable()
+        try:
+            with obs.start_trace("t.restart") as root:
+                DurableStore.open(directory).close()
+        finally:
+            obs_metrics.STATE.enabled = before
+        (opened,) = root.children
+        assert opened.name == "persist.open"
+        snapshot, decode, replay = opened.children
+        assert (snapshot.name, decode.name, replay.name) == (
+            "persist.snapshot", "persist.decode", "persist.replay"
+        )
+        size = os.path.getsize(os.path.join(directory, f"snapshot-{store.generation}.json"))
+        assert snapshot.tags == {"bytes": size}
+        assert decode.tags == {"nodes": 3, "edges": 3, "kinds": 3}
+        assert replay.tags == {"records": 1}
+
     def test_persist_status_fields(self, tmp_path):
         store = DurableStore.create(str(tmp_path / "store"), _base_graph())
         store.apply(Delta.of(add=[("a", "x", "c")]))
@@ -236,6 +344,98 @@ class TestDurableStore:
         assert status["wal_records"] == 1 and status["wal_bytes"] > 0
         assert status["last_checkpoint_at"] is not None
         store.close()
+
+
+def _parity_history(seed, directory):
+    """A durable store with tuple, int and isolated nodes, intervals ``1``,
+    ``[0;*]`` and ``[2;2]``, removals, a checkpoint with its partition and a
+    WAL tail; closed as a crash would leave it."""
+    rng = random.Random(seed)
+    pool = [f"s{i}" for i in range(8)] + [("c", i, "x") for i in range(6)] + list(range(5))
+    labels, occurs = ["a", "b", "c"], [None, "*", 2]
+
+    def edge():
+        return (rng.choice(pool), rng.choice(labels), rng.choice(pool), rng.choice(occurs))
+
+    graph = Graph("parity")
+    graph.add_nodes(["lonely", ("iso", 0), 99])
+    for _ in range(40):
+        graph.add_edge(*edge())
+    store = DurableStore.create(directory, graph)
+
+    def churn(steps):
+        for _ in range(steps):
+            doomed = rng.sample(store.graph.edges, 2)
+            store.apply(Delta.of(
+                add=[edge() for _ in range(rng.randint(1, 3))],
+                remove=[(e.source, e.label, e.target, e.occur) for e in doomed],
+            ))
+
+    churn(3)
+    store._sync_partition()
+    store.checkpoint()
+    churn(4)
+    store.close()
+
+
+def _reference_open(directory):
+    """What :meth:`DurableStore.open` must build, one add_node/add_edge at a
+    time: the store, and the partition's kind_of, rows, index and quotient."""
+    generation = read_manifest(directory)["generation"]
+    with open(os.path.join(directory, f"snapshot-{generation}.json")) as handle:
+        snapshot = json.load(handle)
+    decode = codec.decode_node
+    graph = Graph(snapshot["name"])
+    for node in snapshot["nodes"]:
+        graph.add_node(decode(node))
+    for source, label, target, (lower, upper) in snapshot["edges"]:
+        graph.add_edge(decode(source), label, decode(target), Interval(lower, upper))
+    kind_of = {decode(node): kind for node, kind in snapshot["partition"]["kind_of"]}
+    members = {}
+    for node, kind in kind_of.items():
+        members.setdefault(kind, set()).add(node)
+    rows = {kind: row_of(graph, next(iter(nodes)), kind_of) for kind, nodes in members.items()}
+    quotient = CompressedGraph()
+    quotient.add_nodes(members)
+    for kind in sorted(rows):
+        PartitionMaintainer._write_row(quotient, kind, rows[kind])
+    store = GraphStore(graph, snapshot["name"], base_version=snapshot["version"])
+    records, _ = wal_mod.recover(os.path.join(directory, f"wal-{generation}.log"))
+    for _version, payload in records:
+        store.apply(codec.decode_delta(payload))
+    index = {row: kind for kind, row in rows.items()}
+    return store, (kind_of, rows, index), quotient
+
+
+def _layout(graph):
+    return (
+        list(graph.nodes),
+        list(graph._edges.items()),
+        [(node, list(ids)) for node, ids in graph._out.items()],
+        [(node, list(ids)) for node, ids in graph._in.items()],
+        graph.revision,
+    )
+
+
+class TestBulkReopenParity:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_open_equals_the_add_edge_reference(self, tmp_path, seed):
+        directory = str(tmp_path / "store")
+        _parity_history(seed, directory)
+        reference, partition, quotient = _reference_open(directory)
+        opened = DurableStore.open(directory)
+        assert opened.recovery["replayed"] == 4
+        assert opened.version == reference.version
+        assert _layout(opened.graph) == _layout(reference.graph)
+        assert opened.fingerprint() == reference.fingerprint()
+        maintainer = opened._maintainer
+        assert (maintainer.kind_of, maintainer.rows, maintainer.index) == partition
+        assert _layout(maintainer.quotient) == _layout(quotient)
+        assert isinstance(maintainer.quotient, CompressedGraph)
+        edges = opened.graph.edges
+        assert {(e.occur.lower, e.occur.upper) for e in edges} >= {(0, None), (2, 2), (1, 1)}
+        assert len({id(e.occur) for e in edges}) <= len({e.occur for e in edges})
+        opened.close()
 
 
 class TestMigrations:

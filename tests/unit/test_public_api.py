@@ -133,6 +133,24 @@ class TestImportFootprint:
         ]
         assert loaded == []
 
+    def test_daemon_start_loads_no_containment_code(self, tmp_path):
+        # The containment engine imports its solver on the first ``contains``
+        # request: a daemon that restarts and revalidates never loads it.
+        program = (
+            "import sys, repro.serve.cli\n"
+            "from repro.serve.daemon import ValidationDaemon\n"
+            "ValidationDaemon(socket_path=sys.argv[1])\n"
+            "print(sorted(m for m in sys.modules if m == 'repro.containment'"
+            " or m.startswith('repro.containment.')))"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", program, str(tmp_path / "s.sock")],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC_DIR),
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "[]"
+
     def test_store_layer_does_not_import_numpy(self):
         # The versioned store and its partition maintainer are pure Python,
         # so they behave the same whether or not numpy is installed.
