@@ -326,21 +326,26 @@ class PartitionMaintainer:
         }
         self.index: Dict[Row, int] = {row: kind for kind, row in self.rows.items()}
         self._next_kind = max(self.members, default=-1) + 1
-        # The edges _write_row would add kind by kind, in one bulk build.
         self.quotient = CompressedGraph.from_edges(
             (
-                (kind, label, target, Interval.singleton(count))
+                edge
                 for kind in sorted(self.rows)
-                for (label, target), count in sorted(self.rows[kind], key=repr)
+                for edge in self._row_edges(kind, self.rows[kind])
             ),
             nodes=self.members,
             name=self.quotient.name,
         )
 
     @staticmethod
-    def _write_row(quotient: CompressedGraph, kind: int, row: Row) -> None:
+    def _row_edges(kind: int, row: Row):
+        """The quotient edges of ``kind``'s row, in a deterministic order."""
         for (label, target), count in sorted(row, key=repr):
-            quotient.add_edge(kind, label, target, Interval.singleton(count))
+            yield kind, label, target, Interval.singleton(count)
+
+    @classmethod
+    def _write_row(cls, quotient: CompressedGraph, kind: int, row: Row) -> None:
+        for edge in cls._row_edges(kind, row):
+            quotient.add_edge(*edge)
 
     # ------------------------------------------------------------------ #
     # Incremental update

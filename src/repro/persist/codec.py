@@ -127,17 +127,11 @@ def decode_edges(entries: Any) -> List[Tuple[NodeId, str, NodeId, Interval]]:
     append = decoded.append
     for entry in entries:
         if (entry.__class__ is list or entry.__class__ is tuple) and len(entry) == 4:
+            # Labels are stored as given: a store takes any JSON scalar
+            # label a client sends, so decoding must take it back too.
             source, label, target, occur = entry
-            if label.__class__ is str:
-                append(
-                    (
-                        source if source.__class__ is str else decode_node(source),
-                        label,
-                        target if target.__class__ is str else decode_node(target),
-                        decode_occur(occur),
-                    )
-                )
-                continue
+            append((decode_node(source), label, decode_node(target), decode_occur(occur)))
+            continue
         raise PersistError(f"cannot decode persisted edge: {entry!r}")
     return decoded
 
@@ -193,7 +187,7 @@ def decode_typing(pairs: Any) -> Typing:
                     if not all(name.__class__ is str for name in key):
                         raise PersistError(f"cannot decode persisted typing entry: {pair!r}")
                     type_set = shared[key] = frozenset(key)
-                assignments[node if node.__class__ is str else decode_node(node)] = type_set
+                assignments[decode_node(node)] = type_set
                 continue
         raise PersistError(f"cannot decode persisted typing entry: {pair!r}")
     return Typing(assignments)

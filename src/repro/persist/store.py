@@ -249,10 +249,7 @@ class DurableStore(GraphStore):
         decode = codec.decode_node
         graph = Graph.from_edges(
             codec.decode_edges(snapshot.get("edges", ())),
-            nodes=[
-                node if node.__class__ is str else decode(node)
-                for node in snapshot.get("nodes", ())
-            ],
+            nodes=[decode(node) for node in snapshot.get("nodes", ())],
             name=snapshot.get("name", ""),
         )
         base = int(snapshot.get("base", snapshot["version"]))
@@ -279,10 +276,7 @@ class DurableStore(GraphStore):
 
         partition = snapshot.get("partition")
         if partition:
-            kind_of = {
-                node if node.__class__ is str else decode(node): kind
-                for node, kind in partition["kind_of"]
-            }
+            kind_of = {decode(node): kind for node, kind in partition["kind_of"]}
             store.restore_partition(kind_of, int(partition["epoch"]))
         for entry in snapshot.get("typings", ()):
             store.restored_typings.append(

@@ -58,6 +58,13 @@ class TestCodec:
             decoded = codec.decode_node(wire)
             assert decoded == node and type(decoded) is type(node)
 
+    def test_non_string_labels_round_trip(self):
+        # A store takes any JSON scalar label a client sends (Delta.from_json
+        # does not type-check labels), so decoding must give each one back.
+        delta = Delta.from_json({"add": [["a", 5, "b"], ["a", None, "b"], ["a", 1.5, "b"]]})
+        wire = json.loads(json.dumps(codec.encode_delta(delta)))
+        assert codec.decode_delta(wire) == delta
+
     def test_one_interval_per_distinct_pair(self):
         assert codec.decode_occur([2, None]) is codec.decode_occur([2, None])
         typing = codec.decode_typing([["a", ["T", "U"]], ["b", ["T", "U"]], [{"i": 1}, []]])
@@ -96,7 +103,6 @@ class TestCodec:
             (codec.decode_typing, [["n"]]),
             (codec.decode_typing, [[{"i": "a"}, ["T"]]]),
             (codec.decode_typing, {"n": ["T"]}),
-            (codec.decode_delta, {"add": [["a", 1, "b", [1, 1]]]}),
             (codec.decode_delta, {"add": [["a", "x", "b"]]}),
             (codec.decode_delta, {"remove": [["a", "x", {"t": 5}, [1, 1]]]}),
             (codec.decode_delta, {"add": "abcd"}),
@@ -105,6 +111,28 @@ class TestCodec:
     def test_malformed_values_raise_persist_error(self, decode, value):
         with pytest.raises(PersistError):
             decode(value)
+
+
+class TestDaemonRecovery:
+    def test_non_string_label_survives_restart(self, tmp_path):
+        """A delta with a JSON number label is taken (the protocol does not
+        type labels), so the next daemon must recover the store holding it."""
+        from repro.serve.client import DaemonClient
+        from repro.serve.daemon import start_in_thread
+
+        address = str(tmp_path / "d.sock")
+        data_dir = str(tmp_path / "data")
+        with start_in_thread(socket_path=address, data_dir=data_dir):
+            with DaemonClient.connect(address) as client:
+                client.update_graph("g", data_text="<a> <p> <b> .\n", data_format="ntriples")
+                client.checkpoint("g")
+                client.update_graph("g", delta={"add": [["a", 5, "b"]]})
+                before = client.status()["graphs"]["g"]
+
+        with start_in_thread(socket_path=address, data_dir=data_dir):
+            with DaemonClient.connect(address) as client:
+                after = client.status()["graphs"]["g"]
+        assert (after["version"], after["edges"]) == (before["version"], 2)
 
 
 class TestWal:
@@ -170,6 +198,25 @@ class TestDurableStore:
         assert reopened.graph.edge_count == store.graph.edge_count
         assert reopened.recovery["replayed"] == 2
         assert reopened.recovery["truncated"] == 0
+        reopened.close()
+
+    def test_non_string_labels_reopen(self, tmp_path):
+        directory = str(tmp_path / "store")
+        store = DurableStore.create(directory, _base_graph(), name="t")
+        store.apply(Delta.from_json({"add": [["a", 5, "b"], ["b", None, "c"]]}))
+        store.checkpoint()
+        # Past the checkpoint: these live only in the WAL tail.
+        store.apply(Delta.from_json({"add": [["c", 7, "a"]], "remove": [["a", 5, "b"]]}))
+        store.close()
+
+        reopened = DurableStore.open(directory)
+        assert reopened.version == store.version == 2
+        assert reopened.fingerprint() == store.fingerprint()
+
+        def content(graph):
+            return sorted(repr((e.source, e.label, e.target, e.occur)) for e in graph.edges)
+
+        assert content(reopened.graph) == content(store.graph)
         reopened.close()
 
     def test_checkpoint_rotates_and_prunes(self, tmp_path):
