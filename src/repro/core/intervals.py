@@ -126,11 +126,6 @@ class Interval:
     # Queries
     # ------------------------------------------------------------------ #
     @property
-    def is_bounded(self) -> bool:
-        """True when the upper bound is finite."""
-        return self.upper is not None
-
-    @property
     def is_basic(self) -> bool:
         """True for the four basic intervals ``1 ? + *`` used by shape graphs."""
         return (self.lower, self.upper) in {(1, 1), (0, 1), (1, INF), (0, INF)}
@@ -139,11 +134,6 @@ class Interval:
     def is_singleton(self) -> bool:
         """True for singleton intervals ``[k;k]`` used by compressed graphs."""
         return self.upper is not None and self.lower == self.upper
-
-    @property
-    def is_empty_only(self) -> bool:
-        """True for ``[0;0]``."""
-        return self.lower == 0 and self.upper == 0
 
     def shorthand(self) -> Optional[str]:
         """Return the shorthand (``0 1 ? + *``) for this interval, or ``None``."""

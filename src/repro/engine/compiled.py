@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import zlib
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.graphs.graph import Graph
 from repro.presburger.build import rbe_to_formula
@@ -177,6 +177,16 @@ class CompiledType:
     A symbol's bounds are the sum of its atoms' intervals, which is again an
     interval, so deciding such a rule by these bounds is exact under both
     semantics (:func:`repro.schema.typing.satisfies_type_groups`).
+
+    ``allowed_labels`` are the labels of the alphabet: a node with an
+    out-edge under any other label fails the rule whatever its successors'
+    types.  ``required_labels`` (empty unless ``group_bounds`` is set) are
+    the labels whose symbols' lower bounds sum to at least 1: a node with no
+    out-edge under one of them fails too.  Both feed
+    :meth:`CompiledSchema.label_seed`.  ``label_options`` maps each allowed
+    label to the schema types ``τ`` with ``(label, τ)`` in the alphabet, in
+    the schema's type order: the candidates an edge under that label can
+    take.
     """
 
     __slots__ = (
@@ -185,11 +195,14 @@ class CompiledType:
         "sorted_alphabet",
         "symbol_set",
         "group_bounds",
+        "allowed_labels",
+        "required_labels",
+        "label_options",
         "_template",
         "_normalised",
     )
 
-    def __init__(self, type_name: TypeName, expr: RBE):
+    def __init__(self, type_name: TypeName, expr: RBE, type_order: Sequence[TypeName] = ()):
         self.type_name = type_name
         self.expr = expr
         self.sorted_alphabet: Tuple[object, ...] = tuple(sorted(expr.alphabet(), key=repr))
@@ -201,6 +214,19 @@ class CompiledType:
                 symbol: (interval.lower, interval.upper)
                 for symbol, interval in profile.per_symbol_interval().items()
             }
+        self.allowed_labels = frozenset(label for label, _type in self.sorted_alphabet)
+        required: Dict[object, int] = {}
+        for (label, _type), (lower, _upper) in (self.group_bounds or {}).items():
+            required[label] = required.get(label, 0) + lower
+        self.required_labels = frozenset(
+            label for label, lower in required.items() if lower >= 1
+        )
+        self.label_options: Dict[object, Tuple[TypeName, ...]] = {
+            label: tuple(
+                target for target in type_order if (label, target) in self.symbol_set
+            )
+            for label in self.allowed_labels
+        }
         self._template: Optional[Tuple[Dict[object, str], Formula]] = None
         self._normalised = None
 
@@ -262,6 +288,7 @@ class CompiledSchema:
         self._label_order: Optional[Tuple[object, ...]] = None
         self._label_index: Optional[Dict[object, int]] = None
         self._watchers: Optional[Dict[object, Tuple[TypeName, ...]]] = None
+        self._seeds: Dict[FrozenSet[object], FrozenSet[TypeName]] = {}
         self._dense_tables = None
 
     @classmethod
@@ -346,11 +373,39 @@ class CompiledSchema:
             }
         return self._watchers
 
+    def label_seed(self, labels: FrozenSet[object]) -> FrozenSet[TypeName]:
+        """The types a node whose out-edges carry exactly ``labels`` may have.
+
+        A type is kept when its allowed labels contain ``labels`` and
+        ``labels`` contain its required labels (see :class:`CompiledType`).
+        Every dropped type fails the node's check under any typing of its
+        successors, so seeding the fixpoint with these types instead of all
+        of ``Γ`` leaves the greatest fixpoint unchanged.  Under the compressed
+        semantics the caller leaves out labels seen only on edges of
+        multiplicity 0, which count for nothing.  Memoised per label set; a
+        set with a label no rule mentions has the empty seed and is not
+        memoised, so the memo only grows with combinations of schema labels.
+        """
+        seed = self._seeds.get(labels)
+        if seed is None:
+            if not labels <= self.label_index.keys():
+                return frozenset()
+            artifacts = [self.type_artifact(type_name) for type_name in self.type_order]
+            seed = self._seeds[labels] = frozenset(
+                artifact.type_name
+                for artifact in artifacts
+                if labels <= artifact.allowed_labels
+                and artifact.required_labels <= labels
+            )
+        return seed
+
     def type_artifact(self, type_name: TypeName) -> CompiledType:
         """The (interned) per-type artifact for ``type_name``."""
         artifact = self._types.get(type_name)
         if artifact is None:
-            artifact = CompiledType(type_name, self.schema.definition(type_name))
+            artifact = CompiledType(
+                type_name, self.schema.definition(type_name), self.type_order
+            )
             self._types[type_name] = artifact
         return artifact
 
@@ -418,9 +473,6 @@ class DenseTables:
         array form of :meth:`CompiledSchema.symbol_watchers`, OR-ed into a
         predecessor's dirty row when a successor loses type ``τ``.
 
-    ``full_mask``
-        ``(W,)`` uint64 with bits ``0..T-1`` set (the seed relation ``Γ``).
-
     ``word_of`` / ``shift_of``
         ``(T,)`` arrays mapping a type index to its word and bit position —
         ``(row[word_of[t]] >> shift_of[t]) & 1`` tests membership.
@@ -433,7 +485,6 @@ class DenseTables:
         "words",
         "type_order",
         "label_order",
-        "full_mask",
         "option_masks",
         "watcher_masks",
         "word_of",
@@ -466,9 +517,6 @@ class DenseTables:
         self.bit_rows[np.arange(count), self.word_of] = (
             np.uint64(1) << self.shift_of
         )
-        self.full_mask = np.bitwise_or.reduce(
-            self.bit_rows, axis=0
-        ) if count else np.zeros(words, dtype=np.uint64)
 
         self.option_masks = np.zeros((count, labels + 1, words), dtype=np.uint64)
         self.watcher_masks = np.zeros((labels + 1, count, words), dtype=np.uint64)

@@ -6,10 +6,17 @@ and compressed graphs (:func:`repro.schema.validation.maximal_typing_compressed`
 and drop ``(node, type)`` pairs whose check fails under the current relation
 until nothing changes.  This module owns that loop once: three entry points
 (a full run, and delta-seeded retyping of a graph or of its kind quotient)
-each hand one active region to a single kernel binding, ``_stabilise``.  It
-is bound at import to the vectorised kernel (:mod:`repro.engine.vectorized`)
-when numpy imports, and otherwise to the object kernel below, which improves
-on the per-semantics worklists it replaced (retained in
+each hand one active region to a kernel picked by the region's size
+(:func:`_pick_kernel`): a region of at least :data:`VECTORIZE_MIN_NODES`
+nodes runs the vectorised kernel (:mod:`repro.engine.vectorized`, which
+imports numpy the first time it is needed), any smaller region — and every
+region when numpy is not installed — runs the object kernel below.  Both
+kernels start a node from its *label seed*
+(:meth:`repro.engine.compiled.CompiledSchema.label_seed`): the types whose
+alphabet allows every label on the node's out-edges and whose required
+labels it carries, not all of ``Γ``.  A dropped type fails the node's check
+under any typing, so the greatest fixpoint is the same.  The object kernel
+improves on the per-semantics worklists it replaced (retained in
 :mod:`repro.schema.reference`) in three ways:
 
 **SCC schedule.**  A node's types depend only on the types of its successors,
@@ -18,7 +25,8 @@ so the graph is condensed into strongly connected components
 in reverse topological order (sinks first).  By the time a component is
 examined, everything it depends on outside itself is final — types stabilise
 component-by-component instead of rippling globally, and no component is ever
-revisited.
+revisited.  A one-node component — most of them on acyclic graphs and kind
+quotients — is settled by checking its candidate types directly.
 
 **Fine-grained dirtiness.**  Work is tracked per ``(node, type)`` pair, not
 per node.  When a successor reached through label ``a`` loses type ``τ``, a
@@ -60,7 +68,6 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.engine.compiled import CompiledSchema, compile_schema
-from repro.engine import vectorized as _vectorized
 from repro.obs import metrics as _obs_metrics
 from repro.obs import tracing as _obs_tracing
 from repro.graphs.graph import Graph
@@ -90,6 +97,9 @@ class FixpointStats:
     queries, actual MILP invocations) are read through a
     :class:`repro.presburger.solver.SolverWindow`.
 
+    ``kernel`` names the kernel that ran on the last region (``"object"`` or
+    ``"vectorized"``; empty when no region was typed).
+
     ``mode`` records which schedule produced the typing: ``"full"`` (the plain
     kernel), ``"kinds"`` (full typing through the kind-compression quotient),
     ``"incremental"`` (delta-seeded), ``"kinds-incremental"`` (view-delta-seeded
@@ -107,6 +117,7 @@ class FixpointStats:
     removals: int = 0
     solver_problems: int = 0
     mode: str = "full"
+    kernel: str = ""
     frontier: int = 0
     affected: int = 0
 
@@ -247,8 +258,30 @@ def fixpoint_metrics_summary() -> Dict[str, object]:
 
 
 # --------------------------------------------------------------------------- #
-# The kernel: one binding, chosen by the install
+# The kernels, picked per region by its size
 # --------------------------------------------------------------------------- #
+#: Active regions of at least this many nodes run the vectorised kernel; smaller
+#: ones run the object kernel, and then numpy is never imported.  Set at the
+#: measured break-even.  On a 2-core x86-64 VM (Python 3.11, numpy 2.4; its
+#: speed varied by about a third between runs), full per-node typing with
+#: both kernels label-seeded took 250–340 ms (object) against 85–140 ms
+#: (vectorised) on an 18,945-node clone document and 56–100 against
+#: 21–32 ms on a 5,965-node power-law graph: the vectorised kernel saves
+#: 0.006–0.013 ms per node.  Its first use in a process also pays 0.09–0.15 s
+#: to import numpy, so it comes out ahead from roughly 7k–25k nodes on.
+VECTORIZE_MIN_NODES = 16_000
+
+
+def _out_labels(graph: Graph, node: NodeId, compressed: bool) -> frozenset:
+    """The labels on ``node``'s out-edges that its label seed reads: under the
+    compressed semantics an edge of multiplicity 0 counts for nothing."""
+    if compressed:
+        return frozenset(
+            edge.label for edge in graph.out_edges(node) if edge.occur.lower
+        )
+    return frozenset(edge.label for edge in graph.out_edges(node))
+
+
 def _stabilise_objects(
     graph: Graph,
     active,
@@ -260,14 +293,14 @@ def _stabilise_objects(
 ) -> None:
     """The object kernel, with the contract of :func:`repro.engine.vectorized.stabilise`.
 
-    ``active`` nodes are reseeded with ``Γ``; out-edge targets outside it are
-    read frozen from ``current``.  The subgraph ``active`` induces is
-    condensed into strongly connected components, each driven to its local
-    fixpoint sinks first.
+    ``active`` nodes are reseeded with their label seeds; out-edge targets
+    outside it are read frozen from ``current``.  The subgraph ``active``
+    induces is condensed into strongly connected components, each driven to
+    its local fixpoint sinks first.
     """
     type_order = compiled.type_order
     for node in active:
-        current[node] = set(type_order)
+        current[node] = set(compiled.label_seed(_out_labels(graph, node, compressed)))
     artifacts = {
         type_name: compiled.type_artifact(type_name) for type_name in type_order
     }
@@ -276,22 +309,107 @@ def _stabilise_objects(
     stats.components = len(components)
     stabilise = _stabilise_compressed if compressed else _stabilise_plain
     for component in components:
+        if len(component) == 1:
+            _stabilise_single(
+                graph, component[0], current, type_order, artifacts,
+                signature_memo, stats, compressed,
+            )
+            continue
         stabilise(
             graph, component, set(component), current,
             type_order, artifacts, watchers, signature_memo, stats,
         )
 
 
-#: Drives an active region to its greatest fixpoint, in place in ``current``.
-#: The vectorised kernel whenever numpy imports (same typing, several times
-#: faster); the object kernel is what runs without it.  Tests pin a kernel by
-#: monkeypatching this binding.
-_stabilise = _vectorized.stabilise if _vectorized.available() else _stabilise_objects
+def _stabilise_single(
+    graph: Graph,
+    node: NodeId,
+    current: Dict[NodeId, Set[TypeName]],
+    type_order: Tuple[TypeName, ...],
+    artifacts: Dict[TypeName, object],
+    signature_memo: Dict[Tuple, bool],
+    stats: FixpointStats,
+    compressed: bool,
+) -> None:
+    """Stabilise a one-node component: check its types until none fails.
+
+    Its successors outside it are final, so without a self-loop one pass
+    settles it; with one, a removal may invalidate the node's other types
+    and the pass repeats.  Most components of acyclic graphs and kind
+    quotients are like this, and skip the dirtiness bookkeeping.
+    """
+    types = current[node]
+    while True:
+        pending = [type_name for type_name in type_order if type_name in types]
+        if not pending:
+            return
+        if compressed:
+            stats.rounds += 1
+            verdicts = _check_compressed_batch(
+                graph, [(node, type_name) for type_name in pending],
+                current, artifacts, signature_memo, stats,
+            )
+        else:
+            stats.checks += len(pending)
+            verdicts = [
+                _check_plain(
+                    graph, node, artifacts[type_name], current, signature_memo, stats
+                )
+                for type_name in pending
+            ]
+        removed = [
+            type_name for type_name, verdict in zip(pending, verdicts) if not verdict
+        ]
+        if not removed:
+            return
+        types.difference_update(removed)
+        stats.removals += len(removed)
+        if all(edge.target != node for edge in graph.out_edges(node)):
+            return
 
 
-def _kernel_name() -> str:
-    """The bound kernel, as the fixpoint spans record it."""
-    return "vectorized" if _stabilise is _vectorized.stabilise else "object"
+#: The vectorised kernel once resolved: ``None`` before the first large
+#: region, ``False`` when numpy does not import.
+_vectorized_kernel = None
+
+
+def _vectorized():
+    """The vectorised kernel, importing it (and numpy) on first use; ``False``
+    when numpy is not installed."""
+    global _vectorized_kernel
+    if _vectorized_kernel is None:
+        from repro.engine import vectorized
+
+        _vectorized_kernel = vectorized.available() and vectorized.stabilise
+    return _vectorized_kernel
+
+
+#: A kernel that drives every active region to its greatest fixpoint, in
+#: place in ``current``, or ``None`` to pick one per region by size.  Tests
+#: and benchmarks pin a kernel by monkeypatching this binding.
+_stabilise = None
+
+
+def _pick_kernel(size: int):
+    """``(name, kernel)`` for an active region of ``size`` nodes.
+
+    The pinned ``_stabilise`` when set; otherwise the vectorised kernel from
+    :data:`VECTORIZE_MIN_NODES` nodes on (when numpy is installed), and the
+    object kernel below that.
+    """
+    kernel = _stabilise or (
+        (size >= VECTORIZE_MIN_NODES and _vectorized()) or _stabilise_objects
+    )
+    return ("object" if kernel is _stabilise_objects else "vectorized"), kernel
+
+
+def _run_kernel(span, graph, active, current, compiled, compressed, signature_memo, stats) -> None:
+    """Stabilise ``active`` with the kernel picked for its size, recording
+    the kernel's name in ``stats.kernel`` and on ``span``."""
+    name, kernel = _pick_kernel(len(active))
+    stats.kernel = name
+    span.annotate(kernel=name)
+    kernel(graph, active, current, compiled, compressed, signature_memo, stats)
 
 
 def _compiled_schema(schema, compiled) -> CompiledSchema:
@@ -330,15 +448,15 @@ def maximal_typing_fixpoint(
         stats = FixpointStats()
     with _KernelScope(stats), _obs_tracing.span(
         "fixpoint.full", compressed=compressed, nodes=graph.node_count,
-        kernel=_kernel_name(),
-    ):
+    ) as trace_span:
         # (type, neighbourhood signature) -> verdict; shared across the run
         # so isomorphic nodes anywhere in the graph are checked once.
         if signature_memo is None:
             signature_memo = {}
         current: Dict[NodeId, Set[TypeName]] = {}
-        _stabilise(
-            graph, graph.nodes, current, compiled, compressed, signature_memo, stats
+        _run_kernel(
+            trace_span, graph, graph.nodes, current, compiled, compressed,
+            signature_memo, stats,
         )
         return Typing(current)
 
@@ -476,28 +594,29 @@ def _retype_region(
     """The retype body shared by both incremental entry points.
 
     The seeds present in ``graph`` form the frontier; its backward closure
-    (:func:`affected_region`) is reseeded with ``Γ`` and stabilised, every
+    (:func:`affected_region`) is reseeded and stabilised, every
     other node keeping its prior types.  An empty frontier reports
     ``"unchanged"``; a closure past ``max_affected_fraction`` of the graph
     calls ``fallback(stats=stats)`` instead.
     """
     if stats is None:
         stats = FixpointStats()
-    with _KernelScope(stats), _obs_tracing.span(
-        span_name, kernel=_kernel_name()
-    ) as trace_span:
+    with _KernelScope(stats), _obs_tracing.span(span_name) as trace_span:
         frontier = [node for node in seeds if graph.has_node(node)]
         stats.frontier = len(frontier)
         if not frontier:
             stats.mode = "unchanged"
-            trace_span.annotate(mode="unchanged")
+            # No region to type: name the kernel an empty region picks.
+            trace_span.annotate(mode="unchanged", kernel=_pick_kernel(0)[0])
             return Typing(_carried_over(graph, prior, ()))
 
         affected = affected_region(graph, frontier)
         stats.affected = len(affected)
         trace_span.annotate(frontier=stats.frontier, affected=stats.affected)
         if len(affected) > max_affected_fraction * graph.node_count:
-            return fallback(stats=stats)
+            typing = fallback(stats=stats)
+            trace_span.annotate(kernel=stats.kernel)
+            return typing
 
         # Everything outside the region keeps its prior (frozen, never
         # mutated) assignment and is read across the boundary exactly like an
@@ -505,7 +624,10 @@ def _retype_region(
         current: Dict[NodeId, Set[TypeName]] = _carried_over(graph, prior, affected)
         if signature_memo is None:
             signature_memo = {}
-        _stabilise(graph, affected, current, compiled, compressed, signature_memo, stats)
+        _run_kernel(
+            trace_span, graph, affected, current, compiled, compressed,
+            signature_memo, stats,
+        )
         stats.mode = mode
         return Typing(current)
 
@@ -533,7 +655,7 @@ def retype_incremental(
        *affected region*; every node outside it keeps its prior types
        verbatim (its out-reachable subgraph is untouched, hence its slice of
        the greatest fixpoint is unchanged);
-    2. reseed the affected region with the full type set ``Γ`` — sound for
+    2. reseed the affected region with its label seeds — sound for
        additions and removals alike, since the region is recomputed from the
        top — and drive it to its local fixpoint with the kernel, reading the
        frozen types across the region boundary.
@@ -585,7 +707,7 @@ def retype_kinds_incremental(
     ``view_delta.changed`` — the kinds that are new or whose quotient
     out-edge rows changed — is exactly the set of quotient nodes whose
     out-reachable subgraph may differ, so its backward closure is reseeded
-    with ``Γ`` and stabilised under the compressed semantics while every
+    and stabilised under the compressed semantics while every
     other kind keeps its prior types verbatim (retired kinds simply drop
     out).  The result equals a from-scratch quotient typing pair-for-pair;
     past ``max_affected_fraction`` the kernel falls back to one
@@ -671,8 +793,7 @@ def _stabilise_plain(
                 continue
             stats.checks += 1
             if not _check_plain(
-                graph, node, artifacts[type_name], current,
-                type_order, signature_memo, stats,
+                graph, node, artifacts[type_name], current, signature_memo, stats
             ):
                 node_types.discard(type_name)
                 removed.append(type_name)
@@ -691,18 +812,17 @@ def _check_plain(
     node: NodeId,
     artifact,
     current: Dict[NodeId, Set[TypeName]],
-    type_order: Tuple[TypeName, ...],
     signature_memo: Dict[Tuple, bool],
     stats: FixpointStats,
 ) -> bool:
-    symbol_set = artifact.symbol_set
+    label_options = artifact.label_options
     groups: Dict[Tuple[str, Tuple[TypeName, ...]], int] = {}
     for edge in graph.out_edges(node):
         target_types = current.get(edge.target, ())
         options = tuple(
             type_name
-            for type_name in type_order
-            if type_name in target_types and (edge.label, type_name) in symbol_set
+            for type_name in label_options.get(edge.label, ())
+            if type_name in target_types
         )
         if not options:
             stats.shortcut_failures += 1
@@ -761,7 +881,7 @@ def _stabilise_compressed(
             return
         stats.rounds += 1
         verdicts = _check_compressed_batch(
-            graph, batch, current, type_order, artifacts, signature_memo, stats
+            graph, batch, current, artifacts, signature_memo, stats
         )
         removed_by_node: Dict[NodeId, List[TypeName]] = {}
         for (node, type_name), verdict in zip(batch, verdicts):
@@ -777,7 +897,6 @@ def _check_compressed_batch(
     graph: Graph,
     pairs: Sequence[Tuple[NodeId, TypeName]],
     current: Dict[NodeId, Set[TypeName]],
-    type_order: Tuple[TypeName, ...],
     artifacts: Dict[TypeName, object],
     signature_memo: Dict[Tuple, bool],
     stats: FixpointStats,
@@ -794,7 +913,7 @@ def _check_compressed_batch(
     for position, (node, type_name) in enumerate(pairs):
         stats.checks += 1
         artifact = artifacts[type_name]
-        described = _compressed_signature(graph, node, artifact, current, type_order)
+        described = _compressed_signature(graph, node, artifact, current)
         if described is None:
             stats.shortcut_failures += 1
             verdicts[position] = False  # a mandatory edge has no candidate type
@@ -832,7 +951,6 @@ def _compressed_signature(
     node: NodeId,
     artifact,
     current: Dict[NodeId, Set[TypeName]],
-    type_order: Tuple[TypeName, ...],
 ):
     """``(signature, edge descriptions)`` for one compressed check, or ``None``.
 
@@ -841,15 +959,15 @@ def _compressed_signature(
     Zero-multiplicity edges are dropped — their parallel-edge variables are
     forced to zero, contributing nothing to any symbol count.
     """
-    symbol_set = artifact.symbol_set
+    label_options = artifact.label_options
     descriptions: List[Tuple[str, int, Tuple[TypeName, ...]]] = []
     for edge in graph.out_edges(node):
         multiplicity = edge.occur.lower
         target_types = current.get(edge.target, ())
         options = tuple(
             type_name
-            for type_name in type_order
-            if type_name in target_types and (edge.label, type_name) in symbol_set
+            for type_name in label_options.get(edge.label, ())
+            if type_name in target_types
         )
         if not options:
             if multiplicity > 0:

@@ -34,13 +34,15 @@ which the parity suites assert against :mod:`repro.schema.reference`.  A
 vectorised run therefore reports ``FixpointStats.components == 0`` (no
 condensation is built).
 
-:mod:`repro.engine.fixpoint` binds :func:`stabilise` as its kernel whenever
-numpy imports; without numpy every entry point runs the object kernel.
+:mod:`repro.engine.fixpoint` runs :func:`stabilise` on active regions of at
+least ``VECTORIZE_MIN_NODES`` nodes, importing this module (and numpy) on the
+first such region; smaller regions, and every region without numpy, run the
+object kernel.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 
 try:  # pragma: no cover - exercised implicitly on import
     import numpy as np
@@ -50,6 +52,7 @@ except ImportError:  # pragma: no cover
     np = None
     _HAVE_NUMPY = False
 
+from repro.engine.fixpoint import _assemble_problem, _out_labels
 from repro.schema.typing import edge_groups, satisfies_type_groups
 
 NodeId = Hashable
@@ -126,15 +129,21 @@ class _Plan:
     active nodes' out-edges in CSR form (``label`` as an index into the
     schema's ``label_order``, with ``len(label_order)`` the unknown-label
     sentinel); ``in_*`` the active-to-active in-edges used for dirtiness
-    propagation.  Plans for whole-graph runs are cached on the graph keyed by
-    ``(graph.revision, schema fingerprint)``, so repeated full typings of an
-    unchanged graph skip the Python flattening pass entirely.
+    propagation.  ``label_sets`` lists the distinct out-label sets of the
+    active nodes (edges of multiplicity 0 left out under the compressed
+    semantics) and ``label_set_of`` gives each active node's entry: the
+    input of its label seed.  Plans for whole-graph runs are cached on the
+    graph keyed by ``(graph.revision, schema fingerprint, compressed)``, so
+    repeated full typings of an unchanged graph skip the Python flattening
+    pass entirely.
     """
 
     __slots__ = (
         "active_list",
         "n_active",
         "boundary",
+        "label_sets",
+        "label_set_of",
         "out_ptr",
         "out_label",
         "out_tgt",
@@ -144,7 +153,10 @@ class _Plan:
         "in_label",
     )
 
-    def __init__(self, graph, active_list: List[NodeId], label_index, sentinel: int):
+    def __init__(
+        self, graph, active_list: List[NodeId], label_index, sentinel: int,
+        compressed: bool,
+    ):
         self.active_list = active_list
         n_active = self.n_active = len(active_list)
         position = {node: i for i, node in enumerate(active_list)}
@@ -153,6 +165,8 @@ class _Plan:
         out_tgt: List[int] = []
         out_mult: List[int] = []
         boundary: List[NodeId] = []
+        label_sets: Dict[FrozenSet, int] = {}
+        label_set_of: List[int] = []
         for node in active_list:
             for edge in graph.out_edges(node):
                 tpos = position.get(edge.target)
@@ -164,6 +178,8 @@ class _Plan:
                 out_tgt.append(tpos)
                 out_mult.append(edge.occur.lower)
             out_ptr.append(len(out_tgt))
+            labels = _out_labels(graph, node, compressed)
+            label_set_of.append(label_sets.setdefault(labels, len(label_sets)))
         in_ptr: List[int] = [0]
         in_src: List[int] = []
         in_label: List[int] = []
@@ -175,6 +191,8 @@ class _Plan:
                     in_label.append(label_index.get(edge.label, sentinel))
             in_ptr.append(len(in_src))
         self.boundary = boundary
+        self.label_sets = list(label_sets)
+        self.label_set_of = np.asarray(label_set_of, dtype=np.intp)
         self.out_ptr = np.asarray(out_ptr, dtype=np.intp)
         self.out_label = np.asarray(out_label, dtype=np.intp)
         self.out_tgt = np.asarray(out_tgt, dtype=np.intp)
@@ -195,15 +213,14 @@ def stabilise(
 ) -> None:
     """Drive ``active`` to its greatest fixpoint with array rounds.
 
-    ``active`` nodes are reseeded with the full relation ``Γ`` (both callers
-    — full typing and incremental reseeding — want exactly that); nodes that
+    ``active`` nodes are reseeded with their label seeds
+    (:meth:`repro.engine.compiled.CompiledSchema.label_seed`, as in the
+    object kernel); nodes that
     ``active``'s out-edges reach outside the set are *boundary* nodes whose
     candidate types are read frozen from ``current`` and never re-examined,
     matching the object kernel's cross-region reads.  On return, ``current``
     holds the stabilised type set (a frozenset) of every active node.
     """
-    from repro.engine.fixpoint import _assemble_problem  # circular at import time
-
     tables = compiled.dense_tables()
     type_order = tables.type_order
     type_count = len(type_order)
@@ -221,12 +238,12 @@ def stabilise(
     plan: Optional[_Plan] = None
     cache_key = None
     if len(active) == graph.node_count:
-        cache_key = (graph.revision, compiled.fingerprint)
+        cache_key = (graph.revision, compiled.fingerprint, compressed)
         cached = getattr(graph, "_vectorized_plan", None)
         if cached is not None and cached[0] == cache_key:
             plan = cached[1]
     if plan is None:
-        plan = _Plan(graph, sorted(active, key=repr), label_index, sentinel)
+        plan = _Plan(graph, sorted(active, key=repr), label_index, sentinel, compressed)
         if cache_key is not None:
             graph._vectorized_plan = (cache_key, plan)
 
@@ -241,9 +258,13 @@ def stabilise(
     in_src_a = plan.in_src
     in_label_a = plan.in_label
 
-    bits = np.zeros((n_active + len(boundary), words), dtype=np.uint64)
-    bits[:n_active] = tables.full_mask
     type_index = compiled.type_index
+    seed_rows = np.zeros((len(plan.label_sets), words), dtype=np.uint64)
+    for row, labels in zip(seed_rows, plan.label_sets):
+        for type_name in compiled.label_seed(labels):
+            row |= tables.bit_rows[type_index[type_name]]
+    bits = np.zeros((n_active + len(boundary), words), dtype=np.uint64)
+    bits[:n_active] = seed_rows[plan.label_set_of]
     for offset, node in enumerate(boundary):
         row = bits[n_active + offset]
         for type_name in current.get(node, ()):

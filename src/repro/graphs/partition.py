@@ -12,7 +12,8 @@ coarsest partition no two kinds share a row.  On an acyclic graph the kinds
 can therefore be computed by **hash-consing, sinks first**: visit the nodes
 in Kahn order, read each node's row over its targets' final kinds, and look
 the row up — a hit joins that kind, a miss mints a fresh one.  One pass, no
-refinement rounds.  Only a cycle forces the round-based refinement.
+refinement rounds.  Only the nodes that reach a cycle need the round-based
+refinement; a full build hashes every other node first.
 
 An update has two phases:
 
@@ -117,6 +118,16 @@ def sinks_first(graph: Graph, order: List[NodeId]) -> Optional[List[NodeId]]:
     induces, edges leaving it ignored; ``order`` fixes the tie-breaking, so the result is
     deterministic.  Returns ``None`` when that subgraph has a cycle.
     """
+    peeled, cyclic = _peel(graph, order)
+    return None if cyclic else peeled
+
+
+def _peel(graph: Graph, order: List[NodeId]) -> Tuple[List[NodeId], Set[NodeId]]:
+    """Kahn's pass over ``order``: ``(peeled sinks first, the rest)``.
+
+    The rest are exactly the nodes of ``order`` that reach a cycle of the
+    subgraph ``order`` induces; every peeled node reaches none.
+    """
     region = set(order)
     whole = len(region) == graph.node_count  # then every edge stays inside
     pending: Dict[NodeId, int] = {}
@@ -144,7 +155,7 @@ def sinks_first(graph: Graph, order: List[NodeId]) -> Optional[List[NodeId]]:
                 ready.append(edge.source)
             else:
                 pending[edge.source] = left - 1
-    return None if pending else result
+    return result, set(pending)
 
 
 def kind_partition(graph: Graph) -> Dict[NodeId, int]:
@@ -155,50 +166,66 @@ def kind_partition(graph: Graph) -> Dict[NodeId, int]:
     signature the fixpoint kernel memoises, iterated to a fixed point.
     Kinds are numbered by first appearance in ``repr`` order of the nodes.
 
-    An acyclic graph is kinded in one sinks-first hash-consing pass (each
-    node's row is final once its successors are kinded) and renumbered once
-    at the end.  A graph with a cycle is refined from one block, splitting by
-    signature until stable (at most ``|N|`` rounds, one pass over the edges
-    each).  Both give the same dict.
+    The nodes that reach no cycle are kinded in one sinks-first
+    hash-consing pass (each node's row is final once its successors are
+    kinded).  The nodes that reach a cycle, if any, are then refined from
+    one block, splitting by signature until stable (at most as many rounds
+    as there are such nodes), with their other successors' kinds read as
+    final.  A node that reaches a cycle is never counting-bisimilar to one
+    that does not (by induction on the height of the latter), so the two
+    parts share no kind.  Kinds are renumbered once at the end, giving the
+    dict one refinement of the whole graph from one block would.
     """
     return _build_partition(graph)[0]
 
 
-def _build_partition(graph: Graph) -> Tuple[Dict[NodeId, int], str]:
-    """:func:`kind_partition` plus the path taken (``"dag"`` or ``"rounds"``)."""
+def _build_partition(graph: Graph) -> Tuple[Dict[NodeId, int], str, int]:
+    """:func:`kind_partition` plus the path taken (``"dag"`` when no node
+    reaches a cycle, ``"rounds"`` otherwise) and how many nodes were refined
+    in rounds."""
     order = sorted(graph.nodes, key=repr)
-    dag = sinks_first(graph, order)
-    if dag is not None:
-        provisional: Dict[NodeId, int] = {}
-        index: Dict[Row, int] = {}
-        for node in dag:
-            row = row_of(graph, node, provisional)
-            provisional[node] = index.setdefault(row, len(index))
-        numbering: Dict[int, int] = {}
-        return {
-            node: numbering.setdefault(provisional[node], len(numbering))
-            for node in order
-        }, "dag"
-    return _refine_rounds(graph, order), "rounds"
+    peeled, cyclic = _peel(graph, order)
+    provisional: Dict[NodeId, int] = {}
+    index: Dict[Row, int] = {}
+    for node in peeled:
+        row = row_of(graph, node, provisional)
+        provisional[node] = index.setdefault(row, len(index))
+    path = "dag"
+    if cyclic:
+        path = "rounds"
+        refined = [node for node in order if node in cyclic]
+        provisional = _refine_rounds(graph, refined, provisional)
+    numbering: Dict[int, int] = {}
+    return {
+        node: numbering.setdefault(provisional[node], len(numbering))
+        for node in order
+    }, path, len(cyclic)
 
 
-def _refine_rounds(graph: Graph, order: List[NodeId]) -> Dict[NodeId, int]:
-    """Signature refinement from one block over all of ``order`` (any graph)."""
-    kind_of: Dict[NodeId, int] = {node: 0 for node in order}
+def _refine_rounds(
+    graph: Graph, order: List[NodeId], frozen: Optional[Dict[NodeId, int]] = None
+) -> Dict[NodeId, int]:
+    """Signature refinement from one block over ``order``.
+
+    Successors outside ``order`` must be keys of ``frozen``, whose kinds are
+    read as final; ``order``'s colours are numbered after them, by first
+    appearance in ``order``.  Returns ``frozen`` extended by the colours.
+    """
+    kind_of: Dict[NodeId, int] = dict(frozen or {})
+    base = max(kind_of.values(), default=-1) + 1
+    for node in order:
+        kind_of[node] = base
     while True:
         fresh: Dict[Tuple, int] = {}
-        next_kind: Dict[NodeId, int] = {}
-        # Deterministic kind numbering: first appearance in repr order.
-        for node in order:
-            signature = (kind_of[node], row_of(graph, node, kind_of))
-            kind = fresh.get(signature)
-            if kind is None:
-                kind = len(fresh)
-                fresh[signature] = kind
-            next_kind[node] = kind
-        if next_kind == kind_of:
+        colours = [
+            fresh.setdefault(
+                (kind_of[node], row_of(graph, node, kind_of)), base + len(fresh)
+            )
+            for node in order
+        ]
+        if all(kind_of[node] == colour for node, colour in zip(order, colours)):
             return kind_of
-        kind_of = next_kind
+        kind_of.update(zip(order, colours))
 
 
 @dataclass(frozen=True)
@@ -238,8 +265,9 @@ class PartitionStats:
     how many nodes the last update re-kinded (the region of an incremental
     update, every node for a full one).  ``path`` is how the last build or
     incremental update computed kinds: ``"dag"`` (one sinks-first pass) or
-    ``"rounds"`` (refinement rounds, forced by a cycle); ``rounds`` counts
-    the region refinement rounds run so far.  ``splits`` / ``merges`` count
+    ``"rounds"`` (refinement rounds, forced by a cycle); ``refined`` is how
+    many nodes it refined in rounds (on a build, the nodes that reach a
+    cycle); ``rounds`` counts the region refinement rounds run so far.  ``splits`` / ``merges`` count
     kinds minted and kinds collapsed over the maintainer's lifetime;
     ``full_builds`` / ``incremental_updates`` count schedules taken.
     """
@@ -247,6 +275,7 @@ class PartitionStats:
     mode: str = "full"
     affected: int = 0
     path: str = ""
+    refined: int = 0
     rounds: int = 0
     splits: int = 0
     merges: int = 0
@@ -307,7 +336,7 @@ class PartitionMaintainer:
     # ------------------------------------------------------------------ #
     def _rebuild(self, graph: Graph) -> None:
         """Recompute everything from scratch (initial build and fallback)."""
-        kind_of, self.stats.path = _build_partition(graph)
+        kind_of, self.stats.path, self.stats.refined = _build_partition(graph)
         self._install(graph, kind_of)
         self.stats.mode = "full"
         self.stats.affected = graph.node_count
@@ -387,9 +416,9 @@ class PartitionMaintainer:
 
         dag = sinks_first(graph, sorted(affected, key=repr))
         if dag is not None:
-            self.stats.path = "dag"
+            self.stats.path, self.stats.refined = "dag", 0
             return self._rekind_sinks_first(graph, dag)
-        self.stats.path = "rounds"
+        self.stats.path, self.stats.refined = "rounds", len(affected)
         old_rows = dict(self.rows)  # rows are immutable tuples: no deep copy
         blocks = self._refine_affected(graph, affected)
         self._assign_kinds(graph, affected, blocks)

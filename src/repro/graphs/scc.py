@@ -85,7 +85,10 @@ def strongly_connected_components(graph: Graph, nodes=None) -> List[Tuple[NodeId
                     component.append(member)
                     if member == node:
                         break
-                components.append(tuple(sorted(component, key=repr)))
+                components.append(
+                    tuple(sorted(component, key=repr)) if len(component) > 1
+                    else (node,)
+                )
             if work:
                 parent = work[-1][0]
                 lowlink[parent] = min(lowlink[parent], lowlink[node])

@@ -476,8 +476,8 @@ class GraphStore:
 
         Runs under a ``partition.sync`` span tagged with the schedule
         (``mode``: full / incremental / unchanged), the re-kinded node count
-        (``affected``) and how kinds were computed (``path``: ``dag`` or
-        ``rounds``).
+        (``affected``), how kinds were computed (``path``: ``dag`` or
+        ``rounds``) and how many nodes were refined in rounds (``refined``).
         """
         with _obs_tracing.span("partition.sync") as span:
             maintainer = self._maintainer
@@ -498,11 +498,16 @@ class GraphStore:
                     if len(self._view_log) > self.VIEW_LOG_LIMIT:
                         del self._view_log[0]
             else:
-                span.annotate(mode="unchanged", affected=0, path=maintainer.stats.path)
+                span.annotate(
+                    mode="unchanged", affected=0, path=maintainer.stats.path, refined=0
+                )
                 return maintainer
             self._maintainer_version = self._version
             stats = maintainer.stats
-            span.annotate(mode=stats.mode, affected=stats.affected, path=stats.path)
+            span.annotate(
+                mode=stats.mode, affected=stats.affected, path=stats.path,
+                refined=stats.refined,
+            )
             return maintainer
 
     def restore_partition(self, kind_of: Dict[NodeId, int], epoch: int) -> None:
@@ -585,6 +590,7 @@ class GraphStore:
                 "partition_version": self._maintainer_version,
                 "last_update": stats.mode,
                 "path": stats.path,
+                "refined": stats.refined,
                 "full_builds": stats.full_builds,
                 "incremental_updates": stats.incremental_updates,
                 "splits": stats.splits,

@@ -358,11 +358,3 @@ def disj(*operands: RBE) -> RBE:
         return flat[0]
     return Disjunction(tuple(flat))
 
-
-def intersect(*operands: RBE) -> RBE:
-    """Intersection of any number of expressions."""
-    if not operands:
-        raise ValueError("intersection of zero operands is undefined")
-    if len(operands) == 1:
-        return operands[0]
-    return Intersection(tuple(operands))

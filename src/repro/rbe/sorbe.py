@@ -20,7 +20,3 @@ def is_sorbe(expr: RBE) -> bool:
     occurrences = Counter(expr.symbol_occurrences())
     return all(count <= 1 for count in occurrences.values())
 
-
-def symbol_occurrence_counts(expr: RBE) -> Counter:
-    """How many times each symbol occurs syntactically in the expression."""
-    return Counter(expr.symbol_occurrences())

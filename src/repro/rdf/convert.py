@@ -11,6 +11,7 @@ each literal node receives an extra outgoing edge whose label names its kind
 
 from __future__ import annotations
 
+import gc
 from typing import Callable, Hashable, Iterable, List, Optional, Tuple
 
 from repro.core.intervals import ONE, Interval
@@ -69,6 +70,19 @@ def load_graph(text: str, ntriples: bool = False, name: str = "") -> Graph:
     :class:`~repro.rdf.model.RDFGraph`.  Triples are deduplicated on RDF
     terms, so two predicate IRIs with one local name stay parallel edges.
     """
+    # The cyclic collector would only rescan the growing heap of terms and
+    # edges; it is paused for the build and left as it was found, also when
+    # the text does not parse.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _load(text, ntriples, name)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _load(text: str, ntriples: bool, name: str) -> Graph:
     terms, triples = scan(text, ntriples)
     ids = [node_id(term) for term in terms]
     labels = {p: default_predicate_name(terms[p]) for p in {p for _, p, _ in triples}}

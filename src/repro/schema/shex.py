@@ -7,7 +7,7 @@ expression: a regular bag expression over ``Σ × Γ`` whose symbols are written
 
 The class below stores the rules, offers convenient construction (from RBE
 objects or from rule text), and exposes the structural queries the containment
-algorithms need (alphabet, referenced types, per-type RBE0 profiles).
+algorithms need (alphabet, referenced types).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.errors import SchemaSyntaxError
 from repro.rbe.ast import EPSILON, RBE
-from repro.rbe.rbe0 import RBE0Profile, as_rbe0
 
 TypeName = str
 RuleSpec = Union[RBE, str]
@@ -57,18 +56,6 @@ class ShExSchema:
         if not isinstance(expr, RBE):
             raise SchemaSyntaxError(f"rule for {type_name!r} is not a shape expression")
         self._rules[type_name] = expr
-
-    @classmethod
-    def from_rules(
-        cls,
-        rules: Union[Mapping[TypeName, RuleSpec], Iterable[Tuple[TypeName, RuleSpec]]],
-        name: str = "",
-        strict: bool = True,
-    ) -> "ShExSchema":
-        """Build a schema from a mapping or an iterable of ``(type, rule)`` pairs."""
-        if not isinstance(rules, Mapping):
-            rules = dict(rules)
-        return cls(rules, name=name, strict=strict)
 
     def check(self) -> None:
         """Raise :class:`SchemaSyntaxError` when a referenced type has no rule."""
@@ -123,10 +110,6 @@ class ShExSchema:
                 if isinstance(symbol, tuple) and len(symbol) == 2 and symbol[1] == type_name:
                     result.append((owner, symbol[0]))
         return result
-
-    def rbe0_profile(self, type_name: TypeName) -> Optional[RBE0Profile]:
-        """The RBE0 profile of a rule, or ``None`` when the rule is not RBE0."""
-        return as_rbe0(self.definition(type_name))
 
     def size(self) -> int:
         """Total syntactic size (number of RBE nodes over all rules)."""

@@ -167,3 +167,82 @@ class TestVectorizedKernelParity:
         graph = _compressed_noise_graph(rng, 6, labels)
         oracle = maximal_typing_reference(graph, schema, compressed=True)
         assert maximal_typing_fixpoint(graph, schema, compressed=True) == oracle
+
+
+#: Schemas for the label-seed suite.  ``extra`` is a label no rule mentions.
+_SEED_SCHEMAS = {
+    # Not RBE0: only allowed labels prune (no rule has group bounds).
+    "non-rbe0": "T -> (a :: U | b :: T)*, c :: U?\nU -> (a :: T, b :: U) | eps",
+    # RBE0 with a label required through one of several symbols, a label
+    # whose symbols are all optional, and summed intervals of one symbol.
+    "required": (
+        "T -> a :: U, a :: V?, b :: T*\n"
+        "U -> b :: V?, b :: U?, c :: V*\n"
+        "V -> c :: U^[0;2], c :: U^[1;1], a :: T?\n"
+        "W -> eps"
+    ),
+}
+SEED_LABELS = ["a", "b", "c", "extra"]
+SEED_SEEDS = [2, 17, 31, 64]
+
+
+def _assert_seed_parity(graph, schema, compressed: bool, seed: int) -> None:
+    from repro.engine.compiled import compile_schema
+
+    compiled = compile_schema(schema)
+    oracle = maximal_typing_reference(graph, schema, compressed=compressed)
+    typing = maximal_typing_fixpoint(graph, compiled, compressed=compressed)
+    assert typing == oracle, f"seed {seed}: seeded kernel diverged on {schema.name!r}"
+    for node in graph.nodes:  # the seed never drops a type the oracle keeps
+        labels = frozenset(
+            edge.label
+            for edge in graph.out_edges(node)
+            if edge.occur.lower or not compressed
+        )
+        assert oracle.types_of(node) <= compiled.label_seed(labels), node
+
+
+class TestLabelSeedParity:
+    """Both kernels start a node from its label seed, not from all of Γ; the
+    greatest fixpoint must stay the oracle's."""
+
+    def test_seed_keeps_allowed_and_required_labels(self):
+        from repro.engine.compiled import compile_schema
+
+        compiled = compile_schema(parse_schema(_SEED_SCHEMAS["required"], name="req"))
+        assert compiled.type_artifact("T").required_labels == {"a"}
+        assert compiled.type_artifact("U").required_labels == frozenset()
+        assert compiled.type_artifact("V").required_labels == {"c"}
+        assert compiled.label_seed(frozenset({"a"})) == {"T"}
+        assert compiled.label_seed(frozenset({"a", "c"})) == {"V"}
+        assert compiled.label_seed(frozenset()) == {"U", "W"}
+        assert compiled.label_seed(frozenset({"extra"})) == frozenset()
+        loose = compile_schema(parse_schema(_SEED_SCHEMAS["non-rbe0"], name="loose"))
+        assert all(
+            loose.type_artifact(name).group_bounds is None for name in ("T", "U")
+        )
+        assert loose.label_seed(frozenset({"a", "b", "c"})) == {"T"}
+        assert loose.label_seed(frozenset()) == {"T", "U"}
+
+    @pytest.mark.parametrize("rules", sorted(_SEED_SCHEMAS))
+    @pytest.mark.parametrize("seed", SEED_SEEDS)
+    def test_plain_graphs(self, rules, seed, kernel):
+        rng = random.Random(seed)
+        schema = parse_schema(_SEED_SCHEMAS[rules], name=rules)
+        _assert_seed_parity(_noise_graph(rng, 12, 20, SEED_LABELS), schema, False, seed)
+
+    @pytest.mark.requires_scipy  # the oracle decides compressed checks by MILP
+    @pytest.mark.parametrize("seed", SEED_SEEDS)
+    def test_compressed_graphs_with_zero_multiplicity_edges(self, seed, kernel):
+        rng = random.Random(seed)
+        schema = parse_schema(_SEED_SCHEMAS["required"], name="required")
+        graph = _compressed_noise_graph(rng, 9, SEED_LABELS)
+        assert any(edge.occur.lower == 0 for edge in graph.edges)
+        _assert_seed_parity(graph, schema, True, seed)
+
+    @pytest.mark.requires_scipy
+    @pytest.mark.parametrize("seed", SEED_SEEDS[:2])
+    def test_compressed_graphs_of_a_non_rbe0_schema(self, seed, kernel):
+        rng = random.Random(seed)
+        schema = parse_schema(_SEED_SCHEMAS["non-rbe0"], name="non-rbe0")
+        _assert_seed_parity(_compressed_noise_graph(rng, 6, SEED_LABELS), schema, True, seed)

@@ -28,6 +28,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.fixpoint import (
     FixpointStats,
@@ -37,10 +39,12 @@ from repro.engine.fixpoint import (
     retype_kinds_incremental,
 )
 from repro.engine.validation import ValidationEngine, _payload_from_typing
+from repro.core.intervals import ONE
 from repro.errors import GraphError
 from repro.graphs import partition
 from repro.graphs.graph import Graph
 from repro.graphs.partition import PartitionMaintainer, ViewDelta
+from repro.graphs.scc import backward_closure, strongly_connected_components
 from repro.graphs.store import Delta, GraphStore, kind_compress, kind_partition
 from repro.schema.parser import parse_schema
 from repro.workloads.bugtracker import bug_tracker_graph, bug_tracker_schema
@@ -411,8 +415,8 @@ class TestSinksFirstCost:
         for shape in DAG_SHAPES:
             graph, _rank = _dag_base(shape, rng, 40)
             graph = _cloned(graph, 2)
-            kinds, path = partition._build_partition(graph)
-            assert path == "dag"
+            kinds, path, refined = partition._build_partition(graph)
+            assert (path, refined) == ("dag", 0)
             order = sorted(graph.nodes, key=repr)
             assert kinds == partition._refine_rounds(graph, order), (
                 f"{shape} seed {seed}: kind ids differ from the round loop"
@@ -439,6 +443,69 @@ class TestSinksFirstCost:
             _assert_maintained_parity(
                 maintainer, store.graph, f"{shape} restored, delta {index}"
             )
+
+
+def _reaches_a_cycle(graph: Graph) -> set:
+    """Every node with a path into a cycle (self-loops included), by brute force."""
+    on_cycle = set()
+    for component in strongly_connected_components(graph):
+        if len(component) > 1 or any(
+            edge.target == component[0] for edge in graph.out_edges(component[0])
+        ):
+            on_cycle.update(component)
+    return backward_closure(graph, on_cycle)
+
+
+@st.composite
+def _cyclic_graphs(draw) -> Graph:
+    """Random edges over a few nodes, plus chosen cyclic patterns: self-loops,
+    cloned 2-cycles (two bugs citing each other, as in the clone documents)
+    and acyclic chains hanging upstream of a cycle."""
+    size = draw(st.integers(1, 8))
+    labels = st.sampled_from(["a", "b"])
+    node = st.integers(0, size - 1)
+    edges = draw(st.lists(st.tuples(node, labels, node), max_size=14))
+    for copy in range(draw(st.integers(0, 3))):  # 2-cycle clones with a leaf
+        left, right = ("c", copy, 0), ("c", copy, 1)
+        edges += [(left, "r", right), (right, "r", left), (left, "d", ("leaf", copy))]
+    for loop in range(draw(st.integers(0, 2))):
+        edges.append((("s", loop), draw(labels), ("s", loop)))
+    for chain in range(draw(st.integers(0, 2))):  # upstream of some cycle
+        target = draw(st.sampled_from([edge[0] for edge in edges] or [0]))
+        links = draw(st.integers(1, 3))
+        for step in range(links):
+            edges.append((("u", chain, step), draw(labels), ("u", chain, step + 1)))
+        edges.append((("u", chain, links), "a", target))
+    return Graph.from_edges(
+        (source, label, target, ONE) for source, label, target in edges
+    )
+
+
+class TestCyclicBuildParity:
+    """The build hashes the nodes that reach no cycle and refines only the rest;
+    it must give the very dict (numbering included) of one-block refinement
+    of the whole graph."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_cyclic_graphs())
+    def test_build_equals_whole_graph_refinement(self, graph):
+        order = sorted(graph.nodes, key=repr)
+        kinds, path, refined = partition._build_partition(graph)
+        assert kinds == partition._refine_rounds(graph, order)
+        assert list(kinds) == order
+        cyclic = _reaches_a_cycle(graph)
+        assert refined == len(cyclic)
+        assert path == ("rounds" if cyclic else "dag")
+
+    def test_clone_document_refines_only_its_cycles(self):
+        graph = _cloned(bug_tracker_graph(), 4)
+        maintainer = PartitionMaintainer(graph)
+        assert maintainer.stats.path == "rounds"
+        assert 0 < maintainer.stats.refined < graph.node_count
+        assert maintainer.stats.refined == len(_reaches_a_cycle(graph))
+        assert maintainer.kind_of == partition._refine_rounds(
+            graph, sorted(graph.nodes, key=repr)
+        )
 
 
 class TestViewDeltaComposition:

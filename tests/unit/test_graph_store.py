@@ -406,9 +406,9 @@ class TestMaintainedView:
             if child["name"] == "partition.sync"
         ]
         assert syncs == [
-            {"mode": "full", "affected": 81, "path": "dag"},
-            {"mode": "incremental", "affected": 2, "path": "dag"},
-            {"mode": "unchanged", "affected": 0, "path": "dag"},
+            {"mode": "full", "affected": 81, "path": "dag", "refined": 0},
+            {"mode": "incremental", "affected": 2, "path": "dag", "refined": 0},
+            {"mode": "unchanged", "affected": 0, "path": "dag", "refined": 0},
         ]
         assert store.view_stats()["path"] == "dag"
 

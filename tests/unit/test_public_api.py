@@ -12,6 +12,7 @@ SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 #: Modules a one-shot ``shex-containment validate`` must never import.
 VALIDATE_NEVER_LOADS = (
+    "numpy",
     "scipy",
     "networkx",
     "asyncio",
@@ -29,6 +30,33 @@ with contextlib.redirect_stdout(out):
     code = repro.cli.main(["validate", "--schema", sys.argv[1], "--data", sys.argv[2]])
 print(json.dumps({"code": code, "out": out.getvalue(), "modules": sorted(sys.modules)}))
 """
+
+
+_DAEMON_FOOTPRINT_PROGRAM = """
+import json, sys
+import repro.serve.cli
+from repro.serve.client import DaemonClient
+from repro.serve.daemon import start_in_thread
+address, data_dir, schema, data = sys.argv[1:5]
+with start_in_thread(socket_path=address, data_dir=data_dir):
+    with DaemonClient.connect(address) as client:
+        if schema:
+            client.load_schema("bug", text=schema)
+            client.update_graph("bugs", data_text=data)
+        answer = client.revalidate("bugs", "bug")
+print(json.dumps({"verdict": answer["verdict"], "mode": answer["mode"],
+                  "numpy": "numpy" in sys.modules}))
+"""
+
+
+def _cyclic_bugs(count: int) -> str:
+    """Turtle for ``count`` bugs in one ``related`` ring, each with a literal."""
+    lines = ["@prefix ex: <http://example.org/> ."]
+    lines += [
+        f'ex:b{i} ex:descr "d{i}" ; ex:related ex:b{(i + 1) % count} .'
+        for i in range(count)
+    ]
+    return "\n".join(lines) + "\n"
 
 
 class TestPublicSurface:
@@ -132,6 +160,43 @@ class TestImportFootprint:
                    for banned in VALIDATE_NEVER_LOADS)
         ]
         assert loaded == []
+
+    def test_one_shot_validate_through_the_kind_view_loads_no_numpy(self, tmp_path):
+        # 120 bugs in a ring: past the view floor, typed as a 2-kind quotient
+        # by the object kernel.
+        schema = tmp_path / "schema.shex"
+        schema.write_text("Bug -> descr :: Lit, related :: Bug\nLit -> isLiteral :: M\nM -> eps\n")
+        data = tmp_path / "ring.ttl"
+        data.write_text(_cyclic_bugs(120))
+        completed = subprocess.run(
+            [sys.executable, "-c", _FOOTPRINT_PROGRAM, str(schema), str(data)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC_DIR),
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        report = json.loads(completed.stdout)
+        assert (report["code"], report["out"].split(":")[0]) == (0, "VALID")
+        assert "numpy" not in report["modules"]
+
+    def test_daemon_restart_on_a_durable_store_loads_no_numpy(self, tmp_path):
+        # One daemon persists a store; a second opens it (snapshot decode,
+        # seeded typings) and revalidates.  Neither region reaches the
+        # vectorised kernel's size floor, so numpy is never imported.
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        address, data_dir = str(tmp_path / "d.sock"), str(tmp_path / "data")
+        schema = "Bug -> descr :: Lit, related :: Bug*\nLit -> isLiteral :: M\nM -> eps\n"
+        reports = []
+        for phase_schema in (schema, ""):
+            completed = subprocess.run(
+                [sys.executable, "-c", _DAEMON_FOOTPRINT_PROGRAM, address, data_dir,
+                 phase_schema, _cyclic_bugs(120)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert completed.returncode == 0, completed.stderr
+            reports.append(json.loads(completed.stdout))
+        assert [report["verdict"] for report in reports] == ["valid", "valid"]
+        assert reports[1]["mode"] != "full"  # the restart reused its typing
+        assert [report["numpy"] for report in reports] == [False, False]
 
     def test_daemon_start_loads_no_containment_code(self, tmp_path):
         # The containment engine imports its solver on the first ``contains``

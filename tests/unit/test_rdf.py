@@ -1,5 +1,7 @@
 """Unit tests for the RDF substrate: model, parsers, conversion to simple graphs."""
 
+import gc
+
 import pytest
 
 from repro.errors import RDFSyntaxError
@@ -220,3 +222,34 @@ class TestConversion:
             ("http://e/s", "p", "http://e/o"),
             ("http://f/s", "p", "http://f/o"),
         ]
+
+
+class TestLoadGraphCollector:
+    """``load_graph`` pauses the cyclic collector and leaves it as it found it."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_is_restored_after_a_syntax_error(self, enabled):
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.raises(RDFSyntaxError):
+                load_graph("<http://x/s> <http://x/p> ?oops .\n")
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_collector_is_paused_while_building(self, monkeypatch):
+        from repro.rdf import convert
+
+        seen = []
+        real_scan = convert.scan
+
+        def scan(text, ntriples):
+            seen.append(gc.isenabled())
+            return real_scan(text, ntriples)
+
+        monkeypatch.setattr(convert, "scan", scan)
+        assert gc.isenabled()
+        graph = load_graph("<http://x/s> <http://x/p> <http://x/o> .\n")
+        assert seen == [False] and gc.isenabled()
+        assert graph.node_count == 2

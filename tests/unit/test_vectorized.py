@@ -32,11 +32,34 @@ class TestBinding:
     def test_available_matches_numpy_import(self):
         assert vectorized.available() is True
 
-    def test_numpy_install_binds_the_vectorised_kernel(self, traced_kernels):
-        assert fixpoint._stabilise is vectorized.stabilise
-        graph, schema = bug_tracker_graph(), bug_tracker_schema()
-        _typing, ran = traced_kernels(lambda: maximal_typing_fixpoint(graph, schema))
+    def test_region_size_picks_the_kernel(self, traced_kernels):
+        # Edgeless nodes type in one cheap check each, so a region right at
+        # the floor costs little with either kernel.
+        schema = bug_tracker_schema()
+        floor = fixpoint.VECTORIZE_MIN_NODES
+        at_floor = Graph.from_edges((), nodes=range(floor))
+        below = Graph.from_edges((), nodes=range(floor - 1))
+        _typing, ran = traced_kernels(lambda: maximal_typing_fixpoint(at_floor, schema))
         assert ran == ["vectorized"]
+        _typing, ran = traced_kernels(lambda: maximal_typing_fixpoint(below, schema))
+        assert ran == ["object"]
+
+    def test_small_delta_region_runs_the_object_kernel(self, traced_kernels):
+        # A graph past the floor whose delta region is a few nodes.
+        schema = bug_tracker_schema()
+        floor = fixpoint.VECTORIZE_MIN_NODES
+        store = GraphStore(Graph.from_edges((), nodes=range(floor)))
+        prior, ran = traced_kernels(lambda: maximal_typing_fixpoint(store.graph, schema))
+        assert ran == ["vectorized"]
+        delta = Delta.of(add=[(0, "descr", 1)])
+        store.apply(delta)
+        stats = FixpointStats()
+        typing, ran = traced_kernels(
+            lambda: retype_incremental(store, prior, delta, schema=schema, stats=stats)
+        )
+        assert (stats.mode, stats.affected, stats.kernel) == ("incremental", 2, "object")
+        assert ran == ["object"]
+        assert typing == maximal_typing_fixpoint(store.graph, schema)
 
 
 class TestDenseTables:
@@ -46,13 +69,10 @@ class TestDenseTables:
         assert compiled.dense_tables() is tables  # lazily built once
         count = len(tables.type_order)
         assert tables.words == max(1, (count + 63) // 64)
-        expected_full = np.zeros(tables.words, dtype=np.uint64)
         for t in range(count):
             word, shift = int(tables.word_of[t]), int(tables.shift_of[t])
             assert int(tables.bit_rows[t, word]) == 1 << shift
             assert int(tables.bit_rows[t].sum()) == 1 << shift  # one bit only
-            expected_full |= tables.bit_rows[t]
-        assert np.array_equal(tables.full_mask, expected_full)
 
     def test_option_masks_mirror_the_alphabets(self):
         compiled = compile_schema(bug_tracker_schema())
@@ -135,8 +155,8 @@ class TestParity:
 
 
 class TestPlanCache:
-    def test_whole_graph_plan_reused_until_mutation(self):
-        # The module needs numpy, so the install binds the vectorised kernel.
+    @pytest.mark.parametrize("kernel", ["vectorized"], indirect=True)
+    def test_whole_graph_plan_reused_until_mutation(self, kernel):
         graph, schema = bug_tracker_graph(), bug_tracker_schema()
         maximal_typing_fixpoint(graph, schema)
         key, plan = graph._vectorized_plan
