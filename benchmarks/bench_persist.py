@@ -52,7 +52,7 @@ MAX_REPLAY_SHARE = 0.01
 REPEATS = 5
 
 #: First-revalidate modes that honour the no-full-retype acceptance bar.
-WARM_MODES = ("cached", "unchanged", "incremental", "kinds-incremental")
+WARM_MODES = ("cached", "unchanged", "incremental")
 
 HERE = pathlib.Path(__file__).resolve().parent
 BASELINE_PATH = HERE / "baseline_persist.json"

@@ -104,13 +104,12 @@ def _cmd_validate_delta(args: argparse.Namespace) -> int:
     )
     store.apply(delta)
     after = engine.revalidate(store, schema)
-    unit = "kinds" if after.mode == "kinds-incremental" else "nodes"
     print(
         f"delta    v{after.version}: {after.result.verdict.upper()} "
         f"[{after.mode}"
         + (
-            f": {after.frontier} touched, {after.affected} {unit} retyped"
-            if after.mode in ("incremental", "kinds-incremental")
+            f": {after.frontier} touched, {after.affected} nodes retyped"
+            if after.mode == "incremental"
             else ""
         )
         + "]"

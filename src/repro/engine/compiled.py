@@ -131,15 +131,23 @@ def graph_buckets(graph: Graph) -> Tuple[Dict[int, List[object]], List[bytes]]:
 
 
 def nodes_digest(graph: Graph, nodes: Iterable[object]) -> bytes:
-    """The digest of the bucket holding exactly ``nodes``, read off ``graph``."""
+    """The digest of the bucket holding exactly ``nodes``, read off ``graph``.
+
+    Like :func:`graph_buckets`, it formats each distinct interval object
+    once.
+    """
     node_lines: List[str] = []
     edge_lines: List[str] = []
+    occur_text: Dict[int, str] = {}
     for node in nodes:
         text = repr(node)
         node_lines.append(text)
         for edge in graph.out_edges(node):
+            occur = occur_text.get(id(edge.occur))
+            if occur is None:
+                occur = occur_text[id(edge.occur)] = str(edge.occur)
             edge_lines.append(
-                f"{text}\x00{edge.label}\x00{edge.target!r}\x00{edge.occur}"
+                f"{text}\x00{edge.label}\x00{edge.target!r}\x00{occur}"
             )
     return bucket_digest(node_lines, edge_lines)
 

@@ -4,9 +4,9 @@ Both validation semantics — plain graphs (:func:`repro.schema.typing.maximal_t
 and compressed graphs (:func:`repro.schema.validation.maximal_typing_compressed`)
 — compute the same greatest fixpoint: start from the full relation ``N × Γ``
 and drop ``(node, type)`` pairs whose check fails under the current relation
-until nothing changes.  This module owns that loop once: three entry points
-(a full run, and delta-seeded retyping of a graph or of its kind quotient)
-each hand one active region to a kernel picked by the region's size
+until nothing changes.  This module owns that loop once: two entry points
+(a full run, and delta-seeded retyping of a graph's changed region) each
+hand one active region to a kernel picked by the region's size
 (:func:`_pick_kernel`): a region of at least :data:`VECTORIZE_MIN_NODES`
 nodes runs the vectorised kernel (:mod:`repro.engine.vectorized`, which
 imports numpy the first time it is needed), any smaller region — and every
@@ -21,12 +21,16 @@ improves on the per-semantics worklists it replaced (retained in
 
 **SCC schedule.**  A node's types depend only on the types of its successors,
 so the graph is condensed into strongly connected components
-(:mod:`repro.graphs.scc`) and each component is driven to its local fixpoint
-in reverse topological order (sinks first).  By the time a component is
-examined, everything it depends on outside itself is final — types stabilise
-component-by-component instead of rippling globally, and no component is ever
-revisited.  A one-node component — most of them on acyclic graphs and kind
-quotients — is settled by checking its candidate types directly.
+(:mod:`repro.graphs.scc`: the nodes that reach no cycle are peeled off in
+Kahn order, Tarjan orders the rest) and each component is seeded and driven
+to its local fixpoint in reverse topological order (sinks first).  By the
+time a component is examined, everything it depends on outside itself is
+final — types stabilise component-by-component instead of rippling globally,
+and no component is ever revisited.  A one-node component — most of them on
+acyclic graphs and kind quotients — is settled by checking its candidate
+types directly.  On an incremental run the same order gives a *cut-off*: a
+component the delta did not touch, whose successors outside it all came
+back with their prior types, keeps its prior types unchecked.
 
 **Fine-grained dirtiness.**  Work is tracked per ``(node, type)`` pair, not
 per node.  When a successor reached through label ``a`` loses type ``τ``, a
@@ -60,18 +64,21 @@ randomized instances.
 
 from __future__ import annotations
 
-import functools
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.engine.compiled import CompiledSchema, compile_schema
 from repro.obs import metrics as _obs_metrics
 from repro.obs import tracing as _obs_tracing
 from repro.graphs.graph import Graph
-from repro.graphs.scc import backward_closure, strongly_connected_components
+from repro.graphs.scc import (
+    backward_closure,
+    closure_components,
+    strongly_connected_components,
+)
 from repro.presburger.solver import milp_available, solve_problems
 from repro.schema.shex import ShExSchema, TypeName
 from repro.schema.typing import Typing, edge_groups, satisfies_type_groups
@@ -102,11 +109,11 @@ class FixpointStats:
 
     ``mode`` records which schedule produced the typing: ``"full"`` (the plain
     kernel), ``"kinds"`` (full typing through the kind-compression quotient),
-    ``"incremental"`` (delta-seeded), ``"kinds-incremental"`` (view-delta-seeded
-    retyping of the quotient), or ``"unchanged"`` (empty effective delta).
-    For incremental runs ``frontier`` is the number of delta-touched nodes
-    (kinds, on the quotient) and ``affected`` the size of their backward
-    closure — the region actually retyped.
+    ``"incremental"`` (delta-seeded), or ``"unchanged"`` (empty effective
+    delta).  For incremental runs ``frontier`` is the number of delta-touched
+    nodes, ``affected`` the size of their backward closure — the region
+    retyped — and ``skipped`` how many of the region's components the
+    cut-off left at their prior types without a check.
     """
 
     components: int = 0
@@ -120,6 +127,7 @@ class FixpointStats:
     kernel: str = ""
     frontier: int = 0
     affected: int = 0
+    skipped: int = 0
 
     @property
     def evaluated(self) -> int:
@@ -165,7 +173,7 @@ _M_SOLVER_PROBLEMS = _REGISTRY.counter(
 )
 _M_FRONTIER = _REGISTRY.histogram(
     "repro_fixpoint_frontier",
-    "Delta-touched nodes (kinds, on the quotient) seeding an incremental run.",
+    "Delta-touched nodes seeding an incremental run.",
 )
 _M_AFFECTED = _REGISTRY.histogram(
     "repro_fixpoint_affected", "Backward-closure size actually retyped."
@@ -226,7 +234,7 @@ class _KernelScope:
                 delta = getattr(stats, field) - self._entry[field]
                 if delta:
                     counter.inc(delta)
-            if mode in ("incremental", "kinds-incremental", "unchanged"):
+            if mode in ("incremental", "unchanged"):
                 _M_FRONTIER.observe(stats.frontier)
                 _M_AFFECTED.observe(stats.affected)
         return False
@@ -290,35 +298,61 @@ def _stabilise_objects(
     compressed: bool,
     signature_memo: Dict[Tuple, bool],
     stats: FixpointStats,
+    prior: Optional[Typing] = None,
+    touched: Set[NodeId] = frozenset(),
+    components: Optional[List[Tuple[NodeId, ...]]] = None,
 ) -> None:
     """The object kernel, with the contract of :func:`repro.engine.vectorized.stabilise`.
 
-    ``active`` nodes are reseeded with their label seeds; out-edge targets
-    outside it are read frozen from ``current``.  The subgraph ``active``
-    induces is condensed into strongly connected components, each driven to
-    its local fixpoint sinks first.
+    ``active`` nodes get their label seeds; out-edge targets outside it are
+    read frozen from ``current``.  The subgraph ``active`` induces is
+    condensed into strongly connected components (unless the caller passes
+    them, sinks first), each seeded and driven to its local fixpoint sinks
+    first.
+
+    With the ``prior`` typing of the graph before a delta whose nodes in
+    ``active`` are ``touched`` (``current`` then reads every node it does
+    not hold from ``prior``), a component is checked only when one of its
+    nodes is touched or has an out-edge to a node whose types came back
+    changed; any other component keeps its prior types without a check or
+    an entry in ``current`` (the *cut-off*).  That is exact: its edges and
+    everything it reads are as they were, so the checks would settle it
+    where the prior fixpoint did.
     """
     type_order = compiled.type_order
-    for node in active:
-        current[node] = set(compiled.label_seed(_out_labels(graph, node, compressed)))
     artifacts = {
         type_name: compiled.type_artifact(type_name) for type_name in type_order
     }
     watchers = compiled.symbol_watchers()
-    components = strongly_connected_components(graph, active)
+    if components is None:
+        components = strongly_connected_components(graph, active)
     stats.components = len(components)
     stabilise = _stabilise_compressed if compressed else _stabilise_plain
+    label_seed = compiled.label_seed
+    # The nodes to check: touched ones, and predecessors of changed ones.
+    dirty: Set[NodeId] = set(touched)
+    skipped = 0
     for component in components:
+        if prior is not None and not any(node in dirty for node in component):
+            skipped += 1
+            continue
+        for node in component:
+            current[node] = set(label_seed(_out_labels(graph, node, compressed)))
         if len(component) == 1:
             _stabilise_single(
                 graph, component[0], current, type_order, artifacts,
                 signature_memo, stats, compressed,
             )
-            continue
-        stabilise(
-            graph, component, set(component), current,
-            type_order, artifacts, watchers, signature_memo, stats,
-        )
+        else:
+            stabilise(
+                graph, component, set(component), current,
+                type_order, artifacts, watchers, signature_memo, stats,
+            )
+        if prior is not None:
+            for node in component:
+                if current[node] != prior.types_of(node):
+                    dirty.update(edge.source for edge in graph.in_edges(node))
+    stats.skipped = skipped
 
 
 def _stabilise_single(
@@ -403,13 +437,26 @@ def _pick_kernel(size: int):
     return ("object" if kernel is _stabilise_objects else "vectorized"), kernel
 
 
-def _run_kernel(span, graph, active, current, compiled, compressed, signature_memo, stats) -> None:
+def _run_kernel(
+    span, graph, active, current, compiled, compressed, signature_memo, stats,
+    prior: Optional[Typing] = None, touched: Set[NodeId] = frozenset(),
+    components: Optional[List[Tuple[NodeId, ...]]] = None,
+) -> None:
     """Stabilise ``active`` with the kernel picked for its size, recording
-    the kernel's name in ``stats.kernel`` and on ``span``."""
+    the kernel's name in ``stats.kernel`` and on ``span``.  The object
+    kernel takes ``active``'s ``components`` when given, and ``prior`` and
+    ``touched`` enable its cut-off; the vectorised kernel retypes the whole
+    region."""
     name, kernel = _pick_kernel(len(active))
     stats.kernel = name
     span.annotate(kernel=name)
-    kernel(graph, active, current, compiled, compressed, signature_memo, stats)
+    if kernel is _stabilise_objects:
+        kernel(
+            graph, active, current, compiled, compressed, signature_memo, stats,
+            prior, touched, components,
+        )
+    else:
+        kernel(graph, active, current, compiled, compressed, signature_memo, stats)
 
 
 def _compiled_schema(schema, compiled) -> CompiledSchema:
@@ -554,82 +601,13 @@ def affected_region(graph: Graph, seeds) -> Set[NodeId]:
     collects with a BFS over ``in_edges`` (the partition maintainer walks the
     same closure).  Seeds absent from the graph are ignored.
     """
-    return backward_closure(
-        graph, (node for node in seeds if graph.has_node(node))
-    )
+    nodes = graph.nodes
+    return backward_closure(graph, [node for node in seeds if node in nodes])
 
 
-def _carried_over(graph: Graph, prior: Typing, region) -> Dict:
-    """``prior``'s assignments of every node of ``graph`` outside ``region``.
-
-    A copy of the prior typing's dict minus the region: the prior typing lists
-    every node of the graph it typed, and every node a delta adds is touched,
-    hence in the region.  When the counts disagree — the prior graph had
-    nodes this one lacks, as when merged kinds leave a quotient — the
-    assignments are read node by node instead.
-    """
-    current = prior.as_dict()
-    for node in region:
-        current.pop(node, None)
-    if len(current) + len(region) != graph.node_count:
-        current = {
-            node: prior.types_of(node) for node in graph.nodes if node not in region
-        }
-    return current
-
-
-def _retype_region(
-    span_name: str,
-    mode: str,
-    graph: Graph,
-    prior: Typing,
-    seeds,
-    fallback,
-    compiled: CompiledSchema,
-    compressed: bool,
-    stats: Optional[FixpointStats],
-    max_affected_fraction: float,
-    signature_memo: Optional[Dict[Tuple, bool]],
-) -> Typing:
-    """The retype body shared by both incremental entry points.
-
-    The seeds present in ``graph`` form the frontier; its backward closure
-    (:func:`affected_region`) is reseeded and stabilised, every
-    other node keeping its prior types.  An empty frontier reports
-    ``"unchanged"``; a closure past ``max_affected_fraction`` of the graph
-    calls ``fallback(stats=stats)`` instead.
-    """
-    if stats is None:
-        stats = FixpointStats()
-    with _KernelScope(stats), _obs_tracing.span(span_name) as trace_span:
-        frontier = [node for node in seeds if graph.has_node(node)]
-        stats.frontier = len(frontier)
-        if not frontier:
-            stats.mode = "unchanged"
-            # No region to type: name the kernel an empty region picks.
-            trace_span.annotate(mode="unchanged", kernel=_pick_kernel(0)[0])
-            return Typing(_carried_over(graph, prior, ()))
-
-        affected = affected_region(graph, frontier)
-        stats.affected = len(affected)
-        trace_span.annotate(frontier=stats.frontier, affected=stats.affected)
-        if len(affected) > max_affected_fraction * graph.node_count:
-            typing = fallback(stats=stats)
-            trace_span.annotate(kernel=stats.kernel)
-            return typing
-
-        # Everything outside the region keeps its prior (frozen, never
-        # mutated) assignment and is read across the boundary exactly like an
-        # already-stabilised component.
-        current: Dict[NodeId, Set[TypeName]] = _carried_over(graph, prior, affected)
-        if signature_memo is None:
-            signature_memo = {}
-        _run_kernel(
-            trace_span, graph, affected, current, compiled, compressed,
-            signature_memo, stats,
-        )
-        stats.mode = mode
-        return Typing(current)
+#: The fraction of the graph an incremental region may reach before
+#: :func:`retype_incremental` types the whole graph instead.
+MAX_AFFECTED_FRACTION = 0.5
 
 
 def retype_incremental(
@@ -640,7 +618,7 @@ def retype_incremental(
     schema: Optional[Union[ShExSchema, CompiledSchema]] = None,
     compressed: bool = False,
     stats: Optional[FixpointStats] = None,
-    max_affected_fraction: float = 0.5,
+    max_affected_fraction: float = MAX_AFFECTED_FRACTION,
     signature_memo: Optional[Dict[Tuple, bool]] = None,
 ) -> Typing:
     """Maximal typing of the *changed* graph, re-deriving only what ``delta`` can touch.
@@ -655,17 +633,23 @@ def retype_incremental(
        *affected region*; every node outside it keeps its prior types
        verbatim (its out-reachable subgraph is untouched, hence its slice of
        the greatest fixpoint is unchanged);
-    2. reseed the affected region with its label seeds — sound for
-       additions and removals alike, since the region is recomputed from the
-       top — and drive it to its local fixpoint with the kernel, reading the
-       frozen types across the region boundary.
+    2. drive the region to its local fixpoint with the kernel, component by
+       component sinks first, reading the frozen prior types across the
+       region boundary.  A component is reseeded with its label seeds —
+       sound for additions and removals alike — unless the object kernel's
+       cut-off shows it keeps its prior types (see
+       :func:`_stabilise_objects`);
+    3. derive the result from ``prior_typing`` copy-on-write
+       (:meth:`repro.schema.typing.Typing.updated`) with the region nodes
+       whose types changed, so nothing outside the region is copied.
 
     When the affected region exceeds ``max_affected_fraction`` of the graph
     the incremental schedule would approach a full run anyway (and a large
     additive delta may grow typings across most of the prior fixpoint's
     support), so the kernel falls back to :func:`maximal_typing_store` —
     ``stats.mode`` then reports ``"full"`` or ``"kinds"`` instead of
-    ``"incremental"``.
+    ``"incremental"``.  A delta touching no node of the graph reports
+    ``"unchanged"`` and returns ``prior_typing`` itself.
 
     ``signature_memo`` has the :func:`maximal_typing_fixpoint` semantics: a
     persistent per-schema verdict memo.  It pays off here in particular —
@@ -673,56 +657,66 @@ def retype_incremental(
     the prior run already answered.
     """
     compiled = _compiled_schema(schema, compiled)
-    fallback = functools.partial(
-        maximal_typing_store, store, compiled=compiled, compressed=compressed,
-        signature_memo=signature_memo,
-    )
-    return _retype_region(
-        "fixpoint.incremental", "incremental", getattr(store, "graph", store),
-        prior_typing, delta.touched_nodes(), fallback, compiled,
-        compressed, stats, max_affected_fraction, signature_memo,
-    )
+    if stats is None:
+        stats = FixpointStats()
+    graph = getattr(store, "graph", store)
+    with _KernelScope(stats), _obs_tracing.span("fixpoint.incremental") as trace_span:
+        touched = {node for node in delta.touched_nodes() if graph.has_node(node)}
+        stats.frontier = len(touched)
+        if not touched:
+            stats.mode = "unchanged"
+            # No region to type: name the kernel an empty region picks.
+            trace_span.annotate(mode="unchanged", kernel=_pick_kernel(0)[0])
+            return _listing(graph, prior_typing)
+
+        affected, components = closure_components(graph, touched)
+        stats.affected = len(affected)
+        trace_span.annotate(frontier=stats.frontier, affected=stats.affected)
+        if len(affected) > max_affected_fraction * graph.node_count:
+            typing = maximal_typing_store(
+                store, compiled=compiled, compressed=compressed, stats=stats,
+                signature_memo=signature_memo,
+            )
+            trace_span.annotate(kernel=stats.kernel)
+            return typing
+
+        # Nodes the kernel leaves alone read as their prior (final) types.
+        current = _OverPrior(prior_typing)
+        if signature_memo is None:
+            signature_memo = {}
+        _run_kernel(
+            trace_span, graph, affected, current, compiled, compressed,
+            signature_memo, stats, prior_typing, touched, components,
+        )
+        stats.mode = "incremental"
+        trace_span.annotate(skipped=stats.skipped)
+        return _listing(graph, prior_typing.updated({
+            node: types
+            for node, types in current.items()
+            if types != prior_typing.types_of(node) or not prior_typing.lists(node)
+        }))
 
 
-def retype_kinds_incremental(
-    view,
-    prior_kind_typing: Typing,
-    view_delta,
-    compiled: Optional[CompiledSchema] = None,
-    schema: Optional[Union[ShExSchema, CompiledSchema]] = None,
-    stats: Optional[FixpointStats] = None,
-    max_affected_fraction: float = 0.5,
-    signature_memo: Optional[Dict[Tuple, bool]] = None,
-) -> Typing:
-    """Kind-level typing of a maintained quotient, re-deriving only what changed.
+class _OverPrior(dict):
+    """A region's working types: a missing node reads as its prior types."""
 
-    The compressed-path analogue of :func:`retype_incremental`: ``view`` is a
-    store's *maintained* kind-compression view
-    (:meth:`repro.graphs.store.GraphStore.typing_view`) already at the new
-    version, ``prior_kind_typing`` the quotient typing of an earlier version,
-    and ``view_delta`` the composed :class:`repro.graphs.partition.ViewDelta`
-    between them (:meth:`repro.graphs.store.GraphStore.view_delta`) — kind
-    ids must be comparable, i.e. the epoch must not have changed.
+    __slots__ = ("_prior",)
 
-    ``view_delta.changed`` — the kinds that are new or whose quotient
-    out-edge rows changed — is exactly the set of quotient nodes whose
-    out-reachable subgraph may differ, so its backward closure is reseeded
-    and stabilised under the compressed semantics while every
-    other kind keeps its prior types verbatim (retired kinds simply drop
-    out).  The result equals a from-scratch quotient typing pair-for-pair;
-    past ``max_affected_fraction`` the kernel falls back to one
-    (``stats.mode`` then reports ``"kinds"`` instead of
-    ``"kinds-incremental"``).
-    """
-    compiled = _compiled_schema(schema, compiled)
-    fallback = functools.partial(
-        kind_typing_for_view, view, compiled, signature_memo=signature_memo
-    )
-    return _retype_region(
-        "fixpoint.kinds-incremental", "kinds-incremental", view.compressed,
-        prior_kind_typing, view_delta.changed, fallback, compiled, True,
-        stats, max_affected_fraction, signature_memo,
-    )
+    def __init__(self, prior: Typing):
+        super().__init__()
+        self._prior = prior
+
+    def __missing__(self, node: NodeId) -> FrozenSet[TypeName]:
+        return self._prior.types_of(node)
+
+
+def _listing(graph: Graph, typing: Typing) -> Typing:
+    """``typing`` when it lists exactly as many nodes as ``graph`` has (a
+    typing lists the nodes of the graph it typed, and a store never loses
+    nodes), else its assignments of ``graph``'s nodes read one by one."""
+    if typing.node_count == graph.node_count:
+        return typing
+    return Typing({node: typing.types_of(node) for node in graph.nodes})
 
 
 # --------------------------------------------------------------------------- #
@@ -818,7 +812,7 @@ def _check_plain(
     label_options = artifact.label_options
     groups: Dict[Tuple[str, Tuple[TypeName, ...]], int] = {}
     for edge in graph.out_edges(node):
-        target_types = current.get(edge.target, ())
+        target_types = current[edge.target]
         options = tuple(
             type_name
             for type_name in label_options.get(edge.label, ())
@@ -963,7 +957,7 @@ def _compressed_signature(
     descriptions: List[Tuple[str, int, Tuple[TypeName, ...]]] = []
     for edge in graph.out_edges(node):
         multiplicity = edge.occur.lower
-        target_types = current.get(edge.target, ())
+        target_types = current[edge.target]
         options = tuple(
             type_name
             for type_name in label_options.get(edge.label, ())

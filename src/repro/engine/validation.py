@@ -29,13 +29,10 @@ from repro.engine.compiled import (
     schema_fingerprint,
 )
 from repro.engine.fixpoint import (
+    MAX_AFFECTED_FRACTION,
     FixpointStats,
-    expand_kind_typing,
-    kind_typing_for_view,
-    kind_view,
     maximal_typing_store,
     retype_incremental,
-    retype_kinds_incremental,
 )
 from repro.engine.jobs import JobResult, Stopwatch, ValidationJob
 from repro.graphs.graph import Graph
@@ -77,6 +74,11 @@ class TypingRows(Sequence):
         self._typing = typing
         self._rows: Optional[Tuple[Tuple[str, Tuple[str, ...]], ...]] = None
 
+    @property
+    def typing(self) -> Typing:
+        """The typing the rows are read from."""
+        return self._typing
+
     def rows(self) -> Tuple[Tuple[str, Tuple[str, ...]], ...]:
         """The rows as a plain tuple (built once)."""
         rows = self._rows
@@ -91,7 +93,7 @@ class TypingRows(Sequence):
         return rows
 
     def __len__(self) -> int:
-        return len(self._typing.items())
+        return self._typing.node_count
 
     def __getitem__(self, index):
         return self.rows()[index]
@@ -127,14 +129,16 @@ def _payload_from_typing(
     The kernels' typings list every node of ``graph`` (untyped ones with the
     empty set), so the payload is read off the immutable typing alone — a
     store may move on while the payload sits in a cache.  Only the untyped
-    nodes are collected here; the full ``typing`` rows are a
-    :class:`TypingRows`, sorted when first read, because a revalidation
-    that sorted a row per node paid for the whole graph on every version.
-    A typing that omits nodes is first widened to every node of ``graph``.
+    nodes are read here, from the set the typing keeps
+    (:meth:`repro.schema.typing.Typing.untyped`); the full ``typing`` rows
+    are a :class:`TypingRows`, sorted when first read, because a
+    revalidation that sorted a row per node paid for the whole graph on
+    every version.  A typing that omits nodes is first widened to every node
+    of ``graph``.
     """
-    if len(typing.items()) != graph.node_count:
+    if typing.node_count != graph.node_count:
         typing = Typing({node: typing.types_of(node) for node in graph.nodes})
-    untyped = sorted((node for node, types in typing.items() if not types), key=repr)
+    untyped = sorted(typing.untyped(), key=repr)
     verdict = "valid" if not untyped else "invalid"
     payload = {
         "untyped_nodes": tuple(repr(node) for node in untyped),
@@ -142,6 +146,16 @@ def _payload_from_typing(
         "compressed": compressed,
     }
     return verdict, payload
+
+
+def _region_route(stats: FixpointStats, nodes: int) -> Tuple[str, str]:
+    """``(route, reason)`` of a revalidation that started from a prior typing."""
+    if stats.mode == "unchanged":
+        return "region", "no touched node"
+    region = f"region {stats.affected}/{nodes}"
+    if stats.mode == "incremental":
+        return "region", f"{region} <= {MAX_AFFECTED_FRACTION}"
+    return "full", f"{region} > {MAX_AFFECTED_FRACTION}"
 
 
 def _validation_payload(job: ValidationJob, compiled: CompiledSchema) -> Tuple[str, Dict]:
@@ -160,10 +174,9 @@ class RevalidationOutcome:
     ``result`` is the usual deterministic :class:`repro.engine.jobs.JobResult`
     (cache-compatible with the batch path); the extra fields describe *how*
     the typing was obtained: ``version`` is the store version validated,
-    ``mode`` one of ``cached`` / ``unchanged`` / ``incremental`` /
-    ``kinds-incremental`` / ``full`` / ``kinds``, and for incremental runs
-    ``frontier`` / ``affected`` are the delta-touched node (or kind) count
-    and the size of the retyped region.
+    ``mode`` one of ``cached`` / ``unchanged`` / ``incremental`` / ``full`` /
+    ``kinds``, and for incremental runs ``frontier`` / ``affected`` are the
+    delta-touched node count and the size of the retyped region.
     """
 
     result: JobResult
@@ -215,14 +228,9 @@ class ValidationEngine(BatchEngine):
             backend, max_workers, cache_size, cache_dir, cache_max_mb, cache_ttl
         )
         self._compiled: Dict[str, CompiledSchema] = {}
-        # (schema fingerprint, store id, compressed) ->
-        # (version, node Typing, kind Typing or None, view epoch):
-        # the prior fixpoints that seed incremental revalidation.  The kind
-        # typing (quotient-level, stable kind ids) is what makes the
-        # compressed path incremental; the view epoch guards id reuse.
-        self._typings: "OrderedDict[Tuple, Tuple[int, Typing, Optional[Typing], int]]" = (
-            OrderedDict()
-        )
+        # (schema fingerprint, store id, compressed) -> (version, Typing):
+        # the prior fixpoints that seed incremental revalidation.
+        self._typings: "OrderedDict[Tuple, Tuple[int, Typing]]" = OrderedDict()
         # schema fingerprint -> persistent (type, signature) -> verdict memo;
         # a verdict is a pure function of its key, so carrying the memo
         # across revalidations of the same schema is sound and makes repeated
@@ -278,20 +286,21 @@ class ValidationEngine(BatchEngine):
     ) -> RevalidationOutcome:
         """Validate the current version of a :class:`repro.graphs.store.GraphStore`.
 
-        The engine keeps, per (schema, store), the typing of the last version
-        it validated — node-level, plus the quotient's kind-level typing when
-        the store's kind-compression view is active.  A later call re-derives
-        only what the change can touch: with an active view, the composed
-        :meth:`repro.graphs.store.GraphStore.view_delta` seeds
-        :func:`repro.engine.fixpoint.retype_kinds_incremental` and only kinds
-        reaching a changed quotient row are retyped (``mode
-        "kinds-incremental"``); otherwise the edge delta seeds
-        :func:`repro.engine.fixpoint.retype_incremental` on the plain graph.
-        First encounters run a full typing through the view when present
-        (:func:`repro.engine.fixpoint.maximal_typing_store`).  Results are
+        The engine keeps, per (schema, store), the node typing of the last
+        version it validated.  A later call retypes only the delta's node
+        region: :func:`repro.engine.fixpoint.retype_incremental` on the
+        store's edge delta since that version (``mode "incremental"``, or
+        ``"unchanged"`` when the delta touches no node).  Full typings — the
+        first one, and the fallback for a region past
+        :data:`repro.engine.fixpoint.MAX_AFFECTED_FRACTION` of the graph — go
+        through :func:`repro.engine.fixpoint.maximal_typing_store`, which
+        types the store's kind quotient when its view pays (``mode
+        "kinds"``), so a store's partition is synced only then.  Results are
         also pushed through the regular fingerprint-keyed result cache, so a
         store whose content matches an earlier job — any store, any version —
-        is answered without computing at all (``mode="cached"``).
+        is answered without computing at all (``mode="cached"``); when the
+        cached payload still holds its typing, that typing becomes the
+        store's snapshot too.
 
         Revalidation always computes in the calling thread (a typing snapshot
         cannot usefully cross an executor boundary); the configured backend
@@ -318,6 +327,11 @@ class ValidationEngine(BatchEngine):
             if found:
                 verdict, payload = value
                 _M_REVALIDATIONS.labels(mode="cached").inc()
+                rows = payload.get("typing")
+                if isinstance(rows, TypingRows):
+                    # The maximal typing of this very content: it seeds the
+                    # next delta.  (A disk-cache entry holds only the rows.)
+                    self._remember(token, version, rows.typing)
                 return RevalidationOutcome(
                     result=JobResult(
                         index=0, kind=self.kind, label=label, key=key,
@@ -335,59 +349,28 @@ class ValidationEngine(BatchEngine):
             with Stopwatch() as clock, _obs_tracing.span(
                 "engine.revalidate", compressed=compressed, version=version
             ) as trace_span:
-                # Syncing the view also maintains the kind partition under
-                # the delta (the store's cost, paid once per version); the
-                # view serves the plain semantics only, and only the schemas
-                # kind_view allows.
-                view = kind_view(store, compiled) if not compressed else None
-                kind_typing: Optional[Typing] = None
                 if snapshot is not None and snapshot[0] == version:
                     typing = snapshot[1]
-                    kind_typing = snapshot[2]
                     stats.mode = "unchanged"
-                elif view is not None:
-                    view_delta = None
-                    if (
-                        snapshot is not None
-                        and snapshot[0] <= version
-                        and snapshot[2] is not None
-                        and snapshot[3] == store.view_epoch
-                    ):
-                        view_delta = store.view_delta(snapshot[0], version)
-                    if view_delta is not None:
-                        # The compressed path, end-to-end incremental: only
-                        # kinds reaching a changed quotient row are retyped.
-                        kind_typing = retype_kinds_incremental(
-                            view, snapshot[2], view_delta, compiled=compiled,
-                            stats=stats, signature_memo=memo,
-                        )
-                    else:
-                        kind_typing = kind_typing_for_view(
-                            view, compiled, stats=stats, signature_memo=memo
-                        )
-                    typing = expand_kind_typing(view, kind_typing)
-                elif snapshot is not None and snapshot[0] <= version:
+                    route, reason = "snapshot", "typed at this version"
+                elif snapshot is not None and snapshot[0] < version:
                     typing = retype_incremental(
                         store, snapshot[1], store.diff(snapshot[0], version),
                         compiled=compiled, compressed=compressed, stats=stats,
                         signature_memo=memo,
                     )
+                    route, reason = _region_route(stats, store.graph.node_count)
                 else:
                     typing = maximal_typing_store(
                         store, compiled=compiled, compressed=compressed, stats=stats,
                         signature_memo=memo,
                     )
+                    route, reason = "full", "no prior typing"
                 verdict, payload = _payload_from_typing(store.graph, typing, compressed)
-                trace_span.annotate(mode=stats.mode)
+                trace_span.annotate(mode=stats.mode, route=route, reason=reason)
             _M_REVALIDATIONS.labels(mode=stats.mode).inc()
             _M_REVALIDATE_SECONDS.observe(clock.seconds)
-            with self._revalidate_lock:
-                self._typings[token] = (
-                    version, typing, kind_typing, store.view_epoch
-                )
-                self._typings.move_to_end(token)
-                while len(self._typings) > self.TYPING_SNAPSHOTS:
-                    self._typings.popitem(last=False)
+            self._remember(token, version, typing)
             self.cache.put(key, (verdict, payload))
             return RevalidationOutcome(
                 result=JobResult(
@@ -401,6 +384,14 @@ class ValidationEngine(BatchEngine):
                 affected=stats.affected,
             )
 
+    def _remember(self, token: Tuple, version: int, typing: Typing) -> None:
+        """Keep ``typing`` as the snapshot of ``token`` at ``version``."""
+        with self._revalidate_lock:
+            self._typings[token] = (version, typing)
+            self._typings.move_to_end(token)
+            while len(self._typings) > self.TYPING_SNAPSHOTS:
+                self._typings.popitem(last=False)
+
     # ------------------------------------------------------------------ #
     # Typing snapshot export / import (persistence support)
     # ------------------------------------------------------------------ #
@@ -408,11 +399,10 @@ class ValidationEngine(BatchEngine):
         """The engine's typing snapshots bound to ``store``, for persistence.
 
         Each entry carries the schema fingerprint, semantics flag, snapshot
-        version, the node-level :class:`Typing`, the kind-level typing (or
-        ``None``), and the partition epoch the kind typing was keyed under —
-        exactly what :meth:`seed_typing` needs to warm a fresh engine after
-        a restart.  Entries are plain objects; the persistence codec owns
-        their JSON form.
+        version and the node-level :class:`Typing` — exactly what
+        :meth:`seed_typing` needs to warm a fresh engine after a restart.
+        Entries are plain objects; the persistence codec owns their JSON
+        form.
         """
         with self._revalidate_lock:
             items = list(self._typings.items())
@@ -422,15 +412,8 @@ class ValidationEngine(BatchEngine):
                 "compressed": compressed,
                 "version": version,
                 "typing": typing,
-                "kind_typing": kind_typing,
-                "epoch": epoch,
             }
-            for (fingerprint, store_id, compressed), (
-                version,
-                typing,
-                kind_typing,
-                epoch,
-            ) in items
+            for (fingerprint, store_id, compressed), (version, typing) in items
             if store_id == store.store_id
         ]
 
@@ -451,6 +434,8 @@ class ValidationEngine(BatchEngine):
         ``version`` instead of retyping the world.  ``version`` must not
         exceed the store's current version and must be reachable by
         :meth:`GraphStore.diff` (i.e. at or above its ``base_version``).
+        ``kind_typing`` and ``epoch`` are accepted and ignored: revalidation
+        retypes node regions and needs no kind-level typing.
         """
         if not store.base_version <= version <= store.version:
             raise ValueError(
@@ -458,12 +443,7 @@ class ValidationEngine(BatchEngine):
                 f"history [{store.base_version}, {store.version}]"
             )
         compiled = self.compile(schema)
-        token = (compiled.fingerprint, store.store_id, compressed)
-        with self._revalidate_lock:
-            self._typings[token] = (version, typing, kind_typing, epoch)
-            self._typings.move_to_end(token)
-            while len(self._typings) > self.TYPING_SNAPSHOTS:
-                self._typings.popitem(last=False)
+        self._remember((compiled.fingerprint, store.store_id, compressed), version, typing)
 
     # ------------------------------------------------------------------ #
     # BatchEngine hooks

@@ -267,7 +267,7 @@ def stabilise(
     bits[:n_active] = seed_rows[plan.label_set_of]
     for offset, node in enumerate(boundary):
         row = bits[n_active + offset]
-        for type_name in current.get(node, ()):
+        for type_name in current[node]:
             t_pos = type_index.get(type_name)
             if t_pos is not None:
                 row |= tables.bit_rows[t_pos]

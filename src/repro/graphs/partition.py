@@ -44,8 +44,7 @@ An update has two phases:
 The quotient :class:`repro.graphs.compressed.CompressedGraph` is then patched
 in place — retired kinds removed, new kinds added, only changed out-edge rows
 rewritten — and the update is summarised as a :class:`ViewDelta`: the kinds
-whose quotient out-rows changed (the sound seed set for incremental typing of
-the quotient) and the kinds that disappeared.  Deltas touching more than
+whose quotient out-rows changed and the kinds that disappeared.  Deltas touching more than
 ``max_affected_fraction`` of the nodes fall back to a full rebuild and bump
 the maintainer's *epoch*, invalidating cross-version kind-id comparisons.
 
@@ -63,7 +62,7 @@ from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 from repro.core.intervals import Interval
 from repro.graphs.compressed import CompressedGraph
 from repro.graphs.graph import Graph, Label
-from repro.graphs.scc import backward_closure
+from repro.graphs.scc import backward_closure, peel
 from repro.obs import metrics as _obs_metrics
 
 _REGISTRY = _obs_metrics.get_registry()
@@ -118,44 +117,8 @@ def sinks_first(graph: Graph, order: List[NodeId]) -> Optional[List[NodeId]]:
     induces, edges leaving it ignored; ``order`` fixes the tie-breaking, so the result is
     deterministic.  Returns ``None`` when that subgraph has a cycle.
     """
-    peeled, cyclic = _peel(graph, order)
+    peeled, cyclic = peel(graph, order)
     return None if cyclic else peeled
-
-
-def _peel(graph: Graph, order: List[NodeId]) -> Tuple[List[NodeId], Set[NodeId]]:
-    """Kahn's pass over ``order``: ``(peeled sinks first, the rest)``.
-
-    The rest are exactly the nodes of ``order`` that reach a cycle of the
-    subgraph ``order`` induces; every peeled node reaches none.
-    """
-    region = set(order)
-    whole = len(region) == graph.node_count  # then every edge stays inside
-    pending: Dict[NodeId, int] = {}
-    ready: List[NodeId] = []
-    for node in order:
-        if whole:
-            inside = graph.out_degree(node)
-        else:
-            inside = sum(1 for edge in graph.out_edges(node) if edge.target in region)
-        if inside:
-            pending[node] = inside
-        else:
-            ready.append(node)
-    ready.reverse()  # pop() then yields the sinks in ``order``
-    result: List[NodeId] = []
-    while ready:
-        node = ready.pop()
-        result.append(node)
-        for edge in graph.in_edges(node):
-            left = pending.get(edge.source)
-            if left is None:  # outside the region
-                continue
-            if left == 1:
-                del pending[edge.source]
-                ready.append(edge.source)
-            else:
-                pending[edge.source] = left - 1
-    return result, set(pending)
 
 
 def kind_partition(graph: Graph) -> Dict[NodeId, int]:
@@ -184,7 +147,7 @@ def _build_partition(graph: Graph) -> Tuple[Dict[NodeId, int], str, int]:
     reaches a cycle, ``"rounds"`` otherwise) and how many nodes were refined
     in rounds."""
     order = sorted(graph.nodes, key=repr)
-    peeled, cyclic = _peel(graph, order)
+    peeled, cyclic = peel(graph, order)
     provisional: Dict[NodeId, int] = {}
     index: Dict[Row, int] = {}
     for node in peeled:
@@ -234,11 +197,9 @@ class ViewDelta:
 
     ``changed`` holds every kind that is new or whose quotient out-edge row
     differs from the previous version — exactly the nodes of the quotient
-    whose out-reachable subgraph may have changed, hence the sound seed set
-    for delta-driven retyping of the quotient.  ``retired`` holds kinds that
+    whose out-reachable subgraph may have changed.  ``retired`` holds kinds that
     no longer exist (emptied by re-kinding or merged into a survivor).
-    Retired ids are never reused within an epoch, which is what makes
-    composition with :meth:`then` exact.
+    Retired ids are never reused within an epoch.
     """
 
     changed: FrozenSet[int] = frozenset()
@@ -247,13 +208,6 @@ class ViewDelta:
     @property
     def is_empty(self) -> bool:
         return not self.changed and not self.retired
-
-    def then(self, other: "ViewDelta") -> "ViewDelta":
-        """Sequential composition: this update followed by ``other``."""
-        return ViewDelta(
-            changed=(self.changed - other.retired) | other.changed,
-            retired=self.retired | other.retired,
-        )
 
 
 @dataclass

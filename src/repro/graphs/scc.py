@@ -9,15 +9,17 @@ once: by the time a component is examined, the types of all nodes outside it
 that it depends on are already final.  :mod:`repro.engine.fixpoint` builds its
 whole worklist discipline on this order.
 
-The implementation is an iterative Tarjan (explicit stack, no recursion), so
-graphs with very long paths do not hit the interpreter recursion limit.  Node
-visiting order is fixed by ``sorted(nodes, key=repr)``, making the component
-list — and everything scheduled from it — deterministic.
+The nodes that reach no cycle are peeled off first by Kahn's algorithm
+(:func:`peel`), each its own component; only the rest go through an
+iterative Tarjan (explicit stack, no recursion), so graphs with very long
+paths do not hit the interpreter recursion limit.  Node visiting order is
+fixed by ``sorted(nodes, key=repr)``, making the component list — and
+everything scheduled from it — deterministic.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Tuple
+from typing import Dict, Hashable, List, Set, Tuple
 
 from repro.graphs.graph import Graph
 
@@ -33,7 +35,59 @@ def strongly_connected_components(graph: Graph, nodes=None) -> List[Tuple[NodeId
     order is deterministic for a given graph.  A ``nodes`` set restricts all
     of this to the subgraph it induces, without building that subgraph.
     """
-    region = graph.nodes if nodes is None else nodes
+    peeled, rest = peel(graph, sorted(graph.nodes if nodes is None else nodes, key=repr))
+    components: List[Tuple[NodeId, ...]] = [(node,) for node in peeled]
+    if rest:
+        components.extend(_tarjan(graph, rest))
+    return components
+
+
+def peel(graph: Graph, order: List[NodeId]) -> Tuple[List[NodeId], Set[NodeId]]:
+    """Kahn's pass over ``order``: ``(peeled sinks first, the rest)``.
+
+    The rest are exactly the nodes of ``order`` that reach a cycle of the
+    subgraph ``order`` induces; every peeled node reaches none, and follows
+    its successors in the peeled list.
+    """
+    region = set(order)
+    whole = len(region) == graph.node_count  # then every edge stays inside
+    pending: Dict[NodeId, int] = {}
+    ready: List[NodeId] = []
+    for node in order:
+        if whole:
+            inside = graph.out_degree(node)
+        else:
+            inside = sum(1 for edge in graph.out_edges(node) if edge.target in region)
+        if inside:
+            pending[node] = inside
+        else:
+            ready.append(node)
+    ready.reverse()  # pop() then yields the sinks in ``order``
+    return _drain(ready, pending, graph.in_edges), set(pending)
+
+
+def _drain(ready: List[NodeId], pending: Dict[NodeId, int], in_edges) -> List[NodeId]:
+    """Kahn's loop: pop ready nodes, releasing a pending predecessor once
+    its last out-edge into the region is consumed; returns the pop order
+    (``pending`` is left holding the nodes that reach a cycle)."""
+    result: List[NodeId] = []
+    while ready:
+        node = ready.pop()
+        result.append(node)
+        for edge in in_edges(node):
+            left = pending.get(edge.source)
+            if left is None:  # outside the region, or already released
+                continue
+            if left == 1:
+                del pending[edge.source]
+                ready.append(edge.source)
+            else:
+                pending[edge.source] = left - 1
+    return result
+
+
+def _tarjan(graph: Graph, region: Set[NodeId]) -> List[Tuple[NodeId, ...]]:
+    """Tarjan's SCCs of the subgraph ``region`` induces, sinks first."""
     order = sorted(region, key=repr)
     index: Dict[NodeId, int] = {}
     lowlink: Dict[NodeId, int] = {}
@@ -106,13 +160,46 @@ def backward_closure(graph: Graph, seeds) -> set:
     """
     closure = set(seeds)
     frontier: List[NodeId] = list(closure)
+    in_edges, add, push = graph.in_edges, closure.add, frontier.append
+    while frontier:
+        for edge in in_edges(frontier.pop()):
+            source = edge.source
+            if source not in closure:
+                add(source)
+                push(source)
+    return closure
+
+
+def closure_components(graph: Graph, seeds) -> Tuple[Set[NodeId], List[Tuple[NodeId, ...]]]:
+    """``(backward closure of seeds, its components sinks first)`` in one walk.
+
+    The same closure as :func:`backward_closure` and the same kind of order
+    as :func:`strongly_connected_components` on it, without re-reading the
+    closure's out-edges: every in-edge of a closure node starts inside the
+    closure, so the walk that collects the closure also counts each node's
+    out-edges within it, which is all Kahn's peel needs.  The peeled nodes
+    come first, in an order that depends on set iteration (any sinks-first
+    order schedules the same fixpoint); Tarjan orders the nodes that reach
+    a cycle.  Seeds absent from the graph must be filtered by the caller.
+    """
+    closure = set(seeds)
+    frontier: List[NodeId] = list(closure)
+    pending: Dict[NodeId, int] = {}  # out-edges into the closure
+    in_edges: Dict[NodeId, list] = {}
     while frontier:
         node = frontier.pop()
-        for edge in graph.in_edges(node):
-            if edge.source not in closure:
-                closure.add(edge.source)
-                frontier.append(edge.source)
-    return closure
+        edges = in_edges[node] = graph.in_edges(node)
+        for edge in edges:
+            source = edge.source
+            pending[source] = pending.get(source, 0) + 1
+            if source not in closure:
+                closure.add(source)
+                frontier.append(source)
+    ready = [node for node in closure if node not in pending]
+    components = [(node,) for node in _drain(ready, pending, in_edges.__getitem__)]
+    if pending:
+        components.extend(_tarjan(graph, set(pending)))
+    return closure, components
 
 
 def condensation_order(graph: Graph) -> Tuple[List[Tuple[NodeId, ...]], Dict[NodeId, int]]:

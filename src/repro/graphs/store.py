@@ -52,12 +52,7 @@ from repro.core.intervals import Interval, ONE
 from repro.errors import GraphError
 from repro.graphs.compressed import CompressedGraph
 from repro.graphs.graph import Edge, Graph, Label
-from repro.graphs.partition import (
-    PartitionMaintainer,
-    ViewDelta,
-    kind_partition,
-    row_of,
-)
+from repro.graphs.partition import PartitionMaintainer, kind_partition, row_of
 from repro.obs import metrics as _obs_metrics
 from repro.obs import tracing as _obs_tracing
 
@@ -353,13 +348,10 @@ class GraphStore:
         self._view: Optional[Tuple[int, Optional[KindView]]] = None
         self._maintainer: Optional[PartitionMaintainer] = None
         self._maintainer_version = base_version
-        # Chained spans of partition updates: (from_version, to_version,
-        # ViewDelta), all within the maintainer's current epoch.
-        self._view_log: List[Tuple[int, int, ViewDelta]] = []
-        # Guards the maintained-partition state: engines may revalidate one
-        # store against several schemas concurrently, and each revalidation
-        # syncs the partition through typing_view().  (Mutation vs. read
-        # safety is still the caller's job, as for the graph itself.)
+        # Guards the maintained-partition state: engines may type one store
+        # against several schemas concurrently, and each full typing syncs
+        # the partition through typing_view().  (Mutation vs. read safety is
+        # still the caller's job, as for the graph itself.)
         self._view_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
@@ -443,12 +435,12 @@ class GraphStore:
         the view only when the partition shrinks the node count by at least
         ``KIND_COMPRESS_MIN_RATIO``.
 
-        The partition is *maintained*: the first call builds it in full, later
-        calls bring it up to date under the composed delta since the last call
+        The partition is *maintained*, and synced only when the view is read:
+        the first call builds it in full, later calls bring it up to date
+        under the composed delta since the last call
         (:class:`repro.graphs.partition.PartitionMaintainer`), so on small
         writes the view costs the delta's affected region, not the graph.  The
-        returned view is live (see :class:`KindView`) and the per-version
-        updates are queryable through :meth:`view_delta`.  For a from-scratch
+        returned view is live (see :class:`KindView`).  For a from-scratch
         snapshot of any graph, call :func:`kind_compress`.
         """
         with self._view_lock:
@@ -466,11 +458,6 @@ class GraphStore:
             self._view = (self._version, view)
             return view
 
-    #: How many partition-update spans to retain for :meth:`view_delta`;
-    #: engines revalidating less often than this per store fall back to a
-    #: full quotient typing, never to wrong answers.
-    VIEW_LOG_LIMIT = 256
-
     def _sync_partition(self) -> PartitionMaintainer:
         """Bring the maintained kind partition up to the current version.
 
@@ -487,16 +474,8 @@ class GraphStore:
                 )
             elif self._maintainer_version != self._version:
                 delta = self.diff(self._maintainer_version, self._version)
-                update = maintainer.update(self._graph, delta)
-                if update is None:  # fallback rebuild; ids changed epoch
-                    _M_VIEW_EPOCHS.inc()
-                    self._view_log.clear()
-                else:
-                    self._view_log.append(
-                        (self._maintainer_version, self._version, update)
-                    )
-                    if len(self._view_log) > self.VIEW_LOG_LIMIT:
-                        del self._view_log[0]
+                if maintainer.update(self._graph, delta) is None:
+                    _M_VIEW_EPOCHS.inc()  # fallback rebuild; ids changed epoch
             else:
                 span.annotate(
                     mode="unchanged", affected=0, path=maintainer.stats.path, refined=0
@@ -524,7 +503,6 @@ class GraphStore:
                 self._graph, kind_of, epoch, name=f"kinds({self.name})"
             )
             self._maintainer_version = self._version
-            self._view_log.clear()
             self._view = None
 
     @property
@@ -536,32 +514,6 @@ class GraphStore:
         consumers that per-kind state keyed on the previous epoch is stale.
         """
         return self._maintainer.epoch if self._maintainer is not None else -1
-
-    def view_delta(self, v1: int, v2: int) -> Optional[ViewDelta]:
-        """The composed partition update from version ``v1`` to ``v2``.
-
-        Returns ``None`` when the spans do not chain — the maintainer was
-        rebuilt in between (epoch bump), ``v1`` predates the retained log, or
-        ``v1``/``v2`` never coincided with a partition sync.  ``None`` means
-        "kind ids are not comparable"; consumers must fall back to a full
-        quotient typing.
-        """
-        if v1 == v2:
-            return ViewDelta()
-        if v1 > v2:
-            return None
-        composed: Optional[ViewDelta] = None
-        cursor = v1
-        with self._view_lock:
-            spans = list(self._view_log)
-        for start, end, update in spans:
-            if start != cursor:
-                continue
-            composed = update if composed is None else composed.then(update)
-            cursor = end
-            if cursor == v2:
-                return composed
-        return None
 
     def view_stats(self) -> Dict[str, object]:
         """Kind-view observability for ``status`` endpoints (never computes).

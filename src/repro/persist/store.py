@@ -285,12 +285,11 @@ class DurableStore(GraphStore):
                     "compressed": bool(entry["compressed"]),
                     "version": int(entry["version"]),
                     "typing": codec.decode_typing(entry["typing"]),
-                    "kind_typing": (
-                        codec.decode_typing(entry["kind_typing"])
-                        if entry.get("kind_typing") is not None
-                        else None
-                    ),
-                    "epoch": int(entry.get("epoch", -1)),
+                    # Kind-level typings are no longer persisted or read;
+                    # the keys stay for callers that pass them through to
+                    # ValidationEngine.seed_typing.
+                    "kind_typing": None,
+                    "epoch": -1,
                 }
             )
         return store
@@ -464,12 +463,6 @@ class DurableStore(GraphStore):
                     "compressed": entry["compressed"],
                     "version": entry["version"],
                     "typing": codec.encode_typing(entry["typing"]),
-                    "kind_typing": (
-                        codec.encode_typing(entry["kind_typing"])
-                        if entry.get("kind_typing") is not None
-                        else None
-                    ),
-                    "epoch": entry.get("epoch", -1),
                 }
                 for entry in usable
             ],

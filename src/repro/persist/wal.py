@@ -46,7 +46,7 @@ import struct
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro import faults as _faults
 from repro.errors import PersistError

@@ -38,11 +38,20 @@ from repro.util.assignment import feasible_split
 NodeId = Hashable
 
 
+_NO_TYPES: FrozenSet[TypeName] = frozenset()
+
+
 class Typing:
     """An immutable typing relation, viewed as a map from nodes to sets of types.
 
     Typings produced by the fixpoint kernels list *every* node of the typed
     graph, untyped nodes mapped to the empty set.
+
+    :meth:`updated` derives a typing copy-on-write: the result shares this
+    typing's flat dict and holds only the reassigned nodes in an *overlay*,
+    so a revalidation that retypes a small region pays for the region, not
+    for the graph.  The untyped nodes are kept as a set the same way
+    (:meth:`untyped`).
     """
 
     def __init__(self, assignments: Mapping[NodeId, Iterable[TypeName]]):
@@ -50,6 +59,11 @@ class Typing:
             node: types if type(types) is frozenset else frozenset(types)
             for node, types in assignments.items()
         }
+        # Nodes reassigned over the shared ``_assignments`` (None when flat),
+        # and how many nodes the typing lists.
+        self._overlay: Optional[Dict[NodeId, FrozenSet[TypeName]]] = None
+        self._size = len(self._assignments)
+        self._untyped: Optional[FrozenSet[NodeId]] = None
         # The pair set that equality, hashing and pairs() are defined on,
         # built on first use: revalidation creates a typing per version and
         # mostly never compares or hashes it.
@@ -57,22 +71,96 @@ class Typing:
         self._hash: Optional[int] = None
 
     def __getstate__(self):
-        # The memo stays out of pickles: str hashes are per-process, so a
+        # The memos stay out of pickles: str hashes are per-process, so a
         # pickled hash would be wrong in the process that loads it.
-        return {"_assignments": self._assignments}
+        return {"_assignments": self._flat()}
 
     def __setstate__(self, state) -> None:
         self._assignments = state["_assignments"]
+        self._overlay = None
+        self._size = len(self._assignments)
+        self._untyped = None
         self._pairs = None
         self._hash = None
 
+    def _flat(self) -> Dict[NodeId, FrozenSet[TypeName]]:
+        """Every ``node -> types`` entry in one dict, folding the overlay in
+        (once: the folded dict replaces the shared one; never mutated)."""
+        overlay = self._overlay
+        if overlay is not None:
+            flat = dict(self._assignments)
+            flat.update(overlay)
+            self._assignments, self._overlay = flat, None
+        return self._assignments
+
+    def updated(self, changes: Mapping[NodeId, Iterable[TypeName]]) -> "Typing":
+        """This typing with the nodes of ``changes`` (re)assigned, copy-on-write.
+
+        The result shares this typing's flat dict and keeps, in one overlay,
+        every node reassigned since that dict was built.  Copying the overlay
+        costs its size on every derivation, so once it outgrows the square
+        root of the flat dict's size it is folded into a new flat dict: a run
+        of derivations that each reassign ``d`` nodes of an ``n``-node typing
+        then costs ``O(d·√n)`` per derivation, amortised, instead of ``O(n)``.
+        """
+        if not changes:
+            return self
+        overlay = dict(self._overlay) if self._overlay is not None else {}
+        base = self._assignments
+        untyped = set(self.untyped())
+        size = self._size
+        for node, types in changes.items():
+            if type(types) is not frozenset:
+                types = frozenset(types)
+            if node not in overlay and node not in base:
+                size += 1
+            overlay[node] = types
+            if types:
+                untyped.discard(node)
+            else:
+                untyped.add(node)
+        derived = Typing.__new__(Typing)
+        derived._assignments = base
+        derived._overlay = overlay
+        derived._size = size
+        derived._untyped = frozenset(untyped)
+        derived._pairs = None
+        derived._hash = None
+        if len(overlay) * len(overlay) > len(base):
+            derived._flat()
+        return derived
+
+    @property
+    def node_count(self) -> int:
+        """How many nodes the typing lists (untyped ones included)."""
+        return self._size
+
+    def untyped(self) -> FrozenSet[NodeId]:
+        """The listed nodes that carry no type (computed once, then kept)."""
+        untyped = self._untyped
+        if untyped is None:
+            untyped = self._untyped = frozenset(
+                node for node, types in self._flat().items() if not types
+            )
+        return untyped
+
     def types_of(self, node: NodeId) -> FrozenSet[TypeName]:
         """The set of types assigned to ``node`` (empty when unassigned)."""
-        return self._assignments.get(node, frozenset())
+        overlay = self._overlay
+        if overlay is not None:
+            types = overlay.get(node)
+            if types is not None:
+                return types
+        return self._assignments.get(node, _NO_TYPES)
+
+    def lists(self, node: NodeId) -> bool:
+        """True when the typing lists ``node``, typed or not."""
+        overlay = self._overlay
+        return (overlay is not None and node in overlay) or node in self._assignments
 
     def domain(self) -> Set[NodeId]:
         """The nodes that carry at least one type."""
-        return {node for node, types in self._assignments.items() if types}
+        return {node for node, types in self._flat().items() if types}
 
     def is_total(self, graph: Graph) -> bool:
         """True when every node of the graph carries at least one type."""
@@ -84,17 +172,17 @@ class Typing:
         if pairs is None:
             pairs = self._pairs = frozenset(
                 (node, type_name)
-                for node, types in self._assignments.items()
+                for node, types in self._flat().items()
                 for type_name in types
             )
         return pairs
 
     def as_dict(self) -> Dict[NodeId, FrozenSet[TypeName]]:
-        return dict(self._assignments)
+        return dict(self._flat())
 
     def items(self) -> ItemsView[NodeId, FrozenSet[TypeName]]:
         """``(node, types)`` for every node the typing lists (a read-only view)."""
-        return self._assignments.items()
+        return self._flat().items()
 
     def __contains__(self, pair: Tuple[NodeId, TypeName]) -> bool:
         node, type_name = pair
@@ -113,8 +201,9 @@ class Typing:
 
     def __str__(self) -> str:
         lines = []
-        for node in sorted(self._assignments, key=repr):
-            types = ", ".join(sorted(self._assignments[node]))
+        assignments = self._flat()
+        for node in sorted(assignments, key=repr):
+            types = ", ".join(sorted(assignments[node]))
             lines.append(f"{node}: {{{types}}}")
         return "\n".join(lines)
 

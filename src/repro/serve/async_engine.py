@@ -161,9 +161,13 @@ class AsyncBatchEngine:
         finally:
             self._inflight.pop(key, None)
 
-    async def _run_job(self, job, index: int = 0) -> JobResult:
-        """Key, cache-check, dedup, and (if needed) compute one job."""
-        key = self.engine._key_job(job, {})
+    async def _run_job(self, job, index: int = 0, memo: Optional[Dict] = None) -> JobResult:
+        """Key, cache-check, dedup, and (if needed) compute one job.
+
+        ``memo`` may hold fingerprints the caller already knows, in the
+        engine's ``_key_job`` memo form.
+        """
+        key = self.engine._key_job(job, {} if memo is None else memo)
         found, value = self.engine.cache.get(key)
         if found:
             verdict, payload = value
@@ -303,21 +307,29 @@ class AsyncValidationEngine(AsyncBatchEngine):
         schema,
         compressed: bool = False,
         label: str = "",
+        fingerprint: Optional[str] = None,
     ) -> JobResult:
-        """Validate one graph against one schema; awaits the result."""
+        """Validate one graph against one schema; awaits the result.
+
+        The job is keyed by the compiled schema's fingerprint, and by
+        ``fingerprint`` — the graph's content fingerprint — when the caller
+        knows it, so a cache hit hashes neither.
+        """
         compiled = self.engine.compile(schema)
         job = ValidationJob(
             graph=graph, schema=compiled.schema, compressed=compressed, label=label
         )
-        return await self._run_job(job)
+        memo = {("schema", id(job.schema)): compiled.fingerprint}
+        if fingerprint is not None:
+            memo[("graph", id(graph))] = fingerprint
+        return await self._run_job(job, memo=memo)
 
     async def revalidate(self, store, schema, compressed: bool = False, label: str = ""):
         """Revalidate a :class:`repro.graphs.store.GraphStore` off the event loop.
 
         Delegates to :meth:`repro.engine.validation.ValidationEngine.revalidate`
-        (incremental when the engine holds a prior typing — via the store's
-        view delta on the compressed path, via the edge delta otherwise) on
-        the loop's default thread pool — never the process backend, since
+        (incremental when the engine holds a prior typing: the edge delta's
+        node region is retyped) on the loop's default thread pool — never the process backend, since
         typing snapshots cannot usefully cross a process boundary — keeping
         the loop responsive; the wrapped engine's own lock serialises
         concurrent revalidations of the same store.  Returns a

@@ -415,8 +415,8 @@ class DaemonClient:
 
         ``schema`` is a registered name or ``{"text"/"path"}``.  The response
         carries the usual validation fields plus ``version`` and ``mode``
-        (``cached`` / ``unchanged`` / ``incremental`` / ``kinds-incremental``
-        / ``full`` / ``kinds``).
+        (``cached`` / ``unchanged`` / ``incremental`` / ``full`` /
+        ``kinds``).
         """
         return self.request(
             "revalidate", name=name, schema=schema, compressed=compressed, label=label

@@ -38,7 +38,7 @@ from urllib.parse import quote, unquote
 import repro
 from repro import faults
 from repro.engine.cache import CacheStats, LRUCache, cache_collector
-from repro.engine.compiled import CompiledSchema
+from repro.engine.compiled import CompiledSchema, graph_fingerprint
 from repro.engine.fixpoint import fixpoint_metrics_summary
 from repro.engine.jobs import JobResult, ValidationJob
 from repro.errors import GraphError, ProtocolError, ReproError
@@ -90,6 +90,17 @@ _M_REJECTED = obs_metrics.get_registry().counter(
 #: Control-plane operations that bypass the in-flight backpressure cap, so an
 #: operator can still ``ping``/``status``/``stop`` an overloaded daemon.
 _CONTROL_OPS = frozenset({"ping", "status", "metrics", "flush_cache", "shutdown"})
+
+
+class _ParsedData:
+    """A parse-memo entry: a document's graph, and its content fingerprint
+    once a validation has needed it."""
+
+    __slots__ = ("graph", "fingerprint")
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.fingerprint: Optional[str] = None
 
 
 def _stats_dict(stats: CacheStats) -> Dict[str, Any]:
@@ -344,8 +355,6 @@ class ValidationDaemon:
                     snapshot["typing"],
                     snapshot["version"],
                     compressed=snapshot["compressed"],
-                    kind_typing=snapshot["kind_typing"],
-                    epoch=snapshot["epoch"],
                 )
                 seeded += 1
             self._stores[name] = store
@@ -896,6 +905,28 @@ class ValidationDaemon:
                 f"cannot read {path!r}: {exc.strerror or exc}", protocol.E_BAD_REQUEST
             ) from exc
 
+    def _memoised(self, kind: str, reference: Any, *tail: Any) -> Any:
+        """The parse memo's entry for a ``{"text": ...}`` reference, found
+        without parsing or IO (safe on the event loop); ``None`` on a miss."""
+        if isinstance(reference, dict) and isinstance(reference.get("text"), str):
+            digest = hashlib.sha256(reference["text"].encode("utf-8")).hexdigest()
+            key = (kind, digest) + tail
+            if key in self._parsed:
+                found, value = self._parsed.get(key)
+                if found:
+                    return value
+        return None
+
+    async def _schema(self, reference: Any, field: str = "schema") -> CompiledSchema:
+        """Resolve a schema reference: on the loop when it is registered or
+        memoised, else on a worker."""
+        if isinstance(reference, str):
+            return self._resolve_schema(reference)
+        compiled = self._memoised("schema", reference)
+        if compiled is None:
+            compiled = await self._offload(self._resolve_schema, reference, field)
+        return compiled
+
     def _resolve_schema(self, reference: Any, field: str = "schema") -> CompiledSchema:
         """A schema reference: a registered name, ``{"text": ...}``, or ``{"path": ...}``."""
         if isinstance(reference, str):
@@ -929,8 +960,17 @@ class ValidationDaemon:
             protocol.E_BAD_REQUEST,
         )
 
-    def _resolve_data(self, reference: Any):
-        """A data reference: ``{"text": ..., "format": ...}`` or ``{"path": ...}``."""
+    def _fingerprinted_data(self, reference: Any) -> "_ParsedData":
+        """The parse memo's entry for a data reference, with the graph's
+        content fingerprint (computed once per memoised document)."""
+        parsed = self._parsed_data(reference)
+        if parsed.fingerprint is None:
+            parsed.fingerprint = graph_fingerprint(parsed.graph)
+        return parsed
+
+    def _parsed_data(self, reference: Any) -> "_ParsedData":
+        """Parse (or find in the memo) the document a data reference names:
+        ``{"text": ..., "format": ...}`` or ``{"path": ...}``."""
         if not isinstance(reference, dict):
             raise ProtocolError(
                 "'data' must be an object with a 'text' or 'path' key",
@@ -957,9 +997,9 @@ class ValidationDaemon:
         found, cached = self._parsed.get(("data", digest, data_format))
         if found:
             return cached
-        graph = load_graph(text, ntriples=data_format == "ntriples", name=name)
-        self._parsed.put(("data", digest, data_format), graph)
-        return graph
+        parsed = _ParsedData(load_graph(text, ntriples=data_format == "ntriples", name=name))
+        self._parsed.put(("data", digest, data_format), parsed)
+        return parsed
 
     def _validation_result(self, result: JobResult) -> Dict[str, Any]:
         return {
@@ -1001,15 +1041,22 @@ class ValidationDaemon:
         }
 
     async def _op_validate(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        compiled = await self._offload(
-            self._resolve_schema, protocol.require(message, "schema")
-        )
-        graph = await self._offload(self._resolve_data, protocol.require(message, "data"))
+        # A repeated request resolves both references from memory on the
+        # loop and, keyed by the memoised fingerprints, answers a cache hit
+        # without a worker hop.
+        compiled = await self._schema(protocol.require(message, "schema"))
+        reference = protocol.require(message, "data")
+        parsed = None
+        if isinstance(reference, dict):
+            parsed = self._memoised("data", reference, reference.get("format", "turtle"))
+        if parsed is None or parsed.fingerprint is None:
+            parsed = await self._offload(self._fingerprinted_data, reference)
         compressed = message.get("compressed", False)
         if not isinstance(compressed, bool):
             raise ProtocolError("'compressed' must be a boolean", protocol.E_BAD_REQUEST)
         result = await self.validation.submit(
-            graph, compiled, compressed=compressed, label=str(message.get("label", ""))
+            parsed.graph, compiled, compressed=compressed,
+            label=str(message.get("label", "")), fingerprint=parsed.fingerprint,
         )
         response = self._validation_result(result)
         if message.get("include_typing"):
@@ -1019,12 +1066,8 @@ class ValidationDaemon:
         return response
 
     async def _op_contains(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        left = await self._offload(
-            self._resolve_schema, protocol.require(message, "left"), "left"
-        )
-        right = await self._offload(
-            self._resolve_schema, protocol.require(message, "right"), "right"
-        )
+        left = await self._schema(protocol.require(message, "left"), "left")
+        right = await self._schema(protocol.require(message, "right"), "right")
         options = {}
         for option in ("max_nodes", "samples"):
             if option in message:
@@ -1072,7 +1115,7 @@ class ValidationDaemon:
                         f"jobs[{position}] must be an object", protocol.E_BAD_REQUEST
                     )
                 compiled = self._resolve_schema(protocol.require(entry, "schema"))
-                graph = self._resolve_data(protocol.require(entry, "data"))
+                graph = self._parsed_data(protocol.require(entry, "data")).graph
                 jobs.append(
                     ValidationJob(
                         graph=graph,
@@ -1188,7 +1231,7 @@ class ValidationDaemon:
             )
         async with self._store_lock(name):
             if has_data:
-                graph = await self._offload(self._resolve_data, message["data"])
+                graph = (await self._offload(self._parsed_data, message["data"])).graph
                 previous = self._stores.get(name)
                 if isinstance(previous, DurableStore):
                     previous.close()
@@ -1234,8 +1277,8 @@ class ValidationDaemon:
         ``graphs`` (a list of names), or ``all: true`` (every registered
         graph, sorted).  Incremental when the engine holds the typing of an
         earlier version — the response's ``mode`` field reports which path
-        answered (``cached`` / ``unchanged`` / ``incremental`` /
-        ``kinds-incremental`` / ``full`` / ``kinds``).
+        answered (``cached`` / ``unchanged`` / ``incremental`` / ``full`` /
+        ``kinds``).
 
         Batched form: the whole batch is revalidated against one resolved
         schema in a single engine hop, so every graph after the first reuses
@@ -1254,7 +1297,7 @@ class ValidationDaemon:
                 protocol.E_BAD_REQUEST,
             )
         schema_ref = protocol.require(message, "schema")
-        compiled = await self._offload(self._resolve_schema, schema_ref)
+        compiled = await self._schema(schema_ref)
         if self.data_dir is not None:
             await self._offload(self._persist_schema_for_typings, schema_ref, compiled)
         compressed = message.get("compressed", False)

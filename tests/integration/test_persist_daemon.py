@@ -10,7 +10,6 @@ work against a live daemon.
 
 from __future__ import annotations
 
-import json
 import time
 
 import pytest
@@ -29,7 +28,7 @@ TURTLE = (
 )
 #: Revalidation modes a warm restart may answer with — anything but a
 #: from-scratch retype ("full" / "kinds").
-WARM_MODES = {"cached", "unchanged", "incremental", "kinds-incremental"}
+WARM_MODES = {"cached", "unchanged", "incremental"}
 
 
 def _populate(address):

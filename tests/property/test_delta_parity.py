@@ -7,9 +7,8 @@ validation semantics.  This suite applies seeded random insert/remove
 sequences through a :class:`repro.graphs.store.GraphStore` and asserts exactly
 that, mirroring ``tests/property/test_fixpoint_parity.py``; it also covers
 multi-version diffs (retyping across several deltas at once), the automatic
-kind-compression view and its delta-seeded retyping
-(:func:`repro.engine.fixpoint.retype_kinds_incremental`), and the
-engine-level revalidation wrapper.  Every case runs once per fixpoint kernel.
+kind-compression view (full typings) next to region retyping of the same
+stores, and the engine-level revalidation wrapper.  Every case runs once per fixpoint kernel.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from repro.engine.fixpoint import (
     maximal_typing_fixpoint,
     maximal_typing_store,
     retype_incremental,
-    retype_kinds_incremental,
 )
 from repro.engine.validation import ValidationEngine
 from repro.graphs.graph import Graph
@@ -189,9 +187,12 @@ class TestKindViewParity:
 
 class TestKindsDeltaParity:
     @pytest.mark.parametrize("seed", PLAIN_SEEDS[:3])
-    def test_view_delta_retyping_matches_from_scratch(
+    def test_region_retyping_of_a_viewed_store_matches_from_scratch(
         self, seed, kernel, traced_kernels
     ):
+        # A store whose kind view pays is still retyped by region after a
+        # delta; the result must equal both full typings (quotient and per
+        # node) of the new version.
         rng = random.Random(seed)
         schema = random_shape_schema(4, rng=rng, name=f"delta-kinds-{seed}")
         compiled = compile_schema(schema)
@@ -206,35 +207,30 @@ class TestKindsDeltaParity:
                 )
         store = GraphStore(graph)
         view = store.typing_view()
-        kind_typing = kind_typing_for_view(view, compiled)
+        typing = expand_kind_typing(view, kind_typing_for_view(view, compiled))
         modes = set()
         for step in range(STEPS // 2):
-            version = store.version
             copy_index = rng.randrange(10)
             edge = (
                 (copy_index, rng.choice(names)),
                 rng.choice(labels),
                 (copy_index, rng.choice(names)),
             )
-            store.apply(Delta.of(add=[edge]))
-            view = store.typing_view()
-            view_delta = store.view_delta(version, store.version)
-            assert view is not None and view_delta is not None
+            delta = Delta.of(add=[edge])
+            store.apply(delta)
             stats = FixpointStats()
-            kind_typing, ran = traced_kernels(
-                lambda: retype_kinds_incremental(
-                    view, kind_typing, view_delta, compiled=compiled, stats=stats
-                )
+            typing, ran = traced_kernels(
+                lambda: retype_incremental(store, typing, delta, compiled=compiled, stats=stats)
             )
             modes.add(stats.mode)
             assert ran == [kernel]
-            assert kind_typing == kind_typing_for_view(view, compiled), (
-                f"seed {seed} step {step}: kinds retyping diverged (mode {stats.mode})"
+            full = FixpointStats()
+            assert typing == maximal_typing_store(store, compiled=compiled, stats=full), (
+                f"seed {seed} step {step}: region retyping diverged (mode {stats.mode})"
             )
-            assert expand_kind_typing(view, kind_typing) == maximal_typing_fixpoint(
-                store.graph, compiled
-            )
-        assert "kinds-incremental" in modes
+            assert full.mode == "kinds"
+            assert typing == maximal_typing_fixpoint(store.graph, compiled)
+        assert "incremental" in modes
 
 
 class TestEngineRevalidationParity:
@@ -250,7 +246,7 @@ class TestEngineRevalidationParity:
             store.apply(_random_plain_delta(rng, store.graph, labels))
             outcome = engine.revalidate(store, schema)
             assert outcome.version == store.version
-            assert outcome.mode in ("incremental", "kinds-incremental", "full", "kinds")
+            assert outcome.mode in ("incremental", "full", "kinds")
             oracle = maximal_typing_fixpoint(store.graph, schema)
             expected = "valid" if all(
                 oracle.types_of(node) for node in store.graph.nodes

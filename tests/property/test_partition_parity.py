@@ -17,10 +17,10 @@ Acyclic regions take the sinks-first hash-consing pass and cyclic ones the
 round-based refinement; the DAG-shaped sequences below cross between the two
 paths in both directions and check that each path costs what it should.
 
-On top of the structural parity, the store-path incremental typing — the
-``kinds-incremental`` mode of :meth:`ValidationEngine.revalidate`, seeded by
-composed view deltas — must equal a full from-scratch typing at every
-version, which is what makes the compressed path incremental *end-to-end*.
+On top of the structural parity, revalidating a store whose kind view pays
+— a full typing through the quotient, then region retyping of each delta by
+:meth:`ValidationEngine.revalidate` — must equal a full from-scratch typing
+at every version.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from repro.engine.fixpoint import (
     expand_kind_typing,
     kind_typing_for_view,
     maximal_typing_fixpoint,
-    retype_kinds_incremental,
+    retype_incremental,
 )
 from repro.engine.validation import ValidationEngine, _payload_from_typing
 from repro.core.intervals import ONE
@@ -172,6 +172,7 @@ class TestMaintainedPartitionParity:
         assert store.typing_view() is not None
         maintainer = store._maintainer
         kinds_before = maintainer.kind_count
+        rows_before = dict(maintainer.rows)
         prefix = "http://example.org/bugs#"
         delta = Delta.of(
             remove=[((3, f"{prefix}bug3"), "descr", (3, "literal:Kabang!||"))]
@@ -186,10 +187,9 @@ class TestMaintainedPartitionParity:
         assert maintainer.kind_count == kinds_before  # merged back
         assert maintainer.stats.merges > 0
         _assert_maintained_parity(maintainer, store.graph, "after merge")
-        # The composed view delta over the round trip is net-empty on the
-        # changed side: only the temporary kinds retire.
-        composed = store.view_delta(0, store.version)
-        assert composed is not None and not composed.changed
+        # Over the round trip only the temporary kinds retire: every kind
+        # is back under its id with its row.
+        assert maintainer.rows == rows_before
 
     def test_large_delta_falls_back_to_a_rebuild(self):
         rng = random.Random(5)
@@ -202,7 +202,6 @@ class TestMaintainedPartitionParity:
         store.apply(Delta.of(add=add))
         store._sync_partition()
         assert maintainer.epoch == epoch + 1
-        assert store.view_delta(0, store.version) is None  # chain broken
         _assert_maintained_parity(maintainer, store.graph, "after rebuild")
 
 
@@ -289,7 +288,7 @@ class TestSinksFirstParity:
         store = GraphStore(_cloned(base, DAG_COPIES))
         maintainer = store._sync_partition()
         assert maintainer.stats.path == "dag"
-        start = store.version
+        rows_before = dict(maintainer.rows)
         applied = []
 
         def step(delta: Delta, path: str, context: str) -> None:
@@ -318,18 +317,15 @@ class TestSinksFirstParity:
             undo = delta.inverse()
             step(undo, "rounds" if undo == closing else "dag", f"undo {index}")
 
-        composed = store.view_delta(start, store.version)
-        assert composed is not None, "an incremental round trip broke the chain"
-        assert not composed.changed, (
+        assert maintainer.rows == rows_before, (
             f"{shape} seed {seed}: the reverted sequence left kinds changed"
         )
 
 
     @pytest.mark.parametrize("shape", DAG_SHAPES)
-    def test_kinds_incremental_typing_on_dag_stores(self, shape):
-        # View deltas of the sinks-first pass seed the quotient retyping; a
-        # taken-back id with an unchanged row is left out of ``changed``, so
-        # the backward closure on the quotient must still reach its kind.
+    def test_incremental_typing_on_dag_stores(self, shape):
+        # The first typing goes through the quotient; every later delta is
+        # retyped by region, whatever the maintained partition does.
         schema = parse_schema(
             "Node -> label :: Lit, kid :: Node*, link :: Node?\n"
             "Pub -> title :: Lit, cites :: Pub*\n"
@@ -351,10 +347,10 @@ class TestSinksFirstParity:
                 oracle = maximal_typing_fixpoint(store.graph, schema)
                 _verdict, oracle_payload = _payload_from_typing(store.graph, oracle, False)
                 assert outcome.result.payload == oracle_payload, (
-                    f"{shape} seed {seed} step {step}: kinds-path typing diverged"
+                    f"{shape} seed {seed} step {step}: region typing diverged"
                 )
-        assert "kinds-incremental" in modes
-        assert modes <= {"kinds-incremental", "unchanged"}, modes
+        assert "incremental" in modes
+        assert modes <= {"incremental", "unchanged"}, modes
 
 
 class TestSinksFirstCost:
@@ -399,14 +395,12 @@ class TestSinksFirstCost:
         store = GraphStore(_rdf_list(50))
         maintainer = store._sync_partition()
         before = dict(maintainer.kind_of)
-        version = store.version
-        store.apply(Delta.of(add=[("cell10", "rdf:first", "literal:v0")]))
-        store._sync_partition()
+        delta = Delta.of(add=[("cell10", "rdf:first", "literal:v0")])
+        store.apply(delta)
+        update = maintainer.update(store.graph, delta)
         assert (maintainer.stats.path, maintainer.stats.affected) == ("dag", 12)
         assert maintainer.kind_of == before
-        assert store.view_delta(version, store.version) == ViewDelta(
-            changed=frozenset({before["cell10"]})
-        )
+        assert update == ViewDelta(changed=frozenset({before["cell10"]}))
         _assert_maintained_parity(maintainer, store.graph, "list inner edit")
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -508,37 +502,29 @@ class TestCyclicBuildParity:
         )
 
 
-class TestViewDeltaComposition:
-    def test_then_composes_changed_and_retired(self):
-        first = ViewDelta(changed=frozenset({1, 2}), retired=frozenset({0}))
-        second = ViewDelta(changed=frozenset({3}), retired=frozenset({2}))
-        composed = first.then(second)
-        assert composed.changed == {1, 3}  # 2 retired later, dropped
-        assert composed.retired == {0, 2}
-        assert ViewDelta().is_empty
-
-    def test_store_records_chainable_spans(self):
+class TestViewDelta:
+    def test_update_reports_changed_and_retired_kinds(self):
         rng = random.Random(23)
         labels = list(DEFAULT_LABELS[:3])
         store = GraphStore(_noise_graph(rng, 80, 60, labels))
-        store.typing_view()
-        store._sync_partition()
-        versions = [store.version]
+        maintainer = store._sync_partition()
+        assert ViewDelta().is_empty
         for _ in range(3):
-            store.apply(_random_delta(rng, store.graph, labels))
-            store._sync_partition()
-            versions.append(store.version)
-        for old in versions[:-1]:
-            stepwise = store.view_delta(old, versions[-1])
-            if stepwise is None:  # a rebuild broke the chain; nothing to check
+            rows_before = dict(maintainer.rows)
+            delta = _random_delta(rng, store.graph, labels)
+            store.apply(delta)
+            update = maintainer.update(store.graph, delta)
+            if update is None:  # a rebuild: kind ids are not comparable
                 continue
-            assert isinstance(stepwise, ViewDelta)
-        assert store.view_delta(versions[-1], versions[-1]) == ViewDelta()
-        assert store.view_delta(versions[-1], versions[0]) is None  # backwards
+            assert update.retired == frozenset(rows_before) - frozenset(maintainer.rows)
+            assert update.changed == frozenset(
+                kind for kind, row in maintainer.rows.items()
+                if rows_before.get(kind) != row
+            )
 
 
 class TestStorePathTypingParity:
-    def test_kinds_incremental_typing_equals_full(self):
+    def test_incremental_typing_equals_full(self):
         schema = bug_tracker_schema()
         base = bug_tracker_graph()
         graph = Graph("clones")
@@ -557,19 +543,19 @@ class TestStorePathTypingParity:
             Delta.of(add=[((3, f"{prefix}bug4"), "related", (3, f"{prefix}bug1"))]),
             Delta.of(add=[((5, f"{prefix}bug1"), "related", (5, f"{prefix}bug2"))]),
         ]
-        saw_kinds_incremental = False
+        saw_incremental = False
         for step, delta in enumerate(edits):
             store.apply(delta)
             outcome = engine.revalidate(store, schema)
             assert outcome.version == store.version
-            saw_kinds_incremental |= outcome.mode == "kinds-incremental"
+            saw_incremental |= outcome.mode == "incremental"
             oracle = maximal_typing_fixpoint(store.graph, schema)
             _verdict, oracle_payload = _payload_from_typing(store.graph, oracle, False)
             assert outcome.result.payload == oracle_payload, (
-                f"step {step}: kinds-path typing diverged from the oracle "
+                f"step {step}: typing diverged from the oracle "
                 f"(mode {outcome.mode})"
             )
-        assert saw_kinds_incremental, "the view-delta path was never taken"
+        assert saw_incremental, "the region path was never taken"
 
     @pytest.mark.parametrize("seed", SEEDS[:3])
     def test_random_sequences_on_a_view_active_store(self, seed):
@@ -611,9 +597,9 @@ class TestStorePathTypingParity:
                 f"(mode {outcome.mode})"
             )
 
-    def test_retype_kinds_incremental_direct_parity(self):
-        # Drive the kernel helper directly: prior quotient typing + composed
-        # view delta must reproduce the fresh quotient typing.
+    def test_region_retyping_of_a_viewed_store_direct_parity(self):
+        # Drive the kernel entry directly: the quotient's full typing, then a
+        # region retype of the delta, must reproduce the fresh quotient typing.
         schema = bug_tracker_schema()
         base = bug_tracker_graph()
         graph = Graph("clones")
@@ -628,22 +614,16 @@ class TestStorePathTypingParity:
         from repro.engine.compiled import compile_schema
 
         compiled = compile_schema(schema)
-        prior = kind_typing_for_view(view, compiled)
-        version = store.version
+        prior = expand_kind_typing(view, kind_typing_for_view(view, compiled))
         prefix = "http://example.org/bugs#"
-        store.apply(
-            Delta.of(remove=[((3, f"{prefix}bug3"), "descr", (3, "literal:Kabang!||"))])
+        delta = Delta.of(
+            remove=[((3, f"{prefix}bug3"), "descr", (3, "literal:Kabang!||"))]
         )
-        view = store.typing_view()
-        view_delta = store.view_delta(version, store.version)
-        assert view_delta is not None and view_delta.changed
+        store.apply(delta)
         stats = FixpointStats()
-        incremental = retype_kinds_incremental(
-            view, prior, view_delta, compiled=compiled, stats=stats
-        )
-        assert stats.mode == "kinds-incremental"
-        assert incremental == kind_typing_for_view(view, compiled)
-        # Node-level expansion agrees with the plain kernel on the base graph.
-        assert expand_kind_typing(view, incremental) == maximal_typing_fixpoint(
-            store.graph, schema
-        )
+        incremental = retype_incremental(store, prior, delta, compiled=compiled, stats=stats)
+        assert stats.mode == "incremental"
+        assert store.view_stats()["partition_version"] == 0  # never synced since
+        view = store.typing_view()
+        assert incremental == expand_kind_typing(view, kind_typing_for_view(view, compiled))
+        assert incremental == maximal_typing_fixpoint(store.graph, schema)

@@ -239,6 +239,54 @@ class TestRevalidateVersionStamp:
         assert (first.version, first.result.verdict) == (0, "valid")
 
 
+class TestSnapshotRefresh:
+    """A cached revalidation keeps the cached typing as the store's snapshot."""
+
+    SCHEMA = "T -> tag :: L, next :: T?\nL -> eps"
+
+    @staticmethod
+    def _chains() -> Graph:
+        graph = Graph("chains")
+        for chain in "ts":
+            for index in range(20):
+                graph.add_edge(f"{chain}{index}", "tag", f"{chain}l{index}")
+                if index:
+                    graph.add_edge(f"{chain}{index - 1}", "next", f"{chain}{index}")
+        return graph
+
+    def test_the_delta_after_a_repair_is_retyped_alone(self):
+        schema = parse_schema(self.SCHEMA)
+        store = GraphStore(self._chains())
+        break_tag = Delta.of(remove=[("t19", "tag", "tl19")])
+        with ValidationEngine() as engine:
+            assert engine.revalidate(store, schema).result.verdict == "valid"
+            store.apply(break_tag)
+            assert engine.revalidate(store, schema).result.verdict == "invalid"
+            store.apply(break_tag.inverse())
+            repaired = engine.revalidate(store, schema)
+            assert repaired.mode == "cached"
+            (snapshot,) = engine.export_typings(store)
+            assert snapshot["version"] == store.version == 2
+            store.apply(Delta.of(remove=[("s5", "tag", "sl5")], add=[("s5", "tag", "sl7")]))
+            after = engine.revalidate(store, schema)
+        # Retyped against the repaired version: the break's nodes are not in
+        # the region (from a stale snapshot it also held t19 and tl19).
+        assert after.mode == "incremental"
+        assert after.frontier == 3
+        assert after.result.verdict == "valid"
+
+    def test_a_disk_cache_hit_leaves_no_snapshot(self, tmp_path):
+        schema = parse_schema(self.SCHEMA)
+        store = GraphStore(self._chains())
+        with ValidationEngine(cache_dir=str(tmp_path)) as engine:
+            engine.revalidate(store, schema)
+        with ValidationEngine(cache_dir=str(tmp_path)) as engine:
+            assert engine.revalidate(store, schema).mode == "cached"
+            assert engine.export_typings(store) == []  # the entry holds rows only
+            store.apply(Delta.of(remove=[("s5", "tag", "sl5")], add=[("s5", "tag", "sl7")]))
+            assert engine.revalidate(store, schema).mode in ("full", "kinds")
+
+
 class TestCompressedEdgeCases:
     def test_empty_graph_is_valid(self, schema):
         empty = CompressedGraph()
@@ -372,7 +420,7 @@ class TestTypingCoverage:
                     codec.decode_typing(codec.encode_typing(entry["typing"])),
                     store.graph,
                 )
-        assert modes[0] == "kinds" and "kinds-incremental" in modes
+        assert modes[0] == "kinds" and "incremental" in modes
         plain = GraphStore(_clone_store_graph(2))
         prior = maximal_typing_store(plain, schema=schema)
         self._assert_covers(prior, plain.graph)

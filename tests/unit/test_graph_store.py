@@ -197,6 +197,21 @@ class TestMaintainedFingerprint:
             )
         return Delta.of(add=additions, remove=removals)
 
+    def test_nodes_digest_equals_the_bucket_digest(self):
+        # Intervals shared by many edges, and equal intervals that are
+        # distinct objects: each bucket's digest is the same either way.
+        from repro.engine.compiled import graph_buckets, nodes_digest
+
+        graph = Graph("digests")
+        for index in range(300):
+            occur = [None, (2, 2), (0, 3), (1, None)][index % 4]
+            graph.add_edge(f"n{index}", "a", f"n{(index * 7) % 300}", occur)
+            graph.add_edge(f"n{index}", "b", f"m{index % 5}", (0, 3))
+        members, digests = graph_buckets(graph)
+        assert len(members) > 1
+        for bucket, nodes in members.items():
+            assert nodes_digest(graph, nodes) == digests[bucket]
+
     @pytest.mark.parametrize("seed", [3, 17, 41, 96])
     def test_matches_from_scratch_after_every_apply(self, seed):
         rng = random.Random(seed)
@@ -387,6 +402,48 @@ class TestMaintainedView:
         assert store.typing_view() is not None
         assert store.view_stats()["last_update"] == "incremental"
         assert store.view_stats()["incremental_updates"] == 1
+
+    def test_revalidating_a_list_store_never_activates_the_view(self):
+        # A list does not shrink under the kind quotient; only the first
+        # (full) typing reads the view, and no later revalidation syncs it.
+        from repro.engine.validation import ValidationEngine
+        from repro.schema.parser import parse_schema
+
+        schema = parse_schema(
+            "Cell -> first :: Lit, rest :: Cell?, rest :: Nil?\nNil -> eps\nLit -> eps"
+        )
+        graph = Graph("list")
+        for index in range(300):
+            graph.add_edge(f"cell{index}", "first", f"v{index}")
+            graph.add_edge(
+                f"cell{index}", "rest", f"cell{index + 1}" if index < 299 else "nil"
+            )
+        store = GraphStore(graph)
+        before = obs_metrics.STATE.enabled
+        obs_metrics.STATE.enabled = True
+        try:
+            with ValidationEngine(cache_size=0) as engine, obs.start_trace("t") as root:
+                assert engine.revalidate(store, schema).mode == "full"
+                for step in range(6):
+                    store.apply(Delta.of(
+                        remove=[(f"cell{step}", "first", f"v{step}")],
+                        add=[(f"cell{step}", "first", f"w{step}")],
+                    ))
+                    assert engine.revalidate(store, schema).mode == "incremental"
+                    stats = store.view_stats()
+                    assert stats["active"] is False
+                    assert stats["partition_version"] == 0
+        finally:
+            obs_metrics.STATE.enabled = before
+        spans = [
+            child for child in root.to_dict()["children"]
+            if child["name"] == "engine.revalidate"
+        ]
+        assert [span["tags"]["route"] for span in spans] == ["full"] + ["region"] * 6
+        for span in spans[1:]:
+            names = {child["name"] for child in span.get("children", ())}
+            assert "partition.sync" not in names
+            assert span["tags"]["reason"].startswith("region ")
 
     def test_partition_sync_span_carries_mode_affected_and_path(self):
         before = obs_metrics.STATE.enabled

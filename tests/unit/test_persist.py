@@ -219,6 +219,42 @@ class TestDurableStore:
         assert content(reopened.graph) == content(store.graph)
         reopened.close()
 
+    def test_snapshot_with_kind_typings_still_opens(self, tmp_path):
+        # Snapshots once stored a kind-level typing and its partition epoch
+        # next to each node typing; they are read, and the extra fields left.
+        from repro.engine.validation import ValidationEngine
+        from repro.schema.parser import parse_schema
+
+        schema = parse_schema("T -> x :: T?, y :: T?, z :: T?")
+        directory = str(tmp_path / "store")
+        store = DurableStore.create(directory, _base_graph(), name="t")
+        with ValidationEngine() as engine:
+            engine.revalidate(store, schema)
+            (typing_entry,) = engine.export_typings(store)
+            store.checkpoint([typing_entry])
+        store.close()
+        path = os.path.join(directory, f"snapshot-{store.generation}.json")
+        with open(path, "r", encoding="utf-8") as handle:
+            snapshot = json.load(handle)
+        (entry,) = snapshot["typings"]
+        entry["kind_typing"] = entry["typing"]
+        entry["epoch"] = 0
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(snapshot, handle)
+
+        reopened = DurableStore.open(directory)
+        (restored,) = reopened.restored_typings
+        assert restored["typing"] == typing_entry["typing"]
+        assert (restored["kind_typing"], restored["epoch"]) == (None, -1)
+        with ValidationEngine() as engine:
+            engine.seed_typing(
+                reopened, schema, restored["typing"], restored["version"],
+                compressed=restored["compressed"],
+                kind_typing=restored["kind_typing"], epoch=restored["epoch"],
+            )
+            assert engine.revalidate(reopened, schema).mode == "unchanged"
+        reopened.close()
+
     def test_checkpoint_rotates_and_prunes(self, tmp_path):
         directory = str(tmp_path / "store")
         store = DurableStore.create(directory, _base_graph())

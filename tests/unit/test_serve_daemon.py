@@ -274,9 +274,12 @@ class TestGraphStoreOps:
             "clones", delta={"add": [["http://example.org/b0", "related",
                                       "http://example.org/b1"]]}
         )
-        client.revalidate("clones", "bug")
+        assert client.revalidate("clones", "bug")["mode"] == "incremental"
         entry = client.status()["graphs"]["clones"]
-        assert entry["view"]["last_update"] == "incremental"
+        # The delta was retyped by region: the partition was not synced.
+        assert entry["view"]["last_update"] == "full"
+        assert entry["view"]["partition_version"] == 0
+        assert entry["view"]["active"] is False
 
     def test_registering_same_document_twice_is_independent(self, client):
         client.update_graph("one", data_text=GOOD_TURTLE)
