@@ -76,7 +76,6 @@ from repro.obs import tracing as _obs_tracing
 from repro.graphs.graph import Graph
 from repro.graphs.scc import (
     backward_closure,
-    closure_components,
     strongly_connected_components,
 )
 from repro.presburger.solver import milp_available, solve_problems
@@ -111,7 +110,7 @@ class FixpointStats:
     kernel), ``"kinds"`` (full typing through the kind-compression quotient),
     ``"incremental"`` (delta-seeded), or ``"unchanged"`` (empty effective
     delta).  For incremental runs ``frontier`` is the number of delta-touched
-    nodes, ``affected`` the size of their backward closure — the region
+    nodes (with any node the prior typing does not list), ``affected`` the size of their backward closure — the region
     retyped — and ``skipped`` how many of the region's components the
     cut-off left at their prior types without a check.
     """
@@ -300,15 +299,13 @@ def _stabilise_objects(
     stats: FixpointStats,
     prior: Optional[Typing] = None,
     touched: Set[NodeId] = frozenset(),
-    components: Optional[List[Tuple[NodeId, ...]]] = None,
 ) -> None:
     """The object kernel, with the contract of :func:`repro.engine.vectorized.stabilise`.
 
     ``active`` nodes get their label seeds; out-edge targets outside it are
     read frozen from ``current``.  The subgraph ``active`` induces is
-    condensed into strongly connected components (unless the caller passes
-    them, sinks first), each seeded and driven to its local fixpoint sinks
-    first.
+    condensed into strongly connected components, each seeded and driven to
+    its local fixpoint sinks first.
 
     With the ``prior`` typing of the graph before a delta whose nodes in
     ``active`` are ``touched`` (``current`` then reads every node it does
@@ -324,8 +321,7 @@ def _stabilise_objects(
         type_name: compiled.type_artifact(type_name) for type_name in type_order
     }
     watchers = compiled.symbol_watchers()
-    if components is None:
-        components = strongly_connected_components(graph, active)
+    components = strongly_connected_components(graph, active)
     stats.components = len(components)
     stabilise = _stabilise_compressed if compressed else _stabilise_plain
     label_seed = compiled.label_seed
@@ -440,20 +436,18 @@ def _pick_kernel(size: int):
 def _run_kernel(
     span, graph, active, current, compiled, compressed, signature_memo, stats,
     prior: Optional[Typing] = None, touched: Set[NodeId] = frozenset(),
-    components: Optional[List[Tuple[NodeId, ...]]] = None,
 ) -> None:
     """Stabilise ``active`` with the kernel picked for its size, recording
-    the kernel's name in ``stats.kernel`` and on ``span``.  The object
-    kernel takes ``active``'s ``components`` when given, and ``prior`` and
-    ``touched`` enable its cut-off; the vectorised kernel retypes the whole
-    region."""
+    the kernel's name in ``stats.kernel`` and on ``span``.  ``prior`` and
+    ``touched`` enable the object kernel's cut-off; the vectorised kernel
+    retypes the whole region."""
     name, kernel = _pick_kernel(len(active))
     stats.kernel = name
     span.annotate(kernel=name)
     if kernel is _stabilise_objects:
         kernel(
             graph, active, current, compiled, compressed, signature_memo, stats,
-            prior, touched, components,
+            prior, touched,
         )
     else:
         kernel(graph, active, current, compiled, compressed, signature_memo, stats)
@@ -601,8 +595,9 @@ def affected_region(graph: Graph, seeds) -> Set[NodeId]:
     collects with a BFS over ``in_edges`` (the partition maintainer walks the
     same closure).  Seeds absent from the graph are ignored.
     """
-    nodes = graph.nodes
-    return backward_closure(graph, [node for node in seeds if node in nodes])
+    return backward_closure(
+        graph, (node for node in seeds if graph.has_node(node))
+    )
 
 
 #: The fraction of the graph an incremental region may reach before
@@ -662,14 +657,23 @@ def retype_incremental(
     graph = getattr(store, "graph", store)
     with _KernelScope(stats), _obs_tracing.span("fixpoint.incremental") as trace_span:
         touched = {node for node in delta.touched_nodes() if graph.has_node(node)}
+        # A store never drops nodes, but a delta composed over several
+        # versions cancels an edge that was added and removed again, and a
+        # node that edge created is then in neither the delta nor the prior
+        # typing: such nodes are retyped like touched ones.
+        listed = prior_typing.node_count + sum(
+            1 for node in touched if not prior_typing.lists(node)
+        )
+        if listed < graph.node_count:
+            touched.update(node for node in graph.nodes if not prior_typing.lists(node))
         stats.frontier = len(touched)
         if not touched:
             stats.mode = "unchanged"
             # No region to type: name the kernel an empty region picks.
             trace_span.annotate(mode="unchanged", kernel=_pick_kernel(0)[0])
-            return _listing(graph, prior_typing)
+            return prior_typing
 
-        affected, components = closure_components(graph, touched)
+        affected = affected_region(graph, touched)
         stats.affected = len(affected)
         trace_span.annotate(frontier=stats.frontier, affected=stats.affected)
         if len(affected) > max_affected_fraction * graph.node_count:
@@ -686,15 +690,15 @@ def retype_incremental(
             signature_memo = {}
         _run_kernel(
             trace_span, graph, affected, current, compiled, compressed,
-            signature_memo, stats, prior_typing, touched, components,
+            signature_memo, stats, prior_typing, touched,
         )
         stats.mode = "incremental"
         trace_span.annotate(skipped=stats.skipped)
-        return _listing(graph, prior_typing.updated({
+        return prior_typing.updated({
             node: types
             for node, types in current.items()
             if types != prior_typing.types_of(node) or not prior_typing.lists(node)
-        }))
+        })
 
 
 class _OverPrior(dict):
@@ -708,15 +712,6 @@ class _OverPrior(dict):
 
     def __missing__(self, node: NodeId) -> FrozenSet[TypeName]:
         return self._prior.types_of(node)
-
-
-def _listing(graph: Graph, typing: Typing) -> Typing:
-    """``typing`` when it lists exactly as many nodes as ``graph`` has (a
-    typing lists the nodes of the graph it typed, and a store never loses
-    nodes), else its assignments of ``graph``'s nodes read one by one."""
-    if typing.node_count == graph.node_count:
-        return typing
-    return Typing({node: typing.types_of(node) for node in graph.nodes})
 
 
 # --------------------------------------------------------------------------- #

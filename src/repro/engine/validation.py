@@ -434,8 +434,9 @@ class ValidationEngine(BatchEngine):
         ``version`` instead of retyping the world.  ``version`` must not
         exceed the store's current version and must be reachable by
         :meth:`GraphStore.diff` (i.e. at or above its ``base_version``).
-        ``kind_typing`` and ``epoch`` are accepted and ignored: revalidation
-        retypes node regions and needs no kind-level typing.
+        ``kind_typing`` and ``epoch`` are deprecated: they are accepted and
+        ignored (revalidation retypes node regions and needs no kind-level
+        typing), and will be dropped.
         """
         if not store.base_version <= version <= store.version:
             raise ValueError(

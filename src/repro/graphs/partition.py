@@ -43,10 +43,8 @@ An update has two phases:
 
 The quotient :class:`repro.graphs.compressed.CompressedGraph` is then patched
 in place — retired kinds removed, new kinds added, only changed out-edge rows
-rewritten — and the update is summarised as a :class:`ViewDelta`: the kinds
-whose quotient out-rows changed and the kinds that disappeared.  Deltas touching more than
-``max_affected_fraction`` of the nodes fall back to a full rebuild and bump
-the maintainer's *epoch*, invalidating cross-version kind-id comparisons.
+rewritten.  Deltas touching more than ``max_affected_fraction`` of the
+nodes fall back to a full rebuild and bump the maintainer's *epoch*.
 
 ``tests/property/test_partition_parity.py`` asserts that after arbitrary
 delta sequences — acyclic and cyclic regions alike — the maintained
@@ -191,25 +189,6 @@ def _refine_rounds(
         kind_of.update(zip(order, colours))
 
 
-@dataclass(frozen=True)
-class ViewDelta:
-    """What one partition update did to the quotient, in stable kind ids.
-
-    ``changed`` holds every kind that is new or whose quotient out-edge row
-    differs from the previous version — exactly the nodes of the quotient
-    whose out-reachable subgraph may have changed.  ``retired`` holds kinds that
-    no longer exist (emptied by re-kinding or merged into a survivor).
-    Retired ids are never reused within an epoch.
-    """
-
-    changed: FrozenSet[int] = frozenset()
-    retired: FrozenSet[int] = frozenset()
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.changed and not self.retired
-
-
 @dataclass
 class PartitionStats:
     """Counters describing the maintainer's history (observability).
@@ -338,27 +317,26 @@ class PartitionMaintainer:
         graph: Graph,
         delta,
         max_affected_fraction: float = MAX_AFFECTED_FRACTION,
-    ) -> Optional[ViewDelta]:
+    ) -> bool:
         """Bring the partition up to date with ``graph`` after ``delta``.
 
-        ``graph`` must already be in its post-delta state.  Returns the
-        :class:`ViewDelta` of the update, or ``None`` when the affected
-        region forced a full rebuild (the epoch is bumped and kind ids are
-        not comparable across the boundary).
+        ``graph`` must already be in its post-delta state.  Returns False
+        when the affected region forced a full rebuild (the epoch is bumped
+        and kind ids are not comparable across the boundary), else True.
         """
         touched = [node for node in delta.touched_nodes() if graph.has_node(node)]
         if not touched:
             self.stats.mode = "unchanged"
             self.stats.affected = 0
             _M_UPDATES.labels(mode="unchanged").inc()
-            return ViewDelta()
+            return True
 
         affected = backward_closure(graph, touched)
         if len(affected) > max_affected_fraction * graph.node_count:
             self.epoch += 1
             self._rebuild(graph)
             _M_UPDATES.labels(mode="full").inc()
-            return None
+            return False
 
         self.stats.mode = "incremental"
         self.stats.affected = len(affected)
@@ -371,7 +349,8 @@ class PartitionMaintainer:
         dag = sinks_first(graph, sorted(affected, key=repr))
         if dag is not None:
             self.stats.path, self.stats.refined = "dag", 0
-            return self._rekind_sinks_first(graph, dag)
+            self._rekind_sinks_first(graph, dag)
+            return True
         self.stats.path, self.stats.refined = "rounds", len(affected)
         old_rows = dict(self.rows)  # rows are immutable tuples: no deep copy
         blocks = self._refine_affected(graph, affected)
@@ -382,9 +361,10 @@ class PartitionMaintainer:
         changed = frozenset(
             kind for kind, row in self.rows.items() if old_rows.get(kind) != row
         )
-        return self._patch_quotient(changed, retired)
+        self._patch_quotient(changed, retired)
+        return True
 
-    def _rekind_sinks_first(self, graph: Graph, order: List[NodeId]) -> ViewDelta:
+    def _rekind_sinks_first(self, graph: Graph, order: List[NodeId]) -> None:
         """Re-kind an acyclic region: one hash-consing pass in Kahn order.
 
         Every live kind's row is in the index and no kind's row changes, so
@@ -460,7 +440,7 @@ class PartitionMaintainer:
             for kind in (taken_back.get(kind, kind) for kind in minted)
             if rows[kind] != old_rows.get(kind)
         )
-        return self._patch_quotient(changed, retired)
+        self._patch_quotient(changed, retired)
 
     def _refine_affected(
         self, graph: Graph, affected: Set[NodeId]
@@ -608,7 +588,7 @@ class PartitionMaintainer:
 
     def _patch_quotient(
         self, changed: FrozenSet[int], retired: FrozenSet[int]
-    ) -> ViewDelta:
+    ) -> None:
         """Apply the update to the quotient graph in place.
 
         Retired kinds are removed; each changed kind is added, or has its
@@ -624,4 +604,3 @@ class PartitionMaintainer:
             else:
                 quotient.add_node(kind)
             self._write_row(quotient, kind, self.rows[kind])
-        return ViewDelta(changed=changed, retired=retired)

@@ -63,18 +63,11 @@ def peel(graph: Graph, order: List[NodeId]) -> Tuple[List[NodeId], Set[NodeId]]:
         else:
             ready.append(node)
     ready.reverse()  # pop() then yields the sinks in ``order``
-    return _drain(ready, pending, graph.in_edges), set(pending)
-
-
-def _drain(ready: List[NodeId], pending: Dict[NodeId, int], in_edges) -> List[NodeId]:
-    """Kahn's loop: pop ready nodes, releasing a pending predecessor once
-    its last out-edge into the region is consumed; returns the pop order
-    (``pending`` is left holding the nodes that reach a cycle)."""
     result: List[NodeId] = []
     while ready:
         node = ready.pop()
         result.append(node)
-        for edge in in_edges(node):
+        for edge in graph.in_edges(node):
             left = pending.get(edge.source)
             if left is None:  # outside the region, or already released
                 continue
@@ -83,7 +76,7 @@ def _drain(ready: List[NodeId], pending: Dict[NodeId, int], in_edges) -> List[No
                 ready.append(edge.source)
             else:
                 pending[edge.source] = left - 1
-    return result
+    return result, set(pending)
 
 
 def _tarjan(graph: Graph, region: Set[NodeId]) -> List[Tuple[NodeId, ...]]:
@@ -160,46 +153,13 @@ def backward_closure(graph: Graph, seeds) -> set:
     """
     closure = set(seeds)
     frontier: List[NodeId] = list(closure)
-    in_edges, add, push = graph.in_edges, closure.add, frontier.append
-    while frontier:
-        for edge in in_edges(frontier.pop()):
-            source = edge.source
-            if source not in closure:
-                add(source)
-                push(source)
-    return closure
-
-
-def closure_components(graph: Graph, seeds) -> Tuple[Set[NodeId], List[Tuple[NodeId, ...]]]:
-    """``(backward closure of seeds, its components sinks first)`` in one walk.
-
-    The same closure as :func:`backward_closure` and the same kind of order
-    as :func:`strongly_connected_components` on it, without re-reading the
-    closure's out-edges: every in-edge of a closure node starts inside the
-    closure, so the walk that collects the closure also counts each node's
-    out-edges within it, which is all Kahn's peel needs.  The peeled nodes
-    come first, in an order that depends on set iteration (any sinks-first
-    order schedules the same fixpoint); Tarjan orders the nodes that reach
-    a cycle.  Seeds absent from the graph must be filtered by the caller.
-    """
-    closure = set(seeds)
-    frontier: List[NodeId] = list(closure)
-    pending: Dict[NodeId, int] = {}  # out-edges into the closure
-    in_edges: Dict[NodeId, list] = {}
     while frontier:
         node = frontier.pop()
-        edges = in_edges[node] = graph.in_edges(node)
-        for edge in edges:
-            source = edge.source
-            pending[source] = pending.get(source, 0) + 1
-            if source not in closure:
-                closure.add(source)
-                frontier.append(source)
-    ready = [node for node in closure if node not in pending]
-    components = [(node,) for node in _drain(ready, pending, in_edges.__getitem__)]
-    if pending:
-        components.extend(_tarjan(graph, set(pending)))
-    return closure, components
+        for edge in graph.in_edges(node):
+            if edge.source not in closure:
+                closure.add(edge.source)
+                frontier.append(edge.source)
+    return closure
 
 
 def condensation_order(graph: Graph) -> Tuple[List[Tuple[NodeId, ...]], Dict[NodeId, int]]:

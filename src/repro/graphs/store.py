@@ -474,7 +474,7 @@ class GraphStore:
                 )
             elif self._maintainer_version != self._version:
                 delta = self.diff(self._maintainer_version, self._version)
-                if maintainer.update(self._graph, delta) is None:
+                if not maintainer.update(self._graph, delta):
                     _M_VIEW_EPOCHS.inc()  # fallback rebuild; ids changed epoch
             else:
                 span.annotate(
@@ -504,16 +504,6 @@ class GraphStore:
             )
             self._maintainer_version = self._version
             self._view = None
-
-    @property
-    def view_epoch(self) -> int:
-        """The maintained partition's epoch (-1 before the first build).
-
-        Kind ids are stable *within* an epoch; a full rebuild (first build,
-        or an update whose affected region was too large) bumps it, telling
-        consumers that per-kind state keyed on the previous epoch is stale.
-        """
-        return self._maintainer.epoch if self._maintainer is not None else -1
 
     def view_stats(self) -> Dict[str, object]:
         """Kind-view observability for ``status`` endpoints (never computes).

@@ -9,10 +9,12 @@ This suite drives random cyclic graphs — self-loops included — through rando
 delta sequences: additions that let types grow back, removals that make them
 shrink, edges to nodes the graph did not have, and undo steps that return a
 store to earlier content, so the engine answers from its result cache and
-must carry on from the cached typing.  After every step the engine's answer
-and its typing snapshot, and a direct :func:`retype_incremental` run, must
-equal :func:`repro.schema.reference.maximal_typing_reference` on the new
-graph, under both semantics and with each kernel pinned.
+must carry on from the cached typing.  After every step a direct
+:func:`retype_incremental` run must equal
+:func:`repro.schema.reference.maximal_typing_reference` on the new graph, and
+so must the engine's answer and typing snapshot after every step it is asked
+to revalidate — it skips some, and then retypes the delta composed over
+several versions — under both semantics and with each kernel pinned.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ _steps = st.lists(
     min_size=1,
     max_size=8,
 )
+# Per step, whether the engine skips revalidating after it.
+_pauses = st.lists(st.booleans(), max_size=8)
 
 
 def _pinned(kernel: str):
@@ -99,7 +103,16 @@ def _delta(step, graph: Graph, history, compressed: bool):
     return history[-1].inverse() if history else None
 
 
-def _run(edges, steps, compressed: bool, kernel: str) -> None:
+def _check_engine(engine, store, oracle, compressed: bool, context: str) -> None:
+    outcome = engine.revalidate(store, COMPILED, compressed=compressed)
+    _verdict, expected = _payload_from_typing(store.graph, oracle, compressed)
+    assert outcome.result.payload == expected, f"{context}: {outcome.mode}"
+    (snapshot,) = engine.export_typings(store)
+    assert snapshot["version"] == store.version, context
+    assert snapshot["typing"] == oracle, f"{context}: snapshot after {outcome.mode}"
+
+
+def _run(edges, steps, compressed: bool, kernel: str, pauses=()) -> None:
     patch = _pinned(kernel)
     try:
         store = GraphStore(_initial_graph(edges, compressed))
@@ -129,12 +142,11 @@ def _run(edges, steps, compressed: bool, kernel: str) -> None:
             assert direct.untyped() == {n for n in store.graph.nodes if not oracle.types_of(n)}
             prior = direct
 
-            outcome = engine.revalidate(store, COMPILED, compressed=compressed)
-            _verdict, expected = _payload_from_typing(store.graph, oracle, compressed)
-            assert outcome.result.payload == expected, f"{context}: {outcome.mode}"
-            (snapshot,) = engine.export_typings(store)
-            assert snapshot["version"] == store.version, context
-            assert snapshot["typing"] == oracle, f"{context}: snapshot after {outcome.mode}"
+            if index < len(pauses) and pauses[index]:
+                continue
+            _check_engine(engine, store, oracle, compressed, context)
+        oracle = maximal_typing_reference(store.graph, SCHEMA, compressed=compressed)
+        _check_engine(engine, store, oracle, compressed, f"end (kernel={kernel})")
     finally:
         patch.undo()
 
@@ -142,15 +154,38 @@ def _run(edges, steps, compressed: bool, kernel: str) -> None:
 @pytest.mark.parametrize("kernel", ["object", "vectorized"])
 class TestCutoffParity:
     @settings(max_examples=120, deadline=None)
-    @given(st.lists(_edges, max_size=12), _steps)
-    def test_plain_deltas_match_the_oracle(self, kernel, edges, steps):
-        _run(edges, steps, False, kernel)
+    @given(st.lists(_edges, max_size=12), _steps, _pauses)
+    def test_plain_deltas_match_the_oracle(self, kernel, edges, steps, pauses):
+        _run(edges, steps, False, kernel, pauses)
 
     @pytest.mark.requires_scipy  # the compressed oracle solves Presburger systems
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(_edges, max_size=10), _steps)
-    def test_compressed_deltas_match_the_oracle(self, kernel, edges, steps):
-        _run(edges, steps, True, kernel)
+    @given(st.lists(_edges, max_size=10), _steps, _pauses)
+    def test_compressed_deltas_match_the_oracle(self, kernel, edges, steps, pauses):
+        _run(edges, steps, True, kernel, pauses)
+
+    def test_a_node_left_by_a_cancelled_edge_is_typed(self, kernel):
+        # The edge to n6 is added and removed between two revalidations: the
+        # composed delta is empty, but the store keeps the isolated node n6,
+        # which the prior typing does not list.  It must get every type that
+        # needs no edges.
+        patch = _pinned(kernel)
+        try:
+            schema = parse_schema("P -> a :: L*\nL -> eps\n", name="isolated")
+            store = GraphStore(_initial_graph([("n0", "a", "n1")], False))
+            engine = ValidationEngine()
+            assert engine.revalidate(store, schema).result.verdict == "valid"
+            store.add_edge("n0", "a", "n6")
+            store.remove_edge("n0", "a", "n6")
+            outcome = engine.revalidate(store, schema)
+            oracle = maximal_typing_reference(store.graph, schema)
+            assert oracle.types_of("n6") == {"L", "P"}
+            assert outcome.result.verdict == "valid"
+            assert outcome.result.payload == _payload_from_typing(store.graph, oracle, False)[1]
+            (snapshot,) = engine.export_typings(store)
+            assert snapshot["typing"] == oracle
+        finally:
+            patch.undo()
 
 
 class TestCutoff:

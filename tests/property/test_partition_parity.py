@@ -43,7 +43,7 @@ from repro.core.intervals import ONE
 from repro.errors import GraphError
 from repro.graphs import partition
 from repro.graphs.graph import Graph
-from repro.graphs.partition import PartitionMaintainer, ViewDelta
+from repro.graphs.partition import PartitionMaintainer
 from repro.graphs.scc import backward_closure, strongly_connected_components
 from repro.graphs.store import Delta, GraphStore, kind_compress, kind_partition
 from repro.schema.parser import parse_schema
@@ -395,12 +395,16 @@ class TestSinksFirstCost:
         store = GraphStore(_rdf_list(50))
         maintainer = store._sync_partition()
         before = dict(maintainer.kind_of)
+        rows_before = dict(maintainer.rows)
         delta = Delta.of(add=[("cell10", "rdf:first", "literal:v0")])
         store.apply(delta)
-        update = maintainer.update(store.graph, delta)
+        assert maintainer.update(store.graph, delta)
         assert (maintainer.stats.path, maintainer.stats.affected) == ("dag", 12)
         assert maintainer.kind_of == before
-        assert update == ViewDelta(changed=frozenset({before["cell10"]}))
+        assert set(maintainer.rows) == set(rows_before)
+        assert {
+            kind for kind, row in maintainer.rows.items() if rows_before[kind] != row
+        } == {before["cell10"]}
         _assert_maintained_parity(maintainer, store.graph, "list inner edit")
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -502,25 +506,21 @@ class TestCyclicBuildParity:
         )
 
 
-class TestViewDelta:
-    def test_update_reports_changed_and_retired_kinds(self):
+class TestUpdateOutcome:
+    def test_update_reports_whether_it_kept_the_epoch(self):
         rng = random.Random(23)
         labels = list(DEFAULT_LABELS[:3])
         store = GraphStore(_noise_graph(rng, 80, 60, labels))
         maintainer = store._sync_partition()
-        assert ViewDelta().is_empty
-        for _ in range(3):
-            rows_before = dict(maintainer.rows)
+        for index in range(3):
+            epoch = maintainer.epoch
             delta = _random_delta(rng, store.graph, labels)
             store.apply(delta)
-            update = maintainer.update(store.graph, delta)
-            if update is None:  # a rebuild: kind ids are not comparable
-                continue
-            assert update.retired == frozenset(rows_before) - frozenset(maintainer.rows)
-            assert update.changed == frozenset(
-                kind for kind, row in maintainer.rows.items()
-                if rows_before.get(kind) != row
-            )
+            in_place = maintainer.update(store.graph, delta)
+            assert in_place == (maintainer.stats.mode != "full")
+            assert maintainer.epoch == (epoch if in_place else epoch + 1)
+            assert set(maintainer.quotient.nodes) == set(maintainer.rows)
+            _assert_maintained_parity(maintainer, store.graph, f"noise delta {index}")
 
 
 class TestStorePathTypingParity:
