@@ -11,11 +11,7 @@ the cloned bug-tracker instance:
   them by the flow and must make exactly 0 Presburger solver calls (the
   one-call-per-check worklist baseline still decides them by MILP); both
   must agree;
-* **vectorised kernel speedup** — the bitset/CSR array kernel
-  (:mod:`repro.engine.vectorized`) vs the object kernel on the same ×32
-  plain workload, both memo-warm (the production steady state: engines hold
-  a persistent per-schema signature memo); must be ≥ 5×;
-* **parity** — the baselines and both kernels must agree pair-for-pair.
+* **parity** — the baselines and the kernel must agree pair-for-pair.
 
 Results are written to ``BENCH_fixpoint.json`` and compared against the
 committed ``benchmarks/baseline_fixpoint.json``: the run fails when a
@@ -28,13 +24,11 @@ Run directly (``python benchmarks/bench_fixpoint.py``) or via pytest
 
 from __future__ import annotations
 
-import contextlib
 import json
 import pathlib
 import time
 
 from repro import obs
-from repro.engine import fixpoint, vectorized
 from repro.engine.compiled import compile_schema
 from repro.engine.fixpoint import FixpointStats, maximal_typing_fixpoint
 from repro.graphs.compressed import pack_simple_graph
@@ -45,9 +39,8 @@ from repro.workloads.bugtracker import bug_tracker_graph, bug_tracker_schema
 
 PLAIN_COPIES = 32
 COMPRESSED_COPIES = 8
-#: Acceptance floors (ISSUEs 3, 9) and the tolerated slide vs the baseline.
+#: Acceptance floor and the tolerated slide vs the baseline.
 MIN_PLAIN_SPEEDUP = 3.0
-MIN_VECTOR_SPEEDUP = 5.0
 REGRESSION_TOLERANCE = 0.25
 
 HERE = pathlib.Path(__file__).resolve().parent
@@ -120,54 +113,6 @@ def measure_plain_speedup() -> dict:
     }
 
 
-@contextlib.contextmanager
-def _pinned_kernel(stabilise):
-    """Temporarily bind the fixpoint kernel (restoring the install's choice)."""
-    prior = fixpoint._stabilise
-    fixpoint._stabilise = stabilise
-    try:
-        yield
-    finally:
-        fixpoint._stabilise = prior
-
-
-def measure_vector_speedup() -> dict:
-    """Bitset/CSR kernel vs the object kernel, both memo-warm, ×32 clones.
-
-    Each side gets one untimed warm-up run against its own persistent
-    signature memo (their key shapes differ: hashed int tuples vs structural
-    string tuples), mirroring how engines reuse a per-schema memo across
-    validations.  The vectorised side's warm-up also populates the cached
-    whole-graph plan, as any steady-state engine run would.
-    """
-    schema = bug_tracker_schema()
-    compiled = compile_schema(schema)
-    graph = _cloned_instance(PLAIN_COPIES)
-
-    with _pinned_kernel(fixpoint._stabilise_objects):
-        object_memo: dict = {}
-        maximal_typing_fixpoint(graph, compiled=compiled, signature_memo=object_memo)
-        object_typing, object_seconds = _timed(
-            maximal_typing_fixpoint, graph, compiled=compiled,
-            signature_memo=object_memo, repeats=5,
-        )
-    with _pinned_kernel(vectorized.stabilise):
-        vector_memo: dict = {}
-        maximal_typing_fixpoint(graph, compiled=compiled, signature_memo=vector_memo)
-        vector_typing, vector_seconds = _timed(
-            maximal_typing_fixpoint, graph, compiled=compiled,
-            signature_memo=vector_memo, repeats=5,
-        )
-    assert vector_typing == object_typing, "vectorised kernel diverged"
-    return {
-        "copies": PLAIN_COPIES,
-        "nodes": graph.node_count,
-        "object_seconds": round(object_seconds, 6),
-        "vector_seconds": round(vector_seconds, 6),
-        "vector_speedup": round(object_seconds / vector_seconds, 2),
-    }
-
-
 def measure_compressed() -> dict:
     """Compressed kernel vs the worklist baseline on the bug tracker, ×8 clones."""
     schema = bug_tracker_schema()
@@ -221,14 +166,9 @@ def test_fixpoint_kernel_acceptance():
             plain = measure_plain_speedup()
         with obs.span("bench.compressed", copies=COMPRESSED_COPIES):
             compressed = measure_compressed()
-        vector = None
-        if vectorized.available():
-            with obs.span("bench.vectorized", copies=PLAIN_COPIES):
-                vector = measure_vector_speedup()
     report = {
         "plain": plain,
         "compressed": compressed,
-        "vectorized": vector,
         "spans": root.to_dict(),
     }
     _write_report(report)
@@ -246,13 +186,6 @@ def test_fixpoint_kernel_acceptance():
         f"{compressed['kernel_solver_calls']}; kernel "
         f"{compressed['kernel_seconds'] * 1000:.1f} ms"
     )
-    if vector is not None:
-        print(f"  vectorised ×{vector['copies']} (memo-warm):")
-        print(
-            f"    object kernel: {vector['object_seconds'] * 1000:8.2f} ms, "
-            f"bitset kernel: {vector['vector_seconds'] * 1000:8.2f} ms  "
-            f"({vector['vector_speedup']}x)"
-        )
 
     assert plain["speedup"] >= MIN_PLAIN_SPEEDUP, (
         f"kernel speedup {plain['speedup']}x below the {MIN_PLAIN_SPEEDUP}x "
@@ -272,17 +205,6 @@ def test_fixpoint_kernel_acceptance():
         f"typing hot path regressed: speedup {plain['speedup']}x vs committed "
         f"baseline {baseline['plain_speedup']}x (floor {speedup_floor:.1f}x)"
     )
-    if vector is not None:
-        assert vector["vector_speedup"] >= MIN_VECTOR_SPEEDUP, (
-            f"vectorised kernel speedup {vector['vector_speedup']}x below the "
-            f"{MIN_VECTOR_SPEEDUP}x acceptance floor"
-        )
-        vector_floor = baseline["vector_speedup"] * (1.0 - REGRESSION_TOLERANCE)
-        assert vector["vector_speedup"] >= vector_floor, (
-            f"vectorised kernel regressed: speedup {vector['vector_speedup']}x vs "
-            f"committed baseline {baseline['vector_speedup']}x "
-            f"(floor {vector_floor:.1f}x)"
-        )
 
 
 if __name__ == "__main__":

@@ -292,12 +292,9 @@ class CompiledSchema:
         self._is_shex0: Optional[bool] = None
         self._flow_decided: Optional[bool] = None
         self._type_order: Optional[Tuple[TypeName, ...]] = None
-        self._type_index: Optional[Dict[TypeName, int]] = None
-        self._label_order: Optional[Tuple[object, ...]] = None
-        self._label_index: Optional[Dict[object, int]] = None
+        self._labels: Optional[FrozenSet[object]] = None
         self._watchers: Optional[Dict[object, Tuple[TypeName, ...]]] = None
         self._seeds: Dict[FrozenSet[object], FrozenSet[TypeName]] = {}
-        self._dense_tables = None
 
     @classmethod
     def of(cls, schema: Union[ShExSchema, "CompiledSchema"]) -> "CompiledSchema":
@@ -318,50 +315,6 @@ class CompiledSchema:
         if self._type_order is None:
             self._type_order = tuple(sorted(self.schema.types))
         return self._type_order
-
-    @property
-    def type_index(self) -> Dict[TypeName, int]:
-        """``type name -> position in type_order`` (the bit index of the
-        vectorised kernel's typing rows)."""
-        if self._type_index is None:
-            self._type_index = {
-                type_name: index for index, type_name in enumerate(self.type_order)
-            }
-        return self._type_index
-
-    @property
-    def label_order(self) -> Tuple[object, ...]:
-        """Every edge label mentioned by some rule's alphabet, sorted once."""
-        if self._label_order is None:
-            labels = {
-                symbol[0]
-                for type_name in self.type_order
-                for symbol in self.type_artifact(type_name).sorted_alphabet
-            }
-            self._label_order = tuple(sorted(labels, key=repr))
-        return self._label_order
-
-    @property
-    def label_index(self) -> Dict[object, int]:
-        """``label -> position in label_order``; labels no rule mentions map to
-        the sentinel row ``len(label_order)`` in the dense tables."""
-        if self._label_index is None:
-            self._label_index = {
-                label: index for index, label in enumerate(self.label_order)
-            }
-        return self._label_index
-
-    def dense_tables(self):
-        """Dense numpy index tables driving the vectorised fixpoint kernel.
-
-        Built once per schema (requires numpy; raises ``RuntimeError`` without
-        it).  See :class:`DenseTables` for the layout.
-        """
-        tables = self._dense_tables
-        if tables is None:
-            tables = DenseTables(self)
-            self._dense_tables = tables
-        return tables
 
     def symbol_watchers(self) -> Dict[object, Tuple[TypeName, ...]]:
         """``(label, type) -> types whose alphabet contains that symbol``.
@@ -396,7 +349,9 @@ class CompiledSchema:
         """
         seed = self._seeds.get(labels)
         if seed is None:
-            if not labels <= self.label_index.keys():
+            if self._labels is None:
+                self._labels = frozenset(self.schema.labels())
+            if not labels <= self._labels:
                 return frozenset()
             artifacts = [self.type_artifact(type_name) for type_name in self.type_order]
             seed = self._seeds[labels] = frozenset(
@@ -457,86 +412,6 @@ class CompiledSchema:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CompiledSchema {self.schema.name!r} fp={self.fingerprint[:12]}>"
-
-
-class DenseTables:
-    """Precomputed array-shaped views of a schema for the vectorised kernel.
-
-    With ``T = len(type_order)``, ``L = len(label_order)`` and
-    ``W = ceil(T / 64)`` (at least 1), the tables are:
-
-    ``option_masks``
-        ``(T, L + 1, W)`` uint64.  Row ``[t, l]`` has bit ``τ`` set iff the
-        symbol ``(label_order[l], type_order[τ])`` occurs in ``δ(t)``'s
-        alphabet — AND-ing it with a target node's typing row yields the
-        candidate *options* of one edge under a candidate type ``t``.  The
-        sentinel row ``l = L`` (labels no rule mentions) is all zeros, so
-        unknown-label edges fail exactly like the object kernel's empty
-        options.  Symbols whose target type is not defined by the schema are
-        skipped: an undefined type can never be a candidate.
-
-    ``watcher_masks``
-        ``(L + 1, T, W)`` uint64.  Row ``[l, τ]`` has bit ``t`` set iff
-        ``t`` watches the symbol ``(label_order[l], type_order[τ])`` — the
-        array form of :meth:`CompiledSchema.symbol_watchers`, OR-ed into a
-        predecessor's dirty row when a successor loses type ``τ``.
-
-    ``word_of`` / ``shift_of``
-        ``(T,)`` arrays mapping a type index to its word and bit position —
-        ``(row[word_of[t]] >> shift_of[t]) & 1`` tests membership.
-
-    ``bit_rows``
-        ``(T, W)`` uint64; row ``t`` is the single-bit mask of type ``t``.
-    """
-
-    __slots__ = (
-        "words",
-        "type_order",
-        "label_order",
-        "option_masks",
-        "watcher_masks",
-        "word_of",
-        "shift_of",
-        "bit_rows",
-    )
-
-    def __init__(self, compiled: "CompiledSchema"):
-        try:
-            import numpy as np
-        except ImportError as exc:  # pragma: no cover - numpy is baked into CI
-            raise RuntimeError("dense_tables() requires numpy") from exc
-
-        type_order = compiled.type_order
-        type_index = compiled.type_index
-        label_order = compiled.label_order
-        label_index = compiled.label_index
-        count = len(type_order)
-        labels = len(label_order)
-        words = max(1, (count + 63) // 64)
-
-        self.words = words
-        self.type_order = type_order
-        self.label_order = label_order
-
-        indices = np.arange(count, dtype=np.uint64)
-        self.word_of = (indices >> np.uint64(6)).astype(np.intp)
-        self.shift_of = indices & np.uint64(63)
-        self.bit_rows = np.zeros((count, words), dtype=np.uint64)
-        self.bit_rows[np.arange(count), self.word_of] = (
-            np.uint64(1) << self.shift_of
-        )
-
-        self.option_masks = np.zeros((count, labels + 1, words), dtype=np.uint64)
-        self.watcher_masks = np.zeros((labels + 1, count, words), dtype=np.uint64)
-        for t_pos, type_name in enumerate(type_order):
-            artifact = compiled.type_artifact(type_name)
-            for label, target_type in artifact.sorted_alphabet:
-                tau = type_index.get(target_type)
-                if tau is None:
-                    continue  # undefined target type: never a candidate
-                l_pos = label_index[label]
-                self.option_masks[t_pos, l_pos] |= self.bit_rows[tau]
-                self.watcher_masks[l_pos, tau] |= self.bit_rows[t_pos]
 
 
 # Per-process intern table: compiling is idempotent, so worker processes (and

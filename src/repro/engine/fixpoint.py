@@ -6,17 +6,12 @@ and compressed graphs (:func:`repro.schema.validation.maximal_typing_compressed`
 and drop ``(node, type)`` pairs whose check fails under the current relation
 until nothing changes.  This module owns that loop once: two entry points
 (a full run, and delta-seeded retyping of a graph's changed region) each
-hand one active region to a kernel picked by the region's size
-(:func:`_pick_kernel`): a region of at least :data:`VECTORIZE_MIN_NODES`
-nodes runs the vectorised kernel (:mod:`repro.engine.vectorized`, which
-imports numpy the first time it is needed), any smaller region — and every
-region when numpy is not installed — runs the object kernel below.  Both
-kernels start a node from its *label seed*
-(:meth:`repro.engine.compiled.CompiledSchema.label_seed`): the types whose
-alphabet allows every label on the node's out-edges and whose required
-labels it carries, not all of ``Γ``.  A dropped type fails the node's check
-under any typing, so the greatest fixpoint is the same.  The object kernel
-improves on the per-semantics worklists it replaced (retained in
+hand one active region to the kernel below.  The kernel starts a node from
+its *label seed* (:meth:`repro.engine.compiled.CompiledSchema.label_seed`):
+the types whose alphabet allows every label on the node's out-edges and
+whose required labels it carries, not all of ``Γ``.  A dropped type fails
+the node's check under any typing, so the greatest fixpoint is the same.
+The kernel improves on the per-semantics worklists it replaced (retained in
 :mod:`repro.schema.reference`) in three ways:
 
 **SCC schedule.**  A node's types depend only on the types of its successors,
@@ -103,9 +98,6 @@ class FixpointStats:
     queries, actual MILP invocations) are read through a
     :class:`repro.presburger.solver.SolverWindow`.
 
-    ``kernel`` names the kernel that ran on the last region (``"object"`` or
-    ``"vectorized"``; empty when no region was typed).
-
     ``mode`` records which schedule produced the typing: ``"full"`` (the plain
     kernel), ``"kinds"`` (full typing through the kind-compression quotient),
     ``"incremental"`` (delta-seeded), or ``"unchanged"`` (empty effective
@@ -123,7 +115,6 @@ class FixpointStats:
     removals: int = 0
     solver_problems: int = 0
     mode: str = "full"
-    kernel: str = ""
     frontier: int = 0
     affected: int = 0
     skipped: int = 0
@@ -265,20 +256,8 @@ def fixpoint_metrics_summary() -> Dict[str, object]:
 
 
 # --------------------------------------------------------------------------- #
-# The kernels, picked per region by its size
+# The kernel
 # --------------------------------------------------------------------------- #
-#: Active regions of at least this many nodes run the vectorised kernel; smaller
-#: ones run the object kernel, and then numpy is never imported.  Set at the
-#: measured break-even.  On a 2-core x86-64 VM (Python 3.11, numpy 2.4; its
-#: speed varied by about a third between runs), full per-node typing with
-#: both kernels label-seeded took 250–340 ms (object) against 85–140 ms
-#: (vectorised) on an 18,945-node clone document and 56–100 against
-#: 21–32 ms on a 5,965-node power-law graph: the vectorised kernel saves
-#: 0.006–0.013 ms per node.  Its first use in a process also pays 0.09–0.15 s
-#: to import numpy, so it comes out ahead from roughly 7k–25k nodes on.
-VECTORIZE_MIN_NODES = 16_000
-
-
 def _out_labels(graph: Graph, node: NodeId, compressed: bool) -> frozenset:
     """The labels on ``node``'s out-edges that its label seed reads: under the
     compressed semantics an edge of multiplicity 0 counts for nothing."""
@@ -300,7 +279,7 @@ def _stabilise_objects(
     prior: Optional[Typing] = None,
     touched: Set[NodeId] = frozenset(),
 ) -> None:
-    """The object kernel, with the contract of :func:`repro.engine.vectorized.stabilise`.
+    """Drive the ``active`` region to its greatest fixpoint, in place in ``current``.
 
     ``active`` nodes get their label seeds; out-edge targets outside it are
     read frozen from ``current``.  The subgraph ``active`` induces is
@@ -398,61 +377,6 @@ def _stabilise_single(
             return
 
 
-#: The vectorised kernel once resolved: ``None`` before the first large
-#: region, ``False`` when numpy does not import.
-_vectorized_kernel = None
-
-
-def _vectorized():
-    """The vectorised kernel, importing it (and numpy) on first use; ``False``
-    when numpy is not installed."""
-    global _vectorized_kernel
-    if _vectorized_kernel is None:
-        from repro.engine import vectorized
-
-        _vectorized_kernel = vectorized.available() and vectorized.stabilise
-    return _vectorized_kernel
-
-
-#: A kernel that drives every active region to its greatest fixpoint, in
-#: place in ``current``, or ``None`` to pick one per region by size.  Tests
-#: and benchmarks pin a kernel by monkeypatching this binding.
-_stabilise = None
-
-
-def _pick_kernel(size: int):
-    """``(name, kernel)`` for an active region of ``size`` nodes.
-
-    The pinned ``_stabilise`` when set; otherwise the vectorised kernel from
-    :data:`VECTORIZE_MIN_NODES` nodes on (when numpy is installed), and the
-    object kernel below that.
-    """
-    kernel = _stabilise or (
-        (size >= VECTORIZE_MIN_NODES and _vectorized()) or _stabilise_objects
-    )
-    return ("object" if kernel is _stabilise_objects else "vectorized"), kernel
-
-
-def _run_kernel(
-    span, graph, active, current, compiled, compressed, signature_memo, stats,
-    prior: Optional[Typing] = None, touched: Set[NodeId] = frozenset(),
-) -> None:
-    """Stabilise ``active`` with the kernel picked for its size, recording
-    the kernel's name in ``stats.kernel`` and on ``span``.  ``prior`` and
-    ``touched`` enable the object kernel's cut-off; the vectorised kernel
-    retypes the whole region."""
-    name, kernel = _pick_kernel(len(active))
-    stats.kernel = name
-    span.annotate(kernel=name)
-    if kernel is _stabilise_objects:
-        kernel(
-            graph, active, current, compiled, compressed, signature_memo, stats,
-            prior, touched,
-        )
-    else:
-        kernel(graph, active, current, compiled, compressed, signature_memo, stats)
-
-
 def _compiled_schema(schema, compiled) -> CompiledSchema:
     if compiled is None:
         if schema is None:
@@ -489,15 +413,14 @@ def maximal_typing_fixpoint(
         stats = FixpointStats()
     with _KernelScope(stats), _obs_tracing.span(
         "fixpoint.full", compressed=compressed, nodes=graph.node_count,
-    ) as trace_span:
+    ):
         # (type, neighbourhood signature) -> verdict; shared across the run
         # so isomorphic nodes anywhere in the graph are checked once.
         if signature_memo is None:
             signature_memo = {}
         current: Dict[NodeId, Set[TypeName]] = {}
-        _run_kernel(
-            trace_span, graph, graph.nodes, current, compiled, compressed,
-            signature_memo, stats,
+        _stabilise_objects(
+            graph, graph.nodes, current, compiled, compressed, signature_memo, stats
         )
         return Typing(current)
 
@@ -631,7 +554,7 @@ def retype_incremental(
     2. drive the region to its local fixpoint with the kernel, component by
        component sinks first, reading the frozen prior types across the
        region boundary.  A component is reseeded with its label seeds —
-       sound for additions and removals alike — unless the object kernel's
+       sound for additions and removals alike — unless the kernel's
        cut-off shows it keeps its prior types (see
        :func:`_stabilise_objects`);
     3. derive the result from ``prior_typing`` copy-on-write
@@ -669,28 +592,25 @@ def retype_incremental(
         stats.frontier = len(touched)
         if not touched:
             stats.mode = "unchanged"
-            # No region to type: name the kernel an empty region picks.
-            trace_span.annotate(mode="unchanged", kernel=_pick_kernel(0)[0])
+            trace_span.annotate(mode="unchanged")
             return prior_typing
 
         affected = affected_region(graph, touched)
         stats.affected = len(affected)
         trace_span.annotate(frontier=stats.frontier, affected=stats.affected)
         if len(affected) > max_affected_fraction * graph.node_count:
-            typing = maximal_typing_store(
+            return maximal_typing_store(
                 store, compiled=compiled, compressed=compressed, stats=stats,
                 signature_memo=signature_memo,
             )
-            trace_span.annotate(kernel=stats.kernel)
-            return typing
 
         # Nodes the kernel leaves alone read as their prior (final) types.
         current = _OverPrior(prior_typing)
         if signature_memo is None:
             signature_memo = {}
-        _run_kernel(
-            trace_span, graph, affected, current, compiled, compressed,
-            signature_memo, stats, prior_typing, touched,
+        _stabilise_objects(
+            graph, affected, current, compiled, compressed, signature_memo, stats,
+            prior_typing, touched,
         )
         stats.mode = "incremental"
         trace_span.annotate(skipped=stats.skipped)

@@ -64,7 +64,6 @@ class Graph:
         self._out: Dict[NodeId, Dict[int, None]] = {}
         self._in: Dict[NodeId, Dict[int, None]] = {}
         self._next_edge_id = 0
-        self._revision = 0
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -75,7 +74,6 @@ class Graph:
             self._nodes.add(node)
             self._out[node] = {}
             self._in[node] = {}
-            self._revision += 1
         return node
 
     def add_nodes(self, nodes: Iterable[NodeId]) -> None:
@@ -102,7 +100,6 @@ class Graph:
         self._out[source][edge.edge_id] = None
         self._in[target][edge.edge_id] = None
         self._next_edge_id += 1
-        self._revision += 1
         return edge
 
     def add_edges(self, edges: Iterable[Tuple[NodeId, Label, NodeId]]) -> None:
@@ -124,7 +121,6 @@ class Graph:
         del self._edges[edge.edge_id]
         del self._out[edge.source][edge.edge_id]
         del self._in[edge.target][edge.edge_id]
-        self._revision += 1
 
     def remove_node(self, node: NodeId) -> None:
         """Remove a node together with all its incident edges."""
@@ -137,7 +133,6 @@ class Graph:
         self._nodes.discard(node)
         self._out.pop(node, None)
         self._in.pop(node, None)
-        self._revision += 1
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -146,16 +141,6 @@ class Graph:
     def nodes(self) -> Set[NodeId]:
         """The set of nodes (a live view; do not mutate)."""
         return self._nodes
-
-    @property
-    def revision(self) -> int:
-        """A counter bumped by every structural mutation.
-
-        Caches keyed by ``(id(graph), revision)`` stay valid exactly as long
-        as the graph is unchanged — the vectorised kernel uses it to reuse
-        its flattened CSR neighbourhood arrays across runs.
-        """
-        return self._revision
 
     @property
     def edges(self) -> List[Edge]:
@@ -334,8 +319,8 @@ class Graph:
         ``nodes`` are added first (isolated nodes included), then the edges;
         ``occur`` takes anything :meth:`add_edge` does.  One pass fills the
         node set, the adjacency and the edge table; the node order, the edge
-        ids, the adjacency order and the final :attr:`revision` are those of
-        calling :meth:`add_node` per node and :meth:`add_edge` per edge.
+        ids and the adjacency order are those of calling :meth:`add_node` per
+        node and :meth:`add_edge` per edge.
         """
         graph = cls(name)
         known, table, out, into = graph._nodes, graph._edges, graph._out, graph._in
@@ -361,7 +346,6 @@ class Graph:
             into[target][edge_id] = None
             edge_id += 1
         graph._next_edge_id = edge_id
-        graph._revision = len(known) + edge_id
         return graph
 
     @classmethod

@@ -7,9 +7,6 @@ import random
 
 import pytest
 
-from repro import obs
-from repro.engine import fixpoint, vectorized
-from repro.obs import metrics
 from repro.schema.parser import parse_schema
 from repro.workloads.bugtracker import (
     bug_tracker_graph,
@@ -41,36 +38,6 @@ def pytest_runtest_setup(item):
             "needs SciPy's MILP, which decides the Presburger queries of rules "
             "that are not interval-RBE0 (install the `solver` extra)"
         )
-
-
-@pytest.fixture(params=["object", "vectorized"])
-def kernel(request, monkeypatch):
-    """Pin the fixpoint kernel for one test; the value is the kernel's name.
-
-    The vectorised param skips without numpy.  Both kernels must produce the
-    same maximal typing, so parity tests take this fixture to run twice.
-    """
-    if request.param == "vectorized":
-        if not vectorized.available():
-            pytest.skip("the vectorised kernel needs numpy")
-        monkeypatch.setattr(fixpoint, "_stabilise", vectorized.stabilise)
-    else:
-        monkeypatch.setattr(fixpoint, "_stabilise", fixpoint._stabilise_objects)
-    return request.param
-
-
-@pytest.fixture
-def traced_kernels(monkeypatch):
-    """``traced(run)`` calls ``run()`` under a trace and returns its result
-    with the ``kernel`` tag of every fixpoint span it opened at top level."""
-    monkeypatch.setattr(metrics.STATE, "enabled", True)
-
-    def traced(run):
-        with obs.start_trace("test") as root:
-            result = run()
-        return result, [child.tags.get("kernel") for child in root.children]
-
-    return traced
 
 
 @pytest.fixture

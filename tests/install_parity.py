@@ -7,12 +7,10 @@ completely, each taking a different typing path:
 
 * ``clone.ttl`` — 1,000 copies of a small bug tracker whose two bugs cite
   each other.  The graph is cyclic and its kind quotient is tiny, so
-  ``validate`` types the quotient (with the object kernel).
+  ``validate`` types the quotient.
 * ``powerlaw.ttl`` — 17,000 papers citing older papers by preferential
   attachment.  The quotient shrinks the graph less than
-  ``KIND_COMPRESS_MIN_RATIO`` times, so ``validate`` types it node by node, and
-  the region is past ``VECTORIZE_MIN_NODES``: the vectorised kernel runs
-  where numpy is installed and the object kernel elsewhere.
+  ``KIND_COMPRESS_MIN_RATIO`` times, so ``validate`` types it node by node.
 
 CI runs ``python -m repro.cli validate --show-typing`` on both after each
 install (full, without SciPy, without numpy) and diffs the outputs.  The

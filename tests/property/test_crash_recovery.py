@@ -10,8 +10,8 @@ state at some version ``v`` with ``checkpoint_version <= v <= head`` — the
 longest clean WAL prefix — never an error, never a partial record, never a
 state the store was not in at some point.
 
-A second suite checks that the recovered store revalidates identically under
-the vectorised and object fixpoint kernels.
+A second suite checks that the recovered store revalidates like the
+full-rescan oracle.
 """
 
 from __future__ import annotations
@@ -159,8 +159,8 @@ class TestCrashRecovery:
 
 class TestKernelParityAfterRecovery:
     @pytest.mark.parametrize("seed", SEEDS[:3])
-    def test_kernel_parity(self, seed, tmp_path, kernel):
-        """Each fixpoint kernel revalidates the recovered store like the oracle."""
+    def test_kernel_parity(self, seed, tmp_path):
+        """The fixpoint kernel revalidates the recovered store like the oracle."""
         directory = str(tmp_path / "store")
         store, _ = _drive(seed, directory)
         store.close()
@@ -175,6 +175,5 @@ class TestKernelParityAfterRecovery:
             engine.close()
             recovered.close()
         assert (outcome.result.verdict, outcome.result.payload) == expected, (
-            f"seed {seed}: the {kernel} kernel diverged from the oracle on the "
-            f"recovered store"
+            f"seed {seed}: the kernel diverged from the oracle on the recovered store"
         )

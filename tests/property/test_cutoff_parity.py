@@ -1,7 +1,7 @@
 """Region retyping with the cut-off, against the full-rescan oracle at every step.
 
 :meth:`repro.engine.validation.ValidationEngine.revalidate` retypes a delta's
-node region from the prior typing, and the object kernel leaves a component
+node region from the prior typing, and the kernel leaves a component
 of that region unchecked when nothing it reads came back changed
 (:func:`repro.engine.fixpoint._stabilise_objects`).  The result is derived
 copy-on-write from the prior typing (:meth:`repro.schema.typing.Typing.updated`).
@@ -14,7 +14,7 @@ must carry on from the cached typing.  After every step a direct
 :func:`repro.schema.reference.maximal_typing_reference` on the new graph, and
 so must the engine's answer and typing snapshot after every step it is asked
 to revalidate — it skips some, and then retypes the delta composed over
-several versions — under both semantics and with each kernel pinned.
+several versions — under both semantics.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.intervals import Interval
-from repro.engine import fixpoint, vectorized
+from repro.engine import fixpoint
 from repro.engine.compiled import compile_schema
 from repro.engine.fixpoint import FixpointStats, retype_incremental
 from repro.engine.validation import ValidationEngine, _payload_from_typing
@@ -65,19 +65,6 @@ _steps = st.lists(
 _pauses = st.lists(st.booleans(), max_size=8)
 
 
-def _pinned(kernel: str):
-    """A context that pins the fixpoint kernel (the ``kernel`` fixture's
-    effect, usable under hypothesis)."""
-    if kernel == "vectorized" and not vectorized.available():
-        pytest.skip("the vectorised kernel needs numpy")
-    patch = pytest.MonkeyPatch()
-    patch.setattr(
-        fixpoint, "_stabilise",
-        vectorized.stabilise if kernel == "vectorized" else fixpoint._stabilise_objects,
-    )
-    return patch
-
-
 def _initial_graph(edges, compressed: bool) -> Graph:
     graph = Graph("cutoff")
     graph.add_nodes(NODES[:5])
@@ -112,80 +99,71 @@ def _check_engine(engine, store, oracle, compressed: bool, context: str) -> None
     assert snapshot["typing"] == oracle, f"{context}: snapshot after {outcome.mode}"
 
 
-def _run(edges, steps, compressed: bool, kernel: str, pauses=()) -> None:
-    patch = _pinned(kernel)
-    try:
-        store = GraphStore(_initial_graph(edges, compressed))
-        engine = ValidationEngine()
-        engine.revalidate(store, COMPILED, compressed=compressed)
-        (snapshot,) = engine.export_typings(store)
-        prior = snapshot["typing"]
-        history = []
-        for index, step in enumerate(steps):
-            delta = _delta(step, store.graph, history, compressed)
-            if delta is None:
-                continue
-            store.apply(delta)
-            history.append(store.diff(store.version - 1, store.version))
-            oracle = maximal_typing_reference(store.graph, SCHEMA, compressed=compressed)
-            context = f"step {index} {step} (compressed={compressed}, kernel={kernel})"
-
-            # No fallback: the region path runs whatever the region's size.
-            stats = FixpointStats()
-            direct = retype_incremental(
-                store, prior, history[-1], compiled=COMPILED, compressed=compressed,
-                stats=stats, max_affected_fraction=1.0,
-            )
-            assert stats.mode in ("incremental", "unchanged"), context
-            assert direct == oracle, f"{context}: retype_incremental ({stats.mode})"
-            assert direct.node_count == store.graph.node_count, context
-            assert direct.untyped() == {n for n in store.graph.nodes if not oracle.types_of(n)}
-            prior = direct
-
-            if index < len(pauses) and pauses[index]:
-                continue
-            _check_engine(engine, store, oracle, compressed, context)
+def _run(edges, steps, compressed: bool, pauses=()) -> None:
+    store = GraphStore(_initial_graph(edges, compressed))
+    engine = ValidationEngine()
+    engine.revalidate(store, COMPILED, compressed=compressed)
+    (snapshot,) = engine.export_typings(store)
+    prior = snapshot["typing"]
+    history = []
+    for index, step in enumerate(steps):
+        delta = _delta(step, store.graph, history, compressed)
+        if delta is None:
+            continue
+        store.apply(delta)
+        history.append(store.diff(store.version - 1, store.version))
         oracle = maximal_typing_reference(store.graph, SCHEMA, compressed=compressed)
-        _check_engine(engine, store, oracle, compressed, f"end (kernel={kernel})")
-    finally:
-        patch.undo()
+        context = f"step {index} {step} (compressed={compressed})"
+
+        # No fallback: the region path runs whatever the region's size.
+        stats = FixpointStats()
+        direct = retype_incremental(
+            store, prior, history[-1], compiled=COMPILED, compressed=compressed,
+            stats=stats, max_affected_fraction=1.0,
+        )
+        assert stats.mode in ("incremental", "unchanged"), context
+        assert direct == oracle, f"{context}: retype_incremental ({stats.mode})"
+        assert direct.node_count == store.graph.node_count, context
+        assert direct.untyped() == {n for n in store.graph.nodes if not oracle.types_of(n)}
+        prior = direct
+
+        if index < len(pauses) and pauses[index]:
+            continue
+        _check_engine(engine, store, oracle, compressed, context)
+    oracle = maximal_typing_reference(store.graph, SCHEMA, compressed=compressed)
+    _check_engine(engine, store, oracle, compressed, "end")
 
 
-@pytest.mark.parametrize("kernel", ["object", "vectorized"])
 class TestCutoffParity:
     @settings(max_examples=120, deadline=None)
     @given(st.lists(_edges, max_size=12), _steps, _pauses)
-    def test_plain_deltas_match_the_oracle(self, kernel, edges, steps, pauses):
-        _run(edges, steps, False, kernel, pauses)
+    def test_plain_deltas_match_the_oracle(self, edges, steps, pauses):
+        _run(edges, steps, False, pauses)
 
     @pytest.mark.requires_scipy  # the compressed oracle solves Presburger systems
     @settings(max_examples=40, deadline=None)
     @given(st.lists(_edges, max_size=10), _steps, _pauses)
-    def test_compressed_deltas_match_the_oracle(self, kernel, edges, steps, pauses):
-        _run(edges, steps, True, kernel, pauses)
+    def test_compressed_deltas_match_the_oracle(self, edges, steps, pauses):
+        _run(edges, steps, True, pauses)
 
-    def test_a_node_left_by_a_cancelled_edge_is_typed(self, kernel):
+    def test_a_node_left_by_a_cancelled_edge_is_typed(self):
         # The edge to n6 is added and removed between two revalidations: the
         # composed delta is empty, but the store keeps the isolated node n6,
         # which the prior typing does not list.  It must get every type that
         # needs no edges.
-        patch = _pinned(kernel)
-        try:
-            schema = parse_schema("P -> a :: L*\nL -> eps\n", name="isolated")
-            store = GraphStore(_initial_graph([("n0", "a", "n1")], False))
-            engine = ValidationEngine()
-            assert engine.revalidate(store, schema).result.verdict == "valid"
-            store.add_edge("n0", "a", "n6")
-            store.remove_edge("n0", "a", "n6")
-            outcome = engine.revalidate(store, schema)
-            oracle = maximal_typing_reference(store.graph, schema)
-            assert oracle.types_of("n6") == {"L", "P"}
-            assert outcome.result.verdict == "valid"
-            assert outcome.result.payload == _payload_from_typing(store.graph, oracle, False)[1]
-            (snapshot,) = engine.export_typings(store)
-            assert snapshot["typing"] == oracle
-        finally:
-            patch.undo()
+        schema = parse_schema("P -> a :: L*\nL -> eps\n", name="isolated")
+        store = GraphStore(_initial_graph([("n0", "a", "n1")], False))
+        engine = ValidationEngine()
+        assert engine.revalidate(store, schema).result.verdict == "valid"
+        store.add_edge("n0", "a", "n6")
+        store.remove_edge("n0", "a", "n6")
+        outcome = engine.revalidate(store, schema)
+        oracle = maximal_typing_reference(store.graph, schema)
+        assert oracle.types_of("n6") == {"L", "P"}
+        assert outcome.result.verdict == "valid"
+        assert outcome.result.payload == _payload_from_typing(store.graph, oracle, False)[1]
+        (snapshot,) = engine.export_typings(store)
+        assert snapshot["typing"] == oracle
 
 
 class TestCutoff:

@@ -8,7 +8,7 @@ sequences through a :class:`repro.graphs.store.GraphStore` and asserts exactly
 that, mirroring ``tests/property/test_fixpoint_parity.py``; it also covers
 multi-version diffs (retyping across several deltas at once), the automatic
 kind-compression view (full typings) next to region retyping of the same
-stores, and the engine-level revalidation wrapper.  Every case runs once per fixpoint kernel.
+stores, and the engine-level revalidation wrapper.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from repro.graphs.graph import Graph
 from repro.graphs.store import Delta, GraphStore
 from repro.workloads.bugtracker import bug_tracker_graph, bug_tracker_schema
 from repro.workloads.generators import DEFAULT_LABELS, random_shape_schema, random_shex_schema
-
-pytestmark = pytest.mark.usefixtures("kernel")
 
 PLAIN_SEEDS = [2, 9, 17, 31, 53]
 COMPRESSED_SEEDS = [4, 21, 39]
@@ -187,9 +185,7 @@ class TestKindViewParity:
 
 class TestKindsDeltaParity:
     @pytest.mark.parametrize("seed", PLAIN_SEEDS[:3])
-    def test_region_retyping_of_a_viewed_store_matches_from_scratch(
-        self, seed, kernel, traced_kernels
-    ):
+    def test_region_retyping_of_a_viewed_store_matches_from_scratch(self, seed):
         # A store whose kind view pays is still retyped by region after a
         # delta; the result must equal both full typings (quotient and per
         # node) of the new version.
@@ -219,11 +215,8 @@ class TestKindsDeltaParity:
             delta = Delta.of(add=[edge])
             store.apply(delta)
             stats = FixpointStats()
-            typing, ran = traced_kernels(
-                lambda: retype_incremental(store, typing, delta, compiled=compiled, stats=stats)
-            )
+            typing = retype_incremental(store, typing, delta, compiled=compiled, stats=stats)
             modes.add(stats.mode)
-            assert ran == [kernel]
             full = FixpointStats()
             assert typing == maximal_typing_store(store, compiled=compiled, stats=full), (
                 f"seed {seed} step {step}: region retyping diverged (mode {stats.mode})"

@@ -384,7 +384,7 @@ class TestTypingCoverage:
         assert set(assignments) == set(graph.nodes)
         assert frozenset() in assignments.values()
 
-    def test_kernels_and_references(self, schema, kernel):
+    def test_kernels_and_references(self, schema):
         from repro.engine.fixpoint import maximal_typing_fixpoint
         from repro.schema.reference import maximal_typing_worklist
         from repro.schema.validation import maximal_typing_compressed
@@ -399,7 +399,7 @@ class TestTypingCoverage:
         ):
             self._assert_covers(typing, graph)
 
-    def test_store_revalidation_modes_and_persisted_typings(self, schema, kernel):
+    def test_store_revalidation_modes_and_persisted_typings(self, schema):
         from repro.engine.fixpoint import maximal_typing_store, retype_incremental
         from repro.persist import codec
 

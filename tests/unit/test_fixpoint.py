@@ -8,10 +8,12 @@ from types import SimpleNamespace
 import pytest
 
 from repro.engine.compiled import compile_schema
-from repro.engine.fixpoint import FixpointStats, maximal_typing_fixpoint
+from repro.engine.fixpoint import FixpointStats, maximal_typing_fixpoint, retype_incremental
 from repro.errors import PresburgerError
+from repro.graphs.compressed import pack_simple_graph
 from repro.graphs.graph import Graph
 from repro.graphs.scc import condensation_order, strongly_connected_components
+from repro.graphs.store import Delta, GraphStore
 from repro.presburger import solver
 from repro.presburger.formula import Exists, eq, le, var
 from repro.presburger.solver import (
@@ -97,11 +99,7 @@ class TestFixpointKernel:
             graph, schema
         )
 
-    @pytest.mark.parametrize("kernel", ["object"], indirect=True)
-    def test_signature_memo_collapses_clones(self, kernel):
-        # The component count below encodes the SCC-driven schedule of the
-        # object kernel; the vectorised kernel runs global Jacobi rounds and
-        # reports components == 0, so pin this test to the object kernel.
+    def test_signature_memo_collapses_clones(self):
         graph, schema = bug_tracker_graph(), bug_tracker_schema()
         copies = 8
         base_stats = FixpointStats()
@@ -153,6 +151,45 @@ class TestFixpointKernel:
     def test_empty_graph(self):
         typing = maximal_typing_fixpoint(Graph("empty"), bug_tracker_schema())
         assert typing.domain() == set()
+
+    def test_edgeless_graph(self):
+        schema = bug_tracker_schema()
+        isolated = Graph("isolated")
+        isolated.add_nodes(["a", "b"])
+        assert maximal_typing_fixpoint(isolated, schema) == maximal_typing_reference(
+            isolated, schema
+        )
+
+    def test_compressed_matches_plain_oracle(self):
+        # Packing merges nothing here, so the compressed semantics of the
+        # packed graph is the plain semantics of the original.
+        graph, schema = bug_tracker_graph(), bug_tracker_schema()
+        typing = maximal_typing_fixpoint(pack_simple_graph(graph), schema, compressed=True)
+        assert typing == maximal_typing_reference(graph, schema)
+
+    def test_schema_wider_than_64_types(self):
+        # A chain schema of 70 types, typed along a 76-node path.
+        lines = [f"T{i} -> a :: T{i + 1}?" for i in range(69)]
+        lines.append("T69 -> eps")
+        schema = parse_schema("\n".join(lines), name="wide-70")
+        graph = Graph("chain")
+        for i in range(75):
+            graph.add_edge(f"n{i}", "a", f"n{i + 1}")
+        assert maximal_typing_fixpoint(graph, schema) == maximal_typing_reference(
+            graph, schema
+        )
+
+    def test_incremental_matches_from_scratch(self):
+        schema = bug_tracker_schema()
+        store = GraphStore(bug_tracker_graph())
+        prior = maximal_typing_fixpoint(store.graph, schema)
+        delta = Delta.of(add=[("bug2", "relatedTo", "bug1")])
+        store.apply(delta)
+        stats = FixpointStats()
+        typing = retype_incremental(store, prior, delta, schema=schema, stats=stats)
+        assert stats.mode == "incremental"
+        assert typing == maximal_typing_reference(store.graph, schema)
+        assert typing == maximal_typing_fixpoint(store.graph, schema)
 
 
 class TestTypingPairs:

@@ -50,7 +50,7 @@ def _compressed_hubs() -> Graph:
     return graph
 
 
-def test_kind_view_revalidate_is_valid(no_scipy, kernel):
+def test_kind_view_revalidate_is_valid(no_scipy):
     schema = parse_schema("Hub -> item :: Leaf*\nLeaf -> eps", name="hubs")
     store = GraphStore(_hubs())
     window = SolverWindow()
@@ -62,7 +62,7 @@ def test_kind_view_revalidate_is_valid(no_scipy, kernel):
     assert (stats.batch_calls, stats.milp_calls) == (0, 0)
 
 
-def test_plain_store_typing_of_non_interval_rule_needs_no_solver(no_scipy, kernel):
+def test_plain_store_typing_of_non_interval_rule_needs_no_solver(no_scipy):
     # The kind view would type this rule under the compressed semantics,
     # which needs the MILP; without SciPy plain typing keeps to the nodes.
     schema = parse_schema(
@@ -92,7 +92,7 @@ def test_plain_store_typing_of_non_interval_rule_needs_no_solver(no_scipy, kerne
         ("item :: Leaf^[8;12], item :: Leaf^[8;12]", True),
     ],
 )
-def test_compressed_fixpoint_decides_interval_rules(no_scipy, kernel, rule, typed):
+def test_compressed_fixpoint_decides_interval_rules(no_scipy, rule, typed):
     schema = parse_schema(f"Hub -> {rule}\nLeaf -> eps", name="hub")
     window = SolverWindow()
     stats = FixpointStats()
@@ -103,7 +103,7 @@ def test_compressed_fixpoint_decides_interval_rules(no_scipy, kernel, rule, type
     assert (solved.batch_calls, solved.milp_calls) == (0, 0)
 
 
-def test_non_interval_rule_raises_without_scipy(no_scipy, kernel):
+def test_non_interval_rule_raises_without_scipy(no_scipy):
     schema = parse_schema(
         f"Hub -> (item :: Leaf | tag :: Leaf)^[{LEAVES};{LEAVES}]\nLeaf -> eps", name="hub"
     )

@@ -141,7 +141,6 @@ class TestGraphBasics:
         for node in sequential.nodes:
             assert bulk.out_edges(node) == sequential.out_edges(node)
             assert bulk.in_edges(node) == sequential.in_edges(node)
-        assert bulk.revision == sequential.revision
         assert bulk.add_edge("w", "c", "v").edge_id == sequential.add_edge("w", "c", "v").edge_id
 
     @staticmethod
@@ -152,7 +151,6 @@ class TestGraphBasics:
             list(graph._edges.items()),
             {node: list(ids) for node, ids in graph._out.items()},
             {node: list(ids) for node, ids in graph._in.items()},
-            graph.revision,
         )
 
     def test_from_edges_matches_add_node_add_edge(self):

@@ -496,7 +496,6 @@ def _layout(graph):
         list(graph._edges.items()),
         [(node, list(ids)) for node, ids in graph._out.items()],
         [(node, list(ids)) for node, ids in graph._in.items()],
-        graph.revision,
     )
 
 

@@ -162,8 +162,7 @@ class TestImportFootprint:
         assert loaded == []
 
     def test_one_shot_validate_through_the_kind_view_loads_no_numpy(self, tmp_path):
-        # 120 bugs in a ring: past the view floor, typed as a 2-kind quotient
-        # by the object kernel.
+        # 120 bugs in a ring: past the view floor, typed as a 2-kind quotient.
         schema = tmp_path / "schema.shex"
         schema.write_text("Bug -> descr :: Lit, related :: Bug\nLit -> isLiteral :: M\nM -> eps\n")
         data = tmp_path / "ring.ttl"
@@ -180,8 +179,8 @@ class TestImportFootprint:
 
     def test_daemon_restart_on_a_durable_store_loads_no_numpy(self, tmp_path):
         # One daemon persists a store; a second opens it (snapshot decode,
-        # seeded typings) and revalidates.  Neither region reaches the
-        # vectorised kernel's size floor, so numpy is never imported.
+        # seeded typings) and revalidates.  Every rule is an interval RBE0,
+        # decided without SciPy's MILP, so numpy is never imported.
         env = dict(os.environ, PYTHONPATH=SRC_DIR)
         address, data_dir = str(tmp_path / "d.sock"), str(tmp_path / "data")
         schema = "Bug -> descr :: Lit, related :: Bug*\nLit -> isLiteral :: M\nM -> eps\n"
@@ -230,3 +229,24 @@ class TestImportFootprint:
         )
         assert completed.returncode == 0, completed.stderr
         assert completed.stdout.strip() == "False"
+
+    def test_large_region_typing_does_not_import_numpy(self):
+        # One kernel types every region, however large: per-node typing of
+        # 20,000 nodes runs the same pure-Python code with or without numpy.
+        program = (
+            "import sys\n"
+            "from repro.engine.fixpoint import FixpointStats, maximal_typing_fixpoint\n"
+            "from repro.graphs.graph import Graph\n"
+            "from repro.schema.parser import parse_schema\n"
+            "graph = Graph.from_edges(((i, 'a', i + 1, None) for i in range(19_999)))\n"
+            "stats = FixpointStats()\n"
+            "typing = maximal_typing_fixpoint(graph, parse_schema('T -> a :: T?'), stats=stats)\n"
+            "print(len(typing.untyped()), stats.components, 'numpy' in sys.modules)"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", program],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC_DIR),
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.split() == ["0", "20000", "False"]
