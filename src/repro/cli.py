@@ -26,7 +26,8 @@ Schemas use the rule syntax of :mod:`repro.schema.parser`; data files use the
 light Turtle dialect of :mod:`repro.rdf.parser` (or N-Triples with
 ``--ntriples``; files named ``*.nt`` are detected automatically).  Missing or
 malformed input files produce a one-line error and exit status 2 instead of a
-traceback.
+traceback.  Output a reader stops reading (``| head -1``) is dropped quietly:
+the exit status stays the verdict's.
 
 Output contract of ``batch`` (documented in ``docs/protocol.md``): stdout
 carries exactly one machine-parseable line per job, in submission order;
@@ -37,10 +38,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
-from repro.engine.executors import BACKENDS
+from repro.engine.backends import BACKENDS
 from repro.errors import ReproError
 from repro.rdf.convert import load_graph
 from repro.schema.parser import parse_schema
@@ -337,7 +339,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     drives the engines directly with no serve stack at all.
     """
     import contextlib
-    import os
     import tempfile
 
     from repro import faults
@@ -659,10 +660,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _ClosableStdout:
+    """Stands in for ``sys.stdout`` while a command runs.
+
+    When the reader closes the pipe early (output piped into ``head``), the
+    write raises :class:`BrokenPipeError`.  The guard then points the stream's
+    descriptor at ``os.devnull`` and drops the rest of the output, so the
+    command still runs to its verdict and exits with its status, and the
+    interpreter's exit flush has nothing left to raise.
+    """
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def write(self, text: str) -> int:
+        try:
+            return self._stream.write(text)
+        except BrokenPipeError:
+            self._drop()
+            return len(text)
+
+    def flush(self) -> None:
+        try:
+            self._stream.flush()
+        except BrokenPipeError:
+            self._drop()
+
+    def _drop(self) -> None:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, self._stream.fileno())
+        os.close(devnull)
+
+    def __getattr__(self, name: str):
+        return getattr(self._stream, name)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    stdout, sys.stdout = sys.stdout, _ClosableStdout(sys.stdout)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()
+        return status
     except OSError as exc:
         target = getattr(exc, "filename", None)
         detail = f"{target}: {exc.strerror}" if target and exc.strerror else str(exc)
@@ -671,6 +710,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ReproError as exc:
         print(f"shex-containment: error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.stdout = stdout
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,25 +1,17 @@
 """Core value types shared by the whole library: intervals and bags."""
 
-from repro.core.intervals import (
-    Interval,
-    ZERO,
-    ONE,
-    OPT,
-    PLUS,
-    STAR,
-    BASIC_INTERVALS,
-    interval_sum,
-)
-from repro.core.bags import Bag
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Interval",
-    "ZERO",
-    "ONE",
-    "OPT",
-    "PLUS",
-    "STAR",
-    "BASIC_INTERVALS",
-    "interval_sum",
-    "Bag",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.core.intervals": (
+        "Interval",
+        "ZERO",
+        "ONE",
+        "OPT",
+        "PLUS",
+        "STAR",
+        "BASIC_INTERVALS",
+        "interval_sum",
+    ),
+    "repro.core.bags": ("Bag",),
+})

@@ -17,14 +17,15 @@ from __future__ import annotations
 
 import hashlib
 import zlib
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.graphs.graph import Graph
-from repro.presburger.build import rbe_to_formula
-from repro.presburger.formula import Formula, const, fresh_variable
 from repro.rbe.ast import RBE
 from repro.rbe.rbe0 import as_rbe0
 from repro.schema.shex import ShExSchema, TypeName
+
+if TYPE_CHECKING:
+    from repro.presburger.formula import Formula
 
 
 def schema_fingerprint(schema: ShExSchema) -> str:
@@ -247,6 +248,9 @@ class CompiledType:
         """
         template = self._template
         if template is None:
+            from repro.presburger.build import rbe_to_formula
+            from repro.presburger.formula import const, fresh_variable
+
             z_vars = {symbol: fresh_variable("z") for symbol in self.sorted_alphabet}
             template = (z_vars, rbe_to_formula(self.expr, z_vars, const(1)))
             self._template = template

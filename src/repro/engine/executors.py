@@ -21,13 +21,12 @@ assembly, so a backend only needs ordered map.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence, TypeVar
+
+from repro.engine.backends import BACKENDS
 
 Item = TypeVar("Item")
 Result = TypeVar("Result")
-
-BACKENDS = ("serial", "thread", "process")
 
 
 class SerialExecutor:
@@ -52,7 +51,9 @@ class _PoolExecutor:
     """Shared shape of the thread/process backends."""
 
     name = "pool"
-    _pool_cls = ThreadPoolExecutor
+    #: Name of the :mod:`concurrent.futures` pool class, imported on the
+    #: first map, so importing the engine loads no ``multiprocessing``.
+    _pool_class = "ThreadPoolExecutor"
 
     def __init__(self, max_workers: Optional[int] = None):
         self.max_workers = max_workers or min(8, os.cpu_count() or 1)
@@ -60,7 +61,10 @@ class _PoolExecutor:
 
     def _ensure_pool(self):
         if self._pool is None:
-            self._pool = self._pool_cls(max_workers=self.max_workers)
+            import concurrent.futures
+
+            pool_cls = getattr(concurrent.futures, self._pool_class)
+            self._pool = pool_cls(max_workers=self.max_workers)
         return self._pool
 
     def map_ordered(
@@ -90,14 +94,14 @@ class ThreadExecutor(_PoolExecutor):
     """Thread-pool backend (shared memory; benefits GIL-releasing work)."""
 
     name = "thread"
-    _pool_cls = ThreadPoolExecutor
+    _pool_class = "ThreadPoolExecutor"
 
 
 class ProcessExecutor(_PoolExecutor):
     """Process-pool backend (true parallelism; jobs must be picklable)."""
 
     name = "process"
-    _pool_cls = ProcessPoolExecutor
+    _pool_class = "ProcessPoolExecutor"
 
 
 def get_executor(backend: str, max_workers: Optional[int] = None):

@@ -73,7 +73,6 @@ from repro.graphs.scc import (
     backward_closure,
     strongly_connected_components,
 )
-from repro.presburger.solver import milp_available, solve_problems
 from repro.schema.shex import ShExSchema, TypeName
 from repro.schema.typing import Typing, edge_groups, satisfies_type_groups
 
@@ -470,9 +469,12 @@ def kind_view(store, compiled: CompiledSchema):
     schema gets ``None`` and takes the per-node plain path, which decides
     every rule exactly with no solver.
     """
-    if compiled.flow_decided or milp_available():
-        return store.typing_view()
-    return None
+    if not compiled.flow_decided:
+        from repro.presburger.solver import milp_available
+
+        if not milp_available():
+            return None
+    return store.typing_view()
 
 
 def kind_typing_for_view(
@@ -846,6 +848,8 @@ def _check_compressed_batch(
         pending_order.append(signature)
         pending_problems.append(_assemble_problem(artifact, edge_descriptions))
     if pending_problems:
+        from repro.presburger.solver import solve_problems
+
         stats.solver_problems += len(pending_problems)
         solved = solve_problems(pending_problems)
         for signature, verdict in zip(pending_order, solved):

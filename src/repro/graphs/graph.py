@@ -20,9 +20,19 @@ of a node, grouped by label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import (
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.core.intervals import Interval, ONE
 from repro.errors import GraphError
@@ -31,9 +41,13 @@ NodeId = Hashable
 Label = str
 
 
-@dataclass(frozen=True)
-class Edge:
-    """A single edge: origin, end point, predicate label, occurrence interval."""
+class Edge(NamedTuple):
+    """A single edge: origin, end point, predicate label, occurrence interval.
+
+    An immutable named tuple: equality and hashing are by fields (an ``Edge``
+    also equals the plain tuple of its fields), it pickles, and building one
+    costs a tuple, which is most of :meth:`Graph.from_edges`.
+    """
 
     edge_id: int
     source: NodeId
@@ -324,6 +338,7 @@ class Graph:
         """
         graph = cls(name)
         known, table, out, into = graph._nodes, graph._edges, graph._out, graph._in
+        new = tuple.__new__  # Edge(...) minus the Python-level __new__
         for node in nodes:
             if node not in known:
                 known.add(node)
@@ -341,7 +356,7 @@ class Graph:
                 known.add(target)
                 out[target] = {}
                 into[target] = {}
-            table[edge_id] = Edge(edge_id, source, target, label, occur)
+            table[edge_id] = new(Edge, (edge_id, source, target, label, occur))
             out[source][edge_id] = None
             into[target][edge_id] = None
             edge_id += 1

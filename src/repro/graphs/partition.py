@@ -41,10 +41,11 @@ An update has two phases:
      because every stable partition refines bisimilarity.  The row index is
      rebuilt afterwards.
 
-The quotient :class:`repro.graphs.compressed.CompressedGraph` is then patched
-in place — retired kinds removed, new kinds added, only changed out-edge rows
-rewritten.  Deltas touching more than ``max_affected_fraction`` of the
-nodes fall back to a full rebuild and bump the maintainer's *epoch*.
+The quotient :class:`repro.graphs.compressed.CompressedGraph` is built on
+first read (a view that does not shrink the graph enough never reads it) and
+then patched in place — retired kinds removed, new kinds added, only changed
+out-edge rows rewritten.  Deltas touching more than ``max_affected_fraction``
+of the nodes fall back to a full rebuild and bump the maintainer's *epoch*.
 
 ``tests/property/test_partition_parity.py`` asserts that after arbitrary
 delta sequences — acyclic and cyclic regions alike — the maintained
@@ -222,7 +223,8 @@ class PartitionMaintainer:
     The maintainer owns the partition bookkeeping — ``kind_of`` (node →
     kind), ``members`` (kind → node set), per-kind quotient ``rows`` and
     their inverse ``index`` (row → kind) — and the quotient
-    :class:`CompressedGraph` itself, patched in place by :meth:`update`.
+    :class:`CompressedGraph` itself, built on first read of :attr:`quotient`
+    and from then on patched in place by :meth:`update`.
     Kind ids are stable across incremental updates: a kind untouched by a
     delta keeps its id, so consumers may key per-kind state (typings,
     caches) by ``(epoch, kind id)``.  A full rebuild bumps :attr:`epoch` and
@@ -232,13 +234,33 @@ class PartitionMaintainer:
     def __init__(self, graph: Graph, name: str = ""):
         self.epoch = 0
         self.stats = PartitionStats()
-        self.quotient = CompressedGraph(name or f"kinds({graph.name})")
+        self._name = name or f"kinds({graph.name})"
         self._rebuild(graph)
         self.stats.full_builds = 1  # the initial build is not a fallback
 
     @property
     def kind_count(self) -> int:
         return len(self.members)
+
+    @property
+    def quotient(self) -> CompressedGraph:
+        """The quotient graph: one node per kind, one edge per row entry.
+
+        Built from the rows on first read and patched in place by later
+        updates.  Until then no update touches it, so a partition whose view
+        is refused (too little shrink) or never typed builds none.
+        """
+        if self._quotient is None:
+            self._quotient = CompressedGraph.from_edges(
+                (
+                    edge
+                    for kind in sorted(self.rows)
+                    for edge in self._row_edges(kind, self.rows[kind])
+                ),
+                nodes=self.members,
+                name=self._name,
+            )
+        return self._quotient
 
     @classmethod
     def restore(
@@ -252,15 +274,16 @@ class PartitionMaintainer:
 
         The persisted partition was coarsest when saved (it came out of
         :meth:`update` or the initial build), so no refinement is needed —
-        only the derived bookkeeping (members, rows, row index, quotient) is
-        recomputed from the map, in one pass over the graph.  ``epoch`` is
-        preserved so per-kind state persisted alongside (e.g. kind typings
-        keyed by ``(epoch, kind)``) remains valid across the restart.
+        only the derived bookkeeping (members, rows, row index) is recomputed
+        from the map, in one pass over the graph; the quotient waits for its
+        first read.  ``epoch`` is preserved so per-kind state persisted
+        alongside (e.g. kind typings keyed by ``(epoch, kind)``) remains
+        valid across the restart.
         """
         maintainer = cls.__new__(cls)
         maintainer.epoch = epoch
         maintainer.stats = PartitionStats(mode="restored")
-        maintainer.quotient = CompressedGraph(name or f"kinds({graph.name})")
+        maintainer._name = name or f"kinds({graph.name})"
         maintainer._install(graph, dict(kind_of))
         return maintainer
 
@@ -276,7 +299,8 @@ class PartitionMaintainer:
         self.stats.full_builds += 1
 
     def _install(self, graph: Graph, kind_of: Dict[NodeId, int]) -> None:
-        """Derive members, rows, the row index and the quotient from ``kind_of``."""
+        """Derive members, rows and the row index from ``kind_of``; drop the
+        quotient (:attr:`quotient` rebuilds it from the rows when read)."""
         self.kind_of = kind_of
         self.members: Dict[int, Set[NodeId]] = {}
         for node, kind in kind_of.items():
@@ -288,15 +312,7 @@ class PartitionMaintainer:
         }
         self.index: Dict[Row, int] = {row: kind for kind, row in self.rows.items()}
         self._next_kind = max(self.members, default=-1) + 1
-        self.quotient = CompressedGraph.from_edges(
-            (
-                edge
-                for kind in sorted(self.rows)
-                for edge in self._row_edges(kind, self.rows[kind])
-            ),
-            nodes=self.members,
-            name=self.quotient.name,
-        )
+        self._quotient: Optional[CompressedGraph] = None
 
     @staticmethod
     def _row_edges(kind: int, row: Row):
@@ -592,9 +608,13 @@ class PartitionMaintainer:
         """Apply the update to the quotient graph in place.
 
         Retired kinds are removed; each changed kind is added, or has its
-        out-edges rewritten when its id already was a quotient node.
+        out-edges rewritten when its id already was a quotient node.  A
+        quotient never built is left unbuilt: its first read derives it from
+        the rows, which are current.
         """
-        quotient = self.quotient
+        quotient = self._quotient
+        if quotient is None:
+            return
         for kind in sorted(retired):
             quotient.remove_node(kind)
         for kind in sorted(changed):

@@ -18,9 +18,8 @@ contiguous interval, so a per-symbol inclusion check suffices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Tuple
 
-from repro.core.bags import Bag
 from repro.core.intervals import Interval, ONE, ZERO
 from repro.rbe.ast import (
     RBE,
@@ -29,6 +28,9 @@ from repro.rbe.ast import (
     Repetition,
     SymbolAtom,
 )
+
+if TYPE_CHECKING:
+    from repro.core.bags import Bag
 
 Symbol = Hashable
 

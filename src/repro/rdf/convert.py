@@ -12,12 +12,14 @@ each literal node receives an extra outgoing edge whose label names its kind
 from __future__ import annotations
 
 import gc
-from typing import Callable, Hashable, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, List, Optional, Tuple
 
 from repro.core.intervals import ONE, Interval
 from repro.graphs.graph import Graph
-from repro.rdf.model import IRI, BlankNode, Literal, RDFGraph, Term
-from repro.rdf.parser import scan
+from repro.rdf.parser import Key, scan
+
+if TYPE_CHECKING:
+    from repro.rdf.model import IRI, RDFGraph, Term
 
 #: Label of the marker edge added below literal nodes.
 LITERAL_MARKER_LABEL = "isLiteral"
@@ -27,7 +29,10 @@ LITERAL_MARKER_NODE = "__literal__"
 
 def default_predicate_name(predicate: IRI) -> str:
     """Shorten a predicate IRI to its fragment or last path segment."""
-    value = predicate.value
+    return _local_name(predicate.value)
+
+
+def _local_name(value: str) -> str:
     for separator in ("#", "/"):
         if separator in value:
             tail = value.rsplit(separator, 1)[1]
@@ -39,11 +44,26 @@ def default_predicate_name(predicate: IRI) -> str:
 def node_id(term: Term) -> Hashable:
     """The simple-graph node of an RDF term: the IRI itself, ``_:label`` for a
     blank node, ``literal:lexical|datatype|language`` for a literal."""
+    from repro.rdf.model import IRI, BlankNode
+
     if isinstance(term, IRI):
         return term.value
     if isinstance(term, BlankNode):
         return f"_:{term.label}"
-    return f"literal:{term.lexical}|{term.datatype or ''}|{term.language or ''}"
+    return _literal_id(term.lexical, term.datatype, term.language)
+
+
+def _literal_id(lexical: str, datatype: Optional[str], language: Optional[str]) -> str:
+    return f"literal:{lexical}|{datatype or ''}|{language or ''}"
+
+
+def _key_id(key: Key) -> Hashable:
+    """:func:`node_id` of the term a :func:`~repro.rdf.parser.scan` key stands for."""
+    if key.__class__ is str:
+        return key
+    if len(key) == 2:
+        return f"_:{key[1]}"
+    return _literal_id(*key)
 
 
 def _build(
@@ -66,11 +86,13 @@ def load_graph(text: str, ntriples: bool = False, name: str = "") -> Graph:
 
     The result equals ``rdf_to_simple_graph(parse_turtle_lite(text))`` (or
     :func:`~repro.rdf.parser.parse_ntriples`): the same nodes, edges and
-    literal marker edges, without building the intermediate
-    :class:`~repro.rdf.model.RDFGraph`.  Triples are deduplicated on RDF
-    terms, so two predicate IRIs with one local name stay parallel edges.
+    literal marker edges, without building RDF term objects or the
+    intermediate :class:`~repro.rdf.model.RDFGraph`: the scan's term keys map
+    straight to node ids.  Triples are deduplicated on RDF terms, so two
+    predicate IRIs with one local name stay parallel edges, and so do two
+    distinct literals with one node id (``"a"`` and ``"a"^^<>``).
     """
-    # The cyclic collector would only rescan the growing heap of terms and
+    # The cyclic collector would only rescan the growing heap of keys and
     # edges; it is paused for the build and left as it was found, also when
     # the text does not parse.
     collecting = gc.isenabled()
@@ -83,11 +105,15 @@ def load_graph(text: str, ntriples: bool = False, name: str = "") -> Graph:
 
 
 def _load(text: str, ntriples: bool, name: str) -> Graph:
-    terms, triples = scan(text, ntriples)
-    ids = [node_id(term) for term in terms]
-    labels = {p: default_predicate_name(terms[p]) for p in {p for _, p, _ in triples}}
+    keys, triples = scan(text, ntriples)
+    ids = [_key_id(key) for key in keys]
+    labels = {p: _local_name(keys[p]) for p in {p for _, p, _ in triples}}
     edges = [(ids[s], labels[p], ids[o], ONE) for s, p, o in triples]
-    literals = {ids[index] for index, term in enumerate(terms) if isinstance(term, Literal)}
+    literals = {
+        ids[index]
+        for index, key in enumerate(keys)
+        if key.__class__ is tuple and len(key) == 3
+    }
     return _build(edges, literals, name)
 
 
@@ -108,6 +134,8 @@ def rdf_to_simple_graph(
       ``isLiteral`` edge to a shared marker node — the simulation the paper
       describes for node-kind constraints.
     """
+    from repro.rdf.model import Literal
+
     naming = predicate_name or default_predicate_name
     edges = []
     literals = set()

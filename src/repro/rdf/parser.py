@@ -13,20 +13,29 @@ Two entry points are provided:
 
 Both read the whole document in one :func:`scan`: a single compiled token
 pattern covers the text (whitespace and comments are tokens too), each
-distinct token text is decoded once, and one grammar loop serves both
-dialects.  A local name never ends in ``.`` (``ex:o.`` is ``ex:o`` then the
-terminator), and a literal or IRI may not contain a raw line break.
+distinct token text is decoded once into a plain key (a string or a tuple,
+not a model term), and one grammar loop serves both dialects.  A local name
+never ends in ``.`` (``ex:o.`` is ``ex:o`` then the terminator), and a
+literal or IRI may not contain a raw line break.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple, Union
 
 from repro.errors import RDFSyntaxError
-from repro.rdf.model import IRI, BlankNode, Literal, RDFGraph, Term, Triple
+
+if TYPE_CHECKING:
+    from repro.rdf.model import RDFGraph, Term
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
+
+#: How :func:`scan` names a distinct term: an IRI by its string, a blank node
+#: as ``("_", label)`` and a literal as ``(lexical, datatype, language)``
+#: (``None`` for an absent datatype or language).  Keys are compared and
+#: hashed in C; ``_key_term`` turns one into a model term.
+Key = Union[str, Tuple[str, str], Tuple[str, Optional[str], Optional[str]]]
 
 # No capturing groups, so ``findall`` returns the token texts.  Every
 # alternative consumes at least one character; a character no alternative
@@ -103,52 +112,54 @@ def _gap_error(text: str) -> RDFSyntaxError:
     )
 
 
-def scan(text: str, ntriples: bool = False) -> Tuple[List[Term], List[Tuple[int, int, int]]]:
-    """Read a whole document into distinct terms and deduplicated triples.
+def scan(text: str, ntriples: bool = False) -> Tuple[List[Key], List[Tuple[int, int, int]]]:
+    """Read a whole document into distinct term keys and deduplicated triples.
 
-    Returns ``(terms, triples)``: every distinct RDF term once, and each
-    distinct triple once, in document order, as ``(subject, predicate,
-    object)`` indices into ``terms``.  With ``ntriples=True`` the Turtle-only
-    syntax — ``@prefix``, prefixed names, ``a``, ``;`` and ``,`` — is an error.
+    Returns ``(keys, triples)``: every distinct RDF term once, as a plain key
+    (see :data:`Key`), and each distinct triple once, in document order, as
+    ``(subject, predicate, object)`` indices into ``keys``.  With
+    ``ntriples=True`` the Turtle-only syntax — ``@prefix``, prefixed names,
+    ``a``, ``;`` and ``,`` — is an error.
     """
     tokens = _TOKEN_RE.findall(text)
     if sum(map(len, tokens)) != len(text):
         raise _gap_error(text)
 
-    terms: List[Term] = []
-    term_index: Dict[Term, int] = {}
-    # token text -> _SKIP, a term index, or the token itself (punctuation and
+    keys: List[Key] = []
+    key_index: Dict[Key, int] = {}
+    # token text -> _SKIP, a key index, or the token itself (punctuation and
     # keywords); prefixed names depend on ``prefixes``, so a rebinding
     # clears the memo.
     memo: Dict[str, object] = {}
     prefixes: Dict[str, str] = {}
     triples: Dict[Tuple[int, int, int], None] = {}
-    iri_terms: set = set()
+    iris: Set[int] = set()
+    literals: Set[int] = set()
     rdf_type = -1
 
     def fail(position: int, message: str) -> RDFSyntaxError:
         offset = sum(map(len, tokens[:position]))
         return RDFSyntaxError(f"line {_line_of(text, offset)[0]}: {message}")
 
-    def intern(term: Term) -> int:
-        index = term_index.get(term)
+    def intern(key: Key, kind: Optional[Set[int]] = None) -> int:
+        index = key_index.get(key)
         if index is None:
-            index = term_index[term] = len(terms)
-            terms.append(term)
-            if isinstance(term, IRI):
-                iri_terms.add(index)
+            index = key_index[key] = len(keys)
+            keys.append(key)
+            if kind is not None:
+                kind.add(index)
         return index
 
     def decode(token: str, position: int) -> object:
         if _is_blank(token):
             return _SKIP
         if token[0] == "<":
-            return intern(IRI(token[1:-1]))
+            return intern(token[1:-1], iris)
         if token[0] == '"':
             lexical, language, datatype = _LITERAL_RE.fullmatch(token).groups()
-            return intern(Literal(_unescape(lexical), datatype=datatype, language=language))
+            return intern((_unescape(lexical), datatype, language), literals)
         if token.startswith("_:"):
-            return intern(BlankNode(token[2:]))
+            return intern(("_", token[2:]))
         if token in _KEYWORDS and (not ntriples or token == "."):
             return token
         if ntriples:
@@ -156,7 +167,7 @@ def scan(text: str, ntriples: bool = False) -> Tuple[List[Term], List[Tuple[int,
         prefix, _, local = token.partition(":")
         if prefix not in prefixes:
             raise fail(position, f"unknown prefix {prefix!r}")
-        return intern(IRI(prefixes[prefix] + local))
+        return intern(prefixes[prefix] + local, iris)
 
     state = _SUBJECT
     subject = predicate = 0
@@ -204,7 +215,7 @@ def scan(text: str, ntriples: bool = False) -> Tuple[List[Term], List[Tuple[int,
                 state = _PREFIX_NAME
             elif code.__class__ is not int:
                 raise fail(position, f"expected a subject, found {token!r}")
-            elif isinstance(terms[code], Literal):
+            elif code in literals:
                 raise fail(position, f"literal {token} not allowed as a subject")
             else:
                 subject = code
@@ -212,9 +223,9 @@ def scan(text: str, ntriples: bool = False) -> Tuple[List[Term], List[Tuple[int,
         else:  # _PREDICATE or _AFTER_SEMICOLON
             if code == "a":
                 if rdf_type < 0:
-                    rdf_type = intern(IRI(RDF_TYPE))
+                    rdf_type = intern(RDF_TYPE, iris)
                 code = rdf_type
-            if code in iri_terms:
+            if code in iris:
                 predicate = code
                 state = _OBJECT
             elif state == _AFTER_SEMICOLON and code == ".":
@@ -228,11 +239,25 @@ def scan(text: str, ntriples: bool = False) -> Tuple[List[Term], List[Tuple[int,
         while _is_blank(tokens[last]):
             last -= 1
         raise fail(last, f"unexpected end of input: expected {_EXPECTED[state]}")
-    return terms, list(triples)
+    return keys, list(triples)
+
+
+def _key_term(key: Key) -> Term:
+    """The model term a :func:`scan` key stands for."""
+    from repro.rdf.model import IRI, BlankNode, Literal
+
+    if key.__class__ is str:
+        return IRI(key)
+    if len(key) == 2:
+        return BlankNode(key[1])
+    return Literal(*key)
 
 
 def _rdf_graph(text: str, ntriples: bool, name: str) -> RDFGraph:
-    terms, triples = scan(text, ntriples)
+    from repro.rdf.model import RDFGraph, Triple
+
+    keys, triples = scan(text, ntriples)
+    terms = [_key_term(key) for key in keys]
     return RDFGraph(
         (Triple(terms[s], terms[p], terms[o]) for s, p, o in triples), name=name
     )

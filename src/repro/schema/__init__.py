@@ -1,36 +1,24 @@
 """Shape expression schemas: objects, parsing, classes, conversion, and validation."""
 
-from repro.schema.shex import ShExSchema
-from repro.schema.parser import parse_schema
-from repro.schema.classes import (
-    SchemaClass,
-    schema_class,
-    is_shex0,
-    is_deterministic,
-    is_detshex0,
-    is_detshex0_minus,
-)
-from repro.schema.convert import schema_to_shape_graph, shape_graph_to_schema
-from repro.schema.typing import Typing, maximal_typing, is_valid_typing, satisfies_type
-from repro.schema.validation import satisfies, satisfies_compressed, ValidationReport, validate
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ShExSchema",
-    "parse_schema",
-    "SchemaClass",
-    "schema_class",
-    "is_shex0",
-    "is_deterministic",
-    "is_detshex0",
-    "is_detshex0_minus",
-    "schema_to_shape_graph",
-    "shape_graph_to_schema",
-    "Typing",
-    "maximal_typing",
-    "is_valid_typing",
-    "satisfies_type",
-    "satisfies",
-    "satisfies_compressed",
-    "ValidationReport",
-    "validate",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.schema.shex": ("ShExSchema",),
+    "repro.schema.parser": ("parse_schema",),
+    "repro.schema.classes": (
+        "SchemaClass",
+        "schema_class",
+        "is_shex0",
+        "is_deterministic",
+        "is_detshex0",
+        "is_detshex0_minus",
+    ),
+    "repro.schema.convert": ("schema_to_shape_graph", "shape_graph_to_schema"),
+    "repro.schema.typing": ("Typing", "maximal_typing", "is_valid_typing", "satisfies_type"),
+    "repro.schema.validation": (
+        "satisfies",
+        "satisfies_compressed",
+        "ValidationReport",
+        "validate",
+    ),
+})

@@ -28,10 +28,8 @@ from typing import (
     Tuple,
 )
 
-from repro.core.bags import Bag
 from repro.graphs.graph import Graph
 from repro.rbe.ast import RBE
-from repro.rbe.membership import rbe_matches
 from repro.schema.shex import ShExSchema, TypeName
 from repro.util.assignment import feasible_split
 
@@ -292,6 +290,9 @@ def satisfies_groups_by_membership(
     It decides the plain rules without per-symbol bounds, and the reference
     oracle of :mod:`repro.schema.reference` decides every plain rule with it,
     independently of the flow."""
+    from repro.core.bags import Bag
+    from repro.rbe.membership import rbe_matches
+
     group_keys = list(groups)
 
     def compositions(total: int, parts: int):

@@ -21,21 +21,10 @@ and reuse it across jobs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Mapping, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Mapping, Tuple
 
 from repro.graphs.graph import Graph
 from repro.graphs.store import KIND_COMPRESS_MIN_NODES, GraphStore
-from repro.presburger.formula import (
-    FALSE,
-    Exists,
-    Formula,
-    LinearTerm,
-    conjunction,
-    eq,
-    fresh_variable,
-    var,
-)
-from repro.presburger.solver import is_satisfiable
 from repro.schema.shex import ShExSchema, TypeName
 from repro.schema.typing import (
     Typing,
@@ -43,6 +32,9 @@ from repro.schema.typing import (
     neighbourhood_groups,
     satisfies_type_groups,
 )
+
+if TYPE_CHECKING:
+    from repro.presburger.formula import Formula
 
 NodeId = Hashable
 
@@ -117,6 +109,16 @@ def compressed_formula(
     it is sound.  :func:`satisfies_type_compressed` and the memo-free oracle
     of :mod:`repro.schema.reference` each decide the formula their own way.
     """
+    from repro.presburger.formula import (
+        FALSE,
+        Exists,
+        LinearTerm,
+        conjunction,
+        eq,
+        fresh_variable,
+        var,
+    )
+
     symbol_set = artifact.symbol_set
     bound: List[str] = []
     constraints = []
@@ -174,6 +176,8 @@ def satisfies_type_compressed(
 
         artifact = compile_schema(schema).type_artifact(type_name)
     if artifact.group_bounds is None:
+        from repro.presburger.solver import is_satisfiable
+
         return is_satisfiable(compressed_formula(graph, node, typing, artifact))
     groups = neighbourhood_groups(graph, node, typing, artifact.symbol_set, True)
     return groups is not None and satisfies_type_groups(artifact, groups)

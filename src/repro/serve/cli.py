@@ -41,7 +41,7 @@ import sys
 import time
 from typing import Any, Dict, Optional, Sequence
 
-from repro.engine.executors import BACKENDS
+from repro.engine.backends import BACKENDS
 from repro.errors import ReproError
 from repro.obs.logs import LEVELS
 from repro.serve.client import DaemonClient

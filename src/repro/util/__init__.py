@@ -1,5 +1,7 @@
 """Internal utilities shared by validation and embedding algorithms."""
 
-from repro.util.assignment import feasible_assignment
+from repro._lazy import lazy_exports
 
-__all__ = ["feasible_assignment"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.util.assignment": ("feasible_assignment",),
+})

@@ -36,6 +36,7 @@ from repro.engine.fixpoint import (
     expand_kind_typing,
     kind_typing_for_view,
     maximal_typing_fixpoint,
+    maximal_typing_store,
     retype_incremental,
 )
 from repro.engine.validation import ValidationEngine, _payload_from_typing
@@ -46,7 +47,9 @@ from repro.graphs.graph import Graph
 from repro.graphs.partition import PartitionMaintainer
 from repro.graphs.scc import backward_closure, strongly_connected_components
 from repro.graphs.store import Delta, GraphStore, kind_compress, kind_partition
+from repro.persist import DurableStore
 from repro.schema.parser import parse_schema
+from repro.schema.reference import maximal_typing_reference
 from repro.workloads.bugtracker import bug_tracker_graph, bug_tracker_schema
 from repro.workloads.generators import DEFAULT_LABELS, random_shape_schema
 
@@ -521,6 +524,64 @@ class TestUpdateOutcome:
             assert maintainer.epoch == (epoch if in_place else epoch + 1)
             assert set(maintainer.quotient.nodes) == set(maintainer.rows)
             _assert_maintained_parity(maintainer, store.graph, f"noise delta {index}")
+
+
+def _bug_clones(copies: int) -> Graph:
+    base = bug_tracker_graph()
+    return Graph.from_edges(
+        ((index, edge.source), edge.label, (index, edge.target), edge.occur)
+        for index in range(copies)
+        for edge in base.edges
+    )
+
+
+class TestQuotientOnDemand:
+    """The maintainer builds its quotient on the first read, not before."""
+
+    def test_a_refused_view_builds_no_quotient(self):
+        # A 120-node chain: every node is its own kind, so the view is refused.
+        store = GraphStore(Graph.from_edges((i, "a", i + 1, ONE) for i in range(119)))
+        assert store.typing_view() is None
+        maintainer = store._maintainer
+        assert maintainer.kind_count == 120
+        assert maintainer._quotient is None
+        store.apply(Delta.of(add=[(0, "b", 5)]))
+        assert store.typing_view() is None
+        assert maintainer.stats.mode == "incremental" and maintainer._quotient is None
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_first_read_after_deltas_equals_kind_compress(self, seed):
+        rng = random.Random(seed)
+        labels = list(DEFAULT_LABELS[:3])
+        store = GraphStore(_noise_graph(rng, 14, 24, labels))
+        maintainer = store._sync_partition()
+        for _ in range(STEPS):
+            store.apply(_random_delta(rng, store.graph, labels))
+            store._sync_partition()  # incremental updates and fallback rebuilds
+            assert maintainer._quotient is None
+        _assert_maintained_parity(maintainer, store.graph, f"seed {seed} first read")
+
+    def test_a_reopened_store_builds_its_quotient_for_the_first_typing(self, tmp_path):
+        schema = bug_tracker_schema()
+        directory = str(tmp_path / "store")
+        store = DurableStore.create(directory, _bug_clones(12), name="clones")
+        assert store.typing_view() is not None  # the partition goes in the snapshot
+        store.checkpoint()
+        prefix = "http://example.org/bugs#"
+        store.apply(Delta.of(add=[((5, f"{prefix}bug1"), "related", (5, f"{prefix}bug2"))]))
+        store.close()
+
+        reopened = DurableStore.open(directory)
+        assert reopened.recovery["replayed"] == 1
+        maintainer = reopened._maintainer
+        assert maintainer.stats.mode == "restored" and maintainer._quotient is None
+        stats = FixpointStats()
+        typing = maximal_typing_store(reopened, schema=schema, stats=stats)
+        assert stats.mode == "kinds"
+        assert reopened._maintainer._quotient is not None
+        assert typing == maximal_typing_reference(reopened.graph, schema)
+        _assert_maintained_parity(reopened._maintainer, reopened.graph, "reopened")
+        reopened.close()
 
 
 class TestStorePathTypingParity:

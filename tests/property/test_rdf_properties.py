@@ -138,3 +138,15 @@ class TestReaderParity:
         text = _ntriples(drawn)
         assert parse_ntriples(text).triples == set(drawn), text
         _assert_same_graph(text, drawn, ntriples=True)
+
+    def test_distinct_terms_with_one_node_id_stay_parallel_edges(self):
+        # "a" and "a"^^<> are two terms, so two triples, but both convert to
+        # the node literal:a||: two parallel edges into one node, one marker.
+        text = '<http://e/s> <http://e/p> "a" , "a"^^<> , "a"@en .\n'
+        direct = load_graph(text)
+        expected = rdf_to_simple_graph(parse_turtle_lite(text))
+        assert direct.nodes == expected.nodes
+        assert Counter(direct.triples()) == Counter(expected.triples())
+        assert Counter(direct.triples())[("http://e/s", "p", "literal:a||")] == 2
+        assert len(direct.in_edges("__literal__")) == 2
+        assert len(parse_turtle_lite(text)) == 3

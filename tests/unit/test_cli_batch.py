@@ -1,9 +1,13 @@
 """Tests for batch manifests and the CLI's batch subcommand / error handling."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.engine.manifest import ManifestEntry, load_jobs, load_manifest, parse_manifest
 from repro.errors import ManifestError
@@ -186,3 +190,40 @@ class TestCLIErrorHandling:
         )
         assert code == 0
         assert "VALID" in capsys.readouterr().out
+
+
+class TestClosedStdout:
+    """``validate --show-typing ... | head -1``: the reader leaves early."""
+
+    @pytest.mark.parametrize("valid", [True, False])
+    def test_closed_stdout_is_quiet_and_keeps_the_verdict_status(self, tmp_path, valid):
+        # 5,000 bugs print far more than a pipe buffer holds, so the child is
+        # still writing when the reader closes its end.  With a ``note`` for
+        # the ``descr`` of the last bug, every bug is untyped and INVALID
+        # lists them all.
+        count = 5000
+        lines = ["@prefix ex: <http://example.org/> ."]
+        for i in range(count):
+            facts = [f"ex:related ex:b{i + 1}"] if i + 1 < count else []
+            last = "descr" if valid or i + 1 < count else "note"
+            facts.append(f"ex:{last} ex:l{i}")
+            lines.append(f"ex:b{i} " + " ; ".join(facts) + " .")
+        data = tmp_path / "bugs.ttl"
+        data.write_text("\n".join(lines) + "\n")
+        schema = tmp_path / "schema.shex"
+        schema.write_text("Bug -> descr :: Lit, related :: Bug?\nLit -> eps\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "validate", "--show-typing",
+             "--schema", str(schema), "--data", str(data)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        code = proc.wait(timeout=120)
+        assert first.startswith(b"VALID:" if valid else b"INVALID: 5000 node(s)")
+        assert stderr == b""
+        assert code == (0 if valid else 1)

@@ -1,11 +1,14 @@
 """Unit tests for the graph models: general, simple, shape, compressed."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.core.intervals import Interval, ONE
 from repro.errors import GraphError, NotSimpleGraphError
 from repro.graphs.compressed import CompressedGraph, pack_simple_graph
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Edge, Graph
 from repro.graphs.shape import (
     is_detshex0_minus_graph,
     is_deterministic_shape_graph,
@@ -219,6 +222,60 @@ class TestGraphBasics:
         graph.add_edge("x", "a", "y", "*")
         rendered = str(graph)
         assert "demo" in rendered and "x -a [*]-> y" in rendered
+
+
+class TestEdgeContract:
+    """What ``Edge`` guarantees callers, whatever class implements it."""
+
+    def test_assignment_raises(self):
+        edge = Edge(0, "x", "y", "a", ONE)
+        for field in ("edge_id", "source", "target", "label", "occur"):
+            with pytest.raises(AttributeError):
+                setattr(edge, field, None)
+        with pytest.raises(AttributeError):
+            edge.extra = 1
+        assert (edge.edge_id, edge.source, edge.target, edge.label, edge.occur) == (
+            0, "x", "y", "a", ONE
+        )
+
+    def test_equal_fields_give_equal_edges_with_one_hash(self):
+        first = Edge(3, ("t", 1), "y", "a", Interval(2, 5))
+        second = Edge(3, ("t", 1), "y", "a", Interval(2, 5))
+        assert first == second and hash(first) == hash(second)
+        assert len({first, second}) == 1
+        for other in (Edge(4, ("t", 1), "y", "a", Interval(2, 5)),
+                      Edge(3, ("t", 1), "z", "a", Interval(2, 5)),
+                      Edge(3, ("t", 1), "y", "b", Interval(2, 5)),
+                      Edge(3, ("t", 1), "y", "a", ONE)):
+            assert first != other
+
+    def test_str_and_repr(self):
+        assert str(Edge(0, "x", "y", "a", ONE)) == "x -a-> y"
+        assert str(Edge(1, "x", 7, "b", Interval(2, 3))) == "x -b [[2;3]]-> 7"
+        assert repr(Edge(0, "x", "y", "a", ONE)) == (
+            "Edge(edge_id=0, source='x', target='y', label='a', occur=Interval(1, 1))"
+        )
+
+    def test_pickle_and_copy_round_trip(self):
+        edge = Edge(5, ("t", 1), "y", "a", Interval(0, None))
+        for restored in (
+            pickle.loads(pickle.dumps(edge)),
+            pickle.loads(pickle.dumps(edge, protocol=0)),
+            copy.copy(edge),
+            copy.deepcopy(edge),
+        ):
+            assert type(restored) is Edge and restored == edge
+
+    def test_from_edges_equals_the_add_edge_loop(self):
+        content = [("x", "a", "y", None), ("y", "b", "x", "*"), ("x", "a", "y", 2)]
+        bulk = Graph.from_edges(content)
+        sequential = Graph()
+        added = [sequential.add_edge(*entry) for entry in content]
+        assert bulk.edges == sequential.edges == added
+        assert all(type(edge) is Edge for edge in bulk.edges)
+        assert [hash(edge) for edge in bulk.edges] == [hash(edge) for edge in added]
+        bulk.remove_edge(added[1])  # an equal Edge from another graph
+        assert [edge.edge_id for edge in bulk.edges] == [0, 2]
 
 
 class TestGraphClasses:

@@ -6,21 +6,33 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import repro
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
-#: Modules a one-shot ``shex-containment validate`` must never import.
+#: Modules a one-shot ``shex-containment validate`` must never import (the
+#: solver and membership modules: of an interval-RBE0 schema).
 VALIDATE_NEVER_LOADS = (
     "numpy",
     "scipy",
     "networkx",
     "asyncio",
+    "concurrent.futures",
+    "multiprocessing",
+    "repro.engine.executors",
+    "repro.presburger.formula",
+    "repro.presburger.solver",
+    "repro.rbe.membership",
     "repro.serve",
     "repro.persist",
     "repro.containment",
     "repro.workloads",
 )
+
+#: How many ``repro`` modules that one-shot ``validate`` may load at most.
+VALIDATE_MAX_REPRO_MODULES = 35
 
 _FOOTPRINT_PROGRAM = """
 import contextlib, io, json, sys
@@ -47,6 +59,36 @@ with start_in_thread(socket_path=address, data_dir=data_dir):
 print(json.dumps({"verdict": answer["verdict"], "mode": answer["mode"],
                   "numpy": "numpy" in sys.modules}))
 """
+
+
+def _run_footprint(tmp_path, schema_text: str, data_text: str) -> dict:
+    """Run a one-shot ``validate`` in a fresh interpreter; its report."""
+    schema = tmp_path / "schema.shex"
+    schema.write_text(schema_text)
+    data = tmp_path / "data.ttl"
+    data.write_text(data_text)
+    completed = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_PROGRAM, str(schema), str(data)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC_DIR),
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return json.loads(completed.stdout)
+
+
+def _bug_chains(copies: int, length: int, both: int) -> str:
+    """Turtle for ``copies`` ``related`` chains of ``length`` bugs, each bug
+    with a ``descr`` or a ``note`` literal; bug ``both`` of a chain has both."""
+    lines = ["@prefix ex: <http://example.org/> ."]
+    for copy in range(copies):
+        for i in range(length):
+            facts = ['ex:note "n"' if i % 2 else 'ex:descr "d"']
+            if i == both:
+                facts = ['ex:note "n"', 'ex:descr "d"']
+            if i + 1 < length:
+                facts.append(f"ex:related ex:c{copy}b{i + 1}")
+            lines.append(f"ex:c{copy}b{i} " + " ; ".join(facts) + " .")
+    return "\n".join(lines) + "\n"
 
 
 def _cyclic_bugs(count: int) -> str:
@@ -136,22 +178,14 @@ class TestPublicSurface:
 
 class TestImportFootprint:
     def test_one_shot_validate_loads_only_what_it_runs(self, tmp_path):
-        schema = tmp_path / "schema.shex"
-        schema.write_text("Bug -> descr :: Lit, related :: Bug*\nLit -> eps\n")
-        data = tmp_path / "bugs.ttl"
-        data.write_text(
+        report = _run_footprint(
+            tmp_path,
+            "Bug -> descr :: Lit, related :: Bug*\nLit -> eps\n",
             "@prefix ex: <http://example.org/> .\n"
             "ex:b1 ex:descr ex:l1 ; ex:related ex:b2, ex:b3 .\n"
             "ex:b2 ex:descr ex:l2 .\n"
-            "ex:b3 ex:related ex:b1 .\n"
+            "ex:b3 ex:related ex:b1 .\n",
         )
-        env = dict(os.environ, PYTHONPATH=SRC_DIR)
-        completed = subprocess.run(
-            [sys.executable, "-c", _FOOTPRINT_PROGRAM, str(schema), str(data)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert completed.returncode == 0, completed.stderr
-        report = json.loads(completed.stdout)
         assert report["code"] == 1
         assert report["out"].startswith("INVALID: 2 node(s)")
         loaded = [
@@ -160,20 +194,49 @@ class TestImportFootprint:
                    for banned in VALIDATE_NEVER_LOADS)
         ]
         assert loaded == []
+        repro_modules = [
+            module for module in report["modules"]
+            if module == "repro" or module.startswith("repro.")
+        ]
+        assert len(repro_modules) <= VALIDATE_MAX_REPRO_MODULES, repro_modules
+
+    @pytest.mark.parametrize("copies, length", [(1, 12), (30, 4)])
+    def test_non_interval_rule_validates_like_the_reference(self, tmp_path, copies, length):
+        # A disjunction is no interval RBE0.  Twelve bugs are typed node by
+        # node through the membership test; 120 (past the view floor, 30
+        # alike chains) go through kind_view, which asks the solver module
+        # whether the MILP is there and, if so, types the quotient with it.
+        from repro.rdf.convert import load_graph
+        from repro.schema.parser import parse_schema
+        from repro.schema.reference import maximal_typing_reference
+
+        schema_text = (
+            "Bug -> (descr :: Lit | note :: Lit), related :: Bug?\n"
+            "Lit -> isLiteral :: M\nM -> eps\n"
+        )
+        both = length // 2
+        data_text = _bug_chains(copies, length, both)
+        report = _run_footprint(tmp_path, schema_text, data_text)
+        graph = load_graph(data_text)
+        expected = maximal_typing_reference(graph, parse_schema(schema_text))
+        untyped = sorted(map(str, expected.untyped()))
+        assert len(untyped) == copies * (both + 1)
+        lines = report["out"].splitlines()
+        assert report["code"] == 1
+        assert lines[0] == f"INVALID: {len(untyped)} node(s) have no type:"
+        assert sorted(line.strip() for line in lines[1:]) == untyped
+        if copies > 1:
+            assert "repro.presburger.solver" in report["modules"]
+        else:
+            assert "repro.rbe.membership" in report["modules"]
 
     def test_one_shot_validate_through_the_kind_view_loads_no_numpy(self, tmp_path):
         # 120 bugs in a ring: past the view floor, typed as a 2-kind quotient.
-        schema = tmp_path / "schema.shex"
-        schema.write_text("Bug -> descr :: Lit, related :: Bug\nLit -> isLiteral :: M\nM -> eps\n")
-        data = tmp_path / "ring.ttl"
-        data.write_text(_cyclic_bugs(120))
-        completed = subprocess.run(
-            [sys.executable, "-c", _FOOTPRINT_PROGRAM, str(schema), str(data)],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC_DIR),
-            timeout=120,
+        report = _run_footprint(
+            tmp_path,
+            "Bug -> descr :: Lit, related :: Bug\nLit -> isLiteral :: M\nM -> eps\n",
+            _cyclic_bugs(120),
         )
-        assert completed.returncode == 0, completed.stderr
-        report = json.loads(completed.stdout)
         assert (report["code"], report["out"].split(":")[0]) == (0, "VALID")
         assert "numpy" not in report["modules"]
 
