@@ -517,8 +517,11 @@ def affected_region(graph: Graph, seeds) -> Set[NodeId]:
     A node's types depend only on its out-reachable subgraph, so after an edge
     delta the typing can change exactly for the nodes from which some touched
     node is reachable — the region :func:`repro.graphs.scc.backward_closure`
-    collects with a BFS over ``in_edges`` (the partition maintainer walks the
-    same closure).  Seeds absent from the graph are ignored.
+    collects with a BFS over ``in_edges``.  The kind partition is not kept
+    up to date over this region: it is rebuilt whole by the next
+    :meth:`repro.graphs.store.GraphStore.typing_view` read at a new version,
+    which only a full typing makes.  Seeds absent from the graph are
+    ignored.
     """
     return backward_closure(
         graph, (node for node in seeds if graph.has_node(node))

@@ -295,7 +295,7 @@ class ValidationEngine(BatchEngine):
         :data:`repro.engine.fixpoint.MAX_AFFECTED_FRACTION` of the graph — go
         through :func:`repro.engine.fixpoint.maximal_typing_store`, which
         types the store's kind quotient when its view pays (``mode
-        "kinds"``), so a store's partition is synced only then.  Results are
+        "kinds"``), so a store's partition is built only then.  Results are
         also pushed through the regular fingerprint-keyed result cache, so a
         store whose content matches an earlier job — any store, any version —
         is answered without computing at all (``mode="cached"``); when the

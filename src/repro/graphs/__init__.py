@@ -13,7 +13,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "is_detshex0_minus_graph",
     ),
     "repro.graphs.compressed": ("CompressedGraph", "pack_simple_graph"),
-    "repro.graphs.partition": ("PartitionMaintainer", "PartitionStats"),
     "repro.graphs.scc": (
         "backward_closure",
         "condensation_order",

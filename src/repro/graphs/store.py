@@ -22,10 +22,10 @@ substrate: a graph that knows *what changed between which versions*.
   marks the buckets of its touched nodes dirty, and later calls rehash only
   those — so keying result caches by content costs the delta, not the graph;
 * :meth:`GraphStore.typing_view` exposes an optional *kind-compression* view
-  (the Section 6.1 quotient by neighbourhood signature), maintained per delta
-  and chosen automatically by a size heuristic: graphs with many structurally
-  identical nodes are typed once per kind on the compressed quotient instead
-  of once per node.
+  (the Section 6.1 quotient by neighbourhood signature), built once per
+  version it is read at and chosen automatically by a size heuristic: graphs
+  with many structurally identical nodes are typed once per kind on the
+  compressed quotient instead of once per node.
 
 The store holds no second copy of the graph: the region a delta can change is
 the backward closure of its touched nodes, which every consumer computes with
@@ -50,9 +50,9 @@ from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.core.intervals import Interval, ONE
 from repro.errors import GraphError
-from repro.graphs.compressed import CompressedGraph
 from repro.graphs.graph import Edge, Graph, Label
-from repro.graphs.partition import PartitionMaintainer, kind_partition, row_of
+from repro.graphs.partition import KindView, build_partition, quotient_view
+from repro.graphs.partition import kind_compress, kind_partition  # noqa: F401 - public here too
 from repro.obs import metrics as _obs_metrics
 from repro.obs import tracing as _obs_tracing
 
@@ -62,10 +62,6 @@ _M_DELTAS = _REGISTRY.counter(
 )
 _M_DELTA_EDGES = _REGISTRY.histogram(
     "repro_store_delta_edges", "Edge entries (added + removed) of one applied delta."
-)
-_M_VIEW_EPOCHS = _REGISTRY.counter(
-    "repro_store_view_epochs_total",
-    "Kind-view epoch bumps (full partition rebuilds) across every store.",
 )
 
 NodeId = Hashable
@@ -250,61 +246,6 @@ class Delta:
             raise GraphError(f"malformed delta entry: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class KindView:
-    """The kind-compression view of a graph at one store version.
-
-    ``compressed`` is the quotient: one node per kind (small integer ids), one
-    edge per ``(kind, label, kind)`` with the member-wise edge count as its
-    singleton multiplicity.  ``kind_of`` maps every original node to its kind;
-    ``members`` lists each kind's nodes.  Typing the quotient under the
-    compressed semantics and reading each node's types off its kind equals the
-    per-node plain typing.
-
-    Views built by :func:`kind_compress` are snapshots (tuples, private
-    quotient).  Views handed out by :meth:`GraphStore.typing_view` are *live*:
-    they reference the store's incrementally maintained partition, whose
-    quotient is patched in place — ``members`` values are then sets, and the
-    view reflects the store's current version, not the version it was
-    requested at.
-    """
-
-    compressed: CompressedGraph
-    kind_of: Dict[NodeId, int]
-    members: Dict[int, Iterable[NodeId]]
-
-    @property
-    def kind_count(self) -> int:
-        return len(self.members)
-
-
-def kind_compress(graph: Graph, name: str = "") -> KindView:
-    """Quotient ``graph`` by :func:`kind_partition` into a compressed graph.
-
-    Edge multiplicities of the quotient are the per-member counts: kind ``K``
-    has an edge ``a[k]`` to kind ``K'`` when every member of ``K`` has exactly
-    ``k`` out-edges labelled ``a`` into members of ``K'`` (the partition
-    guarantees the count is member-independent).  Occurrence intervals of the
-    input are ignored — the view serves the *plain* semantics, where each edge
-    counts once.
-    """
-    kind_of = kind_partition(graph)
-    members: Dict[int, List[NodeId]] = {}
-    for node, kind in kind_of.items():
-        members.setdefault(kind, []).append(node)
-    quotient = CompressedGraph(name or f"kinds({graph.name})")
-    quotient.add_nodes(members)
-    for kind, nodes in members.items():
-        row = row_of(graph, min(nodes, key=repr), kind_of)
-        for (label, target_kind), count in sorted(row, key=repr):
-            quotient.add_edge(kind, label, target_kind, Interval.singleton(count))
-    return KindView(
-        compressed=quotient,
-        kind_of=kind_of,
-        members={kind: tuple(sorted(nodes, key=repr)) for kind, nodes in members.items()},
-    )
-
-
 _STORE_IDS = itertools.count(1)
 
 
@@ -345,13 +286,14 @@ class GraphStore:
         self._fp_digests: List[bytes] = []
         self._fp_dirty: Set[int] = set()
         self._fp_lock = threading.Lock()
+        # typing_view()'s answer at one version, and what the last partition
+        # build found (view_stats() reports it without building).
         self._view: Optional[Tuple[int, Optional[KindView]]] = None
-        self._maintainer: Optional[PartitionMaintainer] = None
-        self._maintainer_version = base_version
-        # Guards the maintained-partition state: engines may type one store
-        # against several schemas concurrently, and each full typing syncs
-        # the partition through typing_view().  (Mutation vs. read safety is
-        # still the caller's job, as for the graph itself.)
+        self._partition_stats: Optional[Dict[str, object]] = None
+        # Engines may type one store against several schemas concurrently,
+        # and each full typing reads typing_view(): one build per version.
+        # (Mutation vs. read safety is still the caller's job, as for the
+        # graph itself.)
         self._view_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
@@ -428,116 +370,64 @@ class GraphStore:
                 self._fp_dirty.add(bucket)
 
     def typing_view(self) -> Optional[KindView]:
-        """The kind-compression view, or ``None`` when it would not pay.
+        """The kind-compression view at the current version, or ``None`` when
+        it would not pay.
 
         The heuristic refuses graphs below ``KIND_COMPRESS_MIN_NODES`` outright
         (the quotient could not amortise its construction) and otherwise keeps
         the view only when the partition shrinks the node count by at least
-        ``KIND_COMPRESS_MIN_RATIO``.
+        ``KIND_COMPRESS_MIN_RATIO``; a refused view builds no quotient.
 
-        The partition is *maintained*, and synced only when the view is read:
-        the first call builds it in full, later calls bring it up to date
-        under the composed delta since the last call
-        (:class:`repro.graphs.partition.PartitionMaintainer`), so on small
-        writes the view costs the delta's affected region, not the graph.  The
-        returned view is live (see :class:`KindView`).  For a from-scratch
-        snapshot of any graph, call :func:`kind_compress`.
+        The answer is cached per version.  The first read at a version builds
+        the partition from scratch
+        (:func:`repro.graphs.partition.build_partition`) under a
+        ``partition.sync`` span tagged with the ``path`` taken (``dag`` or
+        ``rounds``), the nodes ``refined`` in rounds and the ``kinds`` found;
+        later reads at that version return the same snapshot (see
+        :class:`KindView`).  Revalidation retypes a delta's region without the
+        view, so only full typings read it.
         """
         with self._view_lock:
-            if self._view is not None and self._view[0] == self._version:
+            version = self._version
+            if self._view is not None and self._view[0] == version:
                 return self._view[1]
             view: Optional[KindView] = None
-            if self._graph.node_count >= KIND_COMPRESS_MIN_NODES:
-                maintainer = self._sync_partition()
-                if maintainer.kind_count * KIND_COMPRESS_MIN_RATIO <= self._graph.node_count:
-                    view = KindView(
-                        compressed=maintainer.quotient,
-                        kind_of=maintainer.kind_of,
-                        members=maintainer.members,
-                    )
-            self._view = (self._version, view)
+            nodes = self._graph.node_count
+            if nodes >= KIND_COMPRESS_MIN_NODES:
+                with _obs_tracing.span("partition.sync") as span:
+                    kind_of, path, refined = build_partition(self._graph)
+                    kinds = max(kind_of.values()) + 1  # numbered 0..kinds-1
+                    if kinds * KIND_COMPRESS_MIN_RATIO <= nodes:
+                        view = quotient_view(
+                            self._graph, kind_of, name=f"kinds({self.name})"
+                        )
+                    span.annotate(path=path, refined=refined, kinds=kinds)
+                self._partition_stats = {
+                    "kinds": kinds,
+                    "compression_ratio": round(nodes / kinds, 2),
+                    "partition_version": version,
+                    "path": path,
+                    "refined": refined,
+                }
+            self._view = (version, view)
             return view
-
-    def _sync_partition(self) -> PartitionMaintainer:
-        """Bring the maintained kind partition up to the current version.
-
-        Runs under a ``partition.sync`` span tagged with the schedule
-        (``mode``: full / incremental / unchanged), the re-kinded node count
-        (``affected``), how kinds were computed (``path``: ``dag`` or
-        ``rounds``) and how many nodes were refined in rounds (``refined``).
-        """
-        with _obs_tracing.span("partition.sync") as span:
-            maintainer = self._maintainer
-            if maintainer is None:
-                maintainer = self._maintainer = PartitionMaintainer(
-                    self._graph, name=f"kinds({self.name})"
-                )
-            elif self._maintainer_version != self._version:
-                delta = self.diff(self._maintainer_version, self._version)
-                if not maintainer.update(self._graph, delta):
-                    _M_VIEW_EPOCHS.inc()  # fallback rebuild; ids changed epoch
-            else:
-                span.annotate(
-                    mode="unchanged", affected=0, path=maintainer.stats.path, refined=0
-                )
-                return maintainer
-            self._maintainer_version = self._version
-            stats = maintainer.stats
-            span.annotate(
-                mode=stats.mode, affected=stats.affected, path=stats.path,
-                refined=stats.refined,
-            )
-            return maintainer
-
-    def restore_partition(self, kind_of: Dict[NodeId, int], epoch: int) -> None:
-        """Install a previously persisted kind partition at the current version.
-
-        ``kind_of`` must be the partition of the *current* graph (a restored
-        snapshot calls this before replaying its WAL tail), and ``epoch`` the
-        epoch it was saved under — preserving it keeps per-kind state persisted
-        alongside (kind typings) valid.  Subsequent deltas update the restored
-        maintainer incrementally, exactly as if it had been built here.
-        """
-        with self._view_lock:
-            self._maintainer = PartitionMaintainer.restore(
-                self._graph, kind_of, epoch, name=f"kinds({self.name})"
-            )
-            self._maintainer_version = self._version
-            self._view = None
 
     def view_stats(self) -> Dict[str, object]:
         """Kind-view observability for ``status`` endpoints (never computes).
 
-        Reports the maintained partition's state — kind count, compression
-        ratio, epoch, last update mode, update counters — without triggering
-        a build or sync: a store that was never typed reports
-        ``{"active": False}``.
+        Reports the last partition build — kind count, compression ratio, the
+        version it was built at, its ``path`` and ``refined`` count — and
+        whether a view is ``active`` at the current version, without
+        triggering a build: a store whose view was never read at or past
+        ``KIND_COMPRESS_MIN_NODES`` nodes reports ``{"active": False}``.
         """
-        with self._view_lock:  # a sync may be mid-flight on an engine thread
-            maintainer = self._maintainer
-            if maintainer is None:
+        with self._view_lock:  # a build may be mid-flight on an engine thread
+            stats = self._partition_stats
+            if stats is None:
                 return {"active": False}
-            stats = maintainer.stats
-            active = (
-                self._view is not None
-                and self._view[0] == self._version
-                and self._view[1] is not None
-            )
-            nodes = self._graph.node_count
-            return {
-                "active": active,
-                "kinds": maintainer.kind_count,
-                "compression_ratio": round(nodes / max(maintainer.kind_count, 1), 2),
-                "epoch": maintainer.epoch,
-                "partition_version": self._maintainer_version,
-                "last_update": stats.mode,
-                "path": stats.path,
-                "refined": stats.refined,
-                "full_builds": stats.full_builds,
-                "incremental_updates": stats.incremental_updates,
-                "splits": stats.splits,
-                "merges": stats.merges,
-            }
+            view = self._view
+            active = view is not None and view[0] == self._version and view[1] is not None
+            return {"active": active, **stats}
 
     # ------------------------------------------------------------------ #
     # Mutation

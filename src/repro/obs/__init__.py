@@ -27,72 +27,35 @@ Quick tour::
     ['doc.phase']
 """
 
-from repro.obs.logs import configure_logging, log_event
-from repro.obs.metrics import (
-    REGISTRY,
-    Counter,
-    CounterWindow,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    default_buckets,
-    disable,
-    enable,
-    enabled,
-    get_registry,
-    parse_prometheus,
-    render_prometheus,
-)
-from repro.obs.tracing import (
-    NOOP_SPAN,
-    Span,
-    current_span,
-    current_trace_id,
-    new_trace_id,
-    span,
-    start_trace,
-)
+from repro._lazy import lazy_exports
 
-
-def counter(name, help_text, labels=()):
-    """Register (or fetch) a counter on the default registry."""
-    return REGISTRY.counter(name, help_text, labels)
-
-
-def gauge(name, help_text, labels=()):
-    """Register (or fetch) a gauge on the default registry."""
-    return REGISTRY.gauge(name, help_text, labels)
-
-
-def histogram(name, help_text, labels=(), buckets=None):
-    """Register (or fetch) a histogram on the default registry."""
-    return REGISTRY.histogram(name, help_text, labels, buckets)
-
-
-__all__ = [
-    "REGISTRY",
-    "NOOP_SPAN",
-    "Counter",
-    "CounterWindow",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "Span",
-    "configure_logging",
-    "counter",
-    "current_span",
-    "current_trace_id",
-    "default_buckets",
-    "disable",
-    "enable",
-    "enabled",
-    "gauge",
-    "get_registry",
-    "histogram",
-    "log_event",
-    "new_trace_id",
-    "parse_prometheus",
-    "render_prometheus",
-    "span",
-    "start_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.obs.logs": ("configure_logging", "log_event"),
+    "repro.obs.metrics": (
+        "REGISTRY",
+        "Counter",
+        "CounterWindow",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+        "counter",
+        "default_buckets",
+        "disable",
+        "enable",
+        "enabled",
+        "gauge",
+        "get_registry",
+        "histogram",
+        "parse_prometheus",
+        "render_prometheus",
+    ),
+    "repro.obs.tracing": (
+        "NOOP_SPAN",
+        "Span",
+        "current_span",
+        "current_trace_id",
+        "new_trace_id",
+        "span",
+        "start_trace",
+    ),
+})

@@ -608,3 +608,18 @@ REGISTRY = MetricsRegistry()
 def get_registry() -> MetricsRegistry:
     """The process-wide default registry."""
     return REGISTRY
+
+
+def counter(name, help_text, labels=()):
+    """Register (or fetch) a counter on the default registry."""
+    return REGISTRY.counter(name, help_text, labels)
+
+
+def gauge(name, help_text, labels=()):
+    """Register (or fetch) a gauge on the default registry."""
+    return REGISTRY.gauge(name, help_text, labels)
+
+
+def histogram(name, help_text, labels=(), buckets=None):
+    """Register (or fetch) a histogram on the default registry."""
+    return REGISTRY.histogram(name, help_text, labels, buckets)

@@ -5,7 +5,7 @@ state survives the process.  On disk, one store owns one directory::
 
     <directory>/
         MANIFEST.json          # {"format": N, "name": ..., "generation": G}
-        snapshot-<G>.json      # graph + delta log tail + partition + typings
+        snapshot-<G>.json      # graph + delta log tail + typings
         wal-<G>.log            # deltas applied since snapshot G
 
 **Checkpointing** (:meth:`DurableStore.checkpoint`) writes the next
@@ -23,14 +23,16 @@ acknowledged write by more than the fsync policy's window.
 
 **Opening** (:meth:`DurableStore.open`) runs any pending format migrations
 (:mod:`repro.persist.migrations`), loads the newest readable snapshot
-(falling back one generation if the newest is corrupt), restores the kind
-partition and the delta-log tail, then replays the WAL — truncating a torn
-tail record instead of failing, and skipping duplicate records left by a
-crash-during-append (records carry their target version).  The snapshot
-decodes in bulk: the graph is one :meth:`Graph.from_edges` call over edges
-whose intervals are interned per distinct pair, the partition's quotient
-another, and the cyclic collector is paused for the whole open (what it
-builds is acyclic) and left as it was found.  The snapshot's
+(falling back one generation if the newest is corrupt), restores the
+delta-log tail, then replays the WAL — truncating a torn tail record instead
+of failing, and skipping duplicate records left by a crash-during-append
+(records carry their target version).  The snapshot decodes in bulk: the
+graph is one :meth:`Graph.from_edges` call over edges whose intervals are
+interned per distinct pair, and the cyclic collector is paused for the whole
+open (what it builds is acyclic) and left as it was found.  No kind
+partition is persisted: the first full typing after a restart builds it
+(:meth:`GraphStore.typing_view`), and the ``partition`` section that older
+snapshots carry is ignored.  The snapshot's
 persisted typing snapshots come back as :attr:`restored_typings`, ready for
 :meth:`repro.engine.validation.ValidationEngine.seed_typing` — which is
 what makes the restart *warm*: the first revalidate runs incrementally from
@@ -193,7 +195,7 @@ class DurableStore(GraphStore):
         cls, directory: str, fsync: "FsyncPolicy | str" = "always"
     ) -> "DurableStore":
         """Recover the store persisted in ``directory`` (see module docstring)."""
-        # What an open builds is acyclic (graph, partition, typings), so the
+        # What an open builds is acyclic (graph, log, typings), so the
         # cyclic collector would only rescan the growing heap; it is paused
         # for the open and left as it was found.  Not gc.freeze(): frozen
         # objects would outlive a store that is later replaced.
@@ -221,11 +223,8 @@ class DurableStore(GraphStore):
 
             with _obs_tracing.span("persist.decode") as decode_span:
                 store = cls._decode_snapshot(snapshot, directory, fsync, generation)
-                maintainer = store._maintainer
                 decode_span.annotate(
-                    nodes=store._graph.node_count,
-                    edges=store._graph.edge_count,
-                    kinds=maintainer.kind_count if maintainer is not None else 0,
+                    nodes=store._graph.node_count, edges=store._graph.edge_count
                 )
 
             store._replay_wal(generation)
@@ -245,7 +244,7 @@ class DurableStore(GraphStore):
         fsync: "FsyncPolicy | str",
         generation: int,
     ) -> "DurableStore":
-        """The store a snapshot describes: graph, log tail, partition, typings."""
+        """The store a snapshot describes: graph, log tail, typings."""
         decode = codec.decode_node
         graph = Graph.from_edges(
             codec.decode_edges(snapshot.get("edges", ())),
@@ -271,13 +270,7 @@ class DurableStore(GraphStore):
             )
         store._log.extend(tail)
         store._version = int(snapshot["version"])
-        store._maintainer_version = store._version
         store._last_checkpoint_at = snapshot.get("created_at")
-
-        partition = snapshot.get("partition")
-        if partition:
-            kind_of = {decode(node): kind for node, kind in partition["kind_of"]}
-            store.restore_partition(kind_of, int(partition["epoch"]))
         for entry in snapshot.get("typings", ()):
             store.restored_typings.append(
                 {
@@ -422,20 +415,6 @@ class DurableStore(GraphStore):
             codec.encode_delta(self._log[cursor - self._base].compact())
             for cursor in range(base, self._version)
         ]
-        partition = None
-        with self._view_lock:
-            maintainer = self._maintainer
-            if maintainer is not None and self._maintainer_version == self._version:
-                partition = {
-                    "kind_of": sorted(
-                        (
-                            [codec.encode_node(node), kind]
-                            for node, kind in maintainer.kind_of.items()
-                        ),
-                        key=repr,
-                    ),
-                    "epoch": maintainer.epoch,
-                }
         return {
             "format": _migrations.CURRENT_FORMAT,
             "name": self.name,
@@ -456,7 +435,6 @@ class DurableStore(GraphStore):
                 key=repr,
             ),
             "log": tail,
-            "partition": partition,
             "typings": [
                 {
                     "schema": entry["schema"],

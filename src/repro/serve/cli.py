@@ -121,7 +121,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
         if view.get("active"):
             line += (
                 f"; kinds={view['kinds']} ({view['compression_ratio']}x), "
-                f"last partition update: {view['last_update']} ({view['path']})"
+                f"partition path {view['path']} ({view['refined']} refined)"
             )
         elif view:
             line += "; kind view inactive"

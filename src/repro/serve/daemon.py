@@ -1194,10 +1194,10 @@ class ValidationDaemon:
     def _store_status(cls, name: str, store: GraphStore) -> Dict[str, Any]:
         """The ``status`` view of one store: summary plus kind-view stats.
 
-        ``view`` reports the maintained kind partition — kind count,
-        compression ratio, last update mode (``full`` vs ``incremental``) —
-        so operators can see when compression pays; ``{"active": false}``
-        for stores that were never typed (the report never computes).
+        ``view`` reports the store's last kind-partition build — kind count,
+        compression ratio, the version it was built at, its path — so
+        operators can see when compression pays; ``{"active": false}`` for
+        stores whose view was never built (the report never computes).
         """
         summary = cls._store_summary(name, store)
         summary["view"] = store.view_stats()

@@ -1,26 +1,26 @@
-"""Parity of the maintained kind partition against from-scratch compression.
+"""Parity of the store's kind view against from-scratch compression.
 
-:class:`repro.graphs.partition.PartitionMaintainer` updates the counting
-bisimulation under edge deltas — local split refinement over the affected
-region, a quotient-level merge pass, in-place quotient patching.  After *any*
-delta sequence the maintained state must equal a fresh
-:func:`repro.graphs.store.kind_partition` / :func:`kind_compress` run, up to
-the kind renaming (maintained ids are stable; fresh ids are repr-ordered):
+:meth:`repro.graphs.store.GraphStore.typing_view` builds the kind partition
+and its quotient once per version it is read at.  After *any* delta sequence
+— cyclic noise graphs, DAG shapes, clones — the view at each version must
+equal a fresh :func:`repro.graphs.store.kind_compress` of that version's
+graph, up to kind renaming:
 
 * same partition *blocks* over the nodes;
 * isomorphic quotient under the member-induced kind bijection (same rows,
   same multiplicities);
-* consistent bookkeeping (members partition the node set, quotient nodes are
-  exactly the kinds).
 
-Acyclic regions take the sinks-first hash-consing pass and cyclic ones the
-round-based refinement; the DAG-shaped sequences below cross between the two
-paths in both directions and check that each path costs what it should.
+and the typing through the view must equal the oracle's.  Two reads at one
+version build once (one ``partition.sync`` span), a refused view builds no
+quotient, and a view handed out at one version does not change with later
+deltas.
 
-On top of the structural parity, revalidating a store whose kind view pays
-— a full typing through the quotient, then region retyping of each delta by
-:meth:`ValidationEngine.revalidate` — must equal a full from-scratch typing
-at every version.
+The build itself hashes the nodes that reach no cycle sinks first and
+refines only the rest; it must give the very dict of one-block refinement
+of the whole graph.  On top of that, revalidating a store whose kind view
+pays — a full typing through the quotient, then region retyping of each
+delta by :meth:`ValidationEngine.revalidate` — must equal a full
+from-scratch typing at every version.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.engine.fixpoint import (
     FixpointStats,
     expand_kind_typing,
@@ -43,18 +44,24 @@ from repro.engine.validation import ValidationEngine, _payload_from_typing
 from repro.core.intervals import ONE
 from repro.errors import GraphError
 from repro.graphs import partition
+from repro.graphs import store as store_module
 from repro.graphs.graph import Graph
-from repro.graphs.partition import PartitionMaintainer
 from repro.graphs.scc import backward_closure, strongly_connected_components
-from repro.graphs.store import Delta, GraphStore, kind_compress, kind_partition
-from repro.persist import DurableStore
+from repro.graphs.store import (
+    KIND_COMPRESS_MIN_NODES,
+    KIND_COMPRESS_MIN_RATIO,
+    Delta,
+    GraphStore,
+    kind_compress,
+)
+from repro.obs import metrics as obs_metrics
 from repro.schema.parser import parse_schema
 from repro.schema.reference import maximal_typing_reference
 from repro.workloads.bugtracker import bug_tracker_graph, bug_tracker_schema
 from repro.workloads.generators import DEFAULT_LABELS, random_shape_schema
 
 SEEDS = [3, 11, 27, 42, 58]
-STEPS = 10
+STEPS = 6
 
 
 def _noise_graph(rng: random.Random, nodes: int, edges: int, labels) -> Graph:
@@ -93,6 +100,21 @@ def _random_delta(rng: random.Random, graph: Graph, labels) -> Delta:
     return Delta.of(add=add, remove=remove)
 
 
+def _copy_delta(rng: random.Random, graph: Graph, copies: int, labels) -> Delta:
+    """A :func:`_random_delta` confined to one copy of a cloned graph."""
+    copy_index = rng.randrange(copies)
+    local = Graph.from_edges(
+        (edge.source[1], edge.label, edge.target[1], edge.occur)
+        for edge in graph.edges
+        if edge.source[0] == copy_index
+    )
+    delta = _random_delta(rng, local, labels)
+    return Delta.of(
+        add=[((copy_index, s), label, (copy_index, t)) for s, label, t, _o in delta.added],
+        remove=[((copy_index, s), label, (copy_index, t)) for s, label, t, _o in delta.removed],
+    )
+
+
 def _blocks(kind_of) -> frozenset:
     inverse = {}
     for node, kind in kind_of.items():
@@ -100,120 +122,40 @@ def _blocks(kind_of) -> frozenset:
     return frozenset(frozenset(members) for members in inverse.values())
 
 
-def _assert_maintained_parity(maintainer, graph: Graph, context: str) -> None:
-    """Maintained partition/quotient == fresh compression, up to renaming."""
-    fresh_kinds = kind_partition(graph)
-    assert _blocks(maintainer.kind_of) == _blocks(fresh_kinds), (
-        f"{context}: maintained partition blocks diverged from kind_partition"
-    )
+def _rows(view, rename=lambda kind: kind) -> dict:
+    """Each kind's quotient row, kinds renamed by ``rename``."""
+    return {
+        rename(kind): {
+            (edge.label, rename(edge.target)): edge.occur.lower
+            for edge in view.compressed.out_edges(kind)
+        }
+        for kind in view.members
+    }
+
+
+def _assert_view_parity(view, graph: Graph, context: str) -> None:
+    """``view`` == a fresh ``kind_compress`` of ``graph``, up to renaming."""
     fresh = kind_compress(graph)
-    bijection = {}
-    for node in graph.nodes:
-        bijection.setdefault(maintainer.kind_of[node], fresh.kind_of[node])
-    maintained_rows = {
-        bijection[kind]: {
-            (edge.label, bijection[edge.target]): edge.occur.lower
-            for edge in maintainer.quotient.out_edges(kind)
-        }
-        for kind in maintainer.members
-    }
-    fresh_rows = {
-        kind: {
-            (edge.label, edge.target): edge.occur.lower
-            for edge in fresh.compressed.out_edges(kind)
-        }
-        for kind in fresh.members
-    }
-    assert maintained_rows == fresh_rows, (
-        f"{context}: patched quotient is not isomorphic to kind_compress"
+    assert _blocks(view.kind_of) == _blocks(fresh.kind_of), (
+        f"{context}: view blocks diverged from kind_partition"
     )
-    # Bookkeeping invariants: members partition the nodes, quotient nodes
-    # are exactly the kinds, every row weight is positive.
-    assert sum(len(nodes) for nodes in maintainer.members.values()) == graph.node_count
-    assert set(maintainer.quotient.nodes) == set(maintainer.members)
-    assert all(
-        edge.occur.lower >= 1 for edge in maintainer.quotient.edges
-    ), f"{context}: zero-multiplicity quotient edge survived"
+    bijection = {view.kind_of[node]: fresh.kind_of[node] for node in graph.nodes}
+    assert _rows(view, bijection.get) == _rows(fresh), (
+        f"{context}: view quotient is not isomorphic to kind_compress"
+    )
+    assert set(view.compressed.nodes) == set(view.members)
+    assert sum(len(nodes) for nodes in view.members.values()) == graph.node_count
 
 
-class TestMaintainedPartitionParity:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_random_edit_sequences_match_fresh_compression(self, seed):
-        rng = random.Random(seed)
-        labels = list(DEFAULT_LABELS[:3])
-        store = GraphStore(_noise_graph(rng, 14, 24, labels))
-        maintainer = store._sync_partition()
-        _assert_maintained_parity(maintainer, store.graph, f"seed {seed} build")
-        for step in range(STEPS):
-            store.apply(_random_delta(rng, store.graph, labels))
-            maintainer = store._sync_partition()
-            _assert_maintained_parity(
-                maintainer, store.graph, f"seed {seed} step {step}"
-            )
-
-    def test_multi_version_sync_composes_deltas(self):
-        # The maintainer may lag several versions behind; one sync must
-        # absorb the composed delta exactly.
-        rng = random.Random(7)
-        labels = list(DEFAULT_LABELS[:3])
-        store = GraphStore(_noise_graph(rng, 12, 20, labels))
-        store._sync_partition()
-        for _ in range(4):  # four versions, no sync in between
-            store.apply(_random_delta(rng, store.graph, labels))
-        maintainer = store._sync_partition()
-        _assert_maintained_parity(maintainer, store.graph, "multi-version sync")
-
-    def test_clone_delta_splits_and_merges_back(self):
-        base = bug_tracker_graph()
-        graph = Graph("clones")
-        for copy_index in range(12):
-            for edge in base.edges:
-                graph.add_edge(
-                    (copy_index, edge.source), edge.label, (copy_index, edge.target)
-                )
-        store = GraphStore(graph)
-        assert store.typing_view() is not None
-        maintainer = store._maintainer
-        kinds_before = maintainer.kind_count
-        rows_before = dict(maintainer.rows)
-        prefix = "http://example.org/bugs#"
-        delta = Delta.of(
-            remove=[((3, f"{prefix}bug3"), "descr", (3, "literal:Kabang!||"))]
-        )
-        store.apply(delta)
-        store.typing_view()
-        assert maintainer.stats.mode == "incremental"
-        assert maintainer.kind_count > kinds_before  # copy 3 split out
-        _assert_maintained_parity(maintainer, store.graph, "after split")
-        store.apply(delta.inverse())
-        store.typing_view()
-        assert maintainer.kind_count == kinds_before  # merged back
-        assert maintainer.stats.merges > 0
-        _assert_maintained_parity(maintainer, store.graph, "after merge")
-        # Over the round trip only the temporary kinds retire: every kind
-        # is back under its id with its row.
-        assert maintainer.rows == rows_before
-
-    def test_large_delta_falls_back_to_a_rebuild(self):
-        rng = random.Random(5)
-        labels = list(DEFAULT_LABELS[:3])
-        store = GraphStore(_noise_graph(rng, 12, 18, labels))
-        maintainer = store._sync_partition()
-        epoch = maintainer.epoch
-        # Touch most sinks at once: the backward closure covers the graph.
-        add = [(f"n{i}", labels[0], f"n{(i + 1) % 12}") for i in range(10)]
-        store.apply(Delta.of(add=add))
-        store._sync_partition()
-        assert maintainer.epoch == epoch + 1
-        _assert_maintained_parity(maintainer, store.graph, "after rebuild")
-
-
-#: Clone count of the DAG scenarios: edits stay inside copy 0, so every
-#: original kind keeps its members in three untouched copies.  That majority
-#: makes it the survivor whenever the cyclic path's merge (member-richest
-#: kind wins) meets it, so a reverted sequence restores every original id.
-DAG_COPIES = 4
+#: Clone count of the DAG scenarios: edits stay inside copy 0.
+DAG_COPIES = 8
 DAG_SHAPES = ("chain", "tree", "powerlaw")
+DAG_SCHEMA = (
+    "Node -> label :: Lit, kid :: Node*, link :: Node?\n"
+    "Pub -> title :: Lit, cites :: Pub*\n"
+    "Cell -> first :: Lit, rest :: Cell?\n"
+    "Lit -> eps\n"
+)
 
 
 def _dag_base(shape: str, rng: random.Random, size: int):
@@ -274,176 +216,97 @@ def _dag_delta(rng: random.Random, graph: Graph, rank) -> Delta:
     return Delta.of(add=[((0, upper), rng.choice(("link", "rest", "kid")), (0, lower))])
 
 
-def _rdf_list(cells: int) -> Graph:
-    graph = Graph(f"list-{cells}")
-    for k in range(cells):
-        graph.add_edge(f"cell{k}", "rdf:first", f"literal:v{k}")
-        graph.add_edge(f"cell{k}", "rdf:rest", f"cell{k + 1}" if k + 1 < cells else "rdf:nil")
-    return graph
+#: The delta sequences of the view-parity suite: cyclic noise graphs (one
+#: whose view is refused, one cloned so that it pays), the DAG shapes and
+#: cloned bug trackers.
+VIEW_SHAPES = ("noise", "cloned-noise") + DAG_SHAPES + ("bug-clones",)
 
 
-class TestSinksFirstParity:
-    @pytest.mark.parametrize("shape", DAG_SHAPES)
-    @pytest.mark.parametrize("seed", SEEDS[:3])
-    def test_dag_sequences_cross_paths_and_round_trip(self, shape, seed):
-        rng = random.Random(seed)
+def _view_scenario(shape: str, rng: random.Random):
+    """``(graph, schema, next delta)`` for one :data:`VIEW_SHAPES` entry."""
+    if shape in DAG_SHAPES:
         base, rank = _dag_base(shape, rng, 20)
-        store = GraphStore(_cloned(base, DAG_COPIES))
-        maintainer = store._sync_partition()
-        assert maintainer.stats.path == "dag"
-        rows_before = dict(maintainer.rows)
-        applied = []
-
-        def step(delta: Delta, path: str, context: str) -> None:
-            store.apply(delta)
-            store._sync_partition()
-            assert maintainer.stats.mode == "incremental", context
-            assert maintainer.stats.path == path, context
-            _assert_maintained_parity(maintainer, store.graph, f"{shape} seed {seed} {context}")
-
-        for index in range(3):
-            applied.append(_dag_delta(rng, store.graph, rank))
-            step(applied[-1], "dag", f"edit {index}")
-        # Close a two-cycle against an existing edge, then reopen it.
-        edge = rng.choice(
-            [e for e in sorted(store.graph.edges, key=lambda e: e.edge_id)
-             if e.source[0] == 0 and e.target[1] in rank]
+        schema = parse_schema(DAG_SCHEMA, name="dag-shapes")
+        return _cloned(base, DAG_COPIES), schema, lambda graph: _dag_delta(rng, graph, rank)
+    if shape == "bug-clones":
+        labels = sorted({edge.label for edge in bug_tracker_graph().edges})
+        return (
+            _cloned(bug_tracker_graph(), 12),
+            bug_tracker_schema(),
+            lambda graph: _copy_delta(rng, graph, 12, labels),
         )
-        closing = Delta.of(add=[(edge.target, "back", edge.source)])
-        for delta, path in ((closing, "rounds"), (closing.inverse(), "dag")):
-            applied.append(delta)
-            step(delta, path, f"cycle {path}")
-        for index in range(3, 6):
-            applied.append(_dag_delta(rng, store.graph, rank))
-            step(applied[-1], "dag", f"edit {index}")
-        for index, delta in enumerate(reversed(applied)):
-            undo = delta.inverse()
-            step(undo, "rounds" if undo == closing else "dag", f"undo {index}")
-
-        assert maintainer.rows == rows_before, (
-            f"{shape} seed {seed}: the reverted sequence left kinds changed"
+    schema = random_shape_schema(4, rng=rng, name=f"view-{shape}")
+    labels = sorted(schema.labels()) or list(DEFAULT_LABELS[:3])
+    if shape == "noise":
+        return (
+            _noise_graph(rng, 80, 120, labels),
+            schema,
+            lambda graph: _random_delta(rng, graph, labels),
         )
+    return (
+        _cloned(_noise_graph(rng, 10, 16, labels), 10),
+        schema,
+        lambda graph: _copy_delta(rng, graph, 10, labels),
+    )
 
 
-    @pytest.mark.parametrize("shape", DAG_SHAPES)
-    def test_incremental_typing_on_dag_stores(self, shape):
-        # The first typing goes through the quotient; every later delta is
-        # retyped by region, whatever the maintained partition does.
-        schema = parse_schema(
-            "Node -> label :: Lit, kid :: Node*, link :: Node?\n"
-            "Pub -> title :: Lit, cites :: Pub*\n"
-            "Cell -> first :: Lit, rest :: Cell?\n"
-            "Lit -> eps\n",
-            name="dag-shapes",
-        )
-        modes = set()
-        for seed in SEEDS[:3]:
-            rng = random.Random(seed)
-            base, rank = _dag_base(shape, rng, 20)
-            store = GraphStore(_cloned(base, 8))  # enough clones for the view
-            engine = ValidationEngine(cache_size=0)
-            assert engine.revalidate(store, schema).mode == "kinds"
-            for step in range(5):
-                store.apply(_dag_delta(rng, store.graph, rank))
-                outcome = engine.revalidate(store, schema)
-                modes.add(outcome.mode)
-                oracle = maximal_typing_fixpoint(store.graph, schema)
-                _verdict, oracle_payload = _payload_from_typing(store.graph, oracle, False)
-                assert outcome.result.payload == oracle_payload, (
-                    f"{shape} seed {seed} step {step}: region typing diverged"
-                )
-        assert "incremental" in modes
-        assert modes <= {"incremental", "unchanged"}, modes
+def _frozen(view):
+    return dict(view.kind_of), sorted(map(repr, view.compressed.edges))
 
 
-class TestSinksFirstCost:
-    def test_head_edit_on_a_long_list_runs_no_rounds(self, monkeypatch):
-        store = GraphStore(_rdf_list(2000))
-        maintainer = store._sync_partition()
-        assert maintainer.stats.path == "dag"
-        rounds = maintainer.stats.rounds
-
-        def whole_quotient_merge(self):
-            raise AssertionError("an acyclic region ran the whole-quotient merge")
-
-        monkeypatch.setattr(
-            PartitionMaintainer, "_merge_equivalent_kinds", whole_quotient_merge
-        )
-        reads = []
-        real_row_of = partition.row_of
-        monkeypatch.setattr(
-            partition,
-            "row_of",
-            lambda graph, node, kind_of: reads.append(node) or real_row_of(graph, node, kind_of),
-        )
-        store.apply(
-            Delta.of(
-                remove=[("cell0", "rdf:first", "literal:v0")],
-                add=[("cell0", "rdf:first", "literal:head")],
-            )
-        )
-        store._sync_partition()
-        stats = maintainer.stats
-        assert (stats.mode, stats.path) == ("incremental", "dag")
-        assert stats.rounds == rounds
-        assert stats.affected == 3  # the head, its old and its new element
-        assert len(reads) == stats.affected  # one row read per re-kinded node
-        monkeypatch.undo()
-        _assert_maintained_parity(maintainer, store.graph, "list head edit")
-
-    def test_edit_inside_a_list_keeps_every_kind_id(self):
-        # cell10 gains a second element: its single-member kind changes row,
-        # and cell0..cell9 see it only through that kind.  Every minted kind
-        # takes back its old id, and only cell10's row really changed.
-        store = GraphStore(_rdf_list(50))
-        maintainer = store._sync_partition()
-        before = dict(maintainer.kind_of)
-        rows_before = dict(maintainer.rows)
-        delta = Delta.of(add=[("cell10", "rdf:first", "literal:v0")])
-        store.apply(delta)
-        assert maintainer.update(store.graph, delta)
-        assert (maintainer.stats.path, maintainer.stats.affected) == ("dag", 12)
-        assert maintainer.kind_of == before
-        assert set(maintainer.rows) == set(rows_before)
-        assert {
-            kind for kind, row in maintainer.rows.items() if rows_before[kind] != row
-        } == {before["cell10"]}
-        _assert_maintained_parity(maintainer, store.graph, "list inner edit")
-
+class TestViewParity:
+    @pytest.mark.parametrize("shape", VIEW_SHAPES)
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_kind_partition_dag_pass_equals_the_round_loop(self, seed):
+    def test_view_at_every_version_equals_fresh_compression(self, shape, seed, monkeypatch):
         rng = random.Random(seed)
-        for shape in DAG_SHAPES:
-            graph, _rank = _dag_base(shape, rng, 40)
-            graph = _cloned(graph, 2)
-            kinds, path, refined = partition._build_partition(graph)
-            assert (path, refined) == ("dag", 0)
-            order = sorted(graph.nodes, key=repr)
-            assert kinds == partition._refine_rounds(graph, order), (
-                f"{shape} seed {seed}: kind ids differ from the round loop"
-            )
-            assert list(kinds) == order
+        graph, schema, next_delta = _view_scenario(shape, rng)
+        store = GraphStore(graph)
+        builds = []
+        real_quotient_view = store_module.quotient_view
+        monkeypatch.setattr(
+            store_module,
+            "quotient_view",
+            lambda *args, **kwargs: builds.append(1) or real_quotient_view(*args, **kwargs),
+        )
+        held = None  # a view handed out at an earlier version, and its content
+        before = obs_metrics.STATE.enabled
+        obs_metrics.STATE.enabled = True
+        try:
+            for step in range(STEPS + 1):
+                context = f"{shape} seed {seed} step {step}"
+                if step:
+                    try:
+                        store.apply(next_delta(store.graph))
+                    except GraphError:
+                        continue  # the edit named an edge an earlier step removed
+                built = len(builds)
+                with obs.start_trace("test.view") as root:
+                    view = store.typing_view()
+                    assert store.typing_view() is view, context
+                syncs = [child for child in root.children if child.name == "partition.sync"]
+                nodes = store.graph.node_count
+                assert len(syncs) == (nodes >= KIND_COMPRESS_MIN_NODES), context
 
-    @pytest.mark.parametrize("shape", DAG_SHAPES)
-    def test_restored_maintainer_takes_a_dag_delta(self, shape):
-        rng = random.Random(19)
-        base, rank = _dag_base(shape, rng, 20)
-        built = GraphStore(_cloned(base, DAG_COPIES))
-        saved = built._sync_partition()
-        # A restart: a fresh store over the same graph, partition restored.
-        store = GraphStore(built.graph.copy())
-        store.restore_partition(dict(saved.kind_of), saved.epoch)
-        maintainer = store._maintainer
-        assert maintainer.stats.mode == "restored"
-        _assert_maintained_parity(maintainer, store.graph, f"{shape} restored")
-        for index in range(3):
-            store.apply(_dag_delta(rng, store.graph, rank))
-            store._sync_partition()
-            assert (maintainer.stats.mode, maintainer.stats.path) == ("incremental", "dag")
-            assert maintainer.epoch == saved.epoch
-            _assert_maintained_parity(
-                maintainer, store.graph, f"{shape} restored, delta {index}"
-            )
+                fresh = kind_compress(store.graph)
+                pays = (
+                    nodes >= KIND_COMPRESS_MIN_NODES
+                    and fresh.kind_count * KIND_COMPRESS_MIN_RATIO <= nodes
+                )
+                assert (view is not None) == pays, context
+                assert len(builds) - built == pays, f"{context}: quotient builds"
+                if view is not None:
+                    _assert_view_parity(view, store.graph, context)
+
+                typing = maximal_typing_store(store, schema=schema)
+                assert typing == maximal_typing_reference(store.graph, schema), context
+                assert len(builds) - built == pays, f"{context}: typing rebuilt the view"
+
+                if held is not None:
+                    assert _frozen(held[0]) == held[1], f"{context}: an old view changed"
+                if view is not None:
+                    held = (view, _frozen(view))
+        finally:
+            obs_metrics.STATE.enabled = before
 
 
 def _reaches_a_cycle(graph: Graph) -> set:
@@ -491,7 +354,7 @@ class TestCyclicBuildParity:
     @given(_cyclic_graphs())
     def test_build_equals_whole_graph_refinement(self, graph):
         order = sorted(graph.nodes, key=repr)
-        kinds, path, refined = partition._build_partition(graph)
+        kinds, path, refined = partition.build_partition(graph)
         assert kinds == partition._refine_rounds(graph, order)
         assert list(kinds) == order
         cyclic = _reaches_a_cycle(graph)
@@ -500,88 +363,25 @@ class TestCyclicBuildParity:
 
     def test_clone_document_refines_only_its_cycles(self):
         graph = _cloned(bug_tracker_graph(), 4)
-        maintainer = PartitionMaintainer(graph)
-        assert maintainer.stats.path == "rounds"
-        assert 0 < maintainer.stats.refined < graph.node_count
-        assert maintainer.stats.refined == len(_reaches_a_cycle(graph))
-        assert maintainer.kind_of == partition._refine_rounds(
-            graph, sorted(graph.nodes, key=repr)
-        )
-
-
-class TestUpdateOutcome:
-    def test_update_reports_whether_it_kept_the_epoch(self):
-        rng = random.Random(23)
-        labels = list(DEFAULT_LABELS[:3])
-        store = GraphStore(_noise_graph(rng, 80, 60, labels))
-        maintainer = store._sync_partition()
-        for index in range(3):
-            epoch = maintainer.epoch
-            delta = _random_delta(rng, store.graph, labels)
-            store.apply(delta)
-            in_place = maintainer.update(store.graph, delta)
-            assert in_place == (maintainer.stats.mode != "full")
-            assert maintainer.epoch == (epoch if in_place else epoch + 1)
-            assert set(maintainer.quotient.nodes) == set(maintainer.rows)
-            _assert_maintained_parity(maintainer, store.graph, f"noise delta {index}")
-
-
-def _bug_clones(copies: int) -> Graph:
-    base = bug_tracker_graph()
-    return Graph.from_edges(
-        ((index, edge.source), edge.label, (index, edge.target), edge.occur)
-        for index in range(copies)
-        for edge in base.edges
-    )
-
-
-class TestQuotientOnDemand:
-    """The maintainer builds its quotient on the first read, not before."""
-
-    def test_a_refused_view_builds_no_quotient(self):
-        # A 120-node chain: every node is its own kind, so the view is refused.
-        store = GraphStore(Graph.from_edges((i, "a", i + 1, ONE) for i in range(119)))
-        assert store.typing_view() is None
-        maintainer = store._maintainer
-        assert maintainer.kind_count == 120
-        assert maintainer._quotient is None
-        store.apply(Delta.of(add=[(0, "b", 5)]))
-        assert store.typing_view() is None
-        assert maintainer.stats.mode == "incremental" and maintainer._quotient is None
+        kinds, path, refined = partition.build_partition(graph)
+        assert path == "rounds"
+        assert 0 < refined < graph.node_count
+        assert refined == len(_reaches_a_cycle(graph))
+        assert kinds == partition._refine_rounds(graph, sorted(graph.nodes, key=repr))
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_first_read_after_deltas_equals_kind_compress(self, seed):
+    def test_kind_partition_dag_pass_equals_the_round_loop(self, seed):
         rng = random.Random(seed)
-        labels = list(DEFAULT_LABELS[:3])
-        store = GraphStore(_noise_graph(rng, 14, 24, labels))
-        maintainer = store._sync_partition()
-        for _ in range(STEPS):
-            store.apply(_random_delta(rng, store.graph, labels))
-            store._sync_partition()  # incremental updates and fallback rebuilds
-            assert maintainer._quotient is None
-        _assert_maintained_parity(maintainer, store.graph, f"seed {seed} first read")
-
-    def test_a_reopened_store_builds_its_quotient_for_the_first_typing(self, tmp_path):
-        schema = bug_tracker_schema()
-        directory = str(tmp_path / "store")
-        store = DurableStore.create(directory, _bug_clones(12), name="clones")
-        assert store.typing_view() is not None  # the partition goes in the snapshot
-        store.checkpoint()
-        prefix = "http://example.org/bugs#"
-        store.apply(Delta.of(add=[((5, f"{prefix}bug1"), "related", (5, f"{prefix}bug2"))]))
-        store.close()
-
-        reopened = DurableStore.open(directory)
-        assert reopened.recovery["replayed"] == 1
-        maintainer = reopened._maintainer
-        assert maintainer.stats.mode == "restored" and maintainer._quotient is None
-        stats = FixpointStats()
-        typing = maximal_typing_store(reopened, schema=schema, stats=stats)
-        assert stats.mode == "kinds"
-        assert reopened._maintainer._quotient is not None
-        assert typing == maximal_typing_reference(reopened.graph, schema)
-        _assert_maintained_parity(reopened._maintainer, reopened.graph, "reopened")
-        reopened.close()
+        for shape in DAG_SHAPES:
+            graph, _rank = _dag_base(shape, rng, 40)
+            graph = _cloned(graph, 2)
+            kinds, path, refined = partition.build_partition(graph)
+            assert (path, refined) == ("dag", 0)
+            order = sorted(graph.nodes, key=repr)
+            assert kinds == partition._refine_rounds(graph, order), (
+                f"{shape} seed {seed}: kind ids differ from the round loop"
+            )
+            assert list(kinds) == order
 
 
 class TestStorePathTypingParity:
@@ -657,6 +457,31 @@ class TestStorePathTypingParity:
                 f"seed {seed} step {step}: revalidation diverged "
                 f"(mode {outcome.mode})"
             )
+
+    @pytest.mark.parametrize("shape", DAG_SHAPES)
+    def test_incremental_typing_on_dag_stores(self, shape):
+        # The first typing goes through the quotient; every later delta is
+        # retyped by region, without building the view again.
+        schema = parse_schema(DAG_SCHEMA, name="dag-shapes")
+        modes = set()
+        for seed in SEEDS[:3]:
+            rng = random.Random(seed)
+            base, rank = _dag_base(shape, rng, 20)
+            store = GraphStore(_cloned(base, DAG_COPIES))  # enough clones for the view
+            engine = ValidationEngine(cache_size=0)
+            assert engine.revalidate(store, schema).mode == "kinds"
+            for step in range(5):
+                store.apply(_dag_delta(rng, store.graph, rank))
+                outcome = engine.revalidate(store, schema)
+                modes.add(outcome.mode)
+                oracle = maximal_typing_fixpoint(store.graph, schema)
+                _verdict, oracle_payload = _payload_from_typing(store.graph, oracle, False)
+                assert outcome.result.payload == oracle_payload, (
+                    f"{shape} seed {seed} step {step}: region typing diverged"
+                )
+            assert store.view_stats()["partition_version"] == 0
+        assert "incremental" in modes
+        assert modes <= {"incremental", "unchanged"}, modes
 
     def test_region_retyping_of_a_viewed_store_direct_parity(self):
         # Drive the kernel entry directly: the quotient's full typing, then a

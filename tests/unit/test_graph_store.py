@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
@@ -376,12 +377,12 @@ class TestDiffReplay:
             assert replay.fingerprint() == fingerprints[v2], (seed, v1, v2)
 
 
-class TestMaintainedView:
+class TestVersionedView:
     def test_view_stats_are_passive(self):
         store = GraphStore(bug_tracker_graph())
         assert store.view_stats() == {"active": False}  # never typed
 
-    def test_view_stats_report_the_maintained_partition(self):
+    def test_view_stats_report_the_last_build(self):
         base = bug_tracker_graph()
         graph = Graph("clones")
         for copy_index in range(12):
@@ -392,15 +393,20 @@ class TestMaintainedView:
         store = GraphStore(graph)
         assert store.typing_view() is not None
         stats = store.view_stats()
+        assert set(stats) == {
+            "active", "kinds", "compression_ratio", "partition_version", "path", "refined",
+        }
         assert stats["active"] is True
         assert stats["kinds"] * 4 <= graph.node_count
-        assert stats["last_update"] == "full"
+        assert stats["compression_ratio"] == round(graph.node_count / stats["kinds"], 2)
         assert stats["path"] == "rounds"  # the clones' bugs cite each other
-        assert stats["epoch"] == 0
+        assert 0 < stats["refined"] < graph.node_count
+        assert stats["partition_version"] == 0
         store.add_edge((0, "fresh"), "descr", (0, "literal"))
+        assert store.view_stats() == dict(stats, active=False)  # built at version 0
         assert store.typing_view() is not None
-        assert store.view_stats()["last_update"] == "incremental"
-        assert store.view_stats()["incremental_updates"] == 1
+        assert store.view_stats()["partition_version"] == 1
+        assert store.view_stats()["active"] is True
 
     def test_revalidating_a_list_store_never_activates_the_view(self):
         # A list does not shrink under the kind quotient; only the first
@@ -444,16 +450,16 @@ class TestMaintainedView:
             assert "partition.sync" not in names
             assert span["tags"]["reason"].startswith("region ")
 
-    def test_partition_sync_span_carries_mode_affected_and_path(self):
+    def test_partition_sync_span_carries_path_refined_and_kinds(self):
         before = obs_metrics.STATE.enabled
         obs_metrics.STATE.enabled = True
         try:
             store = GraphStore(_chain(*["a"] * 80))
             with obs.start_trace("test.sync") as root:
-                store._sync_partition()
+                assert store.typing_view() is None  # one kind per node
+                assert store.typing_view() is None  # same version: no build
                 store.add_edge("n0", "b", "n1")
-                store._sync_partition()
-                store._sync_partition()
+                store.typing_view()
         finally:
             obs_metrics.STATE.enabled = before
         syncs = [
@@ -462,11 +468,44 @@ class TestMaintainedView:
             if child["name"] == "partition.sync"
         ]
         assert syncs == [
-            {"mode": "full", "affected": 81, "path": "dag", "refined": 0},
-            {"mode": "incremental", "affected": 2, "path": "dag", "refined": 0},
-            {"mode": "unchanged", "affected": 0, "path": "dag", "refined": 0},
+            {"path": "dag", "refined": 0, "kinds": 81},
+            {"path": "dag", "refined": 0, "kinds": 81},
         ]
         assert store.view_stats()["path"] == "dag"
+
+    def test_concurrent_reads_at_one_version_build_once(self, monkeypatch):
+        # Engines type one store against several schemas on worker threads;
+        # every read at one version must get the one view the first built.
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.graphs import store as store_module
+
+        clones = Graph.from_edges(
+            ((copy_index, index), "a", (copy_index, index + 1), None)
+            for copy_index in range(40)
+            for index in range(4)
+        )
+        store = GraphStore(clones)
+        builds = []
+        real_build = store_module.build_partition
+        monkeypatch.setattr(
+            store_module,
+            "build_partition",
+            lambda graph: builds.append(1) or real_build(graph),
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for version in range(3):
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [pool.submit(store.typing_view) for _ in range(32)]
+                    views = [future.result(timeout=60) for future in futures]
+                assert views[0] is not None
+                assert all(view is views[0] for view in views)
+                assert len(builds) == version + 1
+                store.add_edge((version, 0), "b", (version, 1))
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestKindCompression:

@@ -12,9 +12,7 @@ import pytest
 from repro import faults, obs
 from repro.core.intervals import Interval
 from repro.errors import PersistError
-from repro.graphs.compressed import CompressedGraph
 from repro.graphs.graph import Graph
-from repro.graphs.partition import PartitionMaintainer, row_of
 from repro.graphs.store import Delta, GraphStore
 from repro.obs import metrics as obs_metrics
 from repro.persist import DurableStore, codec
@@ -255,6 +253,63 @@ class TestDurableStore:
             assert engine.revalidate(reopened, schema).mode == "unchanged"
         reopened.close()
 
+    def test_snapshot_with_a_persisted_partition_still_opens(self, tmp_path):
+        # Snapshots once carried the store's kind partition (``kind_of`` and
+        # its ``epoch``); it is no longer written, and one that is there is
+        # ignored: the first full typing builds the partition afresh.
+        from repro.engine.validation import ValidationEngine, _payload_from_typing
+        from repro.schema.reference import maximal_typing_reference
+        from repro.workloads.bugtracker import bug_tracker_graph, bug_tracker_schema
+
+        schema = bug_tracker_schema()
+        base = bug_tracker_graph()
+        clones = Graph.from_edges(
+            ((copy, edge.source), edge.label, (copy, edge.target), edge.occur)
+            for copy in range(12)
+            for edge in base.edges
+        )
+        directory = str(tmp_path / "store")
+        store = DurableStore.create(directory, clones, name="clones")
+        with ValidationEngine(cache_size=0) as engine:
+            assert engine.revalidate(store, schema).mode == "kinds"
+            (typing_entry,) = engine.export_typings(store)
+            store.checkpoint([typing_entry])
+        prefix = "http://example.org/bugs#"
+        store.apply(Delta.of(remove=[((3, f"{prefix}bug3"), "descr", (3, "literal:Kabang!||"))]))
+        store.close()
+        path = os.path.join(directory, f"snapshot-{store.generation}.json")
+        with open(path, "r", encoding="utf-8") as handle:
+            snapshot = json.load(handle)
+        assert "partition" not in snapshot
+        # Every node in one kind: a typing that read this would be wrong.
+        snapshot["partition"] = {
+            "kind_of": sorted(([node, 0] for node in snapshot["nodes"]), key=repr),
+            "epoch": 3,
+        }
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(snapshot, handle)
+
+        reopened = DurableStore.open(directory)
+        assert reopened.recovery["replayed"] == 1
+        assert reopened.view_stats() == {"active": False}
+        oracle = maximal_typing_reference(reopened.graph, schema)
+        assert oracle.untyped()  # the removed descr leaves bug3 of copy 3 untyped
+        _verdict, expected = _payload_from_typing(reopened.graph, oracle, False)
+        with ValidationEngine(cache_size=0) as engine:
+            outcome = engine.revalidate(reopened, schema)
+            assert outcome.mode == "kinds"
+            assert outcome.result.payload == expected
+        (restored,) = reopened.restored_typings
+        with ValidationEngine(cache_size=0) as engine:
+            engine.seed_typing(
+                reopened, schema, restored["typing"], restored["version"],
+                compressed=restored["compressed"],
+            )
+            outcome = engine.revalidate(reopened, schema)
+            assert outcome.mode == "incremental"
+            assert outcome.result.payload == expected
+        reopened.close()
+
     def test_checkpoint_rotates_and_prunes(self, tmp_path):
         directory = str(tmp_path / "store")
         store = DurableStore.create(directory, _base_graph())
@@ -395,8 +450,6 @@ class TestDurableStore:
     def test_open_spans_split_read_decode_and_replay(self, tmp_path):
         directory = str(tmp_path / "store")
         store = DurableStore.create(directory, _base_graph())
-        store._sync_partition()
-        store.checkpoint()
         store.apply(Delta.of(add=[("a", "x", "c")]))
         store.close()
         before = obs_metrics.STATE.enabled
@@ -414,7 +467,7 @@ class TestDurableStore:
         )
         size = os.path.getsize(os.path.join(directory, f"snapshot-{store.generation}.json"))
         assert snapshot.tags == {"bytes": size}
-        assert decode.tags == {"nodes": 3, "edges": 3, "kinds": 3}
+        assert decode.tags == {"nodes": 3, "edges": 3}
         assert replay.tags == {"records": 1}
 
     def test_persist_status_fields(self, tmp_path):
@@ -431,8 +484,8 @@ class TestDurableStore:
 
 def _parity_history(seed, directory):
     """A durable store with tuple, int and isolated nodes, intervals ``1``,
-    ``[0;*]`` and ``[2;2]``, removals, a checkpoint with its partition and a
-    WAL tail; closed as a crash would leave it."""
+    ``[0;*]`` and ``[2;2]``, removals, a checkpoint and a WAL tail; closed as
+    a crash would leave it."""
     rng = random.Random(seed)
     pool = [f"s{i}" for i in range(8)] + [("c", i, "x") for i in range(6)] + list(range(5))
     labels, occurs = ["a", "b", "c"], [None, "*", 2]
@@ -455,7 +508,6 @@ def _parity_history(seed, directory):
             ))
 
     churn(3)
-    store._sync_partition()
     store.checkpoint()
     churn(4)
     store.close()
@@ -463,7 +515,7 @@ def _parity_history(seed, directory):
 
 def _reference_open(directory):
     """What :meth:`DurableStore.open` must build, one add_node/add_edge at a
-    time: the store, and the partition's kind_of, rows, index and quotient."""
+    time."""
     generation = read_manifest(directory)["generation"]
     with open(os.path.join(directory, f"snapshot-{generation}.json")) as handle:
         snapshot = json.load(handle)
@@ -473,21 +525,11 @@ def _reference_open(directory):
         graph.add_node(decode(node))
     for source, label, target, (lower, upper) in snapshot["edges"]:
         graph.add_edge(decode(source), label, decode(target), Interval(lower, upper))
-    kind_of = {decode(node): kind for node, kind in snapshot["partition"]["kind_of"]}
-    members = {}
-    for node, kind in kind_of.items():
-        members.setdefault(kind, set()).add(node)
-    rows = {kind: row_of(graph, next(iter(nodes)), kind_of) for kind, nodes in members.items()}
-    quotient = CompressedGraph()
-    quotient.add_nodes(members)
-    for kind in sorted(rows):
-        PartitionMaintainer._write_row(quotient, kind, rows[kind])
     store = GraphStore(graph, snapshot["name"], base_version=snapshot["version"])
     records, _ = wal_mod.recover(os.path.join(directory, f"wal-{generation}.log"))
     for _version, payload in records:
         store.apply(codec.decode_delta(payload))
-    index = {row: kind for kind, row in rows.items()}
-    return store, (kind_of, rows, index), quotient
+    return store
 
 
 def _layout(graph):
@@ -504,16 +546,12 @@ class TestBulkReopenParity:
     def test_open_equals_the_add_edge_reference(self, tmp_path, seed):
         directory = str(tmp_path / "store")
         _parity_history(seed, directory)
-        reference, partition, quotient = _reference_open(directory)
+        reference = _reference_open(directory)
         opened = DurableStore.open(directory)
         assert opened.recovery["replayed"] == 4
         assert opened.version == reference.version
         assert _layout(opened.graph) == _layout(reference.graph)
         assert opened.fingerprint() == reference.fingerprint()
-        maintainer = opened._maintainer
-        assert (maintainer.kind_of, maintainer.rows, maintainer.index) == partition
-        assert _layout(maintainer.quotient) == _layout(quotient)
-        assert isinstance(maintainer.quotient, CompressedGraph)
         edges = opened.graph.edges
         assert {(e.occur.lower, e.occur.upper) for e in edges} >= {(0, None), (2, 2), (1, 1)}
         assert len({id(e.occur) for e in edges}) <= len({e.occur for e in edges})

@@ -32,7 +32,7 @@ VALIDATE_NEVER_LOADS = (
 )
 
 #: How many ``repro`` modules that one-shot ``validate`` may load at most.
-VALIDATE_MAX_REPRO_MODULES = 35
+VALIDATE_MAX_REPRO_MODULES = 33
 
 _FOOTPRINT_PROGRAM = """
 import contextlib, io, json, sys
@@ -194,6 +194,7 @@ class TestImportFootprint:
                    for banned in VALIDATE_NEVER_LOADS)
         ]
         assert loaded == []
+        assert "logging" not in report["modules"]  # nothing on this path logs
         repro_modules = [
             module for module in report["modules"]
             if module == "repro" or module.startswith("repro.")
@@ -279,7 +280,7 @@ class TestImportFootprint:
         assert completed.stdout.strip() == "[]"
 
     def test_store_layer_does_not_import_numpy(self):
-        # The versioned store and its partition maintainer are pure Python,
+        # The versioned store and its kind partition are pure Python,
         # so they behave the same whether or not numpy is installed.
         program = (
             "import sys, repro.graphs.store, repro.graphs.partition; "

@@ -269,15 +269,15 @@ class TestGraphStoreOps:
         entry = client.status()["graphs"]["clones"]
         assert entry["view"]["active"] is True
         assert entry["view"]["kinds"] * 4 <= entry["nodes"]
-        assert entry["view"]["last_update"] == "full"
+        assert entry["view"]["partition_version"] == 0
+        assert entry["view"]["path"] == "dag"
         client.update_graph(
             "clones", delta={"add": [["http://example.org/b0", "related",
                                       "http://example.org/b1"]]}
         )
         assert client.revalidate("clones", "bug")["mode"] == "incremental"
         entry = client.status()["graphs"]["clones"]
-        # The delta was retyped by region: the partition was not synced.
-        assert entry["view"]["last_update"] == "full"
+        # The delta was retyped by region: no partition was built since.
         assert entry["view"]["partition_version"] == 0
         assert entry["view"]["active"] is False
 
