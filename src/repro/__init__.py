@@ -61,7 +61,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.engine.fixpoint": (
         "FixpointStats",
         "maximal_typing_fixpoint",
-        "maximal_typing_store",
         "retype_incremental",
     ),
     "repro.engine.validation": ("RevalidationOutcome", "ValidationEngine"),

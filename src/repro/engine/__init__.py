@@ -46,7 +46,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "FixpointStats",
         "affected_region",
         "maximal_typing_fixpoint",
-        "maximal_typing_store",
         "retype_incremental",
     ),
     "repro.engine.jobs": ("ContainmentJob", "EngineReport", "JobResult", "ValidationJob"),

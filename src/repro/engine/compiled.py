@@ -294,7 +294,6 @@ class CompiledSchema:
         self._schema_class = None
         self._shape_graph: Optional[Graph] = None
         self._is_shex0: Optional[bool] = None
-        self._flow_decided: Optional[bool] = None
         self._type_order: Optional[Tuple[TypeName, ...]] = None
         self._labels: Optional[FrozenSet[object]] = None
         self._watchers: Optional[Dict[object, Tuple[TypeName, ...]]] = None
@@ -393,17 +392,6 @@ class CompiledSchema:
 
             self._is_shex0 = is_shex0(self.schema)
         return self._is_shex0
-
-    @property
-    def flow_decided(self) -> bool:
-        """Whether every rule has per-symbol bounds, so that the flow decides
-        all of the schema's checks under both semantics (cached)."""
-        if self._flow_decided is None:
-            self._flow_decided = all(
-                self.type_artifact(type_name).group_bounds is not None
-                for type_name in self.type_order
-            )
-        return self._flow_decided
 
     @property
     def shape_graph(self) -> Graph:

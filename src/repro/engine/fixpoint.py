@@ -22,10 +22,13 @@ to its local fixpoint in reverse topological order (sinks first).  By the
 time a component is examined, everything it depends on outside itself is
 final — types stabilise component-by-component instead of rippling globally,
 and no component is ever revisited.  A one-node component — most of them on
-acyclic graphs and kind quotients — is settled by checking its candidate
-types directly.  On an incremental run the same order gives a *cut-off*: a
-component the delta did not touch, whose successors outside it all came
-back with their prior types, keeps its prior types unchecked.
+acyclic graphs — is settled by checking its candidate types directly, and
+its types are memoised under its *row*, the multiset of ``(label, target
+types)`` over its out-edges: a later node with the same row (a clone, an
+unrolled copy: what Section 6.1's kind quotient would merge) takes them
+without a seed or a check.  On an incremental run the same order gives a
+*cut-off*: a component the delta did not touch, whose successors outside it
+all came back with their prior types, keeps its prior types unchecked.
 
 **Fine-grained dirtiness.**  Work is tracked per ``(node, type)`` pair, not
 per node.  When a successor reached through label ``a`` loses type ``τ``, a
@@ -87,28 +90,31 @@ class FixpointStats:
     """Counters describing one kernel run (observability and benchmarks).
 
     ``checks`` counts (node, type) satisfaction questions asked;
-    ``signature_hits`` how many were answered from the neighbourhood-signature
-    memo; ``shortcut_failures`` how many failed outright because a mandatory
-    edge had no candidate target type (no memo needed); ``solver_problems``
-    how many Presburger systems reached the batch solver (compressed semantics
-    only).  ``checks - signature_hits - shortcut_failures`` is therefore the
-    number of checks actually *evaluated* — on a graph of isomorphic clones it
-    stays flat as copies are added.  Presburger-side counters (satisfiability
-    queries, actual MILP invocations) are read through a
+    ``row_hits`` the one-node components that took a memoised row's types
+    without a seed or a check; ``signature_hits`` how many checks were
+    answered from the neighbourhood-signature memo; ``shortcut_failures``
+    how many failed outright because a mandatory edge had no candidate
+    target type (no memo needed); ``solver_problems`` how many Presburger
+    systems reached the batch solver (compressed semantics only).
+    ``checks - signature_hits - shortcut_failures`` is therefore the number
+    of checks actually *evaluated* — on a graph of isomorphic clones it
+    stays flat as copies are added.  Presburger-side counters
+    (satisfiability queries, actual MILP invocations) are read through a
     :class:`repro.presburger.solver.SolverWindow`.
 
-    ``mode`` records which schedule produced the typing: ``"full"`` (the plain
-    kernel), ``"kinds"`` (full typing through the kind-compression quotient),
-    ``"incremental"`` (delta-seeded), or ``"unchanged"`` (empty effective
-    delta).  For incremental runs ``frontier`` is the number of delta-touched
-    nodes (with any node the prior typing does not list), ``affected`` the size of their backward closure — the region
-    retyped — and ``skipped`` how many of the region's components the
-    cut-off left at their prior types without a check.
+    ``mode`` records which schedule produced the typing: ``"full"`` (the
+    whole graph), ``"incremental"`` (delta-seeded), or ``"unchanged"`` (empty
+    effective delta).  For incremental runs ``frontier`` is the number of
+    delta-touched nodes (with any node the prior typing does not list),
+    ``affected`` the size of their backward closure — the region retyped —
+    and ``skipped`` how many of the region's components the cut-off left at
+    their prior types without a check.
     """
 
     components: int = 0
     rounds: int = 0
     checks: int = 0
+    row_hits: int = 0
     signature_hits: int = 0
     shortcut_failures: int = 0
     removals: int = 0
@@ -145,6 +151,10 @@ _M_ROUNDS = _REGISTRY.counter(
 _M_CHECKS = _REGISTRY.counter(
     "repro_fixpoint_checks_total", "(node, type) satisfaction checks asked."
 )
+_M_ROW_HITS = _REGISTRY.counter(
+    "repro_fixpoint_row_hits_total",
+    "One-node components typed from the row memo without a check.",
+)
 _M_SIGNATURE_HITS = _REGISTRY.counter(
     "repro_fixpoint_signature_hits_total",
     "Checks answered from the neighbourhood-signature memo.",
@@ -175,6 +185,7 @@ _FLUSHED_FIELDS = (
     ("components", _M_COMPONENTS),
     ("rounds", _M_ROUNDS),
     ("checks", _M_CHECKS),
+    ("row_hits", _M_ROW_HITS),
     ("signature_hits", _M_SIGNATURE_HITS),
     ("shortcut_failures", _M_SHORTCUT_FAILURES),
     ("removals", _M_REMOVALS),
@@ -186,9 +197,9 @@ class _KernelScope:
     """Flush one *outermost* kernel run into the registry on exit.
 
     The entry functions nest (``retype_incremental`` falls back to
-    ``maximal_typing_store``, which calls ``kind_typing_for_view``...), and
-    callers set ``stats.mode`` at different points, so per-function recording
-    would double count and mislabel.  A thread-local depth makes only the
+    ``maximal_typing_fixpoint``), and callers set ``stats.mode`` at
+    different points, so per-function recording would double count and
+    mislabel.  A thread-local depth makes only the
     outermost scope record — once, after the final ``mode`` is in place —
     and it flushes *deltas* of the stats fields since entry, so a caller
     reusing one ``FixpointStats`` across runs is counted correctly.
@@ -246,6 +257,7 @@ def fixpoint_metrics_summary() -> Dict[str, object]:
         "components": _M_COMPONENTS.value,
         "rounds": _M_ROUNDS.value,
         "checks": checks,
+        "row_hits": _M_ROW_HITS.value,
         "signature_hits": hits,
         "signature_hit_rate": (hits / checks) if checks else 0.0,
         "shortcut_failures": _M_SHORTCUT_FAILURES.value,
@@ -267,10 +279,34 @@ def _out_labels(graph: Graph, node: NodeId, compressed: bool) -> frozenset:
     return frozenset(edge.label for edge in graph.out_edges(node))
 
 
+def _row(
+    graph: Graph, node: NodeId, current: Dict[NodeId, FrozenSet[TypeName]], compressed: bool
+) -> Optional[FrozenSet]:
+    """``node``'s row over its successors' settled types, or ``None`` on a self-loop.
+
+    The row is the multiset of ``(label, target types)`` over the out-edges,
+    as a frozenset of ``(key, count)`` pairs; under the compressed semantics
+    the key also carries the edge's occurrence interval.  A node's label seed
+    and every check read nothing else, so nodes with equal rows get equal
+    types.
+    """
+    counts: Dict[Tuple, int] = {}
+    for edge in graph.out_edges(node):
+        target = edge.target
+        if target == node:
+            return None
+        if compressed:
+            key = (edge.label, edge.occur, current[target])
+        else:
+            key = (edge.label, current[target])
+        counts[key] = counts.get(key, 0) + 1
+    return frozenset(counts.items())
+
+
 def _stabilise_objects(
     graph: Graph,
     active,
-    current: Dict[NodeId, Set[TypeName]],
+    current: Dict[NodeId, FrozenSet[TypeName]],
     compiled: CompiledSchema,
     compressed: bool,
     signature_memo: Dict[Tuple, bool],
@@ -283,7 +319,12 @@ def _stabilise_objects(
     ``active`` nodes get their label seeds; out-edge targets outside it are
     read frozen from ``current``.  The subgraph ``active`` induces is
     condensed into strongly connected components, each seeded and driven to
-    its local fixpoint sinks first.
+    its local fixpoint sinks first; settled types are stored as frozensets.
+
+    A one-node component without a self-loop has final successors, so its
+    types are a function of its :func:`_row`: the first node with a given
+    row is seeded and checked, and later ones take its types without a seed
+    or a check (``stats.row_hits``).  The row memo lives for this call.
 
     With the ``prior`` typing of the graph before a delta whose nodes in
     ``active`` are ``touched`` (``current`` then reads every node it does
@@ -303,6 +344,7 @@ def _stabilise_objects(
     stats.components = len(components)
     stabilise = _stabilise_compressed if compressed else _stabilise_plain
     label_seed = compiled.label_seed
+    row_memo: Dict[FrozenSet, FrozenSet[TypeName]] = {}
     # The nodes to check: touched ones, and predecessors of changed ones.
     dirty: Set[NodeId] = set(touched)
     skipped = 0
@@ -310,18 +352,31 @@ def _stabilise_objects(
         if prior is not None and not any(node in dirty for node in component):
             skipped += 1
             continue
-        for node in component:
-            current[node] = set(label_seed(_out_labels(graph, node, compressed)))
         if len(component) == 1:
-            _stabilise_single(
-                graph, component[0], current, type_order, artifacts,
-                signature_memo, stats, compressed,
-            )
+            node = component[0]
+            row = _row(graph, node, current, compressed)
+            types = row_memo.get(row) if row is not None else None
+            if types is not None:
+                stats.row_hits += 1
+                current[node] = types
+            else:
+                current[node] = set(label_seed(_out_labels(graph, node, compressed)))
+                _stabilise_single(
+                    graph, node, current, type_order, artifacts,
+                    signature_memo, stats, compressed, self_loop=row is None,
+                )
+                current[node] = types = frozenset(current[node])
+                if row is not None:
+                    row_memo[row] = types
         else:
+            for node in component:
+                current[node] = set(label_seed(_out_labels(graph, node, compressed)))
             stabilise(
                 graph, component, set(component), current,
                 type_order, artifacts, watchers, signature_memo, stats,
             )
+            for node in component:
+                current[node] = frozenset(current[node])
         if prior is not None:
             for node in component:
                 if current[node] != prior.types_of(node):
@@ -338,13 +393,14 @@ def _stabilise_single(
     signature_memo: Dict[Tuple, bool],
     stats: FixpointStats,
     compressed: bool,
+    self_loop: bool,
 ) -> None:
     """Stabilise a one-node component: check its types until none fails.
 
-    Its successors outside it are final, so without a self-loop one pass
+    Its successors outside it are final, so without a ``self_loop`` one pass
     settles it; with one, a removal may invalidate the node's other types
-    and the pass repeats.  Most components of acyclic graphs and kind
-    quotients are like this, and skip the dirtiness bookkeeping.
+    and the pass repeats.  Most components of acyclic graphs are like this,
+    and skip the dirtiness bookkeeping.
     """
     types = current[node]
     while True:
@@ -372,7 +428,7 @@ def _stabilise_single(
             return
         types.difference_update(removed)
         stats.removals += len(removed)
-        if all(edge.target != node for edge in graph.out_edges(node)):
+        if not self_loop:
             return
 
 
@@ -412,100 +468,19 @@ def maximal_typing_fixpoint(
         stats = FixpointStats()
     with _KernelScope(stats), _obs_tracing.span(
         "fixpoint.full", compressed=compressed, nodes=graph.node_count,
-    ):
+    ) as trace_span:
         # (type, neighbourhood signature) -> verdict; shared across the run
         # so isomorphic nodes anywhere in the graph are checked once.
         if signature_memo is None:
             signature_memo = {}
-        current: Dict[NodeId, Set[TypeName]] = {}
+        current: Dict[NodeId, FrozenSet[TypeName]] = {}
+        hits = stats.row_hits
         _stabilise_objects(
             graph, graph.nodes, current, compiled, compressed, signature_memo, stats
         )
-        return Typing(current)
-
-
-def maximal_typing_store(
-    store,
-    compiled: Optional[CompiledSchema] = None,
-    schema: Optional[Union[ShExSchema, CompiledSchema]] = None,
-    compressed: bool = False,
-    stats: Optional[FixpointStats] = None,
-    signature_memo: Optional[Dict[Tuple, bool]] = None,
-) -> Typing:
-    """Full maximal typing of a :class:`repro.graphs.store.GraphStore`.
-
-    Like :func:`maximal_typing_fixpoint` on ``store.graph`` (a bare
-    :class:`Graph` is typed just so), but consults the store's automatic
-    kind-compression view first: when the size heuristic
-    selects a quotient (:meth:`repro.graphs.store.GraphStore.typing_view`)
-    and :func:`kind_view` allows it for the schema, the quotient is typed once per *kind* under the compressed semantics and
-    every node inherits its kind's types — identical to the per-node typing,
-    at a fraction of the checks on clone-heavy graphs.  ``stats.mode`` reports
-    ``"kinds"`` when the view was used.
-    """
-    compiled = _compiled_schema(schema, compiled)
-    if stats is None:
-        stats = FixpointStats()
-    with _KernelScope(stats):
-        if not compressed and hasattr(store, "typing_view"):
-            view = kind_view(store, compiled)
-            if view is not None:
-                kind_typing = kind_typing_for_view(
-                    view, compiled, stats=stats, signature_memo=signature_memo
-                )
-                return expand_kind_typing(view, kind_typing)
         stats.mode = "full"
-        return maximal_typing_fixpoint(
-            getattr(store, "graph", store), compiled=compiled, compressed=compressed, stats=stats,
-            signature_memo=signature_memo,
-        )
-
-
-def kind_view(store, compiled: CompiledSchema):
-    """The store's kind-compression view, when plain typing may use it.
-
-    The view is typed under the compressed semantics, which decides a rule
-    without per-symbol bounds through SciPy's MILP.  Without SciPy such a
-    schema gets ``None`` and takes the per-node plain path, which decides
-    every rule exactly with no solver.
-    """
-    if not compiled.flow_decided:
-        from repro.presburger.solver import milp_available
-
-        if not milp_available():
-            return None
-    return store.typing_view()
-
-
-def kind_typing_for_view(
-    view,
-    compiled: CompiledSchema,
-    stats: Optional[FixpointStats] = None,
-    signature_memo: Optional[Dict[Tuple, bool]] = None,
-) -> Typing:
-    """Full typing of a kind-compression quotient, one entry per *kind*.
-
-    The quotient is typed under the compressed semantics (member-wise edge
-    counts as multiplicities); quotient signatures carry multiplicities, so
-    they coexist with plain-shaped entries in a shared ``signature_memo``.
-    Sets ``stats.mode`` to ``"kinds"``.
-    """
-    if stats is None:
-        stats = FixpointStats()
-    with _KernelScope(stats):
-        kind_typing = maximal_typing_fixpoint(
-            view.compressed, compiled=compiled, compressed=True, stats=stats,
-            signature_memo=signature_memo,
-        )
-        stats.mode = "kinds"
-        return kind_typing
-
-
-def expand_kind_typing(view, kind_typing: Typing) -> Typing:
-    """The per-node typing induced by a kind-level typing of the quotient."""
-    return Typing(
-        {node: kind_typing.types_of(kind) for node, kind in view.kind_of.items()}
-    )
+        trace_span.annotate(row_hits=stats.row_hits - hits)
+        return Typing(current)
 
 
 # --------------------------------------------------------------------------- #
@@ -517,10 +492,7 @@ def affected_region(graph: Graph, seeds) -> Set[NodeId]:
     A node's types depend only on its out-reachable subgraph, so after an edge
     delta the typing can change exactly for the nodes from which some touched
     node is reachable — the region :func:`repro.graphs.scc.backward_closure`
-    collects with a BFS over ``in_edges``.  The kind partition is not kept
-    up to date over this region: it is rebuilt whole by the next
-    :meth:`repro.graphs.store.GraphStore.typing_view` read at a new version,
-    which only a full typing makes.  Seeds absent from the graph are
+    collects with a BFS over ``in_edges``.  Seeds absent from the graph are
     ignored.
     """
     return backward_closure(
@@ -569,9 +541,8 @@ def retype_incremental(
     When the affected region exceeds ``max_affected_fraction`` of the graph
     the incremental schedule would approach a full run anyway (and a large
     additive delta may grow typings across most of the prior fixpoint's
-    support), so the kernel falls back to :func:`maximal_typing_store` —
-    ``stats.mode`` then reports ``"full"`` or ``"kinds"`` instead of
-    ``"incremental"``.  A delta touching no node of the graph reports
+    support), so the kernel falls back to :func:`maximal_typing_fixpoint` —
+    ``stats.mode`` then reports ``"full"`` instead of ``"incremental"``.  A delta touching no node of the graph reports
     ``"unchanged"`` and returns ``prior_typing`` itself.
 
     ``signature_memo`` has the :func:`maximal_typing_fixpoint` semantics: a
@@ -604,8 +575,8 @@ def retype_incremental(
         stats.affected = len(affected)
         trace_span.annotate(frontier=stats.frontier, affected=stats.affected)
         if len(affected) > max_affected_fraction * graph.node_count:
-            return maximal_typing_store(
-                store, compiled=compiled, compressed=compressed, stats=stats,
+            return maximal_typing_fixpoint(
+                graph, compiled=compiled, compressed=compressed, stats=stats,
                 signature_memo=signature_memo,
             )
 
@@ -613,12 +584,13 @@ def retype_incremental(
         current = _OverPrior(prior_typing)
         if signature_memo is None:
             signature_memo = {}
+        hits = stats.row_hits
         _stabilise_objects(
             graph, affected, current, compiled, compressed, signature_memo, stats,
             prior_typing, touched,
         )
         stats.mode = "incremental"
-        trace_span.annotate(skipped=stats.skipped)
+        trace_span.annotate(skipped=stats.skipped, row_hits=stats.row_hits - hits)
         return prior_typing.updated({
             node: types
             for node, types in current.items()

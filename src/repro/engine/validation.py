@@ -31,7 +31,7 @@ from repro.engine.compiled import (
 from repro.engine.fixpoint import (
     MAX_AFFECTED_FRACTION,
     FixpointStats,
-    maximal_typing_store,
+    maximal_typing_fixpoint,
     retype_incremental,
 )
 from repro.engine.jobs import JobResult, Stopwatch, ValidationJob
@@ -174,8 +174,8 @@ class RevalidationOutcome:
     ``result`` is the usual deterministic :class:`repro.engine.jobs.JobResult`
     (cache-compatible with the batch path); the extra fields describe *how*
     the typing was obtained: ``version`` is the store version validated,
-    ``mode`` one of ``cached`` / ``unchanged`` / ``incremental`` / ``full`` /
-    ``kinds``, and for incremental runs ``frontier`` / ``affected`` are the
+    ``mode`` one of ``cached`` / ``unchanged`` / ``incremental`` / ``full``,
+    and for incremental runs ``frontier`` / ``affected`` are the
     delta-touched node count and the size of the retyped region.
     """
 
@@ -292,11 +292,11 @@ class ValidationEngine(BatchEngine):
         store's edge delta since that version (``mode "incremental"``, or
         ``"unchanged"`` when the delta touches no node).  Full typings — the
         first one, and the fallback for a region past
-        :data:`repro.engine.fixpoint.MAX_AFFECTED_FRACTION` of the graph — go
-        through :func:`repro.engine.fixpoint.maximal_typing_store`, which
-        types the store's kind quotient when its view pays (``mode
-        "kinds"``), so a store's partition is built only then.  Results are
-        also pushed through the regular fingerprint-keyed result cache, so a
+        :data:`repro.engine.fixpoint.MAX_AFFECTED_FRACTION` of the graph —
+        type ``store.graph`` with
+        :func:`repro.engine.fixpoint.maximal_typing_fixpoint` (``mode
+        "full"``).  Results are also pushed through the regular
+        fingerprint-keyed result cache, so a
         store whose content matches an earlier job — any store, any version —
         is answered without computing at all (``mode="cached"``); when the
         cached payload still holds its typing, that typing becomes the
@@ -361,8 +361,8 @@ class ValidationEngine(BatchEngine):
                     )
                     route, reason = _region_route(stats, store.graph.node_count)
                 else:
-                    typing = maximal_typing_store(
-                        store, compiled=compiled, compressed=compressed, stats=stats,
+                    typing = maximal_typing_fixpoint(
+                        store.graph, compiled=compiled, compressed=compressed, stats=stats,
                         signature_memo=memo,
                     )
                     route, reason = "full", "no prior typing"

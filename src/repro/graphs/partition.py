@@ -2,11 +2,9 @@
 
 :func:`kind_partition` computes the coarsest counting-bisimulation partition
 of a graph's nodes, and :func:`kind_compress` quotients the graph by it into
-a :class:`KindView`.  :meth:`repro.graphs.store.GraphStore.typing_view` builds
-the same view, through :func:`build_partition` and :func:`quotient_view`, once
-per store version it is read at; nothing is carried across deltas, because
-revalidation retypes a delta's region without the quotient and only a full
-typing reads it.
+a :class:`KindView`.  No typing path reads the view: the fixpoint kernel's
+row memo (:func:`repro.engine.fixpoint._stabilise_objects`) types alike
+nodes once without building a partition.
 
 A node's kind is determined by its *row* — the multiset of ``(label, kind of
 target)`` over its out-edges — and in a coarsest partition no two kinds share
@@ -65,13 +63,6 @@ def kind_partition(graph: Graph) -> Dict[NodeId, int]:
     parts share no kind.  Kinds are renumbered once at the end, giving the
     dict one refinement of the whole graph from one block would.
     """
-    return build_partition(graph)[0]
-
-
-def build_partition(graph: Graph) -> Tuple[Dict[NodeId, int], str, int]:
-    """:func:`kind_partition` plus the path taken (``"dag"`` when no node
-    reaches a cycle, ``"rounds"`` otherwise) and how many nodes were refined
-    in rounds."""
     order = sorted(graph.nodes, key=repr)
     peeled, cyclic = peel(graph, order)
     provisional: Dict[NodeId, int] = {}
@@ -79,16 +70,14 @@ def build_partition(graph: Graph) -> Tuple[Dict[NodeId, int], str, int]:
     for node in peeled:
         row = row_of(graph, node, provisional)
         provisional[node] = index.setdefault(row, len(index))
-    path = "dag"
     if cyclic:
-        path = "rounds"
         refined = [node for node in order if node in cyclic]
         provisional = _refine_rounds(graph, refined, provisional)
     numbering: Dict[int, int] = {}
     return {
         node: numbering.setdefault(provisional[node], len(numbering))
         for node in order
-    }, path, len(cyclic)
+    }
 
 
 def _refine_rounds(
@@ -141,7 +130,7 @@ class KindView:
 
 def quotient_view(graph: Graph, kind_of: Dict[NodeId, int], name: str = "") -> KindView:
     """The :class:`KindView` of ``graph`` under ``kind_of``, a
-    :func:`build_partition` result.
+    :func:`kind_partition` result.
 
     ``kind_of`` lists the nodes in ``repr`` order with kinds numbered by first
     appearance, so the members come out in ``repr`` order and kind order, and

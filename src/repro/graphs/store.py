@@ -20,25 +20,11 @@ substrate: a graph that knows *what changed between which versions*.
   the key batch jobs use too) is *maintained*: the first
   :meth:`GraphStore.fingerprint` hashes every fingerprint bucket, each delta
   marks the buckets of its touched nodes dirty, and later calls rehash only
-  those — so keying result caches by content costs the delta, not the graph;
-* :meth:`GraphStore.typing_view` exposes an optional *kind-compression* view
-  (the Section 6.1 quotient by neighbourhood signature), built once per
-  version it is read at and chosen automatically by a size heuristic: graphs
-  with many structurally identical nodes are typed once per kind on the
-  compressed quotient instead of once per node.
+  those — so keying result caches by content costs the delta, not the graph.
 
 The store holds no second copy of the graph: the region a delta can change is
 the backward closure of its touched nodes, which every consumer computes with
 :func:`repro.graphs.scc.backward_closure` over :meth:`Graph.in_edges`.
-
-Kind compression here is the *counting* refinement of the neighbourhood
-signatures the fixpoint kernel already memoises: two nodes share a kind when
-they have the same multiset of ``(label, kind of target)`` over their out-edges,
-iterated to the coarsest fixed partition.  Kind-mates then provably receive the
-same types under the plain semantics, and the quotient — one node per kind,
-edge multiplicities as counts — is a compressed graph whose Section 6.1 typing
-restricted to kinds equals the per-node typing (asserted by the delta-parity
-suite).
 """
 
 from __future__ import annotations
@@ -51,8 +37,8 @@ from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 from repro.core.intervals import Interval, ONE
 from repro.errors import GraphError
 from repro.graphs.graph import Edge, Graph, Label
-from repro.graphs.partition import KindView, build_partition, quotient_view
-from repro.graphs.partition import kind_compress, kind_partition  # noqa: F401 - public here too
+from repro.graphs.partition import KindView, kind_compress
+from repro.graphs.partition import kind_partition  # noqa: F401 - public here too
 from repro.obs import metrics as _obs_metrics
 from repro.obs import tracing as _obs_tracing
 
@@ -68,13 +54,6 @@ NodeId = Hashable
 
 #: One delta edge: ``(source, label, target, occurrence interval)``.
 DeltaEdge = Tuple[NodeId, Label, NodeId, Interval]
-
-#: Size heuristic of the automatic kind-compression view: graphs smaller than
-#: ``KIND_COMPRESS_MIN_NODES`` are never compressed, and the quotient must
-#: shrink the node count by at least ``KIND_COMPRESS_MIN_RATIO`` for the view
-#: to be preferred over plain per-node typing.
-KIND_COMPRESS_MIN_NODES = 64
-KIND_COMPRESS_MIN_RATIO = 4.0
 
 
 def _normalise_edges(entries: Iterable) -> Tuple[DeltaEdge, ...]:
@@ -286,15 +265,6 @@ class GraphStore:
         self._fp_digests: List[bytes] = []
         self._fp_dirty: Set[int] = set()
         self._fp_lock = threading.Lock()
-        # typing_view()'s answer at one version, and what the last partition
-        # build found (view_stats() reports it without building).
-        self._view: Optional[Tuple[int, Optional[KindView]]] = None
-        self._partition_stats: Optional[Dict[str, object]] = None
-        # Engines may type one store against several schemas concurrently,
-        # and each full typing reads typing_view(): one build per version.
-        # (Mutation vs. read safety is still the caller's job, as for the
-        # graph itself.)
-        self._view_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # Views
@@ -369,65 +339,15 @@ class GraphStore:
                 self._fp_members.setdefault(bucket, set()).add(node)
                 self._fp_dirty.add(bucket)
 
-    def typing_view(self) -> Optional[KindView]:
-        """The kind-compression view at the current version, or ``None`` when
-        it would not pay.
+    def typing_view(self) -> KindView:
+        """The Section 6.1 kind-compression view of the current graph.
 
-        The heuristic refuses graphs below ``KIND_COMPRESS_MIN_NODES`` outright
-        (the quotient could not amortise its construction) and otherwise keeps
-        the view only when the partition shrinks the node count by at least
-        ``KIND_COMPRESS_MIN_RATIO``; a refused view builds no quotient.
-
-        The answer is cached per version.  The first read at a version builds
-        the partition from scratch
-        (:func:`repro.graphs.partition.build_partition`) under a
-        ``partition.sync`` span tagged with the ``path`` taken (``dag`` or
-        ``rounds``), the nodes ``refined`` in rounds and the ``kinds`` found;
-        later reads at that version return the same snapshot (see
-        :class:`KindView`).  Revalidation retypes a delta's region without the
-        view, so only full typings read it.
+        A fresh :func:`repro.graphs.partition.kind_compress` on every call:
+        nothing is cached, and no typing path reads it (the fixpoint kernel's
+        row memo types alike nodes once instead).  It is kept for callers
+        that report the partition itself.
         """
-        with self._view_lock:
-            version = self._version
-            if self._view is not None and self._view[0] == version:
-                return self._view[1]
-            view: Optional[KindView] = None
-            nodes = self._graph.node_count
-            if nodes >= KIND_COMPRESS_MIN_NODES:
-                with _obs_tracing.span("partition.sync") as span:
-                    kind_of, path, refined = build_partition(self._graph)
-                    kinds = max(kind_of.values()) + 1  # numbered 0..kinds-1
-                    if kinds * KIND_COMPRESS_MIN_RATIO <= nodes:
-                        view = quotient_view(
-                            self._graph, kind_of, name=f"kinds({self.name})"
-                        )
-                    span.annotate(path=path, refined=refined, kinds=kinds)
-                self._partition_stats = {
-                    "kinds": kinds,
-                    "compression_ratio": round(nodes / kinds, 2),
-                    "partition_version": version,
-                    "path": path,
-                    "refined": refined,
-                }
-            self._view = (version, view)
-            return view
-
-    def view_stats(self) -> Dict[str, object]:
-        """Kind-view observability for ``status`` endpoints (never computes).
-
-        Reports the last partition build — kind count, compression ratio, the
-        version it was built at, its ``path`` and ``refined`` count — and
-        whether a view is ``active`` at the current version, without
-        triggering a build: a store whose view was never read at or past
-        ``KIND_COMPRESS_MIN_NODES`` nodes reports ``{"active": False}``.
-        """
-        with self._view_lock:  # a build may be mid-flight on an engine thread
-            stats = self._partition_stats
-            if stats is None:
-                return {"active": False}
-            view = self._view
-            active = view is not None and view[0] == self._version and view[1] is not None
-            return {"active": active, **stats}
+        return kind_compress(self._graph)
 
     # ------------------------------------------------------------------ #
     # Mutation

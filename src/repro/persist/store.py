@@ -30,9 +30,8 @@ of failing, and skipping duplicate records left by a crash-during-append
 graph is one :meth:`Graph.from_edges` call over edges whose intervals are
 interned per distinct pair, and the cyclic collector is paused for the whole
 open (what it builds is acyclic) and left as it was found.  No kind
-partition is persisted: the first full typing after a restart builds it
-(:meth:`GraphStore.typing_view`), and the ``partition`` section that older
-snapshots carry is ignored.  The snapshot's
+partition is persisted, and the ``partition`` section that older snapshots
+carry is ignored.  The snapshot's
 persisted typing snapshots come back as :attr:`restored_typings`, ready for
 :meth:`repro.engine.validation.ValidationEngine.seed_typing` — which is
 what makes the restart *warm*: the first revalidate runs incrementally from

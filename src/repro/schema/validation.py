@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Mapping, Tuple
 
 from repro.graphs.graph import Graph
-from repro.graphs.store import KIND_COMPRESS_MIN_NODES, GraphStore
 from repro.schema.shex import ShExSchema, TypeName
 from repro.schema.typing import (
     Typing,
@@ -57,23 +56,8 @@ def validate(graph: Graph, schema: ShExSchema, compiled=None) -> ValidationRepor
     ``compiled`` optionally supplies a pre-built
     :class:`repro.engine.compiled.CompiledSchema` for ``schema``; without it
     one is compiled (and interned) on the fly.
-
-    A graph of at least ``KIND_COMPRESS_MIN_NODES`` nodes is typed the way a
-    daemon types a store (:func:`repro.engine.fixpoint.maximal_typing_store`):
-    through its Section 6.1 kind quotient when that shrinks the graph by
-    ``KIND_COMPRESS_MIN_RATIO`` and :func:`repro.engine.fixpoint.kind_view`
-    allows it, node by node otherwise.  Smaller graphs build no store.
     """
-    if compiled is None:
-        from repro.engine.compiled import compile_schema
-
-        compiled = compile_schema(schema)
-    if graph.node_count >= KIND_COMPRESS_MIN_NODES:
-        from repro.engine.fixpoint import maximal_typing_store
-
-        typing = maximal_typing_store(GraphStore(graph), compiled=compiled)
-    else:
-        typing = maximal_typing(graph, schema, compiled=compiled)
+    typing = maximal_typing(graph, schema, compiled=compiled)
     untyped = tuple(
         sorted((node for node in graph.nodes if not typing.types_of(node)), key=repr)
     )

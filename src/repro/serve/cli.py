@@ -117,14 +117,6 @@ def _cmd_status(args: argparse.Namespace) -> int:
             f"    {name!r}: v{entry['version']}, {entry['nodes']} nodes, "
             f"{entry['edges']} edges"
         )
-        view = entry.get("view", {})
-        if view.get("active"):
-            line += (
-                f"; kinds={view['kinds']} ({view['compression_ratio']}x), "
-                f"partition path {view['path']} ({view['refined']} refined)"
-            )
-        elif view:
-            line += "; kind view inactive"
         print(line)
         persist = entry.get("persist")
         if persist:
@@ -254,6 +246,7 @@ def _render_metrics(snapshot: Dict[str, Any]) -> str:
         lines.append(
             f"  fixpoint: runs [{by_mode or 'none'}], "
             f"{int(fixpoint.get('checks', 0))} checks, "
+            f"{int(fixpoint.get('row_hits', 0))} row hits, "
             f"signature hit-rate {fixpoint.get('signature_hit_rate', 0.0):.1%}"
         )
     persist = snapshot.get("persist", {})
@@ -275,11 +268,7 @@ def _render_metrics(snapshot: Dict[str, Any]) -> str:
             line += f" disk={cache['disk_bytes']}B"
         lines.append(line)
     for name, entry in sorted(snapshot.get("graphs", {}).items()):
-        view = entry.get("view", {})
-        line = f"  graph {name!r}: v{entry['version']}, {entry['nodes']} nodes"
-        if view.get("active"):
-            line += f", kinds={view['kinds']} ({view['compression_ratio']}x)"
-        lines.append(line)
+        lines.append(f"  graph {name!r}: v{entry['version']}, {entry['nodes']} nodes")
     return "\n".join(lines)
 
 

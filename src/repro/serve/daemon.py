@@ -1192,15 +1192,8 @@ class ValidationDaemon:
 
     @classmethod
     def _store_status(cls, name: str, store: GraphStore) -> Dict[str, Any]:
-        """The ``status`` view of one store: summary plus kind-view stats.
-
-        ``view`` reports the store's last kind-partition build — kind count,
-        compression ratio, the version it was built at, its path — so
-        operators can see when compression pays; ``{"active": false}`` for
-        stores whose view was never built (the report never computes).
-        """
+        """The ``status`` view of one store: summary plus persistence state."""
         summary = cls._store_summary(name, store)
-        summary["view"] = store.view_stats()
         persist = getattr(store, "persist_status", None)
         if persist is not None:
             summary["persist"] = persist()
@@ -1277,8 +1270,7 @@ class ValidationDaemon:
         ``graphs`` (a list of names), or ``all: true`` (every registered
         graph, sorted).  Incremental when the engine holds the typing of an
         earlier version — the response's ``mode`` field reports which path
-        answered (``cached`` / ``unchanged`` / ``incremental`` / ``full`` /
-        ``kinds``).
+        answered (``cached`` / ``unchanged`` / ``incremental`` / ``full``).
 
         Batched form: the whole batch is revalidated against one resolved
         schema in a single engine hop, so every graph after the first reuses

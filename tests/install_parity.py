@@ -2,17 +2,19 @@
 
     python tests/install_parity.py OUTDIR
 
-writes ``OUTDIR/schema.shex`` and two Turtle documents the schema types
-completely, each taking a different typing path:
+writes ``OUTDIR/schema.shex`` and three Turtle documents the schema types
+completely.  Every graph takes the one typing path, the fixpoint kernel;
+the documents load different parts of it:
 
 * ``clone.ttl`` — 1,000 copies of a small bug tracker whose two bugs cite
-  each other.  The graph is cyclic and its kind quotient is tiny, so
-  ``validate`` types the quotient.
+  each other: two-node cycles, and rows the kernel's row memo repeats;
 * ``powerlaw.ttl`` — 17,000 papers citing older papers by preferential
-  attachment.  The quotient shrinks the graph less than
-  ``KIND_COMPRESS_MIN_RATIO`` times, so ``validate`` types it node by node.
+  attachment: few repeated rows;
+* ``disjunction.ttl`` — 40 copies of a four-ticket chain under a rule with
+  a disjunction, which is no interval RBE0: the membership test decides
+  it, and it must not need SciPy's MILP.
 
-CI runs ``python -m repro.cli validate --show-typing`` on both after each
+CI runs ``python -m repro.cli validate --show-typing`` on each after each
 install (full, without SciPy, without numpy) and diffs the outputs.  The
 documents are a pure function of the fixed seed below.
 """
@@ -31,6 +33,7 @@ Lit -> isLiteral :: Marker
 Marker -> eps
 Paper -> cites :: Paper*
 Survey -> cites :: Paper, cites :: Paper, cites :: Paper+
+Ticket -> (descr :: Lit | note :: Lit), next :: Ticket?
 """
 
 PREFIX = "@prefix ex: <http://example.org/> .\n"
@@ -65,6 +68,17 @@ def powerlaw_document(rng: random.Random, size: int = 17_000) -> str:
     return "".join(lines)
 
 
+def disjunction_document(copies: int = 40, length: int = 4) -> str:
+    lines = [PREFIX]
+    for copy in range(copies):
+        for i in range(length):
+            fact = f'ex:note "n{copy}-{i}"' if (copy + i) % 2 else f'ex:descr "d{copy}-{i}"'
+            if i + 1 < length:
+                fact += f" ; ex:next ex:t{copy}-{i + 1}"
+            lines.append(f"ex:t{copy}-{i} {fact} .\n")
+    return "".join(lines)
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
@@ -75,6 +89,7 @@ def main(argv) -> int:
         "schema.shex": SCHEMA,
         "clone.ttl": clone_document(),
         "powerlaw.ttl": powerlaw_document(random.Random(20190630)),
+        "disjunction.ttl": disjunction_document(),
     }
     for name, text in documents.items():
         with open(os.path.join(out, name), "w", encoding="utf-8") as handle:

@@ -27,7 +27,7 @@ TURTLE = (
     "ex:b2 ex:descr ex:l2 .\n"
 )
 #: Revalidation modes a warm restart may answer with — anything but a
-#: from-scratch retype ("full" / "kinds").
+#: from-scratch retype ("full").
 WARM_MODES = {"cached", "unchanged", "incremental"}
 
 

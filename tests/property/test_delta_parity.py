@@ -6,9 +6,9 @@ a from-scratch kernel run of the new graph *at every version*, for both
 validation semantics.  This suite applies seeded random insert/remove
 sequences through a :class:`repro.graphs.store.GraphStore` and asserts exactly
 that, mirroring ``tests/property/test_fixpoint_parity.py``; it also covers
-multi-version diffs (retyping across several deltas at once), the automatic
-kind-compression view (full typings) next to region retyping of the same
-stores, and the engine-level revalidation wrapper.
+multi-version diffs (retyping across several deltas at once), cloned stores
+whose deltas change the target types of rows the kernel's row memo shares
+across copies, and the engine-level revalidation wrapper.
 """
 
 from __future__ import annotations
@@ -18,17 +18,11 @@ import random
 import pytest
 
 from repro.engine.compiled import compile_schema
-from repro.engine.fixpoint import (
-    FixpointStats,
-    expand_kind_typing,
-    kind_typing_for_view,
-    maximal_typing_fixpoint,
-    maximal_typing_store,
-    retype_incremental,
-)
+from repro.engine.fixpoint import FixpointStats, maximal_typing_fixpoint, retype_incremental
 from repro.engine.validation import ValidationEngine
 from repro.graphs.graph import Graph
 from repro.graphs.store import Delta, GraphStore
+from repro.schema.reference import maximal_typing_reference
 from repro.workloads.bugtracker import bug_tracker_graph, bug_tracker_schema
 from repro.workloads.generators import DEFAULT_LABELS, random_shape_schema, random_shex_schema
 
@@ -160,8 +154,8 @@ class TestCompressedDeltaParity:
             _assert_version_parity(store, schema, typing, True, seed, step)
 
 
-class TestKindViewParity:
-    def test_clone_heavy_graph_types_identically_through_kinds(self):
+class TestRowMemoParity:
+    def test_clone_heavy_graph_types_copies_from_the_row_memo(self):
         schema = bug_tracker_schema()
         base = bug_tracker_graph()
         graph = Graph("clones")
@@ -170,60 +164,61 @@ class TestKindViewParity:
                 graph.add_edge(
                     (copy_index, edge.source), edge.label, (copy_index, edge.target)
                 )
-        store = GraphStore(graph)
-        view = store.typing_view()
-        assert view is not None and view.kind_count < graph.node_count
         stats = FixpointStats()
-        via_kinds = maximal_typing_store(store, schema=schema, stats=stats)
-        assert stats.mode == "kinds"
-        assert via_kinds == maximal_typing_fixpoint(graph, schema)
+        typing = maximal_typing_fixpoint(graph, schema, stats=stats)
+        assert stats.row_hits > 0
+        assert typing == maximal_typing_reference(graph, schema)
 
-    def test_small_graphs_skip_the_view(self):
-        store = GraphStore(bug_tracker_graph())
-        assert store.typing_view() is None  # below the size floor
+    def test_the_memo_lives_for_one_run(self):
+        # A second run on the same graph checks its first row again.
+        stats = FixpointStats()
+        for _ in range(2):
+            maximal_typing_fixpoint(bug_tracker_graph(), bug_tracker_schema(), stats=stats)
+        first = FixpointStats()
+        maximal_typing_fixpoint(bug_tracker_graph(), bug_tracker_schema(), stats=first)
+        assert stats.row_hits == 2 * first.row_hits
+        assert stats.checks == 2 * first.checks
 
 
-class TestKindsDeltaParity:
+class TestRowMemoDeltaParity:
     @pytest.mark.parametrize("seed", PLAIN_SEEDS[:3])
-    def test_region_retyping_of_a_viewed_store_matches_from_scratch(self, seed):
-        # A store whose kind view pays is still retyped by region after a
-        # delta; the result must equal both full typings (quotient and per
-        # node) of the new version.
+    def test_region_retyping_of_cloned_rows_matches_from_scratch(self, seed):
+        # Copies share rows in the full typing; a delta that makes the same
+        # edit in two copies changes the target types of some of their rows,
+        # and the region retype must key them on the new types (the second
+        # copy then hits the first's rows, not the prior ones).
         rng = random.Random(seed)
-        schema = random_shape_schema(4, rng=rng, name=f"delta-kinds-{seed}")
+        schema = random_shape_schema(4, rng=rng, name=f"delta-rows-{seed}")
         compiled = compile_schema(schema)
         labels = sorted(schema.labels()) or list(DEFAULT_LABELS[:3])
         base = _noise_graph(rng, 10, 16, labels)
         names = sorted(base.nodes, key=repr)
         graph = Graph("cloned-noise")
-        for copy_index in range(10):  # 100 nodes: above the view floor
+        for copy_index in range(10):
             for edge in base.edges:
                 graph.add_edge(
                     (copy_index, edge.source), edge.label, (copy_index, edge.target)
                 )
         store = GraphStore(graph)
-        view = store.typing_view()
-        typing = expand_kind_typing(view, kind_typing_for_view(view, compiled))
+        typing = maximal_typing_fixpoint(store.graph, compiled)
         modes = set()
+        hits = 0
         for step in range(STEPS // 2):
-            copy_index = rng.randrange(10)
-            edge = (
-                (copy_index, rng.choice(names)),
-                rng.choice(labels),
-                (copy_index, rng.choice(names)),
-            )
-            delta = Delta.of(add=[edge])
+            source, label, target = rng.choice(names), rng.choice(labels), rng.choice(names)
+            delta = Delta.of(add=[
+                ((copy_index, source), label, (copy_index, target))
+                for copy_index in rng.sample(range(10), 2)
+            ])
             store.apply(delta)
             stats = FixpointStats()
             typing = retype_incremental(store, typing, delta, compiled=compiled, stats=stats)
             modes.add(stats.mode)
-            full = FixpointStats()
-            assert typing == maximal_typing_store(store, compiled=compiled, stats=full), (
+            hits += stats.row_hits
+            assert typing == maximal_typing_reference(store.graph, schema), (
                 f"seed {seed} step {step}: region retyping diverged (mode {stats.mode})"
             )
-            assert full.mode == "kinds"
-            assert typing == maximal_typing_fixpoint(store.graph, compiled)
         assert "incremental" in modes
+        assert hits > 0
 
 
 class TestEngineRevalidationParity:
@@ -234,12 +229,12 @@ class TestEngineRevalidationParity:
         store = GraphStore(_noise_graph(rng, 12, 20, labels))
         engine = ValidationEngine(cache_size=0)  # force recomputation paths
         first = engine.revalidate(store, schema)
-        assert first.mode in ("full", "kinds")
+        assert first.mode == "full"
         for _ in range(4):
             store.apply(_random_plain_delta(rng, store.graph, labels))
             outcome = engine.revalidate(store, schema)
             assert outcome.version == store.version
-            assert outcome.mode in ("incremental", "full", "kinds")
+            assert outcome.mode in ("incremental", "full")
             oracle = maximal_typing_fixpoint(store.graph, schema)
             expected = "valid" if all(
                 oracle.types_of(node) for node in store.graph.nodes

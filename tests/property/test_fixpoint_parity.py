@@ -238,3 +238,62 @@ class TestLabelSeedParity:
         rng = random.Random(seed)
         schema = parse_schema(_SEED_SCHEMAS["non-rbe0"], name="non-rbe0")
         _assert_seed_parity(_compressed_noise_graph(rng, 6, SEED_LABELS), schema, True, seed)
+
+
+def _expanded(graph: Graph) -> Graph:
+    """``graph`` with each edge of multiplicity ``k`` as ``k`` parallel edges."""
+    plain = Graph(f"expanded-{graph.name}")
+    plain.add_nodes(graph.nodes)
+    for edge in sorted(graph.edges, key=lambda edge: edge.edge_id):
+        for _ in range(edge.occur.lower):
+            plain.add_edge(edge.source, edge.label, edge.target)
+    return plain
+
+
+class TestRowMemoParity:
+    """The row memo types one-node components with equal rows once; under
+    the compressed semantics rows that differ only in an edge's multiplicity
+    must not share types.  The oracle types the graph with each edge of
+    multiplicity ``k`` expanded into ``k`` parallel edges under the plain
+    semantics, so it needs no solver."""
+
+    @pytest.mark.parametrize("seed", SEED_SEEDS)
+    def test_compressed_copies_with_redrawn_multiplicities(self, seed):
+        rng = random.Random(seed)
+        schema = parse_schema(_SEED_SCHEMAS["required"], name="required")
+        # Acyclic triples (edges go to lower indices), so most components
+        # are single nodes, plus one self-loop.
+        triples = {(f"c{i}", rng.choice(SEED_LABELS), f"c{rng.randrange(i)}")
+                   for i in range(1, 9) for _ in range(rng.randint(0, 3))}
+        triples.add(("c5", "b", "c5"))
+        graph = Graph("compressed-copies")
+        for copy in range(4):  # the same triples, multiplicities drawn anew
+            graph.add_nodes((copy, f"c{i}") for i in range(9))
+            for source, label, target in sorted(triples):
+                multiplicity = rng.choice([0, 1, 2, 3])
+                graph.add_edge(
+                    (copy, source), label, (copy, target), (multiplicity, multiplicity)
+                )
+        stats = FixpointStats()
+        typing = maximal_typing_fixpoint(graph, schema, compressed=True, stats=stats)
+        assert typing == maximal_typing_reference(_expanded(graph), schema), f"seed {seed}"
+        assert stats.row_hits > 0
+
+    @pytest.mark.parametrize("seed", PLAIN_SEEDS)
+    def test_parallel_edges_count_in_plain_rows(self, seed):
+        # Every node has one or two parallel a-edges into alike sinks: its
+        # row has the same keys either way, but not the same counts.
+        rng = random.Random(seed)
+        schema = parse_schema(
+            "One -> a :: L, b :: One?\nTwo -> a :: L^[2;2], b :: One?\nL -> eps", name="counts"
+        )
+        graph = Graph("parallel")
+        for index in range(24):
+            for _ in range(rng.choice([1, 2])):
+                graph.add_edge(f"n{index}", "a", f"l{rng.randrange(3)}")
+            if index and rng.random() < 0.5:
+                graph.add_edge(f"n{index}", "b", f"n{rng.randrange(index)}")
+        stats = FixpointStats()
+        typing = maximal_typing_fixpoint(graph, schema, stats=stats)
+        assert typing == maximal_typing_reference(graph, schema), f"seed {seed}"
+        assert stats.row_hits > 0

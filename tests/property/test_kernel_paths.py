@@ -5,8 +5,9 @@ along several paths, and each hands the kernel a different region with
 different frozen types around it:
 
 * a whole-graph run (:func:`repro.engine.fixpoint.maximal_typing_fixpoint`);
-* a store's run (:func:`repro.engine.fixpoint.maximal_typing_store`), which
-  types the kind quotient instead when the view pays;
+* Section 6.1's construction: the kind quotient
+  (:func:`repro.graphs.partition.kind_compress`) typed under the compressed
+  semantics, each node reading its kind's types;
 * region retyping after edge insertions
   (:func:`repro.engine.fixpoint.retype_incremental`), building the graph up
   from its bare nodes in batches;
@@ -16,17 +17,20 @@ different frozen types around it:
 * the validation engine's revalidation and its typing snapshot.
 
 ``TestEntryPaths`` crosses these paths with graph families that drive
-different parts of the schedule — clones (signature memo, kind view), random
+different parts of the schedule — clones (row and signature memos), random
 noise (cycles, dead ends, parallel edges), a long chain (one-node components),
-a ring with chords (one large component) and hubs (wide out-degree under
-interval rules) — and asserts the oracle's typing on each.
-``TestCompressedEntryPaths`` does the same under the compressed semantics.
+a ring with chords (one large component), hubs (wide out-degree under
+interval rules) and memo rows (nodes that reach a cycle without being on
+one, self-loops, parallel edges whose targets have equal types, rows equal
+as sets but not as multisets) — and asserts the oracle's typing on each.
+``TestCompressedEntryPaths`` does the same under the compressed semantics,
+with rows that differ only in an edge's multiplicity.
 
 ``TestLargeRegions`` types regions of 17,000 nodes, past any size the parity
 suites reach, where a type lost at one end must travel the whole region: a
 ring that is one strongly connected component, a chain of one-node
-components, a power-law citation graph and clones typed through the kind
-view.  The naive oracle rescans the whole graph once per round and needs as
+components, a power-law citation graph and clones typed from the row
+memo.  The naive oracle rescans the whole graph once per round and needs as
 many rounds as the region is long, so these cases compare with closed-form
 typings or with the worklist baseline of :mod:`repro.schema.reference`.
 """
@@ -38,17 +42,15 @@ import random
 import pytest
 
 from repro.engine.compiled import compile_schema
-from repro.engine.fixpoint import (
-    FixpointStats,
-    maximal_typing_fixpoint,
-    maximal_typing_store,
-    retype_incremental,
-)
+from repro.engine.fixpoint import FixpointStats, maximal_typing_fixpoint, retype_incremental
 from repro.engine.validation import ValidationEngine
+from repro.errors import PresburgerError
 from repro.graphs.graph import Graph
+from repro.graphs.partition import kind_compress
 from repro.graphs.store import Delta, GraphStore
 from repro.schema.parser import parse_schema
 from repro.schema.reference import maximal_typing_reference, maximal_typing_worklist
+from repro.schema.typing import Typing
 from repro.workloads.bugtracker import bug_tracker_graph, bug_tracker_schema
 from repro.workloads.generators import DEFAULT_LABELS, random_shape_schema, random_shex_schema
 
@@ -73,8 +75,8 @@ def _graph(name: str, names, edges) -> Graph:
 
 
 def _clones(rng: random.Random):
-    # Bug-tracker copies, two of them perturbed: above the kind view's size
-    # floor, and the quotient still shrinks the graph well past its ratio.
+    # Bug-tracker copies, two of them perturbed: most rows repeat, and the
+    # kind quotient still shrinks the graph several times over.
     base = bug_tracker_graph()
     edges = [
         ((copy_index, edge.source), edge.label, (copy_index, edge.target))
@@ -137,8 +139,49 @@ def _hubs(rng: random.Random):
     return _graph("hubs", names, edges), schema, ["item", "tag"]
 
 
+#: Rules whose types tell one ``a`` edge from two, a cycle that holds from
+#: one that breaks, and a self-loop from a plain edge.
+MEMO_SCHEMA = (
+    "One -> a :: Leaf, b :: Loop?\n"
+    "Two -> a :: Leaf^[2;2], b :: Loop?\n"
+    "Loop -> c :: Loop, b :: One?\n"
+    "Up -> a :: Leaf, b :: One\n"
+    "Leaf -> eps\n"
+)
+
+
+def _memo_rows(rng: random.Random):
+    """Copies of rows the row memo must tell apart.
+
+    Each copy has leaves, nodes with one ``a`` edge and with two (to two
+    leaves, or twice to one: rows equal as sets, not as multisets), a ring
+    and a self-loop that hold or break (a ``z`` edge no rule allows), and
+    tails that reach them without being on them.
+    """
+    edges = []
+    for c in range(rng.randint(3, 5)):
+        leaves = [f"leaf{c}-{i}" for i in range(2)]
+        edges += [(f"one{c}", "a", rng.choice(leaves))]
+        edges += [(f"two{c}", "a", leaves[0]), (f"two{c}", "a", leaves[1])]
+        edges += [(f"twice{c}", "a", leaves[0]), (f"twice{c}", "a", leaves[0])]
+        ring = [f"ring{c}-{i}" for i in range(3)]
+        edges += [(ring[i], "c", ring[(i + 1) % 3]) for i in range(3)]
+        edges += [(f"loop{c}", "c", f"loop{c}")]
+        for broken in rng.sample(ring + [f"loop{c}"], rng.randint(0, 2)):
+            edges.append((broken, "z", rng.choice(leaves)))
+        for index, target in enumerate(ring + [f"loop{c}", f"one{c}"]):
+            tail, up = f"tail{c}-{index}", f"up{c}-{index}"
+            edges += [(tail, "a", rng.choice(leaves)), (tail, "b", target)]
+            edges += [(up, "a", leaves[1]), (up, "b", tail)]
+        edges.append((ring[0], "b", f"tail{c}-{rng.randrange(5)}"))
+    names = sorted({node for source, _, target in edges for node in (source, target)})
+    schema = parse_schema(MEMO_SCHEMA, name="memo-rows")
+    return _graph("memo-rows", names, edges), schema, ["a", "b", "c"]
+
+
 FAMILIES = {
     "clones": _clones,
+    "memo-rows": _memo_rows,
     "shape-noise": _shape_noise,
     "shex-noise": _shex_noise,
     "chain": _chain,
@@ -173,8 +216,13 @@ def _via_fixpoint(graph, compiled, compressed, rng, labels):
     return maximal_typing_fixpoint(graph, compiled=compiled, compressed=compressed)
 
 
-def _via_store(graph, compiled, compressed, rng, labels):
-    return maximal_typing_store(GraphStore(graph), compiled=compiled, compressed=compressed)
+def _via_quotient(graph, compiled, compressed, rng, labels):
+    view = kind_compress(graph)
+    try:
+        kinds = maximal_typing_fixpoint(view.compressed, compiled=compiled, compressed=True)
+    except PresburgerError:
+        pytest.skip("the quotient's checks of a non-interval rule need SciPy's MILP")
+    return Typing({node: kinds.types_of(kind) for node, kind in view.kind_of.items()})
 
 
 def _via_insertions(graph, compiled, compressed, rng, labels):
@@ -247,7 +295,7 @@ def _via_engine(graph, compiled, compressed, rng, labels):
 
 ENTRIES = {
     "fixpoint": _via_fixpoint,
-    "store": _via_store,
+    "quotient": _via_quotient,
     "insertions": _via_insertions,
     "removals": _via_removals,
     "carried-memo": _via_carried_memo,
@@ -274,11 +322,13 @@ class TestEntryPaths:
     def test_entry_matches_the_oracle(self, entry, family, seed):
         _assert_entry_parity(entry, family, seed, False, FAMILIES[family])
 
-    def test_clones_take_the_kind_view(self):
+    def test_clones_hit_the_row_memo(self):
         graph, schema, _ = _clones(random.Random(SEEDS[0]))
         stats = FixpointStats()
-        maximal_typing_store(GraphStore(graph), schema=schema, stats=stats)
-        assert stats.mode == "kinds"
+        maximal_typing_fixpoint(graph, schema, stats=stats)
+        assert stats.mode == "full"
+        assert stats.row_hits > graph.node_count // 2
+        assert stats.checks < graph.node_count
 
 
 def _compressed_noise(rng: random.Random):
@@ -308,7 +358,32 @@ def _compressed_hubs(rng: random.Random):
     return graph, schema, ["item"]
 
 
-COMPRESSED_FAMILIES = {"noise": _compressed_noise, "hubs": _compressed_hubs}
+def _compressed_rows(rng: random.Random):
+    """Hubs whose rows differ only in an edge's multiplicity, under ``[0;k]``
+    and ``[2;2]`` intervals, with alike hubs repeating each row."""
+    schema = parse_schema(
+        "Pair -> item :: Leaf^[2;2], tag :: Leaf^[0;3]\n"
+        "Few -> item :: Leaf^[0;2]\n"
+        "Leaf -> eps\n",
+        name="paths-compressed-rows",
+    )
+    names = [f"h{i}" for i in range(9)] + ["l0", "l1"]
+    graph = Graph("compressed-rows")
+    graph.add_nodes(names)
+    for hub in names[:9]:
+        item = rng.choice([0, 1, 2, 3])
+        graph.add_edge(hub, "item", "l0", (item, item))
+        if rng.random() < 0.5:
+            tag = rng.choice([0, 2, 4])
+            graph.add_edge(hub, "tag", "l1", (tag, tag))
+    return graph, schema, ["item", "tag"]
+
+
+COMPRESSED_FAMILIES = {
+    "noise": _compressed_noise,
+    "hubs": _compressed_hubs,
+    "rows": _compressed_rows,
+}
 
 
 class TestCompressedEntryPaths:
@@ -400,7 +475,7 @@ class TestLargeRegions:
         papers = [node for node in range(LARGE) if "Paper" in typing.types_of(node)]
         assert papers and len(papers) < LARGE
 
-    def test_large_clone_graph_types_alike_through_the_kind_view(self):
+    def test_large_clone_graph_types_copies_from_the_row_memo(self):
         base = bug_tracker_graph()
         copies = LARGE // base.node_count + 1
         graph = Graph.from_edges(
@@ -410,6 +485,6 @@ class TestLargeRegions:
         )
         assert graph.node_count >= LARGE
         stats = FixpointStats()
-        via_kinds = maximal_typing_store(GraphStore(graph), schema=bug_tracker_schema(), stats=stats)
-        assert stats.mode == "kinds"
-        assert via_kinds == maximal_typing_fixpoint(graph, bug_tracker_schema())
+        typing = maximal_typing_fixpoint(graph, bug_tracker_schema(), stats=stats)
+        assert typing == maximal_typing_worklist(graph, bug_tracker_schema())
+        assert stats.row_hits > graph.node_count // 2

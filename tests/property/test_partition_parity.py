@@ -1,26 +1,17 @@
-"""Parity of the store's kind view against from-scratch compression.
+"""Parity of the Section 6.1 kind quotient, and of typing stores it no longer drives.
 
-:meth:`repro.graphs.store.GraphStore.typing_view` builds the kind partition
-and its quotient once per version it is read at.  After *any* delta sequence
-— cyclic noise graphs, DAG shapes, clones — the view at each version must
-equal a fresh :func:`repro.graphs.store.kind_compress` of that version's
-graph, up to kind renaming:
+:func:`repro.graphs.partition.kind_partition` hashes the nodes that reach no
+cycle sinks first and refines only the rest; it must give the very dict of
+one-block refinement of the whole graph.  After *any* delta sequence —
+cyclic noise graphs, DAG shapes, clones — the store's
+:meth:`repro.graphs.store.GraphStore.typing_view` must partition the nodes
+into the blocks of that refinement, its quotient typed under the compressed
+semantics must give every node the oracle's types, and a view handed out at
+one version must not change with later deltas.
 
-* same partition *blocks* over the nodes;
-* isomorphic quotient under the member-induced kind bijection (same rows,
-  same multiplicities);
-
-and the typing through the view must equal the oracle's.  Two reads at one
-version build once (one ``partition.sync`` span), a refused view builds no
-quotient, and a view handed out at one version does not change with later
-deltas.
-
-The build itself hashes the nodes that reach no cycle sinks first and
-refines only the rest; it must give the very dict of one-block refinement
-of the whole graph.  On top of that, revalidating a store whose kind view
-pays — a full typing through the quotient, then region retyping of each
-delta by :meth:`ValidationEngine.revalidate` — must equal a full
-from-scratch typing at every version.
+No typing path reads the view.  Revalidating a cloned store — a full typing,
+then region retyping of each delta by :meth:`ValidationEngine.revalidate` —
+must equal a full from-scratch typing at every version.
 """
 
 from __future__ import annotations
@@ -31,32 +22,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import obs
-from repro.engine.fixpoint import (
-    FixpointStats,
-    expand_kind_typing,
-    kind_typing_for_view,
-    maximal_typing_fixpoint,
-    maximal_typing_store,
-    retype_incremental,
-)
+from repro.engine.compiled import compile_schema
+from repro.engine.fixpoint import FixpointStats, maximal_typing_fixpoint, retype_incremental
 from repro.engine.validation import ValidationEngine, _payload_from_typing
 from repro.core.intervals import ONE
 from repro.errors import GraphError
 from repro.graphs import partition
-from repro.graphs import store as store_module
 from repro.graphs.graph import Graph
 from repro.graphs.scc import backward_closure, strongly_connected_components
-from repro.graphs.store import (
-    KIND_COMPRESS_MIN_NODES,
-    KIND_COMPRESS_MIN_RATIO,
-    Delta,
-    GraphStore,
-    kind_compress,
-)
-from repro.obs import metrics as obs_metrics
+from repro.graphs.store import Delta, GraphStore
 from repro.schema.parser import parse_schema
 from repro.schema.reference import maximal_typing_reference
+from repro.schema.typing import Typing
 from repro.workloads.bugtracker import bug_tracker_graph, bug_tracker_schema
 from repro.workloads.generators import DEFAULT_LABELS, random_shape_schema
 
@@ -122,29 +99,10 @@ def _blocks(kind_of) -> frozenset:
     return frozenset(frozenset(members) for members in inverse.values())
 
 
-def _rows(view, rename=lambda kind: kind) -> dict:
-    """Each kind's quotient row, kinds renamed by ``rename``."""
-    return {
-        rename(kind): {
-            (edge.label, rename(edge.target)): edge.occur.lower
-            for edge in view.compressed.out_edges(kind)
-        }
-        for kind in view.members
-    }
-
-
-def _assert_view_parity(view, graph: Graph, context: str) -> None:
-    """``view`` == a fresh ``kind_compress`` of ``graph``, up to renaming."""
-    fresh = kind_compress(graph)
-    assert _blocks(view.kind_of) == _blocks(fresh.kind_of), (
-        f"{context}: view blocks diverged from kind_partition"
-    )
-    bijection = {view.kind_of[node]: fresh.kind_of[node] for node in graph.nodes}
-    assert _rows(view, bijection.get) == _rows(fresh), (
-        f"{context}: view quotient is not isomorphic to kind_compress"
-    )
-    assert set(view.compressed.nodes) == set(view.members)
-    assert sum(len(nodes) for nodes in view.members.values()) == graph.node_count
+def _quotient_typing(view, compiled) -> Typing:
+    """Each node's types read off its kind in the quotient's compressed typing."""
+    kinds = maximal_typing_fixpoint(view.compressed, compiled=compiled, compressed=True)
+    return Typing({node: kinds.types_of(kind) for node, kind in view.kind_of.items()})
 
 
 #: Clone count of the DAG scenarios: edits stay inside copy 0.
@@ -216,9 +174,8 @@ def _dag_delta(rng: random.Random, graph: Graph, rank) -> Delta:
     return Delta.of(add=[((0, upper), rng.choice(("link", "rest", "kid")), (0, lower))])
 
 
-#: The delta sequences of the view-parity suite: cyclic noise graphs (one
-#: whose view is refused, one cloned so that it pays), the DAG shapes and
-#: cloned bug trackers.
+#: The delta sequences of the quotient-parity suite: cyclic noise graphs
+#: (one of them cloned), the DAG shapes and cloned bug trackers.
 VIEW_SHAPES = ("noise", "cloned-noise") + DAG_SHAPES + ("bug-clones",)
 
 
@@ -254,59 +211,37 @@ def _frozen(view):
     return dict(view.kind_of), sorted(map(repr, view.compressed.edges))
 
 
-class TestViewParity:
+class TestQuotientParity:
     @pytest.mark.parametrize("shape", VIEW_SHAPES)
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_view_at_every_version_equals_fresh_compression(self, shape, seed, monkeypatch):
+    def test_quotient_at_every_version_types_like_the_oracle(self, shape, seed):
         rng = random.Random(seed)
         graph, schema, next_delta = _view_scenario(shape, rng)
+        compiled = compile_schema(schema)
         store = GraphStore(graph)
-        builds = []
-        real_quotient_view = store_module.quotient_view
-        monkeypatch.setattr(
-            store_module,
-            "quotient_view",
-            lambda *args, **kwargs: builds.append(1) or real_quotient_view(*args, **kwargs),
-        )
         held = None  # a view handed out at an earlier version, and its content
-        before = obs_metrics.STATE.enabled
-        obs_metrics.STATE.enabled = True
-        try:
-            for step in range(STEPS + 1):
-                context = f"{shape} seed {seed} step {step}"
-                if step:
-                    try:
-                        store.apply(next_delta(store.graph))
-                    except GraphError:
-                        continue  # the edit named an edge an earlier step removed
-                built = len(builds)
-                with obs.start_trace("test.view") as root:
-                    view = store.typing_view()
-                    assert store.typing_view() is view, context
-                syncs = [child for child in root.children if child.name == "partition.sync"]
-                nodes = store.graph.node_count
-                assert len(syncs) == (nodes >= KIND_COMPRESS_MIN_NODES), context
+        for step in range(STEPS + 1):
+            context = f"{shape} seed {seed} step {step}"
+            if step:
+                try:
+                    store.apply(next_delta(store.graph))
+                except GraphError:
+                    continue  # the edit named an edge an earlier step removed
+            view = store.typing_view()
+            order = sorted(store.graph.nodes, key=repr)
+            assert _blocks(view.kind_of) == _blocks(
+                partition._refine_rounds(store.graph, order)
+            ), f"{context}: view blocks diverged from one-block refinement"
+            assert set(view.compressed.nodes) == set(view.members)
+            assert sum(len(nodes) for nodes in view.members.values()) == len(order)
 
-                fresh = kind_compress(store.graph)
-                pays = (
-                    nodes >= KIND_COMPRESS_MIN_NODES
-                    and fresh.kind_count * KIND_COMPRESS_MIN_RATIO <= nodes
-                )
-                assert (view is not None) == pays, context
-                assert len(builds) - built == pays, f"{context}: quotient builds"
-                if view is not None:
-                    _assert_view_parity(view, store.graph, context)
+            oracle = maximal_typing_reference(store.graph, schema)
+            assert _quotient_typing(view, compiled) == oracle, context
+            assert maximal_typing_fixpoint(store.graph, compiled) == oracle, context
 
-                typing = maximal_typing_store(store, schema=schema)
-                assert typing == maximal_typing_reference(store.graph, schema), context
-                assert len(builds) - built == pays, f"{context}: typing rebuilt the view"
-
-                if held is not None:
-                    assert _frozen(held[0]) == held[1], f"{context}: an old view changed"
-                if view is not None:
-                    held = (view, _frozen(view))
-        finally:
-            obs_metrics.STATE.enabled = before
+            if held is not None:
+                assert _frozen(held[0]) == held[1], f"{context}: an old view changed"
+            held = (view, _frozen(view))
 
 
 def _reaches_a_cycle(graph: Graph) -> set:
@@ -354,19 +289,14 @@ class TestCyclicBuildParity:
     @given(_cyclic_graphs())
     def test_build_equals_whole_graph_refinement(self, graph):
         order = sorted(graph.nodes, key=repr)
-        kinds, path, refined = partition.build_partition(graph)
+        kinds = partition.kind_partition(graph)
         assert kinds == partition._refine_rounds(graph, order)
         assert list(kinds) == order
-        cyclic = _reaches_a_cycle(graph)
-        assert refined == len(cyclic)
-        assert path == ("rounds" if cyclic else "dag")
 
-    def test_clone_document_refines_only_its_cycles(self):
+    def test_clone_document_with_cycles_equals_whole_graph_refinement(self):
         graph = _cloned(bug_tracker_graph(), 4)
-        kinds, path, refined = partition.build_partition(graph)
-        assert path == "rounds"
-        assert 0 < refined < graph.node_count
-        assert refined == len(_reaches_a_cycle(graph))
+        assert 0 < len(_reaches_a_cycle(graph)) < graph.node_count
+        kinds = partition.kind_partition(graph)
         assert kinds == partition._refine_rounds(graph, sorted(graph.nodes, key=repr))
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -375,8 +305,8 @@ class TestCyclicBuildParity:
         for shape in DAG_SHAPES:
             graph, _rank = _dag_base(shape, rng, 40)
             graph = _cloned(graph, 2)
-            kinds, path, refined = partition.build_partition(graph)
-            assert (path, refined) == ("dag", 0)
+            assert not _reaches_a_cycle(graph)
+            kinds = partition.kind_partition(graph)
             order = sorted(graph.nodes, key=repr)
             assert kinds == partition._refine_rounds(graph, order), (
                 f"{shape} seed {seed}: kind ids differ from the round loop"
@@ -397,7 +327,7 @@ class TestStorePathTypingParity:
         store = GraphStore(graph)
         engine = ValidationEngine(cache_size=0)  # force the computing paths
         first = engine.revalidate(store, schema)
-        assert first.mode == "kinds"
+        assert first.mode == "full"
         prefix = "http://example.org/bugs#"
         edits = [
             Delta.of(remove=[((3, f"{prefix}bug3"), "descr", (3, "literal:Kabang!||"))]),
@@ -419,13 +349,13 @@ class TestStorePathTypingParity:
         assert saw_incremental, "the region path was never taken"
 
     @pytest.mark.parametrize("seed", SEEDS[:3])
-    def test_random_sequences_on_a_view_active_store(self, seed):
+    def test_random_sequences_on_a_cloned_store(self, seed):
         rng = random.Random(seed)
         schema = random_shape_schema(4, rng=rng, name=f"partition-typing-{seed}")
         labels = sorted(schema.labels()) or list(DEFAULT_LABELS[:3])
         base = _noise_graph(rng, 10, 16, labels)
         graph = Graph("cloned-noise")
-        for copy_index in range(10):  # 100 nodes: above the view floor
+        for copy_index in range(10):
             for edge in base.edges:
                 graph.add_edge(
                     (copy_index, edge.source), edge.label, (copy_index, edge.target)
@@ -460,16 +390,15 @@ class TestStorePathTypingParity:
 
     @pytest.mark.parametrize("shape", DAG_SHAPES)
     def test_incremental_typing_on_dag_stores(self, shape):
-        # The first typing goes through the quotient; every later delta is
-        # retyped by region, without building the view again.
+        # The first typing is full; every later delta is retyped by region.
         schema = parse_schema(DAG_SCHEMA, name="dag-shapes")
         modes = set()
         for seed in SEEDS[:3]:
             rng = random.Random(seed)
             base, rank = _dag_base(shape, rng, 20)
-            store = GraphStore(_cloned(base, DAG_COPIES))  # enough clones for the view
+            store = GraphStore(_cloned(base, DAG_COPIES))
             engine = ValidationEngine(cache_size=0)
-            assert engine.revalidate(store, schema).mode == "kinds"
+            assert engine.revalidate(store, schema).mode == "full"
             for step in range(5):
                 store.apply(_dag_delta(rng, store.graph, rank))
                 outcome = engine.revalidate(store, schema)
@@ -479,11 +408,10 @@ class TestStorePathTypingParity:
                 assert outcome.result.payload == oracle_payload, (
                     f"{shape} seed {seed} step {step}: region typing diverged"
                 )
-            assert store.view_stats()["partition_version"] == 0
         assert "incremental" in modes
         assert modes <= {"incremental", "unchanged"}, modes
 
-    def test_region_retyping_of_a_viewed_store_direct_parity(self):
+    def test_region_retyping_from_a_quotient_typing_direct_parity(self):
         # Drive the kernel entry directly: the quotient's full typing, then a
         # region retype of the delta, must reproduce the fresh quotient typing.
         schema = bug_tracker_schema()
@@ -495,12 +423,8 @@ class TestStorePathTypingParity:
                     (copy_index, edge.source), edge.label, (copy_index, edge.target)
                 )
         store = GraphStore(graph)
-        view = store.typing_view()
-        assert view is not None
-        from repro.engine.compiled import compile_schema
-
         compiled = compile_schema(schema)
-        prior = expand_kind_typing(view, kind_typing_for_view(view, compiled))
+        prior = _quotient_typing(store.typing_view(), compiled)
         prefix = "http://example.org/bugs#"
         delta = Delta.of(
             remove=[((3, f"{prefix}bug3"), "descr", (3, "literal:Kabang!||"))]
@@ -509,7 +433,5 @@ class TestStorePathTypingParity:
         stats = FixpointStats()
         incremental = retype_incremental(store, prior, delta, compiled=compiled, stats=stats)
         assert stats.mode == "incremental"
-        assert store.view_stats()["partition_version"] == 0  # never synced since
-        view = store.typing_view()
-        assert incremental == expand_kind_typing(view, kind_typing_for_view(view, compiled))
+        assert incremental == _quotient_typing(store.typing_view(), compiled)
         assert incremental == maximal_typing_fixpoint(store.graph, schema)

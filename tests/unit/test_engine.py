@@ -217,15 +217,15 @@ class TestRevalidateVersionStamp:
         schema = parse_schema("T -> next :: T")
         cycle = Graph.from_triples([(f"n{i}", "next", f"n{(i + 1) % 4}") for i in range(4)])
         store = GraphStore(cycle)
-        typing_store = validation_module.maximal_typing_store
+        full_typing = validation_module.maximal_typing_fixpoint
 
-        def typing_then_delta(store_arg, **options):
-            typing = typing_store(store_arg, **options)
-            monkeypatch.setattr(validation_module, "maximal_typing_store", typing_store)
-            store_arg.apply(Delta.of(remove=[("n3", "next", "n0")]))
+        def typing_then_delta(graph, **options):
+            typing = full_typing(graph, **options)
+            monkeypatch.setattr(validation_module, "maximal_typing_fixpoint", full_typing)
+            store.apply(Delta.of(remove=[("n3", "next", "n0")]))
             return typing
 
-        monkeypatch.setattr(validation_module, "maximal_typing_store", typing_then_delta)
+        monkeypatch.setattr(validation_module, "maximal_typing_fixpoint", typing_then_delta)
         with ValidationEngine() as engine:
             first = engine.revalidate(store, schema)
             second = engine.revalidate(store, schema)
@@ -284,7 +284,7 @@ class TestSnapshotRefresh:
             assert engine.revalidate(store, schema).mode == "cached"
             assert engine.export_typings(store) == []  # the entry holds rows only
             store.apply(Delta.of(remove=[("s5", "tag", "sl5")], add=[("s5", "tag", "sl7")]))
-            assert engine.revalidate(store, schema).mode in ("full", "kinds")
+            assert engine.revalidate(store, schema).mode == "full"
 
 
 class TestCompressedEdgeCases:
@@ -400,7 +400,7 @@ class TestTypingCoverage:
             self._assert_covers(typing, graph)
 
     def test_store_revalidation_modes_and_persisted_typings(self, schema):
-        from repro.engine.fixpoint import maximal_typing_store, retype_incremental
+        from repro.engine.fixpoint import maximal_typing_fixpoint, retype_incremental
         from repro.persist import codec
 
         store = GraphStore(_clone_store_graph())
@@ -420,9 +420,9 @@ class TestTypingCoverage:
                     codec.decode_typing(codec.encode_typing(entry["typing"])),
                     store.graph,
                 )
-        assert modes[0] == "kinds" and "incremental" in modes
+        assert modes[0] == "full" and "incremental" in modes
         plain = GraphStore(_clone_store_graph(2))
-        prior = maximal_typing_store(plain, schema=schema)
+        prior = maximal_typing_fixpoint(plain.graph, schema)
         self._assert_covers(prior, plain.graph)
         delta = Delta.of(add=[("b1", "related", "fresh")])
         plain.apply(delta)

@@ -109,11 +109,35 @@ class TestFixpointKernel:
         for node in graph.nodes:
             assert typing.types_of((0, node)) == base.types_of(node)
             assert typing.types_of((copies - 1, node)) == base.types_of(node)
-        # Clone copies are isomorphic: the signature memo must absorb every
-        # repeated check, leaving the evaluated count flat as copies grow.
+        # Clone copies are isomorphic: the row and signature memos must absorb
+        # every repeated check, leaving the evaluated count flat as copies grow.
         assert stats.evaluated == base_stats.evaluated
         assert stats.signature_hits > base_stats.signature_hits
         assert stats.components == copies * len(strongly_connected_components(graph))
+
+    def test_row_hits_are_tagged_on_the_kernel_spans(self):
+        from repro import obs
+        from repro.obs import metrics as obs_metrics
+
+        graph, schema = _clone(bug_tracker_graph(), 4), bug_tracker_schema()
+        store = GraphStore(graph)
+        before = obs_metrics.STATE.enabled
+        obs_metrics.STATE.enabled = True
+        try:
+            with obs.start_trace("test.rows") as root:
+                full = FixpointStats()
+                prior = maximal_typing_fixpoint(graph, schema, stats=full)
+                bug3 = (1, "http://example.org/bugs#bug3")
+                delta = Delta.of(remove=[(bug3, "descr", (1, "literal:Kabang!||"))])
+                store.apply(delta)
+                region = FixpointStats()
+                retype_incremental(store, prior, delta, schema=schema, stats=region)
+        finally:
+            obs_metrics.STATE.enabled = before
+        tags = {child.name: child.tags for child in root.children}
+        assert full.row_hits > 0
+        assert tags["fixpoint.full"]["row_hits"] == full.row_hits
+        assert tags["fixpoint.incremental"]["row_hits"] == region.row_hits
 
     @pytest.mark.requires_scipy
     def test_compressed_batches_solver_calls(self):

@@ -2,8 +2,8 @@
 
 Regression for a wrong answer: compressed checks used to search each solver
 variable over ``0..16`` only when SciPy was missing, so four hubs with twenty
-leaves each came back invalid against ``Hub -> item :: Leaf*`` on the
-kind-view path that plain validation picks by itself.  Now such rules never
+leaves each came back invalid against ``Hub -> item :: Leaf*`` when their
+kind quotient was typed under the compressed semantics.  Now such rules never
 reach the solver, and a rule that does need it raises instead of guessing.
 """
 
@@ -12,11 +12,7 @@ from __future__ import annotations
 import pytest
 
 import repro.presburger.solver as solver
-from repro.engine.fixpoint import (
-    FixpointStats,
-    maximal_typing_fixpoint,
-    maximal_typing_store,
-)
+from repro.engine.fixpoint import FixpointStats, maximal_typing_fixpoint
 from repro.engine.validation import ValidationEngine
 from repro.errors import PresburgerError
 from repro.graphs.graph import Graph
@@ -50,32 +46,33 @@ def _compressed_hubs() -> Graph:
     return graph
 
 
-def test_kind_view_revalidate_is_valid(no_scipy):
+def test_hub_store_revalidate_is_valid_without_a_solver(no_scipy):
     schema = parse_schema("Hub -> item :: Leaf*\nLeaf -> eps", name="hubs")
     store = GraphStore(_hubs())
     window = SolverWindow()
     with ValidationEngine() as engine:
         outcome = engine.revalidate(store, schema)
-    assert outcome.mode == "kinds"
+    assert outcome.mode == "full"
     assert outcome.result.verdict == "valid"
     stats = window.snapshot()
     assert (stats.batch_calls, stats.milp_calls) == (0, 0)
 
 
 def test_plain_store_typing_of_non_interval_rule_needs_no_solver(no_scipy):
-    # The kind view would type this rule under the compressed semantics,
-    # which needs the MILP; without SciPy plain typing keeps to the nodes.
+    # The kind quotient would type this rule under the compressed semantics,
+    # which needs the MILP; plain typing keeps to the nodes and the row memo
+    # types the alike hubs once.
     schema = parse_schema(
         f"Hub -> (item :: Leaf | tag :: Leaf)^[{LEAVES};{LEAVES}]\nLeaf -> eps", name="hub"
     )
     graph = _hubs()
     graph.add_edge("hub0", "tag", "leaf0-0")
     store = GraphStore(graph)
-    assert store.typing_view() is not None  # the graph qualifies for the view
     expected = maximal_typing_reference(graph, schema)
     stats = FixpointStats()
-    assert maximal_typing_store(store, schema=schema, stats=stats) == expected
+    assert maximal_typing_fixpoint(store.graph, schema, stats=stats) == expected
     assert stats.mode == "full"
+    assert stats.row_hits == graph.node_count - 3  # all but one leaf, hub0, hub1
     with ValidationEngine() as engine:
         outcome = engine.revalidate(store, schema)
     assert outcome.mode == "full"

@@ -1,11 +1,10 @@
-"""Unit tests for the versioned graph store, deltas, and the kind-compression view."""
+"""Unit tests for the versioned graph store, deltas, and the kind-compression quotient."""
 
 from __future__ import annotations
 
 import itertools
 import json
 import random
-import sys
 
 import pytest
 
@@ -16,8 +15,6 @@ from repro.engine.fixpoint import affected_region
 from repro.errors import GraphError
 from repro.graphs.graph import Graph
 from repro.graphs.store import (
-    KIND_COMPRESS_MIN_NODES,
-    KIND_COMPRESS_MIN_RATIO,
     Delta,
     GraphStore,
     kind_compress,
@@ -377,12 +374,8 @@ class TestDiffReplay:
             assert replay.fingerprint() == fingerprints[v2], (seed, v1, v2)
 
 
-class TestVersionedView:
-    def test_view_stats_are_passive(self):
-        store = GraphStore(bug_tracker_graph())
-        assert store.view_stats() == {"active": False}  # never typed
-
-    def test_view_stats_report_the_last_build(self):
+class TestTypingView:
+    def test_typing_view_is_a_fresh_quotient_per_read(self):
         base = bug_tracker_graph()
         graph = Graph("clones")
         for copy_index in range(12):
@@ -391,26 +384,17 @@ class TestVersionedView:
                     (copy_index, edge.source), edge.label, (copy_index, edge.target)
                 )
         store = GraphStore(graph)
-        assert store.typing_view() is not None
-        stats = store.view_stats()
-        assert set(stats) == {
-            "active", "kinds", "compression_ratio", "partition_version", "path", "refined",
-        }
-        assert stats["active"] is True
-        assert stats["kinds"] * 4 <= graph.node_count
-        assert stats["compression_ratio"] == round(graph.node_count / stats["kinds"], 2)
-        assert stats["path"] == "rounds"  # the clones' bugs cite each other
-        assert 0 < stats["refined"] < graph.node_count
-        assert stats["partition_version"] == 0
+        first = store.typing_view()
+        assert first.kind_count * 4 <= graph.node_count
+        again = store.typing_view()
+        assert again is not first  # nothing is cached
+        assert again.kind_of == first.kind_of
         store.add_edge((0, "fresh"), "descr", (0, "literal"))
-        assert store.view_stats() == dict(stats, active=False)  # built at version 0
-        assert store.typing_view() is not None
-        assert store.view_stats()["partition_version"] == 1
-        assert store.view_stats()["active"] is True
+        after = store.typing_view()
+        assert after.kind_of == kind_compress(store.graph).kind_of
+        assert (0, "fresh") in after.kind_of and (0, "fresh") not in first.kind_of
 
-    def test_revalidating_a_list_store_never_activates_the_view(self):
-        # A list does not shrink under the kind quotient; only the first
-        # (full) typing reads the view, and no later revalidation syncs it.
+    def test_revalidating_a_list_store_retypes_each_delta_by_region(self):
         from repro.engine.validation import ValidationEngine
         from repro.schema.parser import parse_schema
 
@@ -435,9 +419,6 @@ class TestVersionedView:
                         add=[(f"cell{step}", "first", f"w{step}")],
                     ))
                     assert engine.revalidate(store, schema).mode == "incremental"
-                    stats = store.view_stats()
-                    assert stats["active"] is False
-                    assert stats["partition_version"] == 0
         finally:
             obs_metrics.STATE.enabled = before
         spans = [
@@ -446,66 +427,10 @@ class TestVersionedView:
         ]
         assert [span["tags"]["route"] for span in spans] == ["full"] + ["region"] * 6
         for span in spans[1:]:
-            names = {child["name"] for child in span.get("children", ())}
-            assert "partition.sync" not in names
             assert span["tags"]["reason"].startswith("region ")
-
-    def test_partition_sync_span_carries_path_refined_and_kinds(self):
-        before = obs_metrics.STATE.enabled
-        obs_metrics.STATE.enabled = True
-        try:
-            store = GraphStore(_chain(*["a"] * 80))
-            with obs.start_trace("test.sync") as root:
-                assert store.typing_view() is None  # one kind per node
-                assert store.typing_view() is None  # same version: no build
-                store.add_edge("n0", "b", "n1")
-                store.typing_view()
-        finally:
-            obs_metrics.STATE.enabled = before
-        syncs = [
-            child["tags"]
-            for child in root.to_dict()["children"]
-            if child["name"] == "partition.sync"
-        ]
-        assert syncs == [
-            {"path": "dag", "refined": 0, "kinds": 81},
-            {"path": "dag", "refined": 0, "kinds": 81},
-        ]
-        assert store.view_stats()["path"] == "dag"
-
-    def test_concurrent_reads_at_one_version_build_once(self, monkeypatch):
-        # Engines type one store against several schemas on worker threads;
-        # every read at one version must get the one view the first built.
-        from concurrent.futures import ThreadPoolExecutor
-
-        from repro.graphs import store as store_module
-
-        clones = Graph.from_edges(
-            ((copy_index, index), "a", (copy_index, index + 1), None)
-            for copy_index in range(40)
-            for index in range(4)
-        )
-        store = GraphStore(clones)
-        builds = []
-        real_build = store_module.build_partition
-        monkeypatch.setattr(
-            store_module,
-            "build_partition",
-            lambda graph: builds.append(1) or real_build(graph),
-        )
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for version in range(3):
-                with ThreadPoolExecutor(max_workers=8) as pool:
-                    futures = [pool.submit(store.typing_view) for _ in range(32)]
-                    views = [future.result(timeout=60) for future in futures]
-                assert views[0] is not None
-                assert all(view is views[0] for view in views)
-                assert len(builds) == version + 1
-                store.add_edge((version, 0), "b", (version, 1))
-        finally:
-            sys.setswitchinterval(interval)
+            (kernel,) = span["children"]
+            assert kernel["name"] == "fixpoint.incremental"
+            assert "row_hits" in kernel["tags"]
 
 
 class TestKindCompression:
@@ -541,22 +466,19 @@ class TestKindCompression:
         assert view.kind_count <= base.node_count
         assert sum(len(members) for members in view.members.values()) == graph.node_count
 
-    def test_typing_view_heuristic(self):
+    def test_typing_view_equals_kind_compress(self):
         store = GraphStore(_chain("a", "b"))
-        assert store.typing_view() is None  # far below the node floor
-        assert kind_compress(store.graph).kind_count == 3  # a snapshot still builds
-        # Past the floor, a chain has one kind per node: no shrink, no view.
-        long_chain = GraphStore(_chain(*["a"] * KIND_COMPRESS_MIN_NODES))
-        assert long_chain.typing_view() is None
+        assert store.typing_view().kind_count == 3  # no size floor
+        long_chain = GraphStore(_chain(*["a"] * 64))
+        assert long_chain.typing_view().kind_count == 65  # one kind per node
         # Sixteen clones of a 5-node chain shrink the node count 16-fold.
         clones = Graph("clones")
         for copy_index in range(16):
             for index in range(4):
                 clones.add_edge((copy_index, index), "a", (copy_index, index + 1))
         view = GraphStore(clones).typing_view()
-        assert view is not None
-        assert view.kind_count * KIND_COMPRESS_MIN_RATIO <= clones.node_count
-        assert view.kind_count == kind_compress(clones).kind_count
+        assert view.kind_count * 16 == clones.node_count
+        assert view.kind_of == kind_compress(clones).kind_of
 
 
 class TestAffectedRegion:

@@ -256,7 +256,7 @@ class TestDurableStore:
     def test_snapshot_with_a_persisted_partition_still_opens(self, tmp_path):
         # Snapshots once carried the store's kind partition (``kind_of`` and
         # its ``epoch``); it is no longer written, and one that is there is
-        # ignored: the first full typing builds the partition afresh.
+        # ignored: no typing reads a partition.
         from repro.engine.validation import ValidationEngine, _payload_from_typing
         from repro.schema.reference import maximal_typing_reference
         from repro.workloads.bugtracker import bug_tracker_graph, bug_tracker_schema
@@ -271,7 +271,7 @@ class TestDurableStore:
         directory = str(tmp_path / "store")
         store = DurableStore.create(directory, clones, name="clones")
         with ValidationEngine(cache_size=0) as engine:
-            assert engine.revalidate(store, schema).mode == "kinds"
+            assert engine.revalidate(store, schema).mode == "full"
             (typing_entry,) = engine.export_typings(store)
             store.checkpoint([typing_entry])
         prefix = "http://example.org/bugs#"
@@ -291,13 +291,12 @@ class TestDurableStore:
 
         reopened = DurableStore.open(directory)
         assert reopened.recovery["replayed"] == 1
-        assert reopened.view_stats() == {"active": False}
         oracle = maximal_typing_reference(reopened.graph, schema)
         assert oracle.untyped()  # the removed descr leaves bug3 of copy 3 untyped
         _verdict, expected = _payload_from_typing(reopened.graph, oracle, False)
         with ValidationEngine(cache_size=0) as engine:
             outcome = engine.revalidate(reopened, schema)
-            assert outcome.mode == "kinds"
+            assert outcome.mode == "full"
             assert outcome.result.payload == expected
         (restored,) = reopened.restored_typings
         with ValidationEngine(cache_size=0) as engine:

@@ -61,15 +61,24 @@ print(json.dumps({"verdict": answer["verdict"], "mode": answer["mode"],
 """
 
 
-def _run_footprint(tmp_path, schema_text: str, data_text: str) -> dict:
-    """Run a one-shot ``validate`` in a fresh interpreter; its report."""
+def _run_footprint(tmp_path, schema_text: str, data_text: str, scipy: bool = True) -> dict:
+    """Run a one-shot ``validate`` in a fresh interpreter; its report.
+
+    ``scipy=False`` hides SciPy from that interpreter, as if not installed.
+    """
     schema = tmp_path / "schema.shex"
     schema.write_text(schema_text)
     data = tmp_path / "data.ttl"
     data.write_text(data_text)
+    path = SRC_DIR
+    if not scipy:
+        hide = tmp_path / "no-scipy"
+        hide.mkdir()
+        (hide / "sitecustomize.py").write_text('import sys\nsys.modules["scipy"] = None\n')
+        path = os.pathsep.join((str(hide), SRC_DIR))
     completed = subprocess.run(
         [sys.executable, "-c", _FOOTPRINT_PROGRAM, str(schema), str(data)],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC_DIR),
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
         timeout=120,
     )
     assert completed.returncode == 0, completed.stderr
@@ -201,12 +210,15 @@ class TestImportFootprint:
         ]
         assert len(repro_modules) <= VALIDATE_MAX_REPRO_MODULES, repro_modules
 
+    @pytest.mark.parametrize("scipy", [True, False], ids=["full", "no-scipy"])
     @pytest.mark.parametrize("copies, length", [(1, 12), (30, 4)])
-    def test_non_interval_rule_validates_like_the_reference(self, tmp_path, copies, length):
-        # A disjunction is no interval RBE0.  Twelve bugs are typed node by
-        # node through the membership test; 120 (past the view floor, 30
-        # alike chains) go through kind_view, which asks the solver module
-        # whether the MILP is there and, if so, types the quotient with it.
+    def test_non_interval_rule_validates_like_the_reference(
+        self, tmp_path, copies, length, scipy
+    ):
+        # A disjunction is no interval RBE0.  Twelve bugs, or 120 in 30 alike
+        # chains, are typed node by node through the membership test (the
+        # row memo types the chains' copies without a check) on one path,
+        # whether SciPy is installed or not: the solver is never loaded.
         from repro.rdf.convert import load_graph
         from repro.schema.parser import parse_schema
         from repro.schema.reference import maximal_typing_reference
@@ -217,7 +229,7 @@ class TestImportFootprint:
         )
         both = length // 2
         data_text = _bug_chains(copies, length, both)
-        report = _run_footprint(tmp_path, schema_text, data_text)
+        report = _run_footprint(tmp_path, schema_text, data_text, scipy=scipy)
         graph = load_graph(data_text)
         expected = maximal_typing_reference(graph, parse_schema(schema_text))
         untyped = sorted(map(str, expected.untyped()))
@@ -226,13 +238,11 @@ class TestImportFootprint:
         assert report["code"] == 1
         assert lines[0] == f"INVALID: {len(untyped)} node(s) have no type:"
         assert sorted(line.strip() for line in lines[1:]) == untyped
-        if copies > 1:
-            assert "repro.presburger.solver" in report["modules"]
-        else:
-            assert "repro.rbe.membership" in report["modules"]
+        assert "repro.rbe.membership" in report["modules"]
+        assert "repro.presburger.solver" not in report["modules"]
 
-    def test_one_shot_validate_through_the_kind_view_loads_no_numpy(self, tmp_path):
-        # 120 bugs in a ring: past the view floor, typed as a 2-kind quotient.
+    def test_one_shot_validate_of_a_large_ring_loads_no_numpy(self, tmp_path):
+        # 120 bugs in one ring: a single 120-node component.
         report = _run_footprint(
             tmp_path,
             "Bug -> descr :: Lit, related :: Bug\nLit -> isLiteral :: M\nM -> eps\n",

@@ -166,7 +166,7 @@ class TestGraphStoreOps:
         client.load_schema("bug", text=SCHEMA_TEXT)
         client.update_graph("bugs", data_text=LARGE_TURTLE)
         first = client.revalidate("bugs", "bug")
-        assert first["verdict"] == "valid" and first["mode"] in ("full", "kinds")
+        assert first["verdict"] == "valid" and first["mode"] == "full"
         assert first["version"] == 0
         # Stripping b2's descr demotes it to Lit, which breaks b1's
         # related :: Bug reference — but only nodes reaching b2 are retyped.
@@ -256,30 +256,22 @@ class TestGraphStoreOps:
             client.request("revalidate", schema="bug", graphs="not-a-list")
         assert caught.value.code == "bad-request"
 
-    def test_status_reports_kind_view_stats(self, client):
+    def test_status_reports_stores_without_a_kind_view(self, client):
+        # No typing path builds a kind partition, so status has none to show.
         client.load_schema("bug", text=SCHEMA_TEXT)
-        client.update_graph("bugs", data_text=GOOD_TURTLE)
-        entry = client.status()["graphs"]["bugs"]
-        assert entry["view"] == {"active": False}  # small graph, never typed
         clone_turtle = "@prefix ex: <http://example.org/> .\n" + "".join(
             f"ex:b{i} ex:descr ex:l{i} .\n" for i in range(40)
         )
         client.update_graph("clones", data_text=clone_turtle)
-        client.revalidate("clones", "bug")
-        entry = client.status()["graphs"]["clones"]
-        assert entry["view"]["active"] is True
-        assert entry["view"]["kinds"] * 4 <= entry["nodes"]
-        assert entry["view"]["partition_version"] == 0
-        assert entry["view"]["path"] == "dag"
+        assert client.revalidate("clones", "bug")["mode"] == "full"
         client.update_graph(
             "clones", delta={"add": [["http://example.org/b0", "related",
                                       "http://example.org/b1"]]}
         )
         assert client.revalidate("clones", "bug")["mode"] == "incremental"
         entry = client.status()["graphs"]["clones"]
-        # The delta was retyped by region: no partition was built since.
-        assert entry["view"]["partition_version"] == 0
-        assert entry["view"]["active"] is False
+        assert "view" not in entry
+        assert (entry["version"], entry["nodes"], entry["edges"]) == (1, 80, 41)
 
     def test_registering_same_document_twice_is_independent(self, client):
         client.update_graph("one", data_text=GOOD_TURTLE)
