@@ -49,7 +49,12 @@ def schema_fingerprint(schema: ShExSchema) -> str:
 #: fewer make a maintained rehash cover more nodes per touched bucket.
 FINGERPRINT_BUCKETS = 256
 
-_GRAPH_TAG = f"graph-buckets\x00{FINGERPRINT_BUCKETS}\x00".encode("utf-8")
+#: The fingerprint scheme's domain tag.  Persisted bucket digests carry it,
+#: and a reader installs them only when it matches (see
+#: :meth:`repro.graphs.store.GraphStore.restore_fingerprint`).
+FINGERPRINT_SCHEME = f"graph-buckets\x00{FINGERPRINT_BUCKETS}\x00"
+
+_GRAPH_TAG = FINGERPRINT_SCHEME.encode("utf-8")
 
 
 def fingerprint_bucket(node_repr: str) -> int:

@@ -21,6 +21,9 @@ substrate: a graph that knows *what changed between which versions*.
   :meth:`GraphStore.fingerprint` hashes every fingerprint bucket, each delta
   marks the buckets of its touched nodes dirty, and later calls rehash only
   those — so keying result caches by content costs the delta, not the graph.
+  A store restored from a snapshot gets its buckets back
+  (:meth:`GraphStore.restore_fingerprint`) and hashes only what the deltas
+  since touched.
 
 The store holds no second copy of the graph: the region a delta can change is
 the backward closure of its touched nodes, which every consumer computes with
@@ -326,6 +329,36 @@ class GraphStore:
             digest = root_digest(self._fp_digests)
             self._fingerprint = (version, digest)
             return digest
+
+    def fingerprint_buckets(self) -> Tuple[Dict[int, Set[NodeId]], List[bytes]]:
+        """``(members, digests)`` of the fingerprint at the current version:
+        each non-empty bucket's nodes and every bucket's digest.
+
+        Brings them up to date first, as :meth:`fingerprint` does.  The
+        member sets are the store's own: read them before the next
+        :meth:`apply`.
+        """
+        self.fingerprint()
+        with self._fp_lock:
+            return dict(self._fp_members), list(self._fp_digests)
+
+    def restore_fingerprint(
+        self, members: Dict[int, Set[NodeId]], digests: List[bytes]
+    ) -> None:
+        """Install fingerprint buckets saved at the current version.
+
+        ``members`` must split the graph's nodes by
+        :func:`repro.engine.compiled.fingerprint_bucket` and ``digests``
+        hold every bucket's digest, as :meth:`fingerprint_buckets` gave
+        them.  Later deltas mark their buckets dirty as usual, so the first
+        :meth:`fingerprint` rehashes only those (``mode="incremental"``)
+        instead of every bucket.
+        """
+        with self._fp_lock:
+            self._fp_members = members
+            self._fp_digests = list(digests)
+            self._fp_dirty = set()
+            self._fingerprint = None
 
     def _mark_fingerprint_dirty(self, nodes: Iterable[NodeId]) -> None:
         """Record that the fingerprint buckets of ``nodes`` need rehashing."""

@@ -15,24 +15,52 @@ the write-ahead log:
 * **Intervals** — a ``[lower, upper]`` pair with ``null`` for ``∞`` (the
   in-memory convention of :class:`repro.core.intervals.Interval` itself).
   Decoding shares one :class:`Interval` per distinct pair.
-* **Deltas** — ``{"add": [[s, label, t, occur], ...], "remove": [...]}``
-  with encoded endpoints, mirroring :meth:`repro.graphs.store.Delta.to_json`
-  but safe for non-string node ids.
-* **Typings** — sorted ``[[node, [type, ...]], ...]`` pair lists.
+* **Deltas** (the WAL and a snapshot's log tail) —
+  ``{"add": [[s, label, t, occur], ...], "remove": [...]}`` with encoded
+  endpoints, mirroring :meth:`repro.graphs.store.Delta.to_json` but safe for
+  non-string node ids.
+* **Graphs** (snapshots, columnar) — a ``nodes`` table of encoded node ids,
+  a ``labels`` table, an ``occurs`` table of interval pairs, and ``edges``,
+  one flat list ``[source, label, target, occur, ...]`` of indices into
+  those tables (:func:`encode_edges` / :func:`decode_edges_table`).  Each
+  node and interval is decoded once, however many edges name it.
+* **Typings** (snapshots, columnar) — a ``typesets`` table of sorted type
+  lists and a ``typeset_of`` column with one index per node of the node
+  table, ``-1`` where the typing does not list the node
+  (:func:`encode_typing` / :func:`decode_typing`).
+* **Fingerprint buckets** (snapshots) — the scheme tag, the 256 bucket
+  digests in hex and the node table's bucket offsets
+  (:func:`encode_fingerprint` / :func:`decode_fingerprint`).
 
-Decoding checks each tag's payload type and each interval's bounds (ints,
-not bools, ``0 <= lower <= upper``): a malformed value raises
-:class:`repro.errors.PersistError` instead of decoding to something else.
+Decoding checks each tag's payload type, each interval's bounds (ints, not
+bools, ``0 <= lower <= upper``), each label's class (a JSON scalar), each
+type name's class (``str``), and each index: an int, not a bool, inside
+its table, with columns as long as the table they index.  A malformed
+value raises :class:`repro.errors.PersistError` instead of decoding to
+something else.
 
-Encoding is deterministic (sorted pairs, sorted type lists), so identical
-states produce byte-identical snapshots — handy for parity tests and for
-content-comparison of generations.
+Encoding is deterministic (sorted tables and pairs, sorted type lists), so
+identical states produce byte-identical snapshots — handy for parity tests
+and for content-comparison of generations.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Tuple
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.intervals import Interval
 from repro.errors import PersistError
@@ -83,6 +111,13 @@ def decode_node(value: Any) -> NodeId:
     raise PersistError(f"cannot decode persisted node id: {value!r}")
 
 
+def decode_nodes(values: Any) -> List[NodeId]:
+    """Decode a snapshot's node table (string ids skip the tag decoder)."""
+    if values.__class__ is not list:
+        raise PersistError(f"cannot decode persisted node table: {values!r}")
+    return [value if value.__class__ is str else decode_node(value) for value in values]
+
+
 # --------------------------------------------------------------------------- #
 # Intervals
 # --------------------------------------------------------------------------- #
@@ -119,8 +154,8 @@ def _encode_entries(entries) -> List[list]:
 
 
 def decode_edges(entries: Any) -> List[Tuple[NodeId, str, NodeId, Interval]]:
-    """Decode ``[[source, label, target, occur], ...]`` into edge 4-tuples,
-    the input :meth:`repro.graphs.graph.Graph.from_edges` takes."""
+    """Decode a delta side, ``[[source, label, target, occur], ...]``, into
+    edge 4-tuples."""
     if not isinstance(entries, (list, tuple)):
         raise PersistError(f"cannot decode persisted edges: {entries!r}")
     decoded = []
@@ -155,39 +190,228 @@ def decode_delta(payload: Any) -> Delta:
 
 
 # --------------------------------------------------------------------------- #
+# Columnar graph tables
+# --------------------------------------------------------------------------- #
+#: The classes a persisted label may have: the JSON scalars.
+_LABEL_CLASSES = frozenset({str, int, float, bool, type(None)})
+
+
+def _check_indices(column: Any, size: int, what: str, lowest: int = 0) -> None:
+    """``column`` is a list of ints (not bools) in ``[lowest, size)``."""
+    if column.__class__ is not list:
+        raise PersistError(f"cannot decode persisted {what}: {column!r}")
+    if not column:
+        return
+    if not set(map(type, column)) <= {int}:
+        raise PersistError(f"persisted {what} holds a non-integer index")
+    if min(column) < lowest or max(column) >= size:
+        raise PersistError(
+            f"persisted {what} holds an index outside [{lowest}, {size})"
+        )
+
+
+def encode_edges(edges: Iterable[Any], index: Mapping[NodeId, int]) -> Dict[str, list]:
+    """The ``labels``, ``occurs`` and ``edges`` tables of ``edges`` (objects
+    with ``source``, ``label``, ``target`` and ``occur``), their endpoints
+    numbered by ``index``.
+
+    Labels sort by ``repr`` and intervals by bound, then the edge rows sort,
+    so the tables depend only on the edge multiset and ``index``.  A label
+    is keyed by its class too: ``1``, ``1.0`` and ``True`` stay distinct.
+    """
+    label_keys: Dict[Any, Any] = {}
+    occur_of: Dict[int, Interval] = {}  # id -> a representative interval
+    rows = []
+    for edge in edges:
+        label = edge.label
+        key = label if label.__class__ is str else (label.__class__, label)
+        label_keys[key] = label
+        occur = edge.occur
+        occur_of.setdefault(id(occur), occur)
+        rows.append((index[edge.source], key, index[edge.target], id(occur)))
+    labels = sorted(label_keys.values(), key=repr)
+    label_index = {
+        (label if label.__class__ is str else (label.__class__, label)): position
+        for position, label in enumerate(labels)
+    }
+    pairs = sorted(
+        {(occur.lower, occur.upper) for occur in occur_of.values()},
+        key=lambda pair: (pair[0], pair[1] is None, pair[1] or 0),
+    )
+    pair_index = {pair: position for position, pair in enumerate(pairs)}
+    occur_index = {
+        ident: pair_index[(occur.lower, occur.upper)] for ident, occur in occur_of.items()
+    }
+    rows = sorted(
+        (source, label_index[key], target, occur_index[ident])
+        for source, key, target, ident in rows
+    )
+    return {
+        "labels": labels,
+        "occurs": [list(pair) for pair in pairs],
+        "edges": [value for row in rows for value in row],
+    }
+
+
+def decode_edges_table(
+    snapshot: Mapping[str, Any], nodes: Sequence[NodeId]
+) -> Iterator[Tuple[NodeId, Any, NodeId, Interval]]:
+    """The ``(source, label, target, occur)`` edges of a snapshot's
+    columnar tables, its endpoints looked up in the decoded ``nodes``."""
+    labels = snapshot.get("labels", [])
+    if labels.__class__ is not list or not set(map(type, labels)) <= _LABEL_CLASSES:
+        raise PersistError(f"cannot decode persisted label table: {labels!r}")
+    occurs_table = snapshot.get("occurs", [])
+    if occurs_table.__class__ is not list:
+        raise PersistError(f"cannot decode persisted interval table: {occurs_table!r}")
+    occurs = [decode_occur(pair) for pair in occurs_table]
+    flat = snapshot.get("edges", [])
+    if flat.__class__ is not list or len(flat) % 4:
+        raise PersistError("persisted edge list is not a flat list of 4-index rows")
+    # One type and one sign check over the whole list; an index past its
+    # table's end raises IndexError on lookup.
+    _check_indices(flat, max(len(nodes), len(labels), len(occurs)), "edge")
+    try:
+        columns = [
+            list(map(table.__getitem__, flat[offset::4]))
+            for offset, table in enumerate((nodes, labels, nodes, occurs))
+        ]
+    except IndexError:
+        raise PersistError("persisted edge list holds an index outside its table") from None
+    return zip(*columns)
+
+
+# --------------------------------------------------------------------------- #
 # Typings
 # --------------------------------------------------------------------------- #
-def encode_typing(typing: Typing) -> List[list]:
-    """Encode a typing as a sorted ``[[node, [types...]], ...]`` pair list."""
-    pairs = [
-        [encode_node(node), sorted(types)]
-        for node, types in typing.as_dict().items()
-    ]
-    pairs.sort(key=repr)
-    return pairs
+def encode_typing(typing: Typing, index: Mapping[NodeId, int]) -> Dict[str, list]:
+    """A typing as a ``typesets`` table and a ``typeset_of`` column over the
+    node table ``index`` numbers (``-1`` for nodes the typing does not list).
+
+    Every node the typing lists must be in the table: a store never drops
+    nodes, so a missing one is an error, not something to leave out.
+    """
+    column = [-1] * len(index)
+    set_ids: Dict[FrozenSet[str], int] = {}
+    for node, types in typing.items():
+        position = index.get(node)
+        if position is None:
+            raise PersistError(
+                f"typing lists node {node!r}, which is not in the snapshot's node table"
+            )
+        ident = set_ids.get(types)
+        if ident is None:
+            ident = set_ids[types] = len(set_ids)
+        column[position] = ident
+    typesets = sorted((sorted(types), ident) for types, ident in set_ids.items())
+    renumber = [0] * len(typesets)
+    for position, (_names, ident) in enumerate(typesets):
+        renumber[ident] = position
+    return {
+        "typesets": [names for names, _ident in typesets],
+        "typeset_of": [ident if ident < 0 else renumber[ident] for ident in column],
+    }
 
 
-def decode_typing(pairs: Any) -> Typing:
-    """Inverse of :func:`encode_typing`; nodes with equal type lists share
-    one ``frozenset``."""
-    if not isinstance(pairs, list):
-        raise PersistError(f"cannot decode persisted typing: {pairs!r}")
-    shared: Dict[Tuple[str, ...], FrozenSet[str]] = {}
-    assignments: Dict[NodeId, FrozenSet[str]] = {}
-    for pair in pairs:
-        if (pair.__class__ is list or pair.__class__ is tuple) and len(pair) == 2:
-            node, types = pair
-            if types.__class__ is list or types.__class__ is tuple:
-                key = tuple(types)
-                try:
-                    type_set = shared.get(key)
-                except TypeError:  # an unhashable entry, rejected just below
-                    type_set = None
-                if type_set is None:
-                    if not all(name.__class__ is str for name in key):
-                        raise PersistError(f"cannot decode persisted typing entry: {pair!r}")
-                    type_set = shared[key] = frozenset(key)
-                assignments[decode_node(node)] = type_set
-                continue
-        raise PersistError(f"cannot decode persisted typing entry: {pair!r}")
-    return Typing(assignments)
+def decode_typing(entry: Mapping[str, Any], nodes: Sequence[NodeId]) -> Typing:
+    """Inverse of :func:`encode_typing` over the decoded node table: nodes
+    with equal type lists share one ``frozenset``."""
+    typesets = entry.get("typesets")
+    if typesets.__class__ is not list:
+        raise PersistError(f"cannot decode persisted typesets: {typesets!r}")
+    shared: List[FrozenSet[str]] = []
+    for names in typesets:
+        if names.__class__ is not list or not all(name.__class__ is str for name in names):
+            raise PersistError(f"cannot decode persisted typeset: {names!r}")
+        shared.append(frozenset(names))
+    column = entry.get("typeset_of")
+    if column.__class__ is not list or len(column) != len(nodes):
+        raise PersistError(
+            f"persisted typeset column does not have one entry per node "
+            f"({len(nodes)} nodes)"
+        )
+    _check_indices(column, len(shared), "typeset index", lowest=-1)
+    return Typing(
+        {node: shared[ident] for node, ident in zip(nodes, column) if ident >= 0}
+    )
+
+
+# --------------------------------------------------------------------------- #
+# Fingerprint buckets
+# --------------------------------------------------------------------------- #
+def bucket_table(
+    members: Mapping[int, Iterable[NodeId]], buckets: int
+) -> Tuple[List[NodeId], List[Any], List[int]]:
+    """``(nodes, encoded, offsets)``: the node table grouped by fingerprint
+    bucket, each bucket's nodes sorted by their encoding, and the
+    ``buckets + 1`` offsets where each bucket's run starts (the last one is
+    the table's length)."""
+    nodes: List[NodeId] = []
+    encoded: List[Any] = []
+    offsets = [0]
+    for bucket in range(buckets):
+        group = members.get(bucket, ())
+        if group:
+            rows = sorted(
+                ((encode_node(node), node) for node in group), key=lambda row: repr(row[0])
+            )
+            encoded.extend(value for value, _node in rows)
+            nodes.extend(node for _value, node in rows)
+        offsets.append(len(nodes))
+    return nodes, encoded, offsets
+
+
+def encode_fingerprint(
+    scheme: str, digests: Sequence[bytes], offsets: List[int]
+) -> Dict[str, Any]:
+    """The persisted fingerprint section: scheme tag, hex digests, offsets."""
+    return {
+        "scheme": scheme,
+        "digests": [digest.hex() for digest in digests],
+        "offsets": offsets,
+    }
+
+
+def decode_fingerprint(
+    section: Any, nodes: Sequence[NodeId], scheme: str, buckets: int
+) -> Optional[Tuple[Dict[int, Set[NodeId]], List[bytes]]]:
+    """``(members, digests)`` of a persisted fingerprint section, or ``None``
+    when there is none or it was written under another ``scheme``.
+
+    A section of this scheme must be whole: ``buckets`` 32-byte hex
+    digests and ``buckets + 1`` non-decreasing offsets from 0 to the node
+    table's length.
+    """
+    if section is None:
+        return None
+    if section.__class__ is not dict:
+        raise PersistError(f"cannot decode persisted fingerprint: {section!r}")
+    if section.get("scheme") != scheme:
+        return None
+    digests = section.get("digests")
+    if digests.__class__ is not list or len(digests) != buckets:
+        raise PersistError(
+            f"persisted fingerprint does not hold {buckets} bucket digests"
+        )
+    try:
+        decoded = [bytes.fromhex(text) for text in digests]
+    except (TypeError, ValueError):
+        raise PersistError("persisted fingerprint holds a malformed digest") from None
+    if any(len(digest) != 32 for digest in decoded):
+        raise PersistError("persisted fingerprint holds a digest of the wrong length")
+    offsets = section.get("offsets")
+    if offsets.__class__ is not list or len(offsets) != buckets + 1:
+        raise PersistError(
+            f"persisted fingerprint does not hold {buckets + 1} bucket offsets"
+        )
+    _check_indices(offsets, len(nodes) + 1, "bucket offset")
+    if offsets[0] != 0 or offsets[-1] != len(nodes) or any(
+        low > high for low, high in zip(offsets, offsets[1:])
+    ):
+        raise PersistError("persisted bucket offsets do not cover the node table in order")
+    members = {
+        bucket: set(nodes[low:high])
+        for bucket, (low, high) in enumerate(zip(offsets, offsets[1:]))
+        if low < high
+    }
+    return members, decoded

@@ -28,13 +28,17 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from repro.errors import PersistError
-from repro.persist.migrations import m0001_initial_layout, m0002_typing_snapshots
+from repro.persist.migrations import (
+    m0001_initial_layout,
+    m0002_typing_snapshots,
+    m0003_columnar_snapshots,
+)
 
 #: The on-disk format this build reads and writes.
-CURRENT_FORMAT = 2
+CURRENT_FORMAT = 3
 
 #: Every known migration, sorted by target format.
-MIGRATIONS = (m0001_initial_layout, m0002_typing_snapshots)
+MIGRATIONS = (m0001_initial_layout, m0002_typing_snapshots, m0003_columnar_snapshots)
 
 
 def check_ordering() -> None:

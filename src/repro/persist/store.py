@@ -5,8 +5,15 @@ state survives the process.  On disk, one store owns one directory::
 
     <directory>/
         MANIFEST.json          # {"format": N, "name": ..., "generation": G}
-        snapshot-<G>.json      # graph + delta log tail + typings
+        snapshot-<G>.json      # graph + delta log tail + typings + fingerprint
         wal-<G>.log            # deltas applied since snapshot G
+
+A snapshot (on-disk format 3) is columnar: one node table, ``labels`` and
+``occurs`` tables, the edges as one flat list of indices into them, and
+each typing as a ``typesets`` table with one index per node of the table
+(:mod:`repro.persist.codec`).  It also carries the graph's fingerprint at
+the snapshot's version: the 256 bucket digests, tagged with the
+fingerprint scheme, and the node table grouped by bucket with offsets.
 
 **Checkpointing** (:meth:`DurableStore.checkpoint`) writes the next
 generation's snapshot with the atomic write-tmp → fsync → rename dance,
@@ -26,13 +33,15 @@ acknowledged write by more than the fsync policy's window.
 (falling back one generation if the newest is corrupt), restores the
 delta-log tail, then replays the WAL — truncating a torn tail record instead
 of failing, and skipping duplicate records left by a crash-during-append
-(records carry their target version).  The snapshot decodes in bulk: the
-graph is one :meth:`Graph.from_edges` call over edges whose intervals are
-interned per distinct pair, and the cyclic collector is paused for the whole
-open (what it builds is acyclic) and left as it was found.  No kind
-partition is persisted, and the ``partition`` section that older snapshots
-carry is ignored.  The snapshot's
-persisted typing snapshots come back as :attr:`restored_typings`, ready for
+(records carry their target version).  The snapshot decodes in bulk: each
+node and interval once, the graph in one :meth:`Graph.from_edges` call, and
+the cyclic collector is paused for the whole open (what it builds is
+acyclic) and left as it was found.  When the snapshot's fingerprint scheme
+is this build's, its buckets are installed before the WAL replay
+(:meth:`GraphStore.restore_fingerprint`), so the first ``fingerprint()``
+rehashes only the buckets the replayed deltas touched; otherwise it hashes
+every bucket.  No kind partition is persisted.  The snapshot's persisted
+typing snapshots come back as :attr:`restored_typings`, ready for
 :meth:`repro.engine.validation.ValidationEngine.seed_typing` — which is
 what makes the restart *warm*: the first revalidate runs incrementally from
 the checkpoint instead of retyping the world.
@@ -49,6 +58,7 @@ import time
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro import faults as _faults
+from repro.engine.compiled import FINGERPRINT_BUCKETS, FINGERPRINT_SCHEME
 from repro.errors import GraphError, PersistError
 from repro.graphs.graph import Graph
 from repro.graphs.store import Delta, GraphStore
@@ -223,7 +233,10 @@ class DurableStore(GraphStore):
             with _obs_tracing.span("persist.decode") as decode_span:
                 store = cls._decode_snapshot(snapshot, directory, fsync, generation)
                 decode_span.annotate(
-                    nodes=store._graph.node_count, edges=store._graph.edge_count
+                    nodes=store._graph.node_count,
+                    edges=store._graph.edge_count,
+                    format=snapshot["format"],
+                    fingerprint="absent" if store._fp_members is None else "restored",
                 )
 
             store._replay_wal(generation)
@@ -243,11 +256,13 @@ class DurableStore(GraphStore):
         fsync: "FsyncPolicy | str",
         generation: int,
     ) -> "DurableStore":
-        """The store a snapshot describes: graph, log tail, typings."""
-        decode = codec.decode_node
+        """The store a snapshot describes: graph, log tail, typings and, when
+        the snapshot carries them under this build's scheme, the fingerprint
+        buckets."""
+        nodes = codec.decode_nodes(snapshot.get("nodes", []))
         graph = Graph.from_edges(
-            codec.decode_edges(snapshot.get("edges", ())),
-            nodes=[decode(node) for node in snapshot.get("nodes", ())],
+            codec.decode_edges_table(snapshot, nodes),
+            nodes=nodes,
             name=snapshot.get("name", ""),
         )
         base = int(snapshot.get("base", snapshot["version"]))
@@ -276,7 +291,7 @@ class DurableStore(GraphStore):
                     "schema": entry["schema"],
                     "compressed": bool(entry["compressed"]),
                     "version": int(entry["version"]),
-                    "typing": codec.decode_typing(entry["typing"]),
+                    "typing": codec.decode_typing(entry, nodes),
                     # Kind-level typings are no longer persisted or read;
                     # the keys stay for callers that pass them through to
                     # ValidationEngine.seed_typing.
@@ -284,6 +299,11 @@ class DurableStore(GraphStore):
                     "epoch": -1,
                 }
             )
+        buckets = codec.decode_fingerprint(
+            snapshot.get("fingerprint"), nodes, FINGERPRINT_SCHEME, FINGERPRINT_BUCKETS
+        )
+        if buckets is not None:
+            store.restore_fingerprint(*buckets)
         return store
 
     @staticmethod
@@ -403,7 +423,6 @@ class DurableStore(GraphStore):
         }
 
     def _snapshot_payload(self, typings: List[Dict[str, Any]]) -> Dict[str, Any]:
-        graph = self._graph
         usable = [
             entry
             for entry in typings
@@ -414,35 +433,35 @@ class DurableStore(GraphStore):
             codec.encode_delta(self._log[cursor - self._base].compact())
             for cursor in range(base, self._version)
         ]
+        # The node table is grouped by fingerprint bucket, so a reopen gets
+        # every bucket's members back by slicing instead of hashing.
+        members, digests = self.fingerprint_buckets()
+        nodes, encoded, offsets = codec.bucket_table(members, FINGERPRINT_BUCKETS)
+        if len(nodes) != self._graph.node_count:
+            raise PersistError(
+                f"fingerprint buckets hold {len(nodes)} nodes, the graph "
+                f"{self._graph.node_count}"
+            )
+        index = {node: position for position, node in enumerate(nodes)}
         return {
             "format": _migrations.CURRENT_FORMAT,
             "name": self.name,
             "version": self._version,
             "base": base,
             "created_at": time.time(),
-            "nodes": sorted((codec.encode_node(node) for node in graph.nodes), key=repr),
-            "edges": sorted(
-                (
-                    [
-                        codec.encode_node(edge.source),
-                        edge.label,
-                        codec.encode_node(edge.target),
-                        codec.encode_occur(edge.occur),
-                    ]
-                    for edge in graph.edges
-                ),
-                key=repr,
-            ),
+            "nodes": encoded,
+            **codec.encode_edges(self._graph.edges, index),
             "log": tail,
             "typings": [
                 {
                     "schema": entry["schema"],
                     "compressed": entry["compressed"],
                     "version": entry["version"],
-                    "typing": codec.encode_typing(entry["typing"]),
+                    **codec.encode_typing(entry["typing"], index),
                 }
                 for entry in usable
             ],
+            "fingerprint": codec.encode_fingerprint(FINGERPRINT_SCHEME, digests, offsets),
         }
 
     def _prune(self, keep_from: int) -> None:

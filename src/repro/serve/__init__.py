@@ -18,26 +18,20 @@ subsystem keeps the expensive artifacts alive *across* workloads:
 * :mod:`repro.serve.cli` — the ``shex-serve`` start/status/stop/flush command.
 
 See ``docs/architecture.md`` for where this layer sits in the system and
-``examples/serve_demo.py`` for an end-to-end tour.
+``examples/serve_demo.py`` for an end-to-end tour.  The names above are
+exported lazily: a daemon start imports neither the client nor anything it
+does not serve.
 """
 
-from repro.serve.async_engine import (
-    AsyncBatchEngine,
-    AsyncContainmentEngine,
-    AsyncValidationEngine,
-)
-from repro.serve.client import DaemonClient, batch_jobs_from_manifest
-from repro.serve.daemon import DaemonHandle, ValidationDaemon, start_in_thread
-from repro.serve.protocol import PROTOCOL_VERSION
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AsyncBatchEngine",
-    "AsyncContainmentEngine",
-    "AsyncValidationEngine",
-    "DaemonClient",
-    "DaemonHandle",
-    "PROTOCOL_VERSION",
-    "ValidationDaemon",
-    "batch_jobs_from_manifest",
-    "start_in_thread",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.serve.async_engine": (
+        "AsyncBatchEngine",
+        "AsyncContainmentEngine",
+        "AsyncValidationEngine",
+    ),
+    "repro.serve.client": ("DaemonClient", "batch_jobs_from_manifest"),
+    "repro.serve.daemon": ("DaemonHandle", "ValidationDaemon", "start_in_thread"),
+    "repro.serve.protocol": ("PROTOCOL_VERSION",),
+})

@@ -39,14 +39,16 @@ import json
 import os
 import sys
 import time
-from typing import Any, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence
 
 from repro.engine.backends import BACKENDS
 from repro.errors import ReproError
 from repro.obs.logs import LEVELS
-from repro.serve.client import DaemonClient
 from repro.serve.daemon import ValidationDaemon
 from repro.serve.protocol import split_address
+
+if TYPE_CHECKING:
+    from repro.serve.client import DaemonClient
 
 
 def _daemon_from_args(args: argparse.Namespace) -> ValidationDaemon:
@@ -90,6 +92,9 @@ def _cmd_start(args: argparse.Namespace) -> int:
 
 
 def _client(args: argparse.Namespace) -> DaemonClient:
+    # Imported here: ``start`` runs the daemon and never needs the client.
+    from repro.serve.client import DaemonClient
+
     return DaemonClient.connect(args.connect, timeout=args.timeout)
 
 

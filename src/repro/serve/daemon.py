@@ -47,7 +47,6 @@ from repro.obs import logs as obs_logs
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
 from repro.persist import DurableStore, persist_metrics_summary
-from repro.presburger.solver import solver_metrics_summary
 from repro.rdf.convert import load_graph
 from repro.schema.parser import parse_schema
 from repro.serve import protocol
@@ -1476,6 +1475,10 @@ class ValidationDaemon:
             raise ProtocolError(
                 "'prometheus' must be a boolean", protocol.E_BAD_REQUEST
             )
+        # The solver module (and the Presburger formulas it imports) loads
+        # on the first ``metrics`` request, not at every daemon start.
+        from repro.presburger.solver import solver_metrics_summary
+
         registry = obs_metrics.get_registry()
         result: Dict[str, Any] = {
             "version": repro.__version__,

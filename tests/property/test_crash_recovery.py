@@ -11,7 +11,10 @@ longest clean WAL prefix — never an error, never a partial record, never a
 state the store was not in at some point.
 
 A second suite checks that the recovered store revalidates like the
-full-rescan oracle.
+full-rescan oracle, and a third that a reopen restores what the columnar
+snapshot and its persisted fingerprint buckets describe: the graph, every
+exported typing and the fingerprint, rehashing only the buckets the WAL
+tail touched.
 """
 
 from __future__ import annotations
@@ -22,12 +25,16 @@ from typing import Dict, FrozenSet, Tuple
 
 import pytest
 
+from repro import obs
+from repro.engine.compiled import fingerprint_bucket, graph_fingerprint
 from repro.engine.validation import ValidationEngine, _payload_from_typing
 from repro.graphs.graph import Graph
 from repro.graphs.store import Delta, GraphStore
+from repro.obs import metrics as obs_metrics
 from repro.persist import DurableStore
 from repro.persist import wal as wal_mod
 from repro.schema.reference import maximal_typing_reference
+from repro.schema.typing import Typing
 from repro.workloads.bugtracker import bug_tracker_schema
 
 SEEDS = [3, 11, 29, 47, 61]
@@ -177,3 +184,101 @@ class TestKernelParityAfterRecovery:
         assert (outcome.result.verdict, outcome.result.payload) == expected, (
             f"seed {seed}: the kernel diverged from the oracle on the recovered store"
         )
+
+
+#: Node ids, labels and intervals of every kind a snapshot encodes.
+MIXED_NODES = ("s0", "s1", ("c", 0, "x"), ("c", 1, ("y", None)), 0, 7, None, "")
+MIXED_LABELS = ("a", "b", 5, None, 1.5, True)
+MIXED_OCCURS = (None, "*", (2, None), 3, (0, 2))
+
+
+def _mixed_edge(rng: random.Random, fresh: int):
+    source = rng.choice(MIXED_NODES)
+    target = ("fresh", fresh) if rng.random() < 0.2 else rng.choice(MIXED_NODES)
+    return (source, rng.choice(MIXED_LABELS), target, rng.choice(MIXED_OCCURS))
+
+
+def _random_typing(rng: random.Random, graph: Graph) -> Typing:
+    """Some typing of ``graph``'s nodes: the codec stores any such map."""
+    names = ("T", "U", "V")
+    return Typing({
+        node: frozenset(name for name in names if rng.random() < 0.4)
+        for node in graph.nodes
+        if rng.random() < 0.9
+    })
+
+
+def _edge_multiset(graph: Graph):
+    return sorted(
+        repr((e.source, type(e.label).__name__, e.label, e.target, e.occur))
+        for e in graph.edges
+    )
+
+
+class TestColumnarSnapshotParity:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_reopen_restores_graph_typings_and_fingerprint(self, seed, tmp_path):
+        rng = random.Random(seed)
+        directory = str(tmp_path / "store")
+        graph = Graph("mixed")
+        graph.add_node(("iso", seed))
+        for fresh in range(10):
+            graph.add_edge(*_mixed_edge(rng, fresh))
+        store = DurableStore.create(directory, graph.copy(), name="mixed")
+        mirror = GraphStore(graph.copy())
+        exported = []
+        tail = []  # the deltas since the last checkpoint: the WAL tail
+        for step in range(rng.randint(6, 12)):
+            doomed = rng.sample(mirror.graph.edges, min(2, mirror.graph.edge_count))
+            delta = Delta.of(
+                add=[_mixed_edge(rng, 100 + step * 10 + i) for i in range(rng.randint(0, 3))],
+                remove=[(e.source, e.label, e.target, e.occur) for e in doomed],
+            )
+            store.apply(delta)
+            mirror.apply(delta)
+            tail.append(delta)
+            if rng.random() < 0.3:
+                # Sometimes an older typing rides along: the snapshot then
+                # keeps the log tail back to its version.
+                older = exported[-1:] if rng.random() < 0.5 else []
+                exported = older + [{
+                    "schema": f"s{step}", "compressed": bool(step % 2),
+                    "version": mirror.version, "typing": _random_typing(rng, mirror.graph),
+                }]
+                store.checkpoint(exported)
+                tail = []
+        for step in range(rng.randint(1, 4)):
+            delta = Delta.of(add=[_mixed_edge(rng, 900 + step)])
+            store.apply(delta)
+            mirror.apply(delta)
+            tail.append(delta)
+        store.close()
+
+        before = obs_metrics.STATE.enabled
+        obs_metrics.enable()
+        try:
+            with obs.start_trace("t.restart") as root:
+                reopened = DurableStore.open(directory)
+                fingerprint = reopened.fingerprint()
+        finally:
+            obs_metrics.STATE.enabled = before
+        try:
+            assert reopened.version == mirror.version
+            assert set(reopened.graph.nodes) == set(mirror.graph.nodes)
+            assert _edge_multiset(reopened.graph) == _edge_multiset(mirror.graph)
+            assert fingerprint == graph_fingerprint(reopened.graph)
+            assert fingerprint == graph_fingerprint(mirror.graph)
+            restored = [
+                {key: entry[key] for key in ("schema", "compressed", "version", "typing")}
+                for entry in reopened.restored_typings
+            ]
+            assert restored == exported
+            _opened, span = root.children
+            dirty = {
+                fingerprint_bucket(repr(node))
+                for delta in tail
+                for node in delta.touched_nodes()
+            }
+            assert span.tags == {"mode": "incremental", "buckets": len(dirty)}
+        finally:
+            reopened.close()

@@ -416,8 +416,10 @@ class TestTypingCoverage:
                 modes.append(engine.revalidate(store, schema).mode)
                 (entry,) = engine.export_typings(store)
                 self._assert_covers(entry["typing"], store.graph)
+                nodes = list(store.graph.nodes)
+                index = {node: position for position, node in enumerate(nodes)}
                 self._assert_covers(
-                    codec.decode_typing(codec.encode_typing(entry["typing"])),
+                    codec.decode_typing(codec.encode_typing(entry["typing"], index), nodes),
                     store.graph,
                 )
         assert modes[0] == "full" and "incremental" in modes

@@ -11,6 +11,7 @@ import pytest
 
 from repro import faults, obs
 from repro.core.intervals import Interval
+from repro.engine.compiled import FINGERPRINT_BUCKETS, FINGERPRINT_SCHEME, graph_fingerprint
 from repro.errors import PersistError
 from repro.graphs.graph import Graph
 from repro.graphs.store import Delta, GraphStore
@@ -31,6 +32,37 @@ def _graph(edges) -> Graph:
 
 def _base_graph() -> Graph:
     return _graph([("a", "x", "b"), ("b", "y", "c"), ("c", "z", "a")])
+
+
+def _decode_graph(snapshot):
+    """The edges a snapshot's columnar tables decode to."""
+    return list(codec.decode_edges_table(snapshot, codec.decode_nodes(snapshot["nodes"])))
+
+
+def _graph_tables(**changes):
+    """One well-formed columnar graph (``a -x-> b``), with ``changes``."""
+    tables = {"nodes": ["a", "b"], "labels": ["x"], "occurs": [[1, 1]], "edges": [0, 0, 1, 0]}
+    tables.update(changes)
+    return tables
+
+
+def _decode_typing_of_one_node(entry):
+    return codec.decode_typing(entry, ["n"])
+
+
+def _decode_buckets(section):
+    return codec.decode_fingerprint(section, ["a", "b"], FINGERPRINT_SCHEME, FINGERPRINT_BUCKETS)
+
+
+def _buckets(**changes):
+    """A well-formed fingerprint section for the node table ``["a", "b"]``."""
+    section = {
+        "scheme": FINGERPRINT_SCHEME,
+        "digests": ["00" * 32] * FINGERPRINT_BUCKETS,
+        "offsets": [0] + [2] * FINGERPRINT_BUCKETS,
+    }
+    section.update(changes)
+    return section
 
 
 class TestCodec:
@@ -65,9 +97,57 @@ class TestCodec:
 
     def test_one_interval_per_distinct_pair(self):
         assert codec.decode_occur([2, None]) is codec.decode_occur([2, None])
-        typing = codec.decode_typing([["a", ["T", "U"]], ["b", ["T", "U"]], [{"i": 1}, []]])
+        typing = codec.decode_typing(
+            {"typesets": [[], ["T", "U"]], "typeset_of": [1, 1, 0, -1]}, ["a", "b", 1, "c"]
+        )
         assert typing.types_of("a") is typing.types_of("b")
         assert typing.types_of(1) == frozenset()
+        assert typing.lists(1) and not typing.lists("c")
+
+    def test_graph_tables_round_trip(self):
+        # Tuple, int, None and isolated nodes; string, number, null and bool
+        # labels (1 and True stay apart); [2;*], [0;*] and [3;3] intervals.
+        graph = Graph("t")
+        graph.add_node(("iso", 0))
+        for source, label, target, occur in [
+            (("c", 1, "x"), "a", 7, "*"),
+            (7, 5, None, (2, None)),
+            (None, None, ("c", 1, "x"), (3, 3)),
+            ("s", 1, 7, None),
+            ("s", True, 7, None),
+            ("s", 1.5, "s", (2, None)),
+            ("s", "a", 7, None),
+            ("s", "a", 7, None),
+        ]:
+            graph.add_edge(source, label, target, occur)
+        nodes = sorted(graph.nodes, key=repr)
+        index = {node: position for position, node in enumerate(nodes)}
+        tables = json.loads(json.dumps(codec.encode_edges(graph.edges, index)))
+        tables["nodes"] = [codec.encode_node(node) for node in nodes]
+        decoded = _decode_graph(tables)
+
+        def content(edges):
+            return sorted(
+                repr((s, type(a).__name__, a, t, o.lower, o.upper)) for s, a, t, o in edges
+            )
+
+        assert content(decoded) == content(
+            (e.source, e.label, e.target, e.occur) for e in graph.edges
+        )
+        assert {type(a) for _s, a, _t, _o in decoded} == {str, int, float, bool, type(None)}
+        assert len(tables["labels"]) == 6 and len(tables["occurs"]) == 4
+
+    def test_typing_column_round_trip_and_missing_node(self):
+        from repro.schema.typing import Typing
+
+        nodes = ["a", ("t", 1), 3, None]
+        index = {node: position for position, node in enumerate(nodes)}
+        typing = Typing({"a": {"T", "U"}, ("t", 1): set(), None: {"U", "T"}})
+        entry = json.loads(json.dumps(codec.encode_typing(typing, index)))
+        assert entry == {"typesets": [[], ["T", "U"]], "typeset_of": [1, 0, -1, 1]}
+        assert codec.decode_typing(entry, nodes) == typing
+        with pytest.raises(PersistError, match="not in the snapshot's node table"):
+            codec.encode_typing(Typing({"gone": {"T"}}), index)
 
     @pytest.mark.parametrize(
         "decode, value",
@@ -95,12 +175,42 @@ class TestCodec:
             (codec.decode_occur, [1]),
             (codec.decode_occur, "ab"),
             (codec.decode_occur, {"a": 1, "b": 2}),
-            (codec.decode_typing, [["n", "Bug"]]),
-            (codec.decode_typing, [["n", [1]]]),
-            (codec.decode_typing, [["n", [["T"]]]]),
-            (codec.decode_typing, [["n"]]),
-            (codec.decode_typing, [[{"i": "a"}, ["T"]]]),
-            (codec.decode_typing, {"n": ["T"]}),
+            (_decode_typing_of_one_node, {"typesets": ["Bug"], "typeset_of": [0]}),
+            (_decode_typing_of_one_node, {"typesets": [[1]], "typeset_of": [0]}),
+            (_decode_typing_of_one_node, {"typesets": [[["T"]]], "typeset_of": [0]}),
+            (_decode_typing_of_one_node, {"typesets": "T", "typeset_of": [0]}),
+            (_decode_typing_of_one_node, {"typesets": [["T"]]}),
+            (_decode_typing_of_one_node, {"typesets": [["T"]], "typeset_of": [0, 0]}),
+            (_decode_typing_of_one_node, {"typesets": [["T"]], "typeset_of": []}),
+            (_decode_typing_of_one_node, {"typesets": [["T"]], "typeset_of": [1]}),
+            (_decode_typing_of_one_node, {"typesets": [["T"]], "typeset_of": [-2]}),
+            (_decode_typing_of_one_node, {"typesets": [["T"]], "typeset_of": [True]}),
+            (_decode_typing_of_one_node, {"typesets": [["T"]], "typeset_of": [0.0]}),
+            (_decode_graph, _graph_tables(nodes={"a": 1})),
+            (_decode_graph, _graph_tables(nodes=["a", {"i": "b"}])),
+            (_decode_graph, _graph_tables(labels=[["x"]])),
+            (_decode_graph, _graph_tables(labels="x")),
+            (_decode_graph, _graph_tables(occurs=[[2, 1]])),
+            (_decode_graph, _graph_tables(occurs=[[1, True]])),
+            (_decode_graph, _graph_tables(edges=[2, 0, 1, 0])),
+            (_decode_graph, _graph_tables(edges=[0, 0, -1, 0])),
+            (_decode_graph, _graph_tables(edges=[0, 1, 1, 0])),
+            (_decode_graph, _graph_tables(edges=[0, 0, 1, 1])),
+            (_decode_graph, _graph_tables(edges=[0, 0, True, 0])),
+            (_decode_graph, _graph_tables(edges=[0, False, 1, 0])),
+            (_decode_graph, _graph_tables(edges=[0, 0, 1.0, 0])),
+            (_decode_graph, _graph_tables(edges=[0, 0, 1])),
+            (_decode_graph, _graph_tables(edges="abcd")),
+            (_decode_buckets, _buckets(digests=["00" * 32] * (FINGERPRINT_BUCKETS - 1))),
+            (_decode_buckets, _buckets(digests=["00" * 32] * (FINGERPRINT_BUCKETS + 1))),
+            (_decode_buckets, _buckets(digests=["zz" * 32] * FINGERPRINT_BUCKETS)),
+            (_decode_buckets, _buckets(digests=["00" * 31] * FINGERPRINT_BUCKETS)),
+            (_decode_buckets, _buckets(digests=[0] * FINGERPRINT_BUCKETS)),
+            (_decode_buckets, _buckets(offsets=[0] * FINGERPRINT_BUCKETS)),
+            (_decode_buckets, _buckets(offsets=[0] + [3] * FINGERPRINT_BUCKETS)),
+            (_decode_buckets, _buckets(offsets=[0, 2, 1] + [2] * (FINGERPRINT_BUCKETS - 2))),
+            (_decode_buckets, _buckets(offsets=[False] + [2] * FINGERPRINT_BUCKETS)),
+            (_decode_buckets, ["not", "a", "section"]),
             (codec.decode_delta, {"add": [["a", "x", "b"]]}),
             (codec.decode_delta, {"remove": [["a", "x", {"t": 5}, [1, 1]]]}),
             (codec.decode_delta, {"add": "abcd"}),
@@ -218,32 +328,30 @@ class TestDurableStore:
         reopened.close()
 
     def test_snapshot_with_kind_typings_still_opens(self, tmp_path):
-        # Snapshots once stored a kind-level typing and its partition epoch
-        # next to each node typing; they are read, and the extra fields left.
+        # Format-2 snapshots could store a kind-level typing and its
+        # partition epoch next to each node typing; m0003 drops them.
         from repro.engine.validation import ValidationEngine
         from repro.schema.parser import parse_schema
 
         schema = parse_schema("T -> x :: T?, y :: T?, z :: T?")
-        directory = str(tmp_path / "store")
-        store = DurableStore.create(directory, _base_graph(), name="t")
         with ValidationEngine() as engine:
-            engine.revalidate(store, schema)
-            (typing_entry,) = engine.export_typings(store)
-            store.checkpoint([typing_entry])
-        store.close()
-        path = os.path.join(directory, f"snapshot-{store.generation}.json")
-        with open(path, "r", encoding="utf-8") as handle:
-            snapshot = json.load(handle)
+            mirror = GraphStore(_base_graph())
+            engine.revalidate(mirror, schema)
+            (typing_entry,) = engine.export_typings(mirror)
+        snapshot = _format2_snapshot(mirror.graph, "t", typings=[typing_entry])
         (entry,) = snapshot["typings"]
         entry["kind_typing"] = entry["typing"]
         entry["epoch"] = 0
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(snapshot, handle)
+        directory = str(tmp_path / "store")
+        _write_format2(directory, snapshot)
 
         reopened = DurableStore.open(directory)
         (restored,) = reopened.restored_typings
         assert restored["typing"] == typing_entry["typing"]
         assert (restored["kind_typing"], restored["epoch"]) == (None, -1)
+        with open(os.path.join(directory, "snapshot-1.json")) as handle:
+            (migrated,) = json.load(handle)["typings"]
+        assert "kind_typing" not in migrated and "epoch" not in migrated
         with ValidationEngine() as engine:
             engine.seed_typing(
                 reopened, schema, restored["typing"], restored["version"],
@@ -254,9 +362,9 @@ class TestDurableStore:
         reopened.close()
 
     def test_snapshot_with_a_persisted_partition_still_opens(self, tmp_path):
-        # Snapshots once carried the store's kind partition (``kind_of`` and
-        # its ``epoch``); it is no longer written, and one that is there is
-        # ignored: no typing reads a partition.
+        # Format-1 and -2 snapshots could carry the store's kind partition
+        # (``kind_of`` and its ``epoch``); m0003 drops the section, and no
+        # typing reads a partition.
         from repro.engine.validation import ValidationEngine, _payload_from_typing
         from repro.schema.reference import maximal_typing_reference
         from repro.workloads.bugtracker import bug_tracker_graph, bug_tracker_schema
@@ -268,29 +376,26 @@ class TestDurableStore:
             for copy in range(12)
             for edge in base.edges
         )
-        directory = str(tmp_path / "store")
-        store = DurableStore.create(directory, clones, name="clones")
         with ValidationEngine(cache_size=0) as engine:
-            assert engine.revalidate(store, schema).mode == "full"
-            (typing_entry,) = engine.export_typings(store)
-            store.checkpoint([typing_entry])
-        prefix = "http://example.org/bugs#"
-        store.apply(Delta.of(remove=[((3, f"{prefix}bug3"), "descr", (3, "literal:Kabang!||"))]))
-        store.close()
-        path = os.path.join(directory, f"snapshot-{store.generation}.json")
-        with open(path, "r", encoding="utf-8") as handle:
-            snapshot = json.load(handle)
-        assert "partition" not in snapshot
+            mirror = GraphStore(clones)
+            assert engine.revalidate(mirror, schema).mode == "full"
+            (typing_entry,) = engine.export_typings(mirror)
+        snapshot = _format2_snapshot(clones, "clones", typings=[typing_entry])
         # Every node in one kind: a typing that read this would be wrong.
         snapshot["partition"] = {
             "kind_of": sorted(([node, 0] for node in snapshot["nodes"]), key=repr),
             "epoch": 3,
         }
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(snapshot, handle)
+        prefix = "http://example.org/bugs#"
+        directory = str(tmp_path / "store")
+        _write_format2(directory, snapshot, wal=[
+            Delta.of(remove=[((3, f"{prefix}bug3"), "descr", (3, "literal:Kabang!||"))]),
+        ])
 
         reopened = DurableStore.open(directory)
         assert reopened.recovery["replayed"] == 1
+        with open(os.path.join(directory, "snapshot-1.json")) as handle:
+            assert "partition" not in json.load(handle)
         oracle = maximal_typing_reference(reopened.graph, schema)
         assert oracle.untyped()  # the removed descr leaves bug3 of copy 3 untyped
         _verdict, expected = _payload_from_typing(reopened.graph, oracle, False)
@@ -466,7 +571,9 @@ class TestDurableStore:
         )
         size = os.path.getsize(os.path.join(directory, f"snapshot-{store.generation}.json"))
         assert snapshot.tags == {"bytes": size}
-        assert decode.tags == {"nodes": 3, "edges": 3}
+        assert decode.tags == {
+            "nodes": 3, "edges": 3, "format": 3, "fingerprint": "restored",
+        }
         assert replay.tags == {"records": 1}
 
     def test_persist_status_fields(self, tmp_path):
@@ -479,6 +586,53 @@ class TestDurableStore:
         assert status["wal_records"] == 1 and status["wal_bytes"] > 0
         assert status["last_checkpoint_at"] is not None
         store.close()
+
+
+def _format2_snapshot(graph, name, version=0, typings=()):
+    """A format-2 snapshot of ``graph``: every edge with its endpoints
+    encoded in place, every typing a sorted ``[[node, [types]], ...]`` list."""
+    encode = codec.encode_node
+    return {
+        "format": 2,
+        "name": name,
+        "version": version,
+        "base": version,
+        "created_at": 0.0,
+        "nodes": sorted((encode(node) for node in graph.nodes), key=repr),
+        "edges": sorted(
+            (
+                [encode(e.source), e.label, encode(e.target), codec.encode_occur(e.occur)]
+                for e in graph.edges
+            ),
+            key=repr,
+        ),
+        "log": [],
+        "typings": [
+            {
+                "schema": entry["schema"],
+                "compressed": entry["compressed"],
+                "version": entry["version"],
+                "typing": sorted(
+                    ([encode(node), sorted(types)] for node, types in entry["typing"].items()),
+                    key=repr,
+                ),
+            }
+            for entry in typings
+        ],
+    }
+
+
+def _write_format2(directory, snapshot, wal=()):
+    """A format-2 data directory at generation 1: ``snapshot`` and a WAL
+    holding ``wal``'s deltas."""
+    os.makedirs(directory)
+    with open(os.path.join(directory, "snapshot-1.json"), "w") as handle:
+        json.dump(snapshot, handle)
+    log = WriteAheadLog(os.path.join(directory, "wal-1.log"), "always")
+    for version, delta in enumerate(wal, start=snapshot["version"] + 1):
+        log.append(version, codec.encode_delta(delta))
+    log.close()
+    write_manifest(directory, {"format": 2, "name": snapshot["name"], "generation": 1})
 
 
 def _parity_history(seed, directory):
@@ -518,12 +672,17 @@ def _reference_open(directory):
     generation = read_manifest(directory)["generation"]
     with open(os.path.join(directory, f"snapshot-{generation}.json")) as handle:
         snapshot = json.load(handle)
-    decode = codec.decode_node
+    nodes = [codec.decode_node(node) for node in snapshot["nodes"]]
     graph = Graph(snapshot["name"])
-    for node in snapshot["nodes"]:
-        graph.add_node(decode(node))
-    for source, label, target, (lower, upper) in snapshot["edges"]:
-        graph.add_edge(decode(source), label, decode(target), Interval(lower, upper))
+    for node in nodes:
+        graph.add_node(node)
+    flat = snapshot["edges"]
+    for row in range(0, len(flat), 4):
+        source, label, target, occur = flat[row:row + 4]
+        lower, upper = snapshot["occurs"][occur]
+        graph.add_edge(
+            nodes[source], snapshot["labels"][label], nodes[target], Interval(lower, upper)
+        )
     store = GraphStore(graph, snapshot["name"], base_version=snapshot["version"])
     records, _ = wal_mod.recover(os.path.join(directory, f"wal-{generation}.log"))
     for _version, payload in records:
@@ -557,6 +716,103 @@ class TestBulkReopenParity:
         opened.close()
 
 
+def _first_fingerprint_span(store):
+    """The ``graph.fingerprint`` span of ``store``'s next fingerprint."""
+    before = obs_metrics.STATE.enabled
+    obs_metrics.enable()
+    try:
+        with obs.start_trace("t.fingerprint") as root:
+            value = store.fingerprint()
+    finally:
+        obs_metrics.STATE.enabled = before
+    (span,) = root.children
+    assert span.name == "graph.fingerprint"
+    return value, span
+
+
+def _snapshot_path(directory):
+    generation = read_manifest(directory)["generation"]
+    return os.path.join(directory, f"snapshot-{generation}.json")
+
+
+class TestPersistedFingerprint:
+    def _store_with_tail(self, directory):
+        """A checkpointed store plus a two-record WAL tail; the nodes the
+        tail touched."""
+        graph = _base_graph()
+        graph.add_edge(("t", 1), 5, None, (2, None))
+        store = DurableStore.create(directory, graph, name="t")
+        tail = [
+            Delta.of(add=[("a", "x", ("fresh", 0))], remove=[("b", "y", "c")]),
+            Delta.of(add=[(None, "w", 7, "*")]),
+        ]
+        for delta in tail:
+            store.apply(delta)
+        store.close()
+        touched = set().union(*(delta.touched_nodes() for delta in tail))
+        return touched
+
+    def test_first_fingerprint_after_open_rehashes_only_the_wal_buckets(self, tmp_path):
+        from repro.engine.compiled import fingerprint_bucket
+
+        directory = str(tmp_path / "store")
+        touched = self._store_with_tail(directory)
+        reopened = DurableStore.open(directory)
+        value, span = _first_fingerprint_span(reopened)
+        assert value == graph_fingerprint(reopened.graph)
+        dirty = {fingerprint_bucket(repr(node)) for node in touched}
+        assert span.tags == {"mode": "incremental", "buckets": len(dirty)}
+        reopened.close()
+
+    @pytest.mark.parametrize("section", [None, "foreign"])
+    def test_an_absent_or_foreign_section_hashes_in_full(self, tmp_path, section):
+        directory = str(tmp_path / "store")
+        self._store_with_tail(directory)
+        path = _snapshot_path(directory)
+        with open(path) as handle:
+            snapshot = json.load(handle)
+        if section is None:
+            del snapshot["fingerprint"]
+        else:
+            snapshot["fingerprint"]["scheme"] = "graph-buckets\x00512\x00"
+            snapshot["fingerprint"]["digests"] = ["00"]  # not read: not this scheme
+        with open(path, "w") as handle:
+            json.dump(snapshot, handle)
+        before = obs_metrics.STATE.enabled
+        obs_metrics.enable()
+        try:
+            with obs.start_trace("t.restart") as root:
+                reopened = DurableStore.open(directory)
+        finally:
+            obs_metrics.STATE.enabled = before
+        (opened,) = root.children
+        assert opened.children[1].tags["fingerprint"] == "absent"
+        value, span = _first_fingerprint_span(reopened)
+        assert value == graph_fingerprint(reopened.graph)
+        assert span.tags["mode"] == "full"
+        reopened.close()
+
+    def test_equal_states_write_byte_identical_snapshots(self, tmp_path, monkeypatch):
+        from repro.persist import store as store_mod
+        from repro.schema.typing import Typing
+
+        monkeypatch.setattr(store_mod.time, "time", lambda: 1.0)
+        edges = [(("t", 2), 5, None, (2, None)), ("a", None, 3, None), ("b", "x", "a", "*")]
+        paths = []
+        for name, order in (("one", edges), ("two", edges[::-1])):
+            store = DurableStore.create(str(tmp_path / name), Graph("g"), name="g")
+            store.apply(Delta.of(add=order[:1]))
+            store.apply(Delta.of(add=order[1:]))
+            nodes = sorted(store.graph.nodes, key=repr, reverse=name == "two")
+            typing = Typing({node: {"T", "U"} if node == "a" else set() for node in nodes})
+            store.checkpoint([{"schema": "s", "compressed": False, "version": 2, "typing": typing}])
+            store.close()
+            paths.append(_snapshot_path(str(tmp_path / name)))
+        blobs = [open(path, "rb").read() for path in paths]
+        assert blobs[0] == blobs[1]
+        assert json.loads(blobs[0])["format"] == 3
+
+
 class TestMigrations:
     def _format1_layout(self, directory: str) -> None:
         """A hand-written format-1 directory (no typing snapshots)."""
@@ -586,6 +842,87 @@ class TestMigrations:
         assert store.restored_typings == []
         assert read_manifest(directory)["format"] == migrations_mod.CURRENT_FORMAT
         store.close()
+
+    def test_format2_store_migrates_to_columnar_snapshots(self, tmp_path):
+        # Tuple, int and None ids, non-string labels, an unbounded interval
+        # and a typing: m0003 rewrites the snapshot, the open reads it back.
+        from repro.schema.typing import Typing
+
+        graph = Graph("old")
+        graph.add_node(("iso", 1))
+        graph.add_edge(("c", 0), 5, 7, (2, None))
+        graph.add_edge(7, None, None, "*")
+        graph.add_edge(None, "x", ("c", 0))
+        typing = Typing({node: {"T"} if node == 7 else set() for node in graph.nodes})
+        entry = {"schema": "s", "compressed": True, "version": 0, "typing": typing}
+        directory = str(tmp_path / "old")
+        _write_format2(directory, _format2_snapshot(graph, "old", typings=[entry]),
+                       wal=[Delta.of(add=[(7, 1.5, "new")])])
+        store = DurableStore.open(directory)
+        assert read_manifest(directory)["format"] == migrations_mod.CURRENT_FORMAT
+        graph.add_edge(7, 1.5, "new")
+        assert sorted(map(repr, store.graph.nodes)) == sorted(map(repr, graph.nodes))
+        assert sorted(repr(tuple(e)[1:]) for e in store.graph.edges) == sorted(
+            repr(tuple(e)[1:]) for e in graph.edges
+        )
+        (restored,) = store.restored_typings
+        assert (restored["typing"], restored["compressed"]) == (typing, True)
+        assert store.fingerprint() == graph_fingerprint(graph)
+        store.close()
+
+    def test_interrupted_migration_resumes(self, tmp_path):
+        # A crash after m0003 rewrote the snapshots but before the manifest
+        # said so: the rerun skips format-3 snapshots and keeps their buckets.
+        directory = str(tmp_path / "store")
+        store = DurableStore.create(directory, _base_graph())
+        store.apply(Delta.of(add=[("a", "x", "c")]))
+        store.close()
+        manifest = read_manifest(directory)
+        manifest["format"] = 2
+        write_manifest(directory, manifest)
+        before = open(_snapshot_path(directory), "rb").read()
+        reopened = DurableStore.open(directory)
+        assert open(_snapshot_path(directory), "rb").read() == before
+        assert read_manifest(directory)["format"] == 3
+        value, span = _first_fingerprint_span(reopened)
+        assert span.tags["mode"] == "incremental"
+        assert value == graph_fingerprint(reopened.graph)
+        reopened.close()
+
+    def test_torn_format2_snapshot_falls_back_one_generation(self, tmp_path):
+        directory = str(tmp_path / "store")
+        _write_format2(directory, _format2_snapshot(_base_graph(), "t"))
+        with open(os.path.join(directory, "snapshot-2.json"), "w") as handle:
+            handle.write('{"format": 2, "nodes": [')
+        manifest = read_manifest(directory)
+        manifest["generation"] = 2
+        write_manifest(directory, manifest)
+        store = DurableStore.open(directory)
+        assert store.generation == 1 and store.graph.edge_count == 3
+        store.close()
+
+    def test_format2_typing_of_an_unknown_node_is_refused(self, tmp_path):
+        from repro.schema.typing import Typing
+
+        entry = {"schema": "s", "compressed": False, "version": 0,
+                 "typing": Typing({"ghost": {"T"}})}
+        directory = str(tmp_path / "store")
+        _write_format2(directory, _format2_snapshot(_base_graph(), "t", typings=[entry]))
+        with pytest.raises(PersistError, match="not in the graph"):
+            DurableStore.open(directory)
+
+    def test_format4_directory_is_refused_untouched(self, tmp_path):
+        directory = str(tmp_path / "store")
+        _write_format2(directory, _format2_snapshot(_base_graph(), "t"))
+        manifest = read_manifest(directory)
+        manifest["format"] = 4
+        write_manifest(directory, manifest)
+        files = {name: open(os.path.join(directory, name), "rb").read()
+                 for name in os.listdir(directory)}
+        with pytest.raises(PersistError, match="refusing to load"):
+            DurableStore.open(directory)
+        assert {name: open(os.path.join(directory, name), "rb").read()
+                for name in os.listdir(directory)} == files
 
     def test_pending_refuses_future_format(self):
         with pytest.raises(PersistError, match="refusing to load"):

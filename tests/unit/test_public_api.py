@@ -61,6 +61,56 @@ print(json.dumps({"verdict": answer["verdict"], "mode": answer["mode"],
 """
 
 
+#: ``shex-serve start --data-dir`` in the main thread; a raw-socket client
+#: thread loads a schema and a graph (first run) or only revalidates (a
+#: restart), then reports which modules the daemon process holds.
+_SERVE_START_FOOTPRINT_PROGRAM = """
+import json, socket, sys, threading, time
+import repro.serve.cli
+address, data_dir, schema, data = sys.argv[1:5]
+report = {}
+
+def call(sock, reader, **message):
+    sock.sendall(json.dumps(message).encode("utf-8") + b"\\n")
+    answer = json.loads(reader.readline())
+    assert answer.get("ok"), answer
+    return answer["result"]
+
+def client():
+    deadline = time.time() + 60
+    while True:
+        sock = socket.socket(socket.AF_UNIX)
+        sock.settimeout(60)
+        try:
+            sock.connect(address)
+            break
+        except OSError:
+            sock.close()
+            if time.time() > deadline:
+                report["error"] = "daemon did not come up"
+                return
+            time.sleep(0.01)
+    reader = sock.makefile("rb")
+    try:
+        call(sock, reader, op="ping")
+        if schema:
+            call(sock, reader, op="load_schema", name="bug", text=schema)
+            call(sock, reader, op="update_graph", name="bugs", data={"text": data})
+        answer = call(sock, reader, op="revalidate", name="bugs", schema="bug")
+        report.update(mode=answer["mode"], verdict=answer["verdict"],
+                      modules=sorted(sys.modules))
+    except BaseException as exc:
+        report["error"] = repr(exc)
+    finally:
+        call(sock, reader, op="shutdown")
+
+threading.Thread(target=client, daemon=True).start()
+code = repro.serve.cli.main(["start", "--socket", address, "--data-dir", data_dir,
+                             "--log-level", "warning"])
+print(json.dumps(dict(report, code=code)))
+"""
+
+
 def _run_footprint(tmp_path, schema_text: str, data_text: str, scipy: bool = True) -> dict:
     """Run a one-shot ``validate`` in a fresh interpreter; its report.
 
@@ -270,6 +320,33 @@ class TestImportFootprint:
         assert [report["verdict"] for report in reports] == ["valid", "valid"]
         assert reports[1]["mode"] != "full"  # the restart reused its typing
         assert [report["numpy"] for report in reports] == [False, False]
+
+    def test_serve_start_restart_loads_no_solver_nor_client(self, tmp_path):
+        # ``shex-serve start --data-dir`` answering ``ping`` and a plain
+        # ``revalidate``, first on a fresh directory and then on the one it
+        # left: the Presburger solver loads on the first ``metrics`` request
+        # only, and the client module never.
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        address, data_dir = str(tmp_path / "d.sock"), str(tmp_path / "data")
+        schema = "Bug -> descr :: Lit, related :: Bug*\nLit -> isLiteral :: M\nM -> eps\n"
+        reports = []
+        for phase_schema in (schema, ""):
+            completed = subprocess.run(
+                [sys.executable, "-c", _SERVE_START_FOOTPRINT_PROGRAM, address, data_dir,
+                 phase_schema, _cyclic_bugs(12)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert completed.returncode == 0, completed.stderr
+            report = json.loads(completed.stdout.splitlines()[-1])
+            assert "error" not in report, report
+            reports.append(report)
+        assert [report["verdict"] for report in reports] == ["valid", "valid"]
+        assert reports[1]["mode"] != "full"  # the restart reused its typing
+        for report in reports:
+            assert report["code"] == 0
+            assert "repro.presburger.solver" not in report["modules"]
+            assert "repro.presburger.formula" not in report["modules"]
+            assert "repro.serve.client" not in report["modules"]
 
     def test_daemon_start_loads_no_containment_code(self, tmp_path):
         # The containment engine imports its solver on the first ``contains``
