@@ -37,7 +37,6 @@ the human summary (job count, cache hits, wall time) goes to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Optional, Sequence
@@ -48,8 +47,9 @@ from repro.rdf.convert import load_graph
 from repro.schema.parser import parse_schema
 from repro.schema.validation import validate
 
-# Subcommands other than ``validate`` import their modules in their handlers,
-# so a one-shot ``validate`` never loads containment, manifests or serving.
+# Subcommands other than ``validate`` import their modules (and ``json``) in
+# their handlers, so a one-shot ``validate`` never loads containment,
+# manifests or serving.
 
 
 def _read(path: str) -> str:
@@ -72,12 +72,12 @@ def _load_delta(path: str):
     graph's node identifiers and labels (IRIs, ``literal:...`` forms,
     shortened predicate names — what ``--show-typing`` prints).
     """
-    import json as json_module
+    import json
 
     from repro.graphs.store import Delta
 
     try:
-        payload = json_module.loads(_read(path))
+        payload = json.loads(_read(path))
     except ValueError as exc:
         raise ReproError(f"--delta file {path}: {exc}") from exc
     return Delta.from_json(payload)
@@ -269,6 +269,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             "spans": root.to_dict(),
             "metrics": obs.get_registry().snapshot(),
         }
+        import json
+
         with open(args.metrics_json, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
@@ -447,6 +449,8 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         except SoakFailure as exc:
             print(f"SOAK FAILED: {exc}", file=sys.stderr)
             if exc.shrunk:
+                import json
+
                 print("minimal failing update sequence:", file=sys.stderr)
                 for delta in exc.shrunk:
                     print(f"  {json.dumps(delta, sort_keys=True)}", file=sys.stderr)
@@ -488,6 +492,8 @@ def _cmd_soak(args: argparse.Namespace) -> int:
 
 
 def _write_soak_report(path: str, report) -> None:
+    import json
+
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -696,7 +702,11 @@ class _ClosableStdout:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line and return its exit status."""
+    return _execute(build_parser().parse_args(argv))
+
+
+def _execute(args: argparse.Namespace) -> int:
     stdout, sys.stdout = sys.stdout, _ClosableStdout(sys.stdout)
     try:
         status = args.handler(args)
@@ -714,5 +724,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stdout = stdout
 
 
+def run() -> None:
+    """The ``shex-containment`` script and ``python -m repro.cli``: exit with
+    :func:`main`'s status.
+
+    A one-shot local ``validate`` owns no pool, file or exit hook, so once
+    its output is flushed the process ends at once (``os._exit``) instead of
+    tearing down every module it loaded.  Other commands exit normally.
+    """
+    args = build_parser().parse_args()
+    status = _execute(args)
+    if args.handler is _cmd_validate and not (args.connect or args.delta):
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except OSError:  # a closed pipe: the output was dropped already
+                pass
+        os._exit(status)
+    sys.exit(status)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    run()

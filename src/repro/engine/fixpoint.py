@@ -14,21 +14,23 @@ the node's check under any typing, so the greatest fixpoint is the same.
 The kernel improves on the per-semantics worklists it replaced (retained in
 :mod:`repro.schema.reference`) in three ways:
 
-**SCC schedule.**  A node's types depend only on the types of its successors,
-so the graph is condensed into strongly connected components
-(:mod:`repro.graphs.scc`: the nodes that reach no cycle are peeled off in
-Kahn order, Tarjan orders the rest) and each component is seeded and driven
-to its local fixpoint in reverse topological order (sinks first).  By the
-time a component is examined, everything it depends on outside itself is
-final — types stabilise component-by-component instead of rippling globally,
-and no component is ever revisited.  A one-node component — most of them on
-acyclic graphs — is settled by checking its candidate types directly, and
-its types are memoised under its *row*, the multiset of ``(label, target
-types)`` over its out-edges: a later node with the same row (a clone, an
-unrolled copy: what Section 6.1's kind quotient would merge) takes them
-without a seed or a check.  On an incremental run the same order gives a
-*cut-off*: a component the delta did not touch, whose successors outside it
-all came back with their prior types, keeps its prior types unchecked.
+**Kahn release, then Tarjan.**  A node's types depend only on the types of
+its successors, so the region is typed sinks first.  A node that reaches no
+cycle is typed the moment Kahn's pass (:func:`repro.graphs.scc.release`)
+releases it: its successors are final, so its types are a function of its
+*row*, the multiset of ``(label, target types)`` over its out-edges, read
+straight off the adjacency.  The first node with a given row is seeded and
+checked; a later node with the same row (a clone, an unrolled copy: what
+Section 6.1's kind quotient would merge) takes its types without a seed or
+a check.  Only the nodes left over go through Tarjan
+(:func:`repro.graphs.scc.tarjan`), and each of their strongly connected
+components is driven to its local fixpoint, sinks first, under a memo keyed
+by its *shape* (each member's row, an edge inside the component read as the
+target's index): isomorphic cycles with equally typed boundaries are
+stabilised once.  No component is revisited.  On an incremental run the
+same order gives a *cut-off*: a component the delta did not touch, whose
+successors outside it all came back with their prior types, keeps its prior
+types unchecked.
 
 **Fine-grained dirtiness.**  Work is tracked per ``(node, type)`` pair, not
 per node.  When a successor reached through label ``a`` loses type ``τ``, a
@@ -71,11 +73,8 @@ from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tup
 from repro.engine.compiled import CompiledSchema, compile_schema
 from repro.obs import metrics as _obs_metrics
 from repro.obs import tracing as _obs_tracing
-from repro.graphs.graph import Graph
-from repro.graphs.scc import (
-    backward_closure,
-    strongly_connected_components,
-)
+from repro.graphs.graph import Edge, Graph
+from repro.graphs.scc import backward_closure, release, tarjan
 from repro.schema.shex import ShExSchema, TypeName
 from repro.schema.typing import Typing, edge_groups, satisfies_type_groups
 
@@ -90,9 +89,10 @@ class FixpointStats:
     """Counters describing one kernel run (observability and benchmarks).
 
     ``checks`` counts (node, type) satisfaction questions asked;
-    ``row_hits`` the one-node components that took a memoised row's types
-    without a seed or a check; ``signature_hits`` how many checks were
-    answered from the neighbourhood-signature memo; ``shortcut_failures``
+    ``row_hits`` the nodes that took their types from the row memo or, on
+    a cycle, from the component memo, without a seed or a check;
+    ``signature_hits`` how many checks were answered from the
+    neighbourhood-signature memo; ``shortcut_failures``
     how many failed outright because a mandatory edge had no candidate
     target type (no memo needed); ``solver_problems`` how many Presburger
     systems reached the batch solver (compressed semantics only).
@@ -153,7 +153,7 @@ _M_CHECKS = _REGISTRY.counter(
 )
 _M_ROW_HITS = _REGISTRY.counter(
     "repro_fixpoint_row_hits_total",
-    "One-node components typed from the row memo without a check.",
+    "Nodes typed from the row or component memo without a check.",
 )
 _M_SIGNATURE_HITS = _REGISTRY.counter(
     "repro_fixpoint_signature_hits_total",
@@ -280,27 +280,58 @@ def _out_labels(graph: Graph, node: NodeId, compressed: bool) -> frozenset:
 
 
 def _row(
-    graph: Graph, node: NodeId, current: Dict[NodeId, FrozenSet[TypeName]], compressed: bool
-) -> Optional[FrozenSet]:
-    """``node``'s row over its successors' settled types, or ``None`` on a self-loop.
+    edge_ids, edges: Dict[int, Edge], current: Dict[NodeId, FrozenSet[TypeName]],
+    compressed: bool,
+) -> FrozenSet:
+    """A node's row over its successors' settled types, from its out-edge ids.
 
     The row is the multiset of ``(label, target types)`` over the out-edges,
     as a frozenset of ``(key, count)`` pairs; under the compressed semantics
-    the key also carries the edge's occurrence interval.  A node's label seed
-    and every check read nothing else, so nodes with equal rows get equal
-    types.
+    the key also carries the edge's occurrence interval.  A node without a
+    self-loop reads nothing else in its label seed and its checks, so such
+    nodes with equal rows get equal types.
     """
     counts: Dict[Tuple, int] = {}
-    for edge in graph.out_edges(node):
-        target = edge.target
-        if target == node:
-            return None
-        if compressed:
-            key = (edge.label, edge.occur, current[target])
-        else:
-            key = (edge.label, current[target])
-        counts[key] = counts.get(key, 0) + 1
+    if compressed:
+        for edge_id in edge_ids:
+            _, _, target, label, occur = edges[edge_id]
+            key = (label, occur, current[target])
+            counts[key] = counts.get(key, 0) + 1
+    else:
+        for edge_id in edge_ids:
+            _, _, target, label, _ = edges[edge_id]
+            key = (label, current[target])
+            counts[key] = counts.get(key, 0) + 1
     return frozenset(counts.items())
+
+
+def _shape(
+    out: Dict[NodeId, Dict[int, None]],
+    edges: Dict[int, Edge],
+    component: Tuple[NodeId, ...],
+    current: Dict[NodeId, FrozenSet[TypeName]],
+    compressed: bool,
+) -> Tuple[FrozenSet, ...]:
+    """A cyclic component's memo key: each member's row, in component order.
+
+    An edge inside the component ends at its target's index in the
+    component, an edge leaving it at the target's settled types.  The
+    members' label seeds and checks read nothing else, so components with
+    equal shapes get equal types, index by index.
+    """
+    index = {node: position for position, node in enumerate(component)}
+    shape = []
+    for node in component:
+        counts: Dict[Tuple, int] = {}
+        for edge_id in out[node]:
+            _, _, target, label, occur = edges[edge_id]
+            end = index.get(target)
+            if end is None:
+                end = current[target]
+            key = (label, occur, end) if compressed else (label, end)
+            counts[key] = counts.get(key, 0) + 1
+        shape.append(frozenset(counts.items()))
+    return tuple(shape)
 
 
 def _stabilise_objects(
@@ -317,14 +348,18 @@ def _stabilise_objects(
     """Drive the ``active`` region to its greatest fixpoint, in place in ``current``.
 
     ``active`` nodes get their label seeds; out-edge targets outside it are
-    read frozen from ``current``.  The subgraph ``active`` induces is
-    condensed into strongly connected components, each seeded and driven to
-    its local fixpoint sinks first; settled types are stored as frozensets.
+    read frozen from ``current``.  Settled types are stored as frozensets.
 
-    A one-node component without a self-loop has final successors, so its
-    types are a function of its :func:`_row`: the first node with a given
-    row is seeded and checked, and later ones take its types without a seed
-    or a check (``stats.row_hits``).  The row memo lives for this call.
+    A node of the region that reaches no cycle in it is typed as Kahn's pass
+    (:func:`repro.graphs.scc.release`) releases it: its successors are
+    final, so its types are a function of its :func:`_row`.  The first node
+    with a given row is seeded and checked, and later ones take its types
+    without a seed or a check (``stats.row_hits``).  The nodes left over go
+    through Tarjan, and each of their components is seeded and driven to its
+    local fixpoint sinks first, under a memo keyed by its :func:`_shape`: an
+    isomorphic component with equally typed boundaries (a clone's cycle)
+    takes the first one's types member by member, also counted in
+    ``stats.row_hits``.  Both memos live for this call.
 
     With the ``prior`` typing of the graph before a delta whose nodes in
     ``active`` are ``touched`` (``current`` then reads every node it does
@@ -339,48 +374,67 @@ def _stabilise_objects(
     artifacts = {
         type_name: compiled.type_artifact(type_name) for type_name in type_order
     }
-    watchers = compiled.symbol_watchers()
-    components = strongly_connected_components(graph, active)
-    stats.components = len(components)
-    stabilise = _stabilise_compressed if compressed else _stabilise_plain
     label_seed = compiled.label_seed
-    row_memo: Dict[FrozenSet, FrozenSet[TypeName]] = {}
+    # Row -> types, and component shape -> its members' types.
+    memo: Dict[object, object] = {}
     # The nodes to check: touched ones, and predecessors of changed ones.
     dirty: Set[NodeId] = set(touched)
-    skipped = 0
-    for component in components:
-        if prior is not None and not any(node in dirty for node in component):
+    components = skipped = 0
+    out, _, edges = graph.adjacency()
+    pending: Dict[NodeId, int] = {}
+    for node in release(graph, active, pending):
+        components += 1
+        if prior is not None and node not in dirty:
             skipped += 1
             continue
-        if len(component) == 1:
-            node = component[0]
-            row = _row(graph, node, current, compressed)
-            types = row_memo.get(row) if row is not None else None
-            if types is not None:
-                stats.row_hits += 1
-                current[node] = types
-            else:
-                current[node] = set(label_seed(_out_labels(graph, node, compressed)))
-                _stabilise_single(
-                    graph, node, current, type_order, artifacts,
-                    signature_memo, stats, compressed, self_loop=row is None,
-                )
-                current[node] = types = frozenset(current[node])
-                if row is not None:
-                    row_memo[row] = types
-        else:
-            for node in component:
-                current[node] = set(label_seed(_out_labels(graph, node, compressed)))
-            stabilise(
-                graph, component, set(component), current,
-                type_order, artifacts, watchers, signature_memo, stats,
+        row = _row(out[node], edges, current, compressed)
+        types = memo.get(row)
+        if types is None:
+            current[node] = set(label_seed(_out_labels(graph, node, compressed)))
+            _stabilise_single(
+                graph, node, current, type_order, artifacts,
+                signature_memo, stats, compressed, self_loop=False,
             )
-            for node in component:
-                current[node] = frozenset(current[node])
-        if prior is not None:
-            for node in component:
-                if current[node] != prior.types_of(node):
-                    dirty.update(edge.source for edge in graph.in_edges(node))
+            types = memo[row] = frozenset(current[node])
+        else:
+            stats.row_hits += 1
+        current[node] = types
+        if prior is not None and types != prior.types_of(node):
+            dirty.update(edge.source for edge in graph.in_edges(node))
+    if pending:
+        watchers = compiled.symbol_watchers()
+        stabilise = _stabilise_compressed if compressed else _stabilise_plain
+        for component in tarjan(graph, pending):
+            components += 1
+            if prior is not None and not any(node in dirty for node in component):
+                skipped += 1
+                continue
+            shape = _shape(out, edges, component, current, compressed)
+            settled = memo.get(shape)
+            if settled is None:
+                for node in component:
+                    current[node] = set(label_seed(_out_labels(graph, node, compressed)))
+                if len(component) == 1:
+                    node = component[0]
+                    _stabilise_single(
+                        graph, node, current, type_order, artifacts,
+                        signature_memo, stats, compressed,
+                        self_loop=node in graph.successors(node),
+                    )
+                else:
+                    stabilise(
+                        graph, component, set(component), current,
+                        type_order, artifacts, watchers, signature_memo, stats,
+                    )
+                settled = memo[shape] = tuple(frozenset(current[node]) for node in component)
+            else:
+                stats.row_hits += len(component)
+            current.update(zip(component, settled))
+            if prior is not None:
+                for node, types in zip(component, settled):
+                    if types != prior.types_of(node):
+                        dirty.update(edge.source for edge in graph.in_edges(node))
+    stats.components = components
     stats.skipped = skipped
 
 
@@ -480,7 +534,7 @@ def maximal_typing_fixpoint(
         )
         stats.mode = "full"
         trace_span.annotate(row_hits=stats.row_hits - hits)
-        return Typing(current)
+        return Typing.frozen(current)
 
 
 # --------------------------------------------------------------------------- #

@@ -180,6 +180,17 @@ class Graph:
         """All edges whose end point is ``node`` (the references to ``node``)."""
         return [self._edges[edge_id] for edge_id in self._in.get(node, ())]
 
+    def adjacency(self) -> Tuple[
+        Dict[NodeId, Dict[int, None]], Dict[NodeId, Dict[int, None]], Dict[int, Edge]
+    ]:
+        """The live ``(out, in, edge table)`` dicts behind the queries above.
+
+        ``out[node]`` and ``in[node]`` hold edge ids, the table maps an id to
+        its :class:`Edge`.  For loops that visit every edge of a region once
+        and cannot afford a list per node; do not mutate them.
+        """
+        return self._out, self._in, self._edges
+
     def out_degree(self, node: NodeId) -> int:
         return len(self._out.get(node, ()))
 

@@ -24,7 +24,7 @@ from typing import Dict, Hashable, List, Optional, Tuple
 from repro.core.intervals import Interval
 from repro.graphs.compressed import CompressedGraph
 from repro.graphs.graph import Graph, Label
-from repro.graphs.scc import peel
+from repro.graphs.scc import release
 
 NodeId = Hashable
 
@@ -64,10 +64,10 @@ def kind_partition(graph: Graph) -> Dict[NodeId, int]:
     dict one refinement of the whole graph from one block would.
     """
     order = sorted(graph.nodes, key=repr)
-    peeled, cyclic = peel(graph, order)
+    cyclic: Dict[NodeId, int] = {}
     provisional: Dict[NodeId, int] = {}
     index: Dict[Row, int] = {}
-    for node in peeled:
+    for node in release(graph, order, cyclic):
         row = row_of(graph, node, provisional)
         provisional[node] = index.setdefault(row, len(index))
     if cyclic:

@@ -6,20 +6,20 @@ the graph into strongly connected components therefore yields a schedule —
 process components sinks-first (reverse topological order of the condensation)
 — under which every component can be driven to its local fixpoint exactly
 once: by the time a component is examined, the types of all nodes outside it
-that it depends on are already final.  :mod:`repro.engine.fixpoint` builds its
-whole worklist discipline on this order.
+that it depends on are already final.
 
-The nodes that reach no cycle are peeled off first by Kahn's algorithm
-(:func:`peel`), each its own component; only the rest go through an
-iterative Tarjan (explicit stack, no recursion), so graphs with very long
-paths do not hit the interpreter recursion limit.  Node visiting order is
-fixed by ``sorted(nodes, key=repr)``, making the component list — and
-everything scheduled from it — deterministic.
+The nodes that reach no cycle are released one by one by Kahn's algorithm
+(:func:`release`), each its own component; :mod:`repro.engine.fixpoint`
+types each node as it is released.  Only the rest go through an iterative
+Tarjan (explicit stack, no recursion), so graphs with very long paths do not
+hit the interpreter recursion limit.  Both visit nodes in the order they
+are given; :func:`strongly_connected_components` gives them in ``repr``
+order, making its component list deterministic.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Set, Tuple
+from typing import Dict, Hashable, Iterator, List, Set, Tuple
 
 from repro.graphs.graph import Graph
 
@@ -35,110 +35,106 @@ def strongly_connected_components(graph: Graph, nodes=None) -> List[Tuple[NodeId
     order is deterministic for a given graph.  A ``nodes`` set restricts all
     of this to the subgraph it induces, without building that subgraph.
     """
-    peeled, rest = peel(graph, sorted(graph.nodes if nodes is None else nodes, key=repr))
-    components: List[Tuple[NodeId, ...]] = [(node,) for node in peeled]
+    order = sorted(graph.nodes if nodes is None else nodes, key=repr)
+    rest: Dict[NodeId, int] = {}
+    components: List[Tuple[NodeId, ...]] = [(node,) for node in release(graph, order, rest)]
     if rest:
-        components.extend(_tarjan(graph, rest))
+        components.extend(tarjan(graph, {node: None for node in order if node in rest}))
     return components
 
 
-def peel(graph: Graph, order: List[NodeId]) -> Tuple[List[NodeId], Set[NodeId]]:
-    """Kahn's pass over ``order``: ``(peeled sinks first, the rest)``.
+def release(graph: Graph, region, pending: Dict[NodeId, int]) -> Iterator[NodeId]:
+    """Kahn's pass over ``region``, one node at a time, sinks first.
 
-    The rest are exactly the nodes of ``order`` that reach a cycle of the
-    subgraph ``order`` induces; every peeled node reaches none, and follows
-    its successors in the peeled list.
+    ``region`` is a set, or a list of distinct nodes visited in its order.
+    Each node that reaches no cycle of the subgraph ``region`` induces is
+    yielded after all its successors in it.  ``pending`` is an empty dict
+    the caller owns; once the generator is exhausted it holds the rest —
+    the nodes that reach a cycle — each with its count of successors in the
+    region not yet yielded.
     """
-    region = set(order)
+    out, into, edges = graph.adjacency()
     whole = len(region) == graph.node_count  # then every edge stays inside
-    pending: Dict[NodeId, int] = {}
+    members = region if whole or isinstance(region, (set, frozenset)) else set(region)
     ready: List[NodeId] = []
-    for node in order:
+    for node in region:
         if whole:
-            inside = graph.out_degree(node)
+            inside = len(out[node])
         else:
-            inside = sum(1 for edge in graph.out_edges(node) if edge.target in region)
+            inside = sum(1 for edge_id in out[node] if edges[edge_id].target in members)
         if inside:
             pending[node] = inside
         else:
             ready.append(node)
-    ready.reverse()  # pop() then yields the sinks in ``order``
-    result: List[NodeId] = []
+    ready.reverse()  # pop() then yields the sinks in ``region``'s order
     while ready:
         node = ready.pop()
-        result.append(node)
-        for edge in graph.in_edges(node):
-            left = pending.get(edge.source)
+        yield node
+        for edge_id in into[node]:
+            source = edges[edge_id].source
+            left = pending.get(source)
             if left is None:  # outside the region, or already released
                 continue
             if left == 1:
-                del pending[edge.source]
-                ready.append(edge.source)
+                del pending[source]
+                ready.append(source)
             else:
-                pending[edge.source] = left - 1
-    return result, set(pending)
+                pending[source] = left - 1
 
 
-def _tarjan(graph: Graph, region: Set[NodeId]) -> List[Tuple[NodeId, ...]]:
-    """Tarjan's SCCs of the subgraph ``region`` induces, sinks first."""
-    order = sorted(region, key=repr)
+def tarjan(graph: Graph, region) -> List[Tuple[NodeId, ...]]:
+    """Tarjan's SCCs of the subgraph ``region`` induces, sinks first.
+
+    ``region`` is a set or a dict of nodes; roots are taken in its iteration
+    order.  A component of several nodes lists them in ``repr`` order.
+    """
+    out, _, edges = graph.adjacency()
     index: Dict[NodeId, int] = {}
     lowlink: Dict[NodeId, int] = {}
-    on_stack: Dict[NodeId, bool] = {}
+    done: Set[NodeId] = set()  # assigned to a component: off the stack
     stack: List[NodeId] = []
     components: List[Tuple[NodeId, ...]] = []
-    # Successor lists are materialised once per node: a node's work item is
-    # re-popped once per tree-edge descent, and rebuilding out_edges() there
-    # would make high-out-degree hubs quadratic.
-    successor_cache: Dict[NodeId, List[NodeId]] = {}
-    counter = 0
-
-    for root in order:
+    for root in region:
         if root in index:
             continue
-        # Each work item is (node, iterator position over its successors).
-        work: List[Tuple[NodeId, int]] = [(root, 0)]
+        index[root] = lowlink[root] = len(index)
+        stack.append(root)
+        # Each work item is a node and the iterator over its successors, so a
+        # node resumes where it descended instead of rescanning its edges.
+        work = [(root, iter([edges[edge_id].target for edge_id in out[root]]))]
         while work:
-            node, edge_position = work.pop()
-            if edge_position == 0:
-                index[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            successors = successor_cache.get(node)
-            if successors is None:
-                successors = [
-                    edge.target for edge in graph.out_edges(node) if edge.target in region
-                ]
-                successor_cache[node] = successors
-            for position in range(edge_position, len(successors)):
-                target = successors[position]
+            node, successors = work[-1]
+            for target in successors:
+                if target not in region or target in done:
+                    continue
                 if target not in index:
-                    # Descend; resume this node at the next successor later.
-                    work.append((node, position + 1))
-                    work.append((target, 0))
-                    advanced = True
+                    index[target] = lowlink[target] = len(index)
+                    stack.append(target)
+                    work.append(
+                        (target, iter([edges[edge_id].target for edge_id in out[target]]))
+                    )
                     break
-                if on_stack.get(target):
-                    lowlink[node] = min(lowlink[node], index[target])
-            if advanced:
-                continue
-            if lowlink[node] == index[node]:
-                component: List[NodeId] = []
-                while True:
+                if index[target] < lowlink[node]:
+                    lowlink[node] = index[target]
+            else:
+                work.pop()
+                low = lowlink[node]
+                if work:
+                    parent = work[-1][0]
+                    if low < lowlink[parent]:
+                        lowlink[parent] = low
+                if low == index[node]:
                     member = stack.pop()
-                    on_stack[member] = False
-                    component.append(member)
+                    done.add(member)
                     if member == node:
-                        break
-                components.append(
-                    tuple(sorted(component, key=repr)) if len(component) > 1
-                    else (node,)
-                )
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
+                        components.append((node,))
+                        continue
+                    component = [member]
+                    while member != node:
+                        member = stack.pop()
+                        done.add(member)
+                        component.append(member)
+                    components.append(tuple(sorted(component, key=repr)))
     return components
 
 

@@ -11,12 +11,15 @@ Two entry points are provided:
   full Turtle parser, but it covers the shapes of data the examples and tests
   use, keeping the library free of external dependencies.
 
-Both read the whole document in one :func:`scan`: a single compiled token
-pattern covers the text (whitespace and comments are tokens too), each
-distinct token text is decoded once into a plain key (a string or a tuple,
-not a model term), and one grammar loop serves both dialects.  A local name
-never ends in ``.`` (``ex:o.`` is ``ex:o`` then the terminator), and a
-literal or IRI may not contain a raw line break.
+Both read the whole document in one :func:`scan`: a single compiled pattern
+covers the text, consuming whitespace and comments *outside* its one group,
+so ``findall`` hands the grammar loop only real tokens.  Each distinct token
+text is decoded once into a plain key (a string or a tuple, not a model
+term), and one grammar loop serves both dialects.  A character no token
+matches still surfaces, as a token of its own, through a trailing catch-all;
+line numbers and columns are recomputed from the text only when an error is
+raised.  A local name never ends in ``.`` (``ex:o.`` is ``ex:o`` then the
+terminator), and a literal or IRI may not contain a raw line break.
 """
 
 from __future__ import annotations
@@ -37,20 +40,24 @@ RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 #: hashed in C; ``_key_term`` turns one into a model term.
 Key = Union[str, Tuple[str, str], Tuple[str, Optional[str], Optional[str]]]
 
-# No capturing groups, so ``findall`` returns the token texts.  Every
-# alternative consumes at least one character; a character no alternative
-# matches is skipped by ``findall``, which :func:`scan` detects by length.
+# The blanks before a token are consumed outside the one group, so
+# ``findall`` returns only token texts.  ``a\w*`` reads the keyword ``a`` and
+# a word glued to it (a stray, see :func:`_is_stray`); ``\S`` takes any other
+# character no token matches, and ``\Z`` the trailing blanks (as ``""``), so
+# every match succeeds at its first attempt and the scan stays linear.
 _TOKEN_RE = re.compile(
     r"""
-    \s+
-  | \#[^\n]*
-  | <[^>\n]*>
-  | _:[A-Za-z0-9_\-]+
-  | "(?:[^"\\\n\r]|\\.)*"(?:@[A-Za-z\-]+|\^\^<[^>\n]*>)?
-  | [A-Za-z_][A-Za-z0-9_\-]*:(?:[A-Za-z0-9_\-.]*[A-Za-z0-9_\-])?
-  | @prefix
-  | a\b
-  | [.;,]
+    (?:\s|\#[^\n]*)*
+    ( <[^>\n]*>
+    | _:[A-Za-z0-9_\-]+
+    | "(?:[^"\\\n\r]|\\.)*"(?:@[A-Za-z\-]+|\^\^<[^>\n]*>)?
+    | [A-Za-z_][A-Za-z0-9_\-]*:(?:[A-Za-z0-9_\-.]*[A-Za-z0-9_\-])?
+    | @prefix
+    | a\w*
+    | [.;,]
+    | \S
+    | \Z
+    )
     """,
     re.VERBOSE,
 )
@@ -60,9 +67,6 @@ _ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'"
 
 _PREFIX_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*:")
 _KEYWORDS = frozenset((".", ";", ",", "@prefix", "a"))
-
-#: Decoded form of whitespace and comment tokens.
-_SKIP = object()
 
 # Grammar states of :func:`scan`.
 _SUBJECT, _PREDICATE, _OBJECT, _AFTER_OBJECT, _AFTER_SEMICOLON = range(5)
@@ -85,9 +89,14 @@ def _unescape(text: str) -> str:
     return _ESCAPE_RE.sub(lambda match: _ESCAPES.get(match.group(1), match.group(0)), text)
 
 
-def _is_blank(token: str) -> bool:
-    """Whitespace and comments."""
-    return token[0].isspace() or token[0] == "#"
+def _is_stray(token: str) -> bool:
+    """True for a token no term or punctuation pattern reads: one character
+    taken by the catch-all, or a word glued to the keyword ``a``.  Every
+    longer real token starts with ``<`` or ``"``, holds a ``:``, or is
+    ``@prefix``."""
+    if len(token) == 1:
+        return token not in ".;,a"
+    return bool(token) and token[0] not in '<"' and ":" not in token and token != "@prefix"
 
 
 def _line_of(text: str, offset: int) -> Tuple[int, int]:
@@ -96,20 +105,18 @@ def _line_of(text: str, offset: int) -> Tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - line_start + 1
 
 
-def _gap_error(text: str) -> RDFSyntaxError:
-    """Locate the first character no token pattern matches."""
-    position = 0
-    while True:
-        match = _TOKEN_RE.match(text, position)
-        if match is None:
-            break
-        position = match.end()
-    line, column = _line_of(text, position)
-    character = text[position]
-    hint = " (unterminated literal or IRI?)" if character in "\"<" else ""
-    return RDFSyntaxError(
-        f"line {line}: unexpected character {character!r} at column {column}{hint}"
-    )
+def _gap_error(text: str) -> Optional[RDFSyntaxError]:
+    """The error for the first character no token pattern matches, if any."""
+    for match in _TOKEN_RE.finditer(text):
+        if _is_stray(match.group(1)):
+            position = match.start(1)
+            line, column = _line_of(text, position)
+            character = text[position]
+            hint = " (unterminated literal or IRI?)" if character in "\"<" else ""
+            return RDFSyntaxError(
+                f"line {line}: unexpected character {character!r} at column {column}{hint}"
+            )
+    return None
 
 
 def scan(text: str, ntriples: bool = False) -> Tuple[List[Key], List[Tuple[int, int, int]]]:
@@ -119,15 +126,16 @@ def scan(text: str, ntriples: bool = False) -> Tuple[List[Key], List[Tuple[int, 
     (see :data:`Key`), and each distinct triple once, in document order, as
     ``(subject, predicate, object)`` indices into ``keys``.  With
     ``ntriples=True`` the Turtle-only syntax — ``@prefix``, prefixed names,
-    ``a``, ``;`` and ``,`` — is an error.
+    ``a``, ``;`` and ``,`` — is an error.  A character no token matches is
+    reported before any other error, wherever it stands.
     """
     tokens = _TOKEN_RE.findall(text)
-    if sum(map(len, tokens)) != len(text):
-        raise _gap_error(text)
+    while tokens and not tokens[-1]:
+        tokens.pop()  # the trailing blanks, read by ``\Z``
 
     keys: List[Key] = []
     key_index: Dict[Key, int] = {}
-    # token text -> _SKIP, a key index, or the token itself (punctuation and
+    # token text -> a key index, or the token itself (punctuation and
     # keywords); prefixed names depend on ``prefixes``, so a rebinding
     # clears the memo.
     memo: Dict[str, object] = {}
@@ -138,8 +146,13 @@ def scan(text: str, ntriples: bool = False) -> Tuple[List[Key], List[Tuple[int, 
     rdf_type = -1
 
     def fail(position: int, message: str) -> RDFSyntaxError:
-        offset = sum(map(len, tokens[:position]))
-        return RDFSyntaxError(f"line {_line_of(text, offset)[0]}: {message}")
+        gap = _gap_error(text)
+        if gap is not None:
+            return gap
+        for index, match in enumerate(_TOKEN_RE.finditer(text)):
+            if index == position:
+                break
+        return RDFSyntaxError(f"line {_line_of(text, match.start(1))[0]}: {message}")
 
     def intern(key: Key, kind: Optional[Set[int]] = None) -> int:
         index = key_index.get(key)
@@ -151,17 +164,18 @@ def scan(text: str, ntriples: bool = False) -> Tuple[List[Key], List[Tuple[int, 
         return index
 
     def decode(token: str, position: int) -> object:
-        if _is_blank(token):
-            return _SKIP
-        if token[0] == "<":
+        first = token[:1]
+        if first == "<" and len(token) > 1:
             return intern(token[1:-1], iris)
-        if token[0] == '"':
+        if first == '"' and len(token) > 1:
             lexical, language, datatype = _LITERAL_RE.fullmatch(token).groups()
             return intern((_unescape(lexical), datatype, language), literals)
         if token.startswith("_:"):
             return intern(("_", token[2:]))
         if token in _KEYWORDS and (not ntriples or token == "."):
             return token
+        if _is_stray(token):
+            raise _gap_error(text)
         if ntriples:
             raise fail(position, f"{token!r} is not N-Triples syntax")
         prefix, _, local = token.partition(":")
@@ -175,8 +189,6 @@ def scan(text: str, ntriples: bool = False) -> Tuple[List[Key], List[Tuple[int, 
     for position, token in enumerate(tokens):
         if state >= _PREFIX_NAME:
             # Declarations are rare: read their tokens raw, not through the memo.
-            if _is_blank(token):
-                continue
             if state == _PREFIX_NAME and _PREFIX_NAME_RE.fullmatch(token):
                 prefix_name = token[:-1]
                 state = _PREFIX_IRI
@@ -194,8 +206,6 @@ def scan(text: str, ntriples: bool = False) -> Tuple[List[Key], List[Tuple[int, 
         code = memo.get(token)
         if code is None:
             code = memo[token] = decode(token, position)
-        if code is _SKIP:
-            continue
         if state == _OBJECT:
             if code.__class__ is not int:
                 raise fail(position, f"expected an object, found {token!r}")
@@ -235,10 +245,7 @@ def scan(text: str, ntriples: bool = False) -> Tuple[List[Key], List[Tuple[int, 
             else:
                 raise fail(position, f"expected a predicate, found {token!r}")
     if state != _SUBJECT:
-        last = len(tokens) - 1
-        while _is_blank(tokens[last]):
-            last -= 1
-        raise fail(last, f"unexpected end of input: expected {_EXPECTED[state]}")
+        raise fail(len(tokens) - 1, f"unexpected end of input: expected {_EXPECTED[state]}")
     return keys, list(triples)
 
 

@@ -53,15 +53,36 @@ class Typing:
     """
 
     def __init__(self, assignments: Mapping[NodeId, Iterable[TypeName]]):
-        self._assignments: Dict[NodeId, FrozenSet[TypeName]] = {
+        self._adopt({
             node: types if type(types) is frozenset else frozenset(types)
             for node, types in assignments.items()
-        }
+        })
+
+    @classmethod
+    def frozen(cls, assignments: Dict[NodeId, FrozenSet[TypeName]]) -> "Typing":
+        """A typing that takes ``assignments`` as its flat dict, without a copy.
+
+        Every value must already be a frozenset, and the caller must not
+        change the dict afterwards: the fixpoint kernel hands over the dict
+        it settled.
+        """
+        typing = cls.__new__(cls)
+        typing._adopt(assignments)
+        return typing
+
+    def _adopt(
+        self,
+        flat: Dict[NodeId, FrozenSet[TypeName]],
+        overlay: Optional[Dict[NodeId, FrozenSet[TypeName]]] = None,
+        size: Optional[int] = None,
+        untyped: Optional[FrozenSet[NodeId]] = None,
+    ) -> None:
+        self._assignments = flat
         # Nodes reassigned over the shared ``_assignments`` (None when flat),
         # and how many nodes the typing lists.
-        self._overlay: Optional[Dict[NodeId, FrozenSet[TypeName]]] = None
-        self._size = len(self._assignments)
-        self._untyped: Optional[FrozenSet[NodeId]] = None
+        self._overlay = overlay
+        self._size = len(flat) if size is None else size
+        self._untyped = untyped
         # The pair set that equality, hashing and pairs() are defined on,
         # built on first use: revalidation creates a typing per version and
         # mostly never compares or hashes it.
@@ -74,12 +95,7 @@ class Typing:
         return {"_assignments": self._flat()}
 
     def __setstate__(self, state) -> None:
-        self._assignments = state["_assignments"]
-        self._overlay = None
-        self._size = len(self._assignments)
-        self._untyped = None
-        self._pairs = None
-        self._hash = None
+        self._adopt(state["_assignments"])
 
     def _flat(self) -> Dict[NodeId, FrozenSet[TypeName]]:
         """Every ``node -> types`` entry in one dict, folding the overlay in
@@ -118,12 +134,7 @@ class Typing:
             else:
                 untyped.add(node)
         derived = Typing.__new__(Typing)
-        derived._assignments = base
-        derived._overlay = overlay
-        derived._size = size
-        derived._untyped = frozenset(untyped)
-        derived._pairs = None
-        derived._hash = None
+        derived._adopt(base, overlay, size, frozenset(untyped))
         if len(overlay) * len(overlay) > len(base):
             derived._flat()
         return derived

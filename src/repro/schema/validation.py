@@ -58,9 +58,7 @@ def validate(graph: Graph, schema: ShExSchema, compiled=None) -> ValidationRepor
     one is compiled (and interned) on the fly.
     """
     typing = maximal_typing(graph, schema, compiled=compiled)
-    untyped = tuple(
-        sorted((node for node in graph.nodes if not typing.types_of(node)), key=repr)
-    )
+    untyped = tuple(sorted(typing.untyped(), key=repr))
     return ValidationReport(satisfied=not untyped, typing=typing, untyped_nodes=untyped)
 
 

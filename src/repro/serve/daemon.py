@@ -393,18 +393,25 @@ class ValidationDaemon:
         names were already written by ``load_schema``; same-name re-persists
         replace the file, matching ``load_schema`` semantics.
         """
-        if compiled.fingerprint in self._persisted_schemas:
-            return
-        if isinstance(reference, dict) and "text" in reference:
+        if not self._schema_unpersisted(reference, compiled):
+            return  # another request wrote it since the caller checked
+        if "text" in reference:
             text = reference["text"]
             name = reference.get("name") or compiled.fingerprint[:16]
-        elif isinstance(reference, dict) and "path" in reference:
+        else:
             name = reference["path"]
             text = self._read_path(name)
-        else:
-            return
         self._persist_schema_text(str(name), text)
         self._persisted_schemas.add(compiled.fingerprint)
+
+    def _schema_unpersisted(self, reference: Any, compiled: CompiledSchema) -> bool:
+        """True when ``reference`` is inline text or a path whose schema is
+        not on disk yet; a registered name was written by ``load_schema``."""
+        return (
+            compiled.fingerprint not in self._persisted_schemas
+            and isinstance(reference, dict)
+            and ("text" in reference or "path" in reference)
+        )
 
     @staticmethod
     def _typing_signature(typings: List[Dict[str, Any]]) -> frozenset:
@@ -1289,7 +1296,7 @@ class ValidationDaemon:
             )
         schema_ref = protocol.require(message, "schema")
         compiled = await self._schema(schema_ref)
-        if self.data_dir is not None:
+        if self.data_dir is not None and self._schema_unpersisted(schema_ref, compiled):
             await self._offload(self._persist_schema_for_typings, schema_ref, compiled)
         compressed = message.get("compressed", False)
         if not isinstance(compressed, bool):

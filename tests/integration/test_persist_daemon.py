@@ -84,6 +84,28 @@ class TestDurableDaemon:
             f"inline-schema typing was not recovered (mode {warm['mode']!r})"
         )
 
+    def test_revalidate_writes_a_schema_only_when_one_is_due(self, tmp_path):
+        # A registered name was written by load_schema, and inline text is
+        # written once per fingerprint: neither costs a worker hop after that.
+        address = str(tmp_path / "d.sock")
+        data_dir = str(tmp_path / "data")
+        inline = {"text": SCHEMA_TEXT + "Note -> eps\n", "name": "inline.shex"}
+        with start_in_thread(socket_path=address, data_dir=data_dir) as handle:
+            daemon = handle.daemon
+            persist, written = daemon._persist_schema_for_typings, []
+
+            def recording(reference, compiled):
+                written.append(reference)
+                persist(reference, compiled)
+
+            daemon._persist_schema_for_typings = recording
+            _populate(address)
+            with DaemonClient.connect(address) as client:
+                for _ in range(2):
+                    assert client.revalidate("bugs", "bug")["verdict"] == "valid"
+                    assert client.revalidate("bugs", inline)["verdict"] == "valid"
+        assert written == [inline]
+
     def test_wal_tail_replayed_on_restart(self, tmp_path):
         address = str(tmp_path / "d.sock")
         data_dir = str(tmp_path / "data")

@@ -6,18 +6,25 @@ name) are rendered as Turtle-lite — with random ``@prefix`` use and
 rebinding, ``a``, ``;``, ``,`` and comments — and as N-Triples.  Reading the
 text back must give exactly the triples, and :func:`load_graph` must give the
 graph :func:`rdf_to_simple_graph` builds from the terms without any parsing.
+The scanner, which consumes blanks and comments outside its tokens, must
+read the tokens a pattern that keeps blanks as tokens reads, report the
+same first malformed character, and stay linear on long blank runs.
 """
 
 from __future__ import annotations
 
+import re
+import time
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.rdf.convert import load_graph, rdf_to_simple_graph
 from repro.rdf.model import IRI, BlankNode, Literal, RDFGraph, Triple
-from repro.rdf.parser import RDF_TYPE, parse_ntriples, parse_turtle_lite
+from repro.errors import RDFSyntaxError
+from repro.rdf.parser import _TOKEN_RE, RDF_TYPE, parse_ntriples, parse_turtle_lite, scan
 
 NAMESPACES = ("http://e/", "http://f/")
 LOCALS = ("a", "b", "p", "x.y", "q-1", "_u", "7")
@@ -150,3 +157,97 @@ class TestReaderParity:
         assert Counter(direct.triples())[("http://e/s", "p", "literal:a||")] == 2
         assert len(direct.in_edges("__literal__")) == 2
         assert len(parse_turtle_lite(text)) == 3
+
+
+# --------------------------------------------------------------------------- #
+# The scanner's tokens against a reference that keeps blanks as tokens
+# --------------------------------------------------------------------------- #
+#: The token pattern with whitespace and comments as tokens of their own; a
+#: character it cannot match at some offset is where the text is malformed.
+_REFERENCE_TOKEN = re.compile(
+    r"""
+    \s+
+  | \#[^\n]*
+  | <[^>\n]*>
+  | _:[A-Za-z0-9_\-]+
+  | "(?:[^"\\\n\r]|\\.)*"(?:@[A-Za-z\-]+|\^\^<[^>\n]*>)?
+  | [A-Za-z_][A-Za-z0-9_\-]*:(?:[A-Za-z0-9_\-.]*[A-Za-z0-9_\-])?
+  | @prefix
+  | a\b
+  | [.;,]
+    """,
+    re.VERBOSE,
+)
+
+PIECES = ["ex:s", "ex:p", "ex:o.", "a", "aa", "ab", "a-b", "<http://e/x>", "<open",
+          '"v"', '"q\\"w"@en', '"1"^^<http://t/int>', '"open', "_:b1", "_:", ".", ";",
+          ",", "@prefix", "@prefixes", "ex:", "<http://e/>", "zz:q", ":x", "$", "é", "7"]
+SEPARATORS = ["", " ", "  \t ", "\n", "\r\n", "\n\n   ", " # note\n", "#\n", "# ; , .\n"]
+
+
+def _reference_tokens(text: str):
+    """``(tokens, gap)``: the non-blank token texts, and the offset of the
+    first character no pattern matches (``None`` when there is none)."""
+    tokens, position = [], 0
+    while position < len(text):
+        match = _REFERENCE_TOKEN.match(text, position)
+        if match is None:
+            return tokens, position
+        if not match.group()[0].isspace() and match.group()[0] != "#":
+            tokens.append(match.group())
+        position = match.end()
+    return tokens, None
+
+
+@st.composite
+def token_documents(draw):
+    """Pieces of the Turtle-lite syntax, valid or not, between blank runs and
+    comments; often headed by a prefix declaration."""
+    parts = ["@prefix ex: <http://e/> ." + draw(st.sampled_from(SEPARATORS[1:]))] \
+        if draw(st.booleans()) else []
+    for piece in draw(st.lists(st.sampled_from(PIECES), max_size=14)):
+        parts.append(piece)
+        parts.append(draw(st.sampled_from(SEPARATORS)))
+    return "".join(parts)
+
+
+class TestScanner:
+    @given(token_documents(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_tokens_and_first_gap_match_the_reference(self, text, ntriples):
+        tokens, gap = _reference_tokens(text)
+        if gap is None:
+            assert [token for token in _TOKEN_RE.findall(text) if token] == tokens
+            return
+        line = text.count("\n", 0, gap) + 1
+        column = gap - (text.rfind("\n", 0, gap) + 1) + 1
+        with pytest.raises(RDFSyntaxError) as caught:
+            scan(text, ntriples)
+        assert str(caught.value).startswith(
+            f"line {line}: unexpected character {text[gap]!r} at column {column}"
+        ), text
+
+    @given(turtle_documents(), st.lists(st.sampled_from(SEPARATORS[1:]), min_size=1))
+    @settings(max_examples=100, deadline=None)
+    def test_blank_runs_and_comments_between_statements_read_the_same(self, document, runs):
+        drawn, text = document
+        padded = "".join(
+            line + "\n" + runs[index % len(runs)]
+            for index, line in enumerate(text.split("\n"))
+        )
+        assert parse_turtle_lite(padded).triples == set(drawn), padded
+
+    @pytest.mark.parametrize("text", [
+        "<http://e/s> <http://e/p> <http://e/o> ." + " " * 200_000,
+        "#" + "x" * 200_000 + "\n" + "# c\n" * 50_000 + '<http://e/s> <http://e/p> "x" .',
+        " " * 200_000 + '"unterminated',
+    ], ids=["trailing-blanks", "comment-run", "blanks-then-error"])
+    def test_long_blank_runs_scan_in_linear_time(self, text):
+        # A pattern that backtracks over a blank run at every offset would
+        # take minutes here; a linear scan takes milliseconds.
+        started = time.perf_counter()
+        try:
+            scan(text)
+        except RDFSyntaxError:
+            pass
+        assert time.perf_counter() - started < 5.0

@@ -843,6 +843,22 @@ class TestMigrations:
         assert read_manifest(directory)["format"] == migrations_mod.CURRENT_FORMAT
         store.close()
 
+    def test_torn_format1_snapshot_falls_back_one_generation(self, tmp_path):
+        # m0002 reads every snapshot; a truncated newest one is skipped, not
+        # raised as a JSONDecodeError, and the open falls back to the last
+        # readable generation.
+        directory = str(tmp_path / "legacy")
+        self._format1_layout(directory)
+        with open(os.path.join(directory, "snapshot-2.json"), "w") as handle:
+            handle.write('{"format": 1, "nodes": ["a", ')
+        with open(os.path.join(directory, "wal-2.log"), "wb") as handle:
+            handle.write(wal_mod.MAGIC)
+        write_manifest(directory, {"format": 1, "name": "legacy", "generation": 2})
+        store = DurableStore.open(directory)
+        assert store.generation == 1 and store.graph.edge_count == 1
+        assert read_manifest(directory)["format"] == migrations_mod.CURRENT_FORMAT
+        store.close()
+
     def test_format2_store_migrates_to_columnar_snapshots(self, tmp_path):
         # Tuple, int and None ids, non-string labels, an unbounded interval
         # and a typing: m0003 rewrites the snapshot, the open reads it back.
