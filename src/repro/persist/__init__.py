@@ -13,12 +13,12 @@ Public surface:
   the daemon's ``metrics`` op exposes.
 """
 
+from repro.persist.atomic import write_json_atomic
 from repro.persist.migrations import CURRENT_FORMAT
 from repro.persist.store import (
     DurableStore,
     persist_metrics_summary,
     read_manifest,
-    write_json_atomic,
     write_manifest,
 )
 from repro.persist.wal import FsyncPolicy, WriteAheadLog

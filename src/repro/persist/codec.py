@@ -331,7 +331,7 @@ def decode_typing(entry: Mapping[str, Any], nodes: Sequence[NodeId]) -> Typing:
             f"({len(nodes)} nodes)"
         )
     _check_indices(column, len(shared), "typeset index", lowest=-1)
-    return Typing(
+    return Typing.frozen(
         {node: shared[ident] for node, ident in zip(nodes, column) if ident >= 0}
     )
 

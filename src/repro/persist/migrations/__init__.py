@@ -13,7 +13,8 @@ Writing a migration:
 
 1. add ``m{NNNN}_{slug}.py`` next to this file with ``TO_FORMAT = N`` and
    ``def apply(directory: str, manifest: dict) -> None`` that rewrites the
-   directory's files in place (atomic writes, please — crash mid-migration
+   directory's files in place through
+   :func:`repro.persist.atomic.write_json_atomic` (a crash mid-migration
    must leave either the old or the new state);
 2. append it to :data:`MIGRATIONS` below, keeping the list sorted;
 3. bump :data:`CURRENT_FORMAT` to ``N``.

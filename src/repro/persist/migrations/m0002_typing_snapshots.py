@@ -15,6 +15,8 @@ import glob
 import json
 import os
 
+from repro.persist.atomic import write_json_atomic
+
 TO_FORMAT = 2
 
 
@@ -29,9 +31,4 @@ def apply(directory: str, manifest: dict) -> None:
             continue
         snapshot["typings"] = []
         snapshot["format"] = TO_FORMAT
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(snapshot, handle, sort_keys=True, separators=(",", ":"))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        write_json_atomic(path, snapshot)

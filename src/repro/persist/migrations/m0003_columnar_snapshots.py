@@ -30,6 +30,7 @@ import os
 from typing import Any, Dict, List, Tuple
 
 from repro.errors import PersistError
+from repro.persist.atomic import write_json_atomic
 
 TO_FORMAT = 3
 
@@ -127,9 +128,4 @@ def apply(directory: str, manifest: dict) -> None:
         if not isinstance(snapshot, dict) or int(snapshot.get("format", 1)) >= TO_FORMAT:
             continue
         migrated = columnar(snapshot)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(migrated, handle, sort_keys=True, separators=(",", ":"))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        write_json_atomic(path, migrated)

@@ -16,11 +16,14 @@ the snapshot's version: the 256 bucket digests, tagged with the
 fingerprint scheme, and the node table grouped by bucket with offsets.
 
 **Checkpointing** (:meth:`DurableStore.checkpoint`) writes the next
-generation's snapshot with the atomic write-tmp → fsync → rename dance,
-opens a fresh WAL, *then* flips the manifest — so a crash at any point
-leaves the previous generation fully intact.  One previous generation is
-kept as a fallback against a corrupt newest snapshot; older ones are
-pruned.
+generation's snapshot with the atomic write-tmp → fsync → rename dance
+(:func:`repro.persist.atomic.write_json_atomic`: one C-encoded
+``json.dumps`` and one write), opens a fresh WAL, *then* flips the
+manifest — so a crash at any point leaves the previous generation fully
+intact.  The payload build and the write run with the cyclic collector
+paused (:func:`repro.util.gcpause.collector_paused`).  One previous
+generation is kept as a fallback against a corrupt newest snapshot; older
+ones are pruned.
 
 **Every apply is write-ahead**: the resolved delta is appended to the WAL
 (length-prefixed, CRC32-checksummed, fsync per policy) *before* the graph
@@ -36,11 +39,11 @@ of failing, and skipping duplicate records left by a crash-during-append
 (records carry their target version).  The snapshot decodes in bulk: each
 node and interval once, the graph in one :meth:`Graph.from_edges` call, and
 the cyclic collector is paused for the whole open (what it builds is
-acyclic) and left as it was found.  When the snapshot's fingerprint scheme
-is this build's, its buckets are installed before the WAL replay
-(:meth:`GraphStore.restore_fingerprint`), so the first ``fingerprint()``
-rehashes only the buckets the replayed deltas touched; otherwise it hashes
-every bucket.  No kind partition is persisted.  The snapshot's persisted
+acyclic) by the same counted pause, and left as it was found.  When the
+snapshot's fingerprint scheme is this build's, its buckets are installed
+before the WAL replay (:meth:`GraphStore.restore_fingerprint`), so the
+first ``fingerprint()`` rehashes only the buckets the replayed deltas
+touched; otherwise it hashes every bucket.  No kind partition is persisted.  The snapshot's persisted
 typing snapshots come back as :attr:`restored_typings`, ready for
 :meth:`repro.engine.validation.ValidationEngine.seed_typing` — which is
 what makes the restart *warm*: the first revalidate runs incrementally from
@@ -49,7 +52,6 @@ the checkpoint instead of retyping the world.
 
 from __future__ import annotations
 
-import gc
 import glob
 import json
 import os
@@ -67,7 +69,9 @@ from repro.obs import tracing as _obs_tracing
 from repro.persist import codec
 from repro.persist import migrations as _migrations
 from repro.persist import wal as _wal
+from repro.persist.atomic import write_json_atomic
 from repro.persist.wal import FsyncPolicy, WriteAheadLog
+from repro.util.gcpause import collector_paused
 
 MANIFEST_NAME = "MANIFEST.json"
 _GEN_RE = re.compile(r"^(?:snapshot|wal)-(\d+)\.(?:json|log)$")
@@ -82,28 +86,8 @@ _M_SNAPSHOT_SECONDS = _REGISTRY.histogram(
 
 
 # --------------------------------------------------------------------------- #
-# Atomic file helpers
+# Manifest
 # --------------------------------------------------------------------------- #
-def _fsync_dir(directory: str) -> None:
-    fd = os.open(directory, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-def write_json_atomic(path: str, payload: Any) -> None:
-    """Write JSON via write-tmp → fsync → rename → fsync-dir."""
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, separators=(",", ":"))
-        handle.write("\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    _fsync_dir(os.path.dirname(path) or ".")
-
-
 def write_manifest(directory: str, manifest: Dict[str, Any]) -> None:
     write_json_atomic(os.path.join(directory, MANIFEST_NAME), manifest)
 
@@ -206,15 +190,9 @@ class DurableStore(GraphStore):
         """Recover the store persisted in ``directory`` (see module docstring)."""
         # What an open builds is acyclic (graph, log, typings), so the
         # cyclic collector would only rescan the growing heap; it is paused
-        # for the open and left as it was found.  Not gc.freeze(): frozen
-        # objects would outlive a store that is later replaced.
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
+        # for the open and left as it was found.
+        with collector_paused():
             return cls._open(os.path.abspath(directory), fsync)
-        finally:
-            if collecting:
-                gc.enable()
 
     @classmethod
     def _open(cls, directory: str, fsync: "FsyncPolicy | str") -> "DurableStore":
@@ -394,8 +372,18 @@ class DurableStore(GraphStore):
             "persist.checkpoint", generation=generation, version=self._version
         ):
             _faults.maybe_fail("persist.io")
-            snapshot = self._snapshot_payload(list(typings))
-            write_json_atomic(self._snapshot_path(generation), snapshot)
+            # The payload is as acyclic as an open's build, and as large.
+            with collector_paused():
+                with _obs_tracing.span("persist.encode") as encode_span:
+                    snapshot = self._snapshot_payload(list(typings))
+                    encode_span.annotate(
+                        nodes=self._graph.node_count,
+                        edges=self._graph.edge_count,
+                        typings=len(snapshot["typings"]),
+                    )
+                with _obs_tracing.span("persist.write") as write_span:
+                    size = write_json_atomic(self._snapshot_path(generation), snapshot)
+                    write_span.annotate(bytes=size)
             fresh_wal = WriteAheadLog(self._wal_path(generation), self._policy)
             folded = self._wal.records if self._wal is not None else 0
             write_manifest(

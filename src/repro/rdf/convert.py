@@ -11,12 +11,12 @@ each literal node receives an extra outgoing edge whose label names its kind
 
 from __future__ import annotations
 
-import gc
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, List, Optional, Tuple
 
 from repro.core.intervals import ONE, Interval
 from repro.graphs.graph import Graph
 from repro.rdf.parser import Key, scan
+from repro.util.gcpause import collector_paused
 
 if TYPE_CHECKING:
     from repro.rdf.model import IRI, RDFGraph, Term
@@ -95,13 +95,8 @@ def load_graph(text: str, ntriples: bool = False, name: str = "") -> Graph:
     # The cyclic collector would only rescan the growing heap of keys and
     # edges; it is paused for the build and left as it was found, also when
     # the text does not parse.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         return _load(text, ntriples, name)
-    finally:
-        if collecting:
-            gc.enable()
 
 
 def _load(text: str, ntriples: bool, name: str) -> Graph:

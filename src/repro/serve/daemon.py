@@ -12,7 +12,8 @@ every request through a shared :class:`repro.serve.async_engine.AsyncValidationE
 * repeated (schema, graph) and (left, right) jobs are answered from the
   fingerprint-keyed LRU caches across *all* connections;
 * parsed schema/data texts are memoised by content hash, so resubmitting the
-  same document skips the parser too.
+  same document skips the parser too.  A document registered with
+  ``update_graph`` is not memoised: its store owns the one parsed graph.
 
 Run it in the foreground with ``shex-serve start``, drive it with
 ``shex-serve status|stop``, ``shex-containment validate/batch --connect``, the
@@ -42,6 +43,7 @@ from repro.engine.compiled import CompiledSchema, graph_fingerprint
 from repro.engine.fixpoint import fixpoint_metrics_summary
 from repro.engine.jobs import JobResult, ValidationJob
 from repro.errors import GraphError, ProtocolError, ReproError
+from repro.graphs.graph import Graph
 from repro.graphs.store import Delta, GraphStore
 from repro.obs import logs as obs_logs
 from repro.obs import metrics as obs_metrics
@@ -977,6 +979,30 @@ class ValidationDaemon:
     def _parsed_data(self, reference: Any) -> "_ParsedData":
         """Parse (or find in the memo) the document a data reference names:
         ``{"text": ..., "format": ...}`` or ``{"path": ...}``."""
+        text, name, ntriples, key = self._data_document(reference)
+        found, cached = self._parsed.get(key)
+        if found:
+            return cached
+        parsed = _ParsedData(load_graph(text, ntriples=ntriples, name=name))
+        self._parsed.put(key, parsed)
+        return parsed
+
+    def _owned_graph(self, reference: Any, name: str) -> Graph:
+        """The graph of a data reference for a new store to own.
+
+        On a memo hit the memo keeps its graph and the store gets a copy; on
+        a miss the parse goes to the store alone and stays out of the memo,
+        so a registered document is held once.
+        """
+        text, source, ntriples, key = self._data_document(reference)
+        found, cached = self._parsed.get(key)
+        if found:
+            return cached.graph.copy(name=name or cached.graph.name)
+        return load_graph(text, ntriples=ntriples, name=name or source)
+
+    def _data_document(self, reference: Any) -> Tuple[str, str, bool, Tuple[str, str, str]]:
+        """``(text, name, ntriples, memo key)`` of a data reference:
+        ``{"text": ..., "format": ...}`` or ``{"path": ...}``."""
         if not isinstance(reference, dict):
             raise ProtocolError(
                 "'data' must be an object with a 'text' or 'path' key",
@@ -1000,12 +1026,7 @@ class ValidationDaemon:
                 protocol.E_BAD_REQUEST,
             )
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        found, cached = self._parsed.get(("data", digest, data_format))
-        if found:
-            return cached
-        parsed = _ParsedData(load_graph(text, ntriples=data_format == "ntriples", name=name))
-        self._parsed.put(("data", digest, data_format), parsed)
-        return parsed
+        return text, name, data_format == "ntriples", ("data", digest, data_format)
 
     def _validation_result(self, result: JobResult) -> Dict[str, Any]:
         return {
@@ -1230,23 +1251,20 @@ class ValidationDaemon:
             )
         async with self._store_lock(name):
             if has_data:
-                graph = (await self._offload(self._parsed_data, message["data"])).graph
+                graph = await self._offload(self._owned_graph, message["data"], name)
                 previous = self._stores.get(name)
                 if isinstance(previous, DurableStore):
                     previous.close()
-                # The parse memo may hand back a graph another store owns;
-                # stores take ownership of their graph, so wrap a private copy.
-                private = graph.copy(name=name or graph.name)
                 if self.data_dir is not None:
                     store = await self._offload(
                         lambda: DurableStore.create(
-                            self._graph_dir(name), private,
+                            self._graph_dir(name), graph,
                             name=name, fsync=self.fsync,
                         )
                     )
                     self._checkpointed[name] = (store.version, frozenset())
                 else:
-                    store = GraphStore(private)
+                    store = GraphStore(graph)
                 self._stores[name] = store
                 return self._store_summary(name, store)
             store = self._resolve_store(name)

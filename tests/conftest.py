@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import importlib.util
 import random
 
@@ -38,6 +39,17 @@ def pytest_runtest_setup(item):
             "needs SciPy's MILP, which decides the Presburger queries of rules "
             "that are not interval-RBE0 (install the `solver` extra)"
         )
+
+
+@pytest.fixture(autouse=True)
+def _collector_left_on():
+    """Fail a test after which the cyclic collector is off: a leaked pause
+    (see ``repro.util.gcpause``) would otherwise only show as a slow,
+    growing process.  The collector is turned back on for the next test."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic garbage collector disabled")
 
 
 @pytest.fixture

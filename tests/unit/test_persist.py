@@ -104,6 +104,27 @@ class TestCodec:
         assert typing.types_of(1) == frozenset()
         assert typing.lists(1) and not typing.lists("c")
 
+    def test_decoded_typing_adopts_its_dict(self, monkeypatch):
+        # decode_typing hands the dict it builds to Typing.frozen: no
+        # second per-node copy through Typing(...).
+        from repro.schema.typing import Typing
+
+        nodes = ["a", "b", ("t", 1), "c", "d"]
+        index = {node: position for position, node in enumerate(nodes)}
+        typing = Typing({"a": {"T", "U"}, "b": {"U", "T"}, ("t", 1): set(), "d": {"T"}})
+        entry = json.loads(json.dumps(codec.encode_typing(typing, index)))
+
+        def no_copy(self, assignments):
+            raise AssertionError("decode_typing copied its dict through Typing()")
+
+        monkeypatch.setattr(Typing, "__init__", no_copy)
+        decoded = codec.decode_typing(entry, nodes)
+        monkeypatch.undo()
+        assert decoded == typing
+        assert decoded.types_of("a") is decoded.types_of("b")
+        assert decoded.types_of("d") == frozenset({"T"})
+        assert decoded.lists(("t", 1)) and not decoded.lists("c")
+
     def test_graph_tables_round_trip(self):
         # Tuple, int, None and isolated nodes; string, number, null and bool
         # labels (1 and True stay apart); [2;*], [0;*] and [3;3] intervals.
@@ -576,6 +597,83 @@ class TestDurableStore:
         }
         assert replay.tags == {"records": 1}
 
+    def test_checkpoint_spans_split_encode_and_write(self, tmp_path):
+        from repro.schema.typing import Typing
+
+        store = DurableStore.create(str(tmp_path / "store"), _base_graph())
+        store.apply(Delta.of(add=[("a", "x", "c")]))
+        entry = {"schema": "s", "compressed": False, "version": store.version,
+                 "typing": Typing({"a": {"T"}, "b": set()})}
+        before = obs_metrics.STATE.enabled
+        obs_metrics.enable()
+        try:
+            with obs.start_trace("t.checkpoint") as root:
+                store.checkpoint([entry])
+        finally:
+            obs_metrics.STATE.enabled = before
+        (checkpoint,) = root.children
+        assert checkpoint.name == "persist.checkpoint"
+        encode, write = checkpoint.children
+        assert (encode.name, write.name) == ("persist.encode", "persist.write")
+        assert encode.tags == {"nodes": 3, "edges": 4, "typings": 1}
+        size = os.path.getsize(_snapshot_path(store.directory))
+        assert write.tags == {"bytes": size}
+        store.close()
+
+    def test_snapshot_is_one_canonical_dumps(self, tmp_path):
+        # The file is exactly json.dumps(payload, sort_keys, compact) plus a
+        # newline: what the streaming json.dump wrote before, byte for byte.
+        store = DurableStore.create(str(tmp_path / "store"), _base_graph())
+        store.apply(Delta.of(add=[("a", "x", ("t", 1.5, None, True))]))
+        store.checkpoint()
+        with open(_snapshot_path(store.directory), "rb") as handle:
+            data = handle.read()
+        payload = json.loads(data)
+        assert data == (
+            json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        ).encode("utf-8")
+        store.close()
+
+    def test_write_json_atomic_matches_the_streaming_encoder(self, tmp_path):
+        import io
+
+        from repro.persist import write_json_atomic
+
+        payload = {"z": [1, 2.5, None, True], "a": {"é": "ü\u2028\n", "k": 1e300},
+                   "m": [{"b": 1, "a": [[], {}]}], "n": -0.0}
+        stream = io.StringIO()
+        json.dump(payload, stream, sort_keys=True, separators=(",", ":"))
+        path = str(tmp_path / "out.json")
+        size = write_json_atomic(path, payload)
+        with open(path, "rb") as handle:
+            data = handle.read()
+        assert data == (stream.getvalue() + "\n").encode("utf-8")
+        assert size == len(data)
+        assert not os.path.exists(path + ".tmp")
+
+    def test_checkpoint_builds_and_writes_with_the_collector_paused(self, tmp_path, monkeypatch):
+        from repro.persist import store as store_mod
+
+        store = DurableStore.create(str(tmp_path / "store"), _base_graph())
+        seen = []
+        build, write = DurableStore._snapshot_payload, store_mod.write_json_atomic
+
+        def spy_build(self, typings):
+            seen.append(("build", gc.isenabled()))
+            return build(self, typings)
+
+        def spy_write(path, payload):
+            seen.append(("write", gc.isenabled()))
+            return write(path, payload)
+
+        monkeypatch.setattr(DurableStore, "_snapshot_payload", spy_build)
+        monkeypatch.setattr(store_mod, "write_json_atomic", spy_write)
+        assert gc.isenabled()
+        store.checkpoint()
+        assert seen[:2] == [("build", False), ("write", False)]
+        assert gc.isenabled()
+        store.close()
+
     def test_persist_status_fields(self, tmp_path):
         store = DurableStore.create(str(tmp_path / "store"), _base_graph())
         store.apply(Delta.of(add=[("a", "x", "c")]))
@@ -842,6 +940,27 @@ class TestMigrations:
         assert store.restored_typings == []
         assert read_manifest(directory)["format"] == migrations_mod.CURRENT_FORMAT
         store.close()
+
+    def test_migrations_write_through_the_atomic_writer(self, tmp_path, monkeypatch):
+        # m0002 and m0003 each rewrite the snapshot; each rewrite fsyncs the
+        # directory after its rename and leaves the canonical encoding.
+        from repro.persist import atomic
+
+        directory = str(tmp_path / "legacy")
+        self._format1_layout(directory)
+        synced = []
+        fsync_dir = atomic.fsync_dir
+        monkeypatch.setattr(atomic, "fsync_dir", lambda path: (synced.append(path), fsync_dir(path)))
+        migrations_mod.migrate(directory, read_manifest(directory), write_manifest)
+        # Per migration: the snapshot, then the manifest.
+        assert synced == [directory] * 4
+        with open(os.path.join(directory, "snapshot-1.json"), "rb") as handle:
+            data = handle.read()
+        payload = json.loads(data)
+        assert payload["format"] == 3 and payload["typings"] == []
+        assert data == (
+            json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        ).encode("utf-8")
 
     def test_torn_format1_snapshot_falls_back_one_generation(self, tmp_path):
         # m0002 reads every snapshot; a truncated newest one is skipped, not

@@ -275,7 +275,7 @@ class TestGraphStoreOps:
 
     def test_registering_same_document_twice_is_independent(self, client):
         client.update_graph("one", data_text=GOOD_TURTLE)
-        client.update_graph("two", data_text=GOOD_TURTLE)  # parse memo shared
+        client.update_graph("two", data_text=GOOD_TURTLE)  # each parses its own
         client.update_graph(
             "one",
             delta={"add": [["http://example.org/b2", "related", "http://example.org/b1"]]},
@@ -283,6 +283,47 @@ class TestGraphStoreOps:
         status = client.status()["graphs"]
         assert status["one"]["edges"] == 4
         assert status["two"]["edges"] == 3  # untouched by one's delta
+
+
+class TestRegistrationOwnership:
+    """A registered graph is owned by its store: on a parse-memo miss it is
+    parsed for the store and kept out of the memo; on a hit the store gets
+    a copy of the memo's graph."""
+
+    B2_DESCR = ["http://example.org/b2", "descr", "http://example.org/l2"]
+
+    def test_registering_on_a_miss_leaves_the_memo_unchanged(self, client):
+        before = client.status()["parsed_cache"]["size"]
+        client.update_graph("a", data_text=GOOD_TURTLE)
+        assert client.status()["parsed_cache"]["size"] == before
+        client.load_schema("bug", text=SCHEMA_TEXT)
+        assert client.revalidate("a", "bug")["verdict"] == "valid"
+
+    def test_a_delta_on_a_store_registered_on_a_hit_leaves_the_memo_alone(self, client):
+        client.load_schema("bug", text=SCHEMA_TEXT)
+        assert client.validate("bug", data_text=GOOD_TURTLE)["verdict"] == "valid"
+        size = client.status()["parsed_cache"]["size"]
+        client.update_graph("a", data_text=GOOD_TURTLE)  # a memo hit: copied
+        client.update_graph("a", delta={"remove": [self.B2_DESCR]})
+        assert client.revalidate("a", "bug")["verdict"] == "invalid"
+        # The compressed semantics misses the result cache, so this retypes
+        # the memo's graph: the unmodified document's verdict.
+        again = client.validate("bug", data_text=GOOD_TURTLE, compressed=True)
+        assert (again["verdict"], again["cached"], again["untyped_nodes"]) == (
+            "valid", False, [],
+        )
+        assert client.status()["parsed_cache"]["size"] == size
+
+    def test_two_stores_of_one_memoised_document_are_independent(self, client):
+        client.load_schema("bug", text=SCHEMA_TEXT)
+        client.validate("bug", data_text=GOOD_TURTLE)
+        client.update_graph("a", data_text=GOOD_TURTLE)
+        client.update_graph("b", data_text=GOOD_TURTLE)
+        client.update_graph("a", delta={"remove": [self.B2_DESCR]})
+        status = client.status()["graphs"]
+        assert (status["a"]["edges"], status["b"]["edges"]) == (2, 3)
+        assert client.revalidate("a", "bug")["verdict"] == "invalid"
+        assert client.revalidate("b", "bug")["verdict"] == "valid"
 
 
 class TestErrorHandling:
