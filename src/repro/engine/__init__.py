@@ -9,10 +9,12 @@ service layer:
   templates, classification, and shape graphs, computed once and interned by
   content fingerprint;
 * :class:`ValidationEngine` / :class:`ContainmentEngine` — ``submit`` /
-  ``run_batch`` APIs that fan independent jobs out to a pluggable executor
-  (``serial``, ``thread``, ``process``) and serve repeated jobs from an LRU
-  cache keyed by content hashes (optionally persisted on disk via
-  :class:`DiskResultCache` / ``cache_dir``);
+  ``run_batch`` APIs that fan independent jobs out to an :class:`Executor`
+  (``serial``, ``thread`` or ``process``, all behind one ``submit`` call)
+  and serve repeated jobs from an LRU cache keyed by content hashes
+  (optionally persisted on disk via :class:`DiskResultCache` /
+  ``cache_dir``); the asyncio front-end (:mod:`repro.serve.async_engine`)
+  drives the same per-job lifecycle;
 * :func:`maximal_typing_fixpoint` — the shared fixpoint kernel under both
   validation semantics (:mod:`repro.engine.fixpoint`): fine-grained
   ``(node, type)`` dirtiness, neighbourhood-signature memoisation, batched
@@ -35,13 +37,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "schema_fingerprint",
     ),
     "repro.engine.containment": ("ContainmentEngine",),
-    "repro.engine.executors": (
-        "BACKENDS",
-        "ProcessExecutor",
-        "SerialExecutor",
-        "ThreadExecutor",
-        "get_executor",
-    ),
+    "repro.engine.executors": ("BACKENDS", "Executor", "get_executor"),
     "repro.engine.fixpoint": (
         "FixpointStats",
         "affected_region",

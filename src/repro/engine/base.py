@@ -1,17 +1,18 @@
-"""The shared batch driver behind the validation and containment engines.
+"""The shared job lifecycle behind the validation and containment engines.
 
-Both engines follow the same lifecycle — key every job by content
-fingerprints, answer repeats from the LRU cache, dedup identical keys within
-the batch, fan the remaining misses out to the executor backend, and assemble
-an :class:`repro.engine.jobs.EngineReport` in submission order.
-:class:`BatchEngine` owns that lifecycle once; subclasses provide the
-job-specific parts: coercion, key derivation, and miss execution.
+Every job follows the same lifecycle — key it by content fingerprints, answer
+a repeat from the result cache, dedup identical keys, run the miss on the
+executor backend, fill the cache, and assemble a
+:class:`repro.engine.jobs.JobResult`.  :class:`BatchEngine` owns each step
+once; its synchronous ``run_batch`` and the asyncio front-end
+(:mod:`repro.serve.async_engine`) both drive those steps.  Subclasses provide
+the job-specific parts: coercion, key derivation, and the module-level worker.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro import faults as _faults
 from repro.engine.cache import DiskResultCache, LRUCache
@@ -47,22 +48,40 @@ _M_EXECUTE = _REGISTRY.histogram(
     labels=("backend",),
 )
 
+#: What one miss hands back from the executor:
+#: ``(verdict, payload, queue wait seconds, execute seconds)``.
+Done = Tuple[str, Dict, float, float]
+
+
+def _run_miss(worker: Callable, job, dispatched: float) -> Done:
+    """Run one cache miss on an executor worker, timing wait and execution.
+
+    Module-level, so the process backend can pickle it.  ``dispatched`` is
+    the submitter's :func:`time.perf_counter` reading; the monotonic clock is
+    shared by every process on the machine, so the wait is measured across
+    the process boundary too.
+    """
+    started = time.perf_counter()
+    # Stands in for a worker dying mid-job: the injected exception
+    # propagates through the future exactly like a real crash.
+    _faults.maybe_fail("executor")
+    verdict, payload = worker(job)
+    return verdict, payload, max(started - dispatched, 0.0), time.perf_counter() - started
+
 
 class BatchEngine:
-    """Submit/run_batch plumbing shared by the validation/containment engines.
+    """The per-job steps and the ``run_batch`` driver shared by both engines.
 
     Subclasses set :attr:`kind` and implement:
 
     * ``_coerce_job(job)`` — accept the convenience tuple forms;
     * ``_key_job(job, memo)`` — the cache key (content fingerprints); ``memo``
       is a per-batch scratch dict for amortising repeated hashing;
-    * ``_execute_single(job)`` — run one job in the calling thread to a
-      ``(verdict, payload)`` pair;
-    * ``_job_worker`` — a module-level (hence picklable) function with the same
-      contract, used by the process backend and the async front-end.
+    * ``_job_worker`` — a module-level (hence picklable) function running one
+      job to a ``(verdict, payload)`` pair, on every backend.
 
-    ``_execute_misses`` — fanning a batch of cache misses out to the executor —
-    is implemented here once in terms of those two hooks.
+    The steps of one job are :meth:`_cached`, :meth:`_submit`,
+    :meth:`_finish`, :meth:`_result` and :meth:`_count`.
     """
 
     kind = "job"
@@ -100,52 +119,46 @@ class BatchEngine:
     def _key_job(self, job, memo: Dict) -> Tuple:
         raise NotImplementedError
 
-    def _execute_single(self, job) -> Tuple[str, Dict]:
-        """Run one job in the calling thread; returns ``(verdict, payload)``."""
-        raise NotImplementedError
-
-    #: Module-level worker with the ``job -> (verdict, payload)`` contract,
-    #: picklable for the process backend.  Subclasses assign it with
-    #: ``_job_worker = staticmethod(their_module_worker)``.
+    #: Module-level worker with the ``job -> (verdict, payload)`` contract.
+    #: Subclasses assign it with ``_job_worker = staticmethod(_job_worker)``.
     _job_worker = None
 
-    def _execute_misses(self, misses) -> List[Tuple[str, Dict, float]]:
-        """Fan the cache misses ``[(job, key), ...]`` out to the executor.
+    # -- the steps of one job ------------------------------------------------
+    def _result(self, job, index, key, verdict, payload, seconds, cached) -> JobResult:
+        return JobResult(index, self.kind, job.label, key, verdict, payload, seconds, cached)
 
-        Returns ``[(verdict, payload, seconds), ...]`` in input order.  The
-        process backend cannot observe per-job wall clock inside the workers,
-        so it reports the pool-averaged cost and batch totals still add up.
-        """
-        if self._executor.name == "process":
-            tasks = [job for job, _key in misses]
-            with Stopwatch() as clock:
-                raw = self._executor.map_ordered(type(self)._job_worker, tasks)
-            per_job = clock.seconds / max(len(misses), 1)
-            # Queue wait is invisible across the process boundary; the
-            # pool-averaged cost is the best per-job execute estimate.
-            execute_hist = _M_EXECUTE.labels(backend=self.backend)
-            for _ in misses:
-                execute_hist.observe(per_job)
-            return [(verdict, payload, per_job) for verdict, payload in raw]
+    def _cached(self, job, index: int, key: Tuple) -> Optional[JobResult]:
+        """The cached result of ``key``, or ``None`` on a miss."""
+        found, value = self.cache.get(key)
+        if not found:
+            return None
+        verdict, payload = value
+        return self._result(job, index, key, verdict, payload, 0.0, True)
 
-        wait_hist = _M_QUEUE_WAIT.labels(backend=self.backend)
-        execute_hist = _M_EXECUTE.labels(backend=self.backend)
-        dispatched = time.perf_counter()
+    def _submit(self, job):
+        """Run one miss on the executor; the future resolves to a :data:`Done`."""
+        return self._executor.submit(_run_miss, self._job_worker, job, time.perf_counter())
 
-        def run_one(task) -> Tuple[str, Dict, float]:
-            job, _key = task
-            wait_hist.observe(time.perf_counter() - dispatched)
-            # Stands in for a worker dying mid-job: the injected exception
-            # propagates through map_ordered exactly like a real crash.
-            _faults.maybe_fail("executor")
-            with Stopwatch() as clock:
-                verdict, payload = self._execute_single(job)
-            execute_hist.observe(clock.seconds)
-            return verdict, payload, clock.seconds
+    def _finish(self, key: Tuple, done: Done) -> Tuple[str, Dict, float]:
+        """Record a computed miss and cache it; returns ``(verdict, payload, seconds)``."""
+        verdict, payload, wait, seconds = done
+        _M_QUEUE_WAIT.labels(backend=self.backend).observe(wait)
+        _M_EXECUTE.labels(backend=self.backend).observe(seconds)
+        self.cache.put(key, (verdict, payload))
+        return verdict, payload, seconds
 
-        return self._executor.map_ordered(run_one, misses)
+    def _count(self, outcome: str, jobs: int = 1) -> None:
+        """Count ``jobs`` answered with ``outcome`` (computed / cached / deduped)."""
+        if _obs_metrics.STATE.enabled:
+            _M_JOBS.labels(kind=self.kind, outcome=outcome).inc(jobs)
 
-    # -- the shared lifecycle ------------------------------------------------
+    def _count_batch(self, backend: str, seconds: float) -> None:
+        """Count one batch run on ``backend`` and its wall time."""
+        if _obs_metrics.STATE.enabled:
+            _M_BATCHES.labels(kind=self.kind, backend=backend).inc()
+            _M_BATCH_SECONDS.labels(kind=self.kind, backend=backend).observe(seconds)
+
+    # -- the synchronous driver ----------------------------------------------
     def run_batch(self, jobs: Optional[Iterable] = None) -> EngineReport:
         """Execute the given jobs (or everything queued via ``submit``).
 
@@ -172,52 +185,36 @@ class BatchEngine:
                 if key in miss_indices:
                     miss_indices[key].append(index)
                     continue
-                found, value = self.cache.get(key)
-                if found:
-                    verdict, payload = value
-                    results[index] = JobResult(
-                        index=index,
-                        kind=self.kind,
-                        label=job.label,
-                        key=key,
-                        verdict=verdict,
-                        payload=payload,
-                        seconds=0.0,
-                        cached=True,
-                    )
-                else:
+                results[index] = self._cached(job, index, key)
+                if results[index] is None:
                     misses.append((job, key))
                     miss_indices[key] = [index]
 
-            if misses:
-                outcomes = self._execute_misses(misses)
-                for (job, key), (verdict, payload, seconds) in zip(misses, outcomes):
-                    self.cache.put(key, (verdict, payload))
-                    for position, index in enumerate(miss_indices[key]):
-                        results[index] = JobResult(
-                            index=index,
-                            kind=self.kind,
-                            label=keyed[index][0].label,
-                            key=key,
-                            verdict=verdict,
-                            payload=payload,
-                            seconds=seconds if position == 0 else 0.0,
-                            cached=position > 0,
-                        )
+            futures = [self._submit(job) for job, _key in misses]
+            try:
+                outcomes = [future.result() for future in futures]
+            except BaseException:
+                for future in futures:
+                    future.cancel()
+                raise
+            for (_job, key), done in zip(misses, outcomes):
+                verdict, payload, seconds = self._finish(key, done)
+                for position, index in enumerate(miss_indices[key]):
+                    results[index] = self._result(
+                        keyed[index][0], index, key, verdict, payload,
+                        seconds if position == 0 else 0.0, position > 0,
+                    )
 
-        if _obs_metrics.STATE.enabled and batch:
-            _M_BATCHES.labels(kind=self.kind, backend=self.backend).inc()
-            _M_BATCH_SECONDS.labels(kind=self.kind, backend=self.backend).observe(
-                clock.seconds
-            )
+        if batch:
+            self._count_batch(self.backend, clock.seconds)
             computed = len(misses)
             deduped = sum(len(indices) - 1 for indices in miss_indices.values())
             cached = len(batch) - computed - deduped
-            _M_JOBS.labels(kind=self.kind, outcome="computed").inc(computed)
+            self._count("computed", computed)
             if cached:
-                _M_JOBS.labels(kind=self.kind, outcome="cached").inc(cached)
+                self._count("cached", cached)
             if deduped:
-                _M_JOBS.labels(kind=self.kind, outcome="deduped").inc(deduped)
+                self._count("deduped", deduped)
         return EngineReport(
             results=tuple(result for result in results if result is not None),
             backend=self.backend,

@@ -411,20 +411,26 @@ class CompiledSchema:
         return f"<CompiledSchema {self.schema.name!r} fp={self.fingerprint[:12]}>"
 
 
-# Per-process intern table: compiling is idempotent, so worker processes (and
-# repeated single-call wrappers) can share compiled artifacts by fingerprint.
+# Per-process intern table: compiling is idempotent, so the engines, their
+# worker threads and processes, and repeated single-call wrappers share
+# compiled artifacts by fingerprint.
 _INTERNED: Dict[str, CompiledSchema] = {}
 _INTERN_LIMIT = 256
 
 
 def compile_schema(schema: Union[ShExSchema, CompiledSchema]) -> CompiledSchema:
-    """Compile (or intern) a schema; the cached instance is keyed by content."""
+    """Compile (or intern) a schema; the cached instance is keyed by content.
+
+    A :class:`CompiledSchema` handed in is returned as is and interned when
+    its content is new, so a later call with its plain schema finds it.
+    """
     if isinstance(schema, CompiledSchema):
-        return schema
-    fingerprint = schema_fingerprint(schema)
-    compiled = _INTERNED.get(fingerprint)
-    if compiled is None:
-        compiled = CompiledSchema(schema)
+        compiled = schema
+    else:
+        compiled = _INTERNED.get(schema_fingerprint(schema))
+        if compiled is None:
+            compiled = CompiledSchema(schema)
+    if compiled.fingerprint not in _INTERNED:
         if len(_INTERNED) >= _INTERN_LIMIT:
             _INTERNED.clear()
         _INTERNED[compiled.fingerprint] = compiled

@@ -20,8 +20,11 @@ from repro.schema.shex import ShExSchema
 JobLike = Union[ContainmentJob, Tuple[ShExSchema, ShExSchema]]
 
 
-def _containment_payload(job: ContainmentJob) -> Tuple[str, Dict]:
-    """Run one containment job to a deterministic (verdict, payload) pair."""
+def _job_worker(job: ContainmentJob) -> Tuple[str, Dict]:
+    """Run one containment job to a deterministic (verdict, payload) pair.
+
+    Module-level, hence picklable: it runs on every backend.
+    """
     # Imported on first use: a daemon that never answers ``contains`` (a
     # warm restart, a validation-only service) never loads the package.
     from repro.containment.api import contains_compiled
@@ -45,11 +48,6 @@ def _containment_payload(job: ContainmentJob) -> Tuple[str, Dict]:
         "counterexample": counterexample,
     }
     return result.verdict.value, payload
-
-
-def _process_worker(job: ContainmentJob) -> Tuple[str, Dict]:
-    """Module-level worker for the process backend (must be picklable)."""
-    return _containment_payload(job)
 
 
 class ContainmentEngine(BatchEngine):
@@ -108,7 +106,4 @@ class ContainmentEngine(BatchEngine):
             fingerprints.append(fingerprint)
         return ("containment", fingerprints[0], fingerprints[1], job.options)
 
-    def _execute_single(self, job: ContainmentJob) -> Tuple[str, Dict]:
-        return _containment_payload(job)
-
-    _job_worker = staticmethod(_process_worker)
+    _job_worker = staticmethod(_job_worker)

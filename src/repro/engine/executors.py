@@ -1,83 +1,70 @@
-"""Pluggable execution backends for the validation and containment engines.
+"""Execution backends for the validation and containment engines.
 
-Three interchangeable backends implement a single ``map_ordered`` contract —
-apply a callable to every item, returning results in input order:
+One :class:`Executor` serves the three backends through a single call,
+``submit(fn, *args) -> concurrent.futures.Future``:
 
-* ``serial`` — plain loop in the calling thread; the reference backend every
-  other backend must agree with byte-for-byte;
+* ``serial`` — a pool of one thread: jobs run one at a time, in submission
+  order; the reference backend every other backend must agree with
+  byte-for-byte;
 * ``thread`` — a :class:`concurrent.futures.ThreadPoolExecutor`; effective
   when the underlying work releases the GIL (the SciPy MILP solver does) or is
   I/O-bound (loading manifests);
 * ``process`` — a :class:`concurrent.futures.ProcessPoolExecutor`; true
   parallelism for the CPU-bound Python checks.  Jobs and results must be
-  picklable, which is why the process engines ship plain schemas/graphs and
-  recompile inside the workers (compilation is interned per process, so each
-  distinct schema is compiled once per worker, not once per job).
+  picklable, which is why the engines ship plain schemas/graphs and recompile
+  inside the workers (compilation is interned per process, so each distinct
+  schema is compiled once per worker, not once per job).
 
-Backends are deliberately tiny: the engines own caching and result
-assembly, so a backend only needs ordered map.
+Thread-shaped pools run ``fn`` in a copy of the submitter's
+:mod:`contextvars` context, so spans opened by the job attach to the active
+trace; a process pool cannot carry the context.  The synchronous batch driver
+waits on the futures, the asyncio front-end awaits them through
+:func:`asyncio.wrap_future`.  The engines own caching and result assembly.
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import Callable, Optional
 
 from repro.engine.backends import BACKENDS
 
-Item = TypeVar("Item")
-Result = TypeVar("Result")
 
+class Executor:
+    """A lazily started worker pool behind one ``submit`` call."""
 
-class SerialExecutor:
-    """The reference backend: an ordinary loop, no concurrency."""
-
-    name = "serial"
-
-    def __init__(self, max_workers: Optional[int] = None):
-        self.max_workers = 1
-
-    def map_ordered(
-        self, fn: Callable[[Item], Result], items: Sequence[Item]
-    ) -> List[Result]:
-        """Apply ``fn`` to every item, in order, in the calling thread."""
-        return [fn(item) for item in items]
-
-    def close(self) -> None:
-        """Nothing to release; present for backend interchangeability."""
-
-
-class _PoolExecutor:
-    """Shared shape of the thread/process backends."""
-
-    name = "pool"
-    #: Name of the :mod:`concurrent.futures` pool class, imported on the
-    #: first map, so importing the engine loads no ``multiprocessing``.
-    _pool_class = "ThreadPoolExecutor"
-
-    def __init__(self, max_workers: Optional[int] = None):
-        self.max_workers = max_workers or min(8, os.cpu_count() or 1)
+    def __init__(self, backend: str = "serial", max_workers: Optional[int] = None):
+        if backend not in BACKENDS:
+            raise ValueError(
+                f"unknown executor backend {backend!r}; "
+                f"expected one of {', '.join(BACKENDS)}"
+            )
+        self.name = backend
+        if backend == "serial":
+            self.max_workers = 1
+        else:
+            self.max_workers = max_workers or min(8, os.cpu_count() or 1)
         self._pool = None
 
-    def _ensure_pool(self):
+    def submit(self, fn: Callable, *args):
+        """Schedule ``fn(*args)``; returns its :class:`concurrent.futures.Future`."""
+        if self.name == "process":
+            return self._started("ProcessPoolExecutor").submit(fn, *args)
+        context = contextvars.copy_context()
+        return self._started("ThreadPoolExecutor").submit(context.run, fn, *args)
+
+    def _started(self, pool_class: str):
         if self._pool is None:
+            # Imported on the first job, so importing the engine loads no
+            # concurrent.futures / multiprocessing.
             import concurrent.futures
 
-            pool_cls = getattr(concurrent.futures, self._pool_class)
-            self._pool = pool_cls(max_workers=self.max_workers)
+            self._pool = getattr(concurrent.futures, pool_class)(self.max_workers)
         return self._pool
 
-    def map_ordered(
-        self, fn: Callable[[Item], Result], items: Sequence[Item]
-    ) -> List[Result]:
-        """Apply ``fn`` to every item through the pool; results in input order."""
-        if len(items) <= 1:
-            return [fn(item) for item in items]
-        pool = self._ensure_pool()
-        return list(pool.map(fn, items))
-
     def close(self) -> None:
-        """Shut the pool down; a later ``map_ordered`` re-creates it lazily."""
+        """Shut the pool down; a later ``submit`` re-creates it lazily."""
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
@@ -90,29 +77,6 @@ class _PoolExecutor:
         return False
 
 
-class ThreadExecutor(_PoolExecutor):
-    """Thread-pool backend (shared memory; benefits GIL-releasing work)."""
-
-    name = "thread"
-    _pool_class = "ThreadPoolExecutor"
-
-
-class ProcessExecutor(_PoolExecutor):
-    """Process-pool backend (true parallelism; jobs must be picklable)."""
-
-    name = "process"
-    _pool_class = "ProcessPoolExecutor"
-
-
-def get_executor(backend: str, max_workers: Optional[int] = None):
+def get_executor(backend: str, max_workers: Optional[int] = None) -> Executor:
     """Instantiate a backend by name (``serial`` / ``thread`` / ``process``)."""
-    if backend == "serial":
-        return SerialExecutor(max_workers)
-    if backend == "thread":
-        return ThreadExecutor(max_workers)
-    if backend == "process":
-        return ProcessExecutor(max_workers)
-    raise ValueError(
-        f"unknown executor backend {backend!r}; expected one of {', '.join(BACKENDS)}"
-    )
-
+    return Executor(backend, max_workers)

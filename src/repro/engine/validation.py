@@ -22,12 +22,7 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.engine.base import BatchEngine
-from repro.engine.compiled import (
-    CompiledSchema,
-    compile_schema,
-    graph_fingerprint,
-    schema_fingerprint,
-)
+from repro.engine.compiled import CompiledSchema, compile_schema, graph_fingerprint
 from repro.engine.fixpoint import (
     MAX_AFFECTED_FRACTION,
     FixpointStats,
@@ -186,12 +181,12 @@ class RevalidationOutcome:
     affected: int = 0
 
 
-def _process_worker(job: ValidationJob) -> Tuple[str, Dict]:
-    """Module-level worker for the process backend (must be picklable).
+def _job_worker(job: ValidationJob) -> Tuple[str, Dict]:
+    """Run one job on any backend (module-level, hence picklable).
 
-    Receives the plain job; the schema is recompiled in the worker through the
-    per-process intern table, so each distinct schema is compiled once per
-    worker process rather than once per job.
+    The schema is compiled through the per-process intern table, so each
+    distinct schema is compiled once per process — in a thread-shaped pool
+    the engine's own :meth:`ValidationEngine.compile` already interned it.
     """
     return _validation_payload(job, compile_schema(job.schema))
 
@@ -227,7 +222,6 @@ class ValidationEngine(BatchEngine):
         super().__init__(
             backend, max_workers, cache_size, cache_dir, cache_max_mb, cache_ttl
         )
-        self._compiled: Dict[str, CompiledSchema] = {}
         # (schema fingerprint, store id, compressed) -> (version, Typing):
         # the prior fixpoints that seed incremental revalidation.
         self._typings: "OrderedDict[Tuple, Tuple[int, Typing]]" = OrderedDict()
@@ -246,16 +240,8 @@ class ValidationEngine(BatchEngine):
     # Compilation
     # ------------------------------------------------------------------ #
     def compile(self, schema: Union[ShExSchema, CompiledSchema]) -> CompiledSchema:
-        """Compile a schema, interning by content fingerprint within the engine."""
-        if isinstance(schema, CompiledSchema):
-            self._compiled.setdefault(schema.fingerprint, schema)
-            return schema
-        fingerprint = schema_fingerprint(schema)
-        compiled = self._compiled.get(fingerprint)
-        if compiled is None:
-            compiled = CompiledSchema(schema)
-            self._compiled[fingerprint] = compiled
-        return compiled
+        """Compile a schema through the shared per-process intern table."""
+        return compile_schema(schema)
 
     # ------------------------------------------------------------------ #
     # Submission
@@ -473,7 +459,4 @@ class ValidationEngine(BatchEngine):
             memo[graph_key] = graph_fp
         return ("validation", schema_fp, graph_fp, job.compressed)
 
-    def _execute_single(self, job: ValidationJob) -> Tuple[str, Dict]:
-        return _validation_payload(job, self.compile(job.schema))
-
-    _job_worker = staticmethod(_process_worker)
+    _job_worker = staticmethod(_job_worker)

@@ -4,8 +4,10 @@ The synchronous engines (:class:`repro.engine.ValidationEngine`,
 :class:`repro.engine.ContainmentEngine`) are batch-shaped: ``run_batch``
 blocks until the *slowest* job is done and then returns everything at once.
 This module removes that barrier.  :class:`AsyncValidationEngine` and
-:class:`AsyncContainmentEngine` wrap a sync engine and drive its executor
-backend through ``loop.run_in_executor``:
+:class:`AsyncContainmentEngine` wrap a sync engine and drive the same
+per-job steps as its ``run_batch`` (:class:`repro.engine.base.BatchEngine`):
+a cache miss goes to the engine's executor through its one ``submit`` call
+and is awaited with :func:`asyncio.wrap_future`, on every backend.
 
 * ``await engine.submit(...)`` — run one job and get its
   :class:`repro.engine.jobs.JobResult`;
@@ -15,10 +17,10 @@ backend through ``loop.run_in_executor``:
 * ``await engine.run_batch(jobs)`` — convenience barrier returning an
   ordered :class:`repro.engine.jobs.EngineReport`, like the sync API.
 
-The wrapper shares the wrapped engine's LRU result cache and compiled-schema
-intern table, and adds *in-flight deduplication*: two concurrent submissions
-of the same fingerprint key compute once and share the outcome.  This is what
-the long-lived daemon (:mod:`repro.serve.daemon`) runs on.
+The wrapper shares the wrapped engine's result cache, executor and metrics,
+and adds *in-flight deduplication*: two concurrent submissions of the same
+fingerprint key compute once and share the outcome.  This is what the
+long-lived daemon (:mod:`repro.serve.daemon`) runs on.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from __future__ import annotations
 import asyncio
 import contextvars
 import functools
-from concurrent.futures import ThreadPoolExecutor
 from typing import AsyncIterator, Dict, Iterable, List, Optional, Tuple
 
 from repro.engine.containment import ContainmentEngine
@@ -38,28 +39,6 @@ from repro.engine.jobs import (
     ValidationJob,
 )
 from repro.engine.validation import ValidationEngine
-from repro.obs import metrics as _obs_metrics
-
-# Same metric families as the sync driver (repro.engine.base); the registry
-# dedups by name, so these resolve to the one shared instrument per family.
-# The async layer records them itself because it dispatches cache misses
-# straight to the pool, bypassing the sync ``run_batch``.
-_REGISTRY = _obs_metrics.get_registry()
-_M_BATCHES = _REGISTRY.counter(
-    "repro_engine_batches_total",
-    "run_batch invocations, by job kind and backend.",
-    labels=("kind", "backend"),
-)
-_M_BATCH_SECONDS = _REGISTRY.histogram(
-    "repro_engine_batch_seconds",
-    "Wall time of one run_batch call, by job kind and backend.",
-    labels=("kind", "backend"),
-)
-_M_JOBS = _REGISTRY.counter(
-    "repro_engine_jobs_total",
-    "Jobs answered, by kind and outcome (computed / cached / deduped).",
-    labels=("kind", "outcome"),
-)
 
 
 async def run_in_worker(fn, *args):
@@ -92,13 +71,11 @@ async def run_in_worker(fn, *args):
 class AsyncBatchEngine:
     """Shared asyncio plumbing over a synchronous :class:`BatchEngine`.
 
-    Dispatch strategy per backend of the wrapped engine:
-
-    * ``thread`` / ``process`` — jobs go straight into the engine's own
-      worker pool via ``loop.run_in_executor``, so the async layer adds
-      concurrency *between* awaiting callers without a second pool;
-    * ``serial`` — jobs run one at a time on a private single-thread pool,
-      preserving serial semantics while keeping the event loop responsive.
+    A job is keyed, looked up in the cache, deduplicated against the
+    computations in flight, and otherwise submitted to the wrapped engine's
+    executor — its worker pool, or the one thread of ``serial`` — so the
+    async layer adds concurrency *between* awaiting callers without a pool
+    of its own.
 
     Subclasses provide ``_make_engine`` plus job coercion/submission sugar.
     """
@@ -106,7 +83,6 @@ class AsyncBatchEngine:
     def __init__(self, engine=None, **engine_options):
         self.engine = engine if engine is not None else self._make_engine(**engine_options)
         self._owns_engine = engine is None
-        self._serial_pool: Optional[ThreadPoolExecutor] = None
         # key -> the asyncio.Task computing that key.  Consumers await it
         # through asyncio.shield, so cancelling one consumer (a dropped
         # connection, an abandoned stream) never poisons the shared
@@ -124,40 +100,11 @@ class AsyncBatchEngine:
         """The wrapped engine's backend name (``serial``/``thread``/``process``)."""
         return self.engine.backend
 
-    def _dispatch_pool(self) -> ThreadPoolExecutor:
-        """The concurrent.futures pool jobs are pushed into."""
-        if self.backend == "serial":
-            if self._serial_pool is None:
-                self._serial_pool = ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix="repro-serve-serial"
-                )
-            return self._serial_pool
-        return self.engine._executor._ensure_pool()
-
-    async def _compute(self, job) -> Tuple[str, Dict]:
-        """Run one cache miss on the backend; returns ``(verdict, payload)``.
-
-        Thread-shaped dispatch carries the caller's :mod:`contextvars`
-        context across the executor hop, so spans opened inside the engine
-        attach to the request trace (process pools cannot: the child has no
-        access to the parent's context or registry).
-        """
-        loop = asyncio.get_running_loop()
-        if self.backend == "process":
-            # Process pools need a picklable module-level function.
-            worker = type(self.engine)._job_worker
-            return await loop.run_in_executor(self._dispatch_pool(), worker, job)
-        context = contextvars.copy_context()
-        return await loop.run_in_executor(
-            self._dispatch_pool(), lambda: context.run(self.engine._execute_single, job)
-        )
-
-    async def _compute_and_store(self, job, key: Tuple) -> Tuple[str, Dict]:
+    async def _compute(self, job, key: Tuple) -> Tuple[str, Dict, float]:
         """The shared per-key computation: run the miss, fill the cache."""
         try:
-            verdict, payload = await self._compute(job)
-            self.engine.cache.put(key, (verdict, payload))
-            return verdict, payload
+            done = await asyncio.wrap_future(self.engine._submit(job))
+            return self.engine._finish(key, done)
         finally:
             self._inflight.pop(key, None)
 
@@ -167,47 +114,27 @@ class AsyncBatchEngine:
         ``memo`` may hold fingerprints the caller already knows, in the
         engine's ``_key_job`` memo form.
         """
-        key = self.engine._key_job(job, {} if memo is None else memo)
-        found, value = self.engine.cache.get(key)
-        if found:
-            verdict, payload = value
-            if _obs_metrics.STATE.enabled:
-                _M_JOBS.labels(kind=self.engine.kind, outcome="cached").inc()
-            return JobResult(
-                index=index,
-                kind=self.engine.kind,
-                label=job.label,
-                key=key,
-                verdict=verdict,
-                payload=payload,
-                seconds=0.0,
-                cached=True,
-            )
+        engine = self.engine
+        key = engine._key_job(job, {} if memo is None else memo)
+        result = engine._cached(job, index, key)
+        if result is not None:
+            engine._count("cached")
+            return result
 
         task = self._inflight.get(key)
         shared = task is not None
         if task is None:
-            task = asyncio.ensure_future(self._compute_and_store(job, key))
+            task = asyncio.ensure_future(self._compute(job, key))
             # Retrieve the exception even if every consumer was cancelled,
             # so an orphaned failure does not warn at garbage collection.
             task.add_done_callback(lambda t: t.cancelled() or t.exception())
             self._inflight[key] = task
         # shield: cancelling THIS consumer must not cancel the shared task —
         # other submissions of the same key may be awaiting it.
-        with Stopwatch() as clock:
-            verdict, payload = await asyncio.shield(task)
-        if _obs_metrics.STATE.enabled:
-            outcome = "deduped" if shared else "computed"
-            _M_JOBS.labels(kind=self.engine.kind, outcome=outcome).inc()
-        return JobResult(
-            index=index,
-            kind=self.engine.kind,
-            label=job.label,
-            key=key,
-            verdict=verdict,
-            payload=payload,
-            seconds=0.0 if shared else clock.seconds,
-            cached=shared,
+        verdict, payload, seconds = await asyncio.shield(task)
+        engine._count("deduped" if shared else "computed")
+        return engine._result(
+            job, index, key, verdict, payload, 0.0 if shared else seconds, shared
         )
 
     # -- public API ----------------------------------------------------------
@@ -224,9 +151,6 @@ class AsyncBatchEngine:
             asyncio.ensure_future(self._run_job(job, index))
             for index, job in enumerate(batch)
         ]
-        backend = f"async+{self.backend}"
-        if _obs_metrics.STATE.enabled:
-            _M_BATCHES.labels(kind=self.engine.kind, backend=backend).inc()
         try:
             with Stopwatch() as clock:
                 for completed in asyncio.as_completed(tasks):
@@ -234,10 +158,7 @@ class AsyncBatchEngine:
         finally:
             for task in tasks:
                 task.cancel()
-            if _obs_metrics.STATE.enabled:
-                _M_BATCH_SECONDS.labels(
-                    kind=self.engine.kind, backend=backend
-                ).observe(clock.seconds)
+            self.engine._count_batch(f"async+{self.backend}", clock.seconds)
 
     async def run_batch(self, jobs: Iterable) -> EngineReport:
         """Await every job and return an ordered :class:`EngineReport`.
@@ -259,7 +180,7 @@ class AsyncBatchEngine:
 
     # -- lifecycle -----------------------------------------------------------
     async def aclose(self) -> None:
-        """Release the private serial pool and (if owned) the wrapped engine.
+        """Release the wrapped engine, if owned.
 
         Waits for any still-in-flight shared computations first, so nothing
         is left running against a closed executor.
@@ -268,9 +189,6 @@ class AsyncBatchEngine:
         self._inflight.clear()
         if pending:
             await asyncio.gather(*pending, return_exceptions=True)
-        if self._serial_pool is not None:
-            self._serial_pool.shutdown()
-            self._serial_pool = None
         if self._owns_engine:
             self.engine.close()
 

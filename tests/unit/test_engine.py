@@ -100,6 +100,65 @@ class TestCompiledSchema:
         assert CompiledSchema.of(compiled) is compiled
 
 
+@pytest.fixture
+def compile_calls(monkeypatch):
+    """Count ``CompiledSchema`` constructions, from an empty intern table."""
+    import repro.engine.compiled as compiled_module
+
+    calls = []
+    real_init = CompiledSchema.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(compiled_module, "_INTERNED", {})
+    monkeypatch.setattr(CompiledSchema, "__init__", counting_init)
+    return calls
+
+
+class TestCompileOnce:
+    def test_compile_schema_interns_a_handed_compiled_schema(self, schema, compile_calls):
+        compiled = CompiledSchema(schema)
+        assert compile_schema(compiled) is compiled
+        assert compile_schema(schema) is compiled
+        assert len(compile_calls) == 1
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_engine_compile_then_run_batch_compiles_once(
+        self, schema, good_graph, compile_calls, backend
+    ):
+        with ValidationEngine(backend=backend) as engine:
+            engine.compile(CompiledSchema(schema))
+            report = engine.run_batch([(good_graph, schema)])
+        assert report.verdicts() == ("valid",)
+        assert len(compile_calls) == 1
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_daemon_load_schema_then_validate_compiles_once(
+        self, tmp_path, compile_calls, backend
+    ):
+        from repro.serve.client import DaemonClient
+        from repro.serve.daemon import start_in_thread
+
+        handle = start_in_thread(
+            socket_path=str(tmp_path / "shex.sock"), backend=backend, max_workers=2
+        )
+        try:
+            with DaemonClient.connect(handle.daemon.socket_path) as client:
+                client.load_schema(
+                    "bug", text="Bug -> descr :: Lit, related :: Bug*\nLit -> eps"
+                )
+                answer = client.validate(
+                    "bug", data_text="@prefix ex: <http://example.org/> .\n"
+                    "ex:b1 ex:descr ex:l1 .\n",
+                )
+        finally:
+            handle.stop()
+        assert answer["verdict"] == "valid" and not answer["cached"]
+        assert len(compile_calls) == 1
+
+
 class TestLRUCache:
     def test_hit_miss_accounting(self):
         cache = LRUCache(max_size=4)

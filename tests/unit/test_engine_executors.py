@@ -3,13 +3,7 @@
 import pytest
 
 from repro.engine.containment import ContainmentEngine
-from repro.engine.executors import (
-    BACKENDS,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    get_executor,
-)
+from repro.engine.executors import BACKENDS, get_executor
 from repro.engine.validation import ValidationEngine
 from repro.graphs.compressed import CompressedGraph
 from repro.graphs.graph import Graph
@@ -42,20 +36,28 @@ def _validation_jobs():
 
 class TestExecutorPrimitives:
     def test_get_executor_by_name(self):
-        assert isinstance(get_executor("serial"), SerialExecutor)
-        assert isinstance(get_executor("thread"), ThreadExecutor)
-        assert isinstance(get_executor("process"), ProcessExecutor)
+        for backend in BACKENDS:
+            assert get_executor(backend).name == backend
+        assert get_executor("serial", max_workers=4).max_workers == 1
 
     def test_get_executor_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown executor backend"):
             get_executor("gpu")
 
-    def test_map_ordered_preserves_order(self):
+    def test_submit_futures_resolve_in_submission_order(self):
         items = list(range(20))
         for backend in ("serial", "thread"):
-            executor = get_executor(backend, max_workers=4)
-            assert executor.map_ordered(lambda x: x * x, items) == [x * x for x in items]
-            executor.close()
+            with get_executor(backend, max_workers=4) as executor:
+                futures = [executor.submit(lambda x: x * x, item) for item in items]
+                assert [future.result() for future in futures] == [x * x for x in items]
+
+    def test_serial_runs_one_job_at_a_time_in_order(self):
+        started = []
+        with get_executor("serial") as executor:
+            futures = [executor.submit(started.append, item) for item in range(10)]
+            for future in futures:
+                future.result()
+        assert started == list(range(10))
 
 
 class TestBackendParity:

@@ -224,6 +224,24 @@ class TestTracing:
         assert root.dropped == 5
         assert root.to_dict()["dropped"] == 5
 
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_batch_kernel_spans_reach_the_trace(self, obs_enabled, backend):
+        from repro.engine.validation import ValidationEngine
+        from repro.graphs.graph import Graph
+        from repro.schema.parser import parse_schema
+
+        schema = parse_schema("Bug -> descr :: Lit, related :: Bug*\nLit -> eps")
+        graphs = [
+            Graph.from_triples([(f"b{n}", "descr", f"l{n}")]) for n in range(3)
+        ]
+        with ValidationEngine(backend=backend, max_workers=3) as engine:
+            with obs.start_trace("t") as root:
+                engine.run_batch([(graph, schema) for graph in graphs])
+        (batch,) = root.to_dict()["children"]
+        assert batch["name"] == "engine.run_batch"
+        kernels = [child["name"] for child in batch["children"]]
+        assert kernels == ["fixpoint.full"] * 3
+
     def test_new_trace_ids_are_distinct_hex(self):
         first, second = obs.new_trace_id(), obs.new_trace_id()
         assert first != second

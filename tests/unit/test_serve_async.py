@@ -250,3 +250,73 @@ class TestAsyncContainment:
 
         report = asyncio.run(run())
         assert report.verdicts() == ("contained", "not-contained", "contained")
+
+
+def _histogram_count(name, backend):
+    from repro.obs import metrics as obs_metrics
+
+    instrument = obs_metrics.get_registry().get(name)
+    return 0 if instrument is None else instrument.labels(backend=backend).count
+
+
+@pytest.fixture
+def obs_enabled():
+    from repro.obs import metrics as obs_metrics
+
+    before = obs_metrics.STATE.enabled
+    obs_metrics.enable()
+    yield
+    obs_metrics.STATE.enabled = before
+
+
+class TestAsyncExecutorPath:
+    """The daemon's submit path runs the same miss step as the sync driver."""
+
+    FAMILIES = ("repro_engine_execute_seconds", "repro_engine_queue_wait_seconds")
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_a_miss_observes_execute_and_queue_wait(
+        self, schema, good_graph, obs_enabled, backend
+    ):
+        before = [_histogram_count(name, backend) for name in self.FAMILIES]
+
+        async def run():
+            async with AsyncValidationEngine(backend=backend) as engine:
+                return await engine.submit(good_graph, schema)
+
+        assert not asyncio.run(run()).cached
+        after = [_histogram_count(name, backend) for name in self.FAMILIES]
+        assert [b - a for a, b in zip(before, after)] == [1, 1]
+
+    def test_executor_fault_surfaces_and_is_not_cached(self, schema, good_graph):
+        from repro import faults
+        from repro.faults import InjectedFault
+
+        async def run():
+            async with AsyncValidationEngine(backend="thread") as engine:
+                faults.install("executor=1.0", seed=0)
+                try:
+                    with pytest.raises(InjectedFault):
+                        await engine.submit(good_graph, schema)
+                finally:
+                    faults.uninstall()
+                return await engine.submit(good_graph, schema)
+
+        retry = asyncio.run(run())
+        assert retry.verdict == "valid" and not retry.cached
+
+    def test_process_backend_times_each_miss(self, obs_enabled):
+        jobs = [
+            (bug_tracker_graph(), bug_tracker_schema()),
+            (Graph.from_triples([("b1", "related", "b2")]), bug_tracker_schema()),
+            (Graph.from_triples([("x", "descr", "y")]), bug_tracker_schema()),
+        ]
+        before = _histogram_count("repro_engine_queue_wait_seconds", "process")
+        with ValidationEngine(backend="process", max_workers=2) as engine:
+            report = engine.run_batch(jobs)
+        after = _histogram_count("repro_engine_queue_wait_seconds", "process")
+        assert after - before == len(jobs)
+        seconds = [result.seconds for result in report.results]
+        # Each job's own execute time, not one pool-averaged figure.
+        assert all(value > 0.0 for value in seconds)
+        assert len(set(seconds)) == len(jobs)
