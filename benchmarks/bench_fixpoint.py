@@ -84,12 +84,20 @@ def measure_plain_speedup() -> dict:
     # Warm compilation artifacts so neither side pays them inside the timer.
     maximal_typing_fixpoint(bug_tracker_graph(), compiled=compiled)
 
-    worklist_typing, worklist_seconds = _timed(
-        maximal_typing_worklist, graph, schema, compiled=compiled, repeats=2
-    )
-    kernel_typing, kernel_seconds = _timed(
-        maximal_typing_fixpoint, graph, compiled=compiled, repeats=3
-    )
+    # The kernel side runs in 1-3 ms, so only a best of many runs resolves
+    # the gate's floor, and a shared host's speed drifts over seconds, so
+    # the sides are interleaved: one worklist run, then five kernel runs,
+    # five times over (best of 5 and best of 25).
+    worklist_seconds = kernel_seconds = float("inf")
+    for _ in range(5):
+        worklist_typing, seconds = _timed(
+            maximal_typing_worklist, graph, schema, compiled=compiled
+        )
+        worklist_seconds = min(worklist_seconds, seconds)
+        kernel_typing, seconds = _timed(
+            maximal_typing_fixpoint, graph, compiled=compiled, repeats=5
+        )
+        kernel_seconds = min(kernel_seconds, seconds)
     # Dedicated runs for the counters (stats would accumulate across repeats).
     stats = FixpointStats()
     maximal_typing_fixpoint(graph, compiled=compiled, stats=stats)

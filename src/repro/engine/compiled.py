@@ -122,13 +122,15 @@ def graph_buckets(graph: Graph) -> Tuple[Dict[int, List[object]], List[bytes]]:
         edge_lists[node] = group[1]
     # str() once per distinct interval object (edges share ONE and friends).
     occur_text: Dict[int, str] = {}
-    for edge in graph.edges:
-        occur = occur_text.get(id(edge.occur))
-        if occur is None:
-            occur = occur_text[id(edge.occur)] = str(edge.occur)
-        source = edge.source
+    _, _, _, sources, labels, targets, occurs = graph.adjacency()
+    for source, label, target, occur in zip(sources, labels, targets, occurs):
+        if occur is None:  # a removed edge
+            continue
+        text = occur_text.get(id(occur))
+        if text is None:
+            text = occur_text[id(occur)] = str(occur)
         edge_lists[source].append(
-            f"{reprs[source]}\x00{edge.label}\x00{reprs[edge.target]}\x00{occur}"
+            f"{reprs[source]}\x00{label}\x00{reprs[target]}\x00{text}"
         )
     digests = [_EMPTY_BUCKET] * buckets
     for bucket, (node_lines, edge_lines) in lines.items():
@@ -142,18 +144,20 @@ def nodes_digest(graph: Graph, nodes: Iterable[object]) -> bytes:
     Like :func:`graph_buckets`, it formats each distinct interval object
     once.
     """
+    index, out, _, _, labels, targets, occurs = graph.adjacency()
     node_lines: List[str] = []
     edge_lines: List[str] = []
     occur_text: Dict[int, str] = {}
     for node in nodes:
         text = repr(node)
         node_lines.append(text)
-        for edge in graph.out_edges(node):
-            occur = occur_text.get(id(edge.occur))
-            if occur is None:
-                occur = occur_text[id(edge.occur)] = str(edge.occur)
+        for edge_id in out[index[node]]:
+            occur = occurs[edge_id]
+            shown = occur_text.get(id(occur))
+            if shown is None:
+                shown = occur_text[id(occur)] = str(occur)
             edge_lines.append(
-                f"{text}\x00{edge.label}\x00{edge.target!r}\x00{occur}"
+                f"{text}\x00{labels[edge_id]}\x00{targets[edge_id]!r}\x00{shown}"
             )
     return bucket_digest(node_lines, edge_lines)
 

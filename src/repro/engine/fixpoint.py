@@ -73,7 +73,7 @@ from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tup
 from repro.engine.compiled import CompiledSchema, compile_schema
 from repro.obs import metrics as _obs_metrics
 from repro.obs import tracing as _obs_tracing
-from repro.graphs.graph import Edge, Graph
+from repro.graphs.graph import Adjacency, Graph
 from repro.graphs.scc import backward_closure, release, tarjan
 from repro.schema.shex import ShExSchema, TypeName
 from repro.schema.typing import Typing, edge_groups, satisfies_type_groups
@@ -269,18 +269,19 @@ def fixpoint_metrics_summary() -> Dict[str, object]:
 # --------------------------------------------------------------------------- #
 # The kernel
 # --------------------------------------------------------------------------- #
-def _out_labels(graph: Graph, node: NodeId, compressed: bool) -> frozenset:
-    """The labels on ``node``'s out-edges that its label seed reads: under the
-    compressed semantics an edge of multiplicity 0 counts for nothing."""
+def _out_labels(adj: Adjacency, edge_ids, compressed: bool) -> frozenset:
+    """The labels on a node's out-edges ``edge_ids`` that its label seed
+    reads: under the compressed semantics an edge of multiplicity 0 counts
+    for nothing."""
+    label = adj.label
     if compressed:
-        return frozenset(
-            edge.label for edge in graph.out_edges(node) if edge.occur.lower
-        )
-    return frozenset(edge.label for edge in graph.out_edges(node))
+        occur = adj.occur
+        return frozenset(label[edge_id] for edge_id in edge_ids if occur[edge_id].lower)
+    return frozenset(map(label.__getitem__, edge_ids))
 
 
 def _row(
-    edge_ids, edges: Dict[int, Edge], current: Dict[NodeId, FrozenSet[TypeName]],
+    adj: Adjacency, edge_ids, current: Dict[NodeId, FrozenSet[TypeName]],
     compressed: bool,
 ) -> FrozenSet:
     """A node's row over its successors' settled types, from its out-edge ids.
@@ -292,22 +293,21 @@ def _row(
     nodes with equal rows get equal types.
     """
     counts: Dict[Tuple, int] = {}
+    label, target = adj.label, adj.target
     if compressed:
+        occur = adj.occur
         for edge_id in edge_ids:
-            _, _, target, label, occur = edges[edge_id]
-            key = (label, occur, current[target])
+            key = (label[edge_id], occur[edge_id], current[target[edge_id]])
             counts[key] = counts.get(key, 0) + 1
     else:
         for edge_id in edge_ids:
-            _, _, target, label, _ = edges[edge_id]
-            key = (label, current[target])
+            key = (label[edge_id], current[target[edge_id]])
             counts[key] = counts.get(key, 0) + 1
     return frozenset(counts.items())
 
 
 def _shape(
-    out: Dict[NodeId, Dict[int, None]],
-    edges: Dict[int, Edge],
+    adj: Adjacency,
     component: Tuple[NodeId, ...],
     current: Dict[NodeId, FrozenSet[TypeName]],
     compressed: bool,
@@ -319,16 +319,16 @@ def _shape(
     members' label seeds and checks read nothing else, so components with
     equal shapes get equal types, index by index.
     """
-    index = {node: position for position, node in enumerate(component)}
+    row_of, out, _, _, label, target, occur = adj
+    position = {node: at for at, node in enumerate(component)}
     shape = []
     for node in component:
         counts: Dict[Tuple, int] = {}
-        for edge_id in out[node]:
-            _, _, target, label, occur = edges[edge_id]
-            end = index.get(target)
+        for edge_id in out[row_of[node]]:
+            end = position.get(target[edge_id])
             if end is None:
-                end = current[target]
-            key = (label, occur, end) if compressed else (label, end)
+                end = current[target[edge_id]]
+            key = (label[edge_id], occur[edge_id], end) if compressed else (label[edge_id], end)
             counts[key] = counts.get(key, 0) + 1
         shape.append(frozenset(counts.items()))
     return tuple(shape)
@@ -380,19 +380,21 @@ def _stabilise_objects(
     # The nodes to check: touched ones, and predecessors of changed ones.
     dirty: Set[NodeId] = set(touched)
     components = skipped = 0
-    out, _, edges = graph.adjacency()
+    adj = graph.adjacency()
+    row_of, out, into, source, _, target, _ = adj
     pending: Dict[NodeId, int] = {}
     for node in release(graph, active, pending):
         components += 1
         if prior is not None and node not in dirty:
             skipped += 1
             continue
-        row = _row(out[node], edges, current, compressed)
+        edge_ids = out[row_of[node]]
+        row = _row(adj, edge_ids, current, compressed)
         types = memo.get(row)
         if types is None:
-            current[node] = set(label_seed(_out_labels(graph, node, compressed)))
+            current[node] = set(label_seed(_out_labels(adj, edge_ids, compressed)))
             _stabilise_single(
-                graph, node, current, type_order, artifacts,
+                adj, node, current, type_order, artifacts,
                 signature_memo, stats, compressed, self_loop=False,
             )
             types = memo[row] = frozenset(current[node])
@@ -400,7 +402,7 @@ def _stabilise_objects(
             stats.row_hits += 1
         current[node] = types
         if prior is not None and types != prior.types_of(node):
-            dirty.update(edge.source for edge in graph.in_edges(node))
+            dirty.update(map(source.__getitem__, into[row_of[node]]))
     if pending:
         watchers = compiled.symbol_watchers()
         stabilise = _stabilise_compressed if compressed else _stabilise_plain
@@ -409,21 +411,23 @@ def _stabilise_objects(
             if prior is not None and not any(node in dirty for node in component):
                 skipped += 1
                 continue
-            shape = _shape(out, edges, component, current, compressed)
+            shape = _shape(adj, component, current, compressed)
             settled = memo.get(shape)
             if settled is None:
                 for node in component:
-                    current[node] = set(label_seed(_out_labels(graph, node, compressed)))
+                    current[node] = set(
+                        label_seed(_out_labels(adj, out[row_of[node]], compressed))
+                    )
                 if len(component) == 1:
                     node = component[0]
                     _stabilise_single(
-                        graph, node, current, type_order, artifacts,
+                        adj, node, current, type_order, artifacts,
                         signature_memo, stats, compressed,
-                        self_loop=node in graph.successors(node),
+                        self_loop=node in map(target.__getitem__, out[row_of[node]]),
                     )
                 else:
                     stabilise(
-                        graph, component, set(component), current,
+                        adj, component, set(component), current,
                         type_order, artifacts, watchers, signature_memo, stats,
                     )
                 settled = memo[shape] = tuple(frozenset(current[node]) for node in component)
@@ -433,13 +437,13 @@ def _stabilise_objects(
             if prior is not None:
                 for node, types in zip(component, settled):
                     if types != prior.types_of(node):
-                        dirty.update(edge.source for edge in graph.in_edges(node))
+                        dirty.update(map(source.__getitem__, into[row_of[node]]))
     stats.components = components
     stats.skipped = skipped
 
 
 def _stabilise_single(
-    graph: Graph,
+    adj: Adjacency,
     node: NodeId,
     current: Dict[NodeId, Set[TypeName]],
     type_order: Tuple[TypeName, ...],
@@ -464,14 +468,14 @@ def _stabilise_single(
         if compressed:
             stats.rounds += 1
             verdicts = _check_compressed_batch(
-                graph, [(node, type_name) for type_name in pending],
+                adj, [(node, type_name) for type_name in pending],
                 current, artifacts, signature_memo, stats,
             )
         else:
             stats.checks += len(pending)
             verdicts = [
                 _check_plain(
-                    graph, node, artifacts[type_name], current, signature_memo, stats
+                    adj, node, artifacts[type_name], current, signature_memo, stats
                 )
                 for type_name in pending
             ]
@@ -546,7 +550,7 @@ def affected_region(graph: Graph, seeds) -> Set[NodeId]:
     A node's types depend only on its out-reachable subgraph, so after an edge
     delta the typing can change exactly for the nodes from which some touched
     node is reachable — the region :func:`repro.graphs.scc.backward_closure`
-    collects with a BFS over ``in_edges``.  Seeds absent from the graph are
+    collects with a BFS over the in-rows.  Seeds absent from the graph are
     ignored.
     """
     return backward_closure(
@@ -669,7 +673,7 @@ class _OverPrior(dict):
 # Dirtiness propagation (shared by both semantics)
 # --------------------------------------------------------------------------- #
 def _mark_dirty(
-    graph: Graph,
+    adj: Adjacency,
     node: NodeId,
     removed: Sequence[TypeName],
     member_set: Set[NodeId],
@@ -684,15 +688,16 @@ def _mark_dirty(
     and still fully dirty.  Returns the members that gained dirty types.
     """
     touched: List[NodeId] = []
-    for edge in graph.in_edges(node):
-        predecessor = edge.source
+    source, label = adj.source, adj.label
+    for edge_id in adj.into[adj.index[node]]:
+        predecessor = source[edge_id]
         if predecessor not in member_set:
             continue
         predecessor_types = current[predecessor]
         marks = dirty[predecessor]
         before = len(marks)
         for lost in removed:
-            for watcher in watchers.get((edge.label, lost), ()):
+            for watcher in watchers.get((label[edge_id], lost), ()):
                 if watcher in predecessor_types:
                     marks.add(watcher)
         if len(marks) != before:
@@ -704,7 +709,7 @@ def _mark_dirty(
 # Plain semantics: per-pair Gauss-Seidel within a component
 # --------------------------------------------------------------------------- #
 def _stabilise_plain(
-    graph: Graph,
+    adj: Adjacency,
     component: Tuple[NodeId, ...],
     member_set: Set[NodeId],
     current: Dict[NodeId, Set[TypeName]],
@@ -733,14 +738,14 @@ def _stabilise_plain(
                 continue
             stats.checks += 1
             if not _check_plain(
-                graph, node, artifacts[type_name], current, signature_memo, stats
+                adj, node, artifacts[type_name], current, signature_memo, stats
             ):
                 node_types.discard(type_name)
                 removed.append(type_name)
         if removed:
             stats.removals += len(removed)
             for touched in _mark_dirty(
-                graph, node, removed, member_set, current, watchers, dirty
+                adj, node, removed, member_set, current, watchers, dirty
             ):
                 if touched not in queued:
                     queue.append(touched)
@@ -748,7 +753,7 @@ def _stabilise_plain(
 
 
 def _check_plain(
-    graph: Graph,
+    adj: Adjacency,
     node: NodeId,
     artifact,
     current: Dict[NodeId, Set[TypeName]],
@@ -756,18 +761,20 @@ def _check_plain(
     stats: FixpointStats,
 ) -> bool:
     label_options = artifact.label_options
+    labels, targets = adj.label, adj.target
     groups: Dict[Tuple[str, Tuple[TypeName, ...]], int] = {}
-    for edge in graph.out_edges(node):
-        target_types = current[edge.target]
+    for edge_id in adj.out[adj.index[node]]:
+        label = labels[edge_id]
+        target_types = current[targets[edge_id]]
         options = tuple(
             type_name
-            for type_name in label_options.get(edge.label, ())
+            for type_name in label_options.get(label, ())
             if type_name in target_types
         )
         if not options:
             stats.shortcut_failures += 1
             return False
-        key = (edge.label, options)
+        key = (label, options)
         groups[key] = groups.get(key, 0) + 1
     signature = (artifact.type_name, tuple(sorted(groups.items())))
     known = signature_memo.get(signature)
@@ -783,7 +790,7 @@ def _check_plain(
 # Compressed semantics: round-based Jacobi sweeps with batched solving
 # --------------------------------------------------------------------------- #
 def _stabilise_compressed(
-    graph: Graph,
+    adj: Adjacency,
     component: Tuple[NodeId, ...],
     member_set: Set[NodeId],
     current: Dict[NodeId, Set[TypeName]],
@@ -821,7 +828,7 @@ def _stabilise_compressed(
             return
         stats.rounds += 1
         verdicts = _check_compressed_batch(
-            graph, batch, current, artifacts, signature_memo, stats
+            adj, batch, current, artifacts, signature_memo, stats
         )
         removed_by_node: Dict[NodeId, List[TypeName]] = {}
         for (node, type_name), verdict in zip(batch, verdicts):
@@ -830,11 +837,11 @@ def _stabilise_compressed(
                 removed_by_node.setdefault(node, []).append(type_name)
         for node, removed in removed_by_node.items():
             stats.removals += len(removed)
-            _mark_dirty(graph, node, removed, member_set, current, watchers, dirty)
+            _mark_dirty(adj, node, removed, member_set, current, watchers, dirty)
 
 
 def _check_compressed_batch(
-    graph: Graph,
+    adj: Adjacency,
     pairs: Sequence[Tuple[NodeId, TypeName]],
     current: Dict[NodeId, Set[TypeName]],
     artifacts: Dict[TypeName, object],
@@ -853,7 +860,7 @@ def _check_compressed_batch(
     for position, (node, type_name) in enumerate(pairs):
         stats.checks += 1
         artifact = artifacts[type_name]
-        described = _compressed_signature(graph, node, artifact, current)
+        described = _compressed_signature(adj, node, artifact, current)
         if described is None:
             stats.shortcut_failures += 1
             verdicts[position] = False  # a mandatory edge has no candidate type
@@ -889,7 +896,7 @@ def _check_compressed_batch(
 
 
 def _compressed_signature(
-    graph: Graph,
+    adj: Adjacency,
     node: NodeId,
     artifact,
     current: Dict[NodeId, Set[TypeName]],
@@ -902,13 +909,15 @@ def _compressed_signature(
     forced to zero, contributing nothing to any symbol count.
     """
     label_options = artifact.label_options
+    labels, targets, occurs = adj.label, adj.target, adj.occur
     descriptions: List[Tuple[str, int, Tuple[TypeName, ...]]] = []
-    for edge in graph.out_edges(node):
-        multiplicity = edge.occur.lower
-        target_types = current[edge.target]
+    for edge_id in adj.out[adj.index[node]]:
+        label = labels[edge_id]
+        multiplicity = occurs[edge_id].lower
+        target_types = current[targets[edge_id]]
         options = tuple(
             type_name
-            for type_name in label_options.get(edge.label, ())
+            for type_name in label_options.get(label, ())
             if type_name in target_types
         )
         if not options:
@@ -917,7 +926,7 @@ def _compressed_signature(
             continue
         if multiplicity == 0:
             continue
-        descriptions.append((edge.label, multiplicity, options))
+        descriptions.append((label, multiplicity, options))
     signature = (artifact.type_name, tuple(sorted(descriptions)))
     return signature, descriptions
 

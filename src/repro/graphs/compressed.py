@@ -31,19 +31,19 @@ class CompressedGraph(Graph):
             raise GraphError(
                 f"compressed graphs only allow singleton intervals, got {interval}"
             )
-        for existing in self.out_edges(source) if source in self else ():
-            if existing.label == label and existing.target == target:
-                raise GraphError(
-                    f"duplicate compressed edge {source!r} -{label}-> {target!r}; "
-                    "merge multiplicities instead"
-                )
+        if self._find(source, label, target) is not None:
+            raise GraphError(
+                f"duplicate compressed edge {source!r} -{label}-> {target!r}; "
+                "merge multiplicities instead"
+            )
         return super().add_edge(source, label, target, interval)
 
     @classmethod
-    def from_edges(cls, edges, nodes=(), name: str = "") -> "CompressedGraph":
-        """:meth:`Graph.from_edges`, then one pass over the edge table checking
-        the invariants :meth:`add_edge` checks per edge."""
-        graph = super().from_edges(edges, nodes, name)
+    def _assemble(cls, *tables) -> "CompressedGraph":
+        """Every bulk builder (:meth:`from_columns`, :meth:`from_table`,
+        :meth:`from_edges`), then one pass over the columns checking the
+        invariants :meth:`add_edge` checks per edge."""
+        graph = super()._assemble(*tables)
         if not graph.is_compressed():
             raise GraphError(
                 "compressed graphs need singleton intervals and unique "
@@ -51,12 +51,19 @@ class CompressedGraph(Graph):
             )
         return graph
 
+    def _find(self, source: NodeId, label: str, target: NodeId) -> Optional[int]:
+        """The id of the edge ``source -label-> target``, or ``None``."""
+        index, out, _, _, labels, targets, _ = self.adjacency()
+        row = index.get(source)
+        for edge_id in () if row is None else out[row]:
+            if labels[edge_id] == label and targets[edge_id] == target:
+                return edge_id
+        return None
+
     def multiplicity(self, source: NodeId, label: str, target: NodeId) -> int:
         """The multiplicity recorded for the given labelled edge (0 when absent)."""
-        for edge in self.out_edges(source):
-            if edge.label == label and edge.target == target:
-                return edge.occur.lower
-        return 0
+        edge_id = self._find(source, label, target)
+        return 0 if edge_id is None else self.adjacency().occur[edge_id].lower
 
     # ------------------------------------------------------------------ #
     # Size accounting
@@ -69,12 +76,11 @@ class CompressedGraph(Graph):
         reach pairwise-distinct copies, keeping the unpacking simple), with a
         minimum of one copy.
         """
-        counts: Dict[NodeId, int] = {}
-        for node in self.nodes:
-            incoming = [edge.occur.lower for edge in self.in_edges(node)]
-            counts[node] = max(incoming) if incoming else 1
-            counts[node] = max(counts[node], 1)
-        return counts
+        index, _, into, _, _, _, occur = self.adjacency()
+        return {
+            node: max((occur[edge_id].lower for edge_id in into[row]), default=1) or 1
+            for node, row in index.items()
+        }
 
     def unpacked_node_count(self) -> int:
         """Number of nodes of the unpacking, without materialising it."""

@@ -38,9 +38,10 @@ def row_of(graph: Graph, node: NodeId, kind_of: Dict[NodeId, int]) -> Row:
 
     Intervals are ignored, as the view serves the plain semantics.
     """
+    index, out, _, _, label, target, _ = graph.adjacency()
     counts: Dict[Tuple[Label, int], int] = {}
-    for edge in graph.out_edges(node):
-        key = (edge.label, kind_of[edge.target])
+    for edge_id in out[index[node]]:
+        key = (label[edge_id], kind_of[target[edge_id]])
         counts[key] = counts.get(key, 0) + 1
     return tuple(sorted(counts.items()))
 

@@ -53,33 +53,32 @@ def release(graph: Graph, region, pending: Dict[NodeId, int]) -> Iterator[NodeId
     the nodes that reach a cycle — each with its count of successors in the
     region not yet yielded.
     """
-    out, into, edges = graph.adjacency()
+    index, out, into, source, _, target, _ = graph.adjacency()
     whole = len(region) == graph.node_count  # then every edge stays inside
     members = region if whole or isinstance(region, (set, frozenset)) else set(region)
+    inside = members.__contains__
     ready: List[NodeId] = []
     for node in region:
-        if whole:
-            inside = len(out[node])
-        else:
-            inside = sum(1 for edge_id in out[node] if edges[edge_id].target in members)
-        if inside:
-            pending[node] = inside
+        row = out[index[node]]
+        count = len(row) if whole else sum(map(inside, map(target.__getitem__, row)))
+        if count:
+            pending[node] = count
         else:
             ready.append(node)
     ready.reverse()  # pop() then yields the sinks in ``region``'s order
     while ready:
         node = ready.pop()
         yield node
-        for edge_id in into[node]:
-            source = edges[edge_id].source
-            left = pending.get(source)
+        for edge_id in into[index[node]]:
+            predecessor = source[edge_id]
+            left = pending.get(predecessor)
             if left is None:  # outside the region, or already released
                 continue
             if left == 1:
-                del pending[source]
-                ready.append(source)
+                del pending[predecessor]
+                ready.append(predecessor)
             else:
-                pending[source] = left - 1
+                pending[predecessor] = left - 1
 
 
 def tarjan(graph: Graph, region) -> List[Tuple[NodeId, ...]]:
@@ -88,7 +87,7 @@ def tarjan(graph: Graph, region) -> List[Tuple[NodeId, ...]]:
     ``region`` is a set or a dict of nodes; roots are taken in its iteration
     order.  A component of several nodes lists them in ``repr`` order.
     """
-    out, _, edges = graph.adjacency()
+    row_of, out, _, _, _, target, _ = graph.adjacency()
     index: Dict[NodeId, int] = {}
     lowlink: Dict[NodeId, int] = {}
     done: Set[NodeId] = set()  # assigned to a component: off the stack
@@ -101,21 +100,19 @@ def tarjan(graph: Graph, region) -> List[Tuple[NodeId, ...]]:
         stack.append(root)
         # Each work item is a node and the iterator over its successors, so a
         # node resumes where it descended instead of rescanning its edges.
-        work = [(root, iter([edges[edge_id].target for edge_id in out[root]]))]
+        work = [(root, map(target.__getitem__, out[row_of[root]]))]
         while work:
             node, successors = work[-1]
-            for target in successors:
-                if target not in region or target in done:
+            for successor in successors:
+                if successor not in region or successor in done:
                     continue
-                if target not in index:
-                    index[target] = lowlink[target] = len(index)
-                    stack.append(target)
-                    work.append(
-                        (target, iter([edges[edge_id].target for edge_id in out[target]]))
-                    )
+                if successor not in index:
+                    index[successor] = lowlink[successor] = len(index)
+                    stack.append(successor)
+                    work.append((successor, map(target.__getitem__, out[row_of[successor]])))
                     break
-                if index[target] < lowlink[node]:
-                    lowlink[node] = index[target]
+                if index[successor] < lowlink[node]:
+                    lowlink[node] = index[successor]
             else:
                 work.pop()
                 low = lowlink[node]
@@ -139,7 +136,7 @@ def tarjan(graph: Graph, region) -> List[Tuple[NodeId, ...]]:
 
 
 def backward_closure(graph: Graph, seeds) -> set:
-    """Every node that can reach a seed (BFS over ``in_edges``).
+    """Every node that can reach a seed (BFS over the in-rows).
 
     The dependency closure of the fixpoint's propagation direction: a node's
     types — and its kind, under counting bisimulation — depend only on its
@@ -147,14 +144,14 @@ def backward_closure(graph: Graph, seeds) -> set:
     exactly the set of nodes whose derived state may differ.  Seeds are
     included; seeds absent from the graph must be filtered by the caller.
     """
+    index, _, into, source, _, _, _ = graph.adjacency()
     closure = set(seeds)
     frontier: List[NodeId] = list(closure)
     while frontier:
-        node = frontier.pop()
-        for edge in graph.in_edges(node):
-            if edge.source not in closure:
-                closure.add(edge.source)
-                frontier.append(edge.source)
+        for predecessor in map(source.__getitem__, into[index[frontier.pop()]]):
+            if predecessor not in closure:
+                closure.add(predecessor)
+                frontier.append(predecessor)
     return closure
 
 

@@ -453,15 +453,15 @@ class GraphStore:
     ) -> Optional[Edge]:
         """One stored edge matching the description (interval ``1`` matches any
         edge of the triple, so plain deltas need not know stored intervals)."""
-        if not self._graph.has_node(source):
-            return None
-        for edge in self._graph.out_edges(source):
-            if edge.edge_id in exclude:
+        index, out, _, sources, labels, targets, occurs = self._graph.adjacency()
+        row = index.get(source)
+        for edge_id in () if row is None else out[row]:
+            if edge_id in exclude or labels[edge_id] != label or targets[edge_id] != target:
                 continue
-            if edge.label != label or edge.target != target:
-                continue
-            if occur == ONE or edge.occur == occur:
-                return edge
+            if occur == ONE or occurs[edge_id] == occur:
+                return Edge(
+                    edge_id, sources[edge_id], targets[edge_id], labels[edge_id], occurs[edge_id]
+                )
         return None
 
     def add_edge(self, source: NodeId, label: Label, target: NodeId, occur=None) -> int:

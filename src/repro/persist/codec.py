@@ -22,8 +22,9 @@ the write-ahead log:
 * **Graphs** (snapshots, columnar) — a ``nodes`` table of encoded node ids,
   a ``labels`` table, an ``occurs`` table of interval pairs, and ``edges``,
   one flat list ``[source, label, target, occur, ...]`` of indices into
-  those tables (:func:`encode_edges` / :func:`decode_edges_table`).  Each
-  node and interval is decoded once, however many edges name it.
+  those tables (:func:`encode_graph` / :func:`decode_graph`), the graph's
+  own columns in table form.  Each node and interval is decoded once,
+  however many edges name it, and no edge becomes an object of its own.
 * **Typings** (snapshots, columnar) — a ``typesets`` table of sorted type
   lists and a ``typeset_of`` column with one index per node of the node
   table, ``-1`` where the typing does not list the node
@@ -47,13 +48,13 @@ and for content-comparison of generations.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from typing import (
     Any,
     Dict,
     FrozenSet,
     Hashable,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -63,7 +64,8 @@ from typing import (
 )
 
 from repro.core.intervals import Interval
-from repro.errors import PersistError
+from repro.errors import GraphError, PersistError
+from repro.graphs.graph import Graph
 from repro.graphs.store import Delta
 from repro.schema.typing import Typing
 
@@ -210,54 +212,70 @@ def _check_indices(column: Any, size: int, what: str, lowest: int = 0) -> None:
         )
 
 
-def encode_edges(edges: Iterable[Any], index: Mapping[NodeId, int]) -> Dict[str, list]:
-    """The ``labels``, ``occurs`` and ``edges`` tables of ``edges`` (objects
-    with ``source``, ``label``, ``target`` and ``occur``), their endpoints
-    numbered by ``index``.
+def _label_key(label: Any) -> Tuple[type, Any]:
+    """A label keyed by its class too: ``1``, ``1.0`` and ``True`` stay distinct."""
+    return label.__class__, label
 
-    Labels sort by ``repr`` and intervals by bound, then the edge rows sort,
-    so the tables depend only on the edge multiset and ``index``.  A label
-    is keyed by its class too: ``1``, ``1.0`` and ``True`` stay distinct.
+
+def encode_graph(
+    graph: Graph, nodes: Sequence[NodeId], index: Mapping[NodeId, int]
+) -> Dict[str, list]:
+    """The ``labels``, ``occurs`` and ``edges`` tables of ``graph``, read
+    off its columns, over the node table ``nodes`` that ``index`` numbers.
+
+    Labels sort by ``repr`` and intervals by bound.  The rows go out per
+    source in node-table order, each source's out-list sorted, so the
+    tables depend only on the edge multiset and the node table.
     """
-    label_keys: Dict[Any, Any] = {}
-    occur_of: Dict[int, Interval] = {}  # id -> a representative interval
-    rows = []
-    for edge in edges:
-        label = edge.label
-        key = label if label.__class__ is str else (label.__class__, label)
-        label_keys[key] = label
-        occur = edge.occur
-        occur_of.setdefault(id(occur), occur)
-        rows.append((index[edge.source], key, index[edge.target], id(occur)))
-    labels = sorted(label_keys.values(), key=repr)
+    row_of, out, _, source, label, target, occur = graph.adjacency()
+    ids = list(chain.from_iterable(map(out.__getitem__, map(row_of.__getitem__, nodes))))
+    keys = list(map(label.__getitem__, ids))
+    # Labels of different classes can be equal (1, 1.0, True) and must stay
+    # apart; a str equals no other class, so str labels key by themselves.
+    keyed = not all(value.__class__ is str for value in set(keys))
+    if keyed:
+        keys = list(map(_label_key, keys))
+    distinct = dict.fromkeys(keys)
+    labels = sorted((key[1] for key in distinct) if keyed else distinct, key=repr)
     label_index = {
-        (label if label.__class__ is str else (label.__class__, label)): position
-        for position, label in enumerate(labels)
+        (_label_key(entry) if keyed else entry): position
+        for position, entry in enumerate(labels)
     }
+    # One representative per interval object: edges share ONE and friends.
+    occurs = list(map(occur.__getitem__, ids))
+    idents = list(map(id, occurs))
+    shared = dict(zip(idents, occurs))
     pairs = sorted(
-        {(occur.lower, occur.upper) for occur in occur_of.values()},
+        {(interval.lower, interval.upper) for interval in shared.values()},
         key=lambda pair: (pair[0], pair[1] is None, pair[1] or 0),
     )
     pair_index = {pair: position for position, pair in enumerate(pairs)}
     occur_index = {
-        ident: pair_index[(occur.lower, occur.upper)] for ident, occur in occur_of.items()
+        ident: pair_index[(interval.lower, interval.upper)]
+        for ident, interval in shared.items()
     }
-    rows = sorted(
-        (source, label_index[key], target, occur_index[ident])
-        for source, key, target, ident in rows
-    )
+    # The sources come in table order already, so the sort only reorders
+    # rows within one source's out-list.
+    entries = sorted(zip(
+        map(index.__getitem__, map(source.__getitem__, ids)),
+        map(label_index.__getitem__, keys),
+        map(index.__getitem__, map(target.__getitem__, ids)),
+        map(occur_index.__getitem__, idents),
+    ))
     return {
         "labels": labels,
         "occurs": [list(pair) for pair in pairs],
-        "edges": [value for row in rows for value in row],
+        "edges": list(chain.from_iterable(entries)),
     }
 
 
-def decode_edges_table(
-    snapshot: Mapping[str, Any], nodes: Sequence[NodeId]
-) -> Iterator[Tuple[NodeId, Any, NodeId, Interval]]:
-    """The ``(source, label, target, occur)`` edges of a snapshot's
-    columnar tables, its endpoints looked up in the decoded ``nodes``."""
+def decode_graph(
+    snapshot: Mapping[str, Any], nodes: List[NodeId], name: str = ""
+) -> Graph:
+    """The graph of a snapshot's columnar tables over the decoded ``nodes``:
+    each column is sliced out of the flat ``edges`` list, and the graph
+    takes the label and interval columns, mapped through their tables, as
+    its own (:meth:`Graph.from_table`)."""
     labels = snapshot.get("labels", [])
     if labels.__class__ is not list or not set(map(type, labels)) <= _LABEL_CLASSES:
         raise PersistError(f"cannot decode persisted label table: {labels!r}")
@@ -272,13 +290,18 @@ def decode_edges_table(
     # table's end raises IndexError on lookup.
     _check_indices(flat, max(len(nodes), len(labels), len(occurs)), "edge")
     try:
-        columns = [
-            list(map(table.__getitem__, flat[offset::4]))
-            for offset, table in enumerate((nodes, labels, nodes, occurs))
-        ]
+        return Graph.from_table(
+            nodes,
+            flat[0::4],
+            list(map(labels.__getitem__, flat[1::4])),
+            flat[2::4],
+            list(map(occurs.__getitem__, flat[3::4])),
+            name,
+        )
     except IndexError:
         raise PersistError("persisted edge list holds an index outside its table") from None
-    return zip(*columns)
+    except GraphError as exc:
+        raise PersistError(f"cannot decode persisted graph: {exc}") from None
 
 
 # --------------------------------------------------------------------------- #

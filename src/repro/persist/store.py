@@ -37,7 +37,8 @@ acknowledged write by more than the fsync policy's window.
 delta-log tail, then replays the WAL — truncating a torn tail record instead
 of failing, and skipping duplicate records left by a crash-during-append
 (records carry their target version).  The snapshot decodes in bulk: each
-node and interval once, the graph in one :meth:`Graph.from_edges` call, and
+node and interval once, and the graph's columns sliced off the flat edge
+list (:func:`repro.persist.codec.decode_graph`), with no object per edge;
 the cyclic collector is paused for the whole open (what it builds is
 acyclic) by the same counted pause, and left as it was found.  When the
 snapshot's fingerprint scheme is this build's, its buckets are installed
@@ -238,11 +239,7 @@ class DurableStore(GraphStore):
         the snapshot carries them under this build's scheme, the fingerprint
         buckets."""
         nodes = codec.decode_nodes(snapshot.get("nodes", []))
-        graph = Graph.from_edges(
-            codec.decode_edges_table(snapshot, nodes),
-            nodes=nodes,
-            name=snapshot.get("name", ""),
-        )
+        graph = codec.decode_graph(snapshot, nodes, snapshot.get("name", ""))
         base = int(snapshot.get("base", snapshot["version"]))
         store = cls(
             graph,
@@ -438,7 +435,7 @@ class DurableStore(GraphStore):
             "base": base,
             "created_at": time.time(),
             "nodes": encoded,
-            **codec.encode_edges(self._graph.edges, index),
+            **codec.encode_graph(self._graph, nodes, index),
             "log": tail,
             "typings": [
                 {

@@ -11,9 +11,9 @@ each literal node receives an extra outgoing edge whose label names its kind
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, List, Optional
 
-from repro.core.intervals import ONE, Interval
+from repro.core.intervals import ONE
 from repro.graphs.graph import Graph
 from repro.rdf.parser import Key, scan
 from repro.util.gcpause import collector_paused
@@ -67,17 +67,19 @@ def _key_id(key: Key) -> Hashable:
 
 
 def _build(
-    edges: List[Tuple[Hashable, str, Hashable, Interval]],
+    source: List[Hashable],
+    label: List[str],
+    target: List[Hashable],
     literal_nodes: Iterable[Hashable],
     name: str,
 ) -> Graph:
-    """The graph of ``(source, label, target, ONE)`` ``edges`` plus one
+    """The graph of the edge columns, all with interval ``1``, plus one
     marker edge per literal node."""
-    edges.extend(
-        (literal, LITERAL_MARKER_LABEL, LITERAL_MARKER_NODE, ONE)
-        for literal in sorted(literal_nodes)
-    )
-    return Graph.from_edges(edges, name=name)
+    literals = sorted(literal_nodes)
+    source.extend(literals)
+    label.extend([LITERAL_MARKER_LABEL] * len(literals))
+    target.extend([LITERAL_MARKER_NODE] * len(literals))
+    return Graph.from_columns(source, label, target, [ONE] * len(source), name=name)
 
 
 def load_graph(text: str, ntriples: bool = False, name: str = "") -> Graph:
@@ -102,14 +104,20 @@ def load_graph(text: str, ntriples: bool = False, name: str = "") -> Graph:
 def _load(text: str, ntriples: bool, name: str) -> Graph:
     keys, triples = scan(text, ntriples)
     ids = [_key_id(key) for key in keys]
-    labels = {p: _local_name(keys[p]) for p in {p for _, p, _ in triples}}
-    edges = [(ids[s], labels[p], ids[o], ONE) for s, p, o in triples]
+    subjects, predicates, objects = zip(*triples) if triples else ((), (), ())
+    labels = {p: _local_name(keys[p]) for p in set(predicates)}
     literals = {
         ids[index]
         for index, key in enumerate(keys)
         if key.__class__ is tuple and len(key) == 3
     }
-    return _build(edges, literals, name)
+    return _build(
+        list(map(ids.__getitem__, subjects)),
+        list(map(labels.__getitem__, predicates)),
+        list(map(ids.__getitem__, objects)),
+        literals,
+        name,
+    )
 
 
 def rdf_to_simple_graph(
@@ -132,11 +140,13 @@ def rdf_to_simple_graph(
     from repro.rdf.model import Literal
 
     naming = predicate_name or default_predicate_name
-    edges = []
+    source, label, target = [], [], []
     literals = set()
     for triple in rdf:
         object_id = node_id(triple.object)
-        edges.append((node_id(triple.subject), naming(triple.predicate), object_id, ONE))
+        source.append(node_id(triple.subject))
+        label.append(naming(triple.predicate))
+        target.append(object_id)
         if literal_marker and isinstance(triple.object, Literal):
             literals.add(object_id)
-    return _build(edges, literals, name or rdf.name)
+    return _build(source, label, target, literals, name or rdf.name)

@@ -264,14 +264,16 @@ def neighbourhood_groups(
     one.  ``None`` means the check fails outright: an edge that counts has no
     candidate type.
     """
+    index, out, _, _, labels, targets, occurs = graph.adjacency()
     described = []
-    for edge in graph.out_edges(node):
-        count = edge.occur.lower if compressed else 1
-        target_types = typing.get(edge.target, ())
-        options = tuple(sorted({t for t in target_types if (edge.label, t) in symbol_set}))
+    for edge_id in out[index[node]] if node in index else ():
+        label = labels[edge_id]
+        count = occurs[edge_id].lower if compressed else 1
+        target_types = typing.get(targets[edge_id], ())
+        options = tuple(sorted({t for t in target_types if (label, t) in symbol_set}))
         if not options and count > 0:
             return None
-        described.append((edge.label, count, options))
+        described.append((label, count, options))
     return edge_groups(described)
 
 
@@ -367,9 +369,11 @@ def satisfies_type_groups(
 # --------------------------------------------------------------------------- #
 def predecessor_map(graph: Graph) -> Dict[NodeId, Set[NodeId]]:
     """For each node, the sources of its incoming edges (its dependents)."""
+    _, _, _, sources, _, targets, occurs = graph.adjacency()
     predecessors: Dict[NodeId, Set[NodeId]] = {node: set() for node in graph.nodes}
-    for edge in graph.edges:
-        predecessors[edge.target].add(edge.source)
+    for source, target, occur in zip(sources, targets, occurs):
+        if occur is not None:  # not a removed edge
+            predecessors[target].add(source)
     return predecessors
 
 

@@ -148,12 +148,15 @@ class TestGraphBasics:
 
     @staticmethod
     def _layout(graph):
-        """Everything the bulk builder must reproduce, in iteration order."""
+        """Everything the bulk builder must reproduce, in iteration order:
+        the nodes, the edges by id, each node's out- and in-edge ids in
+        adjacency order, and the id the next edge gets."""
         return (
             list(graph.nodes),
-            list(graph._edges.items()),
-            {node: list(ids) for node, ids in graph._out.items()},
-            {node: list(ids) for node, ids in graph._in.items()},
+            graph.edges,
+            {node: [e.edge_id for e in graph.out_edges(node)] for node in graph.nodes},
+            {node: [e.edge_id for e in graph.in_edges(node)] for node in graph.nodes},
+            len(graph.adjacency().occur),
         )
 
     def test_from_edges_matches_add_node_add_edge(self):

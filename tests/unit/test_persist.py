@@ -36,7 +36,8 @@ def _base_graph() -> Graph:
 
 def _decode_graph(snapshot):
     """The edges a snapshot's columnar tables decode to."""
-    return list(codec.decode_edges_table(snapshot, codec.decode_nodes(snapshot["nodes"])))
+    graph = codec.decode_graph(snapshot, codec.decode_nodes(snapshot["nodes"]))
+    return [(e.source, e.label, e.target, e.occur) for e in graph.edges]
 
 
 def _graph_tables(**changes):
@@ -143,7 +144,7 @@ class TestCodec:
             graph.add_edge(source, label, target, occur)
         nodes = sorted(graph.nodes, key=repr)
         index = {node: position for position, node in enumerate(nodes)}
-        tables = json.loads(json.dumps(codec.encode_edges(graph.edges, index)))
+        tables = json.loads(json.dumps(codec.encode_graph(graph, nodes, index)))
         tables["nodes"] = [codec.encode_node(node) for node in nodes]
         decoded = _decode_graph(tables)
 
@@ -789,11 +790,13 @@ def _reference_open(directory):
 
 
 def _layout(graph):
+    """Node order, edges by id, and each node's out- and in-edge ids in
+    adjacency order, through the public API."""
     return (
         list(graph.nodes),
-        list(graph._edges.items()),
-        [(node, list(ids)) for node, ids in graph._out.items()],
-        [(node, list(ids)) for node, ids in graph._in.items()],
+        graph.edges,
+        [(node, [e.edge_id for e in graph.out_edges(node)]) for node in graph.nodes],
+        [(node, [e.edge_id for e in graph.in_edges(node)]) for node in graph.nodes],
     )
 
 
@@ -812,6 +815,52 @@ class TestBulkReopenParity:
         assert {(e.occur.lower, e.occur.upper) for e in edges} >= {(0, None), (2, 2), (1, 1)}
         assert len({id(e.occur) for e in edges}) <= len({e.occur for e in edges})
         opened.close()
+
+
+def _clone_tables(copies):
+    """The decoded snapshot tables of a ×``copies`` bug-tracker clone (one
+    shared literal marker node) and its node table."""
+    from repro.workloads.bugtracker import bug_tracker_graph
+
+    base = bug_tracker_graph()
+
+    def node(copy, name):
+        return name if name == "__literal__" else f"c{copy}:{name}"
+
+    graph = Graph.from_edges(
+        (node(copy, e.source), e.label, node(copy, e.target), e.occur)
+        for copy in range(copies)
+        for e in base.edges
+    )
+    nodes = sorted(graph.nodes, key=repr)
+    index = {name: position for position, name in enumerate(nodes)}
+    tables = codec.encode_graph(graph, nodes, index)
+    tables["nodes"] = [codec.encode_node(name) for name in nodes]
+    tables = json.loads(json.dumps(tables))
+    return tables, codec.decode_nodes(tables["nodes"])
+
+
+class TestDecodeMemory:
+    def test_clone_graph_build_allocates_at_most_7_mib(self):
+        # The columns hold node ids, labels and shared intervals; no Edge
+        # and no per-node dict is built.  The dict-per-node layout this
+        # replaced kept 12.5 MiB here.
+        import tracemalloc
+
+        tables, nodes = _clone_tables(1000)
+        assert (len(nodes), len(tables["edges"]) // 4) == (16_001, 26_000)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            graph = codec.decode_graph(tables, nodes)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert graph.edge_count == 26_000
+        assert kept <= 7 * 2**20, f"the build kept {kept / 2**20:.2f} MiB"
 
 
 def _first_fingerprint_span(store):
