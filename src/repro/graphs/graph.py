@@ -24,14 +24,22 @@ neighborhood of a node.  No per-edge object is kept: an :class:`Edge` is
 built when :attr:`Graph.edges`, :meth:`Graph.out_edges`,
 :meth:`Graph.in_edges` or :meth:`Graph.add_edge` hands one out, and hot
 loops read the columns through :meth:`Graph.adjacency`.
+
+A row is a read-only sequence of edge ids.  The bulk builders make each
+row a tuple, every empty one the shared ``()``, and a row becomes a list
+the first time an edge is added to it or removed from it; :meth:`add_node`
+starts a list.  The bulk builders also number node rows and edge ids from
+one list of ints, so a graph they build holds one int object per number:
+the node table's values and the rows' edge ids are the same objects.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from typing import (
     AbstractSet,
+    Collection,
     Dict,
     Hashable,
     Iterable,
@@ -39,6 +47,7 @@ from typing import (
     Mapping,
     NamedTuple,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -76,31 +85,50 @@ _edge = Edge._make
 class Adjacency(NamedTuple):
     """The live tables behind a :class:`Graph` (see :meth:`Graph.adjacency`).
 
-    ``out[index[node]]`` and ``into[index[node]]`` list the ids of the
-    node's out- and in-edges in insertion order; ``source[e]``,
+    ``out[index[node]]`` and ``into[index[node]]`` are read-only
+    sequences of the ids of the node's out- and in-edges in insertion
+    order: a tuple while a bulk-built row is unchanged, else a list, so
+    index, iterate and take ``len`` of them, nothing else.  ``source[e]``,
     ``label[e]``, ``target[e]`` and ``occur[e]`` are edge ``e``'s fields.
     Read them, do not mutate them.
     """
 
     index: Dict[NodeId, int]
-    out: List[List[int]]
-    into: List[List[int]]
+    out: List[Sequence[int]]
+    into: List[Sequence[int]]
     source: List[NodeId]
     label: List[Label]
     target: List[NodeId]
     occur: List[Optional[Interval]]
 
 
-def _rows(ids: List[int], ends: List[int], size: int) -> List[List[int]]:
-    """Per row ``0 .. size-1``, the ids whose entry in ``ends`` is that row,
-    ascending: one stable sort and one slice per row, no per-edge loop.
+def _rows(ids: Iterable[int], ends: List[int], size: int) -> List[Tuple[int, ...]]:
+    """Per row ``0 .. size-1``, the tuple of the ids whose entry in ``ends``
+    is that row, ascending: one stable sort and one slice per row, no
+    per-edge loop.  An empty row is ``()``.
 
     The rows hold the very int objects of ``ids``, so the out- and in-rows
     of one graph share them."""
     order = sorted(ids, key=ends.__getitem__)
     tally = Counter(ends)
     cuts = list(accumulate(map(tally.get, range(size), repeat(0)), initial=0))
-    return list(map(order.__getitem__, map(slice, cuts, cuts[1:])))
+    return list(map(tuple, map(order.__getitem__, map(slice, cuts, cuts[1:]))))
+
+
+def _numbered(nodes: Collection[NodeId], edges: int) -> Tuple[Dict[NodeId, int], List[int]]:
+    """The node table of the distinct ``nodes`` (row ``i`` for the
+    ``i``-th) and the ints ``0 .. max(len(nodes), edges) - 1`` it numbers
+    them with, which the edge ids reuse."""
+    numbers = list(range(max(len(nodes), edges)))
+    return dict(zip(nodes, numbers)), numbers
+
+
+def _changing(rows: List[Sequence[int]], row: int) -> List[int]:
+    """Row ``row`` of ``rows`` as a list, made one the first time it changes."""
+    ids = rows[row]
+    if ids.__class__ is tuple:
+        ids = rows[row] = list(ids)
+    return ids
 
 
 class Graph:
@@ -114,8 +142,8 @@ class Graph:
     def __init__(self, name: str = ""):
         self.name = name
         self._index: Dict[NodeId, int] = {}
-        self._out: List[Optional[List[int]]] = []
-        self._in: List[Optional[List[int]]] = []
+        self._out: List[Optional[Sequence[int]]] = []
+        self._in: List[Optional[Sequence[int]]] = []
         self._source: List[NodeId] = []
         self._label: List[Label] = []
         self._target: List[NodeId] = []
@@ -157,8 +185,8 @@ class Graph:
         self._label.append(label)
         self._target.append(target)
         self._occur.append(interval)
-        self._out[self._index[source]].append(edge_id)
-        self._in[self._index[target]].append(edge_id)
+        _changing(self._out, self._index[source]).append(edge_id)
+        _changing(self._in, self._index[target]).append(edge_id)
         self._edge_count += 1
         return _edge((edge_id, source, target, label, interval))
 
@@ -182,8 +210,8 @@ class Graph:
             and self._stored(edge_id) == edge
         ):
             raise GraphError(f"edge {edge} is not part of this graph")
-        self._out[self._index[edge.source]].remove(edge_id)
-        self._in[self._index[edge.target]].remove(edge_id)
+        _changing(self._out, self._index[edge.source]).remove(edge_id)
+        _changing(self._in, self._index[edge.target]).remove(edge_id)
         self._source[edge_id] = self._label[edge_id] = None
         self._target[edge_id] = self._occur[edge_id] = None
         self._edge_count -= 1
@@ -427,12 +455,10 @@ class Graph:
         node and :meth:`add_edge` per edge, and no step loops over the
         edges in Python.
         """
-        index = dict(zip(
-            dict.fromkeys(chain(nodes, chain.from_iterable(zip(source, target)))),
-            count(),
-        ))
+        table = dict.fromkeys(chain(nodes, chain.from_iterable(zip(source, target))))
+        index, numbers = _numbered(table, len(occur))
         return cls._assemble(
-            index, source, label, target, occur,
+            index, numbers, source, label, target, occur,
             list(map(index.__getitem__, source)), list(map(index.__getitem__, target)),
             name,
         )
@@ -454,33 +480,34 @@ class Graph:
         endpoint columns over ``nodes`` and takes ``label`` and ``occur``
         without a copy.  A row outside the table raises ``IndexError``.
         """
-        index = dict(zip(nodes, count()))
+        index, numbers = _numbered(nodes, len(occur))
         if len(index) != len(nodes):
             raise GraphError("a node table must list each node once")
         if min(chain(source_rows, target_rows), default=0) < 0:
             raise IndexError("a node row is negative")
         return cls._assemble(
-            index, list(map(nodes.__getitem__, source_rows)), label,
+            index, numbers, list(map(nodes.__getitem__, source_rows)), label,
             list(map(nodes.__getitem__, target_rows)), occur,
             source_rows, target_rows, name,
         )
 
     @classmethod
     def _assemble(
-        cls, index, source, label, target, occur, source_rows, target_rows, name
+        cls, index, numbers, source, label, target, occur, source_rows, target_rows, name
     ) -> "Graph":
         """The graph of a node table and its edge columns, ``source_rows``
-        and ``target_rows`` numbering the endpoints by ``index``."""
+        and ``target_rows`` numbering the endpoints by ``index``.  The
+        edge ids are the first ints of ``numbers``, the list ``index``
+        numbers its rows with."""
         size = len(occur)
         if not len(source) == len(label) == len(target) == size:
             raise GraphError("edge columns must have one entry per edge")
         if not set(map(type, occur)) <= {Interval}:
             occur[:] = [ONE if entry is None else Interval.of(entry) for entry in occur]
         graph = cls(name)
-        ids = list(range(size))
         graph._index = index
-        graph._out = _rows(ids, source_rows, len(index))
-        graph._in = _rows(ids, target_rows, len(index))
+        graph._out = _rows(islice(numbers, size), source_rows, len(index))
+        graph._in = _rows(islice(numbers, size), target_rows, len(index))
         graph._source, graph._label, graph._target, graph._occur = source, label, target, occur
         graph._edge_count = size
         return graph

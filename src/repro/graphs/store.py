@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Collection, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.core.intervals import Interval, ONE
 from repro.errors import GraphError
@@ -262,9 +262,10 @@ class GraphStore:
         self._log: List[Delta] = []  # _log[i] transforms base+i into base+i+1
         self._fingerprint: Optional[Tuple[int, str]] = None
         # The maintained fingerprint, built by the first fingerprint() call:
-        # each non-empty bucket's nodes, every bucket's digest, and the
+        # each non-empty bucket's nodes (a tuple until a delta adds a node
+        # to the bucket, a set after), every bucket's digest, and the
         # buckets deltas touched since the last call.
-        self._fp_members: Optional[Dict[int, Set[NodeId]]] = None
+        self._fp_members: Optional[Dict[int, Collection[NodeId]]] = None
         self._fp_digests: List[bytes] = []
         self._fp_dirty: Set[int] = set()
         self._fp_lock = threading.Lock()
@@ -316,7 +317,7 @@ class GraphStore:
             if self._fp_members is None:
                 members, self._fp_digests = graph_buckets(self._graph)
                 self._fp_members = {
-                    bucket: set(nodes) for bucket, nodes in members.items()
+                    bucket: tuple(nodes) for bucket, nodes in members.items()
                 }
                 span.annotate(mode="full", buckets=len(members))
             else:
@@ -330,12 +331,12 @@ class GraphStore:
             self._fingerprint = (version, digest)
             return digest
 
-    def fingerprint_buckets(self) -> Tuple[Dict[int, Set[NodeId]], List[bytes]]:
+    def fingerprint_buckets(self) -> Tuple[Dict[int, Collection[NodeId]], List[bytes]]:
         """``(members, digests)`` of the fingerprint at the current version:
         each non-empty bucket's nodes and every bucket's digest.
 
         Brings them up to date first, as :meth:`fingerprint` does.  The
-        member sets are the store's own: read them before the next
+        member collections are the store's own: read them before the next
         :meth:`apply`.
         """
         self.fingerprint()
@@ -343,7 +344,7 @@ class GraphStore:
             return dict(self._fp_members), list(self._fp_digests)
 
     def restore_fingerprint(
-        self, members: Dict[int, Set[NodeId]], digests: List[bytes]
+        self, members: Dict[int, Collection[NodeId]], digests: List[bytes]
     ) -> None:
         """Install fingerprint buckets saved at the current version.
 
@@ -367,9 +368,14 @@ class GraphStore:
         with self._fp_lock:
             if self._fp_members is None:
                 return  # never built: the first fingerprint() hashes it all
+            members = self._fp_members
             for node in nodes:
                 bucket = fingerprint_bucket(repr(node))
-                self._fp_members.setdefault(bucket, set()).add(node)
+                group = members.get(bucket, ())
+                if node not in group:
+                    if group.__class__ is not set:
+                        group = members[bucket] = set(group)
+                    group.add(node)
                 self._fp_dirty.add(bucket)
 
     def typing_view(self) -> KindView:

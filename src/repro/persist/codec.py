@@ -59,7 +59,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -397,9 +396,10 @@ def encode_fingerprint(
 
 def decode_fingerprint(
     section: Any, nodes: Sequence[NodeId], scheme: str, buckets: int
-) -> Optional[Tuple[Dict[int, Set[NodeId]], List[bytes]]]:
+) -> Optional[Tuple[Dict[int, Tuple[NodeId, ...]], List[bytes]]]:
     """``(members, digests)`` of a persisted fingerprint section, or ``None``
-    when there is none or it was written under another ``scheme``.
+    when there is none or it was written under another ``scheme``.  Each
+    non-empty bucket's members are the tuple of its run of ``nodes``.
 
     A section of this scheme must be whole: ``buckets`` 32-byte hex
     digests and ``buckets + 1`` non-decreasing offsets from 0 to the node
@@ -433,7 +433,7 @@ def decode_fingerprint(
     ):
         raise PersistError("persisted bucket offsets do not cover the node table in order")
     members = {
-        bucket: set(nodes[low:high])
+        bucket: tuple(nodes[low:high])
         for bucket, (low, high) in enumerate(zip(offsets, offsets[1:]))
         if low < high
     }

@@ -10,11 +10,16 @@ work against a live daemon.
 
 from __future__ import annotations
 
+import asyncio
+import os
 import time
 
 import pytest
 
+from repro.errors import PersistError
 from repro.obs import parse_prometheus
+from repro.persist import CURRENT_FORMAT, DurableStore, read_manifest
+from repro.persist.store import write_manifest
 from repro.serve.cli import main as serve_main
 from repro.serve.client import DaemonClient
 from repro.serve.daemon import start_in_thread
@@ -132,6 +137,41 @@ class TestDurableDaemon:
                 assert entry["version"] == version
                 answer = client.revalidate("bugs", "bug")
         assert answer["verdict"] == "valid" and answer["version"] == version
+
+    def test_recovery_runs_on_the_loop_thread_before_the_socket_binds(
+        self, tmp_path, monkeypatch
+    ):
+        address = str(tmp_path / "d.sock")
+        data_dir = str(tmp_path / "data")
+        with start_in_thread(socket_path=address, data_dir=data_dir):
+            _populate(address)
+        opened = []
+        original = DurableStore.open.__func__
+
+        def recording_open(cls, directory, fsync="always"):
+            # get_running_loop raises on a thread that runs no loop.
+            opened.append((asyncio.get_running_loop(), os.path.exists(address)))
+            return original(cls, directory, fsync)
+
+        monkeypatch.setattr(DurableStore, "open", classmethod(recording_open))
+        with start_in_thread(socket_path=address, data_dir=data_dir) as handle:
+            with DaemonClient.connect(address) as client:
+                assert client.revalidate("bugs", "bug")["mode"] in WARM_MODES
+        [(loop, bound)] = opened
+        assert loop is handle.daemon._loop and not bound
+
+    def test_a_future_format_graph_fails_the_start(self, tmp_path):
+        address = str(tmp_path / "d.sock")
+        data_dir = str(tmp_path / "data")
+        with start_in_thread(socket_path=address, data_dir=data_dir):
+            _populate(address)
+        directory = os.path.join(data_dir, "graphs", "bugs")
+        manifest = read_manifest(directory)
+        manifest["format"] = CURRENT_FORMAT + 1
+        write_manifest(directory, manifest)
+        with pytest.raises(PersistError, match="refusing to load"):
+            start_in_thread(socket_path=address, data_dir=data_dir)
+        assert not os.path.exists(address)
 
     def test_checkpoint_op_and_status_fields(self, tmp_path):
         address = str(tmp_path / "d.sock")

@@ -7,8 +7,11 @@ answer must agree: the node set, the edges by id, each node's out- and
 in-edges in adjacency order, the id the next edge gets, the derived
 queries, the class predicates, the transformations (``copy``,
 ``subgraph``, ``relabel_nodes``, ``disjoint_union``) and a pickle round
-trip.  :class:`CompressedGraph` is held to the oracle's ``multiplicity``
-the same way.
+trip.  The same sequences also run on graphs the bulk builders made
+(``from_columns``, ``from_table``, ``load_graph``), whose rows start as
+tuples and become lists as they change, so a graph with rows of both kinds
+is copied, pickled and deep-copied too.  :class:`CompressedGraph` is held
+to the oracle's ``multiplicity`` the same way.
 """
 
 from __future__ import annotations
@@ -23,8 +26,11 @@ from graph_oracle import DictCompressedGraph, DictGraph
 from repro.errors import GraphError
 from repro.graphs.compressed import CompressedGraph
 from repro.graphs.graph import Graph
+from repro.rdf import load_graph
 
-NODES = [0, 1, 2, "a", "b", ("t", 1), None]
+#: The IRIs are the nodes an N-Triples document can name (``load_graph``).
+IRIS = ["http://e/a", "http://e/b", "http://e/c"]
+NODES = [0, 1, 2, "a", "b", ("t", 1), None] + IRIS
 LABELS = ["p", "q", 5]
 OCCURS = [None, "?", "*", "+", 2, 3, (0, None), (1, 4)]
 
@@ -153,6 +159,52 @@ def test_pickle_and_deepcopy_round_trip(ops):
         assert _layout(restored) == _layout(graph)
         assert _queries(restored) == _queries(graph)
         assert _next_id(restored) == _next_id(graph)
+
+
+_edge = st.tuples(_node, st.sampled_from(LABELS), _node, st.sampled_from(OCCURS))
+
+
+def _bulk_pair(builder, edges, isolated):
+    """A graph ``builder`` made of ``edges`` and ``isolated`` nodes, and the
+    oracle built edge by edge from the same input."""
+    if builder == "load_graph":
+        # A document holds IRIs, interval-1 edges and each triple once.
+        iri = {node: IRIS[position % len(IRIS)] for position, node in enumerate(NODES)}
+        triples = dict.fromkeys(
+            (iri[source], str(label), iri[target]) for source, label, target, _ in edges
+        )
+        text = "".join(f"<{s}> <http://e/{p}> <{t}> .\n" for s, p, t in triples)
+        oracle = DictGraph.from_edges(((s, p, t, None) for s, p, t in triples), name="g")
+        return load_graph(text, ntriples=True, name="g"), oracle
+    oracle = DictGraph.from_edges(edges, nodes=isolated, name="g")
+    source, label, target, occur = ([list(column) for column in zip(*edges)]
+                                    or [[], [], [], []])
+    if builder == "from_columns":
+        return Graph.from_columns(source, label, target, occur, nodes=isolated, name="g"), oracle
+    # A node table in another order than the edges first name the nodes.
+    table = sorted(oracle.nodes, key=repr)
+    row = table.index
+    graph = Graph.from_table(table, list(map(row, source)), label,
+                             list(map(row, target)), occur, name="g")
+    return graph, oracle
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["from_columns", "from_table", "load_graph"]),
+       st.lists(_edge, max_size=20), st.lists(_node, max_size=3), _ops)
+def test_bulk_built_graphs_mutate_like_the_oracle(builder, edges, isolated, ops):
+    graph, oracle = _bulk_pair(builder, edges, isolated)
+    assert _layout(graph) == _layout(oracle)
+    for op in ops:
+        assert _apply(graph, op) == _apply(oracle, op), op
+    assert _layout(graph) == _layout(oracle)
+    assert _queries(graph) == _queries(oracle)
+    assert _next_id(graph) == _next_id(oracle)
+    assert _layout(graph.copy()) == _layout(oracle.copy())
+    for restored in (pickle.loads(pickle.dumps(graph)), copy.deepcopy(graph)):
+        assert _layout(restored) == _layout(oracle)
+        assert _queries(restored) == _queries(oracle)
+        assert _next_id(restored) == _next_id(oracle)
 
 
 _compressed_op = st.one_of(

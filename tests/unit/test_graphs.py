@@ -17,6 +17,7 @@ from repro.graphs.shape import (
     star_closed_references,
 )
 from repro.graphs.simple import assert_simple, is_simple, simple_graph_from_triples
+from repro.rdf import load_graph
 
 
 class TestGraphBasics:
@@ -225,6 +226,73 @@ class TestGraphBasics:
         graph.add_edge("x", "a", "y", "*")
         rendered = str(graph)
         assert "demo" in rendered and "x -a [*]-> y" in rendered
+
+
+def _ring(size):
+    """The edge columns of ``size`` nodes ``n0 .. n{size-1}``, each with a
+    ``next`` edge to its successor and an ``item`` edge to ``n0``."""
+    names = [f"n{index}" for index in range(size)]
+    source = names + names
+    target = names[1:] + names[:1] + [names[0]] * size
+    return source, ["next"] * size + ["item"] * size, target, [None] * (2 * size)
+
+
+class TestRowLayout:
+    """Rows are tuples until they change; ids are shared int objects."""
+
+    def _bulk_built(self):
+        source, label, target, occur = _ring(300)
+        by_columns = Graph.from_columns(source, label, target, occur, nodes=["alone"])
+        table = list(by_columns.nodes)
+        row_of = {node: row for row, node in enumerate(table)}
+        by_table = Graph.from_table(
+            table,
+            [row_of[node] for node in source],
+            list(label),
+            [row_of[node] for node in target],
+            [ONE] * len(source),
+        )
+        text = "".join(f"<http://e/{s}> <http://e/{p}> <http://e/{t}> .\n"
+                       for s, p, t in zip(source, label, target))
+        # The literal's marker edge ends at a node with no out-edge.
+        text += '<http://e/n0> <http://e/name> "zero" .\n'
+        return [by_columns, by_table, load_graph(text, ntriples=True), by_columns.copy()]
+
+    def test_bulk_built_rows_are_tuples_and_empty_rows_are_shared(self):
+        for graph in self._bulk_built():
+            adjacency = graph.adjacency()
+            rows = adjacency.out + adjacency.into
+            assert {type(row) for row in rows} == {tuple}
+            empty = [row for row in rows if not row]
+            assert empty and all(row is tuple() for row in empty)
+
+    def test_row_numbers_and_edge_ids_share_int_objects(self):
+        for graph in self._bulk_built():
+            index, out, into = graph.adjacency()[:3]
+            numbers = {row: row for row in index.values()}
+            ids = [edge_id for row in out + into for edge_id in row]
+            shared = [edge_id for edge_id in ids if edge_id in numbers]
+            # Ids past 256 are not interned by CPython, so only sharing
+            # explains the identity.
+            assert max(shared) > 256
+            assert all(numbers[edge_id] is edge_id for edge_id in shared)
+            assert len({id(edge_id) for edge_id in ids}) == graph.edge_count
+
+    def test_a_changed_row_becomes_a_list_in_insertion_order(self):
+        source, label, target, occur = _ring(4)
+        graph = Graph.from_columns(source, label, target, occur)
+        # n0's in-row: edge 3 (n3 -next-> n0), then the item edges 4 .. 7.
+        assert graph.adjacency().into[graph.adjacency().index["n0"]] == (3, 4, 5, 6, 7)
+        assert graph.add_edge("n2", "back", "n0").edge_id == 8
+        graph.remove_edge(graph.in_edges("n0")[2])  # n1 -item-> n0, id 5
+        adjacency = graph.adjacency()
+        row = adjacency.into[adjacency.index["n0"]]
+        assert type(row) is list and row == [3, 4, 6, 7, 8]
+        out = adjacency.out[adjacency.index["n2"]]
+        assert type(out) is list and out == [2, 6, 8]
+        untouched = adjacency.out[adjacency.index["n3"]]
+        assert type(untouched) is tuple and untouched == (3, 7)
+        assert [edge.edge_id for edge in graph.in_edges("n0")] == [3, 4, 6, 7, 8]
 
 
 class TestEdgeContract:

@@ -840,27 +840,48 @@ def _clone_tables(copies):
     return tables, codec.decode_nodes(tables["nodes"])
 
 
-class TestDecodeMemory:
-    def test_clone_graph_build_allocates_at_most_7_mib(self):
-        # The columns hold node ids, labels and shared intervals; no Edge
-        # and no per-node dict is built.  The dict-per-node layout this
-        # replaced kept 12.5 MiB here.
-        import tracemalloc
+def _kept(build):
+    """``(result, bytes)``: what ``build()`` returns and the traced memory it
+    still holds when it returns."""
+    import tracemalloc
 
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = build()
+        return result, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestDecodeMemory:
+    def test_clone_graph_build_allocates_at_most_4_mib(self):
+        # The columns hold node ids, labels and shared intervals; no Edge
+        # and no per-node dict is built, rows are tuples and the node rows
+        # and edge ids are one set of int objects.  The dict-per-node
+        # layout kept 12.5 MiB here, list rows with two sets of ints 4.8.
         tables, nodes = _clone_tables(1000)
         assert (len(nodes), len(tables["edges"]) // 4) == (16_001, 26_000)
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            graph = codec.decode_graph(tables, nodes)
-            kept = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        graph, kept = _kept(lambda: codec.decode_graph(tables, nodes))
         assert graph.edge_count == 26_000
-        assert kept <= 7 * 2**20, f"the build kept {kept / 2**20:.2f} MiB"
+        assert kept <= 4 * 2**20, f"the build kept {kept / 2**20:.2f} MiB"
+
+    def test_clone_restored_fingerprint_members_keep_at_most_0_4_mib(self):
+        # Each bucket's members are the tuple of its run of the node table;
+        # one set per bucket kept 1.0 MiB here.
+        tables, nodes = _clone_tables(1000)
+        store = GraphStore(codec.decode_graph(tables, nodes))
+        members, digests = store.fingerprint_buckets()
+        table, _, offsets = codec.bucket_table(members, FINGERPRINT_BUCKETS)
+        section = codec.encode_fingerprint(FINGERPRINT_SCHEME, digests, offsets)
+        (restored, _), kept = _kept(lambda: codec.decode_fingerprint(
+            section, table, FINGERPRINT_SCHEME, FINGERPRINT_BUCKETS
+        ))
+        assert sum(map(len, restored.values())) == 16_001
+        assert kept <= 0.4 * 2**20, f"the members kept {kept / 2**20:.2f} MiB"
 
 
 def _first_fingerprint_span(store):
@@ -937,6 +958,60 @@ class TestPersistedFingerprint:
         value, span = _first_fingerprint_span(reopened)
         assert value == graph_fingerprint(reopened.graph)
         assert span.tags["mode"] == "full"
+        reopened.close()
+
+    def test_deltas_after_a_restore_keep_the_fingerprint_exact(self, tmp_path):
+        from repro.engine.compiled import fingerprint_bucket
+
+        def bucket(node):
+            return fingerprint_bucket(repr(node))
+
+        graph = Graph("g")
+        for index in range(400):
+            graph.add_edge(f"n{index}", "next", f"n{(index + 1) % 400}")
+        directory = str(tmp_path / "store")
+        DurableStore.create(directory, graph, name="g").close()
+        store = DurableStore.open(directory)
+        restored = dict(store._fp_members)
+        assert all(type(group) is tuple for group in restored.values())
+        names = [f"new{index}" for index in range(200)]
+        joining = [name for name in names if bucket(name) in restored][:3]
+        fresh = next(name for name in names if bucket(name) not in restored)
+        deltas = [
+            # New nodes in restored buckets, then in an empty one.
+            Delta.of(add=[("n0", "item", joining[0]), (joining[1], "next", "n5")]),
+            Delta.of(add=[(fresh, "next", joining[2])], remove=[("n3", "next", "n4")]),
+            Delta.of(remove=[("n10", "next", "n11"), ("n0", "item", joining[0])]),
+            # Only nodes the store has: no bucket gains a member.
+            Delta.of(add=[("n7", "back", "n6")]),
+        ]
+        for delta in deltas:
+            store.apply(delta)
+        value, span = _first_fingerprint_span(store)
+        assert value == graph_fingerprint(store.graph)
+        assert span.tags["mode"] == "incremental"
+        grown = {bucket(node) for node in joining + [fresh]}
+        members = store._fp_members
+        for key, group in members.items():
+            if key in grown:
+                assert type(group) is set
+            else:
+                assert group is restored[key]
+        store.checkpoint()
+        with open(_snapshot_path(directory)) as handle:
+            section = json.load(handle)["fingerprint"]
+        store.close()
+
+        expected = str(tmp_path / "expected")
+        DurableStore.create(expected, store.graph.copy(), name="g").close()
+        with open(_snapshot_path(expected)) as handle:
+            assert json.load(handle)["fingerprint"] == section
+        reopened = DurableStore.open(directory)
+        value_again, span = _first_fingerprint_span(reopened)
+        assert value_again == value and span.tags["mode"] == "incremental"
+        reopened.checkpoint()
+        with open(_snapshot_path(directory)) as handle:
+            assert json.load(handle)["fingerprint"] == section
         reopened.close()
 
     def test_equal_states_write_byte_identical_snapshots(self, tmp_path, monkeypatch):
