@@ -22,10 +22,9 @@ Run directly (``python benchmarks/bench_incremental.py``) or via pytest
 
 from __future__ import annotations
 
-import json
 import pathlib
-import time
 
+from harness import bug_tracker_clone, load_baseline, timed, write_report
 from repro import obs
 from repro.engine.compiled import compile_schema
 from repro.engine.fixpoint import (
@@ -34,9 +33,8 @@ from repro.engine.fixpoint import (
     maximal_typing_fixpoint,
     retype_incremental,
 )
-from repro.graphs.graph import Graph
 from repro.graphs.store import Delta, GraphStore
-from repro.workloads.bugtracker import bug_tracker_graph, bug_tracker_schema
+from repro.workloads.bugtracker import bug_tracker_schema
 
 COPIES = 32
 #: Acceptance floor (ISSUE 4) and the tolerated slide against the baseline.
@@ -49,17 +47,6 @@ BASELINE_PATH = HERE / "baseline_incremental.json"
 REPORT_PATH = pathlib.Path("BENCH_incremental.json")
 
 PREFIX = "http://example.org/bugs#"
-
-
-def _cloned_store(copies: int) -> GraphStore:
-    base = bug_tracker_graph()
-    graph = Graph(f"bugs-x{copies}")
-    for copy_index in range(copies):
-        for edge in base.edges:
-            graph.add_edge(
-                (copy_index, edge.source), edge.label, (copy_index, edge.target)
-            )
-    return GraphStore(graph)
 
 
 def _small_delta(copy_index: int) -> Delta:
@@ -80,22 +67,10 @@ def _small_delta(copy_index: int) -> Delta:
     )
 
 
-def _timed(fn, *args, repeats: int = REPEATS, **kwargs):
-    """``(result, seconds)`` with best-of-``repeats`` timing (noise-stripped)."""
-    best = None
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn(*args, **kwargs)
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return result, best
-
-
 def measure_incremental_speedup() -> dict:
     schema = bug_tracker_schema()
     compiled = compile_schema(schema)
-    store = _cloned_store(COPIES)
+    store = GraphStore(bug_tracker_clone(COPIES))
     graph = store.graph
     delta = _small_delta(copy_index=3)
 
@@ -107,12 +82,12 @@ def measure_incremental_speedup() -> dict:
 
     # The contender re-runs the whole graph from scratch (cold memo per run),
     # which is what every layer did before the store existed.
-    full_typing, full_seconds = _timed(
-        maximal_typing_fixpoint, graph, compiled=compiled
+    full_typing, full_seconds = timed(
+        maximal_typing_fixpoint, graph, compiled=compiled, repeats=REPEATS
     )
-    incremental_typing, incremental_seconds = _timed(
+    incremental_typing, incremental_seconds = timed(
         retype_incremental, store, prior, delta, compiled=compiled,
-        signature_memo=memo,
+        signature_memo=memo, repeats=REPEATS,
     )
     # A dedicated run for the counters (stats accumulate across repeats).
     stats = FixpointStats()
@@ -133,7 +108,7 @@ def measure_incremental_speedup() -> dict:
     # Micro-gate: computing the affected region (the backward-closure BFS
     # over in_edges) must stay a negligible slice of the retype it serves.
     touched = [node for node in delta.touched_nodes() if graph.has_node(node)]
-    _, region_seconds = _timed(affected_region, graph, touched)
+    _, region_seconds = timed(affected_region, graph, touched, repeats=REPEATS)
     region_share = region_seconds / incremental_seconds
     assert region_share < 0.05, (
         f"affected-region computation took {region_share:.1%} of the "
@@ -155,24 +130,13 @@ def measure_incremental_speedup() -> dict:
     }
 
 
-def _load_baseline() -> dict:
-    with open(BASELINE_PATH, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def _write_report(report: dict) -> None:
-    with open(REPORT_PATH, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
 def test_incremental_revalidation_acceptance():
     # Capture the run's span tree (fixpoint.full vs fixpoint.incremental
     # timings nest under it) so BENCH_incremental.json localises regressions.
     with obs.start_trace("bench.incremental", copies=COPIES) as root:
         report = measure_incremental_speedup()
     report["spans"] = root.to_dict()
-    _write_report(report)
+    write_report(report, REPORT_PATH)
 
     print(
         f"\n  ×{report['copies']} clone ({report['nodes']} nodes, "
@@ -191,7 +155,7 @@ def test_incremental_revalidation_acceptance():
         f"acceptance floor"
     )
 
-    baseline = _load_baseline()
+    baseline = load_baseline(BASELINE_PATH)
     floor = baseline["incremental_speedup"] * (1.0 - REGRESSION_TOLERANCE)
     assert report["speedup"] >= floor, (
         f"incremental path regressed: speedup {report['speedup']}x vs committed "

@@ -21,15 +21,15 @@ Results go to ``BENCH_obs_overhead.json`` and are gated against
 
 from __future__ import annotations
 
-import json
 import pathlib
 import time
 
+from harness import bug_tracker_clone, load_baseline, write_report
 from repro.engine.compiled import compile_schema
 from repro.engine.fixpoint import maximal_typing_fixpoint
 from repro.graphs.graph import Graph
 from repro.obs import metrics as obs_metrics
-from repro.workloads.bugtracker import bug_tracker_graph, bug_tracker_schema
+from repro.workloads.bugtracker import bug_tracker_schema
 
 COPIES = 24  # big enough that one pass is ~15ms — ratio noise stays small
 ROUNDS = 7  # interleaved A/B rounds; each side keeps its best
@@ -45,17 +45,6 @@ BASELINE_PATH = HERE / "baseline_obs.json"
 REPORT_PATH = pathlib.Path("BENCH_obs_overhead.json")
 
 
-def _cloned_instance(copies: int) -> Graph:
-    base = bug_tracker_graph()
-    graph = Graph(f"bugs-x{copies}")
-    for copy_index in range(copies):
-        for edge in base.edges:
-            graph.add_edge(
-                (copy_index, edge.source), edge.label, (copy_index, edge.target)
-            )
-    return graph
-
-
 def _run_once(graph: Graph, compiled) -> float:
     start = time.perf_counter()
     maximal_typing_fixpoint(graph, compiled=compiled)
@@ -64,7 +53,7 @@ def _run_once(graph: Graph, compiled) -> float:
 
 def measure_overhead() -> dict:
     compiled = compile_schema(bug_tracker_schema())
-    graph = _cloned_instance(COPIES)
+    graph = bug_tracker_clone(COPIES)
     # Warm everything once (compilation artifacts, allocator, branch caches)
     # before either side starts the clock.
     _run_once(graph, compiled)
@@ -97,20 +86,9 @@ def measure_overhead() -> dict:
     }
 
 
-def _load_baseline() -> dict:
-    with open(BASELINE_PATH, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def _write_report(report: dict) -> None:
-    with open(REPORT_PATH, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
 def test_obs_overhead_gate():
     report = measure_overhead()
-    _write_report(report)
+    write_report(report, REPORT_PATH)
 
     print(f"\n  fixpoint ×{report['copies']} ({report['nodes']} nodes):")
     print(f"    obs disabled: {report['disabled_seconds'] * 1000:8.2f} ms")
@@ -119,7 +97,7 @@ def test_obs_overhead_gate():
         f"({report['enabled_over_disabled']}x)"
     )
 
-    baseline = _load_baseline()
+    baseline = load_baseline(BASELINE_PATH)
     # The committed number is the enabled/disabled ratio on a quiet machine;
     # the disabled path itself has no second timer to compare against, so the
     # gate is: today's ratio may exceed the committed one by at most 3%

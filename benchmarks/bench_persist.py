@@ -33,11 +33,11 @@ pytest (``pytest benchmarks/bench_persist.py``).
 
 from __future__ import annotations
 
-import json
 import pathlib
 import shutil
 import time
 
+from harness import load_baseline, write_report
 from repro.graphs.store import Delta
 from repro.persist import DurableStore
 from repro.serve.client import DaemonClient
@@ -205,20 +205,9 @@ def measure_warm_restart() -> dict:
     }
 
 
-def _load_baseline() -> dict:
-    with open(BASELINE_PATH, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def _write_report(report: dict) -> None:
-    with open(REPORT_PATH, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
 def test_warm_restart_acceptance():
     report = measure_warm_restart()
-    _write_report(report)
+    write_report(report, REPORT_PATH)
 
     print(
         f"\n  ×{report['copies']} clone ({report['edges']} edges), "
@@ -253,7 +242,7 @@ def test_warm_restart_acceptance():
         f"acceptance floor"
     )
 
-    baseline = _load_baseline()
+    baseline = load_baseline(BASELINE_PATH)
     floor = baseline["warm_restart_speedup"] * (1.0 - REGRESSION_TOLERANCE)
     assert report["speedup"] >= floor, (
         f"warm restart regressed: speedup {report['speedup']}x vs committed "

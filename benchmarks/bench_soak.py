@@ -27,11 +27,11 @@ Run directly (``python benchmarks/bench_soak.py``) or via pytest
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import tempfile
 
+from harness import load_baseline, write_report
 from repro import faults
 from repro.serve.client import DaemonClient
 from repro.serve.daemon import start_in_thread
@@ -57,12 +57,6 @@ BASELINE_PATH = pathlib.Path(__file__).resolve().parent / "baseline_soak.json"
 TIMING_KEYS = ("seconds", "ops_per_second")
 
 
-def _write_report(report) -> None:
-    with REPORT_PATH.open("w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-
-
 def _without_timing(report: dict) -> dict:
     return {key: value for key, value in report.items() if key not in TIMING_KEYS}
 
@@ -71,7 +65,7 @@ def test_soak_fault_free_report() -> None:
     """The fault-free soak: every oracle check passes; the report is written."""
     spec = SoakSpec(steps=STEPS, seed=SEED, fault=None)
     report = run_soak(spec, InProcessTarget(backend="serial"))
-    _write_report(report)
+    write_report(report, REPORT_PATH)
 
     print(
         f"\n  fault-free soak: {report['steps']} steps in "
@@ -86,7 +80,7 @@ def test_soak_fault_free_report() -> None:
 
     # The fault-free seeded run is deterministic: everything but wall-clock
     # timing must match the committed spec shape exactly.
-    baseline = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
+    baseline = load_baseline(BASELINE_PATH)
     assert _without_timing(report) == _without_timing(baseline), (
         "fault-free soak report drifted from benchmarks/baseline_soak.json — "
         "regenerate the baseline if the drift is intentional"

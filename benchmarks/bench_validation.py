@@ -11,27 +11,12 @@ general-ShEx variant.
 
 import pytest
 
-from repro.graphs.graph import Graph
+from harness import bug_tracker_clone
 from repro.schema.shex import ShExSchema
 from repro.schema.validation import satisfies
-from repro.workloads.bugtracker import (
-    bug_tracker_graph,
-    bug_tracker_refactored_schema,
-    bug_tracker_schema,
-)
+from repro.workloads.bugtracker import bug_tracker_refactored_schema, bug_tracker_schema
 
 COPIES = [1, 4, 8]
-
-
-def _cloned_instance(copies: int) -> Graph:
-    base = bug_tracker_graph()
-    graph = Graph(f"bugs-x{copies}")
-    for copy_index in range(copies):
-        for edge in base.edges:
-            graph.add_edge(
-                (copy_index, edge.source), edge.label, (copy_index, edge.target)
-            )
-    return graph
 
 
 def _general_shex_variant() -> ShExSchema:
@@ -51,7 +36,7 @@ def _general_shex_variant() -> ShExSchema:
 @pytest.mark.experiment("substrate")
 @pytest.mark.parametrize("copies", COPIES)
 def test_validation_detshex0_minus_schema(benchmark, copies):
-    graph = _cloned_instance(copies)
+    graph = bug_tracker_clone(copies)
     result = benchmark(satisfies, graph, bug_tracker_schema())
     assert result
     benchmark.extra_info["nodes"] = graph.node_count
@@ -60,7 +45,7 @@ def test_validation_detshex0_minus_schema(benchmark, copies):
 @pytest.mark.experiment("substrate")
 @pytest.mark.parametrize("copies", COPIES)
 def test_validation_nondeterministic_shex0_schema(benchmark, copies):
-    graph = _cloned_instance(copies)
+    graph = bug_tracker_clone(copies)
     result = benchmark.pedantic(
         satisfies, args=(graph, bug_tracker_refactored_schema()), rounds=3, iterations=1
     )
@@ -71,7 +56,7 @@ def test_validation_nondeterministic_shex0_schema(benchmark, copies):
 @pytest.mark.experiment("substrate")
 @pytest.mark.parametrize("copies", [1, 4])
 def test_validation_general_shex_schema(benchmark, copies):
-    graph = _cloned_instance(copies)
+    graph = bug_tracker_clone(copies)
     result = benchmark.pedantic(
         satisfies, args=(graph, _general_shex_variant()), rounds=3, iterations=1
     )

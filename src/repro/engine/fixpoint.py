@@ -11,8 +11,11 @@ its *label seed* (:meth:`repro.engine.compiled.CompiledSchema.label_seed`):
 the types whose alphabet allows every label on the node's out-edges and
 whose required labels it carries, not all of ``Γ``.  A dropped type fails
 the node's check under any typing, so the greatest fixpoint is the same.
-The kernel improves on the per-semantics worklists it replaced (retained in
-:mod:`repro.schema.reference`) in three ways:
+Section 6.1 makes a plain check the compressed check with every edge
+counted once, so one schedule and one check serve both semantics; the
+semantics only decides what an edge counts.  The kernel improves on the
+worklists it replaced (retained in :mod:`repro.schema.reference`) in three
+ways:
 
 **Kahn release, then Tarjan.**  A node's types depend only on the types of
 its successors, so the region is typed sinks first.  A node that reaches no
@@ -27,10 +30,12 @@ a check.  Only the nodes left over go through Tarjan
 components is driven to its local fixpoint, sinks first, under a memo keyed
 by its *shape* (each member's row, an edge inside the component read as the
 target's index): isomorphic cycles with equally typed boundaries are
-stabilised once.  No component is revisited.  On an incremental run the
-same order gives a *cut-off*: a component the delta did not touch, whose
-successors outside it all came back with their prior types, keeps its prior
-types unchecked.
+stabilised once.  A released node and a component on a memo miss go through
+the same stabiliser: synchronous rounds of batched checks, of which a node
+without a self-loop needs one.  No component is revisited.  On an
+incremental run the same order gives a *cut-off*: a component the delta did
+not touch, whose successors outside it all came back with their prior
+types, keeps its prior types unchecked.
 
 **Fine-grained dirtiness.**  Work is tracked per ``(node, type)`` pair, not
 per node.  When a successor reached through label ``a`` loses type ``τ``, a
@@ -42,14 +47,15 @@ the precomputed :attr:`repro.engine.compiled.CompiledSchema.type_order`, so
 the inner loop performs no per-iteration ``sorted()`` calls.
 
 **Signature memoisation and batched solving.**  A check's outcome depends
-only on the type and the node's *neighbourhood signature* — the multiset of
-``(label[, multiplicity], candidate types)`` over its out-edges — so
-isomorphic nodes (clones, unrolled copies, kind-mates) are checked once per
-signature.  Under the compressed semantics, a rule with per-symbol bounds is
-decided by the same flow as a plain check, each group's count being its
-summed edge multiplicity.  For any other rule each refinement round collects
-every non-memoised check, assembles its linear system from the type's cached
-normalised Presburger template
+only on the type and the node's *neighbourhood signature* — its out-edges
+grouped by ``(label, candidate types)``, each group counted by its number of
+edges (plain) or its summed multiplicity (compressed) — so isomorphic nodes
+(clones, unrolled copies, kind-mates) are checked once per signature, and
+one memo serves both semantics.  A rule with per-symbol bounds is decided
+under either semantics by one flow, and any other plain rule by bag
+matching, so plain typing never needs the solver.  For the compressed checks of any other rule each
+refinement round collects every non-memoised check, assembles its linear
+system from the type's cached normalised Presburger template
 (:meth:`repro.engine.compiled.CompiledType.normalised_template`), and answers
 the whole round through one batched MILP invocation
 (:func:`repro.presburger.solver.solve_problems`) instead of one solver call
@@ -66,9 +72,8 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple, Union
 
 from repro.engine.compiled import CompiledSchema, compile_schema
 from repro.obs import metrics as _obs_metrics
@@ -76,13 +81,9 @@ from repro.obs import tracing as _obs_tracing
 from repro.graphs.graph import Adjacency, Graph
 from repro.graphs.scc import backward_closure, release, tarjan
 from repro.schema.shex import ShExSchema, TypeName
-from repro.schema.typing import Typing, edge_groups, satisfies_type_groups
+from repro.schema.typing import Typing, satisfies_type_groups
 
 NodeId = Hashable
-
-#: A plain-semantics neighbourhood signature entry: (label, candidate types).
-#: Compressed signatures additionally carry the edge multiplicity.
-
 
 @dataclass
 class FixpointStats:
@@ -95,7 +96,11 @@ class FixpointStats:
     neighbourhood-signature memo; ``shortcut_failures``
     how many failed outright because a mandatory edge had no candidate
     target type (no memo needed); ``solver_problems`` how many Presburger
-    systems reached the batch solver (compressed semantics only).
+    systems reached the batch solver: compressed checks of rules without
+    per-symbol bounds only, as every other check is decided by the flow or by
+    bag matching.  ``rounds`` counts the synchronous check rounds of the
+    stabilised components under either semantics; a node without a self-loop
+    takes one.
     ``checks - signature_hits - shortcut_failures`` is therefore the number
     of checks actually *evaluated* — on a graph of isomorphic clones it
     stays flat as copies are added.  Presburger-side counters
@@ -353,13 +358,14 @@ def _stabilise_objects(
     A node of the region that reaches no cycle in it is typed as Kahn's pass
     (:func:`repro.graphs.scc.release`) releases it: its successors are
     final, so its types are a function of its :func:`_row`.  The first node
-    with a given row is seeded and checked, and later ones take its types
-    without a seed or a check (``stats.row_hits``).  The nodes left over go
-    through Tarjan, and each of their components is seeded and driven to its
-    local fixpoint sinks first, under a memo keyed by its :func:`_shape`: an
-    isomorphic component with equally typed boundaries (a clone's cycle)
-    takes the first one's types member by member, also counted in
-    ``stats.row_hits``.  Both memos live for this call.
+    with a given row is seeded and checked as a one-node component, and later
+    ones take its types without a seed or a check (``stats.row_hits``).  The
+    nodes left over go through Tarjan, and each of their components is seeded
+    and driven to its local fixpoint sinks first, under a memo keyed by its
+    :func:`_shape`: an isomorphic component with equally typed boundaries (a
+    clone's cycle) takes the first one's types member by member, also counted
+    in ``stats.row_hits``.  Both memos live for this call, and both kinds of
+    miss go through :func:`_stabilise`.
 
     With the ``prior`` typing of the graph before a delta whose nodes in
     ``active`` are ``touched`` (``current`` then reads every node it does
@@ -370,32 +376,28 @@ def _stabilise_objects(
     everything it reads are as they were, so the checks would settle it
     where the prior fixpoint did.
     """
-    type_order = compiled.type_order
     artifacts = {
-        type_name: compiled.type_artifact(type_name) for type_name in type_order
+        type_name: compiled.type_artifact(type_name) for type_name in compiled.type_order
     }
-    label_seed = compiled.label_seed
     # Row -> types, and component shape -> its members' types.
     memo: Dict[object, object] = {}
     # The nodes to check: touched ones, and predecessors of changed ones.
     dirty: Set[NodeId] = set(touched)
     components = skipped = 0
     adj = graph.adjacency()
-    row_of, out, into, source, _, target, _ = adj
+    row_of, out, into, source, _, _, _ = adj
     pending: Dict[NodeId, int] = {}
     for node in release(graph, active, pending):
         components += 1
         if prior is not None and node not in dirty:
             skipped += 1
             continue
-        edge_ids = out[row_of[node]]
-        row = _row(adj, edge_ids, current, compressed)
+        row = _row(adj, out[row_of[node]], current, compressed)
         types = memo.get(row)
         if types is None:
-            current[node] = set(label_seed(_out_labels(adj, edge_ids, compressed)))
-            _stabilise_single(
-                adj, node, current, type_order, artifacts,
-                signature_memo, stats, compressed, self_loop=False,
+            _stabilise(
+                adj, (node,), current, compiled, artifacts, compressed,
+                signature_memo, stats,
             )
             types = memo[row] = frozenset(current[node])
         else:
@@ -403,91 +405,28 @@ def _stabilise_objects(
         current[node] = types
         if prior is not None and types != prior.types_of(node):
             dirty.update(map(source.__getitem__, into[row_of[node]]))
-    if pending:
-        watchers = compiled.symbol_watchers()
-        stabilise = _stabilise_compressed if compressed else _stabilise_plain
-        for component in tarjan(graph, pending):
-            components += 1
-            if prior is not None and not any(node in dirty for node in component):
-                skipped += 1
-                continue
-            shape = _shape(adj, component, current, compressed)
-            settled = memo.get(shape)
-            if settled is None:
-                for node in component:
-                    current[node] = set(
-                        label_seed(_out_labels(adj, out[row_of[node]], compressed))
-                    )
-                if len(component) == 1:
-                    node = component[0]
-                    _stabilise_single(
-                        adj, node, current, type_order, artifacts,
-                        signature_memo, stats, compressed,
-                        self_loop=node in map(target.__getitem__, out[row_of[node]]),
-                    )
-                else:
-                    stabilise(
-                        adj, component, set(component), current,
-                        type_order, artifacts, watchers, signature_memo, stats,
-                    )
-                settled = memo[shape] = tuple(frozenset(current[node]) for node in component)
-            else:
-                stats.row_hits += len(component)
-            current.update(zip(component, settled))
-            if prior is not None:
-                for node, types in zip(component, settled):
-                    if types != prior.types_of(node):
-                        dirty.update(map(source.__getitem__, into[row_of[node]]))
+    for component in tarjan(graph, pending):
+        components += 1
+        if prior is not None and not any(node in dirty for node in component):
+            skipped += 1
+            continue
+        shape = _shape(adj, component, current, compressed)
+        settled = memo.get(shape)
+        if settled is None:
+            _stabilise(
+                adj, component, current, compiled, artifacts, compressed,
+                signature_memo, stats,
+            )
+            settled = memo[shape] = tuple(frozenset(current[node]) for node in component)
+        else:
+            stats.row_hits += len(component)
+        current.update(zip(component, settled))
+        if prior is not None:
+            for node, types in zip(component, settled):
+                if types != prior.types_of(node):
+                    dirty.update(map(source.__getitem__, into[row_of[node]]))
     stats.components = components
     stats.skipped = skipped
-
-
-def _stabilise_single(
-    adj: Adjacency,
-    node: NodeId,
-    current: Dict[NodeId, Set[TypeName]],
-    type_order: Tuple[TypeName, ...],
-    artifacts: Dict[TypeName, object],
-    signature_memo: Dict[Tuple, bool],
-    stats: FixpointStats,
-    compressed: bool,
-    self_loop: bool,
-) -> None:
-    """Stabilise a one-node component: check its types until none fails.
-
-    Its successors outside it are final, so without a ``self_loop`` one pass
-    settles it; with one, a removal may invalidate the node's other types
-    and the pass repeats.  Most components of acyclic graphs are like this,
-    and skip the dirtiness bookkeeping.
-    """
-    types = current[node]
-    while True:
-        pending = [type_name for type_name in type_order if type_name in types]
-        if not pending:
-            return
-        if compressed:
-            stats.rounds += 1
-            verdicts = _check_compressed_batch(
-                adj, [(node, type_name) for type_name in pending],
-                current, artifacts, signature_memo, stats,
-            )
-        else:
-            stats.checks += len(pending)
-            verdicts = [
-                _check_plain(
-                    adj, node, artifacts[type_name], current, signature_memo, stats
-                )
-                for type_name in pending
-            ]
-        removed = [
-            type_name for type_name, verdict in zip(pending, verdicts) if not verdict
-        ]
-        if not removed:
-            return
-        types.difference_update(removed)
-        stats.removals += len(removed)
-        if not self_loop:
-            return
 
 
 def _compiled_schema(schema, compiled) -> CompiledSchema:
@@ -670,28 +609,91 @@ class _OverPrior(dict):
 
 
 # --------------------------------------------------------------------------- #
-# Dirtiness propagation (shared by both semantics)
+# One component: synchronous rounds of batched checks (both semantics)
 # --------------------------------------------------------------------------- #
+def _stabilise(
+    adj: Adjacency,
+    component: Tuple[NodeId, ...],
+    current: Dict[NodeId, Set[TypeName]],
+    compiled: CompiledSchema,
+    artifacts: Dict[TypeName, object],
+    compressed: bool,
+    signature_memo: Dict[Tuple, bool],
+    stats: FixpointStats,
+) -> None:
+    """Seed one component's members with their label seeds and drive it to
+    its local fixpoint by synchronous rounds of batched checks.
+
+    Each round snapshots the dirty surviving pairs of the members that
+    gained marks in the previous round (every member in the first), decides
+    all of them against the *current* relation (:func:`_check_batch`), then
+    applies the removals together and marks the next round's dirtiness.
+    Removing several pairs at once is sound because satisfaction is monotone
+    in the relation — a pair invalid under the snapshot stays invalid under
+    any smaller relation — and chaotic iteration converges to the same
+    greatest fixpoint as any per-pair schedule.  A round visits only the
+    members it checks, in component order, so a loss that travels one hop
+    per round round a ring costs one check per hop.  A one-node component
+    without a self-loop marks nothing and settles in one round.
+    """
+    label_seed, type_order = compiled.label_seed, compiled.type_order
+    watchers = compiled.symbol_watchers()
+    for node in component:
+        current[node] = set(label_seed(_out_labels(adj, adj.out[adj.index[node]], compressed)))
+    position = {node: at for at, node in enumerate(component)}
+    dirty: Dict[NodeId, Set[TypeName]] = {
+        node: set(current[node]) for node in component
+    }
+    waiting = component
+    while True:
+        batch: List[Tuple[NodeId, TypeName]] = []
+        for node in waiting:
+            pending, node_types = dirty[node], current[node]
+            for type_name in type_order:
+                if type_name in pending and type_name in node_types:
+                    batch.append((node, type_name))
+            pending.clear()
+        if not batch:
+            return
+        stats.rounds += 1
+        verdicts = _check_batch(
+            adj, batch, current, artifacts, compressed, signature_memo, stats
+        )
+        removed_by_node: Dict[NodeId, List[TypeName]] = {}
+        for (node, type_name), verdict in zip(batch, verdicts):
+            if not verdict:
+                current[node].discard(type_name)
+                removed_by_node.setdefault(node, []).append(type_name)
+        marked: Set[NodeId] = set()
+        for node, removed in removed_by_node.items():
+            stats.removals += len(removed)
+            marked.update(
+                _mark_dirty(adj, node, removed, position, current, watchers, dirty)
+            )
+        waiting = sorted(marked, key=position.__getitem__)
+
+
 def _mark_dirty(
     adj: Adjacency,
     node: NodeId,
-    removed: Sequence[TypeName],
-    member_set: Set[NodeId],
+    removed: List[TypeName],
+    members: Dict[NodeId, int],
     current: Dict[NodeId, Set[TypeName]],
     watchers: Dict[object, Tuple[TypeName, ...]],
     dirty: Dict[NodeId, Set[TypeName]],
 ) -> List[NodeId]:
     """Mark the pairs invalidated by ``node`` losing ``removed`` types.
 
-    Only predecessors inside the active component are marked: predecessors in
-    other components are upstream in the condensation, hence not yet processed
-    and still fully dirty.  Returns the members that gained dirty types.
+    Only predecessors inside the active component (the keys of ``members``)
+    are marked: predecessors in other components are upstream in the
+    condensation, hence not yet processed and still fully dirty.  Returns
+    the members that gained dirty types.
     """
-    touched: List[NodeId] = []
+    gained: List[NodeId] = []
     source, label = adj.source, adj.label
     for edge_id in adj.into[adj.index[node]]:
         predecessor = source[edge_id]
-        if predecessor not in member_set:
+        if predecessor not in members:
             continue
         predecessor_types = current[predecessor]
         marks = dirty[predecessor]
@@ -701,219 +703,87 @@ def _mark_dirty(
                 if watcher in predecessor_types:
                     marks.add(watcher)
         if len(marks) != before:
-            touched.append(predecessor)
-    return touched
+            gained.append(predecessor)
+    return gained
 
 
-# --------------------------------------------------------------------------- #
-# Plain semantics: per-pair Gauss-Seidel within a component
-# --------------------------------------------------------------------------- #
-def _stabilise_plain(
+def _check_batch(
     adj: Adjacency,
-    component: Tuple[NodeId, ...],
-    member_set: Set[NodeId],
-    current: Dict[NodeId, Set[TypeName]],
-    type_order: Tuple[TypeName, ...],
-    artifacts: Dict[TypeName, object],
-    watchers: Dict[object, Tuple[TypeName, ...]],
-    signature_memo: Dict[Tuple, bool],
-    stats: FixpointStats,
-) -> None:
-    dirty: Dict[NodeId, Set[TypeName]] = {
-        node: set(current[node]) for node in component
-    }
-    queue: deque = deque(component)  # components come pre-sorted by repr
-    queued: Set[NodeId] = set(component)
-    while queue:
-        node = queue.popleft()
-        queued.discard(node)
-        pending = dirty[node]
-        if not pending:
-            continue
-        dirty[node] = set()
-        node_types = current[node]
-        removed: List[TypeName] = []
-        for type_name in type_order:
-            if type_name not in pending or type_name not in node_types:
-                continue
-            stats.checks += 1
-            if not _check_plain(
-                adj, node, artifacts[type_name], current, signature_memo, stats
-            ):
-                node_types.discard(type_name)
-                removed.append(type_name)
-        if removed:
-            stats.removals += len(removed)
-            for touched in _mark_dirty(
-                adj, node, removed, member_set, current, watchers, dirty
-            ):
-                if touched not in queued:
-                    queue.append(touched)
-                    queued.add(touched)
-
-
-def _check_plain(
-    adj: Adjacency,
-    node: NodeId,
-    artifact,
-    current: Dict[NodeId, Set[TypeName]],
-    signature_memo: Dict[Tuple, bool],
-    stats: FixpointStats,
-) -> bool:
-    label_options = artifact.label_options
-    labels, targets = adj.label, adj.target
-    groups: Dict[Tuple[str, Tuple[TypeName, ...]], int] = {}
-    for edge_id in adj.out[adj.index[node]]:
-        label = labels[edge_id]
-        target_types = current[targets[edge_id]]
-        options = tuple(
-            type_name
-            for type_name in label_options.get(label, ())
-            if type_name in target_types
-        )
-        if not options:
-            stats.shortcut_failures += 1
-            return False
-        key = (label, options)
-        groups[key] = groups.get(key, 0) + 1
-    signature = (artifact.type_name, tuple(sorted(groups.items())))
-    known = signature_memo.get(signature)
-    if known is not None:
-        stats.signature_hits += 1
-        return known
-    verdict = satisfies_type_groups(artifact, groups)
-    signature_memo[signature] = verdict
-    return verdict
-
-
-# --------------------------------------------------------------------------- #
-# Compressed semantics: round-based Jacobi sweeps with batched solving
-# --------------------------------------------------------------------------- #
-def _stabilise_compressed(
-    adj: Adjacency,
-    component: Tuple[NodeId, ...],
-    member_set: Set[NodeId],
-    current: Dict[NodeId, Set[TypeName]],
-    type_order: Tuple[TypeName, ...],
-    artifacts: Dict[TypeName, object],
-    watchers: Dict[object, Tuple[TypeName, ...]],
-    signature_memo: Dict[Tuple, bool],
-    stats: FixpointStats,
-) -> None:
-    """Stabilise one component by synchronous rounds of batched checks.
-
-    Each round snapshots every dirty surviving pair, decides all of them
-    against the *current* relation (one batched MILP for the non-memoised
-    ones), then applies the removals together and marks the next round's
-    dirtiness.  Removing several pairs at once is sound because satisfaction
-    is monotone in the relation — a pair invalid under the snapshot stays
-    invalid under any smaller relation — and chaotic iteration converges to
-    the same greatest fixpoint as the per-pair schedule.
-    """
-    dirty: Dict[NodeId, Set[TypeName]] = {
-        node: set(current[node]) for node in component
-    }
-    while True:
-        batch: List[Tuple[NodeId, TypeName]] = []
-        for node in component:
-            pending = dirty[node]
-            if not pending:
-                continue
-            node_types = current[node]
-            for type_name in type_order:
-                if type_name in pending and type_name in node_types:
-                    batch.append((node, type_name))
-            dirty[node] = set()
-        if not batch:
-            return
-        stats.rounds += 1
-        verdicts = _check_compressed_batch(
-            adj, batch, current, artifacts, signature_memo, stats
-        )
-        removed_by_node: Dict[NodeId, List[TypeName]] = {}
-        for (node, type_name), verdict in zip(batch, verdicts):
-            if not verdict:
-                current[node].discard(type_name)
-                removed_by_node.setdefault(node, []).append(type_name)
-        for node, removed in removed_by_node.items():
-            stats.removals += len(removed)
-            _mark_dirty(adj, node, removed, member_set, current, watchers, dirty)
-
-
-def _check_compressed_batch(
-    adj: Adjacency,
-    pairs: Sequence[Tuple[NodeId, TypeName]],
+    pairs: List[Tuple[NodeId, TypeName]],
     current: Dict[NodeId, Set[TypeName]],
     artifacts: Dict[TypeName, object],
+    compressed: bool,
     signature_memo: Dict[Tuple, bool],
     stats: FixpointStats,
 ) -> List[bool]:
-    """Decide one round of compressed checks.
+    """Decide one round of ``(node, type)`` checks.
 
-    Rules with per-symbol bounds are decided by the flow as they come; the
-    other rules' memo misses go to the solver in one batch.
+    A check is keyed by the type and the node's sorted :func:`_groups`
+    alone: a plain check is the compressed check with every edge counted
+    once, so both semantics give one key one verdict, and the engines share
+    one memo across them.  Interval rules under either semantics, and every
+    plain rule, are decided as they come
+    (:func:`repro.schema.typing.satisfies_type_groups`); the memo misses of
+    compressed checks of any other rule go to the solver in one batch.
     """
-    verdicts: List[Optional[bool]] = [None] * len(pairs)
-    pending_positions: Dict[Tuple, List[int]] = {}
-    pending_order: List[Tuple] = []
-    pending_problems: List[Tuple] = []
+    verdicts: List[bool] = [False] * len(pairs)
+    pending: Dict[Tuple, List[int]] = {}
+    problems: List[Tuple] = []
     for position, (node, type_name) in enumerate(pairs):
         stats.checks += 1
         artifact = artifacts[type_name]
-        described = _compressed_signature(adj, node, artifact, current)
-        if described is None:
-            stats.shortcut_failures += 1
-            verdicts[position] = False  # a mandatory edge has no candidate type
+        groups = _groups(adj, node, artifact.label_options, current, compressed)
+        if groups is None:
+            stats.shortcut_failures += 1  # a counted edge has no candidate type
             continue
-        signature, edge_descriptions = described
+        signature = (type_name, tuple(sorted(groups.items())))
         known = signature_memo.get(signature)
         if known is not None:
             stats.signature_hits += 1
             verdicts[position] = known
-            continue
-        if artifact.group_bounds is not None:
-            verdict = satisfies_type_groups(artifact, edge_groups(edge_descriptions))
-            signature_memo[signature] = verdict
-            verdicts[position] = verdict
-            continue
-        positions = pending_positions.get(signature)
-        if positions is not None:
-            positions.append(position)
-            continue
-        pending_positions[signature] = [position]
-        pending_order.append(signature)
-        pending_problems.append(_assemble_problem(artifact, edge_descriptions))
-    if pending_problems:
+        elif not compressed or artifact.group_bounds is not None:
+            verdicts[position] = signature_memo[signature] = satisfies_type_groups(
+                artifact, groups
+            )
+        elif signature in pending:
+            pending[signature].append(position)
+        else:
+            pending[signature] = [position]
+            problems.append(_assemble_problem(artifact, signature[1]))
+    if problems:
         from repro.presburger.solver import solve_problems
 
-        stats.solver_problems += len(pending_problems)
-        solved = solve_problems(pending_problems)
-        for signature, verdict in zip(pending_order, solved):
+        stats.solver_problems += len(problems)
+        for (signature, positions), verdict in zip(
+            pending.items(), solve_problems(problems)
+        ):
             signature_memo[signature] = verdict
-            for position in pending_positions[signature]:
+            for position in positions:
                 verdicts[position] = verdict
-    return [bool(verdict) for verdict in verdicts]
+    return verdicts
 
 
-def _compressed_signature(
+def _groups(
     adj: Adjacency,
     node: NodeId,
-    artifact,
+    label_options: Dict[str, Tuple[TypeName, ...]],
     current: Dict[NodeId, Set[TypeName]],
-):
-    """``(signature, edge descriptions)`` for one compressed check, or ``None``.
+    compressed: bool,
+) -> Optional[Dict[Tuple[str, Tuple[TypeName, ...]], int]]:
+    """A node's out-edges as counted ``(label, candidate types)`` groups.
 
-    ``None`` means the check fails outright: some edge with positive
-    multiplicity has no candidate target type in the rule's alphabet.
-    Zero-multiplicity edges are dropped — their parallel-edge variables are
-    forced to zero, contributing nothing to any symbol count.
+    An edge counts 1 under the plain semantics and its multiplicity
+    (``occur.lower``) under the compressed one; an edge that counts 0 is
+    dropped.  ``None`` means the check fails outright: an edge that counts
+    has no candidate target type in the rule's alphabet.
     """
-    label_options = artifact.label_options
     labels, targets, occurs = adj.label, adj.target, adj.occur
-    descriptions: List[Tuple[str, int, Tuple[TypeName, ...]]] = []
+    groups: Dict[Tuple[str, Tuple[TypeName, ...]], int] = {}
     for edge_id in adj.out[adj.index[node]]:
+        count = occurs[edge_id].lower if compressed else 1
+        if not count:
+            continue
         label = labels[edge_id]
-        multiplicity = occurs[edge_id].lower
         target_types = current[targets[edge_id]]
         options = tuple(
             type_name
@@ -921,37 +791,36 @@ def _compressed_signature(
             if type_name in target_types
         )
         if not options:
-            if multiplicity > 0:
-                return None
-            continue
-        if multiplicity == 0:
-            continue
-        descriptions.append((label, multiplicity, options))
-    signature = (artifact.type_name, tuple(sorted(descriptions)))
-    return signature, descriptions
+            return None
+        key = (label, options)
+        groups[key] = groups.get(key, 0) + count
+    return groups
 
 
-def _assemble_problem(artifact, edge_descriptions) -> Tuple:
+def _assemble_problem(artifact, groups) -> Tuple:
     """Build the normalised linear system of one compressed check.
 
-    Follows the encoding of Proposition 6.2 — variables ``y_{e,τ}`` split each
-    compressed edge's multiplicity across candidate types, per-symbol totals
-    ``z_{a::τ}`` must satisfy ``ψ_{δ(t)}(z̄, 1)`` — but assembles coefficient
-    rows directly against the type's cached normalised template instead of
-    building and re-normalising a formula tree per check.
+    Follows the encoding of Proposition 6.2 — variables ``y_{g,τ}`` split
+    each group's summed multiplicity across its candidate types, per-symbol
+    totals ``z_{a::τ}`` must satisfy ``ψ_{δ(t)}(z̄, 1)`` — but assembles
+    coefficient rows directly against the type's cached normalised template
+    instead of building and re-normalising a formula tree per check.  One
+    y-row per ``((label, options), count)`` group instead of per edge is
+    exact: the edges of a group share their options, so any split of the
+    summed count splits back across them.
     """
     z_vars, template_conjuncts = artifact.normalised_template()
     if not template_conjuncts:
         return ()  # ψ is unsatisfiable on its own
     rows: List[Tuple[Tuple[Tuple[str, int], ...], int]] = []
     contributions: Dict[object, List[str]] = {}
-    for edge_index, (label, multiplicity, options) in enumerate(edge_descriptions):
+    for group_index, ((label, options), count) in enumerate(groups):
         items = []
         for type_name in options:
-            name = f"y!{edge_index}!{type_name}"
+            name = f"y!{group_index}!{type_name}"
             items.append((name, 1))
             contributions.setdefault((label, type_name), []).append(name)
-        rows.append((tuple(sorted(items)), multiplicity))
+        rows.append((tuple(sorted(items)), count))
     for symbol in artifact.sorted_alphabet:
         items = [(z_vars[symbol], 1)]
         items.extend((name, -1) for name in contributions.get(symbol, ()))

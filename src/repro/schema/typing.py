@@ -261,35 +261,23 @@ def neighbourhood_groups(
     ``options`` is the sorted tuple of the edge target's candidate types whose
     symbol ``(label, type)`` is in ``symbol_set``.  Each edge counts once
     under the plain semantics and by its multiplicity under the compressed
-    one.  ``None`` means the check fails outright: an edge that counts has no
+    one, and a group's count is the sum; an edge that counts 0 is dropped.
+    ``None`` means the check fails outright: an edge that counts has no
     candidate type.
     """
     index, out, _, _, labels, targets, occurs = graph.adjacency()
-    described = []
+    groups: Dict[Tuple[str, Tuple[TypeName, ...]], int] = {}
     for edge_id in out[index[node]] if node in index else ():
-        label = labels[edge_id]
         count = occurs[edge_id].lower if compressed else 1
+        if not count:
+            continue
+        label = labels[edge_id]
         target_types = typing.get(targets[edge_id], ())
         options = tuple(sorted({t for t in target_types if (label, t) in symbol_set}))
-        if not options and count > 0:
+        if not options:
             return None
-        described.append((label, count, options))
-    return edge_groups(described)
-
-
-def edge_groups(
-    described: Iterable[Tuple[str, int, Tuple[TypeName, ...]]],
-) -> Dict[Tuple[str, Tuple[TypeName, ...]], int]:
-    """Sum ``(label, count, options)`` edge descriptions per ``(label, options)``.
-
-    These sums are the counted items of the flow; edges of count 0 add
-    nothing and are dropped.
-    """
-    groups: Dict[Tuple[str, Tuple[TypeName, ...]], int] = {}
-    for label, count, options in described:
-        if count > 0:
-            key = (label, options)
-            groups[key] = groups.get(key, 0) + count
+        key = (label, options)
+        groups[key] = groups.get(key, 0) + count
     return groups
 
 
@@ -351,9 +339,10 @@ def satisfies_type_groups(
     A rule with per-symbol bounds is decided exactly, under either semantics,
     by one flow that splits each group's count across its symbols
     (:func:`repro.util.assignment.feasible_split`).  Any other rule is decided
-    by enumerating the splits under exact RBE membership, which is the plain
-    semantics only: compressed checks of such rules go through the Presburger
-    encoding instead.
+    by enumerating the splits under exact RBE membership.  The kernel does
+    that under the plain semantics only: a compressed count can be large, so
+    compressed checks of such rules go through the Presburger encoding,
+    which decides the same question about the same groups.
     """
     if artifact.group_bounds is not None:
         items = {

@@ -14,6 +14,8 @@ different frozen types around it:
 * region retyping after edge removals, tearing an overlay of extra edges
   back off the graph;
 * a whole-graph run that reuses a signature memo filled on another graph;
+* a whole-graph run that reuses a signature memo filled under the other
+  semantics (the engines share one memo per schema across both);
 * the validation engine's revalidation and its typing snapshot.
 
 ``TestEntryPaths`` crosses these paths with graph families that drive
@@ -282,6 +284,19 @@ def _via_carried_memo(graph, compiled, compressed, rng, labels):
     )
 
 
+def _via_cross_semantics_memo(graph, compiled, compressed, rng, labels):
+    # Fill the memo on the same graph under the other semantics, then type
+    # with it: the memo key carries no semantics, so a verdict decided under
+    # one answers the same groups under the other.
+    memo = {}
+    maximal_typing_fixpoint(
+        graph, compiled=compiled, compressed=not compressed, signature_memo=memo
+    )
+    return maximal_typing_fixpoint(
+        graph, compiled=compiled, compressed=compressed, signature_memo=memo
+    )
+
+
 def _via_engine(graph, compiled, compressed, rng, labels):
     store = GraphStore(graph)
     engine = ValidationEngine(cache_size=0)
@@ -299,8 +314,16 @@ ENTRIES = {
     "insertions": _via_insertions,
     "removals": _via_removals,
     "carried-memo": _via_carried_memo,
+    "cross-semantics-memo": _via_cross_semantics_memo,
     "engine": _via_engine,
 }
+#: Entries that type under the compressed semantics whatever the family, and
+#: so need SciPy for the checks of rules without per-symbol bounds.
+SCIPY_ENTRIES = ("cross-semantics-memo",)
+ENTRY_PARAMS = [
+    pytest.param(entry, marks=[pytest.mark.requires_scipy] if entry in SCIPY_ENTRIES else [])
+    for entry in sorted(ENTRIES)
+]
 
 
 def _assert_entry_parity(entry: str, family: str, seed: int, compressed: bool, build) -> None:
@@ -318,7 +341,7 @@ def _assert_entry_parity(entry: str, family: str, seed: int, compressed: bool, b
 class TestEntryPaths:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("entry", ENTRY_PARAMS)
     def test_entry_matches_the_oracle(self, entry, family, seed):
         _assert_entry_parity(entry, family, seed, False, FAMILIES[family])
 
@@ -390,7 +413,9 @@ class TestCompressedEntryPaths:
     @pytest.mark.requires_scipy  # the compressed oracle solves Presburger systems
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("family", sorted(COMPRESSED_FAMILIES))
-    @pytest.mark.parametrize("entry", ["carried-memo", "fixpoint", "insertions", "removals"])
+    @pytest.mark.parametrize(
+        "entry", ["carried-memo", "cross-semantics-memo", "fixpoint", "insertions", "removals"]
+    )
     def test_entry_matches_the_oracle(self, entry, family, seed):
         _assert_entry_parity(entry, family, seed, True, COMPRESSED_FAMILIES[family])
 

@@ -44,6 +44,19 @@ def _clone(graph: Graph, copies: int) -> Graph:
     return clone
 
 
+def _disjunction_instance():
+    """A ring of nodes under a repeated disjunction: not an interval rule."""
+    schema = parse_schema(
+        "T -> (a :: U | b :: U)^[3;3], c :: T*\nU -> a :: U?", name="batched"
+    )
+    graph = Graph("batched")
+    for i in range(8):
+        graph.add_edge(f"t{i}", "a", f"u{i}", (1 + i % 3, 1 + i % 3))
+        graph.add_edge(f"t{i}", "b", f"u{i}", (i % 3, i % 3))
+        graph.add_edge(f"t{i}", "c", f"t{(i + 1) % 8}", (1, 1))
+    return graph, schema
+
+
 class TestStronglyConnectedComponents:
     def test_dag_yields_singletons_sinks_first(self):
         graph = Graph.from_triples([("a", "x", "b"), ("b", "x", "c"), ("a", "x", "c")])
@@ -144,14 +157,7 @@ class TestFixpointKernel:
     def test_compressed_batches_solver_calls(self):
         # A repeated disjunction is not an interval rule, so its compressed
         # checks reach the Presburger solver.
-        schema = parse_schema(
-            "T -> (a :: U | b :: U)^[3;3], c :: T*\nU -> a :: U?", name="batched"
-        )
-        graph = Graph("batched")
-        for i in range(8):
-            graph.add_edge(f"t{i}", "a", f"u{i}", (1 + i % 3, 1 + i % 3))
-            graph.add_edge(f"t{i}", "b", f"u{i}", (i % 3, i % 3))
-            graph.add_edge(f"t{i}", "c", f"t{(i + 1) % 8}", (1, 1))
+        graph, schema = _disjunction_instance()
         window = SolverWindow()
         stats = FixpointStats()
         typing = maximal_typing_fixpoint(graph, schema, compressed=True, stats=stats)
@@ -162,6 +168,47 @@ class TestFixpointKernel:
         # Batching: far fewer solver invocations than problems solved.
         assert solver.batch_calls < stats.solver_problems
         assert solver.milp_calls == 0  # everything went through the batch path
+
+    def test_plain_disjunction_is_decided_without_the_solver(self):
+        # The instance of test_compressed_batches_solver_calls under the plain
+        # semantics: its checks go through the same batched check, which
+        # decides plain rules by bag matching, never by MILP.
+        graph, schema = _disjunction_instance()
+        window = SolverWindow()
+        stats = FixpointStats()
+        typing = maximal_typing_fixpoint(graph, schema, stats=stats)
+        solver = window.snapshot()
+        assert (solver.sat_checks, solver.solver_calls) == (0, 0)
+        assert stats.solver_problems == 0
+        assert stats.rounds >= 1
+        assert typing == maximal_typing_reference(graph, schema)
+
+    @pytest.mark.requires_scipy
+    def test_one_memo_serves_both_semantics(self):
+        # With every multiplicity 1 a node has the same groups under both
+        # semantics, so a memo filled by plain typing answers every
+        # compressed check of the disjunction, which would otherwise go to
+        # the solver.
+        schema = parse_schema(
+            "T -> (a :: U | b :: U)^[3;3], c :: T*\nU -> a :: U?", name="batched"
+        )
+        graph = Graph("unit")
+        for i in range(8):  # a typed ring t0..t5; t6 and t7 lack an edge
+            for j in range(3 if i < 6 else 2):
+                graph.add_edge(f"t{i}", "ab"[j % 2], f"u{i}_{j}", (1, 1))
+            if i < 6:
+                graph.add_edge(f"t{i}", "c", f"t{(i + 1) % 6}", (1, 1))
+        memo = {}
+        plain = maximal_typing_fixpoint(graph, schema, signature_memo=memo)
+        window = SolverWindow()
+        stats = FixpointStats()
+        compressed = maximal_typing_fixpoint(
+            graph, schema, compressed=True, signature_memo=memo, stats=stats
+        )
+        assert window.snapshot().solver_calls == 0
+        assert stats.solver_problems == 0 and stats.signature_hits > 0
+        assert compressed == plain and len(plain.untyped()) == 2
+        assert compressed == maximal_typing_reference(graph, schema, compressed=True)
 
     def test_compressed_interval_rules_never_reach_the_solver(self):
         graph, schema = bug_tracker_graph(), bug_tracker_schema()
