@@ -10,7 +10,12 @@ Two short deterministic soaks of the stack:
   is bit-reproducible, so any drift is a real behaviour change;
 * a run against a live in-thread daemon under the ``mixed`` fault schedule,
   gated on *every* injected fault being recovered (client reconnects and
-  retries, version-guarded update replays) and on the oracle checks passing;
+  retries, version-guarded update replays), on the oracle checks passing,
+  and on reach: every point the schedule gives a positive rate was checked
+  at least once, except the named :data:`UNREACHED` points, which must have
+  been checked zero times.  The injector's per-point ``checked`` / ``fired``
+  tallies are printed and written to ``BENCH_soak.json`` under
+  ``fault_points``;
 * a restart soak against a durable daemon (``--data-dir`` semantics): the
   weighted ``restart`` op checkpoints, bounces the daemon, and requires the
   recovered store to match the mirror exactly before the stream continues —
@@ -27,6 +32,7 @@ Run directly (``python benchmarks/bench_soak.py``) or via pytest
 
 from __future__ import annotations
 
+import json
 import os
 import pathlib
 import tempfile
@@ -55,6 +61,15 @@ BASELINE_PATH = pathlib.Path(__file__).resolve().parent / "baseline_soak.json"
 
 #: Wall-clock fields excluded from the baseline comparison.
 TIMING_KEYS = ("seconds", "ops_per_second")
+
+#: Points of the faulted soak's schedule that no soak step can reach, each
+#: with the reason.  The reach gate requires them to stay unchecked, so a
+#: point that becomes reachable must leave this mapping.
+UNREACHED = {
+    "solver": "no soak rule reaches the Presburger MILP",
+    "persist.io": "the faulted daemon runs without --data-dir",
+    "persist.torn_write": "the faulted daemon runs without --data-dir",
+}
 
 
 def _without_timing(report: dict) -> dict:
@@ -96,12 +111,12 @@ def test_soak_under_faults() -> None:
             socket_path=socket_path, backend="thread", max_workers=2,
             request_timeout=60.0,
         )
-        faults.install(SCHEDULE, seed=SEED)
+        plan = faults.install(SCHEDULE, seed=SEED).plan
         try:
             client = DaemonClient.connect_unix(socket_path, retries=4, backoff=0.05)
             report = run_soak(spec, DaemonTarget(client, "soak"))
         finally:
-            faults.uninstall()
+            injector = faults.uninstall()
             handle.stop()
 
     tallies = report["faults"]
@@ -121,6 +136,51 @@ def test_soak_under_faults() -> None:
     assert tallies["unrecovered"] == 0, (
         f"{tallies['unrecovered']} injected fault(s) were not recovered"
     )
+
+    # Reach, read from the injector itself so the fault-free report and its
+    # baseline stay as they are.
+    points = _point_tallies(plan.rates, injector.stats())
+    _write_point_tallies(points)
+    print("  fault point         rate  checked  fired")
+    for point, row in points.items():
+        print(f"  {point:<18} {row['rate']:>5}  {row['checked']:>7}  {row['fired']:>5}")
+    unchecked = [
+        point for point, row in points.items()
+        if row["rate"] > 0 and row["checked"] == 0 and point not in UNREACHED
+    ]
+    assert not unchecked, (
+        f"the {SCHEDULE!r} schedule gives {unchecked} a positive rate, but no "
+        "soak step checked them — reach them or list them in UNREACHED"
+    )
+    reached = [point for point in UNREACHED if points.get(point, {}).get("checked")]
+    assert not reached, (
+        f"UNREACHED lists {reached}, but the soak checked them — drop them "
+        "from the mapping"
+    )
+
+
+def _point_tallies(rates, stats) -> dict:
+    """``{point: {"rate", "checked", "fired"}}`` for every scheduled or
+    checked point, sorted by name."""
+    names = sorted(set(rates) | set(stats["checked"]))
+    return {
+        point: {
+            "rate": rates.get(point, 0.0),
+            "checked": stats["checked"].get(point, 0),
+            "fired": stats["fired"].get(point, 0),
+        }
+        for point in names
+    }
+
+
+def _write_point_tallies(points: dict) -> None:
+    """Add the faulted run's per-point tallies to ``BENCH_soak.json``."""
+    try:
+        report = json.loads(REPORT_PATH.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        report = {}
+    report["fault_points"] = points
+    write_report(report, REPORT_PATH)
 
 
 def test_soak_with_restarts() -> None:

@@ -55,7 +55,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.containment.counterexample": ("find_counterexample",),
     "repro.containment.detshex": ("contains_detshex0_minus",),
     "repro.engine.compiled": ("CompiledSchema", "compile_schema"),
-    "repro.engine.cache": ("DiskResultCache",),
     "repro.engine.containment": ("ContainmentEngine",),
     "repro.engine.jobs": ("EngineReport", "JobResult"),
     "repro.engine.fixpoint": (

@@ -256,9 +256,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             backend=args.backend,
             max_workers=args.jobs,
             cache_size=args.cache_size,
-            cache_dir=args.cache_dir,
-            cache_max_mb=args.cache_max_mb,
-            cache_ttl=args.cache_ttl,
         ) as engine:
             report = engine.run_batch(jobs)
     if args.metrics_json:
@@ -292,18 +289,10 @@ def _cmd_batch_connected(args: argparse.Namespace, entries) -> int:
     from repro.serve.client import DaemonClient, batch_jobs_from_manifest
 
     # Engine tuning happens daemon-side: these flags only apply to local runs.
-    if (
-        args.backend != "serial"
-        or args.jobs is not None
-        or args.cache_size != 1024
-        or args.cache_dir is not None
-        or args.cache_max_mb is not None
-        or args.cache_ttl is not None
-    ):
+    if args.backend != "serial" or args.jobs is not None or args.cache_size != 1024:
         print(
-            "shex-containment: warning: --backend/--jobs/--cache-size/--cache-dir/"
-            "--cache-max-mb/--cache-ttl are ignored with --connect "
-            "(the daemon's configuration applies)",
+            "shex-containment: warning: --backend/--jobs/--cache-size are ignored "
+            "with --connect (the daemon's configuration applies)",
             file=sys.stderr,
         )
     jobs = batch_jobs_from_manifest(entries)
@@ -565,18 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch_parser.add_argument(
         "--cache-size", type=int, default=1024, help="LRU result-cache capacity (0 disables)"
-    )
-    batch_parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="persist results to DIR (content-fingerprint keyed; shared across runs)",
-    )
-    batch_parser.add_argument(
-        "--cache-max-mb", type=float, default=None, metavar="MB",
-        help="bound the --cache-dir size; oldest entries are evicted past it",
-    )
-    batch_parser.add_argument(
-        "--cache-ttl", type=float, default=None, metavar="SECONDS",
-        help="expire --cache-dir entries older than this many seconds",
     )
     batch_parser.add_argument(
         "--show-untyped", action="store_true", help="list untyped nodes of invalid graphs"

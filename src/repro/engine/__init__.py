@@ -11,10 +11,9 @@ service layer:
 * :class:`ValidationEngine` / :class:`ContainmentEngine` — ``submit`` /
   ``run_batch`` APIs that fan independent jobs out to an :class:`Executor`
   (``serial``, ``thread`` or ``process``, all behind one ``submit`` call)
-  and serve repeated jobs from an LRU cache keyed by content hashes
-  (optionally persisted on disk via :class:`DiskResultCache` /
-  ``cache_dir``); the asyncio front-end (:mod:`repro.serve.async_engine`)
-  drives the same per-job lifecycle;
+  and serve repeated jobs from an in-memory LRU cache keyed by content
+  hashes; the asyncio front-end (:mod:`repro.serve.async_engine`) drives
+  the same per-job lifecycle;
 * :func:`maximal_typing_fixpoint` — the shared fixpoint kernel under both
   validation semantics (:mod:`repro.engine.fixpoint`): fine-grained
   ``(node, type)`` dirtiness, neighbourhood-signature memoisation, batched
@@ -28,7 +27,7 @@ service layer:
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "repro.engine.cache": ("CacheStats", "DiskResultCache", "LRUCache"),
+    "repro.engine.cache": ("CacheStats", "LRUCache"),
     "repro.engine.compiled": (
         "CompiledSchema",
         "CompiledType",

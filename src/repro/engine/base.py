@@ -15,7 +15,7 @@ import time
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro import faults as _faults
-from repro.engine.cache import DiskResultCache, LRUCache
+from repro.engine.cache import LRUCache
 from repro.engine.executors import get_executor
 from repro.engine.jobs import EngineReport, JobResult, Stopwatch
 from repro.obs import metrics as _obs_metrics
@@ -91,25 +91,10 @@ class BatchEngine:
         backend: str = "serial",
         max_workers: Optional[int] = None,
         cache_size: int = 1024,
-        cache_dir: Optional[str] = None,
-        cache_max_mb: Optional[float] = None,
-        cache_ttl: Optional[float] = None,
     ):
         self.backend = backend
         self._executor = get_executor(backend, max_workers)
-        # With a cache_dir the result cache persists across processes and
-        # restarts; cache_size then bounds only its in-memory front, while
-        # cache_max_mb / cache_ttl bound the directory (size cap in MiB,
-        # entry age in seconds — see DiskResultCache).
-        if cache_dir is not None:
-            self.cache = DiskResultCache(
-                cache_dir,
-                memory_size=cache_size,
-                max_bytes=None if cache_max_mb is None else int(cache_max_mb * 1024 * 1024),
-                ttl_seconds=cache_ttl,
-            )
-        else:
-            self.cache = LRUCache(cache_size)
+        self.cache = LRUCache(cache_size)
         self._pending: List = []
 
     # -- subclass hooks ------------------------------------------------------

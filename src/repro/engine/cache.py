@@ -1,37 +1,21 @@
-"""Result caches: a thread-safe in-memory LRU and a persistent disk backend.
+"""The result cache: a thread-safe in-memory LRU with usage counters.
 
-The engines key these caches by content fingerprints of the job inputs (see
+The engines key it by content fingerprints of the job inputs (see
 :func:`repro.engine.compiled.schema_fingerprint` /
 :func:`repro.engine.compiled.graph_fingerprint`), so identical jobs — the same
 schema and data loaded twice, or re-submitted across batches — are answered
-without recomputation, regardless of object identity.
-
-:class:`LRUCache` is the default, process-local backend.
-:class:`DiskResultCache` layers the same interface over a directory of
-pickled entries, so verdicts survive process restarts: a nightly batch, a
-redeployed daemon, or two CLI invocations pointing at the same
-``--cache-dir`` share results.  Because keys are *content* fingerprints, a
-stale entry can only be produced by a hash collision — entries never need
-invalidation when files are re-parsed or objects rebuilt.
+without recomputation, regardless of object identity.  Entries live as long
+as their process; reuse across CLI runs goes through a running daemon
+(``batch --connect``), and restart-surviving state through its
+``--data-dir``.
 """
 
 from __future__ import annotations
 
-import hashlib
-import logging
-import os
-import pickle
-import tempfile
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Hashable, Optional, Tuple
-
-from repro import faults as _faults
-from repro.obs import logs as _obs_logs
-
-_LOG = logging.getLogger("repro.engine.cache")
+from typing import Any, Hashable, Tuple
 
 
 @dataclass(frozen=True)
@@ -122,347 +106,12 @@ class LRUCache:
             )
 
 
-class DiskResultCache:
-    """A persistent result cache: one pickled file per content-fingerprint key.
-
-    Drop-in for :class:`LRUCache` in the engines (same
-    ``get``/``put``/``clear``/``stats`` contract) with two levels:
-
-    * a bounded in-memory LRU front (``memory_size`` entries) absorbing the
-      hot keys of the current process;
-    * the directory, shared by every process pointed at it and surviving
-      restarts, kept in check by two optional hygiene bounds.
-
-    ``max_bytes`` caps the directory's total persisted size: when a write
-    pushes past the bound, the oldest entries (by modification time) are
-    evicted until it fits again.  ``ttl_seconds`` expires entries by age: an
-    expired file is deleted on lookup (counted as a miss) and swept at
-    start-up.  Both are *space hygiene*, not invalidation — keys are content
-    fingerprints, so entries never go semantically stale; the in-memory front
-    is unaffected.  Configure them with ``cache_max_mb`` / ``cache_ttl`` on
-    the engines and the daemon, or ``--cache-max-mb`` / ``--cache-ttl`` on the
-    ``shex-containment batch`` and ``shex-serve start`` CLIs.
-
-    Entries are written atomically (temp file + ``os.replace``), so
-    concurrent writers — parallel CLI runs, a daemon plus a batch job — can
-    share a directory: the worst race rewrites an identical entry.  An
-    unreadable or truncated file is treated as a miss and moved into the
-    directory's ``quarantine/`` subfolder (counted and logged, never served,
-    never retried) so a recurring corruption source stays diagnosable.
-    Orphaned ``*.tmp`` files left by a crashed writer are swept when the
-    directory is opened.  Select it with ``cache_dir=...`` on the engines,
-    ``--cache-dir`` on the ``shex-containment batch`` / ``shex-serve start``
-    CLIs, or the daemon's ``cache_dir`` config field.
-    """
-
-    _SUFFIX = ".result.pkl"
-    _QUARANTINE = "quarantine"
-
-    def __init__(
-        self,
-        directory: str,
-        memory_size: int = 1024,
-        max_bytes: Optional[int] = None,
-        ttl_seconds: Optional[float] = None,
-    ):
-        self.directory = directory
-        self.max_bytes = max_bytes
-        self.ttl_seconds = ttl_seconds
-        os.makedirs(directory, exist_ok=True)
-        self._memory = LRUCache(memory_size)
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions_disk = 0
-        self._quarantined = 0
-        self._tmp_swept = self._sweep_tmp()
-        if ttl_seconds is not None:
-            self._sweep_expired()
-        # Entry and byte counts, maintained incrementally: stats() runs on
-        # every batch report and daemon status request, so it must not rescan
-        # the directory.  The counts are exact for this process and
-        # approximate when other processes write the same directory
-        # concurrently.
-        self._disk_entries, self._disk_bytes = self._scan_disk()
-        if self.max_bytes is not None:
-            self._evict_over_budget()
-
-    def _entry_paths(self):
-        for name in os.listdir(self.directory):
-            if name.endswith(self._SUFFIX):
-                yield os.path.join(self.directory, name)
-
-    def _sweep_tmp(self) -> int:
-        """Delete orphaned ``*.tmp`` files left behind by a crashed writer.
-
-        Run once when the directory is opened; anything still ``.tmp`` at
-        that point lost its writer (live writers hold a fresh
-        ``NamedTemporaryFile`` and rename or unlink it before returning).
-        """
-        swept = 0
-        for name in os.listdir(self.directory):
-            if not name.endswith(".tmp"):
-                continue
-            try:
-                os.unlink(os.path.join(self.directory, name))
-                swept += 1
-            except OSError:
-                pass
-        if swept:
-            _obs_logs.log_event(
-                _LOG, logging.INFO, "cache_tmp_swept",
-                directory=self.directory, swept=swept,
-            )
-        return swept
-
-    def _quarantine_entry(self, path: str, reason: str) -> None:
-        """Move one corrupt entry out of circulation instead of serving it.
-
-        The file lands in ``quarantine/`` under its original name (keeping
-        the incremental size counts honest), one structured log line records
-        the move, and :meth:`quarantined` / the ``repro_cache_*`` collector
-        expose the running count.  A failed move falls back to deletion so a
-        poisoned entry can never be served either way.
-        """
-        quarantine_dir = os.path.join(self.directory, self._QUARANTINE)
-        try:
-            size = os.stat(path).st_size
-            os.makedirs(quarantine_dir, exist_ok=True)
-            os.replace(path, os.path.join(quarantine_dir, os.path.basename(path)))
-        except OSError:
-            self._unlink_entry(path)
-            with self._lock:
-                self._quarantined += 1
-            return
-        with self._lock:
-            self._disk_entries = max(self._disk_entries - 1, 0)
-            self._disk_bytes = max(self._disk_bytes - size, 0)
-            self._quarantined += 1
-        _obs_logs.log_event(
-            _LOG, logging.WARNING, "cache_entry_quarantined",
-            path=path, reason=reason,
-        )
-
-    def _scan_disk(self) -> Tuple[int, int]:
-        entries = 0
-        total = 0
-        for path in self._entry_paths():
-            try:
-                total += os.stat(path).st_size
-            except OSError:
-                continue
-            entries += 1
-        return entries, total
-
-    def _unlink_entry(self, path: str) -> None:
-        """Delete one persisted entry, keeping the incremental counts honest."""
-        try:
-            size = os.stat(path).st_size
-            os.unlink(path)
-        except OSError:
-            return
-        with self._lock:
-            self._disk_entries = max(self._disk_entries - 1, 0)
-            self._disk_bytes = max(self._disk_bytes - size, 0)
-
-    def _expired(self, path: str) -> bool:
-        if self.ttl_seconds is None:
-            return False
-        try:
-            return time.time() - os.stat(path).st_mtime > self.ttl_seconds
-        except OSError:
-            return False
-
-    def _sweep_expired(self) -> int:
-        """Delete every entry older than the TTL; returns how many went."""
-        swept = 0
-        for path in list(self._entry_paths()):
-            if self._expired(path):
-                try:
-                    os.unlink(path)
-                    swept += 1
-                except OSError:
-                    pass
-        return swept
-
-    def _evict_over_budget(self) -> int:
-        """Evict oldest-first until the directory fits ``max_bytes``."""
-        if self.max_bytes is None:
-            return 0
-        with self._lock:
-            over = self._disk_bytes > self.max_bytes
-        if not over:
-            return 0
-        aged = []
-        for path in self._entry_paths():
-            try:
-                status = os.stat(path)
-            except OSError:
-                continue
-            aged.append((status.st_mtime, status.st_size, path))
-        aged.sort()
-        evicted = 0
-        for _mtime, _size, path in aged:
-            with self._lock:
-                if self._disk_bytes <= self.max_bytes:
-                    break
-            self._unlink_entry(path)
-            evicted += 1
-        with self._lock:
-            self._evictions_disk += evicted
-        return evicted
-
-    def _path(self, key: Hashable) -> str:
-        digest = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
-        return os.path.join(self.directory, digest + self._SUFFIX)
-
-    def get(self, key: Hashable) -> Tuple[bool, Any]:
-        """``(found, value)``; disk hits are promoted into the memory front.
-
-        With a TTL configured, an entry past its age is deleted and reported
-        as a miss instead of being served.
-        """
-        found, value = self._memory.get(key)
-        if found:
-            with self._lock:
-                self._hits += 1
-            return True, value
-        path = self._path(key)
-        if self._expired(path):
-            self._unlink_entry(path)
-            with self._lock:
-                self._misses += 1
-            return False, None
-        try:
-            _faults.maybe_fail("cache.io")
-            with open(path, "rb") as handle:
-                value = pickle.load(handle)
-        except FileNotFoundError:
-            with self._lock:
-                self._misses += 1
-            return False, None
-        except _faults.InjectedIOError:
-            # An injected transient disk error: recover by treating the
-            # lookup as a miss; the entry itself is intact.
-            with self._lock:
-                self._misses += 1
-            return False, None
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError) as exc:
-            # A torn or stale entry: quarantine it and recompute.
-            self._quarantine_entry(path, f"{type(exc).__name__}: {exc}")
-            with self._lock:
-                self._misses += 1
-            return False, None
-        self._memory.put(key, value)
-        with self._lock:
-            self._hits += 1
-        return True, value
-
-    def put(self, key: Hashable, value: Any) -> None:
-        """Store in memory and persist to disk atomically.
-
-        Persistence failures — disk errors *and* unpicklable values — are
-        swallowed: the entry simply stays memory-only, and the temp file is
-        always cleaned up.
-        """
-        self._memory.put(key, value)
-        path = self._path(key)
-        handle = tempfile.NamedTemporaryFile(
-            mode="wb", dir=self.directory, suffix=".tmp", delete=False
-        )
-        persisted = False
-        try:
-            with handle:
-                _faults.maybe_fail("cache.io")
-                pickle.dump(value, handle)
-                if _faults.should_fire("cache.corrupt"):
-                    # Simulate a torn write: truncate the payload so a cold
-                    # read later must take the quarantine path.
-                    handle.truncate(max(1, handle.tell() // 2))
-            try:
-                previous = os.stat(path).st_size
-            except OSError:
-                previous = None
-            written = os.stat(handle.name).st_size
-            os.replace(handle.name, path)
-            persisted = True
-            with self._lock:
-                if previous is None:
-                    self._disk_entries += 1
-                    self._disk_bytes += written
-                else:
-                    self._disk_bytes += written - previous
-        except (OSError, pickle.PicklingError, TypeError):
-            pass
-        finally:
-            if not persisted:
-                try:
-                    os.unlink(handle.name)
-                except OSError:
-                    pass
-        if persisted and self.max_bytes is not None:
-            self._evict_over_budget()
-
-    def clear(self) -> None:
-        """Drop the memory front and delete every persisted entry (and any
-        orphaned temp files left by crashed writers)."""
-        self._memory.clear()
-        with self._lock:
-            for name in os.listdir(self.directory):
-                if name.endswith(self._SUFFIX) or name.endswith(".tmp"):
-                    try:
-                        os.unlink(os.path.join(self.directory, name))
-                    except OSError:
-                        pass
-            self._disk_entries = 0
-            self._disk_bytes = 0
-
-    def __len__(self) -> int:
-        """The number of entries persisted on disk (exact: rescans the
-        directory; use ``stats().size`` for the cheap tracked count)."""
-        return self._scan_disk()[0]
-
-    def disk_bytes(self) -> int:
-        """The tracked total size of persisted entries, in bytes."""
-        with self._lock:
-            return self._disk_bytes
-
-    def quarantined(self) -> int:
-        """Corrupt entries moved to ``quarantine/`` over this cache's lifetime."""
-        with self._lock:
-            return self._quarantined
-
-    def tmp_swept(self) -> int:
-        """Orphaned ``*.tmp`` files removed when the directory was opened."""
-        return self._tmp_swept
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._memory or os.path.exists(self._path(key))
-
-    def stats(self) -> CacheStats:
-        """Combined counters: a hit is a hit whether memory or disk served it.
-
-        ``size`` is the incrementally tracked disk-entry count — O(1), not a
-        directory scan — so it may drift from other processes' concurrent
-        writes to a shared directory.
-        """
-        memory = self._memory.stats()
-        with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=memory.evictions + self._evictions_disk,
-                size=self._disk_entries,
-                max_size=memory.max_size,
-            )
-
-
 def cache_collector(label: str, cache):
     """A :mod:`repro.obs` collector exposing one cache as ``repro_cache_*``.
 
     ``cache`` is anything with the ``stats() -> CacheStats`` contract
-    (:class:`LRUCache`, :class:`DiskResultCache`, or the parse cache's
-    wrapper); ``label`` becomes the ``cache`` label distinguishing families.
+    (:class:`LRUCache` or the parse cache's wrapper); ``label`` becomes the
+    ``cache`` label distinguishing families.
     Register the returned callable with
     :meth:`repro.obs.MetricsRegistry.add_collector` — and remove it when the
     owning object shuts down.
@@ -471,7 +120,7 @@ def cache_collector(label: str, cache):
     def collect():
         stats = cache.stats()
         labels = {"cache": label}
-        families = [
+        return [
             (
                 "repro_cache_hits_total", "counter",
                 "Lookups answered from the cache.", [(labels, stats.hits)],
@@ -482,7 +131,7 @@ def cache_collector(label: str, cache):
             ),
             (
                 "repro_cache_evictions_total", "counter",
-                "Entries evicted (LRU overflow or disk budget).",
+                "Entries evicted by LRU overflow.",
                 [(labels, stats.evictions)],
             ),
             (
@@ -490,30 +139,5 @@ def cache_collector(label: str, cache):
                 "Entries currently held.", [(labels, stats.size)],
             ),
         ]
-        if hasattr(cache, "disk_bytes"):
-            families.append(
-                (
-                    "repro_cache_disk_bytes", "gauge",
-                    "Tracked bytes of persisted entries.",
-                    [(labels, cache.disk_bytes())],
-                )
-            )
-        if hasattr(cache, "quarantined"):
-            families.append(
-                (
-                    "repro_cache_quarantined_total", "counter",
-                    "Corrupt entries moved to quarantine instead of served.",
-                    [(labels, cache.quarantined())],
-                )
-            )
-        if hasattr(cache, "tmp_swept"):
-            families.append(
-                (
-                    "repro_cache_tmp_swept_total", "counter",
-                    "Orphaned temp files removed when the directory was opened.",
-                    [(labels, cache.tmp_swept())],
-                )
-            )
-        return families
 
     return collect

@@ -215,13 +215,8 @@ class ValidationEngine(BatchEngine):
         backend: str = "serial",
         max_workers: Optional[int] = None,
         cache_size: int = 1024,
-        cache_dir: Optional[str] = None,
-        cache_max_mb: Optional[float] = None,
-        cache_ttl: Optional[float] = None,
     ):
-        super().__init__(
-            backend, max_workers, cache_size, cache_dir, cache_max_mb, cache_ttl
-        )
+        super().__init__(backend, max_workers, cache_size)
         # (schema fingerprint, store id, compressed) -> (version, Typing):
         # the prior fixpoints that seed incremental revalidation.
         self._typings: "OrderedDict[Tuple, Tuple[int, Typing]]" = OrderedDict()
@@ -316,7 +311,9 @@ class ValidationEngine(BatchEngine):
                 rows = payload.get("typing")
                 if isinstance(rows, TypingRows):
                     # The maximal typing of this very content: it seeds the
-                    # next delta.  (A disk-cache entry holds only the rows.)
+                    # next delta.  (An entry that a process-backend run_batch
+                    # filled holds only the rows: TypingRows pickles as a
+                    # tuple.)
                     self._remember(token, version, rows.typing)
                 return RevalidationOutcome(
                     result=JobResult(

@@ -1,7 +1,7 @@
 """Deterministic, seeded fault injection for the soak harness and the tests.
 
 The serve stack claims to survive socket drops, slow writes, solver crashes,
-disk-cache I/O errors, and executor worker death.  This module makes those
+durable-store I/O errors, and executor worker death.  This module makes those
 claims testable: a :class:`FaultPlan` assigns a firing probability to each
 named *injection point*, a :class:`FaultInjector` draws from one seeded RNG
 (so a run is reproducible from ``(plan, seed)`` alone), and the hardened code
@@ -34,8 +34,6 @@ Injection points
 ``daemon.delay``   sleep ``delay_ms`` before writing the response
 ``solver``         raise :class:`InjectedFault` inside the Presburger solver
 ``executor``       raise :class:`InjectedFault` inside an executor worker
-``cache.io``       raise :class:`InjectedIOError` in disk-cache read/write
-``cache.corrupt``  truncate a just-persisted cache entry (torn write)
 ``persist.io``     raise :class:`InjectedIOError` before a WAL append or
                    snapshot write touches the file (clean failure)
 ``persist.torn_write``  write a *partial* WAL record, then raise — the
@@ -60,8 +58,6 @@ FAULT_POINTS = (
     "daemon.delay",
     "solver",
     "executor",
-    "cache.io",
-    "cache.corrupt",
     "persist.io",
     "persist.torn_write",
 )
@@ -72,20 +68,13 @@ SCHEDULES: Dict[str, Dict[str, float]] = {
     "drops": {"daemon.drop": 0.05, "daemon.partial": 0.03},
     "slow": {"daemon.delay": 0.2},
     "compute": {"solver": 0.04, "executor": 0.04},
-    "disk": {
-        "cache.io": 0.08,
-        "cache.corrupt": 0.05,
-        "persist.io": 0.04,
-        "persist.torn_write": 0.03,
-    },
+    "disk": {"persist.io": 0.04, "persist.torn_write": 0.03},
     "mixed": {
         "daemon.drop": 0.03,
         "daemon.partial": 0.02,
         "daemon.delay": 0.05,
         "solver": 0.02,
         "executor": 0.02,
-        "cache.io": 0.04,
-        "cache.corrupt": 0.02,
         "persist.io": 0.02,
         "persist.torn_write": 0.01,
     },
@@ -187,7 +176,7 @@ class FaultInjector:
     """Draws per-point firing decisions from one seeded RNG, thread-safely.
 
     The injector is shared by every layer of the process (daemon writer,
-    solver, caches, executors), so the draw and the tally sit behind one
+    solver, durable store, executors), so the draw and the tally sit behind one
     lock; the sequence of decisions is a pure function of the plan's seed
     and the order of checks.
     """
@@ -212,10 +201,10 @@ class FaultInjector:
         return True
 
     def maybe_fail(self, point: str) -> None:
-        """Raise :class:`InjectedFault` (``cache.*`` and ``persist.*`` points
-        raise the :class:`InjectedIOError` flavour) when the roll fires."""
+        """Raise :class:`InjectedFault` (``persist.*`` points raise the
+        :class:`InjectedIOError` flavour) when the roll fires."""
         if self.should_fire(point):
-            if point.startswith(("cache.", "persist.")):
+            if point.startswith("persist."):
                 raise InjectedIOError(point)
             raise InjectedFault(point)
 

@@ -65,9 +65,6 @@ def _daemon_from_args(args: argparse.Namespace) -> ValidationDaemon:
         backend=args.backend,
         max_workers=args.jobs,
         cache_size=args.cache_size,
-        cache_dir=args.cache_dir,
-        cache_max_mb=args.cache_max_mb,
-        cache_ttl=args.cache_ttl,
         slow_ms=args.slow_ms,
         log_level=args.log_level,
         log_json=args.log_json,
@@ -264,14 +261,11 @@ def _render_metrics(snapshot: Dict[str, Any]) -> str:
             f"{persist.get('truncated_tails', 0)} truncated tail(s)"
         )
     for label, cache in sorted(snapshot.get("caches", {}).items()):
-        line = (
+        lines.append(
             f"  cache {label}: hits={cache['hits']} misses={cache['misses']} "
             f"evictions={cache['evictions']} size={cache['size']}/{cache['max_size']} "
             f"hit-rate={cache['hit_rate']:.1%}"
         )
-        if "disk_bytes" in cache:
-            line += f" disk={cache['disk_bytes']}B"
-        lines.append(line)
     for name, entry in sorted(snapshot.get("graphs", {}).items()):
         lines.append(f"  graph {name!r}: v{entry['version']}, {entry['nodes']} nodes")
     return "\n".join(lines)
@@ -359,18 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     start_parser.add_argument(
         "--cache-size", type=int, default=4096, help="LRU result-cache capacity per engine"
-    )
-    start_parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="persist results to DIR (content-fingerprint keyed; survives restarts)",
-    )
-    start_parser.add_argument(
-        "--cache-max-mb", type=float, default=None, metavar="MB",
-        help="bound the --cache-dir size; oldest entries are evicted past it",
-    )
-    start_parser.add_argument(
-        "--cache-ttl", type=float, default=None, metavar="SECONDS",
-        help="expire --cache-dir entries older than this many seconds",
     )
     start_parser.add_argument(
         "--slow-ms", type=float, default=1000.0, metavar="MS",

@@ -117,14 +117,12 @@ def _stats_dict(stats: CacheStats) -> Dict[str, Any]:
 
 
 class ValidationDaemon:
-    """Serve validation/containment over a socket with persistent caches.
+    """Serve validation/containment over a socket with long-lived caches.
 
     Parameters mirror the engines: ``backend`` / ``max_workers`` pick the
-    executor the jobs fan out to, ``cache_size`` bounds each result cache.
-    ``cache_dir`` selects the persistent on-disk result cache
-    (:class:`repro.engine.cache.DiskResultCache`): verdicts then survive
-    daemon restarts and are shared with any batch CLI pointed at the same
-    directory.  Exactly one of ``socket_path`` (Unix) or ``host``+``port``
+    executor the jobs fan out to, ``cache_size`` bounds each in-memory
+    result cache, which lives as long as the daemon; ``data_dir`` is what
+    survives a restart.  Exactly one of ``socket_path`` (Unix) or ``host``+``port``
     (TCP) selects the listening endpoint; ``port=0`` asks the OS for a free
     port, readable from :attr:`address` once started.
     """
@@ -137,9 +135,6 @@ class ValidationDaemon:
         backend: str = "serial",
         max_workers: Optional[int] = None,
         cache_size: int = 4096,
-        cache_dir: Optional[str] = None,
-        cache_max_mb: Optional[float] = None,
-        cache_ttl: Optional[float] = None,
         slow_ms: float = 1000.0,
         log_level: Optional[str] = None,
         log_json: bool = False,
@@ -156,9 +151,6 @@ class ValidationDaemon:
         self.socket_path = socket_path
         self.host = host
         self.port = port
-        self.cache_dir = cache_dir
-        self.cache_max_mb = cache_max_mb
-        self.cache_ttl = cache_ttl
         #: Persistence root (``schemas/`` + ``graphs/<name>/``); ``None``
         #: keeps every store in memory only.  See docs/architecture.md,
         #: "Durability and recovery".
@@ -186,11 +178,9 @@ class ValidationDaemon:
             obs_logs.configure_logging(level=log_level, json_lines=log_json)
         self.validation = AsyncValidationEngine(
             backend=backend, max_workers=max_workers, cache_size=cache_size,
-            cache_dir=cache_dir, cache_max_mb=cache_max_mb, cache_ttl=cache_ttl,
         )
         self.containment = AsyncContainmentEngine(
             backend=backend, max_workers=max_workers, cache_size=cache_size,
-            cache_dir=cache_dir, cache_max_mb=cache_max_mb, cache_ttl=cache_ttl,
         )
         self._schemas: Dict[str, CompiledSchema] = {}
         self._stores: Dict[str, GraphStore] = {}
@@ -1441,23 +1431,13 @@ class ValidationDaemon:
         """Every cache's counters as one JSON-safe dict.
 
         The single place (``status``, batch summaries, and the ``metrics``
-        op all read through here) that renders :class:`CacheStats`; the
-        result-cache entries additionally carry ``disk_bytes`` when the
-        daemon runs with a persistent cache directory.
+        op all read through here) that renders :class:`CacheStats`.
         """
-        caches = {
+        return {
             "validation": _stats_dict(self.validation.engine.cache.stats()),
             "containment": _stats_dict(self.containment.engine.cache.stats()),
             "parsed": _stats_dict(self._parsed.stats()),
         }
-        for key, cache in (
-            ("validation", self.validation.engine.cache),
-            ("containment", self.containment.engine.cache),
-        ):
-            disk_bytes = getattr(cache, "disk_bytes", None)
-            if disk_bytes is not None:
-                caches[key]["disk_bytes"] = disk_bytes()
-        return caches
 
     async def _op_status(self, message: Dict[str, Any]) -> Dict[str, Any]:
         caches = self._cache_stats()
@@ -1467,7 +1447,6 @@ class ValidationDaemon:
             "pid": os.getpid(),
             "address": self.address,
             "backend": self.validation.backend,
-            "cache_dir": self.cache_dir,
             "data_dir": self.data_dir,
             "uptime_seconds": self._uptime(),
             "connections": self._connections,

@@ -11,7 +11,7 @@ construction.  Runs are reproducible from the :class:`SoakSpec` alone (one
 seeded RNG drives every choice), can target a live daemon or the in-process
 engines, and optionally run under a :mod:`repro.faults` schedule — the run
 then also asserts that every injected fault is *recovered* (client retries,
-version-guarded replays, cache quarantine) rather than surfaced.
+version-guarded replays) rather than surfaced.
 
 On an invariant violation the runner shrinks: the recorded update sequence is
 greedily minimized (bounded by ``max_shrink_replays`` fresh in-process

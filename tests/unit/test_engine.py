@@ -334,12 +334,15 @@ class TestSnapshotRefresh:
         assert after.frontier == 3
         assert after.result.verdict == "valid"
 
-    def test_a_disk_cache_hit_leaves_no_snapshot(self, tmp_path):
+    def test_a_process_batch_hit_leaves_no_snapshot(self):
+        # A process worker's payload comes back pickled, so its typing is a
+        # plain tuple of rows: a revalidation answered from it has no typing
+        # to seed the next delta with.
         schema = parse_schema(self.SCHEMA)
         store = GraphStore(self._chains())
-        with ValidationEngine(cache_dir=str(tmp_path)) as engine:
-            engine.revalidate(store, schema)
-        with ValidationEngine(cache_dir=str(tmp_path)) as engine:
+        with ValidationEngine(backend="process", max_workers=1) as engine:
+            (filled,) = engine.run_batch([(store.graph.copy(), schema)]).results
+            assert type(filled.payload["typing"]) is tuple
             assert engine.revalidate(store, schema).mode == "cached"
             assert engine.export_typings(store) == []  # the entry holds rows only
             store.apply(Delta.of(remove=[("s5", "tag", "sl5")], add=[("s5", "tag", "sl7")]))
@@ -536,13 +539,13 @@ class TestTypingRows:
         oracle = maximal_typing_reference(store.graph, schema)
         assert repaired.result.payload["typing"] == _eager_rows(store.graph, oracle)
 
-    def test_disk_cache_reread_yields_equal_rows(self, schema, bad_graph, tmp_path):
-        cache_dir = str(tmp_path / "results")
-        with ValidationEngine(cache_dir=cache_dir) as engine:
+    def test_process_batch_reread_yields_equal_rows(self, schema, bad_graph):
+        with ValidationEngine(backend="process", max_workers=1) as engine:
             cold = engine.run_batch([(bad_graph, schema)]).results[0]
-        with ValidationEngine(cache_dir=cache_dir) as engine:
             warm = engine.run_batch([(bad_graph, schema)]).results[0]
+        with ValidationEngine() as engine:
+            serial = engine.run_batch([(bad_graph, schema)]).results[0]
         assert not cold.cached and warm.cached
         eager = _eager_rows(bad_graph, maximal_typing_reference(bad_graph, schema))
         assert type(warm.payload["typing"]) is tuple
-        assert warm.payload["typing"] == cold.payload["typing"] == eager
+        assert warm.payload["typing"] == serial.payload["typing"] == eager

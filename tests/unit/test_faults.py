@@ -81,14 +81,14 @@ class TestFaultInjector:
 
     def test_maybe_fail_raises_the_point_flavour(self):
         injector = FaultInjector(
-            FaultPlan(rates={"solver": 1.0, "cache.io": 1.0}, seed=1)
+            FaultPlan(rates={"solver": 1.0, "persist.io": 1.0}, seed=1)
         )
         with pytest.raises(InjectedFault) as info:
             injector.maybe_fail("solver")
         assert info.value.point == "solver"
         assert not isinstance(info.value, OSError)
         with pytest.raises(InjectedIOError) as info:
-            injector.maybe_fail("cache.io")
+            injector.maybe_fail("persist.io")
         assert isinstance(info.value, OSError)
 
 

@@ -234,6 +234,51 @@ class TestPublicSurface:
             exception_class = getattr(errors, name)
             assert issubclass(exception_class, errors.ReproError)
 
+    @pytest.mark.parametrize(
+        "surface",
+        ["engine", "daemon", "batch-cli", "serve-cli", "status", "exports"],
+    )
+    def test_no_disk_result_cache_is_selectable(self, surface, tmp_path):
+        """The in-memory LRU is the only result cache: no parameter, flag,
+        status field or export selects or reports one on disk."""
+        directory = str(tmp_path / "results")
+        if surface == "engine":
+            from repro.engine.validation import ValidationEngine
+
+            with pytest.raises(TypeError):
+                ValidationEngine(cache_dir=directory)
+        elif surface == "daemon":
+            from repro.serve.daemon import ValidationDaemon
+
+            with pytest.raises(TypeError):
+                ValidationDaemon(socket_path=str(tmp_path / "s.sock"), cache_dir=directory)
+        elif surface in ("batch-cli", "serve-cli"):
+            if surface == "batch-cli":
+                from repro.cli import build_parser
+
+                argv = ["batch", "--manifest", "jobs.txt", "--cache-dir", directory]
+            else:
+                from repro.serve.cli import build_parser
+
+                argv = ["start", "--socket", "s.sock", "--cache-dir", directory]
+            with pytest.raises(SystemExit) as info:
+                build_parser().parse_args(argv)
+            assert info.value.code == 2
+        elif surface == "status":
+            from repro.serve.client import DaemonClient
+            from repro.serve.daemon import start_in_thread
+
+            socket_path = str(tmp_path / "s.sock")
+            with start_in_thread(socket_path=socket_path):
+                with DaemonClient.connect(socket_path) as client:
+                    status = client.status()
+            assert "data_dir" in status and "cache_dir" not in status
+        else:
+            import repro.engine
+
+            assert "DiskResultCache" not in repro.__all__
+            assert "DiskResultCache" not in repro.engine.__all__
+
 
 class TestImportFootprint:
     def test_one_shot_validate_loads_only_what_it_runs(self, tmp_path):

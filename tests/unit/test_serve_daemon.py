@@ -537,6 +537,19 @@ class TestCliConnectMode:
         assert "VALID" in lines[0] and "INVALID" in lines[1]
         assert "via daemon" in captured.err and "job(s)" in captured.err
 
+    def test_batch_connect_reuses_verdicts_across_runs(self, daemon, workspace, capsys):
+        # The daemon's cache is what carries verdicts from one CLI run to the
+        # next; the local engine's cache dies with each process.
+        manifest = workspace / "jobs.txt"
+        manifest.write_text("good.ttl schema.shex\nbad.ttl schema.shex\n")
+        argv = ["batch", "--manifest", str(manifest), "--connect", daemon.daemon.socket_path]
+        assert containment_main(argv) == 1
+        assert "[cache]" not in capsys.readouterr().out
+        assert containment_main(argv + ["--cache-size", "8"]) == 1
+        captured = capsys.readouterr()
+        assert all(line.endswith("[cache]") for line in captured.out.strip().splitlines())
+        assert "--cache-size are ignored with --connect" in captured.err
+
     def test_validate_connect_delta_round_trip(self, daemon, workspace, capsys):
         delta = workspace / "delta.json"
         delta.write_text(
