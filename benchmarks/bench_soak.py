@@ -8,7 +8,8 @@ Two short deterministic soaks of the stack:
   documents the expected shape (spec echo, per-op and per-mode counts,
   ``invariant_checks_passed``, the ``faults`` tally block); the seeded run
   is bit-reproducible, so any drift is a real behaviour change;
-* a run against a live in-thread daemon under the ``mixed`` fault schedule,
+* a run against a live in-thread daemon with a data dir under the
+  ``mixed`` fault schedule (so ``persist.*`` faults hit its WAL appends),
   gated on *every* injected fault being recovered (client reconnects and
   retries, version-guarded update replays), on the oracle checks passing,
   and on reach: every point the schedule gives a positive rate was checked
@@ -67,8 +68,6 @@ TIMING_KEYS = ("seconds", "ops_per_second")
 #: point that becomes reachable must leave this mapping.
 UNREACHED = {
     "solver": "no soak rule reaches the Presburger MILP",
-    "persist.io": "the faulted daemon runs without --data-dir",
-    "persist.torn_write": "the faulted daemon runs without --data-dir",
 }
 
 
@@ -109,7 +108,7 @@ def test_soak_under_faults() -> None:
         socket_path = os.path.join(tempdir, "soak.sock")
         handle = start_in_thread(
             socket_path=socket_path, backend="thread", max_workers=2,
-            request_timeout=60.0,
+            request_timeout=60.0, data_dir=os.path.join(tempdir, "data"),
         )
         plan = faults.install(SCHEDULE, seed=SEED).plan
         try:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
-import functools
 from typing import AsyncIterator, Dict, Iterable, List, Optional, Tuple
 
 from repro.engine.containment import ContainmentEngine
@@ -241,48 +240,6 @@ class AsyncValidationEngine(AsyncBatchEngine):
         if fingerprint is not None:
             memo[("graph", id(graph))] = fingerprint
         return await self._run_job(job, memo=memo)
-
-    async def revalidate(self, store, schema, compressed: bool = False, label: str = ""):
-        """Revalidate a :class:`repro.graphs.store.GraphStore` off the event loop.
-
-        Delegates to :meth:`repro.engine.validation.ValidationEngine.revalidate`
-        (incremental when the engine holds a prior typing: the edge delta's
-        node region is retyped) on the loop's default thread pool — never the process backend, since
-        typing snapshots cannot usefully cross a process boundary — keeping
-        the loop responsive; the wrapped engine's own lock serialises
-        concurrent revalidations of the same store.  Returns a
-        :class:`repro.engine.validation.RevalidationOutcome`.
-        """
-        return await run_in_worker(
-            functools.partial(
-                self.engine.revalidate, store, schema, compressed=compressed, label=label
-            )
-        )
-
-    async def revalidate_many(
-        self, stores, schema, compressed: bool = False
-    ) -> List:
-        """Revalidate several stores against one schema in one executor hop.
-
-        ``stores`` is an iterable of :class:`repro.graphs.store.GraphStore`;
-        the whole batch runs as a single thread-pool call, so every store
-        after the first reuses the schema's already-warm persistent signature
-        memo (and the compiled schema) without bouncing through the event
-        loop per graph.  The caller must hold whatever locks protect the
-        stores from concurrent mutation for the duration (the daemon's
-        batched ``revalidate`` op does).  Returns the
-        :class:`repro.engine.validation.RevalidationOutcome` list in input
-        order.
-        """
-        batch = list(stores)
-
-        def call() -> List:
-            return [
-                self.engine.revalidate(store, schema, compressed=compressed)
-                for store in batch
-            ]
-
-        return await run_in_worker(call)
 
 
 class AsyncContainmentEngine(AsyncBatchEngine):

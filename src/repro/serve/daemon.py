@@ -725,9 +725,14 @@ class ValidationDaemon:
                         if deadline is None:
                             result = await handler(message)
                         else:
+                            began = time.monotonic()
                             result = await asyncio.wait_for(
                                 handler(message), deadline
                             )
+                            if time.monotonic() - began > deadline:
+                                # Work on the loop cannot be cancelled: an
+                                # inline op that overran still answers late.
+                                raise asyncio.TimeoutError
                         await self._send(
                             writer,
                             protocol.encode(
@@ -746,8 +751,7 @@ class ValidationDaemon:
                     protocol.error_response(
                         request_id,
                         protocol.E_DEADLINE,
-                        f"request ran past its deadline of {deadline:.3f}s "
-                        "and was cancelled",
+                        f"request ran past its deadline of {deadline:.3f}s",
                         trace=trace_id,
                     )
                 )
@@ -891,13 +895,17 @@ class ValidationDaemon:
     # ------------------------------------------------------------------ #
     @staticmethod
     async def _offload(fn, *args):
-        """Run blocking work (parsing, compilation, file reads) off the loop.
+        """Run blocking work that scales with a document or a whole graph
+        off the loop: parsing, schema compilation, file reads, a store's
+        first typing, checkpoints.
 
         Keeps ``ping``/``status`` responsive on other connections while one
-        request compiles a large schema or reads a big document.  Spans
-        opened inside ``fn`` attach to the request's ``daemon.<op>`` trace,
-        and a deadline does not release the caller's store lock before ``fn``
-        returns (:func:`repro.serve.async_engine.run_in_worker`).
+        request compiles a large schema or reads a big document.  Work the
+        size of a delta (``update_graph`` deltas, revalidations from a held
+        typing) runs on the loop instead (``docs/architecture.md``).
+        Spans opened inside ``fn`` attach to the request's ``daemon.<op>``
+        trace, and a deadline does not release the caller's store lock
+        before ``fn`` returns (:func:`repro.serve.async_engine.run_in_worker`).
         """
         return await run_in_worker(fn, *args)
 
@@ -1231,7 +1239,9 @@ class ValidationDaemon:
         ``{"add": [...], "remove": [...]}`` edit is applied to the existing
         store and bumps its version.  Node and label names in a delta are the
         *converted* graph identifiers (IRIs, ``literal:...`` forms, shortened
-        predicate names) — see docs/protocol.md.
+        predicate names) — see docs/protocol.md.  A document is parsed (and
+        its first snapshot written) in one worker hop; a delta is applied on
+        the loop.
         """
         name = protocol.require(message, "name", str)
         has_data = "data" in message
@@ -1248,20 +1258,18 @@ class ValidationDaemon:
             )
         async with self._store_lock(name):
             if has_data:
-                graph = await self._offload(self._owned_graph, message["data"], name)
-                previous = self._stores.get(name)
-                if isinstance(previous, DurableStore):
-                    previous.close()
-                if self.data_dir is not None:
-                    store = await self._offload(
-                        lambda: DurableStore.create(
-                            self._graph_dir(name), graph,
-                            name=name, fsync=self.fsync,
-                        )
-                    )
+                try:
+                    store = await self._offload(self._new_store, message["data"], name)
+                except OSError:
+                    # Writing the new directory failed after the previous
+                    # durable store was closed and its files removed: it
+                    # could no longer log a delta, so the name goes with it.
+                    if isinstance(self._stores.get(name), DurableStore):
+                        del self._stores[name]
+                        self._checkpointed.pop(name, None)
+                    raise
+                if isinstance(store, DurableStore):
                     self._checkpointed[name] = (store.version, frozenset())
-                else:
-                    store = GraphStore(graph)
                 self._stores[name] = store
                 return self._store_summary(name, store)
             store = self._resolve_store(name)
@@ -1277,12 +1285,57 @@ class ValidationDaemon:
             delta = protocol.require(message, "delta", dict)
             try:
                 parsed = Delta.from_json(delta)
-                await self._offload(store.apply, parsed)
+                # O(delta) plus one WAL append: on the loop, no thread hop.
+                store.apply(parsed)
             except GraphError as exc:
                 raise ProtocolError(str(exc), protocol.E_BAD_REQUEST) from exc
             result = self._store_summary(name, store)
             result["applied"] = len(parsed)
             return result
+
+    def _new_store(self, reference: Any, name: str) -> GraphStore:
+        """A fresh store (version 0) for a data reference, replacing the
+        durable directory of any previous store of that name.  Blocking:
+        parses the document and, with a data dir, writes its first
+        snapshot."""
+        graph = self._owned_graph(reference, name)
+        previous = self._stores.get(name)
+        if isinstance(previous, DurableStore):
+            previous.close()
+        if self.data_dir is None:
+            return GraphStore(graph)
+        return DurableStore.create(
+            self._graph_dir(name), graph, name=name, fsync=self.fsync
+        )
+
+    async def _revalidate(
+        self,
+        stores: List[GraphStore],
+        compiled: CompiledSchema,
+        compressed: bool,
+        label: str = "",
+    ) -> List[Any]:
+        """Revalidate ``stores`` against one schema, in input order.
+
+        When the engine holds a typing of every store
+        (:meth:`ValidationEngine.holds_typing`), the calls run here on the
+        loop: each costs its delta, or at most one full typing of its store
+        when the region passes ``MAX_AFFECTED_FRACTION``.  Otherwise — a
+        store's first typing — the whole batch takes one hop to a worker,
+        where every store after the first reuses the schema's warm
+        signature memo.  The caller holds the stores' locks.
+        """
+        engine = self.validation.engine
+
+        def call() -> List[Any]:
+            return [
+                engine.revalidate(store, compiled, compressed=compressed, label=label)
+                for store in stores
+            ]
+
+        if all(engine.holds_typing(store, compiled, compressed) for store in stores):
+            return call()
+        return await self._offload(call)
 
     async def _op_revalidate(self, message: Dict[str, Any]) -> Dict[str, Any]:
         """Validate the current version of one or many registered graph stores.
@@ -1294,9 +1347,11 @@ class ValidationDaemon:
         answered (``cached`` / ``unchanged`` / ``incremental`` / ``full``).
 
         Batched form: the whole batch is revalidated against one resolved
-        schema in a single engine hop, so every graph after the first reuses
-        the schema's warm signature memo.  Unknown names are reported per
-        entry (``{"graph": ..., "error": {...}}``) without failing the batch.
+        schema in one :meth:`_revalidate` call — on the loop when every store
+        already has a typing, else in a single worker hop — so every graph
+        after the first reuses the schema's warm signature memo.  Unknown
+        names are reported per entry (``{"graph": ..., "error": {...}}``)
+        without failing the batch.
         """
         name = message.get("name")
         graphs = message.get("graphs")
@@ -1322,9 +1377,8 @@ class ValidationDaemon:
                 raise ProtocolError("'name' must be a string", protocol.E_BAD_REQUEST)
             async with self._store_lock(name):
                 store = self._resolve_store(name)
-                outcome = await self.validation.revalidate(
-                    store, compiled, compressed=compressed,
-                    label=str(message.get("label", "")),
+                (outcome,) = await self._revalidate(
+                    [store], compiled, compressed, str(message.get("label", ""))
                 )
             return self._revalidation_entry(name, outcome)
 
@@ -1361,8 +1415,8 @@ class ValidationDaemon:
                     }
                 else:
                     known.append((graph_name, store))
-            outcomes = await self.validation.revalidate_many(
-                [store for _name, store in known], compiled, compressed=compressed
+            outcomes = await self._revalidate(
+                [store for _name, store in known], compiled, compressed
             )
             for (graph_name, _store), outcome in zip(known, outcomes):
                 entries[graph_name] = self._revalidation_entry(graph_name, outcome)

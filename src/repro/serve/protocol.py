@@ -60,8 +60,9 @@ E_UNKNOWN_GRAPH = "unknown-graph"
 #: The daemon hit an unexpected exception; the connection stays usable.
 E_INTERNAL = "internal-error"
 #: The request ran past its deadline (``deadline_ms`` or the daemon's
-#: ``--request-timeout``); the work was cancelled and may be partially done
-#: for mutating ops — retry with ``expect_version`` to stay at-most-once.
+#: ``--request-timeout``); the work was cancelled, or finished late on the
+#: loop, and may have landed for mutating ops — retry with
+#: ``expect_version`` to stay at-most-once.
 E_DEADLINE = "deadline-exceeded"
 #: The daemon refused the request under load (connection or in-flight cap,
 #: or a drain in progress); safe to retry after a backoff for *any* op —

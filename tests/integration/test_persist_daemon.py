@@ -16,7 +16,8 @@ import time
 
 import pytest
 
-from repro.errors import PersistError
+from repro import faults
+from repro.errors import DaemonError, PersistError
 from repro.obs import parse_prometheus
 from repro.persist import CURRENT_FORMAT, DurableStore, read_manifest
 from repro.persist.store import write_manifest
@@ -137,6 +138,28 @@ class TestDurableDaemon:
                 assert entry["version"] == version
                 answer = client.revalidate("bugs", "bug")
         assert answer["verdict"] == "valid" and answer["version"] == version
+
+    def test_a_failed_replacement_takes_the_closed_store_out(self, tmp_path):
+        address = str(tmp_path / "d.sock")
+        delta = {"add": [["http://example.org/b2", "related", "http://example.org/b1"]]}
+        with start_in_thread(socket_path=address, data_dir=str(tmp_path / "data")):
+            _populate(address)
+            with DaemonClient.connect(address) as client:
+                faults.install("persist.io=1.0,seed=1")
+                try:
+                    with pytest.raises(DaemonError) as caught:
+                        client.update_graph("bugs", data_text=TURTLE)
+                finally:
+                    faults.uninstall()
+                assert caught.value.code == "internal-error"
+                # The closed store would take the delta and log nothing.
+                with pytest.raises(DaemonError) as caught:
+                    client.update_graph("bugs", delta=delta)
+                assert caught.value.code == "unknown-graph"
+                client.update_graph("bugs", data_text=TURTLE)
+                client.update_graph("bugs", delta=delta)
+                persist = client.status()["graphs"]["bugs"]["persist"]
+        assert persist["wal_records"] == 1
 
     def test_recovery_runs_on_the_loop_thread_before_the_socket_binds(
         self, tmp_path, monkeypatch

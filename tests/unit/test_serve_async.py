@@ -128,25 +128,6 @@ class TestStreaming:
         assert asyncio.run(run()) == {0: "valid", 1: "invalid"}
 
 
-class TestAsyncRevalidation:
-    def test_revalidate_runs_off_loop_and_tracks_versions(self, schema, good_graph):
-        from repro.graphs.store import GraphStore
-
-        store = GraphStore(good_graph)
-
-        async def run():
-            async with AsyncValidationEngine(backend="serial", cache_size=0) as engine:
-                first = await engine.revalidate(store, schema)
-                store.remove_edge("b2", "descr", "l2")
-                second = await engine.revalidate(store, schema)
-                return first, second
-
-        first, second = asyncio.run(run())
-        assert first.result.verdict == "valid" and first.version == 0
-        assert second.result.verdict == "invalid" and second.version == 1
-        assert second.mode in ("incremental", "full")
-
-
 class TestAsyncCaching:
     def test_submit_twice_hits_cache(self, schema, good_graph):
         async def run():

@@ -285,6 +285,43 @@ class TestGraphStoreOps:
         assert status["two"]["edges"] == 3  # untouched by one's delta
 
 
+class TestThreadHops:
+    """Work the size of a delta answers on the event loop; a document parse
+    and a store's first typing take exactly one worker hop each."""
+
+    DELTA = {"add": [["http://example.org/b2", "related", "http://example.org/b1"]]}
+
+    def test_only_whole_graph_work_leaves_the_loop(self, client, monkeypatch):
+        import repro.serve.daemon as daemon_module
+
+        hops = []
+        real = daemon_module.run_in_worker
+
+        async def counting(fn, *args):
+            hops.append(fn)
+            return await real(fn, *args)
+
+        monkeypatch.setattr(daemon_module, "run_in_worker", counting)
+        client.load_schema("bug", text=SCHEMA_TEXT)
+
+        def hops_of(call):
+            before = len(hops)
+            answer = call()
+            return len(hops) - before, answer
+
+        for name in ("a", "b", "c"):
+            assert hops_of(lambda: client.update_graph(name, data_text=GOOD_TURTLE))[0] == 1
+        for name in ("a", "b"):  # b's answer is cached: a had its content
+            assert hops_of(lambda: client.revalidate(name, "bug"))[0] == 1
+        assert hops_of(lambda: client.update_graph("a", delta=self.DELTA))[0] == 0
+        count, entry = hops_of(lambda: client.revalidate("a", "bug"))
+        assert (count, entry["mode"]) == (0, "incremental")
+        assert hops_of(lambda: client.update_graph("b", delta=self.DELTA))[0] == 0
+        assert hops_of(lambda: client.revalidate_many("bug", graphs=["a", "b"]))[0] == 0
+        # One store without a typing sends the whole batch to one worker.
+        assert hops_of(lambda: client.revalidate_many("bug", graphs=["a", "c"]))[0] == 1
+
+
 class TestRegistrationOwnership:
     """A registered graph is owned by its store: on a parse-memo miss it is
     parsed for the store and kept out of the memo; on a hit the store gets

@@ -1,5 +1,6 @@
 """The hardened serve stack: deadlines, backpressure, drain, retries, reconnects."""
 
+import asyncio
 import json
 import socket
 import threading
@@ -125,6 +126,81 @@ class TestDeadlines:
             assert answers["revalidate"]["error"]["code"] == "deadline-exceeded"
             assert answers["update"]["result"]["version"] == 1
             assert store.version == 1
+        finally:
+            release.set()
+            handle.stop()
+
+    def test_inline_revalidate_past_its_deadline_answers_deadline_exceeded(
+        self, tmp_path
+    ):
+        handle = _start(tmp_path)
+        try:
+            path = handle.daemon.socket_path
+            with DaemonClient.connect(path) as client:
+                client.update_graph("g", data_text=TURTLE)
+                assert client.revalidate("g", {"text": SCHEMA_TEXT})["mode"] == "full"
+                client.update_graph("g", delta=TestVersionGuard.DELTA)
+            engine = handle.daemon.validation.engine
+            original = engine.revalidate
+            on_loop = []
+
+            def slow_revalidate(*args, **kwargs):
+                try:
+                    on_loop.append(asyncio.get_running_loop() is handle.daemon._loop)
+                except RuntimeError:  # a worker thread runs no loop
+                    on_loop.append(False)
+                time.sleep(0.3)
+                return original(*args, **kwargs)
+
+            engine.revalidate = slow_revalidate
+            answer = _raw_request(path, {
+                "op": "revalidate", "id": 1, "deadline_ms": 50, "name": "g",
+                "schema": {"text": SCHEMA_TEXT},
+            })
+            assert on_loop == [True]  # a held typing: retyped on the loop
+            assert answer["error"]["code"] == "deadline-exceeded"
+            engine.revalidate = original
+            with DaemonClient.connect(path) as client:
+                # The late work still landed: the version is typed.
+                again = client.revalidate("g", {"text": SCHEMA_TEXT})
+            assert again["version"] == 1
+            assert again["mode"] in ("cached", "unchanged")
+        finally:
+            handle.stop()
+
+    def test_ping_answers_while_a_first_typing_is_blocked(self, tmp_path):
+        handle = _start(tmp_path)
+        entered, release = threading.Event(), threading.Event()
+        try:
+            path = handle.daemon.socket_path
+            with DaemonClient.connect(path) as client:
+                client.update_graph("g", data_text=TURTLE)
+            engine = handle.daemon.validation.engine
+            original = engine.revalidate
+
+            def blocked_revalidate(*args, **kwargs):
+                entered.set()
+                assert release.wait(10.0)
+                return original(*args, **kwargs)
+
+            engine.revalidate = blocked_revalidate
+            answers = {}
+
+            def send():
+                answers["revalidate"] = _raw_request(path, {
+                    "op": "revalidate", "id": 1, "name": "g",
+                    "schema": {"text": SCHEMA_TEXT},
+                })
+
+            revalidate = threading.Thread(target=send)
+            revalidate.start()
+            assert entered.wait(10.0)
+            # The first typing waits on a worker; the loop still answers.
+            assert _raw_request(path, {"op": "ping", "id": 2})["ok"] is True
+            assert revalidate.is_alive()
+            release.set()
+            revalidate.join(10.0)
+            assert answers["revalidate"]["result"]["mode"] == "full"
         finally:
             release.set()
             handle.stop()
