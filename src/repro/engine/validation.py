@@ -285,11 +285,10 @@ class ValidationEngine(BatchEngine):
 
         Revalidation always computes in the calling thread (a typing snapshot
         cannot usefully cross an executor boundary); the configured backend
-        still applies to ``run_batch``.  When :meth:`holds_typing` is true
-        the call costs the delta since the held version, or at most one full
-        typing of the store when that region passes the fraction above; the
-        daemon runs such calls on its event loop and offloads the rest.
-        Concurrent revalidations of the
+        still applies to ``run_batch``.  From a held typing
+        (:meth:`typed_version`) the call costs the region of the delta since
+        that version, or one full typing of the store when the region passes
+        the fraction above.  Concurrent revalidations of the
         *same* (schema, store, semantics) serialise on a per-token lock;
         unrelated stores and schemas proceed in parallel.  The caller must
         not mutate ``store`` while its revalidation runs (the daemon holds a
@@ -371,21 +370,19 @@ class ValidationEngine(BatchEngine):
                 affected=stats.affected,
             )
 
-    def holds_typing(
+    def typed_version(
         self,
         store: GraphStore,
         schema: Union[ShExSchema, CompiledSchema],
         compressed: bool = False,
-    ) -> bool:
-        """Whether a typing of ``store`` at its current or an earlier version
-        is held for ``(schema, compressed)``, so :meth:`revalidate` answers
-        ``cached``, ``unchanged`` or ``incremental`` — or, for a region past
-        :data:`repro.engine.fixpoint.MAX_AFFECTED_FRACTION`, retypes the
-        store once in full."""
+    ) -> Optional[int]:
+        """The version of ``store`` whose typing is held for ``(schema,
+        compressed)``, or ``None`` when there is none; :meth:`revalidate`
+        starts from that typing."""
         token = (self.compile(schema).fingerprint, store.store_id, compressed)
         with self._revalidate_lock:
             snapshot = self._typings.get(token)
-        return snapshot is not None and snapshot[0] <= store.version
+        return None if snapshot is None else snapshot[0]
 
     def _remember(self, token: Tuple, version: int, typing: Typing) -> None:
         """Keep ``typing`` as the snapshot of ``token`` at ``version``."""

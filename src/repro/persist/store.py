@@ -144,8 +144,15 @@ class DurableStore(GraphStore):
     # Write-ahead hook
     # ------------------------------------------------------------------ #
     def _wal_write(self, resolved: Delta) -> None:
-        if self._replaying or self._wal is None:
+        if self._replaying:
             return
+        if self._wal is None:
+            # Applying in memory only would acknowledge a delta that a
+            # restart loses.
+            raise PersistError(
+                f"durable store {self.directory!r} is closed: the delta "
+                "would not be logged"
+            )
         self._wal.append(self._version + 1, codec.encode_delta(resolved))
 
     # ------------------------------------------------------------------ #
@@ -466,14 +473,21 @@ class DurableStore(GraphStore):
     def generation(self) -> int:
         return self._generation
 
+    @property
+    def closed(self) -> bool:
+        """True when no write-ahead log is open (after :meth:`close`): a
+        delta would not be logged."""
+        return self._wal is None
+
     def persist_status(self) -> Dict[str, Any]:
         """The persistence block of the daemon's per-graph ``status``."""
+        wal = self._wal  # read once: another thread may close the store
         return {
             "generation": self._generation,
             "format": _migrations.CURRENT_FORMAT,
             "fsync": str(self._policy),
-            "wal_records": self._wal.records if self._wal is not None else 0,
-            "wal_bytes": self._wal.bytes if self._wal is not None else 0,
+            "wal_records": wal.records if wal is not None else 0,
+            "wal_bytes": wal.bytes if wal is not None else 0,
             "last_checkpoint_at": self._last_checkpoint_at,
             "base_version": self._base,
         }

@@ -9,9 +9,8 @@ subsystem keeps the expensive artifacts alive *across* workloads:
   batch barrier, plus in-flight deduplication of identical jobs;
 * :class:`ValidationDaemon` (:mod:`repro.serve.daemon`) — a newline-delimited
   JSON server over a Unix or TCP socket: load/compile schemas once, validate
-  graphs, check containment, keep named graph stores typed (a delta and a
-  revalidation from a held typing run on its event loop, through the sync
-  :class:`repro.engine.ValidationEngine`), and query/flush the shared
+  graphs, check containment, keep named graph stores typed through the sync
+  :class:`repro.engine.ValidationEngine`, and query/flush the shared
   fingerprint-keyed caches across thousands of requests;
 * :class:`DaemonClient` (:mod:`repro.serve.client`) — a small blocking client
   used by the CLI's ``--connect`` mode, scripts, and tests;

@@ -40,7 +40,7 @@ import repro
 from repro import faults
 from repro.engine.cache import CacheStats, LRUCache, cache_collector
 from repro.engine.compiled import CompiledSchema, graph_fingerprint
-from repro.engine.fixpoint import fixpoint_metrics_summary
+from repro.engine.fixpoint import MAX_AFFECTED_FRACTION, fixpoint_metrics_summary
 from repro.engine.jobs import JobResult, ValidationJob
 from repro.errors import GraphError, ProtocolError, ReproError
 from repro.graphs.graph import Graph
@@ -897,12 +897,11 @@ class ValidationDaemon:
     async def _offload(fn, *args):
         """Run blocking work that scales with a document or a whole graph
         off the loop: parsing, schema compilation, file reads, a store's
-        first typing, checkpoints.
+        first typing, a large delta, checkpoints.
 
         Keeps ``ping``/``status`` responsive on other connections while one
         request compiles a large schema or reads a big document.  Work the
-        size of a delta (``update_graph`` deltas, revalidations from a held
-        typing) runs on the loop instead (``docs/architecture.md``).
+        size of a small delta runs on the loop instead (:meth:`_fits_loop`).
         Spans opened inside ``fn`` attach to the request's ``daemon.<op>``
         trace, and a deadline does not release the caller's store lock
         before ``fn`` returns (:func:`repro.serve.async_engine.run_in_worker`).
@@ -1241,7 +1240,7 @@ class ValidationDaemon:
         *converted* graph identifiers (IRIs, ``literal:...`` forms, shortened
         predicate names) — see docs/protocol.md.  A document is parsed (and
         its first snapshot written) in one worker hop; a delta is applied on
-        the loop.
+        the loop when :meth:`_fits_loop` admits its size, else in one hop.
         """
         name = protocol.require(message, "name", str)
         has_data = "data" in message
@@ -1258,20 +1257,27 @@ class ValidationDaemon:
             )
         async with self._store_lock(name):
             if has_data:
+                previous = self._stores.get(name)
+                made: List[GraphStore] = []
                 try:
-                    store = await self._offload(self._new_store, message["data"], name)
-                except OSError:
-                    # Writing the new directory failed after the previous
-                    # durable store was closed and its files removed: it
-                    # could no longer log a delta, so the name goes with it.
-                    if isinstance(self._stores.get(name), DurableStore):
-                        del self._stores[name]
+                    await self._offload(
+                        self._new_store, message["data"], name, previous, made
+                    )
+                finally:
+                    # The hop ran to its end even when a deadline or a
+                    # disconnect cancelled the wait, so what it did is
+                    # recorded either way: a store it made is registered (the
+                    # replacement landed), and a durable store it closed
+                    # without making one — the new directory could not be
+                    # written — can no longer log a delta, so the name goes.
+                    if made:
+                        if isinstance(made[0], DurableStore):
+                            self._checkpointed[name] = (made[0].version, frozenset())
+                        self._stores[name] = made[0]
+                    elif isinstance(previous, DurableStore) and previous.closed:
+                        self._stores.pop(name, None)
                         self._checkpointed.pop(name, None)
-                    raise
-                if isinstance(store, DurableStore):
-                    self._checkpointed[name] = (store.version, frozenset())
-                self._stores[name] = store
-                return self._store_summary(name, store)
+                return self._store_summary(name, made[0])
             store = self._resolve_store(name)
             if expect is not None and store.version != expect:
                 # The compare-and-set that makes delta retries at-most-once: a
@@ -1285,28 +1291,46 @@ class ValidationDaemon:
             delta = protocol.require(message, "delta", dict)
             try:
                 parsed = Delta.from_json(delta)
-                # O(delta) plus one WAL append: on the loop, no thread hop.
-                store.apply(parsed)
+                if self._fits_loop(len(parsed), store):
+                    store.apply(parsed)  # O(delta) plus one WAL append
+                else:
+                    await self._offload(store.apply, parsed)
             except GraphError as exc:
                 raise ProtocolError(str(exc), protocol.E_BAD_REQUEST) from exc
             result = self._store_summary(name, store)
             result["applied"] = len(parsed)
             return result
 
-    def _new_store(self, reference: Any, name: str) -> GraphStore:
-        """A fresh store (version 0) for a data reference, replacing the
-        durable directory of any previous store of that name.  Blocking:
-        parses the document and, with a data dir, writes its first
-        snapshot."""
+    def _new_store(
+        self,
+        reference: Any,
+        name: str,
+        previous: Optional[GraphStore],
+        made: List[GraphStore],
+    ) -> None:
+        """Append to ``made`` a fresh store (version 0) for a data reference,
+        replacing the durable directory of ``previous``, the store of that
+        name.  Blocking: parses the document and, with a data dir, closes
+        ``previous`` and writes the first snapshot."""
         graph = self._owned_graph(reference, name)
-        previous = self._stores.get(name)
         if isinstance(previous, DurableStore):
             previous.close()
         if self.data_dir is None:
-            return GraphStore(graph)
-        return DurableStore.create(
-            self._graph_dir(name), graph, name=name, fsync=self.fsync
-        )
+            made.append(GraphStore(graph))
+        else:
+            made.append(
+                DurableStore.create(
+                    self._graph_dir(name), graph, name=name, fsync=self.fsync
+                )
+            )
+
+    @staticmethod
+    def _fits_loop(edits: int, store: GraphStore) -> bool:
+        """Whether work on ``edits`` edge edits of ``store`` may run on the
+        event loop: at most ``MAX_AFFECTED_FRACTION`` of its nodes, the share
+        past which an incremental typing retypes the whole graph anyway.
+        Larger deltas, and the typings after them, take a worker hop."""
+        return edits <= MAX_AFFECTED_FRACTION * store.graph.node_count
 
     async def _revalidate(
         self,
@@ -1317,13 +1341,16 @@ class ValidationDaemon:
     ) -> List[Any]:
         """Revalidate ``stores`` against one schema, in input order.
 
-        When the engine holds a typing of every store
-        (:meth:`ValidationEngine.holds_typing`), the calls run here on the
-        loop: each costs its delta, or at most one full typing of its store
-        when the region passes ``MAX_AFFECTED_FRACTION``.  Otherwise — a
-        store's first typing — the whole batch takes one hop to a worker,
-        where every store after the first reuses the schema's warm
-        signature memo.  The caller holds the stores' locks.
+        This is where the daemon decides which typings run on the event
+        loop.  When the engine holds a typing of every store
+        (:meth:`ValidationEngine.typed_version`) and each delta since it
+        passes :meth:`_fits_loop`, the calls run here on the loop: each costs
+        the region of its delta, or at most one full typing of its store when
+        that region passes ``MAX_AFFECTED_FRACTION``.  Otherwise — a store's
+        first typing, or a delta too large for the loop — the whole batch
+        takes one hop to a worker, where every store after the first reuses
+        the schema's warm signature memo.  The caller holds the stores'
+        locks.
         """
         engine = self.validation.engine
 
@@ -1333,7 +1360,15 @@ class ValidationDaemon:
                 for store in stores
             ]
 
-        if all(engine.holds_typing(store, compiled, compressed) for store in stores):
+        def on_loop(store: GraphStore) -> bool:
+            typed = engine.typed_version(store, compiled, compressed)
+            return (
+                typed is not None
+                and typed <= store.version
+                and self._fits_loop(len(store.diff(typed, store.version)), store)
+            )
+
+        if all(on_loop(store) for store in stores):
             return call()
         return await self._offload(call)
 
@@ -1347,11 +1382,10 @@ class ValidationDaemon:
         answered (``cached`` / ``unchanged`` / ``incremental`` / ``full``).
 
         Batched form: the whole batch is revalidated against one resolved
-        schema in one :meth:`_revalidate` call — on the loop when every store
-        already has a typing, else in a single worker hop — so every graph
-        after the first reuses the schema's warm signature memo.  Unknown
-        names are reported per entry (``{"graph": ..., "error": {...}}``)
-        without failing the batch.
+        schema in one :meth:`_revalidate` call — on the loop or in a single
+        worker hop — so every graph after the first reuses the schema's warm
+        signature memo.  Unknown names are reported per entry
+        (``{"graph": ..., "error": {...}}``) without failing the batch.
         """
         name = message.get("name")
         graphs = message.get("graphs")

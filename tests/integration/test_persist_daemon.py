@@ -161,6 +161,37 @@ class TestDurableDaemon:
                 persist = client.status()["graphs"]["bugs"]["persist"]
         assert persist["wal_records"] == 1
 
+    def test_a_replacement_past_its_deadline_still_logs_later_deltas(
+        self, tmp_path, monkeypatch
+    ):
+        """A deadline cannot interrupt the replacement's worker hop, which
+        closes the previous durable store before it writes the new one.  The
+        replacement lands late; the closed store must not stay registered,
+        taking deltas that it never logs."""
+        address = str(tmp_path / "d.sock")
+        delta = {"add": [["http://example.org/b2", "related", "http://example.org/b1"]]}
+        create = DurableStore.create.__func__
+
+        def slow_create(cls, *args, **kwargs):
+            time.sleep(0.3)
+            return create(cls, *args, **kwargs)
+
+        with start_in_thread(socket_path=address, data_dir=str(tmp_path / "data")):
+            _populate(address)
+            with DaemonClient.connect(address, retries=0) as client:
+                monkeypatch.setattr(DurableStore, "create", classmethod(slow_create))
+                with pytest.raises(DaemonError) as caught:
+                    client.request(
+                        "update_graph", name="bugs", data={"text": TURTLE},
+                        deadline_ms=50,
+                    )
+                monkeypatch.undo()
+                assert caught.value.code == "deadline-exceeded"
+                client.update_graph("bugs", delta=delta)
+                graph = client.status()["graphs"]["bugs"]
+        assert graph["version"] == 1
+        assert graph["persist"]["wal_records"] == 1
+
     def test_recovery_runs_on_the_loop_thread_before_the_socket_binds(
         self, tmp_path, monkeypatch
     ):

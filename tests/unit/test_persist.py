@@ -330,6 +330,15 @@ class TestDurableStore:
         assert reopened.recovery["truncated"] == 0
         reopened.close()
 
+    def test_a_closed_store_refuses_deltas(self, tmp_path):
+        store = DurableStore.create(str(tmp_path / "store"), _base_graph(), name="t")
+        store.close()
+        assert store.closed
+        with pytest.raises(PersistError, match="closed"):
+            store.apply(Delta.of(add=[("a", "x", "c")]))
+        assert store.version == 0
+        assert store.persist_status()["wal_records"] == 0
+
     def test_non_string_labels_reopen(self, tmp_path):
         directory = str(tmp_path / "store")
         store = DurableStore.create(directory, _base_graph(), name="t")

@@ -320,6 +320,16 @@ class TestThreadHops:
         assert hops_of(lambda: client.revalidate_many("bug", graphs=["a", "b"]))[0] == 0
         # One store without a typing sends the whole batch to one worker.
         assert hops_of(lambda: client.revalidate_many("bug", graphs=["a", "c"]))[0] == 1
+        # A delta over half the graph's four nodes is applied, and typed, off
+        # the loop.
+        large = {"add": [
+            ["http://example.org/b1", "related", "http://example.org/b1"],
+            ["http://example.org/b2", "related", "http://example.org/b2"],
+            ["http://example.org/b1", "related", "http://example.org/b2"],
+        ]}
+        assert hops_of(lambda: client.update_graph("a", delta=large))[0] == 1
+        count, entry = hops_of(lambda: client.revalidate("a", "bug"))
+        assert count == 1 and entry["version"] == 2
 
 
 class TestRegistrationOwnership:
